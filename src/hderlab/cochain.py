@@ -29,7 +29,7 @@ from functools import lru_cache
 from .algebras import Algebra, Bimodule
 from .exactlin import (
     Matrix, ShapeError, Vector, ZERO, ONE,
-    basis_vector, kernel_basis, quotient_dim, rank, solve_affine,
+    kernel_basis, rank, require_image_in_kernel, solve_affine,
 )
 from .hder import HigherDerivation
 
@@ -61,13 +61,6 @@ class MultiMap:
     @classmethod
     def zero(cls, arity: int, dim: int, mdim: int) -> "MultiMap":
         return cls(arity, dim, mdim, (ZERO,) * (dim ** arity * mdim))
-
-    @classmethod
-    def from_basis_function(cls, arity: int, dim: int, mdim: int, fn) -> "MultiMap":
-        values: list[Fraction] = []
-        for idx in itertools.product(range(dim), repeat=arity):
-            values.extend(fn(idx))
-        return cls(arity, dim, mdim, tuple(values))
 
     def value_at(self, idx: tuple[int, ...]) -> Vector:
         flat = 0
@@ -356,16 +349,62 @@ def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     return Cochain(delta_hoch(alg, mod, c.main), parts)
 
 
+class LinearForm(dict):
+    """A linear form ``{source position: coefficient}`` on a cochain space.
+
+    It stands in for a Fraction coordinate when ``differential`` runs on the
+    generic cochain: it adds, negates, scales and tests as zero when empty.
+    A nonzero constant term or a product of two forms is not linear and
+    raises TypeError, so a nonlinear step in the differential fails loudly
+    instead of giving a wrong matrix.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not isinstance(other, LinearForm):
+            if other:
+                raise TypeError("a linear form plus a nonzero constant is not linear")
+            return self
+        out = LinearForm(self)
+        for j, y in other.items():
+            z = out.get(j)
+            if z is None:
+                out[j] = y
+            elif z := z + y:
+                out[j] = z
+            else:
+                del out[j]
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, c):
+        if isinstance(c, LinearForm):
+            raise TypeError("a product of two linear forms is not linear")
+        return LinearForm({j: c * y for j, y in self.items()} if c else ())
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+
 @lru_cache(maxsize=64)
 def differential_matrix(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                         n: int) -> Matrix:
-    """Matrix of the degree-n differential in the fixed cochain bases."""
+    """Matrix of the degree-n differential in the fixed cochain bases.
+
+    ``differential`` runs once, on the generic cochain whose coordinate at
+    position p is the form x_p; output coordinate i is then row i.
+    """
     src = cochain_dim(alg.dim, mod.mdim, hd.rank, n)
-    cols = []
-    for pos in range(src):
-        unit = vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, basis_vector(src, pos))
-        cols.append(cochain_to_vector(differential(alg, mod, hd, unit)))
-    return Matrix.from_columns(cols)
+    generic = vector_to_cochain(alg.dim, mod.mdim, hd.rank, n,
+                                tuple(LinearForm({p: ONE}) for p in range(src)))
+    rows = cochain_to_vector(differential(alg, mod, hd, generic))
+    if any(r and not isinstance(r, LinearForm) for r in rows):
+        raise TypeError("the differential has a constant term")
+    return Matrix.from_sparse_rows((r or {} for r in rows), src)
 
 
 @dataclass(frozen=True)
@@ -396,12 +435,12 @@ def cohomology(alg: Algebra, mod: Bimodule, hd: HigherDerivation, degree: int,
     cocycles = kernel_basis(outgoing)
     if degree == 1:
         boundary = Matrix.zeros(n_cochains, 0)
-        betti = len(cocycles)
         n_coboundaries = 0
     else:
         boundary = differential_matrix(alg, mod, hd, degree - 1)
-        betti = quotient_dim(boundary, outgoing)
+        require_image_in_kernel(boundary, outgoing)
         n_coboundaries = rank(boundary)
+    betti = len(cocycles) - n_coboundaries
     basis = tuple(vector_to_cochain(alg.dim, mod.mdim, hd.rank, degree, v)
                   for v in cocycles)
     return CohomologyReport(degree, n_cochains, len(cocycles), n_coboundaries,

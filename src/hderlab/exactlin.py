@@ -1,19 +1,22 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra on one sparse elimination kernel.
 
 Every cohomology and obstruction question downstream reduces to rank /
 kernel / solve questions over the rationals, and the answers are equality
 tests, so floating point is banned throughout.  Scalars are
-:class:`fractions.Fraction`; matrices are immutable, dense and row-major.
+:class:`fractions.Fraction`; matrices are immutable and row-major.
 
-All outputs are canonical: elimination always produces the reduced row
-echelon form, and kernel bases and particular solutions are the ones read
-off from it.  Higher layers therefore reproduce bit for bit.
+Elimination is sparse: :func:`echelon` feeds the rows of a matrix, as
+``{column: value}`` dicts, to an :class:`Echelon`, and back-substitution runs
+only when the reduced form is asked for.  The reduced row echelon form of a
+row space is unique, so ``rref``, kernel bases and particular solutions are
+canonical, and higher layers reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -55,22 +58,6 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y, strict=True))
 
 
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def vec_scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
-def vec_is_zero(x: Vector) -> bool:
-    return all(not a for a in x)
-
-
-def basis_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable rows x cols matrix of Fractions, entries row-major."""
@@ -95,6 +82,18 @@ class Matrix:
         if any(len(row) != ncols for row in rows):
             raise ShapeError("ragged rows")
         return cls(len(rows), ncols, tuple(x for row in rows for x in row))
+
+    @classmethod
+    def from_sparse_rows(cls, rows, cols: int) -> "Matrix":
+        """A matrix from ``{column: nonzero value}`` rows, kept as ``sparse_rows``."""
+        rows = tuple(rows)
+        entries = [ZERO] * (len(rows) * cols)
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                entries[i * cols + j] = x
+        m = cls(len(rows), cols, tuple(entries))
+        m.__dict__["sparse_rows"] = rows
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -122,6 +121,13 @@ class Matrix:
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    @cached_property
+    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """The nonzero entries of each row as ``{column: value}``."""
+        c = self.cols
+        return tuple({j: x for j, x in enumerate(self.entries[i * c:(i + 1) * c]) if x}
+                     for i in range(self.rows))
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product, skipping zero coordinates of ``v``."""
@@ -191,44 +197,81 @@ class Matrix:
             raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns.
-
-    Plain rational Gauss-Jordan with first-nonzero pivoting; deterministic.
-    """
-    work = m.to_rows()
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(m.cols):
-        pivot_row = None
-        for r in range(pr, m.rows):
-            if work[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+def _subtract(v: dict[int, Fraction], x: Fraction, row: dict[int, Fraction],
+              skip: int) -> None:
+    """``v -= x * row`` in place over the columns of ``row`` other than ``skip``."""
+    for j, y in row.items():
+        if j == skip:
             continue
-        if pivot_row != pr:
-            work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        inv = ONE / work[pr][pc]
-        if inv != ONE:
-            work[pr] = [inv * x for x in work[pr]]
-        for r in range(m.rows):
-            if r == pr:
-                continue
-            factor = work[r][pc]
-            if factor:
-                prow = work[pr]
-                work[r] = [x - factor * p for x, p in zip(work[r], prow)]
-        pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
+        z = v.get(j)
+        if z is None:
+            v[j] = -x * y
+        elif z := z - x * y:
+            v[j] = z
+        else:
+            del v[j]
+
+
+class Echelon:
+    """Exact row echelon form of a growing set of sparse rows.
+
+    ``rows[p]`` is the stored row whose smallest column is the pivot ``p``,
+    scaled to 1 there; rows are ``{column: Fraction}`` dicts of nonzeros.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: dict[int, Fraction]) -> bool:
+        """Reduce a copy of ``row`` against the stored pivots, smallest
+        column first, and keep it if it survives; True when the rank grew."""
+        v = {j: x for j, x in row.items() if x}
+        while v:
+            c = min(v)
+            prow = self.rows.get(c)
+            if prow is None:
+                inv = ONE / v[c]
+                self.rows[c] = {j: y * inv for j, y in v.items()}
+                return True
+            _subtract(v, v.pop(c), prow, c)
+        return False
+
+    def reduced(self) -> dict[int, dict[int, Fraction]]:
+        """The stored rows, back-substituted in place into reduced row
+        echelon form: a row holds its pivot and non-pivot columns only."""
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            for q in [q for q in row if q != p and q in rows]:
+                _subtract(row, row.pop(q), rows[q], q)
+        return rows
+
+
+def echelon(m: Matrix) -> Echelon:
+    """The echelon form of the rows of ``m``; every elimination runs here."""
+    ech = Echelon()
+    for row in m.sparse_rows:
+        if ech.rank == m.cols:
             break
-    return Matrix.from_rows(work) if m.rows else m, tuple(pivots)
+        ech.add(row)
+    return ech
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and the tuple of pivot columns."""
+    rows = echelon(m).reduced()
+    pivots = tuple(sorted(rows))
+    red = [rows[p] for p in pivots] + [{}] * (m.rows - len(pivots))
+    return Matrix.from_sparse_rows(red, m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals."""
-    return len(rref(m)[1])
+    return echelon(m).rank
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -237,18 +280,15 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     The vector for free column f has a 1 at f, the negated reduced-echelon
     entries at the pivot columns, and zeros elsewhere; ordered by f.
     """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * m.cols
+    rows = echelon(m).reduced()
+    basis = {f: [ZERO] * m.cols for f in range(m.cols) if f not in rows}
+    for f, v in basis.items():
         v[f] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.entry(r, f)
-        basis.append(tuple(v))
-    return basis
+    for p, row in rows.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def solve_affine(m: Matrix, b: Vector) -> Vector | None:
@@ -259,15 +299,29 @@ def solve_affine(m: Matrix, b: Vector) -> Vector | None:
     """
     if len(b) != m.rows:
         raise ShapeError(f"expected right-hand side of length {m.rows}, got {len(b)}")
-    aug = Matrix(m.rows, m.cols + 1,
-                 tuple(x for i in range(m.rows) for x in (*m.row(i), b[i])))
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] == m.cols:
+    n = m.cols
+    aug = Matrix.from_sparse_rows(({**row, n: bi} if bi else row
+                                   for row, bi in zip(m.sparse_rows, b)), n + 1)
+    rows = echelon(aug).reduced()
+    if n in rows:
         return None
-    x = [ZERO] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.entry(r, m.cols)
-    return tuple(x)
+    return tuple(rows[j].get(n, ZERO) if j in rows else ZERO for j in range(n))
+
+
+def require_image_in_kernel(boundary: Matrix, kernel_of: Matrix) -> None:
+    """Raise unless ``kernel_of * boundary`` vanishes, by a sparse product;
+    a nonzero composite means the claimed complex is broken."""
+    if kernel_of.cols != boundary.rows:
+        raise ShapeError(
+            f"boundary lands in a {boundary.rows}-dim space but the kernel map "
+            f"expects {kernel_of.cols}")
+    for row in kernel_of.sparse_rows:
+        acc: dict[int, Fraction] = {}
+        for k, a in row.items():
+            for j, y in boundary.sparse_rows[k].items():
+                acc[j] = acc.get(j, ZERO) + a * y
+        if any(acc.values()):
+            raise BrokenComplexError("image not contained in kernel")
 
 
 def quotient_dim(boundary: Matrix, cocycle_kernel_of: Matrix) -> int:
@@ -277,10 +331,5 @@ def quotient_dim(boundary: Matrix, cocycle_kernel_of: Matrix) -> int:
     must vanish, otherwise the claimed complex is broken and we refuse to
     produce a number.
     """
-    if cocycle_kernel_of.cols != boundary.rows:
-        raise ShapeError(
-            f"boundary lands in a {boundary.rows}-dim space but the kernel map "
-            f"expects {cocycle_kernel_of.cols}")
-    if not (cocycle_kernel_of * boundary).is_zero():
-        raise BrokenComplexError("image not contained in kernel")
+    require_image_in_kernel(boundary, cocycle_kernel_of)
     return (cocycle_kernel_of.cols - rank(cocycle_kernel_of)) - rank(boundary)

@@ -19,7 +19,7 @@ from .cochain import (
     Cochain, MultiMap, NotACocycleError, cochain_to_vector, cohomology,
     differential, differential_matrix, is_coboundary, multimap_to_matrix,
 )
-from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, rank
+from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, echelon
 from .hder import AssHDerPair, HigherDerivation
 
 
@@ -293,13 +293,10 @@ def classify_central(alg: Algebra, hd: HigherDerivation,
     if not mod.has_zero_actions():
         raise ValueError("central classification requires a bimodule with zero actions")
     report = cohomology(alg, mod, hd, 2)
-    boundary = differential_matrix(alg, mod, hd, 1)
-    base_rank = rank(boundary)
+    span = echelon(differential_matrix(alg, mod, hd, 1).transpose())
     chosen: list[Cochain] = []
-    span_cols = [boundary.column(j) for j in range(boundary.cols)]
     for cocycle in report.cocycle_basis:
-        trial = span_cols + [cochain_to_vector(c) for c in chosen] + [cochain_to_vector(cocycle)]
-        if rank(Matrix.from_columns(trial)) > base_rank + len(chosen):
+        if span.add(dict(enumerate(cochain_to_vector(cocycle)))):
             chosen.append(cocycle)
         if len(chosen) == report.betti:
             break

@@ -1,8 +1,10 @@
 """Shared generators, fixture menus, and independent oracles for the tests.
 
 The oracles here deliberately avoid the operators under test: second
-cohomology is recomputed from the raw extension-law defects, and coboundary
-probes use the section-difference formulas directly.
+cohomology is recomputed from the raw extension-law defects, coboundary
+probes use the section-difference formulas directly, elimination is checked
+against dense Gauss-Jordan, and the differential matrix against one
+``differential`` call per unit cochain.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 import hderlab as H
 from hderlab import samples
-from hderlab.exactlin import ZERO
+from hderlab.exactlin import ONE, ZERO
 
 # ---------------------------------------------------------------- generators
 
@@ -45,6 +49,24 @@ def rand_cochain(rng: random.Random, dim: int, mdim: int, nrank: int, n: int) ->
 def rand_gauge(rng: random.Random, dim: int, order: int) -> H.GaugeMap:
     return H.GaugeMap(order, (H.Matrix.identity(dim),
                               *(rand_matrix(rng, dim) for _ in range(order))))
+
+
+def sparse_matrices(rows=st.integers(0, 7), cols=st.integers(0, 7)):
+    """Mostly-zero rational matrices, some of them products through a narrow
+    middle dimension, so that dependent rows and kernels are common."""
+    entries = st.one_of(st.just(ZERO), st.just(ZERO),
+                        st.fractions(min_value=-20, max_value=20, max_denominator=6))
+
+    def plain(r, c):
+        return st.lists(entries, min_size=r * c, max_size=r * c).map(
+            lambda xs: H.Matrix(r, c, tuple(xs)))
+
+    def low_rank(r, c):
+        return st.integers(0, 3).flatmap(
+            lambda k: st.tuples(plain(r, k), plain(k, c)).map(lambda ab: ab[0] * ab[1]))
+
+    return st.tuples(rows, cols).flatmap(
+        lambda rc: st.one_of(plain(*rc), low_rank(*rc)))
 
 
 # ------------------------------------------------------------ fixture menus
@@ -208,3 +230,78 @@ def betti2_by_rank_count(alg: H.Algebra, hd: H.HigherDerivation,
 def cochains_equal(a: H.Cochain, b: H.Cochain) -> bool:
     return a.main.values == b.main.values and len(a.parts) == len(b.parts) and \
         all(x.values == y.values for x, y in zip(a.parts, b.parts))
+
+
+def dense_rref(m: H.Matrix) -> tuple[H.Matrix, tuple[int, ...]]:
+    """Reduced row echelon form by dense rational Gauss-Jordan.
+
+    First-nonzero pivoting on full rows; the reference for ``exactlin.rref``.
+    """
+    work = m.to_rows()
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(m.cols):
+        pivot_row = None
+        for r in range(pr, m.rows):
+            if work[r][pc]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != pr:
+            work[pr], work[pivot_row] = work[pivot_row], work[pr]
+        inv = ONE / work[pr][pc]
+        if inv != ONE:
+            work[pr] = [inv * x for x in work[pr]]
+        for r in range(m.rows):
+            if r == pr:
+                continue
+            factor = work[r][pc]
+            if factor:
+                prow = work[pr]
+                work[r] = [x - factor * p for x, p in zip(work[r], prow)]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.rows:
+            break
+    return H.Matrix.from_rows(work) if m.rows else m, tuple(pivots)
+
+
+def dense_kernel_basis(m: H.Matrix) -> list[tuple]:
+    """Kernel basis read off ``dense_rref``, one vector per free column."""
+    red, pivots = dense_rref(m)
+    basis = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.entry(r, f)
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve_affine(m: H.Matrix, b: tuple) -> tuple | None:
+    """Particular solution read off the dense RREF of ``[m | b]``, or None."""
+    aug = H.Matrix(m.rows, m.cols + 1,
+                   tuple(x for i in range(m.rows) for x in (*m.row(i), b[i])))
+    red, pivots = dense_rref(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [ZERO] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red.entry(r, m.cols)
+    return tuple(x)
+
+
+def differential_matrix_by_columns(alg: H.Algebra, mod: H.Bimodule,
+                                   hd: H.HigherDerivation, n: int) -> H.Matrix:
+    """The degree-n differential, one ``differential`` call per unit cochain."""
+    src = H.cochain_dim(alg.dim, mod.mdim, hd.rank, n)
+    cols = []
+    for pos in range(src):
+        unit = tuple(ONE if j == pos else ZERO for j in range(src))
+        c = H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, unit)
+        cols.append(H.cochain_to_vector(H.differential(alg, mod, hd, c)))
+    return H.Matrix.from_columns(cols)

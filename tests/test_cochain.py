@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 import hderlab as H
-from hderlab import samples
+from hderlab import cochain, exactlin, samples
+from hderlab.cochain import LinearForm
 from hderlab.deform import product_multimap
 
 from helpers import (
-    betti2_by_rank_count, cochains_equal, coefficient_fixtures, rand_cochain,
-    rand_fraction, rand_multimap, raw_coboundary,
+    betti2_by_rank_count, cochains_equal, coefficient_fixtures,
+    differential_matrix_by_columns, rand_cochain, rand_fraction, rand_multimap,
+    raw_coboundary,
 )
 
 
@@ -111,6 +113,41 @@ def test_differential_squares_to_zero_across_fixtures():
             assert dd.is_zero()
 
 
+def test_one_pass_assembly_matches_unit_columns():
+    for name, alg, hd, mod in coefficient_fixtures():
+        for n in (1, 2, 3):
+            assert H.differential_matrix(alg, mod, hd, n) == \
+                differential_matrix_by_columns(alg, mod, hd, n), (name, n)
+
+
+def test_linear_form_rejects_nonlinear_steps():
+    x = LinearForm({0: Fraction(1)})
+    y = LinearForm({1: Fraction(2)})
+    assert (x + 0) is x and (Fraction(0) + x) is x and not (x + -x)
+    for nonlinear in (lambda: x + Fraction(1), lambda: Fraction(1) + x,
+                      lambda: x + -y + 1, lambda: x * y):
+        with pytest.raises(TypeError, match="not linear"):
+            nonlinear()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda v: v * v,                   # a product of two coordinates
+    lambda v: v + Fraction(1),         # a constant term
+])
+def test_nonlinear_differential_fails_assembly(monkeypatch, edit):
+    alg, hd, mod = _dual_adjoint()
+    linear = cochain.delta_hoch
+
+    def edited(alg, mod, f):
+        out = linear(alg, mod, f)
+        return H.MultiMap(out.arity, out.dim, out.mdim,
+                          (edit(out.values[0]), *out.values[1:]))
+
+    monkeypatch.setattr(cochain, "delta_hoch", edited)
+    with pytest.raises(TypeError, match="not linear|constant term"):
+        H.differential_matrix.__wrapped__(alg, mod, hd, 1)
+
+
 def test_differential_on_trivial_module_spot_value():
     alg = samples.dual_numbers()
     hd = samples.dual_numbers_hder(2)
@@ -203,6 +240,15 @@ def test_cohomology_matches_raw_rank_oracle():
                   H.trivial_bimodule(z1, 1, (H.Matrix(1, 1, (Fraction(2),)),))))
     for alg, hd, mod in cases:
         assert H.cohomology(alg, mod, hd, 2).betti == betti2_by_rank_count(alg, hd, mod)
+
+
+def test_cohomology_eliminates_each_matrix_once(monkeypatch):
+    alg, hd, mod = _dual_adjoint()
+    calls = []
+    kernel = exactlin.echelon
+    monkeypatch.setattr(exactlin, "echelon", lambda m: calls.append(m) or kernel(m))
+    H.cohomology(alg, mod, hd, 2)
+    assert [(m.rows, m.cols) for m in calls] == [(32, 16), (16, 4)]
 
 
 def test_zero_multiplication_line_has_expected_classes():

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hderlab.exactlin import (
-    BrokenComplexError, Matrix, ShapeError, kernel_basis, quotient_dim, rank,
-    rat, rat_str, rref, solve_affine,
+    BrokenComplexError, Echelon, Matrix, ShapeError, kernel_basis,
+    quotient_dim, rank, rat, rat_str, rref, solve_affine,
 )
+
+from helpers import dense_kernel_basis, dense_rref, dense_solve_affine, sparse_matrices
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -17,6 +19,14 @@ def matrices(max_side=5):
         lambda r: st.integers(1, max_side).flatmap(
             lambda c: st.lists(fractions, min_size=r * c, max_size=r * c).map(
                 lambda xs: Matrix(r, c, tuple(xs)))))
+
+
+SHAPES = {
+    "tall": sparse_matrices(st.integers(5, 10), st.integers(1, 4)),
+    "wide": sparse_matrices(st.integers(1, 4), st.integers(5, 10)),
+    "zero_rows": sparse_matrices(st.just(0), st.integers(0, 5)),
+    "any": sparse_matrices(),
+}
 
 
 def test_rat_parsing_and_formatting():
@@ -127,3 +137,38 @@ def test_rref_is_idempotent():
     red, pivots = rref(m)
     again, pivots2 = rref(red)
     assert red == again and pivots == pivots2
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_kernel_matches_dense_oracle(shape, data):
+    m = data.draw(SHAPES[shape])
+    red, pivots = dense_rref(m)
+    assert rref(m) == (red, pivots)
+    assert rank(m) == len(pivots)
+    assert kernel_basis(m) == dense_kernel_basis(m)
+    x = tuple(data.draw(fractions) for _ in range(m.cols))
+    consistent = m.apply(x)
+    assert solve_affine(m, consistent) == dense_solve_affine(m, consistent)
+    b = tuple(data.draw(fractions) for _ in range(m.rows))
+    assert solve_affine(m, b) == dense_solve_affine(m, b)
+
+
+def test_solve_inconsistent_matches_dense_oracle():
+    m = Matrix.from_rows([[1, 0, 2], [0, 0, 0], [2, 0, 4]])
+    b = (Fraction(1), Fraction(0), Fraction(3))
+    assert dense_solve_affine(m, b) is None
+    assert solve_affine(m, b) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices())
+def test_echelon_add_reports_rank_growth(m):
+    ech = Echelon()
+    before = 0
+    for i in range(m.rows):
+        after = len(dense_rref(Matrix(i + 1, m.cols, m.entries[:(i + 1) * m.cols]))[1])
+        assert ech.add(dict(enumerate(m.row(i)))) == (after > before)
+        assert ech.rank == after
+        before = after
