@@ -16,7 +16,7 @@ from .cochain import (
 )
 from .deform import (
     Deformation, ExtendOutcome, GaugeMap, TrivializeOutcome, apply_gauge,
-    extend_deformation, gauge_compose, gauge_inverse, infinitesimal,
+    extend_deformation, extend_to, gauge_compose, gauge_inverse, infinitesimal,
     obstruction, product_multimap, trivial_deformation, trivialize,
     truncate_deformation, try_extend, verify_deformation,
 )

@@ -27,9 +27,7 @@ from .algebras import (
     adjoint_bimodule, trivial_bimodule, verify_algebra, verify_bimodule,
 )
 from .cochain import NotACocycleError, cohomology, is_coboundary
-from .deform import (
-    extend_deformation, obstruction, trivialize, try_extend, verify_deformation,
-)
+from .deform import extend_to, obstruction, trivialize, verify_deformation
 from .exactlin import Matrix, ShapeError
 from .extensions import (
     SectionError, classify_central, cocycle_from_section, extension_from_cocycle,
@@ -236,17 +234,14 @@ def cmd_deform_extend(doc, args):
     if target <= defm.order:
         raise ParseError(f"--to {target} is not past the current order {defm.order}")
     _guard(target_order=target)
-    current = defm
-    while current.order < target:
-        outcome = try_extend(alg, hd, current)
-        if outcome.candidate is None:
-            results = {"reached_order": current.order,
-                       "obstruction": cochain_to_json(outcome.obstruction)}
-            return False, results, [
-                f"obstruction class at order {current.order} is nonzero"]
-        current = extend_deformation(current, outcome.candidate)
-    results = {"reached_order": current.order,
-               "deformation": deformation_to_json(current)}
+    reached, blocking = extend_to(alg, hd, defm, target)
+    if blocking is not None:
+        results = {"reached_order": reached.order,
+                   "obstruction": cochain_to_json(blocking)}
+        return False, results, [
+            f"obstruction class at order {reached.order} is nonzero"]
+    results = {"reached_order": reached.order,
+               "deformation": deformation_to_json(reached)}
     return True, results, []
 
 

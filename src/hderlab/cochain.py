@@ -230,21 +230,26 @@ def vector_to_cochain(dim: int, mdim: int, nrank: int, n: int, vec: Vector) -> C
     return Cochain(main, tuple(parts))
 
 
+def _add_middle_sum(alg: Algebra, f: MultiMap, idx: tuple[int, ...], acc: list) -> None:
+    """acc += sum_pos (-1)^{pos+1} f(e_i0, ..., e_ipos e_ipos+1, ..., e_in), in place."""
+    for pos in range(f.arity):
+        sign = -1 if pos % 2 == 0 else 1  # (-1)^{pos+1}
+        prod = alg.basis_product(idx[pos], idx[pos + 1])
+        for r, coeff in enumerate(prod):
+            if coeff:
+                sub = f.value_at(idx[:pos] + (r,) + idx[pos + 2:])
+                for b in range(len(acc)):
+                    if sub[b]:
+                        acc[b] += sign * coeff * sub[b]
+
+
 def delta_hoch(alg: Algebra, mod: Bimodule, f: MultiMap) -> MultiMap:
     """The classical Hochschild coboundary with respect to the actions."""
     n, d, md = f.arity, alg.dim, mod.mdim
     values: list[Fraction] = []
     for idx in itertools.product(range(d), repeat=n + 1):
         acc = list(mod.act_left(alg.basis_vector(idx[0]), f.value_at(idx[1:])))
-        for pos in range(n):
-            sign = -1 if pos % 2 == 0 else 1  # (-1)^{pos+1}
-            prod = alg.basis_product(idx[pos], idx[pos + 1])
-            for r, coeff in enumerate(prod):
-                if coeff:
-                    sub = f.value_at(idx[:pos] + (r,) + idx[pos + 2:])
-                    for b in range(md):
-                        if sub[b]:
-                            acc[b] += sign * coeff * sub[b]
+        _add_middle_sum(alg, f, idx, acc)
         tail = mod.act_right(f.value_at(idx[:n]), alg.basis_vector(idx[n]))
         tail_sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
         for b in range(md):
@@ -278,15 +283,7 @@ def delta_prime(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                 for b in range(md):
                     if term[b]:
                         acc[b] += term[b]
-            for pos in range(n):
-                sign = -1 if pos % 2 == 0 else 1
-                prod = alg.basis_product(idx[pos], idx[pos + 1])
-                for r, coeff in enumerate(prod):
-                    if coeff:
-                        sub = fk.value_at(idx[:pos] + (r,) + idx[pos + 2:])
-                        for b in range(md):
-                            if sub[b]:
-                                acc[b] += sign * coeff * sub[b]
+            _add_middle_sum(alg, fk, idx, acc)
             tail_sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
             for i in range(1, k + 1):  # j = k - i, i >= 1
                 avec = hd.apply(k - i, alg.basis_vector(idx[n]))

@@ -5,7 +5,8 @@ mu_0, ..., mu_n with mu_0 the algebra product, and for each k a matrix list
 d_{k,0}, ..., d_{k,n} with d_{k,0} = d_k.  The index-0 derivation series is
 the constant identity (d_{0,0} = id, d_{0,s} = 0 for s >= 1), which the
 convolutions below bake in.  Nothing is ever symbolic: all series algebra is
-convolution on coefficient lists, truncated at the stored order.
+convolution on coefficient lists, truncated at the stored order.  The
+order-s equations are stated once, in ``_order_equations``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebras import Algebra, CheckReport, Violation, adjoint_bimodule
 from .cochain import (
     Cochain, MultiMap, cochain_to_vector, differential, differential_matrix,
     matrix_to_multimap, multimap_to_matrix, vector_to_cochain,
 )
-from .exactlin import Matrix, ShapeError, ZERO, solve_affine, vec_add
+from .exactlin import Matrix, ONE, ShapeError, ZERO, solve_affine
 from .hder import HigherDerivation
 
 
@@ -55,12 +57,22 @@ class Deformation:
     def rank(self) -> int:
         return len(self.dks)
 
-    def dcoeff(self, k: int, s: int) -> Matrix | None:
-        """d_{k,s} with the constant-identity convention at k = 0; None means zero."""
-        if k == 0:
-            return Matrix.identity(self.dim) if s == 0 else None
-        mat = self.dks[k - 1][s]
-        return None if mat.is_zero() else mat
+    @cached_property
+    def _tables(self) -> tuple[tuple, tuple]:
+        """Nonzero entries for ``_order_equations``: ``mus[p][i * dim + j]`` is
+        mu_p(e_i, e_j) as ``{c: x}``, ``dcols[k][s][c]`` column c of d_{k,s} as
+        ``{b: x}``; series 0 holds only d_{0,0} = id."""
+        d = self.dim
+        mus = tuple(tuple({c: x for c in range(d) if (x := mu.values[base + c])}
+                          for base in range(0, d * d * d, d))
+                    for mu in self.mus)
+        ident = tuple({c: ONE} for c in range(d))
+        dcols = ((ident,),) + tuple(
+            tuple(tuple({b: x for b in range(d) if (x := mat.entry(b, c))}
+                        for c in range(d))
+                  for mat in series)
+            for series in self.dks)
+        return mus, dcols
 
     def coefficient(self, s: int) -> Cochain:
         """The order-s coefficient as a 2-cochain with self coefficients."""
@@ -127,49 +139,72 @@ def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
             raise ValueError(f"order-0 derivation coefficient {k} is not d_{k}")
 
 
+def _order_equations(defm: Deformation, s: int):
+    """Both sides of every order-s equation, in scan order.
+
+    Yields ``(k, at, lhs, rhs)``: k = 0 for associativity,
+    sum_{p+q=s} mu_p(mu_q(e_i, e_j), e_l) = sum_{p+q=s} mu_p(e_i, mu_q(e_j, e_l))
+    at each basis triple, then for k = 1..N the higher-derivation law
+    sum_p d_{k,p}(mu_{s-p}(e_i, e_j)) = sum_{a+b=k} sum_{p+q+r=s} mu_p(d_{a,q} e_i, d_{b,r} e_j)
+    at each basis pair.  Coefficients past the stored order count as zero,
+    so at s = order + 1 the two sides hold exactly the known terms.
+    """
+    mus, dcols = defm._tables
+    d, n = defm.dim, defm.order
+    orders = range(max(0, s - n), min(s, n) + 1)  # p with p <= n and s - p <= n
+    pairs = [(mus[p], mus[s - p]) for p in orders]
+    for i, j, l in itertools.product(range(d), repeat=3):
+        lhs = [ZERO] * d
+        rhs = [ZERO] * d
+        for mp, mq in pairs:
+            for c, x in mq[i * d + j].items():
+                for b, y in mp[c * d + l].items():
+                    lhs[b] += x * y
+            for c, x in mq[j * d + l].items():
+                for b, y in mp[i * d + c].items():
+                    rhs[b] += x * y
+        yield 0, (i, j, l), lhs, rhs
+    for k in range(1, defm.rank + 1):
+        left_terms = [(dcols[k][p], mus[s - p]) for p in orders]
+        right_terms = []
+        for a in range(k + 1):
+            da, db = dcols[a], dcols[k - a]
+            for q in range(min(s, len(da) - 1) + 1):
+                for r in range(min(s - q, len(db) - 1) + 1):
+                    if s - q - r <= n:
+                        right_terms.append((mus[s - q - r], da[q], db[r]))
+        for i, j in itertools.product(range(d), repeat=2):
+            lhs = [ZERO] * d
+            for dk, mq in left_terms:
+                for c, x in mq[i * d + j].items():
+                    for b, y in dk[c].items():
+                        lhs[b] += x * y
+            rhs = [ZERO] * d
+            for mp, da, db in right_terms:
+                for u, x in da[i].items():
+                    for v, y in db[j].items():
+                        xy = x * y
+                        for b, z in mp[u * d + v].items():
+                            rhs[b] += xy * z
+            yield k, (i, j), lhs, rhs
+
+
+def _first_violation(defm: Deformation, s: int) -> Violation | None:
+    for k, at, lhs, rhs in _order_equations(defm, s):
+        if lhs != rhs:
+            law = "associativity" if k == 0 else f"higher-derivation law k={k}"
+            return Violation(f"order-{s} {law}", at, tuple(lhs), tuple(rhs))
+    return None
+
+
 def verify_deformation(alg: Algebra, hd: HigherDerivation,
                        defm: Deformation) -> CheckReport:
     """All order-s equations for s = 0..order, on all basis tuples."""
     _check_base(alg, hd, defm)
-    d = alg.dim
-    basis = [alg.basis_vector(i) for i in range(d)]
     for s in range(defm.order + 1):
-        for i, j, l in itertools.product(range(d), repeat=3):
-            lhs = (ZERO,) * d
-            rhs = (ZERO,) * d
-            for p in range(s + 1):
-                q = s - p
-                lhs = vec_add(lhs, defm.mus[p].eval((defm.mus[q].value_at((i, j)), basis[l])))
-                rhs = vec_add(rhs, defm.mus[p].eval((basis[i], defm.mus[q].value_at((j, l)))))
-            if lhs != rhs:
-                return CheckReport(False, Violation(f"order-{s} associativity", (i, j, l), lhs, rhs))
-        for k in range(1, defm.rank + 1):
-            for i, j in itertools.product(range(d), repeat=2):
-                lhs = (ZERO,) * d
-                for p in range(s + 1):
-                    mat = defm.dcoeff(k, p)
-                    if mat is not None:
-                        lhs = vec_add(lhs, mat.apply(defm.mus[s - p].value_at((i, j))))
-                rhs = (ZERO,) * d
-                for a in range(k + 1):
-                    b = k - a
-                    for p in range(s + 1):
-                        for q in range(s - p + 1):
-                            r = s - p - q
-                            da = defm.dcoeff(a, q)
-                            db = defm.dcoeff(b, r)
-                            if a == 0 and q > 0:
-                                continue
-                            if b == 0 and r > 0:
-                                continue
-                            left = basis[i] if a == 0 else (da.apply(basis[i]) if da is not None else None)
-                            right = basis[j] if b == 0 else (db.apply(basis[j]) if db is not None else None)
-                            if left is None or right is None:
-                                continue
-                            rhs = vec_add(rhs, defm.mus[p].eval((left, right)))
-                if lhs != rhs:
-                    return CheckReport(
-                        False, Violation(f"order-{s} higher-derivation law k={k}", (i, j), lhs, rhs))
+        bad = _first_violation(defm, s)
+        if bad is not None:
+            return CheckReport(False, bad)
     return CheckReport.passed()
 
 
@@ -301,63 +336,19 @@ def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochai
     """All known terms of the order-(n+1) equations, as a 3-cochain.
 
     A candidate next coefficient extends the deformation exactly when its
-    differential equals this cochain.  The mixed sum keeps every term whose
-    coefficient indices stay at or below the stored order, including those
-    with an index-zero slot.
+    differential equals this cochain.  It is lhs - rhs of the order-(n+1)
+    equations with zero order-(n+1) coefficients: every term left out
+    carries an index n+1.
     """
     _require_verified(alg, hd, defm)
-    d = alg.dim
-    n = defm.order
-    basis = [alg.basis_vector(i) for i in range(d)]
-    main_values: list[Fraction] = []
-    for i, j, l in itertools.product(range(d), repeat=3):
-        acc = (ZERO,) * d
-        for p in range(1, n + 1):
-            q = n + 1 - p
-            if not 1 <= q <= n:
-                continue
-            left = defm.mus[p].eval((defm.mus[q].value_at((i, j)), basis[l]))
-            right = defm.mus[p].eval((basis[i], defm.mus[q].value_at((j, l))))
-            acc = vec_add(acc, tuple(x - y for x, y in zip(left, right)))
-        main_values.extend(acc)
-    main = MultiMap(3, d, d, tuple(main_values))
-    parts = []
-    for k in range(1, defm.rank + 1):
-        values: list[Fraction] = []
-        for i, j in itertools.product(range(d), repeat=2):
-            acc = [ZERO] * d
-            for p in range(1, n + 1):
-                q = n + 1 - p
-                if not 1 <= q <= n:
-                    continue
-                term = defm.dks[k - 1][p].apply(defm.mus[q].value_at((i, j)))
-                for b in range(d):
-                    if term[b]:
-                        acc[b] += term[b]
-            for a in range(k + 1):
-                bb = k - a
-                for p in range(n + 1):
-                    for q in range(n + 1):
-                        r = n + 1 - p - q
-                        if not 0 <= r <= n:
-                            continue
-                        if a == 0 and q > 0:
-                            continue
-                        if bb == 0 and r > 0:
-                            continue
-                        da = defm.dcoeff(a, q)
-                        db = defm.dcoeff(bb, r)
-                        left = basis[i] if a == 0 else (da.apply(basis[i]) if da is not None else None)
-                        right = basis[j] if bb == 0 else (db.apply(basis[j]) if db is not None else None)
-                        if left is None or right is None:
-                            continue
-                        term = defm.mus[p].eval((left, right))
-                        for b in range(d):
-                            if term[b]:
-                                acc[b] -= term[b]
-            values.extend(acc)
-        parts.append(MultiMap(2, d, d, tuple(values)))
-    return Cochain(main, tuple(parts))
+    return _known_defect(defm)
+
+
+def _known_defect(defm: Deformation) -> Cochain:
+    # the scan order of the equations is the order of the cochain vector
+    defect = tuple(x - y for _k, _at, lhs, rhs in _order_equations(defm, defm.order + 1)
+                   for x, y in zip(lhs, rhs))
+    return vector_to_cochain(defm.dim, defm.dim, defm.rank, 3, defect)
 
 
 @dataclass(frozen=True)
@@ -370,14 +361,36 @@ class ExtendOutcome:
 
 def try_extend(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> ExtendOutcome:
     """Solve for a next coefficient; absence certifies a fresh obstruction class."""
-    ob = obstruction(alg, hd, defm)
+    return _solve_next(alg, hd, obstruction(alg, hd, defm))
+
+
+def _solve_next(alg: Algebra, hd: HigherDerivation, ob: Cochain) -> ExtendOutcome:
     mod = adjoint_bimodule(alg, hd)
-    mat = differential_matrix(alg, mod, hd, 2)
-    sol = solve_affine(mat, cochain_to_vector(ob))
+    sol = solve_affine(differential_matrix(alg, mod, hd, 2), cochain_to_vector(ob))
     if sol is None:
         return ExtendOutcome(None, ob)
-    cand = vector_to_cochain(alg.dim, alg.dim, hd.rank, 2, sol)
-    return ExtendOutcome(cand, ob)
+    return ExtendOutcome(vector_to_cochain(alg.dim, alg.dim, hd.rank, 2, sol), ob)
+
+
+def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
+              target: int) -> tuple[Deformation, Cochain | None]:
+    """Extend order by order up to ``target``, verifying the input once.
+
+    Returns the deformation reached and the obstruction blocking the next
+    order (None at ``target``).  Each appended order is checked: its
+    equations involve only coefficients up to it, so this is a full check.
+    """
+    _require_verified(alg, hd, defm)
+    current = defm
+    while current.order < target:
+        outcome = _solve_next(alg, hd, _known_defect(current))
+        if outcome.candidate is None:
+            return current, outcome.obstruction
+        current = extend_deformation(current, outcome.candidate)
+        bad = _first_violation(current, current.order)
+        if bad is not None:
+            raise RuntimeError(f"appended coefficient does not verify: {bad}")
+    return current, None
 
 
 def extend_deformation(defm: Deformation, candidate: Cochain) -> Deformation:

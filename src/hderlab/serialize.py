@@ -138,12 +138,6 @@ def parse_bimodule(doc, dim: int, nrank: int, path: str = "bimodule") -> Bimodul
         parse_matrix(m, mdim, mdim, f"{path}.dmaps[{k}]") for k, m in enumerate(dmaps)))
 
 
-def bimodule_to_json(mod: Bimodule) -> dict:
-    return {"mdim": mod.mdim, "left": tensor3_to_json(mod.left),
-            "right": tensor3_to_json(mod.right),
-            "dmaps": [matrix_to_json(m) for m in mod.dmaps]}
-
-
 def parse_multimap(obj, arity: int, dim: int, mdim: int, path: str) -> MultiMap:
     data = _list(obj, path, dim ** arity * mdim)
     return MultiMap(arity, dim, mdim,

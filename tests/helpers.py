@@ -3,12 +3,14 @@
 The oracles here deliberately avoid the operators under test: second
 cohomology is recomputed from the raw extension-law defects, coboundary
 probes use the section-difference formulas directly, elimination is checked
-against dense Gauss-Jordan, and the differential matrix against one
-``differential`` call per unit cochain.
+against dense Gauss-Jordan, the differential matrix against one
+``differential`` call per unit cochain, and the deformation verifier and
+obstruction against the hand-written order-s convolutions.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import samples
-from hderlab.exactlin import ONE, ZERO
+from hderlab.exactlin import ONE, ZERO, vec_add
 
 # ---------------------------------------------------------------- generators
 
@@ -305,3 +307,123 @@ def differential_matrix_by_columns(alg: H.Algebra, mod: H.Bimodule,
         c = H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, unit)
         cols.append(H.cochain_to_vector(H.differential(alg, mod, hd, c)))
     return H.Matrix.from_columns(cols)
+
+
+def _dcoeff(defm: H.Deformation, k: int, s: int) -> H.Matrix | None:
+    """d_{k,s} with the constant-identity convention at k = 0; None means zero."""
+    if k == 0:
+        return H.Matrix.identity(defm.dim) if s == 0 else None
+    mat = defm.dks[k - 1][s]
+    return None if mat.is_zero() else mat
+
+
+def loop_verify_deformation(alg: H.Algebra, hd: H.HigherDerivation,
+                            defm: H.Deformation) -> H.CheckReport:
+    """All order-s equations for s = 0..order, as dense nested convolutions.
+
+    The reference for ``deform.verify_deformation`` (same scan order, so the
+    same first violation); the base coefficients must already match.
+    """
+    d = alg.dim
+    basis = [alg.basis_vector(i) for i in range(d)]
+    for s in range(defm.order + 1):
+        for i, j, l in itertools.product(range(d), repeat=3):
+            lhs = (ZERO,) * d
+            rhs = (ZERO,) * d
+            for p in range(s + 1):
+                q = s - p
+                lhs = vec_add(lhs, defm.mus[p].eval((defm.mus[q].value_at((i, j)), basis[l])))
+                rhs = vec_add(rhs, defm.mus[p].eval((basis[i], defm.mus[q].value_at((j, l)))))
+            if lhs != rhs:
+                return H.CheckReport(
+                    False, H.Violation(f"order-{s} associativity", (i, j, l), lhs, rhs))
+        for k in range(1, defm.rank + 1):
+            for i, j in itertools.product(range(d), repeat=2):
+                lhs = (ZERO,) * d
+                for p in range(s + 1):
+                    mat = _dcoeff(defm, k, p)
+                    if mat is not None:
+                        lhs = vec_add(lhs, mat.apply(defm.mus[s - p].value_at((i, j))))
+                rhs = (ZERO,) * d
+                for a in range(k + 1):
+                    b = k - a
+                    for p in range(s + 1):
+                        for q in range(s - p + 1):
+                            r = s - p - q
+                            da = _dcoeff(defm, a, q)
+                            db = _dcoeff(defm, b, r)
+                            if a == 0 and q > 0:
+                                continue
+                            if b == 0 and r > 0:
+                                continue
+                            left = basis[i] if a == 0 else (da.apply(basis[i]) if da is not None else None)
+                            right = basis[j] if b == 0 else (db.apply(basis[j]) if db is not None else None)
+                            if left is None or right is None:
+                                continue
+                            rhs = vec_add(rhs, defm.mus[p].eval((left, right)))
+                if lhs != rhs:
+                    return H.CheckReport(False, H.Violation(
+                        f"order-{s} higher-derivation law k={k}", (i, j), lhs, rhs))
+    return H.CheckReport.passed()
+
+
+def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
+                     defm: H.Deformation) -> H.Cochain:
+    """All known terms of the order-(n+1) equations, summed term by term.
+
+    The reference for ``deform.obstruction``: it keeps every term whose
+    coefficient indices stay at or below the stored order and needs no
+    padding; the input is not verified here.
+    """
+    d = alg.dim
+    n = defm.order
+    basis = [alg.basis_vector(i) for i in range(d)]
+    main_values: list[Fraction] = []
+    for i, j, l in itertools.product(range(d), repeat=3):
+        acc = (ZERO,) * d
+        for p in range(1, n + 1):
+            q = n + 1 - p
+            if not 1 <= q <= n:
+                continue
+            left = defm.mus[p].eval((defm.mus[q].value_at((i, j)), basis[l]))
+            right = defm.mus[p].eval((basis[i], defm.mus[q].value_at((j, l))))
+            acc = vec_add(acc, tuple(x - y for x, y in zip(left, right)))
+        main_values.extend(acc)
+    main = H.MultiMap(3, d, d, tuple(main_values))
+    parts = []
+    for k in range(1, defm.rank + 1):
+        values: list[Fraction] = []
+        for i, j in itertools.product(range(d), repeat=2):
+            acc = [ZERO] * d
+            for p in range(1, n + 1):
+                q = n + 1 - p
+                if not 1 <= q <= n:
+                    continue
+                term = defm.dks[k - 1][p].apply(defm.mus[q].value_at((i, j)))
+                for b in range(d):
+                    if term[b]:
+                        acc[b] += term[b]
+            for a in range(k + 1):
+                bb = k - a
+                for p in range(n + 1):
+                    for q in range(n + 1):
+                        r = n + 1 - p - q
+                        if not 0 <= r <= n:
+                            continue
+                        if a == 0 and q > 0:
+                            continue
+                        if bb == 0 and r > 0:
+                            continue
+                        da = _dcoeff(defm, a, q)
+                        db = _dcoeff(defm, bb, r)
+                        left = basis[i] if a == 0 else (da.apply(basis[i]) if da is not None else None)
+                        right = basis[j] if bb == 0 else (db.apply(basis[j]) if db is not None else None)
+                        if left is None or right is None:
+                            continue
+                        term = defm.mus[p].eval((left, right))
+                        for b in range(d):
+                            if term[b]:
+                                acc[b] -= term[b]
+            values.extend(acc)
+        parts.append(H.MultiMap(2, d, d, tuple(values)))
+    return H.Cochain(main, tuple(parts))

@@ -1,13 +1,23 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hderlab as H
-from hderlab import samples
+from hderlab import cli, deform, samples
 from hderlab.deform import product_multimap
+from hderlab.serialize import parse_algebra, parse_deformation, parse_hder
 
-from helpers import cochains_equal, rand_gauge, rand_matrix, rand_multimap
+from helpers import (
+    cochains_equal, loop_obstruction, loop_verify_deformation, pair_fixtures,
+    rand_fraction, rand_gauge, rand_matrix, rand_multimap,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _dual_pair():
@@ -281,3 +291,99 @@ def test_vanishing_third_cohomology_means_always_extensible():
         defm = H.apply_gauge(H.trivial_deformation(qq, qqh, order),
                              rand_gauge(rng, 2, order))
         assert H.try_extend(qq, qqh, defm).candidate is not None
+
+
+def _deformation_fixtures():
+    out = []
+    for name in ("dual_deform.json", "dual_deform_bad.json", "nil_deform_blocked.json"):
+        doc = json.loads((FIXTURES / name).read_text())
+        alg = parse_algebra(doc["algebra"])
+        hd = parse_hder(doc["hder"], alg.dim)
+        out.append((alg, hd, parse_deformation(doc["deformation"], alg.dim, hd.rank)))
+    return out
+
+
+DEFORMATION_FIXTURES = _deformation_fixtures()
+PAIRS = pair_fixtures()
+
+
+def _perturbed(defm: H.Deformation, rng: random.Random) -> H.Deformation:
+    """One entry of one mu_s or d_{k,s} (s >= 1) moved by a nonzero amount."""
+    s = rng.randint(1, defm.order)
+    delta = rand_fraction(rng, 1, 3)
+    k = rng.randint(0, defm.rank)
+    if k == 0:
+        mu = defm.mus[s]
+        vals = list(mu.values)
+        vals[rng.randrange(len(vals))] += delta
+        mus = defm.mus[:s] + (H.MultiMap(2, mu.dim, mu.mdim, tuple(vals)),) + defm.mus[s + 1:]
+        return H.Deformation(defm.order, mus, defm.dks)
+    mat = defm.dks[k - 1][s]
+    vals = list(mat.entries)
+    vals[rng.randrange(len(vals))] += delta
+    series = list(defm.dks[k - 1])
+    series[s] = H.Matrix(mat.rows, mat.cols, tuple(vals))
+    dks = defm.dks[:k - 1] + (tuple(series),) + defm.dks[k:]
+    return H.Deformation(defm.order, defm.mus, dks)
+
+
+def _assert_matches_loops(alg, hd, defm):
+    report = H.verify_deformation(alg, hd, defm)
+    expected = loop_verify_deformation(alg, hd, defm)
+    assert report == expected
+    assert str(report.violation) == str(expected.violation)
+    reference = loop_obstruction(alg, hd, defm)
+    assert cochains_equal(deform._known_defect(defm), reference)
+    if report.ok:
+        assert cochains_equal(H.obstruction(alg, hd, defm), reference)
+
+
+@pytest.mark.parametrize("index", range(len(DEFORMATION_FIXTURES)))
+def test_fixture_deformations_match_loop_oracles(index):
+    _assert_matches_loops(*DEFORMATION_FIXTURES[index])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(PAIRS) - 1), st.integers(0, 3), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_gauge_trivial_deformations_match_loop_oracles(index, order, perturb, seed):
+    rng = random.Random(seed)
+    _name, alg, hd = PAIRS[index]
+    defm = H.apply_gauge(H.trivial_deformation(alg, hd, order),
+                         rand_gauge(rng, alg.dim, order))
+    if perturb and order:
+        defm = _perturbed(defm, rng)
+    _assert_matches_loops(alg, hd, defm)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, len(DEFORMATION_FIXTURES) - 1), st.integers(0, 2 ** 32))
+def test_perturbed_fixture_deformations_match_loop_oracles(index, seed):
+    alg, hd, defm = DEFORMATION_FIXTURES[index]
+    _assert_matches_loops(alg, hd, _perturbed(defm, random.Random(seed)))
+
+
+def test_deform_extend_verifies_its_input_once(monkeypatch, capsys):
+    calls = []
+    verify = deform.verify_deformation
+    monkeypatch.setattr(deform, "verify_deformation",
+                        lambda *args: calls.append(args) or verify(*args))
+    argv = ["deform-extend", str(FIXTURES / "dual_deform.json"), "--to", "6", "--json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["reached_order"] == 6
+    assert len(calls) == 1
+
+
+def test_deform_extend_rejects_a_wrong_candidate(monkeypatch):
+    solve = deform.solve_affine
+
+    def off_by_one_column(m, b):
+        sol = list(solve(m, b))
+        j = next(j for row in m.sparse_rows for j in row)  # a column with d(e_j) != 0
+        sol[j] += 1
+        return tuple(sol)
+
+    monkeypatch.setattr(deform, "solve_affine", off_by_one_column)
+    argv = ["deform-extend", str(FIXTURES / "dual_deform.json"), "--to", "3", "--json"]
+    with pytest.raises(RuntimeError, match="does not verify"):
+        cli.main(argv)
