@@ -9,10 +9,10 @@ from .algebras import (
     trivial_bimodule, verify_algebra, verify_bimodule,
 )
 from .cochain import (
-    Cochain, CohomologyReport, MultiMap, NotACocycleError, bracket_n,
-    bracket_n_reversed, cochain_dim, cochain_to_vector, cohomology, delta_hoch,
-    delta_k, delta_prime, differential, differential_matrix, is_coboundary,
-    matrix_to_multimap, multimap_to_matrix, vector_to_cochain, zero_cochain,
+    Cochain, CohomologyReport, MultiMap, NotACocycleError, cochain_dim,
+    cochain_to_vector, cohomology, delta_hoch, delta_k, delta_prime,
+    differential, differential_matrix, is_coboundary, matrix_to_multimap,
+    multimap_to_matrix, vector_to_cochain, zero_cochain,
 )
 from .deform import (
     Deformation, ExtendOutcome, GaugeMap, TrivializeOutcome, apply_gauge,
@@ -21,8 +21,8 @@ from .deform import (
     truncate_deformation, try_extend, verify_deformation,
 )
 from .exactlin import (
-    BrokenComplexError, Matrix, Scalar, ShapeError, kernel_basis, quotient_dim,
-    rank, rat, rat_str, solve_affine,
+    BrokenComplexError, Matrix, ShapeError, kernel_basis, rank, rat, rat_str,
+    solve_affine,
 )
 from .extensions import (
     ExtensionPair, SectionError, TwoCocycle, check_equivalence,

@@ -32,6 +32,23 @@ def zero_tensor3(d0: int, d1: int, d2: int) -> Tensor3:
     return tuple(tuple((ZERO,) * d2 for _ in range(d1)) for _ in range(d0))
 
 
+def _contract(t: Tensor3, x: Vector, y: Vector, n: int) -> Vector:
+    """sum_{i,j} x_i y_j t[i][j], a length-n vector, skipping zero coordinates."""
+    out = [ZERO] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        ti = t[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            coeff = xi * yj
+            for k, tijk in enumerate(ti[j]):
+                if tijk:
+                    out[k] += coeff * tijk
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Violation:
     """First failing instance of a law, in lexicographic scan order."""
@@ -100,20 +117,7 @@ class Algebra:
         return self.c[i][j]
 
     def mult(self, x: Vector, y: Vector) -> Vector:
-        """Product of two coordinate vectors, skipping zero coordinates."""
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ci = self.c[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                for k, cijk in enumerate(ci[j]):
-                    if cijk:
-                        out[k] += coeff * cijk
-        return tuple(out)
+        return _contract(self.c, x, y, self.dim)
 
     def unit_vector(self) -> Vector:
         if self.unit_index is None:
@@ -149,40 +153,16 @@ class Bimodule:
                 raise ShapeError(f"module map {k} is {m.rows}x{m.cols}, expected {self.mdim}x{self.mdim}")
 
     def act_left(self, avec: Vector, mvec: Vector) -> Vector:
-        out = [ZERO] * self.mdim
-        for i, ai in enumerate(avec):
-            if not ai:
-                continue
-            li = self.left[i]
-            for a, ma in enumerate(mvec):
-                if not ma:
-                    continue
-                coeff = ai * ma
-                for b, lab in enumerate(li[a]):
-                    if lab:
-                        out[b] += coeff * lab
-        return tuple(out)
+        return _contract(self.left, avec, mvec, self.mdim)
 
     def act_right(self, mvec: Vector, avec: Vector) -> Vector:
-        out = [ZERO] * self.mdim
-        for a, ma in enumerate(mvec):
-            if not ma:
-                continue
-            ra = self.right[a]
-            for i, ai in enumerate(avec):
-                if not ai:
-                    continue
-                coeff = ma * ai
-                for b, rab in enumerate(ra[i]):
-                    if rab:
-                        out[b] += coeff * rab
-        return tuple(out)
+        return _contract(self.right, mvec, avec, self.mdim)
 
-    def dmap_at(self, k: int) -> Matrix:
-        """d_k^M with the convention that d_0^M is the identity."""
+    def apply_dmap(self, k: int, mvec: Vector) -> Vector:
+        """d_k^M(mvec), with d_0^M = identity."""
         if k == 0:
-            return Matrix.identity(self.mdim)
-        return self.dmaps[k - 1]
+            return mvec
+        return self.dmaps[k - 1].apply(mvec)
 
     def basis_vector(self, a: int) -> Vector:
         return tuple(Fraction(1) if b == a else ZERO for b in range(self.mdim))
@@ -196,9 +176,10 @@ def verify_algebra(alg: Algebra) -> CheckReport:
     """Associativity on all basis triples, plus unit laws when a unit is declared."""
     d = alg.dim
     c = alg.c
+    basis = [alg.basis_vector(i) for i in range(d)]
     for i, j, l in itertools.product(range(d), repeat=3):
-        lhs = tuple(sum(c[i][j][r] * c[r][l][k] for r in range(d)) for k in range(d))
-        rhs = tuple(sum(c[j][l][r] * c[i][r][k] for r in range(d)) for k in range(d))
+        lhs = _contract(c, c[i][j], basis[l], d)
+        rhs = _contract(c, basis[i], c[j][l], d)
         if lhs != rhs:
             return CheckReport.failed("associativity", (i, j, l), lhs, rhs)
     u = alg.unit_index
@@ -241,17 +222,17 @@ def verify_bimodule(alg: Algebra, hder, mod: Bimodule) -> CheckReport:
         for i, a in itertools.product(range(d), range(md)):
             ei = alg.basis_vector(i)
             ma = mod.basis_vector(a)
-            lhs = mod.dmap_at(k).apply(mod.act_left(ei, ma))
+            lhs = mod.dmaps[k - 1].apply(mod.act_left(ei, ma))
             rhs = tuple(
                 sum(col) for col in zip(*(
-                    mod.act_left(hder.map_at(p).apply(ei), mod.dmap_at(k - p).apply(ma))
+                    mod.act_left(hder.apply(p, ei), mod.apply_dmap(k - p, ma))
                     for p in range(k + 1))))
             if lhs != rhs:
                 return CheckReport.failed("left derivation law", (k, i, a), lhs, rhs)
-            lhs = mod.dmap_at(k).apply(mod.act_right(ma, ei))
+            lhs = mod.dmaps[k - 1].apply(mod.act_right(ma, ei))
             rhs = tuple(
                 sum(col) for col in zip(*(
-                    mod.act_right(mod.dmap_at(p).apply(ma), hder.map_at(k - p).apply(ei))
+                    mod.act_right(mod.apply_dmap(p, ma), hder.apply(k - p, ei))
                     for p in range(k + 1))))
             if lhs != rhs:
                 return CheckReport.failed("right derivation law", (k, i, a), lhs, rhs)

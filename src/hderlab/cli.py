@@ -4,7 +4,7 @@ Exit codes separate meanings so shell pipelines can branch: 0 means the
 command ran and its mathematical answer is positive, 1 means the answer is
 negative (a check failed, something is not a cocycle, a deformation will
 not extend or trivialize), 2 means the input was unusable (parse or shape
-errors, or a size cap breach).
+errors, a size cap breach, or a section that fails its own verifier).
 
 ``--json`` selects the machine format.  JSON reports are byte-identical
 across runs for identical inputs: solver outputs are canonical, key order
@@ -50,6 +50,10 @@ class CapExceeded(ValueError):
     """A dimension went past HDERLAB_MAX_DIM."""
 
 
+class UnverifiedInput(ValueError):
+    """An input section fails its own verifier."""
+
+
 def _cap() -> int:
     raw = os.environ.get("HDERLAB_MAX_DIM", "6")
     try:
@@ -93,16 +97,44 @@ def _algebra_hder(doc):
     return alg, hd
 
 
-def _coefficients(doc, alg, hd, choice: str):
-    if choice == "adjoint":
-        return adjoint_bimodule(alg, hd)
-    if choice == "trivial":
-        return trivial_bimodule(alg, 1, tuple(Matrix.zeros(1, 1) for _ in range(hd.rank)))
-    if choice == "file":
-        if "bimodule" not in doc:
-            raise ParseError("--coefficients file needs a 'bimodule' section")
-        return parse_bimodule(doc["bimodule"], alg.dim, hd.rank)
-    raise ParseError(f"unknown coefficients choice {choice!r}")
+def _require(section: str, report) -> None:
+    if not report.ok:
+        raise UnverifiedInput(f"{section} section does not verify: {report.violation}")
+
+
+def _structures(doc, coefficients: str, who: str):
+    """The algebra, hder and coefficient bimodule, parsed, guarded and verified.
+
+    ``coefficients`` is "adjoint", "trivial" or "file"; ``who`` names what
+    needs the bimodule section in the error for a missing one.  Only a
+    bimodule read from the file is verified: the adjoint and trivial modules
+    of a verified pair are lawful by construction.
+    """
+    alg, hd = _algebra_hder(doc)
+    _require("algebra", verify_algebra(alg))
+    _require("hder", verify_hder(alg, hd))
+    if coefficients == "adjoint":
+        mod = adjoint_bimodule(alg, hd)
+    elif coefficients == "trivial":
+        mod = trivial_bimodule(alg, 1, tuple(Matrix.zeros(1, 1) for _ in range(hd.rank)))
+    elif "bimodule" in doc:
+        mod = parse_bimodule(doc["bimodule"], alg.dim, hd.rank)
+    else:
+        raise ParseError(f"{who} needs a 'bimodule' section")
+    _guard(mdim=mod.mdim)
+    if coefficients == "file":
+        _require("bimodule", verify_bimodule(alg, hd, mod))
+    return alg, hd, mod
+
+
+def _extension_inputs(doc, args):
+    """Verified structures plus the 2-cocycle named by ``--cocycle``."""
+    alg, hd, mod = _structures(doc, "file", args.command)
+    _guard(total_dim=alg.dim + mod.mdim)
+    if args.cocycle not in doc:
+        raise ParseError(f"missing top-level key {args.cocycle!r} holding the cocycle")
+    z = parse_two_cocycle(doc[args.cocycle], alg.dim, mod.mdim, hd.rank, args.cocycle)
+    return alg, hd, mod, z
 
 
 def cmd_check(doc, args):
@@ -137,20 +169,16 @@ def cmd_check(doc, args):
 
 
 def cmd_cohomology(doc, args):
-    alg, hd = _algebra_hder(doc)
-    mod = _coefficients(doc, alg, hd, args.coefficients)
-    _guard(dim=alg.dim, mdim=mod.mdim, degree=args.degree)
+    alg, hd, mod = _structures(doc, args.coefficients, "--coefficients file")
+    _guard(degree=args.degree)
     rep = cohomology(alg, mod, hd, args.degree)
     return True, cohomology_to_json(rep), []
 
 
 def cmd_classify_central(doc, args):
-    alg, hd = _algebra_hder(doc)
-    if "bimodule" in doc:
-        mod = parse_bimodule(doc["bimodule"], alg.dim, hd.rank)
-    else:
-        mod = trivial_bimodule(alg, 1, tuple(Matrix.zeros(1, 1) for _ in range(hd.rank)))
-    _guard(dim=alg.dim, mdim=mod.mdim, total_dim=alg.dim + mod.mdim)
+    coefficients = "file" if "bimodule" in doc else "trivial"
+    alg, hd, mod = _structures(doc, coefficients, args.command)
+    _guard(total_dim=alg.dim + mod.mdim)
     classes = classify_central(alg, hd, mod)
     reps = [{"cocycle": two_cocycle_to_json(z), "extension": extension_to_json(e)}
             for z, e in classes]
@@ -159,14 +187,7 @@ def cmd_classify_central(doc, args):
 
 
 def cmd_extend_abelian(doc, args):
-    alg, hd = _algebra_hder(doc)
-    if "bimodule" not in doc:
-        raise ParseError("extend-abelian needs a 'bimodule' section")
-    mod = parse_bimodule(doc["bimodule"], alg.dim, hd.rank)
-    _guard(dim=alg.dim, mdim=mod.mdim, total_dim=alg.dim + mod.mdim)
-    if args.cocycle not in doc:
-        raise ParseError(f"missing top-level key {args.cocycle!r} holding the cocycle")
-    z = parse_two_cocycle(doc[args.cocycle], alg.dim, mod.mdim, hd.rank, args.cocycle)
+    alg, hd, mod, z = _extension_inputs(doc, args)
     try:
         ext = extension_from_cocycle(alg, hd, mod, z)
     except NotACocycleError as exc:
@@ -179,15 +200,7 @@ def cmd_extend_abelian(doc, args):
 
 
 def cmd_cocycle_from_section(doc, args):
-    alg, hd = _algebra_hder(doc)
-    if "bimodule" not in doc:
-        raise ParseError("cocycle-from-section needs a 'bimodule' section")
-    mod = parse_bimodule(doc["bimodule"], alg.dim, hd.rank)
-    _guard(dim=alg.dim, mdim=mod.mdim, total_dim=alg.dim + mod.mdim)
-    key = args.cocycle
-    if key not in doc:
-        raise ParseError(f"missing top-level key {key!r} holding the cocycle")
-    z = parse_two_cocycle(doc[key], alg.dim, mod.mdim, hd.rank, key)
+    alg, hd, mod, z = _extension_inputs(doc, args)
     ext = extension_from_cocycle(alg, hd, mod, z)
     section = None
     if "section" in doc:
@@ -354,7 +367,7 @@ def main(argv=None) -> int:
     try:
         doc = _load(args.file)
         ok, results, violations = handler(doc, args)
-    except (ParseError, ShapeError, CapExceeded) as exc:
+    except (ParseError, ShapeError, CapExceeded, UnverifiedInput) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NotACocycleError, ValueError) as exc:

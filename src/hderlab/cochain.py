@@ -312,7 +312,7 @@ def delta_k(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     if not 1 <= k <= hd.rank:
         raise ValueError(f"k must be in 1..{hd.rank}")
     n = f.arity
-    result = f.postcompose(mod.dmap_at(k)).neg()
+    result = f.postcompose(mod.dmaps[k - 1]).neg()
     for multi in _compositions_nonneg(k, n):
         g = f
         dead = False
@@ -412,7 +412,6 @@ class CohomologyReport:
     dim_coboundaries: int
     betti: int
     cocycle_basis: tuple[Cochain, ...]
-    coboundary_matrix: Matrix
 
 
 def cohomology(alg: Algebra, mod: Bimodule, hd: HigherDerivation, degree: int,
@@ -430,10 +429,8 @@ def cohomology(alg: Algebra, mod: Bimodule, hd: HigherDerivation, degree: int,
         raise ShapeError(f"cochain space dimension {n_cochains} exceeds cap {max_dim}")
     outgoing = differential_matrix(alg, mod, hd, degree)
     cocycles = kernel_basis(outgoing)
-    if degree == 1:
-        boundary = Matrix.zeros(n_cochains, 0)
-        n_coboundaries = 0
-    else:
+    n_coboundaries = 0
+    if degree > 1:
         boundary = differential_matrix(alg, mod, hd, degree - 1)
         require_image_in_kernel(boundary, outgoing)
         n_coboundaries = rank(boundary)
@@ -441,7 +438,7 @@ def cohomology(alg: Algebra, mod: Bimodule, hd: HigherDerivation, degree: int,
     basis = tuple(vector_to_cochain(alg.dim, mod.mdim, hd.rank, degree, v)
                   for v in cocycles)
     return CohomologyReport(degree, n_cochains, len(cocycles), n_coboundaries,
-                            betti, basis, boundary)
+                            betti, basis)
 
 
 def is_coboundary(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
@@ -461,75 +458,3 @@ def is_coboundary(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
         return None
     return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n - 1, sol)
 
-
-def bracket_n(alg: Algebra, hd: HigherDerivation, single: MultiMap,
-              parts, k: int) -> MultiMap:
-    """Family bracket of a single m-ary map against an N-tuple of n-ary maps.
-
-    Experimental operator with self-coefficients.  Slot sums put family
-    member f_{i_j} (i_j >= 1, since f_0 = 0) at the marked slot and d_{i_l}
-    (i_l >= 0) elsewhere; see the package notes for how far the advertised
-    identities hold.
-    """
-    parts = tuple(parts)
-    if len(parts) != hd.rank:
-        raise ShapeError(f"{hd.rank} maps expected, got {len(parts)}")
-    d = alg.dim
-    if single.mdim != d or any(p.mdim != d for p in parts):
-        raise ShapeError("bracket needs self coefficients")
-    m, n = single.arity, parts[0].arity
-    part_is_zero = [p.is_zero() for p in parts]
-    out_arity = m + n - 1
-    values: list[Fraction] = []
-    swap_sign = -1 if ((m - 1) * (n - 1)) % 2 else 1
-    for idx in itertools.product(range(d), repeat=out_arity):
-        acc = [ZERO] * d
-        for j in range(1, m + 1):
-            sign = -1 if ((j - 1) * (n - 1)) % 2 else 1
-            for multi in _compositions_nonneg(k, m):
-                ij = multi[j - 1]
-                if ij == 0 or part_is_zero[ij - 1]:
-                    continue
-                vectors = []
-                pos = 0
-                for l in range(1, m + 1):
-                    if l == j:
-                        vectors.append(parts[ij - 1].value_at(idx[pos:pos + n]))
-                        pos += n
-                    else:
-                        vectors.append(hd.apply(multi[l - 1],
-                                                alg.basis_vector(idx[pos])))
-                        pos += 1
-                term = single.eval(vectors)
-                for b in range(d):
-                    if term[b]:
-                        acc[b] += sign * term[b]
-        fk = parts[k - 1]
-        if not part_is_zero[k - 1]:
-            for j in range(1, n + 1):
-                sign = swap_sign * (-1 if ((j - 1) * (m - 1)) % 2 else 1)
-                inner = single.value_at(idx[j - 1:j - 1 + m])
-                vectors = []
-                pos = 0
-                for l in range(1, n + 1):
-                    if l == j:
-                        vectors.append(inner)
-                        pos += m
-                    else:
-                        vectors.append(alg.basis_vector(idx[pos]))
-                        pos += 1
-                term = fk.eval(vectors)
-                for b in range(d):
-                    if term[b]:
-                        acc[b] -= sign * term[b]
-        values.extend(acc)
-    return MultiMap(out_arity, d, d, tuple(values))
-
-
-def bracket_n_reversed(alg: Algebra, hd: HigherDerivation, parts,
-                       single: MultiMap, k: int) -> MultiMap:
-    """[f_k, P] = -(-1)^{(m-1)(n-1)} [P, f_k] with the same conventions."""
-    parts = tuple(parts)
-    m, n = single.arity, parts[0].arity
-    sign = -ONE if ((m - 1) * (n - 1)) % 2 == 0 else ONE
-    return bracket_n(alg, hd, single, parts, k).scale(sign)

@@ -248,6 +248,20 @@ def _series_inverse(phis: list[Matrix]) -> list[Matrix]:
     return psis
 
 
+def _series_product(a, b, order: int) -> list[Matrix]:
+    """Coefficients 0..order of (sum_p a_p t^p)(sum_q b_q t^q), skipping zero terms."""
+    a_zero = [m.is_zero() for m in a[:order + 1]]
+    b_zero = [m.is_zero() for m in b[:order + 1]]
+    out = []
+    for s in range(order + 1):
+        acc = Matrix.zeros(a[0].rows, b[0].cols)
+        for p in range(s + 1):
+            if not a_zero[p] and not b_zero[s - p]:
+                acc = acc + a[p] * b[s - p]
+        out.append(acc)
+    return out
+
+
 def _pre_slots(f: MultiMap, a: Matrix, b: Matrix) -> MultiMap:
     if not a.is_identity():
         f = f.compose_slot(0, a)
@@ -291,23 +305,9 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
                         term = term.postcompose(psis[p])
                     acc = acc.add(term)
         new_mus.append(acc)
-    new_dks = []
-    for k in range(1, defm.rank + 1):
-        series = []
-        for s in range(T + 1):
-            acc = Matrix.zeros(dim, dim)
-            for q in range(s + 1):
-                dq = defm.dks[k - 1][q]
-                if dq.is_zero():
-                    continue
-                for r in range(s - q + 1):
-                    p = s - q - r
-                    if phi_zero[r] or psi_zero[p]:
-                        continue
-                    acc = acc + psis[p] * dq * phis[r]
-            series.append(acc)
-        new_dks.append(tuple(series))
-    return Deformation(T, tuple(new_mus), tuple(new_dks))
+    new_dks = tuple(tuple(_series_product(psis, _series_product(series, phis, T), T))
+                    for series in defm.dks)
+    return Deformation(T, tuple(new_mus), new_dks)
 
 
 def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
@@ -320,16 +320,7 @@ def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
 def gauge_compose(first: GaugeMap, second: GaugeMap) -> GaugeMap:
     """The gauge acting like `first` followed by `second` (series product)."""
     order = min(first.order, second.order)
-    dim = first.dim
-    phis = []
-    for s in range(order + 1):
-        acc = Matrix.zeros(dim, dim)
-        for p in range(s + 1):
-            a, b = first.phis[p], second.phis[s - p]
-            if not a.is_zero() and not b.is_zero():
-                acc = acc + a * b
-        phis.append(acc)
-    return GaugeMap(order, tuple(phis))
+    return GaugeMap(order, tuple(_series_product(first.phis, second.phis, order)))
 
 
 def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochain:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -323,13 +322,3 @@ def require_image_in_kernel(boundary: Matrix, kernel_of: Matrix) -> None:
         if any(acc.values()):
             raise BrokenComplexError("image not contained in kernel")
 
-
-def quotient_dim(boundary: Matrix, cocycle_kernel_of: Matrix) -> int:
-    """dim ker(cocycle_kernel_of) - rank(boundary), checking the inclusion.
-
-    ``boundary`` maps into the domain of ``cocycle_kernel_of``; the composite
-    must vanish, otherwise the claimed complex is broken and we refuse to
-    produce a number.
-    """
-    require_image_in_kernel(boundary, cocycle_kernel_of)
-    return (cocycle_kernel_of.cols - rank(cocycle_kernel_of)) - rank(boundary)

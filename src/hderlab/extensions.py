@@ -20,7 +20,7 @@ from .cochain import (
     differential, differential_matrix, is_coboundary, multimap_to_matrix,
 )
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, echelon
-from .hder import AssHDerPair, HigherDerivation
+from .hder import AssHDerMorphism, AssHDerPair, HigherDerivation, check_morphism
 
 
 class SectionError(ValueError):
@@ -246,16 +246,7 @@ def check_equivalence(e1: ExtensionPair, e2: ExtensionPair,
         return CheckReport.failed("projects to identity on base", ())
     if candidate * e1.include != e2.include:
         return CheckReport.failed("restricts to identity on module", ())
-    t1, t2 = e1.total, e2.total
-    for i, j in itertools.product(range(big), repeat=2):
-        lhs = candidate.apply(t1.algebra.basis_product(i, j))
-        rhs = t2.algebra.mult(candidate.column(i), candidate.column(j))
-        if lhs != rhs:
-            return CheckReport.failed("algebra morphism", (i, j), lhs, rhs)
-    for k in range(1, e1.base.hder.rank + 1):
-        if t2.hder.maps[k - 1] * candidate != candidate * t1.hder.maps[k - 1]:
-            return CheckReport.failed("intertwining", (k,))
-    return CheckReport.passed()
+    return check_morphism(AssHDerMorphism(e1.total, e2.total, candidate))
 
 
 def find_equivalence(e1: ExtensionPair, e2: ExtensionPair) -> Matrix | None:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebras import Algebra, CheckReport, Tensor3, Violation
+from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, vec_add
-from .hder import AssHDerPair, HigherDerivation
+from .hder import AssHDerPair, HigherDerivation, _leibniz_check
 
 Word = tuple[int, ...]
 
@@ -41,24 +41,7 @@ class LieHDerPair:
     maps: tuple[Matrix, ...]
 
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            bi = self.bracket[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                for k, bijk in enumerate(bi[j]):
-                    if bijk:
-                        out[k] += coeff * bijk
-        return tuple(out)
-
-    def map_at(self, k: int) -> Matrix:
-        if k == 0:
-            return Matrix.identity(self.dim)
-        return self.maps[k - 1]
+        return _contract(self.bracket, x, y, self.dim)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
@@ -250,14 +233,4 @@ def verify_liehder(pair: LieHDerPair) -> CheckReport:
             pair.bracket_vec(pair.bracket_vec(ek, ei), ej))
         if any(total):
             return CheckReport.failed("jacobi identity", (i, j, k), total, (ZERO,) * d)
-    for k in range(1, len(pair.maps) + 1):
-        for i, j in itertools.product(range(d), repeat=2):
-            ei, ej = pair.basis_vector(i), pair.basis_vector(j)
-            lhs = pair.maps[k - 1].apply(pair.bracket_vec(ei, ej))
-            rhs = (ZERO,) * d
-            for p in range(k + 1):
-                rhs = vec_add(rhs, pair.bracket_vec(pair.map_at(p).apply(ei),
-                                                    pair.map_at(k - p).apply(ej)))
-            if lhs != rhs:
-                return CheckReport.failed("lie higher derivation identity", (k, i, j), lhs, rhs)
-    return CheckReport.passed()
+    return _leibniz_check(b, pair.maps, "lie higher derivation identity")

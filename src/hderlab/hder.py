@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebras import Algebra, CheckReport, Violation
+from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, vec_add
 
 
@@ -41,12 +41,6 @@ class HigherDerivation:
     @property
     def dim(self) -> int:
         return self.maps[0].rows
-
-    def map_at(self, k: int) -> Matrix:
-        """d_k, with d_0 = identity."""
-        if k == 0:
-            return Matrix.identity(self.dim)
-        return self.maps[k - 1]
 
     def apply(self, k: int, v: Vector) -> Vector:
         if k == 0:
@@ -82,17 +76,24 @@ def verify_hder(alg: Algebra, hd: HigherDerivation) -> CheckReport:
     """The defining identity for every k = 1..N on all basis pairs."""
     if hd.dim != alg.dim:
         raise ShapeError(f"maps are {hd.dim}x{hd.dim}, algebra has dim {alg.dim}")
-    d = alg.dim
-    for k in range(1, hd.rank + 1):
-        dk = hd.maps[k - 1]
+    return _leibniz_check(alg.c, hd.maps, "higher derivation identity")
+
+
+def _leibniz_check(t: Tensor3, maps: tuple[Matrix, ...], law: str) -> CheckReport:
+    """d_k(e_i e_j) = sum_{p+q=k} d_p(e_i) d_q(e_j) for k = 1..len(maps) on all
+    basis pairs, the product being the contraction with ``t`` and d_0 = id."""
+    d = len(t)
+    # images[p][i] = d_p(e_i)
+    images = [[tuple(ONE if r == i else ZERO for r in range(d)) for i in range(d)]]
+    images += [[m.column(i) for i in range(d)] for m in maps]
+    for k in range(1, len(maps) + 1):
         for i, j in itertools.product(range(d), repeat=2):
-            lhs = dk.apply(alg.basis_product(i, j))
+            lhs = maps[k - 1].apply(t[i][j])
             rhs = (ZERO,) * d
             for p in range(k + 1):
-                rhs = vec_add(rhs, alg.mult(hd.apply(p, alg.basis_vector(i)),
-                                            hd.apply(k - p, alg.basis_vector(j))))
+                rhs = vec_add(rhs, _contract(t, images[p][i], images[k - p][j], d))
             if lhs != rhs:
-                return CheckReport(False, Violation("higher derivation identity", (k, i, j), lhs, rhs))
+                return CheckReport.failed(law, (k, i, j), lhs, rhs)
     return CheckReport.passed()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -32,6 +33,31 @@ COMMANDS = [
 ]
 
 
+# sha256 of each --json report above; pins the report bytes, not just
+# their repeatability from run to run
+REPORT_SHA256 = {
+    "check dual_pair.json": "45bf81ae1bae46adf917059820428ba98b48908da47333e9bea27b6ec893ffbc",
+    "check split_pair.json": "2b405f71bd139cbae22f5ba962de88abe2646bbf023d492567acc4f06a7d9031",
+    "cohomology split_pair.json --degree 2": "3db4ec64e940d953b6d4bac6a048cf6860fc56fb78d2f10cd8f142f56014bb37",
+    "cohomology split_pair.json --degree 1 --coefficients trivial": "f2cc2156b632c333c78aff82fada400f7eb7a21f9121012e2de8f415f79ee389",
+    "cohomology nil_central.json --degree 2 --coefficients file": "fc7ecc8c4ac19d3d28deeae259a6d401ff25117b430a5b4d102099b97303f803",
+    "classify-central nil_central.json": "467840a353b3378ace16676a5024e6e255307072e607d3ef6312631fa0ea2bab",
+    "extend-abelian dual_cocycle.json": "26297c8d667691cff6bb31369c42fa367e91680777188b528c552f47671fad23",
+    "extend-abelian dual_bad_cocycle.json": "b3a7e67a7cfd31be8238d570f56ba9ea80c2836d23ee86b22f1b5af6b1856d03",
+    "cocycle-from-section dual_cocycle.json": "26264988fe117f9b2516ca43a16d85aaba222ae95a7803c247dd501eefb7946a",
+    "deform-verify dual_deform.json": "692efe0ba7ddd3da3cdc93d37b1fc4836d8f71003fd195e93fb047dfd35ea227",
+    "deform-verify dual_deform_bad.json": "de499a5da77ec92c64846ed3500d24b3432163304034e45a580e77070023ca70",
+    "deform-obstruct dual_deform.json": "70f0627c5e9cf0622a797381c3aace73883b6f21e6cd4fef7ebd29626effa1ad",
+    "deform-obstruct nil_deform_blocked.json": "69b61ba4aa476eb2c5820277ec88ffecec3428a103f9cecdf3d3234b3ede0a14",
+    "deform-extend dual_deform.json --to 4": "3451de02f86ce4b43d2dba4242b1db5dcea5fc33c249d9638f4859840ac77585",
+    "deform-extend nil_deform_blocked.json": "23cc317082ff9c65016e165b74ad0adfc49b4ee07b7e0d0fd638f2eea0b06e2f",
+    "deform-trivialize dual_deform.json": "d9bbeecdcd07f8dd027f40d45ddfd3f1bbe8ceaf674ce7fa502baa7491e5f9cb",
+    "deform-trivialize nil_deform_blocked.json --to 1": "7cff5baf0c0fe84bddc8a8db17e44d459a10d39e0f28adf1876d321cebc4d4d8",
+    "free-tensor tensor_line.json": "d504e9876a85f6fee47f8fcd77440ce9ce8f1f6c10fbd7c9bf44b4676301ea1f",
+    "free-tensor tensor_line.json --degree 3": "3e52e035418ba9554b6bce60f16f424fa86f05bfef8a05dbd66487f8dfdfb08e",
+}
+
+
 def _argv(args):
     return [args[0], str(FIXTURES / args[1]), *args[2:]]
 
@@ -55,6 +81,36 @@ def test_json_reports_are_reproducible(args, expected, capsys):
     assert report["ok"] == (expected == 0)
     assert report["timing_ms"] == 0
     assert set(report) == {"ok", "command", "results", "violations", "timing_ms"}
+
+
+@pytest.mark.parametrize("args,expected", COMMANDS, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_json_reports_match_pinned_digests(args, expected, capsys):
+    assert main([*_argv(args), "--json"]) == expected
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[" ".join(args)]
+
+
+@pytest.mark.parametrize("args", [
+    ["cohomology", "dual_pair.json", "--degree", "1"],
+    ["cohomology", "dual_pair.json", "--degree", "2"],
+    ["cohomology", "dual_pair.json", "--degree", "3"],
+    ["classify-central", "dual_pair.json"],
+    ["extend-abelian", "dual_cocycle.json"],
+    ["cocycle-from-section", "dual_cocycle.json"],
+], ids=" ".join)
+def test_unverified_hder_exits_2(args, tmp_path, capsys):
+    # d_1(1) = 1 breaks the higher-derivation identity, so `check` exits 1
+    doc = json.loads((FIXTURES / args[1]).read_text())
+    doc["hder"]["maps"][0][0][0] = "1"
+    path = tmp_path / args[1]
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    capsys.readouterr()
+    assert main([args[0], str(path), *args[2:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "hder section does not verify: higher derivation identity fails" in captured.err
 
 
 def test_subprocess_runs_are_byte_identical():

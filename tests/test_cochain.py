@@ -301,52 +301,6 @@ def test_vectorization_roundtrip():
         assert cochains_equal(c, back)
 
 
-def test_bracket_identity_with_multiplication():
-    # delta_prime(f)_k == (-1)^{n-1} [mu, f_k] holds exactly
-    rng = random.Random(72)
-    alg, hd, mod = _dual_adjoint()
-    mu = product_multimap(alg)
-    for n in (1, 2):
-        parts = tuple(rand_multimap(rng, n, 2, 2) for _ in range(2))
-        dp = H.delta_prime(alg, mod, hd, parts)
-        sign = Fraction(1) if (n - 1) % 2 == 0 else Fraction(-1)
-        for k in (1, 2):
-            br = H.bracket_n(alg, hd, mu, parts, k).scale(sign)
-            assert dp[k - 1].values == br.values
-
-
-def test_bracket_identity_with_derivations_holds_at_rank_index_one():
-    rng = random.Random(73)
-    alg, hd, mod = _dual_adjoint()
-    dparts = tuple(H.matrix_to_multimap(m) for m in hd.maps)
-    for n in (1, 2):
-        f = rand_multimap(rng, n, 2, 2)
-        lhs = H.delta_k(alg, mod, hd, f, 1)
-        rhs = H.bracket_n_reversed(alg, hd, dparts, f, 1).neg()
-        assert lhs.values == rhs.values
-
-
-def test_bracket_identity_with_derivations_overcounts_above_one():
-    # measured, not assumed: the slot sum counts a multi-index once per
-    # nonzero slot, so at k = 2 the comparison differs by f(d_1 ., d_1 .)
-    alg, hd, mod = _dual_adjoint()
-    rng = random.Random(74)
-    dparts = tuple(H.matrix_to_multimap(m) for m in hd.maps)
-    f = rand_multimap(rng, 2, 2, 2)
-    lhs = H.delta_k(alg, mod, hd, f, 2)
-    rhs = H.bracket_n_reversed(alg, hd, dparts, f, 2).neg()
-    overcount = f.compose_slot(0, hd.maps[0]).compose_slot(1, hd.maps[0])
-    assert lhs.sub(rhs).values == overcount.neg().values
-
-
-def test_bracket_of_zero_family_is_zero():
-    alg, hd, mod = _dual_adjoint()
-    mu = product_multimap(alg)
-    parts = tuple(H.MultiMap.zero(1, 2, 2) for _ in range(2))
-    for k in (1, 2):
-        assert H.bracket_n(alg, hd, mu, parts, k).is_zero()
-
-
 def test_cohomology_cap():
     alg, hd, mod = _dual_adjoint()
     with pytest.raises(H.ShapeError, match="exceeds"):
