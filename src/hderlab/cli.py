@@ -4,7 +4,8 @@ Exit codes separate meanings so shell pipelines can branch: 0 means the
 command ran and its mathematical answer is positive, 1 means the answer is
 negative (a check failed, something is not a cocycle, a deformation will
 not extend or trivialize), 2 means the input was unusable (parse or shape
-errors, a size cap breach, or a section that fails its own verifier).
+errors, a size cap breach, a section that fails its own verifier, or input
+outside the command's precondition).
 
 ``--json`` selects the machine format.  JSON reports are byte-identical
 across runs for identical inputs: solver outputs are canonical, key order
@@ -51,7 +52,7 @@ class CapExceeded(ValueError):
 
 
 class UnverifiedInput(ValueError):
-    """An input section fails its own verifier."""
+    """An input section fails its own verifier or the command's precondition."""
 
 
 def _cap() -> int:
@@ -178,6 +179,8 @@ def cmd_cohomology(doc, args):
 def cmd_classify_central(doc, args):
     coefficients = "file" if "bimodule" in doc else "trivial"
     alg, hd, mod = _structures(doc, coefficients, args.command)
+    if not mod.has_zero_actions():
+        raise UnverifiedInput(f"{args.command} needs a bimodule section with zero actions")
     _guard(total_dim=alg.dim + mod.mdim)
     classes = classify_central(alg, hd, mod)
     reps = [{"cocycle": two_cocycle_to_json(z), "extension": extension_to_json(e)}
@@ -294,53 +297,76 @@ def cmd_free_tensor(doc, args):
     return rep.ok, results, violations
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "cohomology": cmd_cohomology,
-    "classify-central": cmd_classify_central,
-    "extend-abelian": cmd_extend_abelian,
-    "cocycle-from-section": cmd_cocycle_from_section,
-    "deform-verify": cmd_deform_verify,
-    "deform-obstruct": cmd_deform_obstruct,
-    "deform-extend": cmd_deform_extend,
-    "deform-trivialize": cmd_deform_trivialize,
-    "free-tensor": cmd_free_tensor,
+_COCYCLE_KEY = ("--cocycle", {"default": "cocycle",
+                               "help": "top-level key holding the cocycle (default: cocycle)"})
+
+# name: (handler, help, arguments past ``file`` and ``--json``)
+SUBCOMMANDS = {
+    "check": (cmd_check, "verify algebra, higher derivation, and bimodule sections", ()),
+    "cohomology": (cmd_cohomology, "cohomology in one degree", (
+        ("--degree", {"type": int, "required": True}),
+        ("--coefficients", {"choices": ["adjoint", "trivial", "file"], "default": "adjoint"}))),
+    "classify-central": (cmd_classify_central,
+                         "central extensions per second-cohomology class", ()),
+    "extend-abelian": (cmd_extend_abelian, "build the abelian extension of a 2-cocycle",
+                       (_COCYCLE_KEY,)),
+    "cocycle-from-section": (cmd_cocycle_from_section, "read the twisting data off a section",
+                             (_COCYCLE_KEY,)),
+    "deform-verify": (cmd_deform_verify, "check the order-by-order deformation equations", ()),
+    "deform-obstruct": (cmd_deform_obstruct, "obstruction cochain and its coboundary test", ()),
+    "deform-extend": (cmd_deform_extend, "extend a deformation order by order", (
+        ("--to", {"type": int, "default": None, "help": "target order (default: order+1)"}),)),
+    "deform-trivialize": (cmd_deform_trivialize, "gauge a deformation back to the trivial one", (
+        ("--to", {"type": int, "default": None, "help": "target order (default: stored order)"}),)),
+    "free-tensor": (cmd_free_tensor, "induced higher derivation on a truncated tensor algebra", (
+        ("--degree", {"type": int, "default": None, "help": "truncation degree"}),)),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _parser(names, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The hderlab parser with the subcommands ``names``, in table order."""
+    parser = parser_class(
         prog="hderlab",
         description="Workbench for associative algebras with higher derivations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name in names:
+        _handler, help_text, arguments = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="JSON problem file")
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        return p
-
-    add("check", "verify algebra, higher derivation, and bimodule sections")
-    p = add("cohomology", "cohomology in one degree")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--coefficients", choices=["adjoint", "trivial", "file"],
-                   default="adjoint")
-    add("classify-central", "central extensions per second-cohomology class")
-    p = add("extend-abelian", "build the abelian extension of a 2-cocycle")
-    p.add_argument("--cocycle", default="cocycle",
-                   help="top-level key holding the cocycle (default: cocycle)")
-    p = add("cocycle-from-section", "read the twisting data off a section")
-    p.add_argument("--cocycle", default="cocycle",
-                   help="top-level key holding the cocycle (default: cocycle)")
-    add("deform-verify", "check the order-by-order deformation equations")
-    add("deform-obstruct", "obstruction cochain and its coboundary test")
-    p = add("deform-extend", "extend a deformation order by order")
-    p.add_argument("--to", type=int, default=None, help="target order (default: order+1)")
-    p = add("deform-trivialize", "gauge a deformation back to the trivial one")
-    p.add_argument("--to", type=int, default=None, help="target order (default: stored order)")
-    p = add("free-tensor", "induced higher derivation on a truncated tensor algebra")
-    p.add_argument("--degree", type=int, default=None, help="truncation degree")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(SUBCOMMANDS)
+
+
+class _Fallback(Exception):
+    """The one-subcommand parser met input it would have to report on."""
+
+
+class _LeanParser(argparse.ArgumentParser):
+    """Prints nothing and exits nowhere: help and errors go to the full parser."""
+
+    def error(self, message):
+        raise _Fallback
+
+    def print_help(self, file=None):
+        raise _Fallback
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the subcommand ``argv[0]`` names, which is several
+    times cheaper than building all of them; usage, help and errors come
+    from the full parser, so they read exactly as before."""
+    if argv and argv[0] in SUBCOMMANDS:
+        try:
+            return _parser(argv[:1], _LeanParser).parse_args(argv)
+        except _Fallback:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def _emit(command: str, ok: bool, results: dict, violations: list[str],
@@ -360,9 +386,8 @@ def _emit(command: str, ok: bool, results: dict, violations: list[str],
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = COMMANDS[args.command]
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    handler = SUBCOMMANDS[args.command][0]
     start = time.perf_counter()
     try:
         doc = _load(args.file)

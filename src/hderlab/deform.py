@@ -7,11 +7,18 @@ the constant identity (d_{0,0} = id, d_{0,s} = 0 for s >= 1), which the
 convolutions below bake in.  Nothing is ever symbolic: all series algebra is
 convolution on coefficient lists, truncated at the stored order.  The
 order-s equations are stated once, in ``_order_equations``.
+
+The equations and the gauge action compute on sparse tables of integer
+numerators over one common denominator (``Deformation._tables``; the gauge
+and its inverse series get their own), so their inner sums are integer
+sums; Fractions appear only at the boundary, in a reported violation, the
+obstruction cochain and the gauged coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,8 +28,22 @@ from .cochain import (
     Cochain, MultiMap, cochain_to_vector, differential, differential_matrix,
     matrix_to_multimap, multimap_to_matrix, vector_to_cochain,
 )
-from .exactlin import Matrix, ONE, ShapeError, ZERO, solve_affine
+from .exactlin import Matrix, ShapeError, ZERO, solve_affine
 from .hder import HigherDerivation
+
+
+def _common_denominator(values) -> int:
+    """The lcm of the denominators of some Fractions (1 for none)."""
+    return math.lcm(*{x.denominator for x in values})
+
+
+def _int_columns(mat: Matrix, den: int) -> tuple[dict[int, int], ...]:
+    """Column c of ``mat`` as ``{b: numerator}`` over ``den``, zeros left out;
+    ``den`` must be a multiple of every entry's denominator."""
+    d = mat.rows
+    return tuple({b: x.numerator * (den // x.denominator)
+                  for b in range(d) if (x := mat.entry(b, c))}
+                 for c in range(mat.cols))
 
 
 @dataclass(frozen=True)
@@ -58,21 +79,24 @@ class Deformation:
         return len(self.dks)
 
     @cached_property
-    def _tables(self) -> tuple[tuple, tuple]:
-        """Nonzero entries for ``_order_equations``: ``mus[p][i * dim + j]`` is
-        mu_p(e_i, e_j) as ``{c: x}``, ``dcols[k][s][c]`` column c of d_{k,s} as
-        ``{b: x}``; series 0 holds only d_{0,0} = id."""
+    def _tables(self) -> tuple[tuple, tuple, int]:
+        """Nonzero entries for ``_order_equations`` as integer numerators over
+        one common denominator D, the lcm of every coefficient denominator:
+        ``mus[p][i * dim + j]`` is D * mu_p(e_i, e_j) as ``{c: x}``,
+        ``dcols[k][s][c]`` is D times column c of d_{k,s} as ``{b: x}``;
+        series 0 holds only d_{0,0} = id, whose columns are ``{c: D}``."""
         d = self.dim
-        mus = tuple(tuple({c: x for c in range(d) if (x := mu.values[base + c])}
+        den = _common_denominator(itertools.chain(
+            *(mu.values for mu in self.mus),
+            *(mat.entries for series in self.dks for mat in series)))
+        mus = tuple(tuple({c: x.numerator * (den // x.denominator)
+                           for c in range(d) if (x := mu.values[base + c])}
                           for base in range(0, d * d * d, d))
                     for mu in self.mus)
-        ident = tuple({c: ONE} for c in range(d))
-        dcols = ((ident,),) + tuple(
-            tuple(tuple({b: x for b in range(d) if (x := mat.entry(b, c))}
-                        for c in range(d))
-                  for mat in series)
-            for series in self.dks)
-        return mus, dcols
+        ident = tuple({c: den} for c in range(d))
+        dcols = ((ident,),) + tuple(tuple(_int_columns(mat, den) for mat in series)
+                                    for series in self.dks)
+        return mus, dcols, den
 
     def coefficient(self, s: int) -> Cochain:
         """The order-s coefficient as a 2-cochain with self coefficients."""
@@ -142,20 +166,25 @@ def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
 def _order_equations(defm: Deformation, s: int):
     """Both sides of every order-s equation, in scan order.
 
-    Yields ``(k, at, lhs, rhs)``: k = 0 for associativity,
+    Yields ``(k, at, lhs, rhs, q)``: k = 0 for associativity,
     sum_{p+q=s} mu_p(mu_q(e_i, e_j), e_l) = sum_{p+q=s} mu_p(e_i, mu_q(e_j, e_l))
     at each basis triple, then for k = 1..N the higher-derivation law
     sum_p d_{k,p}(mu_{s-p}(e_i, e_j)) = sum_{a+b=k} sum_{p+q+r=s} mu_p(d_{a,q} e_i, d_{b,r} e_j)
-    at each basis pair.  Coefficients past the stored order count as zero,
-    so at s = order + 1 the two sides hold exactly the known terms.
+    at each basis pair.  Both sides are integer numerators over the shared
+    denominator q: D^2 for associativity, D^3 for the derivation law (whose
+    lhs, a product of two tables, is scaled by D), with D the common
+    denominator of ``Deformation._tables``.  Coefficients past the stored
+    order count as zero, so at s = order + 1 the two sides hold exactly the
+    known terms.
     """
-    mus, dcols = defm._tables
+    mus, dcols, den = defm._tables
     d, n = defm.dim, defm.order
     orders = range(max(0, s - n), min(s, n) + 1)  # p with p <= n and s - p <= n
     pairs = [(mus[p], mus[s - p]) for p in orders]
+    q_assoc = den * den
     for i, j, l in itertools.product(range(d), repeat=3):
-        lhs = [ZERO] * d
-        rhs = [ZERO] * d
+        lhs = [0] * d
+        rhs = [0] * d
         for mp, mq in pairs:
             for c, x in mq[i * d + j].items():
                 for b, y in mp[c * d + l].items():
@@ -163,7 +192,8 @@ def _order_equations(defm: Deformation, s: int):
             for c, x in mq[j * d + l].items():
                 for b, y in mp[i * d + c].items():
                     rhs[b] += x * y
-        yield 0, (i, j, l), lhs, rhs
+        yield 0, (i, j, l), lhs, rhs, q_assoc
+    q_law = q_assoc * den
     for k in range(1, defm.rank + 1):
         left_terms = [(dcols[k][p], mus[s - p]) for p in orders]
         right_terms = []
@@ -174,26 +204,27 @@ def _order_equations(defm: Deformation, s: int):
                     if s - q - r <= n:
                         right_terms.append((mus[s - q - r], da[q], db[r]))
         for i, j in itertools.product(range(d), repeat=2):
-            lhs = [ZERO] * d
+            lhs = [0] * d
             for dk, mq in left_terms:
                 for c, x in mq[i * d + j].items():
                     for b, y in dk[c].items():
                         lhs[b] += x * y
-            rhs = [ZERO] * d
+            rhs = [0] * d
             for mp, da, db in right_terms:
                 for u, x in da[i].items():
                     for v, y in db[j].items():
                         xy = x * y
                         for b, z in mp[u * d + v].items():
                             rhs[b] += xy * z
-            yield k, (i, j), lhs, rhs
+            yield k, (i, j), [x * den for x in lhs], rhs, q_law
 
 
 def _first_violation(defm: Deformation, s: int) -> Violation | None:
-    for k, at, lhs, rhs in _order_equations(defm, s):
+    for k, at, lhs, rhs, q in _order_equations(defm, s):
         if lhs != rhs:
             law = "associativity" if k == 0 else f"higher-derivation law k={k}"
-            return Violation(f"order-{s} {law}", at, tuple(lhs), tuple(rhs))
+            return Violation(f"order-{s} {law}", at, tuple(Fraction(x, q) for x in lhs),
+                             tuple(Fraction(y, q) for y in rhs))
     return None
 
 
@@ -262,19 +293,15 @@ def _series_product(a, b, order: int) -> list[Matrix]:
     return out
 
 
-def _pre_slots(f: MultiMap, a: Matrix, b: Matrix) -> MultiMap:
-    if not a.is_identity():
-        f = f.compose_slot(0, a)
-    if not b.is_identity():
-        f = f.compose_slot(1, b)
-    return f
-
-
 def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
     """Conjugate coefficientwise: mu' = Phi^{-1} mu (Phi x Phi), d' = Phi^{-1} d Phi.
 
     The gauge is padded or truncated with zeros to the deformation's order;
-    the inverse series is the truncated geometric series.
+    the inverse series Psi is the truncated geometric series.  Phi and Psi
+    are integer columns over one denominator E, the deformation's tables
+    are over D, so mu'_s = sum Psi_p mu_q (Phi_r x Phi_w) accumulates over
+    D * E^3 and d'_{k,s} = sum Psi_p d_{k,q} Phi_r over D * E^2; zero series
+    terms are skipped and each Fraction is built once, at the end.
     """
     dim = defm.dim
     if gauge.dim != dim:
@@ -285,29 +312,63 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
     phis = [gauge.phis[s] if s <= gauge.order else Matrix.zeros(dim, dim)
             for s in range(T + 1)]
     psis = _series_inverse(phis)
-    phi_zero = [m.is_zero() for m in phis]
-    psi_zero = [m.is_zero() for m in psis]
-    new_mus = []
-    for s in range(T + 1):
-        acc = MultiMap.zero(2, dim, dim)
-        for q in range(s + 1):
-            if defm.mus[q].is_zero():
-                continue
-            for r in range(s - q + 1):
-                if phi_zero[r]:
-                    continue
-                for w in range(s - q - r + 1):
-                    p = s - q - r - w
-                    if phi_zero[w] or psi_zero[p]:
-                        continue
-                    term = _pre_slots(defm.mus[q], phis[r], phis[w])
-                    if not psis[p].is_identity():
-                        term = term.postcompose(psis[p])
-                    acc = acc.add(term)
-        new_mus.append(acc)
-    new_dks = tuple(tuple(_series_product(psis, _series_product(series, phis, T), T))
-                    for series in defm.dks)
-    return Deformation(T, tuple(new_mus), new_dks)
+    e = _common_denominator(itertools.chain(*(m.entries for m in phis + psis)))
+    phi = [(r, _int_columns(m, e)) for r, m in enumerate(phis) if not m.is_zero()]
+    psi = [(p, _int_columns(m, e)) for p, m in enumerate(psis) if not m.is_zero()]
+    mus, dcols, den = defm._tables
+    live_mus = [(q, mu) for q, mu in enumerate(mus) if any(mu)]
+
+    def conjugate(inner, out, offset, stride):
+        # out[p + m] at offset + a * stride gains coordinate a of Psi_p inner[m]
+        for m, vec in enumerate(inner):
+            for c, z in enumerate(vec):
+                if z:
+                    for p, cols in psi:
+                        if p + m > T:
+                            break
+                        for a, t in cols[c].items():
+                            out[p + m][offset + a * stride] += z * t
+
+    new_mus = [[0] * (dim ** 3) for _ in range(T + 1)]
+    for i, j in itertools.product(range(dim), repeat=2):
+        inner = [[0] * dim for _ in range(T + 1)]  # sum mu_q (Phi_r x Phi_w) over D * E^2
+        for r, cols_r in phi:
+            for u, x in cols_r[i].items():
+                for w, cols_w in phi:
+                    if r + w > T:
+                        break
+                    for v, y in cols_w[j].items():
+                        xy = x * y
+                        for q, mu in live_mus:
+                            if r + w + q > T:
+                                break
+                            acc = inner[r + w + q]
+                            for c, z in mu[u * dim + v].items():
+                                acc[c] += xy * z
+        conjugate(inner, new_mus, (i * dim + j) * dim, 1)
+    q_mu = den * e ** 3
+    mus_out = tuple(MultiMap(2, dim, dim, tuple(Fraction(x, q_mu) if x else ZERO for x in vals))
+                    for vals in new_mus)
+
+    q_d = den * e * e
+    dks_out = []
+    for series in dcols[1:]:
+        live = [(q, cols) for q, cols in enumerate(series) if any(cols)]
+        new = [[0] * (dim * dim) for _ in range(T + 1)]
+        for c in range(dim):
+            inner = [[0] * dim for _ in range(T + 1)]  # sum d_{k,q} Phi_r e_c over D * E
+            for r, cols_r in phi:
+                for u, x in cols_r[c].items():
+                    for q, cols in live:
+                        if r + q > T:
+                            break
+                        acc = inner[r + q]
+                        for b, y in cols[u].items():
+                            acc[b] += x * y
+            conjugate(inner, new, c, dim)
+        dks_out.append(tuple(Matrix(dim, dim, tuple(Fraction(x, q_d) if x else ZERO for x in vals))
+                             for vals in new))
+    return Deformation(T, mus_out, tuple(dks_out))
 
 
 def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
@@ -337,7 +398,8 @@ def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochai
 
 def _known_defect(defm: Deformation) -> Cochain:
     # the scan order of the equations is the order of the cochain vector
-    defect = tuple(x - y for _k, _at, lhs, rhs in _order_equations(defm, defm.order + 1)
+    defect = tuple(Fraction(x - y, q)
+                   for _k, _at, lhs, rhs, q in _order_equations(defm, defm.order + 1)
                    for x, y in zip(lhs, rhs))
     return vector_to_cochain(defm.dim, defm.dim, defm.rank, 3, defect)
 

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the operators under test: second
 cohomology is recomputed from the raw extension-law defects, coboundary
 probes use the section-difference formulas directly, elimination is checked
 against dense Gauss-Jordan, the differential matrix against one
-``differential`` call per unit cochain, and the deformation verifier and
-obstruction against the hand-written order-s convolutions.
+``differential`` call per unit cochain, the deformation verifier and
+obstruction against the hand-written order-s convolutions, and the gauge
+action against dense multimap composition.
 """
 
 from __future__ import annotations
@@ -427,3 +428,41 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
             values.extend(acc)
         parts.append(H.MultiMap(2, d, d, tuple(values)))
     return H.Cochain(main, tuple(parts))
+
+
+def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
+    """mu' = Psi mu (Phi x Phi), d' = Psi d Phi with dense Fraction multimaps.
+
+    The reference for ``deform.apply_gauge``: the gauge is padded or
+    truncated to the deformation's order, Psi is the truncated geometric
+    inverse series, and every term is composed slot by slot and added.
+    """
+    dim, T = defm.dim, defm.order
+    phis = [gauge.phis[s] if s <= gauge.order else H.Matrix.zeros(dim, dim)
+            for s in range(T + 1)]
+    psis = [H.Matrix.identity(dim)]
+    for s in range(1, T + 1):
+        acc = H.Matrix.zeros(dim, dim)
+        for q in range(1, s + 1):
+            acc = acc + psis[s - q] * phis[q]
+        psis.append(-acc)
+    mus = []
+    for s in range(T + 1):
+        acc = H.MultiMap.zero(2, dim, dim)
+        for p, q, r in itertools.product(range(s + 1), repeat=3):
+            w = s - p - q - r
+            if w >= 0:
+                term = defm.mus[q].compose_slot(0, phis[r]).compose_slot(1, phis[w])
+                acc = acc.add(term.postcompose(psis[p]))
+        mus.append(acc)
+    dks = []
+    for series in defm.dks:
+        new = []
+        for s in range(T + 1):
+            acc = H.Matrix.zeros(dim, dim)
+            for p, q in itertools.product(range(s + 1), repeat=2):
+                if p + q <= s:
+                    acc = acc + psis[p] * series[q] * phis[s - p - q]
+            new.append(acc)
+        dks.append(tuple(new))
+    return H.Deformation(T, tuple(mus), tuple(dks))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hderlab import cli
 from hderlab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -111,6 +112,49 @@ def test_unverified_hder_exits_2(args, tmp_path, capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "hder section does not verify: higher derivation identity fails" in captured.err
+
+
+def test_classify_central_with_nonzero_actions_exits_2(capsys):
+    # the adjoint-style bimodule of dual_pair.json acts nontrivially
+    assert main(["classify-central", str(FIXTURES / "dual_pair.json"), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "zero actions" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def _outcome(parse, argv, capsys):
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["nope", "f.json"], ["--json"],
+    ["check"], ["check", "-h"], ["check", "f.json", "--he"], ["check", "f.json", "--bogus"],
+    ["cohomology", "f.json"], ["cohomology", "f.json", "--degree", "x"],
+    ["cohomology", "f.json", "--deg", "2", "--coefficients", "file", "--json"],
+    ["cohomology", "f.json", "--degree", "2", "--coefficients", "left"],
+    ["extend-abelian", "f.json", "--cocycle", "z"], ["deform-extend", "f.json", "--to", "3"],
+    ["deform-trivialize", "f.json"], ["free-tensor", "f.json", "--degree"],
+    ["check", "a.json", "b.json"],
+], ids=lambda argv: " ".join(argv) or "(none)")
+def test_lean_parse_matches_full_parser(argv, capsys):
+    # the one-subcommand parser must give the same namespace, usage, help,
+    # error text and exit code as the parser of all subcommands
+    expected = _outcome(cli.build_parser().parse_args, argv, capsys)
+    assert _outcome(cli._parse_args, argv, capsys) == expected
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hderlab", "check", str(FIXTURES / "dual_pair.json"),
+                                      "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "check"
 
 
 def test_subprocess_runs_are_byte_identical():

@@ -13,8 +13,8 @@ from hderlab.deform import product_multimap
 from hderlab.serialize import parse_algebra, parse_deformation, parse_hder
 
 from helpers import (
-    cochains_equal, loop_obstruction, loop_verify_deformation, pair_fixtures,
-    rand_fraction, rand_gauge, rand_matrix, rand_multimap,
+    cochains_equal, dense_apply_gauge, loop_obstruction, loop_verify_deformation,
+    pair_fixtures, rand_fraction, rand_gauge, rand_matrix, rand_multimap,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -307,10 +307,12 @@ DEFORMATION_FIXTURES = _deformation_fixtures()
 PAIRS = pair_fixtures()
 
 
-def _perturbed(defm: H.Deformation, rng: random.Random) -> H.Deformation:
+def _perturbed(defm: H.Deformation, rng: random.Random,
+               delta: Fraction | None = None) -> H.Deformation:
     """One entry of one mu_s or d_{k,s} (s >= 1) moved by a nonzero amount."""
     s = rng.randint(1, defm.order)
-    delta = rand_fraction(rng, 1, 3)
+    if delta is None:
+        delta = rand_fraction(rng, 1, 3)
     k = rng.randint(0, defm.rank)
     if k == 0:
         mu = defm.mus[s]
@@ -361,6 +363,51 @@ def test_gauge_trivial_deformations_match_loop_oracles(index, order, perturb, se
 def test_perturbed_fixture_deformations_match_loop_oracles(index, seed):
     alg, hd, defm = DEFORMATION_FIXTURES[index]
     _assert_matches_loops(alg, hd, _perturbed(defm, random.Random(seed)))
+
+
+def _non_integral(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(PAIRS) - 1), st.integers(0, 3), st.integers(0, 4),
+       st.sampled_from(("trivial", "gauged", "perturbed")), st.integers(0, 2 ** 32))
+def test_apply_gauge_matches_dense_oracle(index, order, gauge_order, start, seed):
+    # rand_gauge entries have denominators 2 and 3, so the integer tables
+    # run over denominators D > 1 and E > 1
+    rng = random.Random(seed)
+    _name, alg, hd = PAIRS[index]
+    defm = H.trivial_deformation(alg, hd, order)
+    if start != "trivial":
+        defm = dense_apply_gauge(defm, rand_gauge(rng, alg.dim, order))
+    if start == "perturbed" and order:
+        defm = _perturbed(defm, rng, _non_integral(rng))
+    gauge = rand_gauge(rng, alg.dim, gauge_order)
+    assert H.apply_gauge(defm, gauge) == dense_apply_gauge(defm, gauge)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(PAIRS) - 1), st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_non_integral_perturbations_match_loop_oracles(index, order, seed):
+    rng = random.Random(seed)
+    _name, alg, hd = PAIRS[index]
+    defm = dense_apply_gauge(H.trivial_deformation(alg, hd, order),
+                             rand_gauge(rng, alg.dim, order))
+    _assert_matches_loops(alg, hd, defm)
+    _assert_matches_loops(alg, hd, _perturbed(defm, rng, _non_integral(rng)))
+
+
+def test_non_integral_violations_render_as_fractions():
+    rendered = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        _name, alg, hd = PAIRS[seed % len(PAIRS)]
+        defm = _perturbed(dense_apply_gauge(H.trivial_deformation(alg, hd, 2),
+                                            rand_gauge(rng, alg.dim, 2)),
+                          rng, _non_integral(rng))
+        _assert_matches_loops(alg, hd, defm)
+        rendered.append(str(H.verify_deformation(alg, hd, defm).violation))
+    assert any("/" in text for text in rendered)  # p/q in the lhs or rhs
 
 
 def test_deform_extend_verifies_its_input_once(monkeypatch, capsys):
