@@ -10,9 +10,9 @@ from .algebras import (
 )
 from .cochain import (
     Cochain, CohomologyReport, MultiMap, NotACocycleError, cochain_dim,
-    cochain_to_vector, cohomology, delta_hoch, delta_k, delta_prime,
-    differential, differential_matrix, is_coboundary, matrix_to_multimap,
-    multimap_to_matrix, vector_to_cochain, zero_cochain,
+    cochain_to_vector, cohomology, differential, differential_matrix,
+    is_coboundary, matrix_to_multimap, multimap_to_matrix, vector_to_cochain,
+    zero_cochain,
 )
 from .deform import (
     Deformation, ExtendOutcome, GaugeMap, TrivializeOutcome, apply_gauge,

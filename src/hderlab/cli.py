@@ -170,6 +170,8 @@ def cmd_check(doc, args):
 
 
 def cmd_cohomology(doc, args):
+    if args.degree < 1:
+        raise UnverifiedInput(f"cohomology needs --degree >= 1, got {args.degree}")
     alg, hd, mod = _structures(doc, args.coefficients, "--coefficients file")
     _guard(degree=args.degree)
     rep = cohomology(alg, mod, hd, args.degree)

@@ -11,10 +11,12 @@ Conventions, fixed once and used everywhere:
   neither is ever stored.
 * f_0 = 0: convolution sums over a family of cochains never produce an
   index-0 member.
-* The sign (-1)^n in the differential uses the degree n of the source
-  cochain space; the trailing sign inside ``delta_prime`` uses the arity of
-  the maps it acts on.  Parts of an n-cochain have arity n-1, so the two
-  agree when the differential is assembled.
+* The differential is stated once, column by column (``_column``).  The
+  delta_k terms of a main-block column carry (-1)^n, n the degree of the
+  source cochain space; a unit map of arity m contributes its middle-sum
+  term at slot pos with (-1)^{pos+1} and its right-action term with
+  (-1)^{m+1}.  Parts of an n-cochain have arity n-1, so their right-action
+  sign is (-1)^n as well.
 * Cochains vectorize main block first (row-major multi-index, module index
   fastest), then the parts for k = 1..N.
 """
@@ -85,36 +87,6 @@ class MultiMap:
                 if x:
                     out[b] += coeff * x
         return tuple(out)
-
-    def compose_slot(self, slot: int, mat: Matrix) -> "MultiMap":
-        """Precompose one argument slot with a dim x dim matrix."""
-        n, d, md = self.arity, self.dim, self.mdim
-        pos_stride = d ** (n - 1 - slot)
-        nz_by_col = [[(b, mat.entry(b, c)) for b in range(d) if mat.entry(b, c)]
-                     for c in range(d)]
-        out = [ZERO] * len(self.values)
-        for flat in range(d ** n):
-            c = (flat // pos_stride) % d
-            nz = nz_by_col[c]
-            if not nz:
-                continue
-            base = flat * md
-            for b, val in nz:
-                src = base + (b - c) * pos_stride * md
-                for m in range(md):
-                    x = self.values[src + m]
-                    if x:
-                        out[base + m] += val * x
-        return MultiMap(n, d, md, tuple(out))
-
-    def postcompose(self, mat: Matrix) -> "MultiMap":
-        """Apply a matrix on the module side."""
-        n, d, md = self.arity, self.dim, self.mdim
-        out: list[Fraction] = []
-        for flat in range(d ** n):
-            base = flat * md
-            out.extend(mat.apply(self.values[base:base + md]))
-        return MultiMap(n, d, mat.rows, tuple(out))
 
     def add(self, other: "MultiMap") -> "MultiMap":
         self._require_same_shape(other)
@@ -230,178 +202,138 @@ def vector_to_cochain(dim: int, mdim: int, nrank: int, n: int, vec: Vector) -> C
     return Cochain(main, tuple(parts))
 
 
-def _add_middle_sum(alg: Algebra, f: MultiMap, idx: tuple[int, ...], acc: list) -> None:
-    """acc += sum_pos (-1)^{pos+1} f(e_i0, ..., e_ipos e_ipos+1, ..., e_in), in place."""
-    for pos in range(f.arity):
-        sign = -1 if pos % 2 == 0 else 1  # (-1)^{pos+1}
-        prod = alg.basis_product(idx[pos], idx[pos + 1])
-        for r, coeff in enumerate(prod):
-            if coeff:
-                sub = f.value_at(idx[:pos] + (r,) + idx[pos + 2:])
-                for b in range(len(acc)):
-                    if sub[b]:
-                        acc[b] += sign * coeff * sub[b]
+def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation) -> tuple:
+    """The nonzero structure constants that ``_column`` reads.
 
-
-def delta_hoch(alg: Algebra, mod: Bimodule, f: MultiMap) -> MultiMap:
-    """The classical Hochschild coboundary with respect to the actions."""
-    n, d, md = f.arity, alg.dim, mod.mdim
-    values: list[Fraction] = []
-    for idx in itertools.product(range(d), repeat=n + 1):
-        acc = list(mod.act_left(alg.basis_vector(idx[0]), f.value_at(idx[1:])))
-        _add_middle_sum(alg, f, idx, acc)
-        tail = mod.act_right(f.value_at(idx[:n]), alg.basis_vector(idx[n]))
-        tail_sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
-        for b in range(md):
-            if tail[b]:
-                acc[b] += tail_sign * tail[b]
-        values.extend(acc)
-    return MultiMap(n + 1, d, md, tuple(values))
-
-
-def delta_prime(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
-                parts) -> tuple[MultiMap, ...]:
-    """The twisted Hochschild coboundary of an N-tuple of equal-arity maps.
-
-    Component k pairs d_i against f_{k-i} in the two action terms, with
-    f_0 = 0 dropping the boundary indices, and applies the plain alternating
-    sum to f_k in the middle.
+    ``lefts[a]`` and ``rights[a]`` list ``(u, b, x)`` for x the coefficient
+    of m_b in e_u m_a and in m_a e_u; ``factors[r]`` lists ``(i, j, x)`` for
+    x the coefficient of e_r in e_i e_j; ``drows[q][u]`` is row u of d_q as
+    ``{i: x}``, with d_0 = id; ``dmcols[k - 1][a]`` is column a of d_k^M as
+    ``{b: x}``.
     """
-    parts = tuple(parts)
-    if len(parts) != hd.rank:
-        raise ShapeError(f"{hd.rank} maps expected, got {len(parts)}")
-    n, d, md = parts[0].arity, alg.dim, mod.mdim
-    out = []
-    for k in range(1, hd.rank + 1):
-        fk = parts[k - 1]
-        values: list[Fraction] = []
-        for idx in itertools.product(range(d), repeat=n + 1):
-            acc = [ZERO] * md
-            for i in range(k):  # j = k - i >= 1
-                avec = hd.apply(i, alg.basis_vector(idx[0]))
-                term = mod.act_left(avec, parts[k - i - 1].value_at(idx[1:]))
-                for b in range(md):
-                    if term[b]:
-                        acc[b] += term[b]
-            _add_middle_sum(alg, fk, idx, acc)
-            tail_sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
-            for i in range(1, k + 1):  # j = k - i, i >= 1
-                avec = hd.apply(k - i, alg.basis_vector(idx[n]))
-                term = mod.act_right(parts[i - 1].value_at(idx[:n]), avec)
-                for b in range(md):
-                    if term[b]:
-                        acc[b] += tail_sign * term[b]
-            values.extend(acc)
-        out.append(MultiMap(n + 1, d, md, tuple(values)))
-    return tuple(out)
+    d, md = alg.dim, mod.mdim
+    lefts = tuple([(u, b, x) for u in range(d) for b, x in enumerate(mod.left[u][a]) if x]
+                  for a in range(md))
+    rights = tuple([(u, b, x) for u in range(d) for b, x in enumerate(mod.right[a][u]) if x]
+                   for a in range(md))
+    factors: list[list] = [[] for _ in range(d)]
+    for i, j in itertools.product(range(d), repeat=2):
+        for r, x in enumerate(alg.c[i][j]):
+            if x:
+                factors[r].append((i, j, x))
+    drows = (tuple({u: ONE} for u in range(d)),) + tuple(m.sparse_rows for m in hd.maps)
+    dmcols = tuple(tuple({b: x for b in range(md) if (x := m.entry(b, a))} for a in range(md))
+                   for m in mod.dmaps)
+    return d, md, hd.rank, lefts, rights, factors, drows, dmcols
 
 
-def _compositions_nonneg(total: int, parts: int):
-    """Ordered tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_nonneg(total - first, parts - 1):
-            yield (first, *rest)
+def _add_coboundary(tables: tuple, m: int, flat: int, a: int, q: int, base: int,
+                    acc: dict, middle: bool) -> None:
+    """acc += the coboundary terms of the unit map sending the basis tuple
+    ``flat`` of arity m to m_a, in an output block of arity m + 1 that starts
+    at row ``base``: the left action through d_q, the alternating middle sum
+    when ``middle``, and (-1)^{m+1} times the right action through d_q."""
+    d, md, _, lefts, rights, factors, drows, _ = tables
+    shift = d ** m
+    for u, b, x in lefts[a]:
+        for i, y in drows[q][u].items():
+            row = base + (i * shift + flat) * md + b
+            acc[row] = acc.get(row, ZERO) + x * y
+    if middle:
+        for pos in range(m):
+            low = d ** (m - 1 - pos)
+            high, rest = divmod(flat, low * d)
+            r, lo = divmod(rest, low)
+            for i, j, x in factors[r]:
+                row = base + ((((high * d + i) * d + j) * low + lo) * md + a)
+                acc[row] = acc.get(row, ZERO) + (x if pos % 2 else -x)  # (-1)^{pos+1}
+    sign = ONE if m % 2 else -ONE  # (-1)^{m+1}
+    for u, b, x in rights[a]:
+        for i, y in drows[q][u].items():
+            row = base + (flat * d + i) * md + b
+            acc[row] = acc.get(row, ZERO) + sign * x * y
 
 
-def delta_k(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
-            f: MultiMap, k: int) -> MultiMap:
-    """sum over i_1+...+i_n = k of f o (d_{i_1} x ... x d_{i_n}) - d_k^M o f."""
-    if not 1 <= k <= hd.rank:
-        raise ValueError(f"k must be in 1..{hd.rank}")
-    n = f.arity
-    result = f.postcompose(mod.dmaps[k - 1]).neg()
-    for multi in _compositions_nonneg(k, n):
-        g = f
-        dead = False
-        for slot, qi in enumerate(multi):
-            if qi == 0:
-                continue
-            mat = hd.maps[qi - 1]
-            if mat.is_zero():
-                dead = True
-                break
-            g = g.compose_slot(slot, mat)
-        if not dead:
-            result = result.add(g)
-    return result
+def _column(tables: tuple, n: int, p: int):
+    """Yield ``(row, coefficient)`` for each nonzero entry of column p of the
+    degree-n differential, each row once.
+
+    A main-block column is the Hochschild coboundary of its unit map plus
+    (-1)^n times the delta_k terms in output part k: -d_k^M, and the
+    compositions f o (d_{q1} x ... x d_{qn}) with q1 + ... + qn = k.  A
+    column of input part j writes, into each output part k >= j, the left and
+    right action terms twisted by d_{k-j}; the middle sum goes to part j only.
+    """
+    d, md, nrank, _, _, _, drows, dmcols = tables
+    block = d ** n * md  # the input main block, and each output part (arity n)
+    parts_base = d * block  # the output main block comes first
+    acc: dict[int, Fraction] = {}
+    if p < block:
+        flat, a = divmod(p, md)
+        _add_coboundary(tables, n, flat, a, 0, 0, acc, True)
+        sign = ONE if n % 2 == 0 else -ONE  # (-1)^n
+        for k in range(1, nrank + 1):
+            base = parts_base + (k - 1) * block + flat * md
+            for b, x in dmcols[k - 1][a].items():
+                acc[base + b] = acc.get(base + b, ZERO) - sign * x
+        # (output tuple so far, q1 + ... so far) -> coefficient, slot by slot
+        states = {(0, 0): sign}
+        for slot in range(n - 1, -1, -1):
+            t = flat // d ** slot % d
+            grown: dict = {}
+            for (out, used), x in states.items():
+                for q in range(nrank - used + 1):
+                    for j, y in drows[q][t].items():
+                        key = (out * d + j, used + q)
+                        grown[key] = grown.get(key, ZERO) + x * y
+            states = grown
+        for (out, k), x in states.items():
+            if k:
+                row = parts_base + (k - 1) * block + out * md + a
+                acc[row] = acc.get(row, ZERO) + x
+    else:
+        j, rest = divmod(p - block, block // d)  # input parts have arity n - 1
+        flat, a = divmod(rest, md)
+        for k in range(j, nrank):  # 0-based parts: output k from input j <= k
+            _add_coboundary(tables, n - 1, flat, a, k - j, parts_base + k * block,
+                            acc, k == j)
+    for row, x in acc.items():
+        if x:
+            yield row, x
 
 
 def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                  c: Cochain) -> Cochain:
-    """The coupled coboundary; squares to zero exactly."""
+    """The coupled coboundary, summed over the nonzero coordinates of c;
+    squares to zero exactly."""
     n = c.n
-    if n == 1:
-        parts = tuple(delta_k(alg, mod, hd, c.main, k).neg()
-                      for k in range(1, hd.rank + 1))
-        return Cochain(delta_hoch(alg, mod, c.main), parts)
-    if len(c.parts) != hd.rank:
+    if (c.main.dim, c.main.mdim) != (alg.dim, mod.mdim):
+        raise ShapeError(f"cochain of shape ({c.main.dim}, {c.main.mdim}) on an "
+                         f"algebra of dim {alg.dim} with module dim {mod.mdim}")
+    if n > 1 and len(c.parts) != hd.rank:
         raise ShapeError(f"cochain has {len(c.parts)} parts, rank is {hd.rank}")
-    primed = delta_prime(alg, mod, hd, c.parts)
-    sign = ONE if n % 2 == 0 else -ONE  # (-1)^n, n = source degree
-    parts = tuple(primed[k - 1].add(delta_k(alg, mod, hd, c.main, k).scale(sign))
-                  for k in range(1, hd.rank + 1))
-    return Cochain(delta_hoch(alg, mod, c.main), parts)
-
-
-class LinearForm(dict):
-    """A linear form ``{source position: coefficient}`` on a cochain space.
-
-    It stands in for a Fraction coordinate when ``differential`` runs on the
-    generic cochain: it adds, negates, scales and tests as zero when empty.
-    A nonzero constant term or a product of two forms is not linear and
-    raises TypeError, so a nonlinear step in the differential fails loudly
-    instead of giving a wrong matrix.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if not isinstance(other, LinearForm):
-            if other:
-                raise TypeError("a linear form plus a nonzero constant is not linear")
-            return self
-        out = LinearForm(self)
-        for j, y in other.items():
-            z = out.get(j)
-            if z is None:
-                out[j] = y
-            elif z := z + y:
-                out[j] = z
-            else:
-                del out[j]
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, c):
-        if isinstance(c, LinearForm):
-            raise TypeError("a product of two linear forms is not linear")
-        return LinearForm({j: c * y for j, y in self.items()} if c else ())
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
+    tables = _tables(alg, mod, hd)
+    out = [ZERO] * cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1)
+    for p, v in enumerate(cochain_to_vector(c)):
+        if v:
+            for row, x in _column(tables, n, p):
+                out[row] += v * x
+    return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n + 1, tuple(out))
 
 
 @lru_cache(maxsize=64)
 def differential_matrix(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                         n: int) -> Matrix:
-    """Matrix of the degree-n differential in the fixed cochain bases.
-
-    ``differential`` runs once, on the generic cochain whose coordinate at
-    position p is the form x_p; output coordinate i is then row i.
-    """
+    """Matrix of the degree-n differential in the fixed cochain bases, its
+    columns scattered into sparse rows."""
     src = cochain_dim(alg.dim, mod.mdim, hd.rank, n)
-    generic = vector_to_cochain(alg.dim, mod.mdim, hd.rank, n,
-                                tuple(LinearForm({p: ONE}) for p in range(src)))
-    rows = cochain_to_vector(differential(alg, mod, hd, generic))
-    if any(r and not isinstance(r, LinearForm) for r in rows):
-        raise TypeError("the differential has a constant term")
-    return Matrix.from_sparse_rows((r or {} for r in rows), src)
+    rows: list[dict[int, Fraction]] = [
+        {} for _ in range(cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1))]
+    tables = _tables(alg, mod, hd)
+    for p in range(src):
+        for row, x in _column(tables, n, p):
+            rows[row][p] = x
+    return Matrix.from_sparse_rows(rows, src)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the operators under test: second
 cohomology is recomputed from the raw extension-law defects, coboundary
 probes use the section-difference formulas directly, elimination is checked
-against dense Gauss-Jordan, the differential matrix against one
-``differential`` call per unit cochain, the deformation verifier and
+against dense Gauss-Jordan, the differential against the whole-map operators
+delta_hoch, delta' and delta_k evaluated tuple by tuple (and its matrix
+against one such evaluation per unit cochain), the deformation verifier and
 obstruction against the hand-written order-s convolutions, and the gauge
 action against dense multimap composition.
 """
@@ -298,15 +299,167 @@ def dense_solve_affine(m: H.Matrix, b: tuple) -> tuple | None:
     return tuple(x)
 
 
+def compose_slot(mm: H.MultiMap, slot: int, mat: H.Matrix) -> H.MultiMap:
+    """Precompose one argument slot of a multimap with a dim x dim matrix."""
+    n, d, md = mm.arity, mm.dim, mm.mdim
+    pos_stride = d ** (n - 1 - slot)
+    nz_by_col = [[(b, mat.entry(b, c)) for b in range(d) if mat.entry(b, c)]
+                 for c in range(d)]
+    out = [ZERO] * len(mm.values)
+    for flat in range(d ** n):
+        c = (flat // pos_stride) % d
+        nz = nz_by_col[c]
+        if not nz:
+            continue
+        base = flat * md
+        for b, val in nz:
+            src = base + (b - c) * pos_stride * md
+            for m in range(md):
+                x = mm.values[src + m]
+                if x:
+                    out[base + m] += val * x
+    return H.MultiMap(n, d, md, tuple(out))
+
+
+def postcompose(mm: H.MultiMap, mat: H.Matrix) -> H.MultiMap:
+    """Apply a matrix on the module side of a multimap."""
+    n, d, md = mm.arity, mm.dim, mm.mdim
+    out: list[Fraction] = []
+    for flat in range(d ** n):
+        base = flat * md
+        out.extend(mat.apply(mm.values[base:base + md]))
+    return H.MultiMap(n, d, mat.rows, tuple(out))
+
+
+def _add_middle_sum(alg: H.Algebra, f: H.MultiMap, idx: tuple[int, ...], acc: list) -> None:
+    """acc += sum_pos (-1)^{pos+1} f(e_i0, ..., e_ipos e_ipos+1, ..., e_in), in place."""
+    for pos in range(f.arity):
+        sign = -1 if pos % 2 == 0 else 1  # (-1)^{pos+1}
+        prod = alg.basis_product(idx[pos], idx[pos + 1])
+        for r, coeff in enumerate(prod):
+            if coeff:
+                sub = f.value_at(idx[:pos] + (r,) + idx[pos + 2:])
+                for b in range(len(acc)):
+                    if sub[b]:
+                        acc[b] += sign * coeff * sub[b]
+
+
+def delta_hoch(alg: H.Algebra, mod: H.Bimodule, f: H.MultiMap) -> H.MultiMap:
+    """The classical Hochschild coboundary with respect to the actions."""
+    n, d, md = f.arity, alg.dim, mod.mdim
+    values: list[Fraction] = []
+    for idx in itertools.product(range(d), repeat=n + 1):
+        acc = list(mod.act_left(alg.basis_vector(idx[0]), f.value_at(idx[1:])))
+        _add_middle_sum(alg, f, idx, acc)
+        tail = mod.act_right(f.value_at(idx[:n]), alg.basis_vector(idx[n]))
+        tail_sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
+        for b in range(md):
+            if tail[b]:
+                acc[b] += tail_sign * tail[b]
+        values.extend(acc)
+    return H.MultiMap(n + 1, d, md, tuple(values))
+
+
+def delta_prime(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
+                parts) -> tuple[H.MultiMap, ...]:
+    """The twisted Hochschild coboundary of an N-tuple of equal-arity maps.
+
+    Component k pairs d_i against f_{k-i} in the two action terms, with
+    f_0 = 0 dropping the boundary indices, and applies the plain alternating
+    sum to f_k in the middle.
+    """
+    parts = tuple(parts)
+    if len(parts) != hd.rank:
+        raise H.ShapeError(f"{hd.rank} maps expected, got {len(parts)}")
+    n, d, md = parts[0].arity, alg.dim, mod.mdim
+    out = []
+    for k in range(1, hd.rank + 1):
+        fk = parts[k - 1]
+        values: list[Fraction] = []
+        for idx in itertools.product(range(d), repeat=n + 1):
+            acc = [ZERO] * md
+            for i in range(k):  # j = k - i >= 1
+                avec = hd.apply(i, alg.basis_vector(idx[0]))
+                term = mod.act_left(avec, parts[k - i - 1].value_at(idx[1:]))
+                for b in range(md):
+                    if term[b]:
+                        acc[b] += term[b]
+            _add_middle_sum(alg, fk, idx, acc)
+            tail_sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
+            for i in range(1, k + 1):  # j = k - i, i >= 1
+                avec = hd.apply(k - i, alg.basis_vector(idx[n]))
+                term = mod.act_right(parts[i - 1].value_at(idx[:n]), avec)
+                for b in range(md):
+                    if term[b]:
+                        acc[b] += tail_sign * term[b]
+            values.extend(acc)
+        out.append(H.MultiMap(n + 1, d, md, tuple(values)))
+    return tuple(out)
+
+
+def _compositions_nonneg(total: int, parts: int):
+    """Ordered tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions_nonneg(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def delta_k(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
+            f: H.MultiMap, k: int) -> H.MultiMap:
+    """sum over i_1+...+i_n = k of f o (d_{i_1} x ... x d_{i_n}) - d_k^M o f."""
+    if not 1 <= k <= hd.rank:
+        raise ValueError(f"k must be in 1..{hd.rank}")
+    n = f.arity
+    result = postcompose(f, mod.dmaps[k - 1]).neg()
+    for multi in _compositions_nonneg(k, n):
+        g = f
+        dead = False
+        for slot, qi in enumerate(multi):
+            if qi == 0:
+                continue
+            mat = hd.maps[qi - 1]
+            if mat.is_zero():
+                dead = True
+                break
+            g = compose_slot(g, slot, mat)
+        if not dead:
+            result = result.add(g)
+    return result
+
+
+def oracle_differential(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
+                        c: H.Cochain) -> H.Cochain:
+    """The coupled coboundary from whole-map operators, tuple by tuple.
+
+    The reference for ``cochain.differential``: delta_hoch on the main map,
+    and in part k delta' of the parts plus (-1)^n delta_k of the main map.
+    """
+    n = c.n
+    if n == 1:
+        parts = tuple(delta_k(alg, mod, hd, c.main, k).neg()
+                      for k in range(1, hd.rank + 1))
+        return H.Cochain(delta_hoch(alg, mod, c.main), parts)
+    if len(c.parts) != hd.rank:
+        raise H.ShapeError(f"cochain has {len(c.parts)} parts, rank is {hd.rank}")
+    primed = delta_prime(alg, mod, hd, c.parts)
+    sign = ONE if n % 2 == 0 else -ONE  # (-1)^n, n = source degree
+    parts = tuple(primed[k - 1].add(delta_k(alg, mod, hd, c.main, k).scale(sign))
+                  for k in range(1, hd.rank + 1))
+    return H.Cochain(delta_hoch(alg, mod, c.main), parts)
+
+
 def differential_matrix_by_columns(alg: H.Algebra, mod: H.Bimodule,
                                    hd: H.HigherDerivation, n: int) -> H.Matrix:
-    """The degree-n differential, one ``differential`` call per unit cochain."""
+    """The degree-n differential, one ``oracle_differential`` call per unit cochain."""
     src = H.cochain_dim(alg.dim, mod.mdim, hd.rank, n)
     cols = []
     for pos in range(src):
         unit = tuple(ONE if j == pos else ZERO for j in range(src))
         c = H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, unit)
-        cols.append(H.cochain_to_vector(H.differential(alg, mod, hd, c)))
+        cols.append(H.cochain_to_vector(oracle_differential(alg, mod, hd, c)))
     return H.Matrix.from_columns(cols)
 
 
@@ -452,8 +605,8 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
         for p, q, r in itertools.product(range(s + 1), repeat=3):
             w = s - p - q - r
             if w >= 0:
-                term = defm.mus[q].compose_slot(0, phis[r]).compose_slot(1, phis[w])
-                acc = acc.add(term.postcompose(psis[p]))
+                term = compose_slot(compose_slot(defm.mus[q], 0, phis[r]), 1, phis[w])
+                acc = acc.add(postcompose(term, psis[p]))
         mus.append(acc)
     dks = []
     for series in defm.dks:

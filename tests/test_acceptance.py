@@ -19,8 +19,9 @@ from hderlab import samples
 from hderlab.cli import main as cli_main
 
 from helpers import (
-    betti2_by_rank_count, cochains_equal, coefficient_fixtures, pair_fixtures,
-    rand_cochain, rand_gauge, rand_matrix, rand_multimap,
+    betti2_by_rank_count, cochains_equal, coefficient_fixtures, delta_hoch,
+    delta_k, delta_prime, pair_fixtures, rand_cochain, rand_gauge, rand_matrix,
+    rand_multimap,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,15 +43,15 @@ def test_criterion_1_complex_axioms():
         assert dd.is_zero(), (name, n, "differential does not square to zero")
 
         parts = tuple(rand_multimap(rng, n, alg.dim, mod.mdim) for _ in range(hd.rank))
-        twice = H.delta_prime(alg, mod, hd, H.delta_prime(alg, mod, hd, parts))
+        twice = delta_prime(alg, mod, hd, delta_prime(alg, mod, hd, parts))
         assert all(p.is_zero() for p in twice), (name, n, "delta-prime does not square to zero")
 
         f = rand_multimap(rng, n, alg.dim, mod.mdim)
-        family = tuple(H.delta_k(alg, mod, hd, f, k) for k in range(1, hd.rank + 1))
-        lhs = H.delta_prime(alg, mod, hd, family)
-        dh = H.delta_hoch(alg, mod, f)
+        family = tuple(delta_k(alg, mod, hd, f, k) for k in range(1, hd.rank + 1))
+        lhs = delta_prime(alg, mod, hd, family)
+        dh = delta_hoch(alg, mod, f)
         for k in range(1, hd.rank + 1):
-            assert lhs[k - 1].values == H.delta_k(alg, mod, hd, dh, k).values, \
+            assert lhs[k - 1].values == delta_k(alg, mod, hd, dh, k).values, \
                 (name, n, k, "commutation lemma fails")
     print(f"\ncriterion 1 PASS: complex axioms exact on {draws} random draws "
           f"across {len(fixtures)} fixtures (dim <= 3, rank <= 3, degree <= 3)")

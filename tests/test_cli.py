@@ -124,6 +124,15 @@ def test_classify_central_with_nonzero_actions_exits_2(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_cohomology_degree_below_one_exits_2(degree, capsys):
+    args = ["cohomology", str(FIXTURES / "dual_pair.json"), "--degree", degree, "--json"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: cohomology needs --degree >= 1, got {degree}\n"
+
+
 def _outcome(parse, argv, capsys):
     try:
         result = vars(parse(argv))

@@ -8,7 +8,7 @@ import hderlab as H
 from hderlab import samples
 
 from helpers import (
-    betti2_by_rank_count, cochains_equal, rand_matrix, rand_multimap,
+    betti2_by_rank_count, cochains_equal, delta_hoch, rand_matrix, rand_multimap,
 )
 
 
@@ -97,7 +97,7 @@ def test_not_a_cocycle_error_names_component():
     # break only the bilinear component
     bad_main = H.TwoCocycle(rand_multimap(rng, 2, 2, 2),
                             tuple(H.MultiMap.zero(1, 2, 2) for _ in range(2)))
-    assert not H.delta_hoch(alg, mod, bad_main.psi).is_zero()
+    assert not delta_hoch(alg, mod, bad_main.psi).is_zero()
     with pytest.raises(H.NotACocycleError, match="bilinear"):
         H.extension_from_cocycle(alg, hd, mod, bad_main)
     # cocycle whose k = 1 condition fails: zero psi, nonzero chi_1 on a
