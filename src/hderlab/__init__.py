@@ -11,8 +11,8 @@ from .algebras import (
 from .cochain import (
     Cochain, CohomologyReport, MultiMap, NotACocycleError, cochain_dim,
     cochain_to_vector, cohomology, differential, differential_matrix,
-    is_coboundary, matrix_to_multimap, multimap_to_matrix, vector_to_cochain,
-    zero_cochain,
+    is_coboundary, matrix_to_multimap, multimap_to_matrix, preimage,
+    vector_to_cochain, zero_cochain,
 )
 from .deform import (
     Deformation, ExtendOutcome, GaugeMap, TrivializeOutcome, apply_gauge,
@@ -25,7 +25,7 @@ from .exactlin import (
     solve_affine,
 )
 from .extensions import (
-    ExtensionPair, SectionError, TwoCocycle, check_equivalence,
+    ExtensionPair, SectionError, check_equivalence,
     classify_central, cocycle_from_section, equivalence_from_cochain,
     extension_from_cocycle, extension_structure, find_equivalence,
     semidirect,

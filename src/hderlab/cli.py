@@ -33,13 +33,13 @@ from .exactlin import Matrix, ShapeError
 from .extensions import (
     SectionError, classify_central, cocycle_from_section, extension_from_cocycle,
 )
-from .freecons import build_tensor_algebra, induced_tensor_hder
+from .freecons import induced_tensor_hder
 from .hder import verify_hder
 from .serialize import (
     ParseError, check_report_to_json, cochain_to_json, cohomology_to_json,
     deformation_to_json, extension_to_json, gauge_to_json, hder_to_json,
     parse_algebra, parse_bimodule, parse_deformation, parse_hder, parse_matrix,
-    parse_tensor_section, parse_two_cocycle, two_cocycle_to_json,
+    parse_tensor_section, parse_two_cocycle,
 )
 
 EXIT_OK = 0
@@ -185,7 +185,7 @@ def cmd_classify_central(doc, args):
         raise UnverifiedInput(f"{args.command} needs a bimodule section with zero actions")
     _guard(total_dim=alg.dim + mod.mdim)
     classes = classify_central(alg, hd, mod)
-    reps = [{"cocycle": two_cocycle_to_json(z), "extension": extension_to_json(e)}
+    reps = [{"cocycle": cochain_to_json(z), "extension": extension_to_json(e)}
             for z, e in classes]
     results = {"betti": len(classes) - 1, "classes": reps}
     return True, results, []
@@ -214,7 +214,7 @@ def cmd_cocycle_from_section(doc, args):
         out = cocycle_from_section(ext, section)
     except SectionError as exc:
         return False, {}, [str(exc)]
-    results = {"cocycle": two_cocycle_to_json(out),
+    results = {"cocycle": cochain_to_json(out),
                "matches_input": out == z}
     return True, results, []
 
@@ -264,6 +264,8 @@ def cmd_deform_extend(doc, args):
 
 
 def cmd_deform_trivialize(doc, args):
+    if args.to is not None and args.to < 0:
+        raise UnverifiedInput(f"deform-trivialize needs --to >= 0, got {args.to}")
     alg, hd = _algebra_hder(doc)
     defm = _deformation(doc, alg, hd)
     target = args.to if args.to is not None else defm.order
@@ -285,8 +287,7 @@ def cmd_free_tensor(doc, args):
     if degree is None:
         raise ParseError("tensor.degree or --degree is required")
     _guard(vdim=vdim, degree=degree)
-    probe = build_tensor_algebra(vdim, degree)
-    _guard(tensor_algebra_dim=probe.algebra.dim)
+    _guard(tensor_algebra_dim=sum(vdim ** length for length in range(degree + 1)))
     tta, hd = induced_tensor_hder(vdim, degree, thetas)
     rep = verify_hder(tta.algebra, hd)
     results = {

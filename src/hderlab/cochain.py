@@ -19,6 +19,10 @@ Conventions, fixed once and used everywhere:
   sign is (-1)^n as well.
 * Cochains vectorize main block first (row-major multi-index, module index
   fastest), then the parts for k = 1..N.
+* Degree-2 data has one type: a 2-cocycle twisting an extension and a
+  deformation coefficient (mu_s; d_{1,s}, ..., d_{N,s}) are both 2-cochains,
+  the latter with self coefficients.  An arity-1 map holds its matrix
+  column-major: ``values[c * mdim + b]`` is entry (b, c).
 """
 
 from __future__ import annotations
@@ -114,16 +118,13 @@ class MultiMap:
 
 def matrix_to_multimap(mat: Matrix) -> MultiMap:
     """A linear map as an arity-1 multimap; columns become values."""
-    values: list[Fraction] = []
-    for i in range(mat.cols):
-        values.extend(mat.column(i))
-    return MultiMap(1, mat.cols, mat.rows, tuple(values))
+    return MultiMap(1, mat.cols, mat.rows, mat.transpose().entries)
 
 
 def multimap_to_matrix(mm: MultiMap) -> Matrix:
     if mm.arity != 1:
         raise ShapeError("only arity-1 multimaps are matrices")
-    return Matrix.from_columns([mm.value_at((i,)) for i in range(mm.dim)])
+    return Matrix(mm.dim, mm.mdim, mm.values).transpose()
 
 
 @dataclass(frozen=True)
@@ -384,8 +385,17 @@ def is_coboundary(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
         raise ValueError("coboundary test needs degree >= 2")
     if not differential(alg, mod, hd, c).is_zero():
         raise NotACocycleError(f"degree-{n} input is not a cocycle")
-    mat = differential_matrix(alg, mod, hd, n - 1)
-    sol = solve_affine(mat, cochain_to_vector(c))
+    return preimage(alg, mod, hd, c)
+
+
+def preimage(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
+             c: Cochain) -> Cochain | None:
+    """The canonical (n-1)-cochain whose differential is the n-cochain c,
+    free variables zero, or None when c is not in the image; n >= 2.
+
+    Every preimage solve runs here; the callers check what c must be."""
+    n = c.n
+    sol = solve_affine(differential_matrix(alg, mod, hd, n - 1), cochain_to_vector(c))
     if sol is None:
         return None
     return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n - 1, sol)

@@ -1,9 +1,10 @@
 """Truncated one-parameter deformations of a pair and their calculus.
 
-A deformation of order n is a coefficient family: bilinear maps
-mu_0, ..., mu_n with mu_0 the algebra product, and for each k a matrix list
-d_{k,0}, ..., d_{k,n} with d_{k,0} = d_k.  The index-0 derivation series is
-the constant identity (d_{0,0} = id, d_{0,s} = 0 for s >= 1), which the
+A deformation of order n is a family of n + 1 coefficients, each a 2-cochain
+with self coefficients (the same type as a 2-cocycle twisting an extension):
+coefficient s is (mu_s; d_{1,s}, ..., d_{N,s}), and coefficient 0 is the
+algebra product with the maps d_1, ..., d_N.  The index-0 derivation series
+is the constant identity (d_{0,0} = id, d_{0,s} = 0 for s >= 1), which the
 convolutions below bake in.  Nothing is ever symbolic: all series algebra is
 convolution on coefficient lists, truncated at the stored order.  The
 order-s equations are stated once, in ``_order_equations``.
@@ -25,10 +26,10 @@ from functools import cached_property
 
 from .algebras import Algebra, CheckReport, Violation, adjoint_bimodule
 from .cochain import (
-    Cochain, MultiMap, cochain_to_vector, differential, differential_matrix,
-    matrix_to_multimap, multimap_to_matrix, vector_to_cochain,
+    Cochain, MultiMap, differential, matrix_to_multimap, multimap_to_matrix,
+    preimage, vector_to_cochain, zero_cochain,
 )
-from .exactlin import Matrix, ShapeError, ZERO, solve_affine
+from .exactlin import Matrix, ShapeError, ZERO
 from .hder import HigherDerivation
 
 
@@ -37,46 +38,47 @@ def _common_denominator(values) -> int:
     return math.lcm(*{x.denominator for x in values})
 
 
-def _int_columns(mat: Matrix, den: int) -> tuple[dict[int, int], ...]:
-    """Column c of ``mat`` as ``{b: numerator}`` over ``den``, zeros left out;
-    ``den`` must be a multiple of every entry's denominator."""
-    d = mat.rows
-    return tuple({b: x.numerator * (den // x.denominator)
-                  for b in range(d) if (x := mat.entry(b, c))}
-                 for c in range(mat.cols))
+def _int_chunks(values, d: int, den: int) -> tuple[dict[int, int], ...]:
+    """Consecutive length-d blocks of ``values`` as ``{index: numerator}``
+    over ``den``, zeros left out; ``den`` must be a multiple of every
+    denominator.  The blocks of a bilinear self map are its values at basis
+    pairs, those of a linear one (or of a transposed matrix) its columns."""
+    return tuple({c: x.numerator * (den // x.denominator)
+                  for c in range(d) if (x := values[base + c])}
+                 for base in range(0, len(values), d))
+
+
+def _fractions(numerators, q: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, q) if x else ZERO for x in numerators)
 
 
 @dataclass(frozen=True)
 class Deformation:
-    """Coefficient family (mu_0..mu_n; d_{k,0}..d_{k,n} for k = 1..N)."""
+    """Coefficients ``coeffs[s]`` = (mu_s; d_{1,s}, ..., d_{N,s}) for
+    s = 0..order, each a 2-cochain with self coefficients."""
 
-    order: int
-    mus: tuple[MultiMap, ...]
-    dks: tuple[tuple[Matrix, ...], ...]
+    coeffs: tuple[Cochain, ...]
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ShapeError("order must be >= 0")
-        if len(self.mus) != self.order + 1:
-            raise ShapeError(f"{self.order + 1} product coefficients expected, got {len(self.mus)}")
-        d = self.mus[0].dim
-        for mu in self.mus:
-            if mu.arity != 2 or mu.dim != d or mu.mdim != d:
-                raise ShapeError("product coefficients must be bilinear self maps")
-        for k, series in enumerate(self.dks, start=1):
-            if len(series) != self.order + 1:
-                raise ShapeError(f"derivation series {k} has {len(series)} coefficients")
-            for mat in series:
-                if mat.rows != d or mat.cols != d:
-                    raise ShapeError(f"derivation coefficient in series {k} is not {d}x{d}")
+        if not self.coeffs:
+            raise ShapeError("a deformation needs its order-0 coefficient")
+        d, rank = self.dim, self.rank
+        for c in self.coeffs:
+            if c.n != 2 or c.main.dim != d or c.main.mdim != d or len(c.parts) != rank:
+                raise ShapeError(f"coefficients must be 2-cochains of self maps of "
+                                 f"dimension {d} with {rank} parts")
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def dim(self) -> int:
-        return self.mus[0].dim
+        return self.coeffs[0].main.dim
 
     @property
     def rank(self) -> int:
-        return len(self.dks)
+        return len(self.coeffs[0].parts)
 
     @cached_property
     def _tables(self) -> tuple[tuple, tuple, int]:
@@ -87,21 +89,13 @@ class Deformation:
         series 0 holds only d_{0,0} = id, whose columns are ``{c: D}``."""
         d = self.dim
         den = _common_denominator(itertools.chain(
-            *(mu.values for mu in self.mus),
-            *(mat.entries for series in self.dks for mat in series)))
-        mus = tuple(tuple({c: x.numerator * (den // x.denominator)
-                           for c in range(d) if (x := mu.values[base + c])}
-                          for base in range(0, d * d * d, d))
-                    for mu in self.mus)
+            *(m.values for c in self.coeffs for m in (c.main, *c.parts))))
+        mus = tuple(_int_chunks(c.main.values, d, den) for c in self.coeffs)
         ident = tuple({c: den} for c in range(d))
-        dcols = ((ident,),) + tuple(tuple(_int_columns(mat, den) for mat in series)
-                                    for series in self.dks)
+        dcols = ((ident,),) + tuple(tuple(_int_chunks(c.parts[k].values, d, den)
+                                          for c in self.coeffs)
+                                    for k in range(self.rank))
         return mus, dcols, den
-
-    def coefficient(self, s: int) -> Cochain:
-        """The order-s coefficient as a 2-cochain with self coefficients."""
-        return Cochain(self.mus[s],
-                       tuple(matrix_to_multimap(series[s]) for series in self.dks))
 
 
 @dataclass(frozen=True)
@@ -142,13 +136,17 @@ def product_multimap(alg: Algebra) -> MultiMap:
     return MultiMap(2, alg.dim, alg.dim, tuple(values))
 
 
+def _base_coefficient(alg: Algebra, hd: HigherDerivation) -> Cochain:
+    """(mu_0; d_1, ..., d_N): the algebra product and the higher derivation."""
+    return Cochain(product_multimap(alg), tuple(map(matrix_to_multimap, hd.maps)))
+
+
 def trivial_deformation(alg: Algebra, hd: HigherDerivation, order: int) -> Deformation:
-    """The undeformed family: base coefficients followed by zeros."""
-    d = alg.dim
-    mus = (product_multimap(alg),) + tuple(MultiMap.zero(2, d, d) for _ in range(order))
-    dks = tuple((hd.maps[k], *(Matrix.zeros(d, d) for _ in range(order)))
-                for k in range(hd.rank))
-    return Deformation(order, mus, dks)
+    """The undeformed family: the base coefficient followed by zeros."""
+    if order < 0:
+        raise ShapeError("order must be >= 0")
+    return Deformation((_base_coefficient(alg, hd),)
+                       + (zero_cochain(alg.dim, alg.dim, hd.rank, 2),) * order)
 
 
 def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
@@ -156,10 +154,11 @@ def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
         raise ShapeError("deformation dimension differs from the algebra")
     if defm.rank != hd.rank:
         raise ShapeError("deformation rank differs from the higher derivation")
-    if defm.mus[0] != product_multimap(alg):
+    have, want = defm.coeffs[0], _base_coefficient(alg, hd)
+    if have.main != want.main:
         raise ValueError("order-0 product coefficient is not the algebra multiplication")
-    for k in range(1, hd.rank + 1):
-        if defm.dks[k - 1][0] != hd.maps[k - 1]:
+    for k, (part, dk) in enumerate(zip(have.parts, want.parts), start=1):
+        if part != dk:
             raise ValueError(f"order-0 derivation coefficient {k} is not d_{k}")
 
 
@@ -257,9 +256,9 @@ def infinitesimal(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         raise ValueError(f"coefficient index {at_order} out of range 1..{defm.order}")
     _require_verified(alg, hd, defm)
     for s in range(1, at_order):
-        if not defm.coefficient(s).is_zero():
+        if not defm.coeffs[s].is_zero():
             raise ValueError(f"coefficient {s} is nonzero below the requested order")
-    coeff = defm.coefficient(at_order)
+    coeff = defm.coeffs[at_order]
     mod = adjoint_bimodule(alg, hd)
     defect = differential(alg, mod, hd, coeff)
     if defect.is_zero():
@@ -313,13 +312,15 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
             for s in range(T + 1)]
     psis = _series_inverse(phis)
     e = _common_denominator(itertools.chain(*(m.entries for m in phis + psis)))
-    phi = [(r, _int_columns(m, e)) for r, m in enumerate(phis) if not m.is_zero()]
-    psi = [(p, _int_columns(m, e)) for p, m in enumerate(psis) if not m.is_zero()]
+    phi = [(r, _int_chunks(m.transpose().entries, dim, e))
+           for r, m in enumerate(phis) if not m.is_zero()]
+    psi = [(p, _int_chunks(m.transpose().entries, dim, e))
+           for p, m in enumerate(psis) if not m.is_zero()]
     mus, dcols, den = defm._tables
     live_mus = [(q, mu) for q, mu in enumerate(mus) if any(mu)]
 
-    def conjugate(inner, out, offset, stride):
-        # out[p + m] at offset + a * stride gains coordinate a of Psi_p inner[m]
+    def conjugate(inner, out, offset):
+        # out[p + m][offset + a] gains coordinate a of Psi_p inner[m]
         for m, vec in enumerate(inner):
             for c, z in enumerate(vec):
                 if z:
@@ -327,7 +328,7 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
                         if p + m > T:
                             break
                         for a, t in cols[c].items():
-                            out[p + m][offset + a * stride] += z * t
+                            out[p + m][offset + a] += z * t
 
     new_mus = [[0] * (dim ** 3) for _ in range(T + 1)]
     for i, j in itertools.product(range(dim), repeat=2):
@@ -345,13 +346,9 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
                             acc = inner[r + w + q]
                             for c, z in mu[u * dim + v].items():
                                 acc[c] += xy * z
-        conjugate(inner, new_mus, (i * dim + j) * dim, 1)
-    q_mu = den * e ** 3
-    mus_out = tuple(MultiMap(2, dim, dim, tuple(Fraction(x, q_mu) if x else ZERO for x in vals))
-                    for vals in new_mus)
+        conjugate(inner, new_mus, (i * dim + j) * dim)
 
-    q_d = den * e * e
-    dks_out = []
+    new_ds = []  # column-major, as arity-1 values
     for series in dcols[1:]:
         live = [(q, cols) for q, cols in enumerate(series) if any(cols)]
         new = [[0] * (dim * dim) for _ in range(T + 1)]
@@ -365,10 +362,13 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
                         acc = inner[r + q]
                         for b, y in cols[u].items():
                             acc[b] += x * y
-            conjugate(inner, new, c, dim)
-        dks_out.append(tuple(Matrix(dim, dim, tuple(Fraction(x, q_d) if x else ZERO for x in vals))
-                             for vals in new))
-    return Deformation(T, mus_out, tuple(dks_out))
+            conjugate(inner, new, c * dim)
+        new_ds.append(new)
+    q_mu, q_d = den * e ** 3, den * e * e
+    return Deformation(tuple(
+        Cochain(MultiMap(2, dim, dim, _fractions(new_mus[s], q_mu)),
+                tuple(MultiMap(1, dim, dim, _fractions(new[s], q_d)) for new in new_ds))
+        for s in range(T + 1)))
 
 
 def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
@@ -414,15 +414,8 @@ class ExtendOutcome:
 
 def try_extend(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> ExtendOutcome:
     """Solve for a next coefficient; absence certifies a fresh obstruction class."""
-    return _solve_next(alg, hd, obstruction(alg, hd, defm))
-
-
-def _solve_next(alg: Algebra, hd: HigherDerivation, ob: Cochain) -> ExtendOutcome:
-    mod = adjoint_bimodule(alg, hd)
-    sol = solve_affine(differential_matrix(alg, mod, hd, 2), cochain_to_vector(ob))
-    if sol is None:
-        return ExtendOutcome(None, ob)
-    return ExtendOutcome(vector_to_cochain(alg.dim, alg.dim, hd.rank, 2, sol), ob)
+    ob = obstruction(alg, hd, defm)
+    return ExtendOutcome(preimage(alg, adjoint_bimodule(alg, hd), hd, ob), ob)
 
 
 def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
@@ -434,12 +427,14 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     equations involve only coefficients up to it, so this is a full check.
     """
     _require_verified(alg, hd, defm)
+    mod = adjoint_bimodule(alg, hd)
     current = defm
     while current.order < target:
-        outcome = _solve_next(alg, hd, _known_defect(current))
-        if outcome.candidate is None:
-            return current, outcome.obstruction
-        current = extend_deformation(current, outcome.candidate)
+        ob = _known_defect(current)
+        candidate = preimage(alg, mod, hd, ob)
+        if candidate is None:
+            return current, ob
+        current = extend_deformation(current, candidate)
         bad = _first_violation(current, current.order)
         if bad is not None:
             raise RuntimeError(f"appended coefficient does not verify: {bad}")
@@ -447,20 +442,18 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
 
 
 def extend_deformation(defm: Deformation, candidate: Cochain) -> Deformation:
-    """Append a next-order coefficient family."""
+    """Append a next-order coefficient."""
     if candidate.n != 2 or len(candidate.parts) != defm.rank:
         raise ShapeError("candidate must be a 2-cochain with one part per derivation map")
-    mus = defm.mus + (candidate.main,)
-    dks = tuple(defm.dks[k] + (multimap_to_matrix(candidate.parts[k]),)
-                for k in range(defm.rank))
-    return Deformation(defm.order + 1, mus, dks)
+    return Deformation(defm.coeffs + (candidate,))
 
 
 def truncate_deformation(defm: Deformation, order: int) -> Deformation:
+    if order < 0:
+        raise ValueError("cannot truncate to a negative order")
     if order > defm.order:
         raise ValueError("cannot truncate to a higher order")
-    return Deformation(order, defm.mus[:order + 1],
-                       tuple(series[:order + 1] for series in defm.dks))
+    return Deformation(defm.coeffs[:order + 1])
 
 
 @dataclass(frozen=True)
@@ -490,26 +483,18 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     current = truncate_deformation(defm, T)
     acc = GaugeMap.identity(dim, T)
     mod = adjoint_bimodule(alg, hd)
-    mat = differential_matrix(alg, mod, hd, 1)
     while True:
-        lowest = None
-        for s in range(1, T + 1):
-            if not current.coefficient(s).is_zero():
-                lowest = s
-                break
+        lowest = next((s for s in range(1, T + 1) if not current.coeffs[s].is_zero()), None)
         if lowest is None:
             return TrivializeOutcome(acc)
-        coeff = current.coefficient(lowest)
+        coeff = current.coeffs[lowest]
         if not differential(alg, mod, hd, coeff).is_zero():
             raise RuntimeError(
                 f"lowest coefficient at order {lowest} is not a cocycle; "
                 "the input cannot have verified")
-        target = tuple(-x for x in cochain_to_vector(coeff))
-        sol = solve_affine(mat, target)
-        if sol is None:
+        h = preimage(alg, mod, hd, coeff.neg())
+        if h is None:
             return TrivializeOutcome(None, lowest, coeff)
-        shear = multimap_to_matrix(
-            vector_to_cochain(dim, dim, hd.rank, 1, sol).main)
-        step = GaugeMap.single(dim, T, lowest, shear)
+        step = GaugeMap.single(dim, T, lowest, multimap_to_matrix(h.main))
         current = apply_gauge(current, step)
         acc = gauge_compose(acc, step)

@@ -4,8 +4,9 @@ One construction serves both flavors: a central extension is the special
 case in which the bimodule actions vanish.  Total spaces always live in
 normal form on the coordinates of A followed by the coordinates of M, with
 the canonical inclusion, projection and section matrices; a square-zero
-M-block carries the module structure and a 2-cocycle (psi; chi_1..chi_N)
-twists the product and the derivation maps.
+M-block carries the module structure and a 2-cocycle, a ``Cochain``
+(psi; chi_1, ..., chi_N) with n = 2, twists the product and the derivation
+maps.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .algebras import Algebra, Bimodule, CheckReport
 from .cochain import (
     Cochain, MultiMap, NotACocycleError, cochain_to_vector, cohomology,
     differential, differential_matrix, is_coboundary, multimap_to_matrix,
+    zero_cochain,
 )
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, echelon
 from .hder import AssHDerMorphism, AssHDerPair, HigherDerivation, check_morphism
@@ -25,35 +27,6 @@ from .hder import AssHDerMorphism, AssHDerPair, HigherDerivation, check_morphism
 
 class SectionError(ValueError):
     """A claimed splitting is not one, or induces the wrong actions."""
-
-
-@dataclass(frozen=True)
-class TwoCocycle:
-    """Candidate twisting data: a bilinear map plus N linear maps into M."""
-
-    psi: MultiMap
-    chis: tuple[MultiMap, ...]
-
-    def __post_init__(self):
-        if self.psi.arity != 2:
-            raise ShapeError("psi must be bilinear")
-        for chi in self.chis:
-            if chi.arity != 1 or chi.dim != self.psi.dim or chi.mdim != self.psi.mdim:
-                raise ShapeError("chi maps must be linear with matching dimensions")
-
-    @classmethod
-    def zero(cls, dim: int, mdim: int, nrank: int) -> "TwoCocycle":
-        return cls(MultiMap.zero(2, dim, mdim),
-                   tuple(MultiMap.zero(1, dim, mdim) for _ in range(nrank)))
-
-    @classmethod
-    def from_cochain(cls, c: Cochain) -> "TwoCocycle":
-        if c.n != 2:
-            raise ShapeError("a 2-cochain is required")
-        return cls(c.main, c.parts)
-
-    def as_cochain(self) -> Cochain:
-        return Cochain(self.psi, self.chis)
 
 
 @dataclass(frozen=True)
@@ -83,13 +56,17 @@ class ExtensionPair:
 
 
 def extension_structure(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
-                        z: TwoCocycle) -> AssHDerPair:
-    """The A + M structure twisted by z, with no cocycle check applied.
+                        z: Cochain) -> AssHDerPair:
+    """The A + M structure twisted by the 2-cochain z = (psi; chi_1, ...,
+    chi_N), with no cocycle check applied.
 
     Verifying the result is exactly the cocycle test: the pair passes the
     algebra and higher-derivation verifiers if and only if z is killed by
     the differential.
     """
+    if z.n != 2 or len(z.parts) != hd.rank:
+        raise ShapeError(f"a 2-cochain with {hd.rank} parts is required, "
+                         f"got degree {z.n} with {len(z.parts)}")
     d, md = alg.dim, mod.mdim
     big = d + md
     c = [[[ZERO] * big for _ in range(big)] for _ in range(big)]
@@ -98,7 +75,7 @@ def extension_structure(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
         for k, coeff in enumerate(alg.c[i][j]):
             if coeff:
                 row[k] = coeff
-        for b, coeff in enumerate(z.psi.value_at((i, j))):
+        for b, coeff in enumerate(z.main.value_at((i, j))):
             if coeff:
                 row[d + b] = coeff
     for i, a in itertools.product(range(d), range(md)):
@@ -114,7 +91,7 @@ def extension_structure(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
     for k in range(1, hd.rank + 1):
         dk = hd.maps[k - 1]
         dkm = mod.dmaps[k - 1]
-        fk = multimap_to_matrix(z.chis[k - 1])
+        fk = multimap_to_matrix(z.parts[k - 1])
         rows = []
         for r in range(d):
             rows.append((*dk.row(r), *([ZERO] * md)))
@@ -137,18 +114,17 @@ def _canonical_matrices(d: int, md: int) -> tuple[Matrix, Matrix, Matrix]:
 
 def semidirect(alg: Algebra, hd: HigherDerivation, mod: Bimodule) -> AssHDerPair:
     """(a, m)(b, n) = (ab, an + mb) with block-diagonal derivation maps."""
-    return extension_structure(alg, hd, mod,
-                               TwoCocycle.zero(alg.dim, mod.mdim, hd.rank))
+    return extension_structure(alg, hd, mod, zero_cochain(alg.dim, mod.mdim, hd.rank, 2))
 
 
 def extension_from_cocycle(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
-                           z: TwoCocycle) -> ExtensionPair:
+                           z: Cochain) -> ExtensionPair:
     """Build the extension twisted by z after checking z really is a cocycle.
 
     The error names the first violated component: the bilinear one, or the
     index k of the first failing derivation condition.
     """
-    defect = differential(alg, mod, hd, z.as_cochain())
+    defect = differential(alg, mod, hd, z)
     if not defect.main.is_zero():
         raise NotACocycleError("delta_hoch of the bilinear component is nonzero")
     for k, part in enumerate(defect.parts, start=1):
@@ -176,7 +152,7 @@ def _check_induced_actions(ext: ExtensionPair, section: Matrix) -> None:
                     f"induced right action at ({a}, {i}) differs from the declared bimodule")
 
 
-def cocycle_from_section(ext: ExtensionPair, section: Matrix | None = None) -> TwoCocycle:
+def cocycle_from_section(ext: ExtensionPair, section: Matrix | None = None) -> Cochain:
     """Twisting data read off a splitting: products and derivation defects.
 
     psi(a, b) = s(a) s(b) - s(ab) and chi_k(a) = d^E_k(s(a)) - s(d_k(a)),
@@ -213,7 +189,7 @@ def cocycle_from_section(ext: ExtensionPair, section: Matrix | None = None) -> T
                 raise SectionError("derivation defect does not land in the module part")
             chi_values.extend(ext.module_part(diff_vec))
         chis.append(MultiMap(1, d, md, tuple(chi_values)))
-    return TwoCocycle(psi, tuple(chis))
+    return Cochain(psi, tuple(chis))
 
 
 def equivalence_from_cochain(h: MultiMap) -> Matrix:
@@ -262,7 +238,7 @@ def find_equivalence(e1: ExtensionPair, e2: ExtensionPair) -> Matrix | None:
     alg, hd, mod = e1.base.algebra, e1.base.hder, e1.module
     z1 = cocycle_from_section(e1)
     z2 = cocycle_from_section(e2)
-    h = is_coboundary(alg, mod, hd, z1.as_cochain().sub(z2.as_cochain()))
+    h = is_coboundary(alg, mod, hd, z1.sub(z2))
     if h is None:
         return None
     psi = equivalence_from_cochain(h.main)
@@ -273,7 +249,7 @@ def find_equivalence(e1: ExtensionPair, e2: ExtensionPair) -> Matrix | None:
 
 
 def classify_central(alg: Algebra, hd: HigherDerivation,
-                     mod: Bimodule) -> list[tuple[TwoCocycle, ExtensionPair]]:
+                     mod: Bimodule) -> list[tuple[Cochain, ExtensionPair]]:
     """One extension per second-cohomology basis class, semidirect first.
 
     Central classification needs the trivial representation, so nonzero
@@ -291,10 +267,5 @@ def classify_central(alg: Algebra, hd: HigherDerivation,
             chosen.append(cocycle)
         if len(chosen) == report.betti:
             break
-    out = []
-    zero = TwoCocycle.zero(alg.dim, mod.mdim, hd.rank)
-    out.append((zero, extension_from_cocycle(alg, hd, mod, zero)))
-    for c in chosen:
-        z = TwoCocycle.from_cochain(c)
-        out.append((z, extension_from_cocycle(alg, hd, mod, z)))
-    return out
+    zero = zero_cochain(alg.dim, mod.mdim, hd.rank, 2)
+    return [(z, extension_from_cocycle(alg, hd, mod, z)) for z in (zero, *chosen)]

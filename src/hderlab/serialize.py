@@ -11,10 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebras import Algebra, Bimodule
-from .cochain import Cochain, CohomologyReport, MultiMap
+from .cochain import (
+    Cochain, CohomologyReport, MultiMap, matrix_to_multimap, multimap_to_matrix,
+)
 from .deform import Deformation, GaugeMap
 from .exactlin import Matrix, rat, rat_str
-from .extensions import ExtensionPair, TwoCocycle
+from .extensions import ExtensionPair
 from .hder import HigherDerivation
 
 
@@ -168,14 +170,16 @@ def cochain_to_json(c: Cochain) -> dict:
             "parts": [multimap_to_json(p) for p in c.parts]}
 
 
-def parse_two_cocycle(doc, dim: int, mdim: int, nrank: int, path: str) -> TwoCocycle:
+def parse_two_cocycle(doc, dim: int, mdim: int, nrank: int, path: str) -> Cochain:
     c = parse_cochain(doc, dim, mdim, nrank, path)
     if c.n != 2:
         raise ParseError(f"{path}.n: a 2-cochain is required")
-    return TwoCocycle.from_cochain(c)
+    return c
 
 
 def parse_deformation(doc, dim: int, nrank: int, path: str = "deformation") -> Deformation:
+    """The JSON holds the d_{k,s} as matrices, series by series; they become
+    the arity-1 parts of the coefficients here and nowhere else."""
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected an object")
     order = _int(_need(doc, "order", path), f"{path}.order")
@@ -191,20 +195,22 @@ def parse_deformation(doc, dim: int, nrank: int, path: str = "deformation") -> D
     dks = []
     for k, series in enumerate(d_docs):
         series = _list(series, f"{path}.d[{k}]", order + 1)
-        dks.append(tuple(parse_matrix(m, dim, dim, f"{path}.d[{k}][{s}]")
-                         for s, m in enumerate(series)))
-    return Deformation(order, tuple(mus), tuple(dks))
+        dks.append([matrix_to_multimap(parse_matrix(m, dim, dim, f"{path}.d[{k}][{s}]"))
+                    for s, m in enumerate(series)])
+    return Deformation(tuple(Cochain(mu, tuple(series[s] for series in dks))
+                             for s, mu in enumerate(mus)))
 
 
 def deformation_to_json(defm: Deformation) -> dict:
     d = defm.dim
     mu_json = []
-    for mu in defm.mus:
-        tensor = [[[rat_str(x) for x in mu.value_at((i, j))] for j in range(d)]
+    for c in defm.coeffs:
+        tensor = [[[rat_str(x) for x in c.main.value_at((i, j))] for j in range(d)]
                   for i in range(d)]
         mu_json.append(tensor)
     return {"order": defm.order, "mu": mu_json,
-            "d": [[matrix_to_json(m) for m in series] for series in defm.dks]}
+            "d": [[matrix_to_json(multimap_to_matrix(c.parts[k])) for c in defm.coeffs]
+                  for k in range(defm.rank)]}
 
 
 def parse_tensor_section(doc, path: str = "tensor") -> tuple[int, int | None, tuple[Matrix, ...]]:
@@ -236,10 +242,6 @@ def extension_to_json(ext: ExtensionPair) -> dict:
         "p": matrix_to_json(ext.project),
         "s": matrix_to_json(ext.section),
     }
-
-
-def two_cocycle_to_json(z: TwoCocycle) -> dict:
-    return cochain_to_json(z.as_cochain())
 
 
 def cohomology_to_json(rep: CohomologyReport) -> dict:

@@ -116,8 +116,9 @@ def coefficient_fixtures() -> list[tuple[str, H.Algebra, H.HigherDerivation, H.B
 
 
 def raw_cocycle_defects(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
-                        z: H.TwoCocycle) -> tuple:
-    """Defects of the extension laws, straight from their displayed forms.
+                        z: H.Cochain) -> tuple:
+    """Defects of the extension laws, straight from their displayed forms,
+    for the 2-cochain z = (psi; chi_1, ..., chi_N).
 
     Associativity defect on basis triples:
         psi(i,j).e_l + psi(ij, l) - e_i.psi(j,l) - psi(i, jl)
@@ -131,40 +132,40 @@ def raw_cocycle_defects(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
     for i in range(d):
         for j in range(d):
             for l in range(d):
-                acc = list(mod.act_right(z.psi.value_at((i, j)), alg.basis_vector(l)))
+                acc = list(mod.act_right(z.main.value_at((i, j)), alg.basis_vector(l)))
                 for r, coeff in enumerate(alg.c[i][j]):
                     if coeff:
-                        for b, x in enumerate(z.psi.value_at((r, l))):
+                        for b, x in enumerate(z.main.value_at((r, l))):
                             acc[b] += coeff * x
-                term = mod.act_left(alg.basis_vector(i), z.psi.value_at((j, l)))
+                term = mod.act_left(alg.basis_vector(i), z.main.value_at((j, l)))
                 for b, x in enumerate(term):
                     acc[b] -= x
                 for r, coeff in enumerate(alg.c[j][l]):
                     if coeff:
-                        for b, x in enumerate(z.psi.value_at((i, r))):
+                        for b, x in enumerate(z.main.value_at((i, r))):
                             acc[b] -= coeff * x
                 defects.extend(acc)
     for k in range(1, hd.rank + 1):
         for i in range(d):
             for j in range(d):
-                acc = list(mod.dmaps[k - 1].apply(z.psi.value_at((i, j))))
+                acc = list(mod.dmaps[k - 1].apply(z.main.value_at((i, j))))
                 for r, coeff in enumerate(alg.c[i][j]):
                     if coeff:
-                        for b, x in enumerate(z.chis[k - 1].value_at((r,))):
+                        for b, x in enumerate(z.parts[k - 1].value_at((r,))):
                             acc[b] += coeff * x
                 for p in range(k + 1):
                     q = k - p
                     dpi = hd.apply(p, alg.basis_vector(i))
                     dqj = hd.apply(q, alg.basis_vector(j))
                     if q >= 1:
-                        term = mod.act_left(dpi, z.chis[q - 1].value_at((j,)))
+                        term = mod.act_left(dpi, z.parts[q - 1].value_at((j,)))
                         for b, x in enumerate(term):
                             acc[b] -= x
                     if p >= 1:
-                        term = mod.act_right(z.chis[p - 1].value_at((i,)), dqj)
+                        term = mod.act_right(z.parts[p - 1].value_at((i,)), dqj)
                         for b, x in enumerate(term):
                             acc[b] -= x
-                    term = z.psi.eval((dpi, dqj))
+                    term = z.main.eval((dpi, dqj))
                     for b, x in enumerate(term):
                         acc[b] -= x
                 defects.extend(acc)
@@ -172,7 +173,7 @@ def raw_cocycle_defects(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
 
 
 def raw_coboundary(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
-                   h: H.MultiMap) -> H.TwoCocycle:
+                   h: H.MultiMap) -> H.Cochain:
     """Section-difference twisting data of a linear map, from the raw formulas.
 
     psi_h(a, b) = a.h(b) - h(ab) + h(a).b  and
@@ -202,7 +203,7 @@ def raw_coboundary(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
                 acc[b] -= x
             vals.extend(acc)
         chis.append(H.MultiMap(1, d, md, tuple(vals)))
-    return H.TwoCocycle(H.MultiMap(2, d, md, tuple(psi_vals)), tuple(chis))
+    return H.Cochain(H.MultiMap(2, d, md, tuple(psi_vals)), tuple(chis))
 
 
 def betti2_by_rank_count(alg: H.Algebra, hd: H.HigherDerivation,
@@ -214,8 +215,7 @@ def betti2_by_rank_count(alg: H.Algebra, hd: H.HigherDerivation,
     for pos in range(n2):
         vec = [ZERO] * n2
         vec[pos] = Fraction(1)
-        z = H.TwoCocycle.from_cochain(
-            H.vector_to_cochain(d, md, nrank, 2, tuple(vec)))
+        z = H.vector_to_cochain(d, md, nrank, 2, tuple(vec))
         cocycle_cols.append(raw_cocycle_defects(alg, hd, mod, z))
     constraint = H.Matrix.from_columns(cocycle_cols)
     dim_z = n2 - H.rank(constraint)
@@ -225,8 +225,7 @@ def betti2_by_rank_count(alg: H.Algebra, hd: H.HigherDerivation,
         vec = [ZERO] * n1
         vec[pos] = Fraction(1)
         h = H.MultiMap(1, d, md, tuple(vec))
-        boundary_cols.append(H.cochain_to_vector(
-            raw_coboundary(alg, hd, mod, h).as_cochain()))
+        boundary_cols.append(H.cochain_to_vector(raw_coboundary(alg, hd, mod, h)))
     dim_b = H.rank(H.Matrix.from_columns(boundary_cols))
     return dim_z - dim_b
 
@@ -463,11 +462,19 @@ def differential_matrix_by_columns(alg: H.Algebra, mod: H.Bimodule,
     return H.Matrix.from_columns(cols)
 
 
+def _series(defm: H.Deformation) -> tuple[list, list]:
+    """(mus, dks) as the oracles index them: mus[s] is mu_s, dks[k - 1][s]
+    the matrix of d_{k,s}."""
+    mus = [c.main for c in defm.coeffs]
+    dks = [[H.multimap_to_matrix(c.parts[k]) for c in defm.coeffs] for k in range(defm.rank)]
+    return mus, dks
+
+
 def _dcoeff(defm: H.Deformation, k: int, s: int) -> H.Matrix | None:
     """d_{k,s} with the constant-identity convention at k = 0; None means zero."""
     if k == 0:
         return H.Matrix.identity(defm.dim) if s == 0 else None
-    mat = defm.dks[k - 1][s]
+    mat = H.multimap_to_matrix(defm.coeffs[s].parts[k - 1])
     return None if mat.is_zero() else mat
 
 
@@ -480,14 +487,15 @@ def loop_verify_deformation(alg: H.Algebra, hd: H.HigherDerivation,
     """
     d = alg.dim
     basis = [alg.basis_vector(i) for i in range(d)]
+    mus, _ = _series(defm)
     for s in range(defm.order + 1):
         for i, j, l in itertools.product(range(d), repeat=3):
             lhs = (ZERO,) * d
             rhs = (ZERO,) * d
             for p in range(s + 1):
                 q = s - p
-                lhs = vec_add(lhs, defm.mus[p].eval((defm.mus[q].value_at((i, j)), basis[l])))
-                rhs = vec_add(rhs, defm.mus[p].eval((basis[i], defm.mus[q].value_at((j, l)))))
+                lhs = vec_add(lhs, mus[p].eval((mus[q].value_at((i, j)), basis[l])))
+                rhs = vec_add(rhs, mus[p].eval((basis[i], mus[q].value_at((j, l)))))
             if lhs != rhs:
                 return H.CheckReport(
                     False, H.Violation(f"order-{s} associativity", (i, j, l), lhs, rhs))
@@ -497,7 +505,7 @@ def loop_verify_deformation(alg: H.Algebra, hd: H.HigherDerivation,
                 for p in range(s + 1):
                     mat = _dcoeff(defm, k, p)
                     if mat is not None:
-                        lhs = vec_add(lhs, mat.apply(defm.mus[s - p].value_at((i, j))))
+                        lhs = vec_add(lhs, mat.apply(mus[s - p].value_at((i, j))))
                 rhs = (ZERO,) * d
                 for a in range(k + 1):
                     b = k - a
@@ -514,7 +522,7 @@ def loop_verify_deformation(alg: H.Algebra, hd: H.HigherDerivation,
                             right = basis[j] if b == 0 else (db.apply(basis[j]) if db is not None else None)
                             if left is None or right is None:
                                 continue
-                            rhs = vec_add(rhs, defm.mus[p].eval((left, right)))
+                            rhs = vec_add(rhs, mus[p].eval((left, right)))
                 if lhs != rhs:
                     return H.CheckReport(False, H.Violation(
                         f"order-{s} higher-derivation law k={k}", (i, j), lhs, rhs))
@@ -532,6 +540,7 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
     d = alg.dim
     n = defm.order
     basis = [alg.basis_vector(i) for i in range(d)]
+    mus, dks = _series(defm)
     main_values: list[Fraction] = []
     for i, j, l in itertools.product(range(d), repeat=3):
         acc = (ZERO,) * d
@@ -539,8 +548,8 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
             q = n + 1 - p
             if not 1 <= q <= n:
                 continue
-            left = defm.mus[p].eval((defm.mus[q].value_at((i, j)), basis[l]))
-            right = defm.mus[p].eval((basis[i], defm.mus[q].value_at((j, l))))
+            left = mus[p].eval((mus[q].value_at((i, j)), basis[l]))
+            right = mus[p].eval((basis[i], mus[q].value_at((j, l))))
             acc = vec_add(acc, tuple(x - y for x, y in zip(left, right)))
         main_values.extend(acc)
     main = H.MultiMap(3, d, d, tuple(main_values))
@@ -553,7 +562,7 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
                 q = n + 1 - p
                 if not 1 <= q <= n:
                     continue
-                term = defm.dks[k - 1][p].apply(defm.mus[q].value_at((i, j)))
+                term = dks[k - 1][p].apply(mus[q].value_at((i, j)))
                 for b in range(d):
                     if term[b]:
                         acc[b] += term[b]
@@ -574,7 +583,7 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
                         right = basis[j] if bb == 0 else (db.apply(basis[j]) if db is not None else None)
                         if left is None or right is None:
                             continue
-                        term = defm.mus[p].eval((left, right))
+                        term = mus[p].eval((left, right))
                         for b in range(d):
                             if term[b]:
                                 acc[b] -= term[b]
@@ -591,6 +600,7 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
     inverse series, and every term is composed slot by slot and added.
     """
     dim, T = defm.dim, defm.order
+    mus_in, dks_in = _series(defm)
     phis = [gauge.phis[s] if s <= gauge.order else H.Matrix.zeros(dim, dim)
             for s in range(T + 1)]
     psis = [H.Matrix.identity(dim)]
@@ -605,11 +615,11 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
         for p, q, r in itertools.product(range(s + 1), repeat=3):
             w = s - p - q - r
             if w >= 0:
-                term = compose_slot(compose_slot(defm.mus[q], 0, phis[r]), 1, phis[w])
+                term = compose_slot(compose_slot(mus_in[q], 0, phis[r]), 1, phis[w])
                 acc = acc.add(postcompose(term, psis[p]))
         mus.append(acc)
     dks = []
-    for series in defm.dks:
+    for series in dks_in:
         new = []
         for s in range(T + 1):
             acc = H.Matrix.zeros(dim, dim)
@@ -618,4 +628,6 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
                     acc = acc + psis[p] * series[q] * phis[s - p - q]
             new.append(acc)
         dks.append(tuple(new))
-    return H.Deformation(T, tuple(mus), tuple(dks))
+    return H.Deformation(tuple(
+        H.Cochain(mus[s], tuple(H.matrix_to_multimap(series[s]) for series in dks))
+        for s in range(T + 1)))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hderlab import cli
+from hderlab import cli, freecons
 from hderlab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -133,6 +133,15 @@ def test_cohomology_degree_below_one_exits_2(degree, capsys):
     assert captured.err == f"input error: cohomology needs --degree >= 1, got {degree}\n"
 
 
+@pytest.mark.parametrize("to", ["-1", "-3"])
+def test_deform_trivialize_negative_order_exits_2(to, capsys):
+    args = ["deform-trivialize", str(FIXTURES / "dual_deform.json"), "--to", to, "--json"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: deform-trivialize needs --to >= 0, got {to}\n"
+
+
 def _outcome(parse, argv, capsys):
     try:
         result = vars(parse(argv))
@@ -227,7 +236,19 @@ def test_cap_guards_constructed_tensor_algebra(monkeypatch, tmp_path, capsys):
     }))
     # 1 + 2 + 4 = 7 basis words exceeds the default cap of 6
     assert main(["free-tensor", str(doc)]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err == ("input error: tensor_algebra_dim = 7 exceeds HDERLAB_MAX_DIM = 6; "
+                   "raise the environment variable to proceed\n")
+
+    def refuse(*args):
+        raise AssertionError("tensor algebra built before the cap check")
+
+    # the rejection comes before anything is built, under any name
+    with monkeypatch.context() as m:
+        m.setattr(freecons, "build_tensor_algebra", refuse)
+        m.setattr(cli, "build_tensor_algebra", refuse, raising=False)
+        assert main(["free-tensor", str(doc)]) == 2
+        assert capsys.readouterr().err == err
     monkeypatch.setenv("HDERLAB_MAX_DIM", "7")
     assert main(["free-tensor", str(doc)]) == 0
     capsys.readouterr()

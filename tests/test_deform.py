@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import cli, deform, samples
-from hderlab.deform import product_multimap
-from hderlab.serialize import parse_algebra, parse_deformation, parse_hder
+from hderlab.serialize import (
+    deformation_to_json, parse_algebra, parse_deformation, parse_hder,
+)
 
 from helpers import (
     cochains_equal, dense_apply_gauge, loop_obstruction, loop_verify_deformation,
@@ -30,6 +31,13 @@ def _nil_line():
     return z1, H.HigherDerivation.zero(1, 1)
 
 
+def _order_one(alg, hd, mu1, d1s):
+    """The order-1 family over (alg, hd) whose first coefficient is
+    (mu1; d_{1,1}, ..., d_{N,1}), the d_{k,1} given as matrices."""
+    return H.extend_deformation(H.trivial_deformation(alg, hd, 0),
+                                H.Cochain(mu1, tuple(map(H.matrix_to_multimap, d1s))))
+
+
 def test_trivial_deformation_verifies():
     alg, hd = _dual_pair()
     for order in (0, 1, 3):
@@ -39,7 +47,8 @@ def test_trivial_deformation_verifies():
 def test_base_mismatch_is_an_error():
     alg, hd = _dual_pair()
     defm = H.trivial_deformation(alg, hd, 1)
-    doctored = H.Deformation(1, (H.MultiMap.zero(2, 2, 2), defm.mus[1]), defm.dks)
+    base, first = defm.coeffs
+    doctored = H.Deformation((H.Cochain(H.MultiMap.zero(2, 2, 2), base.parts), first))
     with pytest.raises(ValueError, match="order-0"):
         H.verify_deformation(alg, hd, doctored)
 
@@ -86,8 +95,7 @@ def test_gauge_requires_identity_at_zero():
 def test_broken_first_order_coefficient_is_reported_at_s1():
     alg, hd = _dual_pair()
     bad = H.MultiMap(2, 2, 2, tuple(Fraction(x) for x in (1, 0, 0, 2, 1, 1, 0, 0)))
-    defm = H.Deformation(1, (product_multimap(alg), bad),
-                         tuple((hd.maps[k], H.Matrix.zeros(2, 2)) for k in range(2)))
+    defm = _order_one(alg, hd, bad, [H.Matrix.zeros(2, 2)] * 2)
     report = H.verify_deformation(alg, hd, defm)
     assert not report.ok
     assert report.violation.law.startswith("order-1")
@@ -117,12 +125,12 @@ def test_generalized_infinitesimal_at_higher_order():
     rng = random.Random(94)
     g = H.GaugeMap(2, (H.Matrix.identity(2), H.Matrix.zeros(2, 2), rand_matrix(rng, 2)))
     defm = H.apply_gauge(H.trivial_deformation(alg, hd, 2), g)
-    assert defm.coefficient(1).is_zero()
+    assert defm.coeffs[1].is_zero()
     coeff, rep = H.infinitesimal(alg, hd, defm, at_order=2)
     assert rep.ok and not coeff.is_zero()
     # asking for order 2 on a family with a nonzero lower coefficient errors
     noisy = H.apply_gauge(defm, rand_gauge(rng, 2, 1))
-    if not noisy.coefficient(1).is_zero():
+    if not noisy.coeffs[1].is_zero():
         with pytest.raises(ValueError, match="nonzero below"):
             H.infinitesimal(alg, hd, noisy, at_order=2)
 
@@ -134,8 +142,7 @@ def test_any_first_coefficient_deforms_the_nil_line():
     alg, hd = _nil_line()
     mod = H.adjoint_bimodule(alg, hd)
     mu1 = rand_multimap(rng, 2, 1, 1)
-    defm = H.Deformation(1, (product_multimap(alg), mu1),
-                         ((hd.maps[0], rand_matrix(rng, 1)),))
+    defm = _order_one(alg, hd, mu1, [rand_matrix(rng, 1)])
     assert H.verify_deformation(alg, hd, defm).ok
     coeff, rep = H.infinitesimal(alg, hd, defm)
     assert rep.ok
@@ -152,7 +159,7 @@ def test_obstruction_order_one_is_the_associator_term():
     rng = random.Random(96)
     alg, hd = _nil_line()
     mu1 = rand_multimap(rng, 2, 1, 1)
-    defm = H.Deformation(1, (product_multimap(alg), mu1), ((hd.maps[0], H.Matrix.zeros(1, 1)),))
+    defm = _order_one(alg, hd, mu1, [H.Matrix.zeros(1, 1)])
     ob = H.obstruction(alg, hd, defm)
     lam = mu1.value_at((0, 0))[0]
     # Ob(a,a,a) = mu1(mu1(a,a),a) - mu1(a,mu1(a,a)) = lam^2 - lam^2 = 0
@@ -173,7 +180,7 @@ def test_obstruction_matches_differential_of_dropped_coefficient():
         full = H.apply_gauge(H.trivial_deformation(alg, hd, order + 1), g)
         trunc = H.truncate_deformation(full, order)
         ob = H.obstruction(alg, hd, trunc)
-        dropped = full.coefficient(order + 1)
+        dropped = full.coeffs[order + 1]
         assert cochains_equal(ob, H.differential(alg, mod, hd, dropped))
 
 
@@ -196,8 +203,7 @@ def test_try_extend_blocked_by_nonassociative_first_coefficient():
     vals[(0 * 2 + 0) * 2 + 1] = Fraction(1)  # mu1(a,a) = b
     vals[(0 * 2 + 1) * 2 + 0] = Fraction(1)  # mu1(a,b) = a
     mu1 = H.MultiMap(2, 2, 2, tuple(vals))
-    defm = H.Deformation(1, (product_multimap(z2), mu1),
-                         ((H.Matrix.zeros(2, 2), H.Matrix.zeros(2, 2)),))
+    defm = _order_one(z2, zh, mu1, [H.Matrix.zeros(2, 2)])
     assert H.verify_deformation(z2, zh, defm).ok
     out = H.try_extend(z2, zh, defm)
     assert out.candidate is None
@@ -230,7 +236,7 @@ def test_trivialize_blocked_reports_order_and_class():
     alg, hd = _nil_line()
     mod = H.adjoint_bimodule(alg, hd)
     mu1 = H.MultiMap(2, 1, 1, (Fraction(1),))
-    defm = H.Deformation(1, (product_multimap(alg), mu1), ((hd.maps[0], H.Matrix.zeros(1, 1)),))
+    defm = _order_one(alg, hd, mu1, [H.Matrix.zeros(1, 1)])
     out = H.trivialize(alg, hd, defm)
     assert out.gauge is None
     assert out.blocked_order == 1
@@ -242,15 +248,6 @@ def test_trivialize_order_cap():
     defm = H.trivial_deformation(alg, hd, 2)
     with pytest.raises(ValueError, match="past the stored order"):
         H.trivialize(alg, hd, defm, 3)
-
-
-def test_serialization_roundtrip():
-    from hderlab.serialize import deformation_to_json, parse_deformation
-    rng = random.Random(102)
-    alg, hd = _dual_pair()
-    defm = H.apply_gauge(H.trivial_deformation(alg, hd, 2), rand_gauge(rng, 2, 2))
-    doc = deformation_to_json(defm)
-    assert parse_deformation(doc, 2, 2) == defm
 
 
 def test_try_extend_trivial_returns_zero_candidate():
@@ -267,8 +264,7 @@ def test_blocked_obstruction_main_is_the_associator_sum():
     vals[(0 * 2 + 0) * 2 + 1] = Fraction(1)
     vals[(0 * 2 + 1) * 2 + 0] = Fraction(1)
     mu1 = H.MultiMap(2, 2, 2, tuple(vals))
-    defm = H.Deformation(1, (product_multimap(z2), mu1),
-                         ((H.Matrix.zeros(2, 2), H.Matrix.zeros(2, 2)),))
+    defm = _order_one(z2, zh, mu1, [H.Matrix.zeros(2, 2)])
     ob = H.obstruction(z2, zh, defm)
     basis = [z2.basis_vector(i) for i in range(2)]
     for i in range(2):
@@ -293,9 +289,12 @@ def test_vanishing_third_cohomology_means_always_extensible():
         assert H.try_extend(qq, qqh, defm).candidate is not None
 
 
+DEFORMATION_FILES = ("dual_deform.json", "dual_deform_bad.json", "nil_deform_blocked.json")
+
+
 def _deformation_fixtures():
     out = []
-    for name in ("dual_deform.json", "dual_deform_bad.json", "nil_deform_blocked.json"):
+    for name in DEFORMATION_FILES:
         doc = json.loads((FIXTURES / name).read_text())
         alg = parse_algebra(doc["algebra"])
         hd = parse_hder(doc["hder"], alg.dim)
@@ -307,6 +306,32 @@ DEFORMATION_FIXTURES = _deformation_fixtures()
 PAIRS = pair_fixtures()
 
 
+def _roundtrip_cases():
+    """(id, deformation, the JSON section it was read from or None): every
+    fixture, then one gauge-trivial family per pair at orders 2, 3, 0, 1, ..."""
+    cases = [(name, defm, json.loads((FIXTURES / name).read_text())["deformation"])
+             for name, (_alg, _hd, defm) in zip(DEFORMATION_FILES, DEFORMATION_FIXTURES)]
+    rng = random.Random(102)
+    for index, (name, alg, hd) in enumerate(PAIRS):
+        order = (index + 2) % 4
+        defm = H.apply_gauge(H.trivial_deformation(alg, hd, order),
+                             rand_gauge(rng, alg.dim, order))
+        cases.append((f"gauged {name} order {order}", defm, None))
+    return cases
+
+
+ROUNDTRIP_CASES = _roundtrip_cases()
+
+
+@pytest.mark.parametrize("defm,section", [case[1:] for case in ROUNDTRIP_CASES],
+                         ids=[case[0] for case in ROUNDTRIP_CASES])
+def test_serialization_roundtrip(defm, section):
+    doc = deformation_to_json(defm)
+    assert parse_deformation(doc, defm.dim, defm.rank) == defm
+    if section is not None:
+        assert doc == section
+
+
 def _perturbed(defm: H.Deformation, rng: random.Random,
                delta: Fraction | None = None) -> H.Deformation:
     """One entry of one mu_s or d_{k,s} (s >= 1) moved by a nonzero amount."""
@@ -314,19 +339,13 @@ def _perturbed(defm: H.Deformation, rng: random.Random,
     if delta is None:
         delta = rand_fraction(rng, 1, 3)
     k = rng.randint(0, defm.rank)
-    if k == 0:
-        mu = defm.mus[s]
-        vals = list(mu.values)
-        vals[rng.randrange(len(vals))] += delta
-        mus = defm.mus[:s] + (H.MultiMap(2, mu.dim, mu.mdim, tuple(vals)),) + defm.mus[s + 1:]
-        return H.Deformation(defm.order, mus, defm.dks)
-    mat = defm.dks[k - 1][s]
-    vals = list(mat.entries)
+    maps = [defm.coeffs[s].main, *defm.coeffs[s].parts]  # mu_s, then d_{k,s}
+    vals = list(maps[k].values)
     vals[rng.randrange(len(vals))] += delta
-    series = list(defm.dks[k - 1])
-    series[s] = H.Matrix(mat.rows, mat.cols, tuple(vals))
-    dks = defm.dks[:k - 1] + (tuple(series),) + defm.dks[k:]
-    return H.Deformation(defm.order, defm.mus, dks)
+    maps[k] = H.MultiMap(maps[k].arity, maps[k].dim, maps[k].mdim, tuple(vals))
+    coeffs = list(defm.coeffs)
+    coeffs[s] = H.Cochain(maps[0], tuple(maps[1:]))
+    return H.Deformation(tuple(coeffs))
 
 
 def _assert_matches_loops(alg, hd, defm):
@@ -422,15 +441,17 @@ def test_deform_extend_verifies_its_input_once(monkeypatch, capsys):
 
 
 def test_deform_extend_rejects_a_wrong_candidate(monkeypatch):
-    solve = deform.solve_affine
+    solve = deform.preimage
 
-    def off_by_one_column(m, b):
-        sol = list(solve(m, b))
+    def off_by_one_column(alg, mod, hd, c):
+        n = c.n - 1
+        sol = list(H.cochain_to_vector(solve(alg, mod, hd, c)))
+        m = H.differential_matrix(alg, mod, hd, n)
         j = next(j for row in m.sparse_rows for j in row)  # a column with d(e_j) != 0
         sol[j] += 1
-        return tuple(sol)
+        return H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, tuple(sol))
 
-    monkeypatch.setattr(deform, "solve_affine", off_by_one_column)
+    monkeypatch.setattr(deform, "preimage", off_by_one_column)
     argv = ["deform-extend", str(FIXTURES / "dual_deform.json"), "--to", "3", "--json"]
     with pytest.raises(RuntimeError, match="does not verify"):
         cli.main(argv)
