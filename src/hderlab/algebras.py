@@ -11,7 +11,7 @@ is equivalent to the general statement by multilinearity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .exactlin import Matrix, ShapeError, Vector, ZERO, rat, rat_str
@@ -30,6 +30,16 @@ def tensor3(data, d0: int, d1: int, d2: int, what: str = "tensor") -> Tensor3:
 
 def zero_tensor3(d0: int, d1: int, d2: int) -> Tensor3:
     return tuple(tuple((ZERO,) * d2 for _ in range(d1)) for _ in range(d0))
+
+
+def _hash_once(self) -> int:
+    """``__hash__`` for a frozen dataclass: the hash of its field values,
+    computed on first use and kept, so that an ``lru_cache`` hit keyed on a
+    structure does not rehash every structure constant."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+    return h
 
 
 def _contract(t: Tensor3, x: Vector, y: Vector, n: int) -> Vector:
@@ -92,6 +102,8 @@ class Algebra:
     basis_labels: tuple[str, ...]
     unit_index: int | None = None
 
+    __hash__ = _hash_once
+
     def __post_init__(self):
         d = self.dim
         if len(self.basis_labels) != d:
@@ -146,6 +158,8 @@ class Bimodule:
     left: Tensor3
     right: Tensor3
     dmaps: tuple[Matrix, ...]
+
+    __hash__ = _hash_once
 
     def __post_init__(self):
         for k, m in enumerate(self.dmaps, start=1):

@@ -17,6 +17,13 @@ Conventions, fixed once and used everywhere:
   term at slot pos with (-1)^{pos+1} and its right-action term with
   (-1)^{m+1}.  Parts of an n-cochain have arity n-1, so their right-action
   sign is (-1)^n as well.
+* The stencil computes on integers.  With D_act the common denominator of
+  the products, the actions and the module maps, and D_hd that of
+  d_1, ..., d_N, every entry of the degree-n differential is an int over
+  S = D_act * D_hd^n.  ``differential_matrix`` keeps those ints as the
+  matrix's ``int_rows`` store, which elimination reads directly;
+  ``differential(c)`` sums ints over S times the common denominator of c
+  and builds a Fraction only for each output coordinate.
 * Cochains vectorize main block first (row-major multi-index, module index
   fastest), then the parts for k = 1..N.
 * Degree-2 data has one type: a 2-cocycle twisting an extension and a
@@ -28,13 +35,14 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import Algebra, Bimodule
 from .exactlin import (
-    Matrix, ShapeError, Vector, ZERO, ONE,
+    Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, common_denominator,
     kernel_basis, rank, require_image_in_kernel, solve_affine,
 )
 from .hder import HigherDerivation
@@ -203,29 +211,55 @@ def vector_to_cochain(dim: int, mdim: int, nrank: int, n: int, vec: Vector) -> C
     return Cochain(main, tuple(parts))
 
 
-def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation) -> tuple:
-    """The nonzero structure constants that ``_column`` reads.
+def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
+    """The nonzero structure constants that ``_column`` reads for the
+    degree-n differential, as integer numerators over one scale.
 
-    ``lefts[a]`` and ``rights[a]`` list ``(u, b, x)`` for x the coefficient
-    of m_b in e_u m_a and in m_a e_u; ``factors[r]`` lists ``(i, j, x)`` for
-    x the coefficient of e_r in e_i e_j; ``drows[q][u]`` is row u of d_q as
-    ``{i: x}``, with d_0 = id; ``dmcols[k - 1][a]`` is column a of d_k^M as
-    ``{b: x}``.
+    D_act is the common denominator of the products, the actions and the
+    module maps, D_hd that of d_1, ..., d_N, and S = D_act * D_hd^n is the
+    scale of every column (the last entry of the tuple).  ``lefts[a]`` and
+    ``rights[a]`` list ``(u, b, x)`` for x * D_hd / S the coefficient of m_b
+    in e_u m_a and in m_a e_u; ``factors[r]`` lists ``(i, j, x)`` for x / S
+    the coefficient of e_r in e_i e_j; ``drows[q][u]`` is row u of
+    D_hd * d_q as ``{i: x}``, with d_0 = id; ``dmcols[k - 1][a]`` is column a
+    of S * d_k^M as ``{b: x}``.  So an action entry times a row entry of a
+    d_q, and D_act times n row entries, are numerators over S as well.
     """
     d, md = alg.dim, mod.mdim
-    lefts = tuple([(u, b, x) for u in range(d) for b, x in enumerate(mod.left[u][a]) if x]
-                  for a in range(md))
-    rights = tuple([(u, b, x) for u in range(d) for b, x in enumerate(mod.right[a][u]) if x]
-                   for a in range(md))
+    dmaps = tuple(m.int_rows for m in mod.dmaps)
+    d_act = math.lcm(
+        common_denominator(x for m in alg.c for inner in m for x in inner),
+        common_denominator(x for t in (mod.left, mod.right) for m in t for inner in m
+                           for x in inner),
+        *(den for _, den in dmaps))
+    maps = tuple(m.int_rows for m in hd.maps)
+    d_hd = math.lcm(*(den for _, den in maps))
+    scale = d_act * d_hd ** n
+    act = scale // d_hd  # an action entry always meets one entry of a d_q
+
+    def num(x: Fraction, mult: int) -> int:
+        return x.numerator * (mult // x.denominator)
+
+    lefts = tuple([(u, b, num(x, act)) for u in range(d)
+                   for b, x in enumerate(mod.left[u][a]) if x] for a in range(md))
+    rights = tuple([(u, b, num(x, act)) for u in range(d)
+                    for b, x in enumerate(mod.right[a][u]) if x] for a in range(md))
     factors: list[list] = [[] for _ in range(d)]
     for i, j in itertools.product(range(d), repeat=2):
         for r, x in enumerate(alg.c[i][j]):
             if x:
-                factors[r].append((i, j, x))
-    drows = (tuple({u: ONE} for u in range(d)),) + tuple(m.sparse_rows for m in hd.maps)
-    dmcols = tuple(tuple({b: x for b in range(md) if (x := m.entry(b, a))} for a in range(md))
-                   for m in mod.dmaps)
-    return d, md, hd.rank, lefts, rights, factors, drows, dmcols
+                factors[r].append((i, j, num(x, scale)))
+    drows = (tuple({u: d_hd} for u in range(d)),) + tuple(
+        tuple({i: x * (d_hd // den) for i, x in row.items()} for row in rows)
+        for rows, den in maps)
+    dmcols = []
+    for rows, den in dmaps:
+        cols: list[dict] = [{} for _ in range(md)]
+        for b, row in enumerate(rows):
+            for a, x in row.items():
+                cols[a][b] = x * (scale // den)
+        dmcols.append(cols)
+    return d, md, hd.rank, lefts, rights, factors, drows, tuple(dmcols), d_act, scale
 
 
 def _add_coboundary(tables: tuple, m: int, flat: int, a: int, q: int, base: int,
@@ -234,12 +268,12 @@ def _add_coboundary(tables: tuple, m: int, flat: int, a: int, q: int, base: int,
     ``flat`` of arity m to m_a, in an output block of arity m + 1 that starts
     at row ``base``: the left action through d_q, the alternating middle sum
     when ``middle``, and (-1)^{m+1} times the right action through d_q."""
-    d, md, _, lefts, rights, factors, drows, _ = tables
+    d, md, _, lefts, rights, factors, drows, _, _, _ = tables
     shift = d ** m
     for u, b, x in lefts[a]:
         for i, y in drows[q][u].items():
             row = base + (i * shift + flat) * md + b
-            acc[row] = acc.get(row, ZERO) + x * y
+            acc[row] = acc.get(row, 0) + x * y
     if middle:
         for pos in range(m):
             low = d ** (m - 1 - pos)
@@ -247,17 +281,18 @@ def _add_coboundary(tables: tuple, m: int, flat: int, a: int, q: int, base: int,
             r, lo = divmod(rest, low)
             for i, j, x in factors[r]:
                 row = base + ((((high * d + i) * d + j) * low + lo) * md + a)
-                acc[row] = acc.get(row, ZERO) + (x if pos % 2 else -x)  # (-1)^{pos+1}
-    sign = ONE if m % 2 else -ONE  # (-1)^{m+1}
+                acc[row] = acc.get(row, 0) + (x if pos % 2 else -x)  # (-1)^{pos+1}
+    sign = 1 if m % 2 else -1  # (-1)^{m+1}
     for u, b, x in rights[a]:
         for i, y in drows[q][u].items():
             row = base + (flat * d + i) * md + b
-            acc[row] = acc.get(row, ZERO) + sign * x * y
+            acc[row] = acc.get(row, 0) + sign * x * y
 
 
 def _column(tables: tuple, n: int, p: int):
-    """Yield ``(row, coefficient)`` for each nonzero entry of column p of the
-    degree-n differential, each row once.
+    """Yield ``(row, x)`` for each nonzero entry x / S of column p of the
+    degree-n differential, each row once; x is an int and S the scale of
+    ``tables``.
 
     A main-block column is the Hochschild coboundary of its unit map plus
     (-1)^n times the delta_k terms in output part k: -d_k^M, and the
@@ -265,20 +300,20 @@ def _column(tables: tuple, n: int, p: int):
     column of input part j writes, into each output part k >= j, the left and
     right action terms twisted by d_{k-j}; the middle sum goes to part j only.
     """
-    d, md, nrank, _, _, _, drows, dmcols = tables
+    d, md, nrank, _, _, _, drows, dmcols, d_act, _ = tables
     block = d ** n * md  # the input main block, and each output part (arity n)
     parts_base = d * block  # the output main block comes first
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     if p < block:
         flat, a = divmod(p, md)
         _add_coboundary(tables, n, flat, a, 0, 0, acc, True)
-        sign = ONE if n % 2 == 0 else -ONE  # (-1)^n
+        sign = 1 if n % 2 == 0 else -1  # (-1)^n
         for k in range(1, nrank + 1):
             base = parts_base + (k - 1) * block + flat * md
             for b, x in dmcols[k - 1][a].items():
-                acc[base + b] = acc.get(base + b, ZERO) - sign * x
-        # (output tuple so far, q1 + ... so far) -> coefficient, slot by slot
-        states = {(0, 0): sign}
+                acc[base + b] = acc.get(base + b, 0) - sign * x
+        # (output tuple so far, q1 + ... so far) -> numerator, slot by slot
+        states = {(0, 0): sign * d_act}
         for slot in range(n - 1, -1, -1):
             t = flat // d ** slot % d
             grown: dict = {}
@@ -286,12 +321,12 @@ def _column(tables: tuple, n: int, p: int):
                 for q in range(nrank - used + 1):
                     for j, y in drows[q][t].items():
                         key = (out * d + j, used + q)
-                        grown[key] = grown.get(key, ZERO) + x * y
+                        grown[key] = grown.get(key, 0) + x * y
             states = grown
         for (out, k), x in states.items():
             if k:
                 row = parts_base + (k - 1) * block + out * md + a
-                acc[row] = acc.get(row, ZERO) + x
+                acc[row] = acc.get(row, 0) + x
     else:
         j, rest = divmod(p - block, block // d)  # input parts have arity n - 1
         flat, a = divmod(rest, md)
@@ -313,28 +348,32 @@ def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                          f"algebra of dim {alg.dim} with module dim {mod.mdim}")
     if n > 1 and len(c.parts) != hd.rank:
         raise ShapeError(f"cochain has {len(c.parts)} parts, rank is {hd.rank}")
-    tables = _tables(alg, mod, hd)
-    out = [ZERO] * cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1)
-    for p, v in enumerate(cochain_to_vector(c)):
+    tables = _tables(alg, mod, hd, n)
+    vec = cochain_to_vector(c)
+    den = common_denominator(vec)
+    out = [0] * cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1)
+    for p, v in enumerate(vec):
         if v:
+            v = v.numerator * (den // v.denominator)
             for row, x in _column(tables, n, p):
                 out[row] += v * x
-    return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n + 1, tuple(out))
+    return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n + 1,
+                             as_fractions(out, den * tables[-1]))
 
 
 @lru_cache(maxsize=64)
 def differential_matrix(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                         n: int) -> Matrix:
     """Matrix of the degree-n differential in the fixed cochain bases, its
-    columns scattered into sparse rows."""
+    integer columns scattered into the rows of its ``int_rows`` store."""
     src = cochain_dim(alg.dim, mod.mdim, hd.rank, n)
-    rows: list[dict[int, Fraction]] = [
+    rows: list[dict[int, int]] = [
         {} for _ in range(cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1))]
-    tables = _tables(alg, mod, hd)
+    tables = _tables(alg, mod, hd, n)
     for p in range(src):
         for row, x in _column(tables, n, p):
             rows[row][p] = x
-    return Matrix.from_sparse_rows(rows, src)
+    return Matrix.from_int_rows(rows, tables[-1], src)
 
 
 @dataclass(frozen=True)

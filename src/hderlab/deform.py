@@ -19,7 +19,6 @@ obstruction cochain and the gauged coefficients.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,13 +28,8 @@ from .cochain import (
     Cochain, MultiMap, differential, matrix_to_multimap, multimap_to_matrix,
     preimage, vector_to_cochain, zero_cochain,
 )
-from .exactlin import Matrix, ShapeError, ZERO
+from .exactlin import Matrix, ShapeError, as_fractions, common_denominator
 from .hder import HigherDerivation
-
-
-def _common_denominator(values) -> int:
-    """The lcm of the denominators of some Fractions (1 for none)."""
-    return math.lcm(*{x.denominator for x in values})
 
 
 def _int_chunks(values, d: int, den: int) -> tuple[dict[int, int], ...]:
@@ -46,10 +40,6 @@ def _int_chunks(values, d: int, den: int) -> tuple[dict[int, int], ...]:
     return tuple({c: x.numerator * (den // x.denominator)
                   for c in range(d) if (x := values[base + c])}
                  for base in range(0, len(values), d))
-
-
-def _fractions(numerators, q: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x, q) if x else ZERO for x in numerators)
 
 
 @dataclass(frozen=True)
@@ -88,7 +78,7 @@ class Deformation:
         ``dcols[k][s][c]`` is D times column c of d_{k,s} as ``{b: x}``;
         series 0 holds only d_{0,0} = id, whose columns are ``{c: D}``."""
         d = self.dim
-        den = _common_denominator(itertools.chain(
+        den = common_denominator(itertools.chain(
             *(m.values for c in self.coeffs for m in (c.main, *c.parts))))
         mus = tuple(_int_chunks(c.main.values, d, den) for c in self.coeffs)
         ident = tuple({c: den} for c in range(d))
@@ -311,7 +301,7 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
     phis = [gauge.phis[s] if s <= gauge.order else Matrix.zeros(dim, dim)
             for s in range(T + 1)]
     psis = _series_inverse(phis)
-    e = _common_denominator(itertools.chain(*(m.entries for m in phis + psis)))
+    e = common_denominator(itertools.chain(*(m.entries for m in phis + psis)))
     phi = [(r, _int_chunks(m.transpose().entries, dim, e))
            for r, m in enumerate(phis) if not m.is_zero()]
     psi = [(p, _int_chunks(m.transpose().entries, dim, e))
@@ -366,8 +356,8 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
         new_ds.append(new)
     q_mu, q_d = den * e ** 3, den * e * e
     return Deformation(tuple(
-        Cochain(MultiMap(2, dim, dim, _fractions(new_mus[s], q_mu)),
-                tuple(MultiMap(1, dim, dim, _fractions(new[s], q_d)) for new in new_ds))
+        Cochain(MultiMap(2, dim, dim, as_fractions(new_mus[s], q_mu)),
+                tuple(MultiMap(1, dim, dim, as_fractions(new[s], q_d)) for new in new_ds))
         for s in range(T + 1)))
 
 

@@ -1,20 +1,28 @@
-"""Exact rational linear algebra on one sparse elimination kernel.
+"""Exact rational linear algebra on one sparse, fraction-free elimination kernel.
 
 Every cohomology and obstruction question downstream reduces to rank /
 kernel / solve questions over the rationals, and the answers are equality
-tests, so floating point is banned throughout.  Scalars are
+tests, so floating point is banned throughout.  The values a caller sees
+(matrix entries, vectors, kernel bases, solutions) are
 :class:`fractions.Fraction`; matrices are immutable and row-major.
 
-Elimination is sparse: :func:`echelon` feeds the rows of a matrix, as
-``{column: value}`` dicts, to an :class:`Echelon`, and back-substitution runs
-only when the reduced form is asked for.  The reduced row echelon form of a
-row space is unique, so ``rref``, kernel bases and particular solutions are
-canonical, and higher layers reproduce bit for bit.
+Inside, every matrix also has one integer store, ``int_rows``: its nonzero
+entries as Python-int numerators over one common denominator.  The
+differential stencil fills that store directly; other matrices derive it
+from their entries on first use.  Elimination runs on it without a single
+Fraction operation: :func:`echelon` feeds the integer rows to an
+:class:`Echelon`, which keeps primitive rows (content 1, positive pivot) and
+combines two rows as ``a*v - b*row``, in the manner of fraction-free
+(Bareiss) elimination.  Back-substitution runs only when the reduced form is
+asked for, and a reduced entry x of the row with pivot value p becomes the
+Fraction x/p only where ``rref``, ``kernel_basis`` or ``solve_affine`` hand
+it out.  The reduced row echelon form of a row space is unique, so those
+outputs are canonical, and higher layers reproduce bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -57,22 +65,71 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y, strict=True))
 
 
-@dataclass(frozen=True)
+def common_denominator(values) -> int:
+    """The lcm of the denominators of some rationals (1 for none)."""
+    return math.lcm(*{x.denominator for x in values})
+
+
+def as_fractions(numerators, q: int) -> tuple[Fraction, ...]:
+    """The Fractions x/q for a sequence of integer numerators x."""
+    return tuple(Fraction(x, q) if x else ZERO for x in numerators)
+
+
 class Matrix:
-    """Immutable rows x cols matrix of Fractions, entries row-major."""
+    """Immutable rows x cols matrix of Fractions, entries row-major.
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    A matrix is built either from its ``entries`` or, by ``from_int_rows``,
+    from its integer store ``int_rows``; the other form is derived on first
+    use and kept, so a large differential never holds its dense entries
+    unless a caller reads them.
+    """
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]):
+        if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"matrix {self.rows}x{self.cols} needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+                f"matrix {rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
+
+    @classmethod
+    def from_int_rows(cls, rows, scale: int, cols: int) -> "Matrix":
+        """A matrix from ``{column: nonzero int}`` rows over the common
+        denominator ``scale``, kept as ``int_rows``."""
+        rows = tuple(rows)
+        m = cls.__new__(cls)
+        m.__dict__.update(rows=len(rows), cols=cols, int_rows=(rows, scale))
+        return m
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={self.entries})"
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries row-major, derived from ``int_rows`` for a matrix
+        built from it."""
+        rows, scale = self.int_rows
+        entries = [ZERO] * (self.rows * self.cols)
+        values: dict[int, Fraction] = {}  # few distinct numerators: share them
+        for i, row in enumerate(rows):
+            base = i * self.cols
+            for j, x in row.items():
+                f = values.get(x)
+                if f is None:
+                    f = values[x] = Fraction(x, scale)
+                entries[base + j] = f
+        return tuple(entries)
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -81,18 +138,6 @@ class Matrix:
         if any(len(row) != ncols for row in rows):
             raise ShapeError("ragged rows")
         return cls(len(rows), ncols, tuple(x for row in rows for x in row))
-
-    @classmethod
-    def from_sparse_rows(cls, rows, cols: int) -> "Matrix":
-        """A matrix from ``{column: nonzero value}`` rows, kept as ``sparse_rows``."""
-        rows = tuple(rows)
-        entries = [ZERO] * (len(rows) * cols)
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                entries[i * cols + j] = x
-        m = cls(len(rows), cols, tuple(entries))
-        m.__dict__["sparse_rows"] = rows
-        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -122,11 +167,14 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     @cached_property
-    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
-        """The nonzero entries of each row as ``{column: value}``."""
+    def int_rows(self) -> tuple[tuple[dict[int, int], ...], int]:
+        """``(rows, S)``: each row's nonzero entries as ``{column: x}`` with
+        x an int, and entry (i, j) equal to ``rows[i][j] / S``."""
+        scale = common_denominator(self.entries)
         c = self.cols
-        return tuple({j: x for j, x in enumerate(self.entries[i * c:(i + 1) * c]) if x}
-                     for i in range(self.rows))
+        return tuple({j: x.numerator * (scale // x.denominator)
+                      for j, x in enumerate(self.entries[i * c:(i + 1) * c]) if x}
+                     for i in range(self.rows)), scale
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product, skipping zero coordinates of ``v``."""
@@ -196,67 +244,102 @@ class Matrix:
             raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def _subtract(v: dict[int, Fraction], x: Fraction, row: dict[int, Fraction],
-              skip: int) -> None:
-    """``v -= x * row`` in place over the columns of ``row`` other than ``skip``."""
+def _eliminate(v: dict[int, int], c: int, row: dict[int, int]) -> None:
+    """Clear column c of ``v`` in place with ``row`` (``row[c] > 0``):
+    ``v = a*v - b*row``, a and b the coprime multiples of ``row[c]`` and
+    ``v[c]``; when a != 1 the content of ``v`` is divided out again."""
+    b = v.pop(c)
+    a = row[c]
+    if a != 1:
+        g = math.gcd(a, b)
+        a //= g
+        b //= g
+        if a != 1:
+            for j in v:
+                v[j] *= a
     for j, y in row.items():
-        if j == skip:
+        if j == c:
             continue
         z = v.get(j)
         if z is None:
-            v[j] = -x * y
-        elif z := z - x * y:
+            v[j] = -b * y
+        elif z := z - b * y:
             v[j] = z
         else:
             del v[j]
+    if a != 1:
+        _divide_content(v)
+
+
+def _divide_content(v: dict[int, int], sign: int = 1) -> None:
+    """Divide ``v`` in place by sign * the gcd of its entries."""
+    if v:
+        g = sign * math.gcd(*v.values())
+        if g != 1:
+            for j in v:
+                v[j] //= g
 
 
 class Echelon:
     """Exact row echelon form of a growing set of sparse rows.
 
     ``rows[p]`` is the stored row whose smallest column is the pivot ``p``,
-    scaled to 1 there; rows are ``{column: Fraction}`` dicts of nonzeros.
+    a ``{column: int}`` dict of nonzeros, primitive (the gcd of its entries
+    is 1) with ``rows[p][p] > 0``; it stands for the rational row
+    ``rows[p] / rows[p][p]``.
     """
 
     def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, row: dict[int, Fraction]) -> bool:
-        """Reduce a copy of ``row`` against the stored pivots, smallest
-        column first, and keep it if it survives; True when the rank grew."""
-        v = {j: x for j, x in row.items() if x}
+    def add(self, row: dict) -> bool:
+        """Reduce ``row`` (``{column: rational}``) against the stored pivots,
+        smallest column first, and keep it if it survives; True when the
+        rank grew."""
+        den = common_denominator(row.values())
+        return self._insert({j: x.numerator * (den // x.denominator)
+                             for j, x in row.items() if x})
+
+    def _insert(self, v: dict[int, int]) -> bool:
+        """``add`` for an integer row that the echelon may take over."""
+        rows = self.rows
         while v:
             c = min(v)
-            prow = self.rows.get(c)
+            prow = rows.get(c)
             if prow is None:
-                inv = ONE / v[c]
-                self.rows[c] = {j: y * inv for j, y in v.items()}
+                _divide_content(v, -1 if v[c] < 0 else 1)
+                rows[c] = v
                 return True
-            _subtract(v, v.pop(c), prow, c)
+            _eliminate(v, c, prow)
         return False
 
-    def reduced(self) -> dict[int, dict[int, Fraction]]:
+    def reduced(self) -> dict[int, dict[int, int]]:
         """The stored rows, back-substituted in place into reduced row
-        echelon form: a row holds its pivot and non-pivot columns only."""
+        echelon form: a row holds its pivot and non-pivot columns only, and
+        its reduced entries are ``x / row[p]``."""
         rows = self.rows
         for p in sorted(rows, reverse=True):
             row = rows[p]
-            for q in [q for q in row if q != p and q in rows]:
-                _subtract(row, row.pop(q), rows[q], q)
+            done = [q for q in row if q != p and q in rows]
+            for q in done:
+                _eliminate(row, q, rows[q])
+            if done:
+                _divide_content(row)
         return rows
 
 
 def echelon(m: Matrix) -> Echelon:
     """The echelon form of the rows of ``m``; every elimination runs here."""
     ech = Echelon()
-    for row in m.sparse_rows:
+    for row in m.int_rows[0]:
         if ech.rank == m.cols:
             break
-        ech.add(row)
+        if row:
+            ech._insert(dict(row))
     return ech
 
 
@@ -264,8 +347,13 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns."""
     rows = echelon(m).reduced()
     pivots = tuple(sorted(rows))
-    red = [rows[p] for p in pivots] + [{}] * (m.rows - len(pivots))
-    return Matrix.from_sparse_rows(red, m.cols), pivots
+    entries = [ZERO] * (m.rows * m.cols)
+    for i, p in enumerate(pivots):
+        row = rows[p]
+        pivot = row[p]
+        for j, x in row.items():
+            entries[i * m.cols + j] = Fraction(x, pivot)
+    return Matrix(m.rows, m.cols, tuple(entries)), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -284,9 +372,10 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     for f, v in basis.items():
         v[f] = ONE
     for p, row in rows.items():
+        pivot = row[p]
         for f, x in row.items():
             if f != p:
-                basis[f][p] = -x
+                basis[f][p] = Fraction(-x, pivot)
     return [tuple(v) for v in basis.values()]
 
 
@@ -299,26 +388,38 @@ def solve_affine(m: Matrix, b: Vector) -> Vector | None:
     if len(b) != m.rows:
         raise ShapeError(f"expected right-hand side of length {m.rows}, got {len(b)}")
     n = m.cols
-    aug = Matrix.from_sparse_rows(({**row, n: bi} if bi else row
-                                   for row, bi in zip(m.sparse_rows, b)), n + 1)
-    rows = echelon(aug).reduced()
-    if n in rows:
+    rows, scale = m.int_rows
+    den = common_denominator(b)
+    aug = []  # [m | b] as ints over scale * den
+    for row, bi in zip(rows, b):
+        v = {j: den * x for j, x in row.items()}
+        if bi:
+            v[n] = scale * bi.numerator * (den // bi.denominator)
+        aug.append(v)
+    red = echelon(Matrix.from_int_rows(aug, scale * den, n + 1)).reduced()
+    if n in red:
         return None
-    return tuple(rows[j].get(n, ZERO) if j in rows else ZERO for j in range(n))
+    x = [ZERO] * n
+    for p, row in red.items():
+        if n in row:
+            x[p] = Fraction(row[n], row[p])
+    return tuple(x)
 
 
 def require_image_in_kernel(boundary: Matrix, kernel_of: Matrix) -> None:
-    """Raise unless ``kernel_of * boundary`` vanishes, by a sparse product;
-    a nonzero composite means the claimed complex is broken."""
+    """Raise unless ``kernel_of * boundary`` vanishes, by a sparse product of
+    the integer rows; each factor carries one uniform scale, so the product
+    is zero exactly when the rational one is.  A nonzero composite means the
+    claimed complex is broken."""
     if kernel_of.cols != boundary.rows:
         raise ShapeError(
             f"boundary lands in a {boundary.rows}-dim space but the kernel map "
             f"expects {kernel_of.cols}")
-    for row in kernel_of.sparse_rows:
-        acc: dict[int, Fraction] = {}
+    brows = boundary.int_rows[0]
+    for row in kernel_of.int_rows[0]:
+        acc: dict[int, int] = {}
         for k, a in row.items():
-            for j, y in boundary.sparse_rows[k].items():
-                acc[j] = acc.get(j, ZERO) + a * y
+            for j, y in brows[k].items():
+                acc[j] = acc.get(j, 0) + a * y
         if any(acc.values()):
             raise BrokenComplexError("image not contained in kernel")
-

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract
+from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract, _hash_once
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, vec_add
 
 
@@ -27,6 +27,8 @@ class HigherDerivation:
 
     rank: int
     maps: tuple[Matrix, ...]
+
+    __hash__ = _hash_once
 
     def __post_init__(self):
         if self.rank < 1:

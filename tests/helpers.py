@@ -99,8 +99,26 @@ def pair_fixtures() -> list[tuple[str, H.Algebra, H.HigherDerivation]]:
     return out
 
 
+def rescaled_pair(alg: H.Algebra, hd: H.HigherDerivation,
+                  scales: tuple) -> tuple[H.Algebra, H.HigherDerivation]:
+    """The same pair in the basis e'_i = scales[i] * e_i: the coefficient of
+    e'_k in e'_i e'_j is c_ijk * s_i s_j / s_k, and entry (i, j) of each
+    d_q is multiplied by s_j / s_i.  No basis vector is declared the unit."""
+    d = alg.dim
+    table = [[[alg.c[i][j][k] * scales[i] * scales[j] / scales[k] for k in range(d)]
+              for j in range(d)] for i in range(d)]
+    maps = tuple(H.Matrix(d, d, tuple(m.entry(i, j) * scales[j] / scales[i]
+                                      for i in range(d) for j in range(d)))
+                 for m in hd.maps)
+    return H.Algebra.from_table(table, labels=alg.basis_labels), H.HigherDerivation(hd.rank, maps)
+
+
 def coefficient_fixtures() -> list[tuple[str, H.Algebra, H.HigherDerivation, H.Bimodule]]:
-    """Pairs with both adjoint and trivial-with-random-dmaps coefficients."""
+    """Pairs with both adjoint and trivial-with-random-dmaps coefficients,
+    then a pair with non-integral structure constants: Q[x]/(x^3) with the
+    divided powers of the derivation x -> x + x^2, in the rescaled basis
+    (2/3, 3x/5, 5x^2/7), with its adjoint module and a trivial line whose
+    module maps have denominators 7 and 11 of their own."""
     rng = random.Random(5150)
     out = []
     for name, alg, hd in pair_fixtures():
@@ -109,6 +127,13 @@ def coefficient_fixtures() -> list[tuple[str, H.Algebra, H.HigherDerivation, H.B
         dmaps = tuple(rand_matrix(rng, mdim) for _ in range(hd.rank))
         out.append((f"{name}/trivial{mdim}", alg, hd,
                     H.trivial_bimodule(alg, mdim, dmaps)))
+    p3 = samples.truncated_polynomials(3)
+    shear = H.ordinary_hder(p3, H.Matrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 1, 2]]), 2)
+    alg, hd = rescaled_pair(p3, shear, (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7)))
+    assert H.verify_algebra(alg).ok and H.verify_hder(alg, hd).ok
+    dmaps = (H.Matrix(1, 1, (Fraction(4, 11),)), H.Matrix(1, 1, (Fraction(-13, 7),)))
+    out.append(("poly3-rescaled/shear2/adjoint", alg, hd, H.adjoint_bimodule(alg, hd)))
+    out.append(("poly3-rescaled/shear2/trivial1", alg, hd, H.trivial_bimodule(alg, 1, dmaps)))
     return out
 
 

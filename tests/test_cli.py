@@ -91,6 +91,20 @@ def test_json_reports_match_pinned_digests(args, expected, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[" ".join(args)]
 
 
+def test_degree_four_cohomology_of_m2_rank_two(capsys):
+    # M2(Q) with the power-commutator sequence of E12 at rank 2: a 6144x1536
+    # differential whose elimination dominates the run; the digest is of the
+    # report made by the Fraction-row elimination this kernel replaced
+    assert main(["cohomology", str(FIXTURES / "m2_e12_rank2.json"), "--degree", "4",
+                 "--json"]) == 0
+    out = capsys.readouterr().out
+    results = json.loads(out)["results"]
+    assert (results["betti"], results["dim_cocycles"], results["dim_coboundaries"]) == \
+        (0, 307, 307)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b7aa3b486126438a8bba03da7c1ee66a41390540e65c2defb368b610704561e2"
+
+
 @pytest.mark.parametrize("args", [
     ["cohomology", "dual_pair.json", "--degree", "1"],
     ["cohomology", "dual_pair.json", "--degree", "2"],

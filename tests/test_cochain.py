@@ -324,3 +324,44 @@ def test_differential_of_zero_cochain_is_zero():
     for n in (1, 2, 3):
         out = H.differential(alg, mod, hd, H.zero_cochain(2, 2, 2, n))
         assert out.is_zero()
+
+
+def test_integer_stencil_on_fractional_structure_constants():
+    # products over 375, d_q over 50, and module maps over 50 (adjoint) or
+    # 77 (trivial): every column is integer numerators over one scale
+    rng = random.Random(74)
+    rescaled = [f for f in FIXTURES if f[0].startswith("poly3-rescaled/")]
+    assert len(rescaled) == 2
+    den = exactlin.common_denominator
+    for name, alg, hd, mod in rescaled:
+        d_alg = den(x for t in alg.c for row in t for x in row)
+        d_hd = den(x for m in hd.maps for x in m.entries)
+        d_mod = den(x for m in mod.dmaps for x in m.entries)
+        assert min(d_alg, d_hd, d_mod) > 1, name
+        for n in (1, 2, 3):
+            m = H.differential_matrix(alg, mod, hd, n)
+            rows, scale = m.int_rows
+            assert all(isinstance(x, int) and x for row in rows for x in row.values())
+            assert m == differential_matrix_by_columns(alg, mod, hd, n), (name, n)
+            c = H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, tuple(
+                Fraction(rng.randint(-50, 50), rng.randint(1, 10 ** 4))
+                for _ in range(H.cochain_dim(alg.dim, mod.mdim, hd.rank, n))))
+            assert cochains_equal(H.differential(alg, mod, hd, c),
+                                  oracle_differential(alg, mod, hd, c)), (name, n)
+    assert rescaled[1][3].dmaps != rescaled[0][3].dmaps
+
+
+def test_equal_structures_hash_equal_and_hit_the_cache():
+    def build():
+        alg = samples.truncated_polynomials(3)
+        hd = H.ordinary_hder(alg, samples.euler_matrix(3), 2)
+        return alg, H.adjoint_bimodule(alg, hd), hd
+
+    first, second = build(), build()
+    for a, b in zip(first, second):
+        assert a is not b and a == b and hash(a) == hash(b) == hash(b)
+    H.differential_matrix.cache_clear()
+    m = H.differential_matrix(*first, 2)
+    assert H.differential_matrix(*second, 2) is m
+    info = H.differential_matrix.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

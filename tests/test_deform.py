@@ -447,7 +447,7 @@ def test_deform_extend_rejects_a_wrong_candidate(monkeypatch):
         n = c.n - 1
         sol = list(H.cochain_to_vector(solve(alg, mod, hd, c)))
         m = H.differential_matrix(alg, mod, hd, n)
-        j = next(j for row in m.sparse_rows for j in row)  # a column with d(e_j) != 0
+        j = next(j for row in m.int_rows[0] for j in row)  # a column with d(e_j) != 0
         sol[j] += 1
         return H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, tuple(sol))
 

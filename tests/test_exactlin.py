@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hderlab.exactlin import (
-    BrokenComplexError, Echelon, Matrix, ShapeError, kernel_basis, rank, rat,
-    rat_str, require_image_in_kernel, rref, solve_affine,
+    ZERO, BrokenComplexError, Echelon, Matrix, ShapeError, echelon, kernel_basis,
+    rank, rat, rat_str, require_image_in_kernel, rref, solve_affine,
 )
 
 from helpers import dense_kernel_basis, dense_rref, dense_solve_affine, sparse_matrices
@@ -165,3 +166,104 @@ def test_echelon_add_reports_rank_growth(m):
         assert ech.add(dict(enumerate(m.row(i)))) == (after > before)
         assert ech.rank == after
         before = after
+
+
+# Wide denominators and negative entries, mostly zeros, for the integer rows.
+NONZERO = st.fractions(min_value=-10 ** 3, max_value=10 ** 3,
+                       max_denominator=10 ** 4).filter(bool)
+WIDE = st.one_of(st.just(ZERO), st.just(ZERO), NONZERO)
+
+
+@st.composite
+def degenerate_matrices(draw, max_side=7):
+    """Wide-denominator rows mixed with duplicates, all-zero rows and
+    nonzero scalar multiples of earlier rows."""
+    cols = draw(st.integers(1, max_side))
+    rows: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(1, max_side))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "duplicate", "multiple")))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append([ZERO] * cols)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "multiple":
+            factor = draw(NONZERO)
+            rows.append([factor * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(WIDE, min_size=cols, max_size=cols)))
+    return Matrix.from_rows(rows)
+
+
+def _assert_primitive(rows: dict, reduced: bool) -> None:
+    """Stored rows are int dicts, primitive, with a positive pivot at their
+    smallest column; reduced rows hold no other pivot column."""
+    for p, row in rows.items():
+        assert all(isinstance(x, int) and x for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert math.gcd(*row.values()) == 1
+        if reduced:
+            assert not any(q in rows for q in row if q != p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(degenerate_matrices(), st.data())
+def test_integer_echelon_matches_dense_oracle(m, data):
+    ech = echelon(m)
+    _assert_primitive(ech.rows, reduced=False)
+    _assert_primitive(ech.reduced(), reduced=True)
+    red, pivots = dense_rref(m)
+    assert rref(m) == (red, pivots)
+    assert rank(m) == len(pivots)
+    assert kernel_basis(m) == dense_kernel_basis(m)
+    x = tuple(data.draw(WIDE) for _ in range(m.cols))
+    consistent = m.apply(x)
+    assert solve_affine(m, consistent) == dense_solve_affine(m, consistent)
+    b = tuple(data.draw(WIDE) for _ in range(m.rows))
+    assert solve_affine(m, b) == dense_solve_affine(m, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(degenerate_matrices(), st.data())
+def test_many_fractional_right_hand_sides_on_one_matrix(m, data):
+    for _ in range(8):
+        if data.draw(st.booleans(), label="consistent"):
+            b = m.apply(tuple(data.draw(WIDE) for _ in range(m.cols)))
+        else:
+            b = tuple(data.draw(WIDE) for _ in range(m.rows))
+        sol = solve_affine(m, b)
+        assert sol == dense_solve_affine(m, b)
+        if sol is not None:
+            assert m.apply(sol) == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_matrices())
+def test_int_rows_are_one_scale_over_the_entries(m):
+    rows, scale = m.int_rows
+    assert all(isinstance(x, int) and x for row in rows for x in row.values())
+    assert Matrix.from_int_rows(rows, scale, m.cols) == m
+
+
+def test_echelon_add_takes_fraction_rows_and_keeps_them_primitive():
+    ech = Echelon()
+    assert ech.add({0: Fraction(-2, 3), 2: Fraction(4, 9)})
+    assert ech.rows == {0: {0: 3, 2: -2}}
+    assert not ech.add({0: Fraction(6), 2: Fraction(-4)})  # a multiple
+    assert not ech.add({1: ZERO})
+    assert ech.add({1: Fraction(5, 7), 2: Fraction(10, 21)})
+    assert ech.rows[1] == {1: 3, 2: 2}
+    assert ech.reduced() == {0: {0: 3, 2: -2}, 1: {1: 3, 2: 2}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_matrices(), NONZERO)
+def test_image_in_kernel_on_scaled_integer_rows(m, factor):
+    basis = kernel_basis(m)
+    if basis:
+        require_image_in_kernel(Matrix.from_columns([tuple(factor * x for x in v)
+                                                     for v in basis]), m)
+    _, pivots = rref(m)
+    if pivots:  # a pivot column of m is not killed by m
+        unit = tuple(factor if j == pivots[0] else ZERO for j in range(m.cols))
+        with pytest.raises(BrokenComplexError):
+            require_image_in_kernel(Matrix.from_columns([*basis, unit]), m)
