@@ -4,8 +4,10 @@ An algebra is a structure-constant tensor: ``c[i][j][k]`` is the coefficient
 of basis vector ``e_k`` in the product ``e_i * e_j``.  A bimodule is a pair
 of action tensors plus the square matrices that play the role of the higher
 derivation on the module side.  Everything is an immutable value; the
-verifiers below are exhaustive brute-force checks over basis tuples, which
-is equivalent to the general statement by multilinearity.
+verifiers check every basis tuple, which is equivalent to the general
+statement by multilinearity.  Associativity and the higher-derivation law
+are stated once, at every order s, on integer tables over one denominator:
+order 0 is what the input verifiers check, order s the deformation equations.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .exactlin import Matrix, ShapeError, Vector, ZERO, rat, rat_str
+from .exactlin import Matrix, ShapeError, Vector, ZERO, as_fractions, common_denominator, rat, rat_str
 
 Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -30,6 +32,11 @@ def tensor3(data, d0: int, d1: int, d2: int, what: str = "tensor") -> Tensor3:
 
 def zero_tensor3(d0: int, d1: int, d2: int) -> Tensor3:
     return tuple(tuple((ZERO,) * d2 for _ in range(d1)) for _ in range(d0))
+
+
+def tensor_values(t: Tensor3) -> tuple[Fraction, ...]:
+    """The entries flat in [i][j][k] order: a bilinear map's values."""
+    return tuple(x for mid in t for inner in mid for x in inner)
 
 
 def _hash_once(self) -> int:
@@ -57,6 +64,77 @@ def _contract(t: Tensor3, x: Vector, y: Vector, n: int) -> Vector:
                 if tijk:
                     out[k] += coeff * tijk
     return tuple(out)
+
+
+def _int_chunks(values, d: int, den: int) -> tuple[dict[int, int], ...]:
+    """Consecutive length-d blocks of ``values`` as ``{index: numerator}``
+    over ``den`` (a multiple of every denominator), zeros left out."""
+    return tuple({c: x.numerator * (den // x.denominator)
+                  for c in range(d) if (x := values[base + c])}
+                 for base in range(0, len(values), d))
+
+
+def _law_tables(d: int, products, series) -> tuple[tuple, tuple, int]:
+    """``(mus, dcols, D)`` from the flat values of each mu_p and the column-major
+    values ``series[k - 1][s]`` of each d_{k,s}, D the lcm of their denominators:
+    ``mus[p][i * d + j]`` is D * mu_p(e_i, e_j) as ``{c: x}`` and
+    ``dcols[k][s][c]`` is D * column c of d_{k,s} as ``{b: x}``, d_{0,0} = id."""
+    den = common_denominator(itertools.chain(*products, *itertools.chain(*series)))
+    ident = tuple({c: den} for c in range(d))
+    return (tuple(_int_chunks(v, d, den) for v in products),
+            ((ident,),) + tuple(tuple(_int_chunks(v, d, den) for v in ser) for ser in series),
+            den)
+
+
+def _associativity_terms(tables, s: int = 0):
+    """Yields ``(0, (i, j, l), lhs, rhs, D^2)`` in scan order, the numerators of
+    sum_{p+q=s} mu_p(mu_q(e_i, e_j), e_l) = sum_{p+q=s} mu_p(e_i, mu_q(e_j, e_l))
+    over D^2, with mu_p past the last one stored taken as zero."""
+    mus, dcols, den = tables
+    d, n = len(dcols[0][0]), len(mus) - 1
+    pairs = [(mus[p], mus[s - p]) for p in range(max(0, s - n), min(s, n) + 1)]
+    for i, j, l in itertools.product(range(d), repeat=3):
+        lhs, rhs = [0] * d, [0] * d
+        for mp, mq in pairs:
+            for c, x in mq[i * d + j].items():
+                for b, y in mp[c * d + l].items():
+                    lhs[b] += x * y
+            for c, x in mq[j * d + l].items():
+                for b, y in mp[i * d + c].items():
+                    rhs[b] += x * y
+        yield 0, (i, j, l), lhs, rhs, den * den
+
+
+def _derivation_law_terms(tables, s: int = 0):
+    """Yields ``(k, (i, j), lhs, rhs, D^3)`` for k = 1..N in scan order, the
+    numerators of sum_p d_{k,p}(mu_{s-p}(e_i, e_j)) = sum_{a+b=k}
+    sum_{p+q+r=s} mu_p(d_{a,q} e_i, d_{b,r} e_j) over D^3 (the lhs scaled by
+    D), with terms past the last stored order taken as zero."""
+    mus, dcols, den = tables
+    d, n = len(dcols[0][0]), len(mus) - 1
+    orders = range(max(0, s - n), min(s, n) + 1)  # p with p <= n and s - p <= n
+    for k in range(1, len(dcols)):
+        left_terms = [(dcols[k][p], mus[s - p]) for p in orders]
+        right_terms = []
+        for a in range(k + 1):
+            da, db = dcols[a], dcols[k - a]
+            for q in range(min(s, len(da) - 1) + 1):
+                for r in range(min(s - q, len(db) - 1) + 1):
+                    if s - q - r <= n:
+                        right_terms.append((mus[s - q - r], da[q], db[r]))
+        for i, j in itertools.product(range(d), repeat=2):
+            lhs, rhs = [0] * d, [0] * d
+            for dk, mq in left_terms:
+                for c, x in mq[i * d + j].items():
+                    for b, y in dk[c].items():
+                        lhs[b] += x * y
+            for mp, da, db in right_terms:
+                for u, x in da[i].items():
+                    for v, y in db[j].items():
+                        xy = x * y
+                        for b, z in mp[u * d + v].items():
+                            rhs[b] += xy * z
+            yield k, (i, j), [x * den for x in lhs], rhs, den ** 3
 
 
 @dataclass(frozen=True)
@@ -188,14 +266,10 @@ class Bimodule:
 
 def verify_algebra(alg: Algebra) -> CheckReport:
     """Associativity on all basis triples, plus unit laws when a unit is declared."""
-    d = alg.dim
-    c = alg.c
-    basis = [alg.basis_vector(i) for i in range(d)]
-    for i, j, l in itertools.product(range(d), repeat=3):
-        lhs = _contract(c, c[i][j], basis[l], d)
-        rhs = _contract(c, basis[i], c[j][l], d)
+    d, c = alg.dim, alg.c
+    for _, at, lhs, rhs, q in _associativity_terms(_law_tables(d, (tensor_values(c),), ())):
         if lhs != rhs:
-            return CheckReport.failed("associativity", (i, j, l), lhs, rhs)
+            return CheckReport.failed("associativity", at, as_fractions(lhs, q), as_fractions(rhs, q))
     u = alg.unit_index
     if u is not None:
         for j in range(d):

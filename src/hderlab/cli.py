@@ -80,6 +80,8 @@ def _load(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, deep nesting
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
@@ -141,32 +143,26 @@ def _extension_inputs(doc, args):
 def cmd_check(doc, args):
     results: dict = {}
     violations: list[str] = []
+
+    def record(section: str, rep) -> None:
+        results[section] = check_report_to_json(rep)
+        if not rep.ok:
+            violations.append(f"{section}: {rep.violation}")
+
     alg = parse_algebra(_section(doc, "algebra"))
     _guard(dim=alg.dim)
-    rep = verify_algebra(alg)
-    results["algebra"] = check_report_to_json(rep)
-    ok = rep.ok
-    if not rep.ok:
-        violations.append(f"algebra: {rep.violation}")
+    record("algebra", verify_algebra(alg))
     hd = None
     if "hder" in doc:
         hd = parse_hder(doc["hder"], alg.dim)
-        rep = verify_hder(alg, hd)
-        results["hder"] = check_report_to_json(rep)
-        ok = ok and rep.ok
-        if not rep.ok:
-            violations.append(f"hder: {rep.violation}")
+        record("hder", verify_hder(alg, hd))
     if "bimodule" in doc:
         if hd is None:
             raise ParseError("a 'bimodule' section needs an 'hder' section")
         mod = parse_bimodule(doc["bimodule"], alg.dim, hd.rank)
         _guard(mdim=mod.mdim)
-        rep = verify_bimodule(alg, hd, mod)
-        results["bimodule"] = check_report_to_json(rep)
-        ok = ok and rep.ok
-        if not rep.ok:
-            violations.append(f"bimodule: {rep.violation}")
-    return ok, results, violations
+        record("bimodule", verify_bimodule(alg, hd, mod))
+    return not violations, results, violations
 
 
 def cmd_cohomology(doc, args):

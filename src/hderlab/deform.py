@@ -7,7 +7,7 @@ algebra product with the maps d_1, ..., d_N.  The index-0 derivation series
 is the constant identity (d_{0,0} = id, d_{0,s} = 0 for s >= 1), which the
 convolutions below bake in.  Nothing is ever symbolic: all series algebra is
 convolution on coefficient lists, truncated at the stored order.  The
-order-s equations are stated once, in ``_order_equations``.
+order-s equations are the two laws of ``algebras`` at order s.
 
 The equations and the gauge action compute on sparse tables of integer
 numerators over one common denominator (``Deformation._tables``; the gauge
@@ -23,23 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebras import Algebra, CheckReport, Violation, adjoint_bimodule
+from .algebras import (Algebra, CheckReport, Violation, _associativity_terms, _derivation_law_terms,
+                       _int_chunks, _law_tables, adjoint_bimodule, tensor_values)
 from .cochain import (
     Cochain, MultiMap, differential, matrix_to_multimap, multimap_to_matrix,
     preimage, vector_to_cochain, zero_cochain,
 )
 from .exactlin import Matrix, ShapeError, as_fractions, common_denominator
 from .hder import HigherDerivation
-
-
-def _int_chunks(values, d: int, den: int) -> tuple[dict[int, int], ...]:
-    """Consecutive length-d blocks of ``values`` as ``{index: numerator}``
-    over ``den``, zeros left out; ``den`` must be a multiple of every
-    denominator.  The blocks of a bilinear self map are its values at basis
-    pairs, those of a linear one (or of a transposed matrix) its columns."""
-    return tuple({c: x.numerator * (den // x.denominator)
-                  for c in range(d) if (x := values[base + c])}
-                 for base in range(0, len(values), d))
 
 
 @dataclass(frozen=True)
@@ -72,20 +63,10 @@ class Deformation:
 
     @cached_property
     def _tables(self) -> tuple[tuple, tuple, int]:
-        """Nonzero entries for ``_order_equations`` as integer numerators over
-        one common denominator D, the lcm of every coefficient denominator:
-        ``mus[p][i * dim + j]`` is D * mu_p(e_i, e_j) as ``{c: x}``,
-        ``dcols[k][s][c]`` is D times column c of d_{k,s} as ``{b: x}``;
-        series 0 holds only d_{0,0} = id, whose columns are ``{c: D}``."""
-        d = self.dim
-        den = common_denominator(itertools.chain(
-            *(m.values for c in self.coeffs for m in (c.main, *c.parts))))
-        mus = tuple(_int_chunks(c.main.values, d, den) for c in self.coeffs)
-        ident = tuple({c: den} for c in range(d))
-        dcols = ((ident,),) + tuple(tuple(_int_chunks(c.parts[k].values, d, den)
-                                          for c in self.coeffs)
-                                    for k in range(self.rank))
-        return mus, dcols, den
+        """The coefficients as ``algebras._law_tables``."""
+        return _law_tables(self.dim, [c.main.values for c in self.coeffs],
+                           [[c.parts[k].values for c in self.coeffs]
+                            for k in range(self.rank)])
 
 
 @dataclass(frozen=True)
@@ -120,10 +101,7 @@ class GaugeMap:
 
 def product_multimap(alg: Algebra) -> MultiMap:
     """The algebra multiplication as a bilinear self map."""
-    values: list[Fraction] = []
-    for i, j in itertools.product(range(alg.dim), repeat=2):
-        values.extend(alg.c[i][j])
-    return MultiMap(2, alg.dim, alg.dim, tuple(values))
+    return MultiMap(2, alg.dim, alg.dim, tensor_values(alg.c))
 
 
 def _base_coefficient(alg: Algebra, hd: HigherDerivation) -> Cochain:
@@ -153,67 +131,18 @@ def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
 
 
 def _order_equations(defm: Deformation, s: int):
-    """Both sides of every order-s equation, in scan order.
-
-    Yields ``(k, at, lhs, rhs, q)``: k = 0 for associativity,
-    sum_{p+q=s} mu_p(mu_q(e_i, e_j), e_l) = sum_{p+q=s} mu_p(e_i, mu_q(e_j, e_l))
-    at each basis triple, then for k = 1..N the higher-derivation law
-    sum_p d_{k,p}(mu_{s-p}(e_i, e_j)) = sum_{a+b=k} sum_{p+q+r=s} mu_p(d_{a,q} e_i, d_{b,r} e_j)
-    at each basis pair.  Both sides are integer numerators over the shared
-    denominator q: D^2 for associativity, D^3 for the derivation law (whose
-    lhs, a product of two tables, is scaled by D), with D the common
-    denominator of ``Deformation._tables``.  Coefficients past the stored
-    order count as zero, so at s = order + 1 the two sides hold exactly the
-    known terms.
-    """
-    mus, dcols, den = defm._tables
-    d, n = defm.dim, defm.order
-    orders = range(max(0, s - n), min(s, n) + 1)  # p with p <= n and s - p <= n
-    pairs = [(mus[p], mus[s - p]) for p in orders]
-    q_assoc = den * den
-    for i, j, l in itertools.product(range(d), repeat=3):
-        lhs = [0] * d
-        rhs = [0] * d
-        for mp, mq in pairs:
-            for c, x in mq[i * d + j].items():
-                for b, y in mp[c * d + l].items():
-                    lhs[b] += x * y
-            for c, x in mq[j * d + l].items():
-                for b, y in mp[i * d + c].items():
-                    rhs[b] += x * y
-        yield 0, (i, j, l), lhs, rhs, q_assoc
-    q_law = q_assoc * den
-    for k in range(1, defm.rank + 1):
-        left_terms = [(dcols[k][p], mus[s - p]) for p in orders]
-        right_terms = []
-        for a in range(k + 1):
-            da, db = dcols[a], dcols[k - a]
-            for q in range(min(s, len(da) - 1) + 1):
-                for r in range(min(s - q, len(db) - 1) + 1):
-                    if s - q - r <= n:
-                        right_terms.append((mus[s - q - r], da[q], db[r]))
-        for i, j in itertools.product(range(d), repeat=2):
-            lhs = [0] * d
-            for dk, mq in left_terms:
-                for c, x in mq[i * d + j].items():
-                    for b, y in dk[c].items():
-                        lhs[b] += x * y
-            rhs = [0] * d
-            for mp, da, db in right_terms:
-                for u, x in da[i].items():
-                    for v, y in db[j].items():
-                        xy = x * y
-                        for b, z in mp[u * d + v].items():
-                            rhs[b] += xy * z
-            yield k, (i, j), [x * den for x in lhs], rhs, q_law
+    """Both sides ``(k, at, lhs, rhs, q)`` of every order-s equation, over q,
+    in scan order: associativity (k = 0), then the law for k = 1..N.  At
+    s = order + 1 they hold exactly the known terms."""
+    tables = defm._tables
+    return itertools.chain(_associativity_terms(tables, s), _derivation_law_terms(tables, s))
 
 
 def _first_violation(defm: Deformation, s: int) -> Violation | None:
     for k, at, lhs, rhs, q in _order_equations(defm, s):
         if lhs != rhs:
             law = "associativity" if k == 0 else f"higher-derivation law k={k}"
-            return Violation(f"order-{s} {law}", at, tuple(Fraction(x, q) for x in lhs),
-                             tuple(Fraction(y, q) for y in rhs))
+            return Violation(f"order-{s} {law}", at, as_fractions(lhs, q), as_fractions(rhs, q))
     return None
 
 

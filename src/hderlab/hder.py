@@ -5,10 +5,12 @@ acting on algebra coordinates and satisfying, for every k and all a, b,
 
     d_k(a b) = sum_{i+j=k} d_i(a) d_j(b)        (d_0 = identity, never stored).
 
-The verifier checks this on basis pairs.  ``truncated_morphism_check`` is a
-deliberately independent second route: it builds the polynomial truncation
-A[t]/(t^{N+1}) and tests whether a |-> a + d_1(a) t + ... + d_N(a) t^N is an
-algebra morphism; the two must agree on every input.
+The verifier checks this on basis pairs, on the integer tables of the law
+that ``algebras`` states once.  ``truncated_morphism_check`` stays a
+deliberately independent second route, in Fractions: it builds the
+polynomial truncation A[t]/(t^{N+1}) and tests whether
+a |-> a + d_1(a) t + ... + d_N(a) t^N is an algebra morphism; the two must
+agree on every input.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract, _hash_once
-from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, vec_add
+from .algebras import (Algebra, CheckReport, Tensor3, Violation, _derivation_law_terms,
+                       _hash_once, _law_tables, tensor_values)
+from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, vec_add
 
 
 @dataclass(frozen=True)
@@ -82,20 +85,13 @@ def verify_hder(alg: Algebra, hd: HigherDerivation) -> CheckReport:
 
 
 def _leibniz_check(t: Tensor3, maps: tuple[Matrix, ...], law: str) -> CheckReport:
-    """d_k(e_i e_j) = sum_{p+q=k} d_p(e_i) d_q(e_j) for k = 1..len(maps) on all
-    basis pairs, the product being the contraction with ``t`` and d_0 = id."""
-    d = len(t)
-    # images[p][i] = d_p(e_i)
-    images = [[tuple(ONE if r == i else ZERO for r in range(d)) for i in range(d)]]
-    images += [[m.column(i) for i in range(d)] for m in maps]
-    for k in range(1, len(maps) + 1):
-        for i, j in itertools.product(range(d), repeat=2):
-            lhs = maps[k - 1].apply(t[i][j])
-            rhs = (ZERO,) * d
-            for p in range(k + 1):
-                rhs = vec_add(rhs, _contract(t, images[p][i], images[k - p][j], d))
-            if lhs != rhs:
-                return CheckReport.failed(law, (k, i, j), lhs, rhs)
+    """The higher-derivation law of ``algebras`` at order 0, on the product
+    ``t`` and the maps d_1..d_N, for k = 1..N on all basis pairs."""
+    tables = _law_tables(len(t), (tensor_values(t),),
+                         tuple((m.transpose().entries,) for m in maps))
+    for k, (i, j), lhs, rhs, q in _derivation_law_terms(tables):
+        if lhs != rhs:
+            return CheckReport.failed(law, (k, i, j), as_fractions(lhs, q), as_fractions(rhs, q))
     return CheckReport.passed()
 
 

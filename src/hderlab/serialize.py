@@ -1,21 +1,22 @@
 """JSON problem files and report payloads.
 
-Rationals travel as strings "p/q" (or "p" when the denominator is 1), never
-as floats.  Matrices are nested row lists; structure-constant tensors are
-nested [i][j][k] lists; multilinear maps are flat row-major lists matching
-the cochain value layout.  Parse errors carry the JSON path that failed.
+Rationals are JSON integers or strings "p/q" or "p" (ASCII digits, p maybe
+"-"-signed), never floats.  Matrices are nested row lists; structure-constant
+tensors are nested [i][j][k] lists; multilinear maps are flat row-major lists
+matching the cochain value layout.  Parse errors carry the failing JSON path.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .algebras import Algebra, Bimodule
+from .algebras import Algebra, Bimodule, tensor_values
 from .cochain import (
     Cochain, CohomologyReport, MultiMap, matrix_to_multimap, multimap_to_matrix,
 )
 from .deform import Deformation, GaugeMap
-from .exactlin import Matrix, rat, rat_str
+from .exactlin import Matrix, rat_str
 from .extensions import ExtensionPair
 from .hder import HigherDerivation
 
@@ -44,23 +45,38 @@ def _list(obj, path: str, length: int | None = None) -> list:
     return obj
 
 
-def parse_rational(obj, path: str) -> Fraction:
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(obj) -> Fraction:
+    """A JSON int or a string ``-?digits(/digits)?``; the error names no path."""
+    if type(obj) is int:
+        return Fraction(obj)
     if isinstance(obj, float):
-        raise ParseError(f"{path}: floats are not accepted; use rational strings")
+        raise ParseError("floats are not accepted; use rational strings")
+    m = _RATIONAL.fullmatch(obj) if isinstance(obj, str) else None
     try:
-        return rat(obj)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        if m is not None:
+            return Fraction(int(m[1]), int(m[2] or 1))
+    except (ValueError, ZeroDivisionError):  # past the int digit limit, or "p/0"
+        pass
+    raise ParseError(f"not an exact rational: {obj!r}")
+
+
+def _row(obj, length: int, path: str) -> tuple[Fraction, ...]:
+    """A list of ``length`` rationals; an entry's path is built only if it fails."""
+    data, out = _list(obj, path, length), []
+    try:
+        for x in data:
+            out.append(_rational(x))
+    except ParseError as exc:
+        raise ParseError(f"{path}[{len(out)}]: {exc}") from None
+    return tuple(out)
 
 
 def parse_matrix(obj, rows: int, cols: int, path: str) -> Matrix:
-    data = _list(obj, path, rows)
-    entries = []
-    for r, row in enumerate(data):
-        row = _list(row, f"{path}[{r}]", cols)
-        for c, x in enumerate(row):
-            entries.append(parse_rational(x, f"{path}[{r}][{c}]"))
-    return Matrix(rows, cols, tuple(entries))
+    return Matrix(rows, cols, tuple(x for r, row in enumerate(_list(obj, path, rows))
+                                    for x in _row(row, cols, f"{path}[{r}]")))
 
 
 def matrix_to_json(mat: Matrix) -> list[list[str]]:
@@ -68,17 +84,9 @@ def matrix_to_json(mat: Matrix) -> list[list[str]]:
 
 
 def parse_tensor3(obj, d0: int, d1: int, d2: int, path: str):
-    data = _list(obj, path, d0)
-    out = []
-    for i, mid in enumerate(data):
-        mid = _list(mid, f"{path}[{i}]", d1)
-        rows = []
-        for j, inner in enumerate(mid):
-            inner = _list(inner, f"{path}[{i}][{j}]", d2)
-            rows.append(tuple(parse_rational(x, f"{path}[{i}][{j}][{k}]")
-                              for k, x in enumerate(inner)))
-        out.append(tuple(rows))
-    return tuple(out)
+    return tuple(tuple(_row(inner, d2, f"{path}[{i}][{j}]")
+                       for j, inner in enumerate(_list(mid, f"{path}[{i}]", d1)))
+                 for i, mid in enumerate(_list(obj, path, d0)))
 
 
 def tensor3_to_json(tensor) -> list:
@@ -141,9 +149,7 @@ def parse_bimodule(doc, dim: int, nrank: int, path: str = "bimodule") -> Bimodul
 
 
 def parse_multimap(obj, arity: int, dim: int, mdim: int, path: str) -> MultiMap:
-    data = _list(obj, path, dim ** arity * mdim)
-    return MultiMap(arity, dim, mdim,
-                    tuple(parse_rational(x, f"{path}[{i}]") for i, x in enumerate(data)))
+    return MultiMap(arity, dim, mdim, _row(obj, dim ** arity * mdim, path))
 
 
 def multimap_to_json(mm: MultiMap) -> list[str]:
@@ -188,9 +194,8 @@ def parse_deformation(doc, dim: int, nrank: int, path: str = "deformation") -> D
     mu_docs = _list(_need(doc, "mu", path), f"{path}.mu", order + 1)
     mus = []
     for p, t in enumerate(mu_docs):
-        tensor = parse_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]")
-        mus.append(MultiMap(2, dim, dim,
-                            tuple(x for mid in tensor for inner in mid for x in inner)))
+        mus.append(MultiMap(2, dim, dim, tensor_values(
+            parse_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]"))))
     d_docs = _list(_need(doc, "d", path), f"{path}.d", nrank)
     dks = []
     for k, series in enumerate(d_docs):

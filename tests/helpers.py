@@ -6,8 +6,10 @@ probes use the section-difference formulas directly, elimination is checked
 against dense Gauss-Jordan, the differential against the whole-map operators
 delta_hoch, delta' and delta_k evaluated tuple by tuple (and its matrix
 against one such evaluation per unit cochain), the deformation verifier and
-obstruction against the hand-written order-s convolutions, and the gauge
-action against dense multimap composition.
+obstruction against the hand-written order-s convolutions, the gauge
+action against dense multimap composition, and the input verifiers
+(associativity, the higher-derivation law on a product or a bracket)
+against their Fraction scans over basis tuples.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import samples
+from hderlab.algebras import _contract
 from hderlab.exactlin import ONE, ZERO, vec_add
 
 # ---------------------------------------------------------------- generators
@@ -656,3 +659,67 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
     return H.Deformation(tuple(
         H.Cochain(mus[s], tuple(H.matrix_to_multimap(series[s]) for series in dks))
         for s in range(T + 1)))
+
+
+def oracle_verify_algebra(alg: H.Algebra) -> H.CheckReport:
+    """Associativity as ``_contract`` products of basis vectors, then the
+    unit laws: the reference for ``algebras.verify_algebra``."""
+    d = alg.dim
+    c = alg.c
+    basis = [alg.basis_vector(i) for i in range(d)]
+    for i, j, l in itertools.product(range(d), repeat=3):
+        lhs = _contract(c, c[i][j], basis[l], d)
+        rhs = _contract(c, basis[i], c[j][l], d)
+        if lhs != rhs:
+            return H.CheckReport.failed("associativity", (i, j, l), lhs, rhs)
+    u = alg.unit_index
+    if u is not None:
+        for j in range(d):
+            ej = alg.basis_vector(j)
+            if c[u][j] != ej:
+                return H.CheckReport.failed("left unit law", (u, j), c[u][j], ej)
+            if c[j][u] != ej:
+                return H.CheckReport.failed("right unit law", (j, u), c[j][u], ej)
+    return H.CheckReport.passed()
+
+
+def oracle_leibniz_check(t, maps: tuple, law: str) -> H.CheckReport:
+    """d_k(e_i e_j) = sum_{p+q=k} d_p(e_i) d_q(e_j) for k = 1..len(maps) on all
+    basis pairs, the product being the contraction with ``t`` and d_0 = id."""
+    d = len(t)
+    # images[p][i] = d_p(e_i)
+    images = [[tuple(ONE if r == i else ZERO for r in range(d)) for i in range(d)]]
+    images += [[m.column(i) for i in range(d)] for m in maps]
+    for k in range(1, len(maps) + 1):
+        for i, j in itertools.product(range(d), repeat=2):
+            lhs = maps[k - 1].apply(t[i][j])
+            rhs = (ZERO,) * d
+            for p in range(k + 1):
+                rhs = vec_add(rhs, _contract(t, images[p][i], images[k - p][j], d))
+            if lhs != rhs:
+                return H.CheckReport.failed(law, (k, i, j), lhs, rhs)
+    return H.CheckReport.passed()
+
+
+def oracle_verify_hder(alg: H.Algebra, hd: H.HigherDerivation) -> H.CheckReport:
+    """The reference for ``hder.verify_hder``."""
+    return oracle_leibniz_check(alg.c, hd.maps, "higher derivation identity")
+
+
+def oracle_verify_liehder(pair: H.LieHDerPair) -> H.CheckReport:
+    """Antisymmetry, Jacobi, then the Fraction law scan: the reference for
+    ``freecons.verify_liehder``."""
+    d = pair.dim
+    b = pair.bracket
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if b[i][j][k] + b[j][i][k] != 0:
+            return H.CheckReport.failed("antisymmetry", (i, j, k))
+    for i, j, k in itertools.product(range(d), repeat=3):
+        ei, ej, ek = (pair.basis_vector(t) for t in (i, j, k))
+        total = vec_add(
+            vec_add(pair.bracket_vec(pair.bracket_vec(ei, ej), ek),
+                    pair.bracket_vec(pair.bracket_vec(ej, ek), ei)),
+            pair.bracket_vec(pair.bracket_vec(ek, ei), ej))
+        if any(total):
+            return H.CheckReport.failed("jacobi identity", (i, j, k), total, (ZERO,) * d)
+    return oracle_leibniz_check(b, pair.maps, "lie higher derivation identity")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,18 @@ def test_float_rejected(tmp_path, capsys):
     bad.write_text('{"algebra": {"dim": 1, "table": [[[0.5]]]}}')
     assert main(["check", str(bad)]) == 2
     assert "float" in capsys.readouterr().err
+    # a rational is a JSON int or a string -?digits(/digits)?, nothing else
+    for entry in ("true", '"1e5000000"', '"0.5"', '"+3"', '" 3"', '"1/0"'):
+        bad.write_text('{"algebra": {"dim": 1, "table": [[[%s]]]}}' % entry)
+        start = time.perf_counter()
+        assert main(["check", str(bad)]) == 2, entry
+        assert time.perf_counter() - start < 1, entry
+        assert ("algebra.table[0][0][0]: not an exact rational: "
+                f"{json.loads(entry)!r}") in capsys.readouterr().err
+    # a JSON integer past the int digit limit fails in json.load itself
+    bad.write_text('{"algebra": {"dim": 1, "table": [[[%s]]]}}' % ("9" * 5000))
+    assert main(["check", str(bad)]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -217,6 +230,10 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     bad.write_text("{")
     assert main(["check", str(bad)]) == 2
     capsys.readouterr()
+    # nesting past the interpreter's recursion limit fails inside json.load
+    bad.write_text('{"algebra": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["check", str(bad)]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):
