@@ -10,10 +10,12 @@ outside the command's precondition).
 ``--json`` selects the machine format.  JSON reports are byte-identical
 across runs for identical inputs: solver outputs are canonical, key order
 is sorted, and timing_ms is pinned to 0 there (the human summary shows the
-real time).  The environment variable HDERLAB_MAX_DIM (default 6) caps
-every dimension a command touches, including constructed total spaces and
-tensor-algebra bases, to keep accidental combinatorial blowups from
-running away.
+real time).  Both formats print their JSON through
+``serialize.report_text``, which writes what ``json.dumps(doc, indent=2,
+sort_keys=True)`` would, byte for byte.  The environment variable
+HDERLAB_MAX_DIM (default 6) caps every dimension a command touches,
+including constructed total spaces and tensor-algebra bases, to keep
+accidental combinatorial blowups from running away.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .serialize import (
     ParseError, check_report_to_json, cochain_to_json, cohomology_to_json,
     deformation_to_json, extension_to_json, gauge_to_json, hder_to_json,
     parse_algebra, parse_bimodule, parse_deformation, parse_hder, parse_matrix,
-    parse_tensor_section, parse_two_cocycle,
+    parse_tensor_section, parse_two_cocycle, report_text,
 )
 
 EXIT_OK = 0
@@ -373,14 +375,14 @@ def _emit(command: str, ok: bool, results: dict, violations: list[str],
     if as_json:
         report = {"ok": ok, "command": command, "results": results,
                   "violations": violations, "timing_ms": 0}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(report_text(report))
         return
     print(f"command: {command}")
     print(f"ok: {'yes' if ok else 'no'}")
     for v in violations:
         print(f"violation: {v}")
     if results:
-        print(json.dumps(results, indent=2, sort_keys=True))
+        print(report_text(results))
     print(f"timing_ms: {elapsed_ms}")
 
 

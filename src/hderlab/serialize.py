@@ -1,22 +1,35 @@
-"""JSON problem files and report payloads.
+"""JSON problem files, report payloads and the report writer.
 
 Rationals are JSON integers or strings "p/q" or "p" (ASCII digits, p maybe
 "-"-signed), never floats.  Matrices are nested row lists; structure-constant
 tensors are nested [i][j][k] lists; multilinear maps are flat row-major lists
 matching the cochain value layout.  Parse errors carry the failing JSON path.
+
+Rational tokens go through ``_token``, an ``lru_cache`` keyed by value and
+type (so ``true`` never reads as ``1``).  The cache is process-wide: it
+outlives a problem file and, in a long-running process, keeps its last 256
+tokens (JSON ints and the strings "p/q", however long) and their Fractions
+alive.  A problem file repeats few tokens many times, so a token is parsed
+about once per file.  Payloads format rationals with ``rat_str``, except
+the shared ``exactlin.ZERO``, which is written as "0" by identity.
+``report_text`` writes a payload exactly as ``json.dumps(doc, indent=2,
+sort_keys=True)`` does, but encodes each list of strings with one C-level
+join.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebras import Algebra, Bimodule, tensor_values
 from .cochain import (
     Cochain, CohomologyReport, MultiMap, matrix_to_multimap, multimap_to_matrix,
 )
 from .deform import Deformation, GaugeMap
-from .exactlin import Matrix, rat_str
+from .exactlin import ZERO, Matrix, rat_str
 from .extensions import ExtensionPair
 from .hder import HigherDerivation
 
@@ -48,30 +61,52 @@ def _list(obj, path: str, length: int | None = None) -> list:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational(obj) -> Fraction:
+def _shown(obj) -> str:
+    """``repr(obj)``, cut to its first 32 characters when it is long."""
+    text = repr(obj)
+    if len(text) <= 64:
+        return text
+    return f"{text[:32]}... ({len(text)} characters)"
+
+
+def _parse_token(obj) -> Fraction:
     """A JSON int or a string ``-?digits(/digits)?``; the error names no path."""
     if type(obj) is int:
-        return Fraction(obj)
+        return Fraction(obj) if obj else ZERO
     if isinstance(obj, float):
         raise ParseError("floats are not accepted; use rational strings")
     m = _RATIONAL.fullmatch(obj) if isinstance(obj, str) else None
     try:
         if m is not None:
-            return Fraction(int(m[1]), int(m[2] or 1))
+            value = Fraction(int(m[1]), int(m[2] or 1))
+            return value if value else ZERO
     except (ValueError, ZeroDivisionError):  # past the int digit limit, or "p/0"
         pass
-    raise ParseError(f"not an exact rational: {obj!r}")
+    raise ParseError(f"not an exact rational: {_shown(obj)}")
+
+
+# typed: True == 1 and hash(True) == hash(1), so an untyped key would let a
+# cached 1 answer for true
+_token = functools.lru_cache(maxsize=256, typed=True)(_parse_token)
 
 
 def _row(obj, length: int, path: str) -> tuple[Fraction, ...]:
     """A list of ``length`` rationals; an entry's path is built only if it fails."""
-    data, out = _list(obj, path, length), []
+    data = _list(obj, path, length)
     try:
-        for x in data:
-            out.append(_rational(x))
-    except ParseError as exc:
-        raise ParseError(f"{path}[{len(out)}]: {exc}") from None
-    return tuple(out)
+        return tuple(map(_token, data))
+    except (ParseError, TypeError):  # TypeError: an unhashable entry
+        for i, x in enumerate(data):
+            try:
+                _parse_token(x)
+            except ParseError as exc:
+                raise ParseError(f"{path}[{i}]: {exc}") from None
+        raise
+
+
+def _rat_strs(values) -> list[str]:
+    """``rat_str`` of each value; the shared ``ZERO`` is "0" without a call."""
+    return ["0" if x is ZERO else rat_str(x) for x in values]
 
 
 def parse_matrix(obj, rows: int, cols: int, path: str) -> Matrix:
@@ -80,7 +115,8 @@ def parse_matrix(obj, rows: int, cols: int, path: str) -> Matrix:
 
 
 def matrix_to_json(mat: Matrix) -> list[list[str]]:
-    return [[rat_str(x) for x in mat.row(r)] for r in range(mat.rows)]
+    cells, c = _rat_strs(mat.entries), mat.cols
+    return [cells[r * c:(r + 1) * c] for r in range(mat.rows)]
 
 
 def parse_tensor3(obj, d0: int, d1: int, d2: int, path: str):
@@ -90,7 +126,7 @@ def parse_tensor3(obj, d0: int, d1: int, d2: int, path: str):
 
 
 def tensor3_to_json(tensor) -> list:
-    return [[[rat_str(x) for x in inner] for inner in mid] for mid in tensor]
+    return [[_rat_strs(inner) for inner in mid] for mid in tensor]
 
 
 def parse_algebra(doc, path: str = "algebra") -> Algebra:
@@ -153,7 +189,7 @@ def parse_multimap(obj, arity: int, dim: int, mdim: int, path: str) -> MultiMap:
 
 
 def multimap_to_json(mm: MultiMap) -> list[str]:
-    return [rat_str(x) for x in mm.values]
+    return _rat_strs(mm.values)
 
 
 def parse_cochain(doc, dim: int, mdim: int, nrank: int, path: str = "cochain") -> Cochain:
@@ -210,9 +246,9 @@ def deformation_to_json(defm: Deformation) -> dict:
     d = defm.dim
     mu_json = []
     for c in defm.coeffs:
-        tensor = [[[rat_str(x) for x in c.main.value_at((i, j))] for j in range(d)]
-                  for i in range(d)]
-        mu_json.append(tensor)
+        cells = _rat_strs(c.main.values)  # [i][j][k] at (i * d + j) * d + k
+        mu_json.append([[cells[(i * d + j) * d:(i * d + j + 1) * d] for j in range(d)]
+                        for i in range(d)])
     return {"order": defm.order, "mu": mu_json,
             "d": [[matrix_to_json(multimap_to_matrix(c.parts[k])) for c in defm.coeffs]
                   for k in range(defm.rank)]}
@@ -265,3 +301,44 @@ def check_report_to_json(report) -> dict:
     if report.violation is not None:
         doc["violation"] = str(report.violation)
     return doc
+
+
+def report_text(doc) -> str:
+    """``doc`` exactly as ``json.dumps(doc, indent=2, sort_keys=True)`` writes it.
+
+    Covers what reports hold: dicts with str keys, lists, str, int, bool and
+    None.  A list of strings is encoded in one join, where the json module's
+    pure-Python encoder (which ``indent`` selects) makes a call per item.
+    """
+    return _encode(doc, "\n")
+
+
+def _encode(obj, newline: str) -> str:
+    """``obj`` as JSON; ``newline`` is a line break plus the current indent."""
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if type(obj[0]) is str:
+            try:
+                return f"[{inner}{(',' + inner).join(map(_quote, obj))}{newline}]"
+            except TypeError:  # not every item is a string
+                pass
+        return f"[{inner}{(',' + inner).join([_encode(x, inner) for x in obj])}{newline}]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -7,14 +7,16 @@ against dense Gauss-Jordan, the differential against the whole-map operators
 delta_hoch, delta' and delta_k evaluated tuple by tuple (and its matrix
 against one such evaluation per unit cochain), the deformation verifier and
 obstruction against the hand-written order-s convolutions, the gauge
-action against dense multimap composition, and the input verifiers
+action against dense multimap composition, the input verifiers
 (associativity, the higher-derivation law on a product or a bracket)
-against their Fraction scans over basis tuples.
+against their Fraction scans over basis tuples, and the report writer
+against the json module.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -723,3 +725,9 @@ def oracle_verify_liehder(pair: H.LieHDerPair) -> H.CheckReport:
         if any(total):
             return H.CheckReport.failed("jacobi identity", (i, j, k), total, (ZERO,) * d)
     return oracle_leibniz_check(b, pair.maps, "lie higher derivation identity")
+
+
+def oracle_report_text(doc) -> str:
+    """The json module's indented, key-sorted text: the reference for
+    ``serialize.report_text``."""
+    return json.dumps(doc, indent=2, sort_keys=True)

@@ -9,6 +9,9 @@ import pytest
 
 from hderlab import cli, freecons
 from hderlab.cli import main
+from hderlab.serialize import report_text
+
+from helpers import oracle_report_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -60,6 +63,31 @@ REPORT_SHA256 = {
 }
 
 
+# sha256 of each human-mode report above without its timing_ms line, taken
+# before the report writer replaced json.dumps
+HUMAN_SHA256 = {
+    "check dual_pair.json": "91182096ed951659d883fb725ed408c66a94fabaf71bbc07bce4064b9fa7d3bc",
+    "check split_pair.json": "8c9ac058e633530ee0e2c0f4cad739b17d4b003dcdb3a3daad2151d423f3c02b",
+    "cohomology split_pair.json --degree 2": "89099037731e56f6f0440d28fdc579b5cdc5250486fbc49500dc96eb84f6bd76",
+    "cohomology split_pair.json --degree 1 --coefficients trivial": "04d3a172f09a4cf33f28ab2d2014041e1ae240aca270aa1b8c9b6e4aca53e8b3",
+    "cohomology nil_central.json --degree 2 --coefficients file": "34c1447bc7e4487838c65aa1b5ba6c02124b26595ee7b1a63d576bf028c29b37",
+    "classify-central nil_central.json": "b0b7e0b11032475f9fa5f37862eeb8c547f9352b3f24a1170d36000dfed11771",
+    "extend-abelian dual_cocycle.json": "7771bfef78e01f8b8fcbb0e0c838657f7087ab3d2c2170fe202ee187658c97af",
+    "extend-abelian dual_bad_cocycle.json": "691f50a44643eda54afbfc658125fb1fe2895ca7442618373ea7829225ffb00c",
+    "cocycle-from-section dual_cocycle.json": "e42f09d44112d3f5a0445d99d43721ddb635c4f1c72fac434d67bf2760a47bb2",
+    "deform-verify dual_deform.json": "e547fd040ad73f4c34e43741e55b69d2bb3524f67bbec83c8e3bc5d9697bc131",
+    "deform-verify dual_deform_bad.json": "3944e9b7d4d476f502985196ca82b65a53819c2b44ea854ae452120add62991e",
+    "deform-obstruct dual_deform.json": "4a845be9118fbada18fb91113572dacc16953d08934271c7694599a2a39eca63",
+    "deform-obstruct nil_deform_blocked.json": "b0d68c3240083a0134437937992db099fcac207463d31c4b7c1833a37e940b8c",
+    "deform-extend dual_deform.json --to 4": "4c8c8841c13abf1d87ae4623af0bb64f3613f5ccd94fad7065fcbd1e98dab9ae",
+    "deform-extend nil_deform_blocked.json": "6ff34262449f1f8417405d929f0ec24933cac6268a03fabc241e0345768de3ba",
+    "deform-trivialize dual_deform.json": "d75483391e1d1451da00342d4e626b60b46cd301b9ff472d5edf0fe4fbb6d5e7",
+    "deform-trivialize nil_deform_blocked.json --to 1": "9a868e86ff6ea689ed09ca1ff450f103212d0213de7f7730007649a87eb98d47",
+    "free-tensor tensor_line.json": "1f320f3c950bb221f929d936ee9b6d304157ee0161fa1106d5de2377b979ec5a",
+    "free-tensor tensor_line.json --degree 3": "c9ba4b0003b6f0f695c6ac6490415b69bcf6102d6395bda2af3a260f8d7fd56e",
+}
+
+
 def _argv(args):
     return [args[0], str(FIXTURES / args[1]), *args[2:]]
 
@@ -90,6 +118,18 @@ def test_json_reports_match_pinned_digests(args, expected, capsys):
     assert main([*_argv(args), "--json"]) == expected
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[" ".join(args)]
+
+
+@pytest.mark.parametrize("args,expected", COMMANDS, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_human_reports_match_pinned_digests(args, expected, monkeypatch, capsys):
+    docs = []
+    monkeypatch.setattr(cli, "report_text", lambda doc: docs.append(doc) or report_text(doc))
+    assert main(_argv(args)) == expected
+    assert all(report_text(doc) == oracle_report_text(doc) for doc in docs)
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[-1].startswith("timing_ms: ")
+    out = "".join(line for line in lines if not line.startswith("timing_ms:"))
+    assert hashlib.sha256(out.encode()).hexdigest() == HUMAN_SHA256[" ".join(args)]
 
 
 def test_degree_four_cohomology_of_m2_rank_two(capsys):
