@@ -6,7 +6,7 @@ calculus."""
 
 from .algebras import (
     Algebra, Bimodule, CheckReport, Violation, adjoint_bimodule,
-    trivial_bimodule, verify_algebra, verify_bimodule,
+    trivial_bimodule, verify_algebra,
 )
 from .cochain import (
     Cochain, CohomologyReport, MultiMap, NotACocycleError, cochain_dim,
@@ -28,7 +28,7 @@ from .extensions import (
     ExtensionPair, SectionError, check_equivalence,
     classify_central, cocycle_from_section, equivalence_from_cochain,
     extension_from_cocycle, extension_structure, find_equivalence,
-    semidirect,
+    semidirect, verify_bimodule,
 )
 from .freecons import (
     LieHDerPair, TruncatedTensorAlgebra, UniversalExtensionReport,

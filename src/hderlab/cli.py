@@ -26,14 +26,13 @@ import os
 import sys
 import time
 
-from .algebras import (
-    adjoint_bimodule, trivial_bimodule, verify_algebra, verify_bimodule,
-)
+from .algebras import adjoint_bimodule, trivial_bimodule, verify_algebra
 from .cochain import NotACocycleError, cohomology, is_coboundary
 from .deform import extend_to, obstruction, trivialize, verify_deformation
 from .exactlin import Matrix, ShapeError
 from .extensions import (
     SectionError, classify_central, cocycle_from_section, extension_from_cocycle,
+    verify_bimodule,
 )
 from .freecons import induced_tensor_hder
 from .hder import verify_hder

@@ -15,9 +15,9 @@ Fraction operation: :func:`echelon` feeds the integer rows to an
 combines two rows as ``a*v - b*row``, in the manner of fraction-free
 (Bareiss) elimination.  Back-substitution runs only when the reduced form is
 asked for, and a reduced entry x of the row with pivot value p becomes the
-Fraction x/p only where ``rref``, ``kernel_basis`` or ``solve_affine`` hand
-it out.  The reduced row echelon form of a row space is unique, so those
-outputs are canonical, and higher layers reproduce bit for bit.
+Fraction x/p only where ``kernel_basis`` or ``solve_affine`` hand it out.
+The reduced row echelon form of a row space is unique, so those outputs are
+canonical, and higher layers reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -341,19 +341,6 @@ def echelon(m: Matrix) -> Echelon:
         if row:
             ech._insert(dict(row))
     return ech
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns."""
-    rows = echelon(m).reduced()
-    pivots = tuple(sorted(rows))
-    entries = [ZERO] * (m.rows * m.cols)
-    for i, p in enumerate(pivots):
-        row = rows[p]
-        pivot = row[p]
-        for j, x in row.items():
-            entries[i * m.cols + j] = Fraction(x, pivot)
-    return Matrix(m.rows, m.cols, tuple(entries)), pivots
 
 
 def rank(m: Matrix) -> int:

@@ -7,6 +7,12 @@ the canonical inclusion, projection and section matrices; a square-zero
 M-block carries the module structure and a 2-cocycle, a ``Cochain``
 (psi; chi_1, ..., chi_N) with n = 2, twists the product and the derivation
 maps.
+
+Two statements of the paper are the code here.  (M, d^M) is a
+representation exactly when the semidirect product is a pair, so
+``verify_bimodule`` checks the laws of ``algebras`` on ``semidirect``.  The
+cocycle of a section s is how far s is from a morphism of pairs, so
+``cocycle_from_section`` reads the two sides of the morphism law of ``hder``.
 """
 
 from __future__ import annotations
@@ -15,14 +21,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import Algebra, Bimodule, CheckReport
+from .algebras import (Algebra, Bimodule, CheckReport, _associativity_terms,
+                       _derivation_law_terms, _pair_tables)
 from .cochain import (
     Cochain, MultiMap, NotACocycleError, cochain_to_vector, cohomology,
     differential, differential_matrix, is_coboundary, multimap_to_matrix,
     zero_cochain,
 )
-from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, echelon
-from .hder import AssHDerMorphism, AssHDerPair, HigherDerivation, check_morphism
+from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, echelon
+from .hder import (AssHDerMorphism, AssHDerPair, HigherDerivation, _morphism_law_terms,
+                   check_morphism)
 
 
 class SectionError(ValueError):
@@ -117,6 +125,45 @@ def semidirect(alg: Algebra, hd: HigherDerivation, mod: Bimodule) -> AssHDerPair
     return extension_structure(alg, hd, mod, zero_cochain(alg.dim, mod.mdim, hd.rank, 2))
 
 
+def verify_bimodule(alg: Algebra, hder: HigherDerivation, mod: Bimodule) -> CheckReport:
+    """Module laws and module-side higher-derivation laws on basis elements.
+
+    (M, d^M) is a representation exactly when the semidirect product, with
+    the maps d_k + d_k^M, is a pair; so the laws are associativity and the
+    higher-derivation law there, on the basis tuples holding one module
+    vector.  For each (i, j, a): associativity at (e_i, e_j, m_a) is the left
+    module law, at (m_a, e_i, e_j) the right one (sides swapped) and at
+    (e_i, m_a, e_j) bimodule compatibility.  Then for each k and (i, a): the
+    law at (e_i, m_a) is d_k^M(a m) = sum_{p+q=k} d_p(a) d_q^M(m), and at
+    (m_a, e_i) its right-handed twin.  A violation shows module coordinates.
+    """
+    if len(mod.dmaps) != hder.rank:
+        raise ShapeError(f"{hder.rank} module maps expected, got {len(mod.dmaps)}")
+    d, md = alg.dim, mod.mdim
+    total = semidirect(alg, hder, mod)
+    tables = _pair_tables(total.algebra.c, total.hder.maps)
+
+    def failed(law, at, lhs, rhs, q):
+        return CheckReport.failed(law, at, as_fractions(lhs[d:], q), as_fractions(rhs[d:], q))
+
+    triples = [t for i, j, a in itertools.product(range(d), range(d), range(d, d + md))
+               for t in ((i, j, a), (a, i, j), (i, a, j))]
+    for _, (x, y, z), lhs, rhs, q in _associativity_terms(tables, _at=triples):
+        if lhs != rhs:
+            if z >= d:
+                return failed("left module law", (x, y, z - d), lhs, rhs, q)
+            if x >= d:
+                return failed("right module law", (y, z, x - d), rhs, lhs, q)
+            return failed("bimodule compatibility", (x, z, y - d), lhs, rhs, q)
+    pairs = [t for i, a in itertools.product(range(d), range(d, d + md)) for t in ((i, a), (a, i))]
+    for k, (x, y), lhs, rhs, q in _derivation_law_terms(tables, _at=pairs):
+        if lhs != rhs:
+            if y >= d:
+                return failed("left derivation law", (k, x, y - d), lhs, rhs, q)
+            return failed("right derivation law", (k, y, x - d), lhs, rhs, q)
+    return CheckReport.passed()
+
+
 def extension_from_cocycle(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
                            z: Cochain) -> ExtensionPair:
     """Build the extension twisted by z after checking z really is a cocycle.
@@ -160,36 +207,23 @@ def cocycle_from_section(ext: ExtensionPair, section: Matrix | None = None) -> C
     must induce the declared bimodule actions.
     """
     s = ext.section if section is None else section
-    alg, mod = ext.base.algebra, ext.module
-    d, md = alg.dim, mod.mdim
+    d, md = ext.dim, ext.mdim
     if s.rows != d + md or s.cols != d:
         raise ShapeError(f"section must be {d + md}x{d}")
     if ext.project * s != Matrix.identity(d):
         raise SectionError("matrix is not a section: p o s is not the identity")
     _check_induced_actions(ext, s)
-    total = ext.total
-    psi_values: list[Fraction] = []
-    for i, j in itertools.product(range(d), repeat=2):
-        prod = total.algebra.mult(s.column(i), s.column(j))
-        lifted = s.apply(alg.basis_product(i, j))
-        diff = tuple(x - y for x, y in zip(prod, lifted))
+    # psi = s(a)s(b) - s(ab) is rhs - lhs of the multiplicativity terms,
+    # chi_k = d_k^E s - s d_k is lhs - rhs of the k-th intertwining terms
+    values: list[list[Fraction]] = [[] for _ in range(ext.base.hder.rank + 1)]
+    for k, _, lhs, rhs in _morphism_law_terms(ext.base, ext.total, s):
+        diff = [y - x for x, y in zip(lhs, rhs)] if k == 0 else [x - y for x, y in zip(lhs, rhs)]
         if any(ext.algebra_part(diff)):
-            raise SectionError("section defect does not land in the module part")
-        psi_values.extend(ext.module_part(diff))
-    psi = MultiMap(2, d, md, tuple(psi_values))
-    chis = []
-    for k in range(1, ext.base.hder.rank + 1):
-        chi_values: list[Fraction] = []
-        for i in range(d):
-            diff_vec = tuple(
-                x - y for x, y in zip(
-                    total.hder.maps[k - 1].apply(s.column(i)),
-                    s.apply(ext.base.hder.apply(k, alg.basis_vector(i)))))
-            if any(ext.algebra_part(diff_vec)):
-                raise SectionError("derivation defect does not land in the module part")
-            chi_values.extend(ext.module_part(diff_vec))
-        chis.append(MultiMap(1, d, md, tuple(chi_values)))
-    return Cochain(psi, tuple(chis))
+            raise SectionError(("derivation" if k else "section") +
+                               " defect does not land in the module part")
+        values[k].extend(ext.module_part(diff))
+    return Cochain(MultiMap(2, d, md, tuple(values[0])),
+                   tuple(MultiMap(1, d, md, tuple(v)) for v in values[1:]))
 
 
 def equivalence_from_cochain(h: MultiMap) -> Matrix:
@@ -213,7 +247,7 @@ def check_equivalence(e1: ExtensionPair, e2: ExtensionPair,
     It must be an algebra morphism intertwining the derivation maps,
     restrict to the identity on M, and project to the identity on A.
     """
-    if (e1.dim, e1.mdim) != (e2.dim, e2.mdim):
+    if e1.base != e2.base or e1.module != e2.module:
         raise ShapeError("extensions are not over the same base and module")
     big = e1.dim + e1.mdim
     if candidate.rows != big or candidate.cols != big:
@@ -233,7 +267,7 @@ def find_equivalence(e1: ExtensionPair, e2: ExtensionPair) -> Matrix | None:
     differ by the coboundary of h.  Returns the shear matrix, or None when
     the extensions represent different cohomology classes.
     """
-    if (e1.dim, e1.mdim) != (e2.dim, e2.mdim):
+    if e1.base != e2.base or e1.module != e2.module:
         raise ShapeError("extensions are not over the same base and module")
     alg, hd, mod = e1.base.algebra, e1.base.hder, e1.module
     z1 = cocycle_from_section(e1)

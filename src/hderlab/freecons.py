@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, vec_add
-from .hder import AssHDerPair, HigherDerivation, _leibniz_check
+from .hder import AssHDerPair, HigherDerivation, _leibniz_check, _morphism_law_terms
 
 Word = tuple[int, ...]
 
@@ -183,27 +183,16 @@ def universal_extension(tta: TruncatedTensorAlgebra, thetas: tuple[Matrix, ...],
     lifted = Matrix.from_columns(images)
 
     _, induced = induced_tensor_hder(tta.vdim, tta.max_degree, thetas)
-
-    for i, u in enumerate(tta.words):
-        for j, w in enumerate(tta.words):
-            if len(u) + len(w) > tta.max_degree:
-                continue
-            if not unital and (not u or not w):
-                continue
-            lhs = lifted.apply(tta.algebra.basis_product(i, j))
-            rhs = alg.mult(images[i], images[j])
-            if lhs != rhs:
-                return UniversalExtensionReport(
-                    False, Violation("multiplicativity", (i, j), lhs, rhs), lifted, unit_handling)
-    for k in range(1, hd.rank + 1):
-        for i, w in enumerate(tta.words):
-            if not unital and not w:
-                continue
-            lhs = hd.maps[k - 1].apply(images[i])
-            rhs = lifted.apply(induced.maps[k - 1].column(i))
-            if lhs != rhs:
-                return UniversalExtensionReport(
-                    False, Violation("intertwining", (k, i), lhs, rhs), lifted, unit_handling)
+    words = tta.words
+    pairs = [(i, j) for i, u in enumerate(words) for j, w in enumerate(words)
+             if len(u) + len(w) <= tta.max_degree and (unital or (u and w))]
+    cols = [i for i, w in enumerate(words) if unital or w]
+    source = AssHDerPair(tta.algebra, induced)
+    for k, at, lhs, rhs in _morphism_law_terms(source, target, lifted, pairs, cols):
+        if lhs != rhs:
+            violation = Violation("intertwining", (k, *at), lhs, rhs) if k else \
+                Violation("multiplicativity", at, lhs, rhs)
+            return UniversalExtensionReport(False, violation, lifted, unit_handling)
     return UniversalExtensionReport(True, None, lifted, unit_handling)
 
 

@@ -11,6 +11,11 @@ deliberately independent second route, in Fractions: it builds the
 polynomial truncation A[t]/(t^{N+1}) and tests whether
 a |-> a + d_1(a) t + ... + d_N(a) t^N is an algebra morphism; the two must
 agree on every input.
+
+The morphism law of pairs, f(ab) = f(a) f(b) and d_k f = f d_k, is stated
+once as well (``_morphism_law_terms``).  ``check_morphism``, the universal
+extension of ``freecons`` and the section cocycle of ``extensions`` all read
+it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .algebras import (Algebra, CheckReport, Tensor3, Violation, _derivation_law_terms,
-                       _hash_once, _law_tables, tensor_values)
+                       _hash_once, _pair_tables)
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, vec_add
 
 
@@ -87,9 +92,7 @@ def verify_hder(alg: Algebra, hd: HigherDerivation) -> CheckReport:
 def _leibniz_check(t: Tensor3, maps: tuple[Matrix, ...], law: str) -> CheckReport:
     """The higher-derivation law of ``algebras`` at order 0, on the product
     ``t`` and the maps d_1..d_N, for k = 1..N on all basis pairs."""
-    tables = _law_tables(len(t), (tensor_values(t),),
-                         tuple((m.transpose().entries,) for m in maps))
-    for k, (i, j), lhs, rhs, q in _derivation_law_terms(tables):
+    for k, (i, j), lhs, rhs, q in _derivation_law_terms(_pair_tables(t, maps)):
         if lhs != rhs:
             return CheckReport.failed(law, (k, i, j), as_fractions(lhs, q), as_fractions(rhs, q))
     return CheckReport.passed()
@@ -217,8 +220,27 @@ def truncated_morphism_check(alg: Algebra, hd: HigherDerivation) -> CheckReport:
     return CheckReport.passed()
 
 
+def _morphism_law_terms(src: AssHDerPair, tgt: AssHDerPair, f: Matrix,
+                        pairs=None, cols=None):
+    """Both sides of the morphism law for the linear map f: src -> tgt, in scan
+    order.  Yields ``(0, (i, j), f(e_i e_j), f(e_i) f(e_j))`` over the basis
+    pairs, then ``(k, (i,), d_k f(e_i), f(d_k e_i))`` for k = 1..N over the
+    columns.  ``pairs`` and ``cols`` list what to scan, in order; by default
+    every basis pair and every column."""
+    d = src.algebra.dim
+    images = [f.column(i) for i in range(d)]
+    for i, j in itertools.product(range(d), repeat=2) if pairs is None else pairs:
+        yield 0, (i, j), f.apply(src.algebra.basis_product(i, j)), \
+            tgt.algebra.mult(images[i], images[j])
+    for k in range(1, src.hder.rank + 1):
+        d_src, d_tgt = src.hder.maps[k - 1], tgt.hder.maps[k - 1]
+        for i in range(d) if cols is None else cols:
+            yield k, (i,), d_tgt.apply(images[i]), f.apply(d_src.column(i))
+
+
 def check_morphism(mor: AssHDerMorphism) -> CheckReport:
-    """Algebra multiplicativity on basis pairs plus intertwining with all d_k."""
+    """Algebra multiplicativity on basis pairs plus intertwining with all d_k;
+    an intertwining failure names its k only."""
     src, tgt, f = mor.source, mor.target, mor.matrix
     if src.hder.rank != tgt.hder.rank:
         raise ShapeError("source and target ranks differ")
@@ -226,15 +248,9 @@ def check_morphism(mor: AssHDerMorphism) -> CheckReport:
         raise ShapeError(
             f"morphism matrix is {f.rows}x{f.cols}, expected "
             f"{tgt.algebra.dim}x{src.algebra.dim}")
-    d = src.algebra.dim
-    for i, j in itertools.product(range(d), repeat=2):
-        lhs = f.apply(src.algebra.basis_product(i, j))
-        rhs = tgt.algebra.mult(f.column(i), f.column(j))
+    for k, at, lhs, rhs in _morphism_law_terms(src, tgt, f):
         if lhs != rhs:
-            return CheckReport(False, Violation("algebra morphism", (i, j), lhs, rhs))
-    for k in range(1, src.hder.rank + 1):
-        lhs_m = tgt.hder.maps[k - 1] * f
-        rhs_m = f * src.hder.maps[k - 1]
-        if lhs_m != rhs_m:
-            return CheckReport(False, Violation("intertwining", (k,), None, None))
+            if k:
+                return CheckReport.failed("intertwining", (k,))
+            return CheckReport.failed("algebra morphism", at, lhs, rhs)
     return CheckReport.passed()

@@ -8,9 +8,11 @@ delta_hoch, delta' and delta_k evaluated tuple by tuple (and its matrix
 against one such evaluation per unit cochain), the deformation verifier and
 obstruction against the hand-written order-s convolutions, the gauge
 action against dense multimap composition, the input verifiers
-(associativity, the higher-derivation law on a product or a bracket)
-against their Fraction scans over basis tuples, and the report writer
-against the json module.
+(associativity, the higher-derivation law on a product or a bracket, the
+bimodule laws) against their Fraction scans over basis tuples, the three
+readers of the morphism law (morphisms, universal extensions, section
+cocycles) against their own loops, and the report writer against the json
+module.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from hypothesis import strategies as st
 import hderlab as H
 from hderlab import samples
 from hderlab.algebras import _contract
-from hderlab.exactlin import ONE, ZERO, vec_add
+from hderlab.exactlin import ONE, ZERO, echelon, vec_add
+from hderlab.extensions import _check_induced_actions
 
 # ---------------------------------------------------------------- generators
 
@@ -265,10 +268,23 @@ def cochains_equal(a: H.Cochain, b: H.Cochain) -> bool:
         all(x.values == y.values for x, y in zip(a.parts, b.parts))
 
 
+def reduced_matrix(m: H.Matrix) -> tuple[H.Matrix, tuple[int, ...]]:
+    """``echelon(m).reduced()`` as a rows x cols matrix of Fractions (each
+    integer row divided by its pivot, zero rows at the bottom) and the tuple
+    of pivot columns: the kernel's RREF in the form of ``dense_rref``."""
+    rows = echelon(m).reduced()
+    pivots = tuple(sorted(rows))
+    entries = [ZERO] * (m.rows * m.cols)
+    for i, p in enumerate(pivots):
+        for j, x in rows[p].items():
+            entries[i * m.cols + j] = Fraction(x, rows[p][p])
+    return H.Matrix(m.rows, m.cols, tuple(entries)), pivots
+
+
 def dense_rref(m: H.Matrix) -> tuple[H.Matrix, tuple[int, ...]]:
     """Reduced row echelon form by dense rational Gauss-Jordan.
 
-    First-nonzero pivoting on full rows; the reference for ``exactlin.rref``.
+    First-nonzero pivoting on full rows; the reference for ``reduced_matrix``.
     """
     work = m.to_rows()
     pivots: list[int] = []
@@ -731,3 +747,152 @@ def oracle_report_text(doc) -> str:
     """The json module's indented, key-sorted text: the reference for
     ``serialize.report_text``."""
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def oracle_verify_bimodule(alg: H.Algebra, hder, mod: H.Bimodule) -> H.CheckReport:
+    """The module laws, bimodule compatibility and the module-side derivation
+    laws scanned with the action contractions in Fractions: the reference for
+    ``extensions.verify_bimodule``."""
+    d, md = alg.dim, mod.mdim
+    if len(mod.dmaps) != hder.rank:
+        raise H.ShapeError(f"{hder.rank} module maps expected, got {len(mod.dmaps)}")
+    for i, j, a in itertools.product(range(d), range(d), range(md)):
+        ma = mod.basis_vector(a)
+        prod = alg.basis_product(i, j)
+        ei, ej = alg.basis_vector(i), alg.basis_vector(j)
+        lhs = mod.act_left(prod, ma)
+        rhs = mod.act_left(ei, mod.act_left(ej, ma))
+        if lhs != rhs:
+            return H.CheckReport.failed("left module law", (i, j, a), lhs, rhs)
+        lhs = mod.act_right(ma, prod)
+        rhs = mod.act_right(mod.act_right(ma, ei), ej)
+        if lhs != rhs:
+            return H.CheckReport.failed("right module law", (i, j, a), lhs, rhs)
+        lhs = mod.act_right(mod.act_left(ei, ma), ej)
+        rhs = mod.act_left(ei, mod.act_right(ma, ej))
+        if lhs != rhs:
+            return H.CheckReport.failed("bimodule compatibility", (i, j, a), lhs, rhs)
+    for k in range(1, hder.rank + 1):
+        for i, a in itertools.product(range(d), range(md)):
+            ei = alg.basis_vector(i)
+            ma = mod.basis_vector(a)
+            lhs = mod.dmaps[k - 1].apply(mod.act_left(ei, ma))
+            rhs = tuple(
+                sum(col) for col in zip(*(
+                    mod.act_left(hder.apply(p, ei), mod.apply_dmap(k - p, ma))
+                    for p in range(k + 1))))
+            if lhs != rhs:
+                return H.CheckReport.failed("left derivation law", (k, i, a), lhs, rhs)
+            lhs = mod.dmaps[k - 1].apply(mod.act_right(ma, ei))
+            rhs = tuple(
+                sum(col) for col in zip(*(
+                    mod.act_right(mod.apply_dmap(p, ma), hder.apply(k - p, ei))
+                    for p in range(k + 1))))
+            if lhs != rhs:
+                return H.CheckReport.failed("right derivation law", (k, i, a), lhs, rhs)
+    return H.CheckReport.passed()
+
+
+def oracle_check_morphism(mor: H.AssHDerMorphism) -> H.CheckReport:
+    """Multiplicativity on basis pairs, then d_k f = f d_k as whole matrix
+    products: the reference for ``hder.check_morphism``."""
+    src, tgt, f = mor.source, mor.target, mor.matrix
+    if src.hder.rank != tgt.hder.rank:
+        raise H.ShapeError("source and target ranks differ")
+    if f.rows != tgt.algebra.dim or f.cols != src.algebra.dim:
+        raise H.ShapeError(
+            f"morphism matrix is {f.rows}x{f.cols}, expected "
+            f"{tgt.algebra.dim}x{src.algebra.dim}")
+    d = src.algebra.dim
+    for i, j in itertools.product(range(d), repeat=2):
+        lhs = f.apply(src.algebra.basis_product(i, j))
+        rhs = tgt.algebra.mult(f.column(i), f.column(j))
+        if lhs != rhs:
+            return H.CheckReport.failed("algebra morphism", (i, j), lhs, rhs)
+    for k in range(1, src.hder.rank + 1):
+        if tgt.hder.maps[k - 1] * f != f * src.hder.maps[k - 1]:
+            return H.CheckReport.failed("intertwining", (k,))
+    return H.CheckReport.passed()
+
+
+def oracle_universal_extension(tta: H.TruncatedTensorAlgebra, thetas: tuple,
+                               target: H.AssHDerPair, f: H.Matrix) -> H.UniversalExtensionReport:
+    """The word images built letter by letter, then multiplicativity on the
+    word pairs of total degree <= max_degree and intertwining word by word:
+    the reference for ``freecons.universal_extension``."""
+    alg, hd = target.algebra, target.hder
+    if len(thetas) != hd.rank:
+        raise H.ShapeError(f"{hd.rank} generator maps expected, got {len(thetas)}")
+    if f.rows != alg.dim or f.cols != tta.vdim:
+        raise H.ShapeError(f"generator map is {f.rows}x{f.cols}, expected {alg.dim}x{tta.vdim}")
+    for k in range(1, hd.rank + 1):
+        if hd.maps[k - 1] * f != f * thetas[k - 1]:
+            raise ValueError(f"generator map does not intertwine at k={k}")
+    unital = alg.unit_index is not None
+    unit_handling = "mapped-to-unit" if unital else "degree-zero-skipped"
+    images = []
+    for w in tta.words:
+        if not w:
+            images.append(alg.unit_vector() if unital else (ZERO,) * alg.dim)
+            continue
+        acc = f.column(w[0])
+        for letter in w[1:]:
+            acc = alg.mult(acc, f.column(letter))
+        images.append(acc)
+    lifted = H.Matrix.from_columns(images)
+    _, induced = H.induced_tensor_hder(tta.vdim, tta.max_degree, thetas)
+
+    def failed(law, at, lhs, rhs):
+        return H.UniversalExtensionReport(False, H.Violation(law, at, lhs, rhs), lifted,
+                                          unit_handling)
+
+    for i, u in enumerate(tta.words):
+        for j, w in enumerate(tta.words):
+            if len(u) + len(w) > tta.max_degree or (not unital and (not u or not w)):
+                continue
+            lhs = lifted.apply(tta.algebra.basis_product(i, j))
+            rhs = alg.mult(images[i], images[j])
+            if lhs != rhs:
+                return failed("multiplicativity", (i, j), lhs, rhs)
+    for k in range(1, hd.rank + 1):
+        for i, w in enumerate(tta.words):
+            if not unital and not w:
+                continue
+            lhs = hd.maps[k - 1].apply(images[i])
+            rhs = lifted.apply(induced.maps[k - 1].column(i))
+            if lhs != rhs:
+                return failed("intertwining", (k, i), lhs, rhs)
+    return H.UniversalExtensionReport(True, None, lifted, unit_handling)
+
+
+def oracle_cocycle_from_section(ext: H.ExtensionPair, section: H.Matrix | None = None) -> H.Cochain:
+    """psi(a, b) = s(a)s(b) - s(ab) on basis pairs, then chi_k(a) =
+    d_k^E s(a) - s d_k(a) column by column, each checked to land in M: the
+    reference for ``extensions.cocycle_from_section``."""
+    s = ext.section if section is None else section
+    alg, total = ext.base.algebra, ext.total
+    d, md = ext.dim, ext.mdim
+    if s.rows != d + md or s.cols != d:
+        raise H.ShapeError(f"section must be {d + md}x{d}")
+    if ext.project * s != H.Matrix.identity(d):
+        raise H.SectionError("matrix is not a section: p o s is not the identity")
+    _check_induced_actions(ext, s)
+    psi_values = []
+    for i, j in itertools.product(range(d), repeat=2):
+        prod = total.algebra.mult(s.column(i), s.column(j))
+        diff = tuple(x - y for x, y in zip(prod, s.apply(alg.basis_product(i, j))))
+        if any(ext.algebra_part(diff)):
+            raise H.SectionError("section defect does not land in the module part")
+        psi_values.extend(ext.module_part(diff))
+    chis = []
+    for k in range(1, ext.base.hder.rank + 1):
+        chi_values = []
+        for i in range(d):
+            diff = tuple(x - y for x, y in zip(
+                total.hder.maps[k - 1].apply(s.column(i)),
+                s.apply(ext.base.hder.apply(k, alg.basis_vector(i)))))
+            if any(ext.algebra_part(diff)):
+                raise H.SectionError("derivation defect does not land in the module part")
+            chi_values.extend(ext.module_part(diff))
+        chis.append(H.MultiMap(1, d, md, tuple(chi_values)))
+    return H.Cochain(H.MultiMap(2, d, md, tuple(psi_values)), tuple(chis))

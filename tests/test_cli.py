@@ -18,6 +18,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 COMMANDS = [
     (["check", "dual_pair.json"], 0),
     (["check", "split_pair.json"], 0),
+    (["check", "dual_bad_bimodule.json"], 1),
     (["cohomology", "split_pair.json", "--degree", "2"], 0),
     (["cohomology", "split_pair.json", "--degree", "1", "--coefficients", "trivial"], 0),
     (["cohomology", "nil_central.json", "--degree", "2", "--coefficients", "file"], 0),
@@ -43,6 +44,7 @@ COMMANDS = [
 REPORT_SHA256 = {
     "check dual_pair.json": "45bf81ae1bae46adf917059820428ba98b48908da47333e9bea27b6ec893ffbc",
     "check split_pair.json": "2b405f71bd139cbae22f5ba962de88abe2646bbf023d492567acc4f06a7d9031",
+    "check dual_bad_bimodule.json": "ddb2ffa5c09dfa84c048305138f5989b6098f39e340b0d67888c2e2bdeb904aa",
     "cohomology split_pair.json --degree 2": "3db4ec64e940d953b6d4bac6a048cf6860fc56fb78d2f10cd8f142f56014bb37",
     "cohomology split_pair.json --degree 1 --coefficients trivial": "f2cc2156b632c333c78aff82fada400f7eb7a21f9121012e2de8f415f79ee389",
     "cohomology nil_central.json --degree 2 --coefficients file": "fc7ecc8c4ac19d3d28deeae259a6d401ff25117b430a5b4d102099b97303f803",
@@ -68,6 +70,7 @@ REPORT_SHA256 = {
 HUMAN_SHA256 = {
     "check dual_pair.json": "91182096ed951659d883fb725ed408c66a94fabaf71bbc07bce4064b9fa7d3bc",
     "check split_pair.json": "8c9ac058e633530ee0e2c0f4cad739b17d4b003dcdb3a3daad2151d423f3c02b",
+    "check dual_bad_bimodule.json": "f15d9c3150d50e39780d99055076f3699c78a692f118bd5364502a0fbf5a555c",
     "cohomology split_pair.json --degree 2": "89099037731e56f6f0440d28fdc579b5cdc5250486fbc49500dc96eb84f6bd76",
     "cohomology split_pair.json --degree 1 --coefficients trivial": "04d3a172f09a4cf33f28ab2d2014041e1ae240aca270aa1b8c9b6e4aca53e8b3",
     "cohomology nil_central.json --degree 2 --coefficients file": "34c1447bc7e4487838c65aa1b5ba6c02124b26595ee7b1a63d576bf028c29b37",

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from hderlab.exactlin import (
     ZERO, BrokenComplexError, Echelon, Matrix, ShapeError, echelon, kernel_basis,
-    rank, rat, rat_str, require_image_in_kernel, rref, solve_affine,
+    rank, rat, rat_str, require_image_in_kernel, solve_affine,
 )
 
-from helpers import dense_kernel_basis, dense_rref, dense_solve_affine, sparse_matrices
+from helpers import (
+    dense_kernel_basis, dense_rref, dense_solve_affine, reduced_matrix, sparse_matrices,
+)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -128,8 +130,8 @@ def test_row_scaling_invariance(m, row, factor):
 
 def test_rref_is_idempotent():
     m = Matrix.from_rows([[2, 4, 1], [1, 2, 0], [0, 0, 3]])
-    red, pivots = rref(m)
-    again, pivots2 = rref(red)
+    red, pivots = reduced_matrix(m)
+    again, pivots2 = reduced_matrix(red)
     assert red == again and pivots == pivots2
 
 
@@ -139,7 +141,7 @@ def test_rref_is_idempotent():
 def test_sparse_kernel_matches_dense_oracle(shape, data):
     m = data.draw(SHAPES[shape])
     red, pivots = dense_rref(m)
-    assert rref(m) == (red, pivots)
+    assert reduced_matrix(m) == (red, pivots)
     assert rank(m) == len(pivots)
     assert kernel_basis(m) == dense_kernel_basis(m)
     x = tuple(data.draw(fractions) for _ in range(m.cols))
@@ -212,7 +214,7 @@ def test_integer_echelon_matches_dense_oracle(m, data):
     _assert_primitive(ech.rows, reduced=False)
     _assert_primitive(ech.reduced(), reduced=True)
     red, pivots = dense_rref(m)
-    assert rref(m) == (red, pivots)
+    assert reduced_matrix(m) == (red, pivots)
     assert rank(m) == len(pivots)
     assert kernel_basis(m) == dense_kernel_basis(m)
     x = tuple(data.draw(WIDE) for _ in range(m.cols))
@@ -262,7 +264,7 @@ def test_image_in_kernel_on_scaled_integer_rows(m, factor):
     if basis:
         require_image_in_kernel(Matrix.from_columns([tuple(factor * x for x in v)
                                                      for v in basis]), m)
-    _, pivots = rref(m)
+    _, pivots = reduced_matrix(m)
     if pivots:  # a pivot column of m is not killed by m
         unit = tuple(factor if j == pivots[0] else ZERO for j in range(m.cols))
         with pytest.raises(BrokenComplexError):

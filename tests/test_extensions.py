@@ -252,6 +252,31 @@ def test_find_equivalence_between_cohomologous_extensions():
     assert H.check_equivalence(ext, semi, psi).ok
 
 
+def _semidirect_line(alg):
+    hd = H.HigherDerivation.zero(2, 1)
+    mod = H.trivial_bimodule(alg, 1, (H.Matrix.zeros(1, 1),))
+    return H.extension_from_cocycle(alg, hd, mod, H.zero_cochain(2, 1, 1, 2))
+
+
+def test_find_equivalence_rejects_extensions_over_different_bases():
+    # the dual numbers and Q x Q share dim 2, mdim 1 and rank 1
+    dual = _semidirect_line(samples.dual_numbers())
+    split = _semidirect_line(samples.product_of_fields())
+    with pytest.raises(H.ShapeError, match="not over the same base and module"):
+        H.find_equivalence(dual, split)
+
+
+def test_check_equivalence_rejects_extensions_over_different_bases():
+    dual = _semidirect_line(samples.dual_numbers())
+    split = _semidirect_line(samples.product_of_fields())
+    with pytest.raises(H.ShapeError, match="not over the same base and module"):
+        H.check_equivalence(dual, split, H.Matrix.identity(3))
+    other_module = H.ExtensionPair(dual.base, H.trivial_bimodule(dual.base.algebra, 1, (
+        H.Matrix.identity(1),)), dual.total, dual.include, dual.project, dual.section)
+    with pytest.raises(H.ShapeError, match="not over the same base and module"):
+        H.check_equivalence(dual, other_module, H.Matrix.identity(3))
+
+
 def test_find_equivalence_rejects_fresh_classes():
     # a non-coboundary cocycle builds a valid extension that is not
     # equivalent to the semidirect product

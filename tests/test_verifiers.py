@@ -1,19 +1,27 @@
-"""The integer input verifiers against the Fraction scans kept as oracles in
-``helpers``: ``verify_algebra``, ``verify_hder`` and ``verify_liehder`` must
-return the same whole report, and the same violation string, on verified
-pairs, on rescaled copies with non-trivial denominators, on commutator Lie
-pairs, and on single-entry perturbations of products, maps and brackets."""
+"""The law-kernel verifiers against the Fraction scans kept as oracles in
+``helpers``: ``verify_algebra``, ``verify_hder``, ``verify_liehder`` and
+``verify_bimodule`` must return the same whole report, and the same
+violation string, on verified pairs and bimodules, on rescaled copies with
+non-trivial denominators, on commutator Lie pairs, and on single-entry
+perturbations of products, maps, brackets and actions.  The three readers of
+the one morphism-law scan (``check_morphism``, ``universal_extension`` and
+``cocycle_from_section``) must match their own loops, kept as oracles too,
+on perturbed maps, targets, sections and extensions: the same report, the
+same error message, the same cochain."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import hderlab as H
 from hderlab import samples
+from hderlab.exactlin import ONE, ZERO
 
 from helpers import (
-    oracle_verify_algebra, oracle_verify_hder, oracle_verify_liehder, pair_fixtures,
-    rescaled_pair,
+    coefficient_fixtures, oracle_check_morphism, oracle_cocycle_from_section,
+    oracle_universal_extension, oracle_verify_algebra, oracle_verify_bimodule,
+    oracle_verify_hder, oracle_verify_liehder, pair_fixtures, rand_matrix, rescaled_pair,
 )
 
 
@@ -122,3 +130,173 @@ def test_rescaled_violation_keeps_its_denominators():
     _same(report, oracle_verify_hder(alg, hd))
     assert str(report.violation) == \
         "higher derivation identity fails at (1, 0, 0): lhs=(0, 28/45) rhs=(0, 56/45)"
+
+
+COEFFICIENTS = coefficient_fixtures()
+
+
+@st.composite
+def coefficient_triples(draw):
+    """A verified bimodule, over a rescaled pair half of the time: an adjoint
+    module follows the new basis, a trivial one stays lawful as it is."""
+    name, alg, hd, mod = draw(st.sampled_from(COEFFICIENTS))
+    if draw(st.booleans()):
+        alg, hd = rescaled_pair(alg, hd, tuple(draw(SCALES) for _ in range(alg.dim)))
+        if name.endswith("/adjoint"):
+            mod = H.adjoint_bimodule(alg, hd)
+    return alg, hd, mod
+
+
+@settings(max_examples=120, deadline=None)
+@given(coefficient_triples(), st.sampled_from(("none", "left", "right", "dmaps")), st.data())
+def test_verify_bimodule_matches_oracle(triple, where, data):
+    alg, hd, mod = triple
+    d, md = alg.dim, mod.mdim
+    left, right, dmaps = mod.left, mod.right, mod.dmaps
+    if where == "left":
+        left = _with_entry(left, _draw_index(data, (d, md, md)), data.draw(VALUES))
+    elif where == "right":
+        right = _with_entry(right, _draw_index(data, (md, d, md)), data.draw(VALUES))
+    elif where == "dmaps":
+        dmaps = _perturb_map(data, dmaps)
+    mod = H.Bimodule(md, left, right, dmaps)
+    _same(H.verify_bimodule(alg, hd, mod), oracle_verify_bimodule(alg, hd, mod))
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _morphisms():
+    """Morphisms of pairs: identities, the projection and the section of each
+    semidirect product, and rescalings (drawn in the test)."""
+    out = [(H.AssHDerPair(alg, hd),) * 2 + (H.Matrix.identity(alg.dim),)
+           for _name, alg, hd in pair_fixtures()]
+    for _name, alg, hd, mod in COEFFICIENTS:
+        ext = H.extension_from_cocycle(alg, hd, mod,
+                                       H.zero_cochain(alg.dim, mod.mdim, hd.rank, 2))
+        out += [(ext.total, ext.base, ext.project), (ext.base, ext.total, ext.section)]
+    return out
+
+
+MORPHISMS = _morphisms()
+
+
+def _with_map(pair, maps):
+    return H.AssHDerPair(pair.algebra, H.HigherDerivation(pair.hder.rank, maps))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("none", "matrix", "target map", "source map")), st.data())
+def test_check_morphism_matches_oracle(where, data):
+    if data.draw(st.booleans()):
+        src, tgt, f = data.draw(st.sampled_from(MORPHISMS))
+    else:  # x' in the basis (s_i e_i) is sum s_i x'_i e_i
+        alg, hd = data.draw(st.sampled_from(PAIRS))
+        scales = tuple(data.draw(SCALES) for _ in range(alg.dim))
+        src = H.AssHDerPair(*rescaled_pair(alg, hd, scales))
+        tgt = H.AssHDerPair(alg, hd)
+        f = H.Matrix(alg.dim, alg.dim, tuple(scales[i] if i == j else ZERO
+                                              for i in range(alg.dim) for j in range(alg.dim)))
+    assert H.check_morphism(H.AssHDerMorphism(src, tgt, f)).ok
+    if where == "matrix":
+        f = _perturb_map(data, (f,))[0]
+    elif where == "target map":
+        tgt = _with_map(tgt, _perturb_map(data, tgt.hder.maps))
+    elif where == "source map":
+        src = _with_map(src, _perturb_map(data, src.hder.maps))
+    mor = H.AssHDerMorphism(src, tgt, f)
+    _same(H.check_morphism(mor), oracle_check_morphism(mor))
+
+
+def _universal_cases():
+    """(tta, thetas, target, f) with d_k f = f theta_k on the generators."""
+    rng = random.Random(4242)
+    dual = H.AssHDerPair(samples.dual_numbers(), samples.dual_numbers_hder(2))
+    eigen = (H.Matrix(1, 1, (Fraction(1),)), H.Matrix(1, 1, (Fraction(1, 2),)))
+    zh = H.HigherDerivation(2, tuple(rand_matrix(rng, 2) for _ in range(2)))
+    thetas = tuple(rand_matrix(rng, 2) for _ in range(2))
+    tta, induced = H.induced_tensor_hder(2, 2, thetas)
+    inclusion = H.Matrix.from_columns([tuple(ONE if w == (v,) else ZERO for w in tta.words)
+                                       for v in range(2)])
+    return [
+        (H.build_tensor_algebra(2, 2), thetas, dual, H.Matrix.zeros(2, 2)),
+        (H.build_tensor_algebra(1, 2), eigen, dual, H.Matrix(2, 1, (ZERO, ONE))),
+        (H.build_tensor_algebra(1, 3), eigen, dual, H.Matrix(2, 1, (ZERO, ONE))),
+        (H.build_tensor_algebra(2, 2), zh.maps, H.AssHDerPair(samples.zero_algebra(2), zh),
+         H.Matrix.identity(2)),
+        (tta, thetas, H.AssHDerPair(tta.algebra, induced), inclusion),
+    ]
+
+
+UNIVERSAL = _universal_cases()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(UNIVERSAL), st.sampled_from(("none", "product", "map", "generator")),
+       st.data())
+def test_universal_extension_matches_oracle(case, where, data):
+    tta, thetas, target, f = case
+    assert H.universal_extension(tta, thetas, target, f).ok
+    alg = target.algebra
+    if where == "product":
+        at = _draw_index(data, (alg.dim,) * 3)
+        alg = H.Algebra(alg.dim, _with_entry(alg.c, at, data.draw(VALUES)),
+                        alg.basis_labels, alg.unit_index)
+        target = H.AssHDerPair(alg, target.hder)
+    elif where == "map":
+        target = _with_map(target, _perturb_map(data, target.hder.maps))
+    elif where == "generator":
+        f = _perturb_map(data, (f,))[0]
+    got = _outcome(H.universal_extension, tta, thetas, target, f)
+    want = _outcome(oracle_universal_extension, tta, thetas, target, f)
+    assert got == want
+    if got[0] == "returned":
+        assert str(got[1].violation) == str(want[1].violation)
+
+
+def _extensions():
+    """The semidirect product of each bimodule and the extensions by the
+    first two vectors of its canonical 2-cocycle basis."""
+    out = []
+    for _name, alg, hd, mod in COEFFICIENTS:
+        vectors = H.kernel_basis(H.differential_matrix(alg, mod, hd, 2))[:2]
+        for v in [None, *vectors]:
+            z = H.zero_cochain(alg.dim, mod.mdim, hd.rank, 2) if v is None else \
+                H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, 2, v)
+            out.append(H.extension_from_cocycle(alg, hd, mod, z))
+    return out
+
+
+EXTENSIONS = _extensions()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(EXTENSIONS), st.booleans(),
+       st.sampled_from(("none", "section", "product", "map")), st.data())
+def test_cocycle_from_section_matches_oracle(ext, shifted, where, data):
+    d, md = ext.dim, ext.mdim
+    s = ext.section
+    if shifted:  # s + i h for a linear h: A -> M is a section as well
+        h = H.Matrix(md, d, tuple(data.draw(VALUES) for _ in range(md * d)))
+        s = s + ext.include * h
+    total = ext.total
+    if where == "section":
+        s = _perturb_map(data, (s,))[0]
+    elif where == "product":
+        at = _draw_index(data, (d + md,) * 3)
+        c = _with_entry(total.algebra.c, at, data.draw(VALUES))
+        total = H.AssHDerPair(H.Algebra(d + md, c, total.algebra.basis_labels), total.hder)
+    elif where == "map":
+        total = _with_map(total, _perturb_map(data, total.hder.maps))
+    ext = H.ExtensionPair(ext.base, ext.module, total, ext.include, ext.project, ext.section)
+    got = _outcome(H.cocycle_from_section, ext, s)
+    want = _outcome(oracle_cocycle_from_section, ext, s)
+    assert got == want
+    if got[0] == "returned":
+        assert got[1].main.values == want[1].main.values
+        assert [p.values for p in got[1].parts] == [p.values for p in want[1].parts]
