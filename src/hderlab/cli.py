@@ -10,9 +10,11 @@ outside the command's precondition).
 ``--json`` selects the machine format.  JSON reports are byte-identical
 across runs for identical inputs: solver outputs are canonical, key order
 is sorted, and timing_ms is pinned to 0 there (the human summary shows the
-real time).  Both formats print their JSON through
-``serialize.report_text``, which writes what ``json.dumps(doc, indent=2,
-sort_keys=True)`` would, byte for byte.  The environment variable
+real time).  Both formats write their JSON through
+``serialize.write_report``, which writes what ``json.dumps(doc, indent=2,
+sort_keys=True)`` would, byte for byte, to stdout in pieces once the results
+are complete; a cohomology report's cocycle basis goes out one vector at a
+time from the sparse kernel form.  The environment variable
 HDERLAB_MAX_DIM (default 6) caps every dimension a command touches,
 including constructed total spaces and tensor-algebra bases, to keep
 accidental combinatorial blowups from running away.
@@ -40,7 +42,7 @@ from .serialize import (
     ParseError, check_report_to_json, cochain_to_json, cohomology_to_json,
     deformation_to_json, extension_to_json, gauge_to_json, hder_to_json,
     parse_algebra, parse_bimodule, parse_deformation, parse_hder, parse_matrix,
-    parse_tensor_section, parse_two_cocycle, report_text,
+    parse_tensor_section, parse_two_cocycle, write_report,
 )
 
 EXIT_OK = 0
@@ -172,7 +174,7 @@ def cmd_cohomology(doc, args):
     alg, hd, mod = _structures(doc, args.coefficients, "--coefficients file")
     _guard(degree=args.degree)
     rep = cohomology(alg, mod, hd, args.degree)
-    return True, cohomology_to_json(rep), []
+    return True, cohomology_to_json(rep, streamed=True), []
 
 
 def cmd_classify_central(doc, args):
@@ -371,17 +373,20 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def _emit(command: str, ok: bool, results: dict, violations: list[str],
           as_json: bool, elapsed_ms: int) -> None:
+    write = sys.stdout.write
     if as_json:
         report = {"ok": ok, "command": command, "results": results,
                   "violations": violations, "timing_ms": 0}
-        print(report_text(report))
+        write_report(report, write)
+        write("\n")
         return
     print(f"command: {command}")
     print(f"ok: {'yes' if ok else 'no'}")
     for v in violations:
         print(f"violation: {v}")
     if results:
-        print(report_text(results))
+        write_report(results, write)
+        write("\n")
     print(f"timing_ms: {elapsed_ms}")
 
 

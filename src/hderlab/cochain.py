@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebras import Algebra, Bimodule
 from .exactlin import (
-    Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, common_denominator,
-    kernel_basis, rank, require_image_in_kernel, solve_affine,
+    Kernel, Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, common_denominator,
+    null_space, rank, require_image_in_kernel, solve_affine,
 )
 from .hder import HigherDerivation
 
@@ -196,19 +196,23 @@ def cochain_to_vector(c: Cochain) -> Vector:
     return tuple(vec)
 
 
+def cochain_blocks(dim: int, mdim: int, nrank: int, n: int) -> list[slice]:
+    """The slices of a degree-n cochain vector that hold its main map and
+    then, for n >= 2, each of its nrank parts."""
+    main = dim ** n * mdim
+    if n == 1:
+        return [slice(0, main)]
+    part = main // dim
+    return [slice(0, main)] + [slice(main + k * part, main + (k + 1) * part)
+                               for k in range(nrank)]
+
+
 def vector_to_cochain(dim: int, mdim: int, nrank: int, n: int, vec: Vector) -> Cochain:
     if len(vec) != cochain_dim(dim, mdim, nrank, n):
         raise ShapeError("vector length does not match the cochain space")
-    main_len = dim ** n * mdim
-    main = MultiMap(n, dim, mdim, tuple(vec[:main_len]))
-    if n == 1:
-        return Cochain(main)
-    part_len = dim ** (n - 1) * mdim
-    parts = []
-    for k in range(nrank):
-        start = main_len + k * part_len
-        parts.append(MultiMap(n - 1, dim, mdim, tuple(vec[start:start + part_len])))
-    return Cochain(main, tuple(parts))
+    main, *parts = cochain_blocks(dim, mdim, nrank, n)
+    return Cochain(MultiMap(n, dim, mdim, tuple(vec[main])),
+                   tuple([MultiMap(n - 1, dim, mdim, tuple(vec[b])) for b in parts]))
 
 
 def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
@@ -376,14 +380,38 @@ def differential_matrix(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     return Matrix.from_int_rows(rows, tables[-1], src)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohomologyReport:
+    """H^n in one degree.  The cocycles are kept in sparse form, ``kernel``
+    (the reduced integer rows of the differential and its free columns), on
+    the cochain shape ``(dim, mdim, nrank)``; ``cocycle_basis`` is built
+    from them on first access.  Equality and hashing read the counts and
+    ``cocycle_basis``, as for a report that stores the basis."""
+
     degree: int
     dim_cochains: int
     dim_cocycles: int
     dim_coboundaries: int
     betti: int
-    cocycle_basis: tuple[Cochain, ...]
+    shape: tuple[int, int, int] = field(repr=False)
+    kernel: Kernel = field(repr=False)
+
+    @cached_property
+    def cocycle_basis(self) -> tuple[Cochain, ...]:
+        return tuple(vector_to_cochain(*self.shape, self.degree, v)
+                     for v in self.kernel.vectors())
+
+    def _public(self) -> tuple:
+        return (self.degree, self.dim_cochains, self.dim_cocycles,
+                self.dim_coboundaries, self.betti, self.cocycle_basis)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CohomologyReport):
+            return NotImplemented
+        return self._public() == other._public()
+
+    def __hash__(self) -> int:
+        return hash(self._public())
 
 
 def cohomology(alg: Algebra, mod: Bimodule, hd: HigherDerivation, degree: int,
@@ -391,8 +419,11 @@ def cohomology(alg: Algebra, mod: Bimodule, hd: HigherDerivation, degree: int,
     """Exact cohomology in one degree.
 
     Degree 1 is the bare kernel of the differential, since there are no
-    0-cochains.  For n >= 2 the inclusion im <= ker is verified; failure
-    means the complex itself is broken and raises.
+    0-cochains.  For n >= 2 the inclusion im d_{n-1} <= ker d_n is verified
+    first (failure means the complex itself is broken and raises), so
+    rank(d_n) <= cols - rank(d_{n-1}); the rows of d_n are eliminated only
+    until their rank reaches that bound, which ends a betti-0 case as soon
+    as its rank is known.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -400,17 +431,15 @@ def cohomology(alg: Algebra, mod: Bimodule, hd: HigherDerivation, degree: int,
     if max_dim is not None and n_cochains > max_dim:
         raise ShapeError(f"cochain space dimension {n_cochains} exceeds cap {max_dim}")
     outgoing = differential_matrix(alg, mod, hd, degree)
-    cocycles = kernel_basis(outgoing)
     n_coboundaries = 0
     if degree > 1:
         boundary = differential_matrix(alg, mod, hd, degree - 1)
         require_image_in_kernel(boundary, outgoing)
         n_coboundaries = rank(boundary)
-    betti = len(cocycles) - n_coboundaries
-    basis = tuple(vector_to_cochain(alg.dim, mod.mdim, hd.rank, degree, v)
-                  for v in cocycles)
+    cocycles = null_space(outgoing, n_cochains - n_coboundaries)
     return CohomologyReport(degree, n_cochains, len(cocycles), n_coboundaries,
-                            betti, basis)
+                            len(cocycles) - n_coboundaries,
+                            (alg.dim, mod.mdim, hd.rank), cocycles)
 
 
 def is_coboundary(alg: Algebra, mod: Bimodule, hd: HigherDerivation,

@@ -16,8 +16,13 @@ combines two rows as ``a*v - b*row``, in the manner of fraction-free
 (Bareiss) elimination.  Back-substitution runs only when the reduced form is
 asked for, and a reduced entry x of the row with pivot value p becomes the
 Fraction x/p only where ``kernel_basis`` or ``solve_affine`` hand it out.
-The reduced row echelon form of a row space is unique, so those outputs are
-canonical, and higher layers reproduce bit for bit.
+A null space can stay in sparse form, :class:`Kernel` (the reduced integer
+rows and the free columns), which states the canonical kernel vector once
+for ``kernel_basis`` and for writers that format it without Fractions.
+:func:`echelon` stops taking rows once the rank reaches a bound the caller
+has proved, such as cols - rank(d_{n-1}) for a checked complex.  The reduced
+row echelon form of a row space is unique, so those outputs are canonical,
+and higher layers reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -332,11 +337,19 @@ class Echelon:
         return rows
 
 
-def echelon(m: Matrix) -> Echelon:
-    """The echelon form of the rows of ``m``; every elimination runs here."""
+def echelon(m: Matrix, bound: int | None = None) -> Echelon:
+    """The echelon form of the rows of ``m``; every elimination runs here.
+
+    Rows are taken in order until the rank reaches ``bound`` (default
+    ``m.cols``, where no further row can add to it).  A caller passes a
+    smaller bound only when it has proved that the rank of ``m`` is at most
+    that: the rows taken then already span the row space, and the reduced
+    form is the canonical one.
+    """
+    bound = m.cols if bound is None else bound
     ech = Echelon()
     for row in m.int_rows[0]:
-        if ech.rank == m.cols:
+        if ech.rank >= bound:
             break
         if row:
             ech._insert(dict(row))
@@ -348,22 +361,62 @@ def rank(m: Matrix) -> int:
     return echelon(m).rank
 
 
+class Kernel:
+    """The canonical basis of a right null space in sparse form: the reduced
+    integer rows ``rows`` of an :class:`Echelon` (``Echelon.reduced``) and
+    the free columns ``free``, one basis vector per free column, in order.
+
+    ``entries`` states the canonical vector once; ``vectors`` makes Fraction
+    vectors of it, and a report writer can format it without them.
+    """
+
+    def __init__(self, rows: dict[int, dict[int, int]], cols: int):
+        self.rows = rows
+        self.cols = cols
+        self.free = tuple(f for f in range(cols) if f not in rows)
+
+    def __len__(self) -> int:
+        return len(self.free)
+
+    def entries(self):
+        """Yield ``(f, [(p, x, q), ...])`` for each free column f in order:
+        the vector for f is 1 at f, x/q at each listed pivot p, with
+        ``x = -R[p][f]`` and ``q = R[p][p] > 0`` for R the reduced rows, and
+        zero elsewhere.  x/q need not be in lowest terms."""
+        rows = self.rows
+        at: dict[int, list[int]] = {f: [] for f in self.free}
+        for p, row in rows.items():
+            for f in row:
+                if f != p:
+                    at[f].append(p)
+        for f in self.free:
+            yield f, [(p, -rows[p][f], rows[p][p]) for p in at.pop(f)]
+
+    def vectors(self):
+        """Yield the basis vectors as tuples of Fractions, zeros the shared
+        ``ZERO``."""
+        for f, entries in self.entries():
+            v = [ZERO] * self.cols
+            v[f] = ONE
+            for p, x, q in entries:
+                v[p] = Fraction(x, q)
+            yield tuple(v)
+
+
+def null_space(m: Matrix, bound: int | None = None) -> Kernel:
+    """The sparse kernel form of ``m``; ``bound`` is passed to
+    :func:`echelon`, so it must be a proven upper bound on the rank."""
+    return Kernel(echelon(m, bound).reduced(), m.cols)
+
+
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Canonical basis of the right null space, one vector per free column.
 
     The vector for free column f has a 1 at f, the negated reduced-echelon
-    entries at the pivot columns, and zeros elsewhere; ordered by f.
+    entries at the pivot columns, and zeros elsewhere; ordered by f
+    (:meth:`Kernel.entries`).
     """
-    rows = echelon(m).reduced()
-    basis = {f: [ZERO] * m.cols for f in range(m.cols) if f not in rows}
-    for f, v in basis.items():
-        v[f] = ONE
-    for p, row in rows.items():
-        pivot = row[p]
-        for f, x in row.items():
-            if f != p:
-                basis[f][p] = Fraction(-x, pivot)
-    return [tuple(v) for v in basis.values()]
+    return list(null_space(m).vectors())
 
 
 def solve_affine(m: Matrix, b: Vector) -> Vector | None:

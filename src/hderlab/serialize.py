@@ -12,21 +12,29 @@ tokens (JSON ints and the strings "p/q", however long) and their Fractions
 alive.  A problem file repeats few tokens many times, so a token is parsed
 about once per file.  Payloads format rationals with ``rat_str``, except
 the shared ``exactlin.ZERO``, which is written as "0" by identity.
-``report_text`` writes a payload exactly as ``json.dumps(doc, indent=2,
+``write_report`` writes a payload exactly as ``json.dumps(doc, indent=2,
 sort_keys=True)`` does, but encodes each list of strings with one C-level
-join.
+join, and hands the text to a ``write`` callable in pieces; ``report_text``
+joins them.  A :class:`Streamed` list is made and written one item at a
+time: ``cohomology_to_json(rep, streamed=True)`` writes the cocycle basis
+from the sparse kernel form ``rep.kernel``, formatting each entry x/q
+straight from the integers, so neither the Fraction basis nor the whole
+text exists at once.  Without ``streamed`` it returns the plain payload
+built from ``rep.cocycle_basis``, the reference for the streamed one.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebras import Algebra, Bimodule, tensor_values
 from .cochain import (
-    Cochain, CohomologyReport, MultiMap, matrix_to_multimap, multimap_to_matrix,
+    Cochain, CohomologyReport, MultiMap, cochain_blocks, matrix_to_multimap,
+    multimap_to_matrix,
 )
 from .deform import Deformation, GaugeMap
 from .exactlin import ZERO, Matrix, rat_str
@@ -285,15 +293,35 @@ def extension_to_json(ext: ExtensionPair) -> dict:
     }
 
 
-def cohomology_to_json(rep: CohomologyReport) -> dict:
+def cohomology_to_json(rep: CohomologyReport, streamed: bool = False) -> dict:
+    """The cohomology payload.  With ``streamed`` its ``cocycle_basis`` is a
+    :class:`Streamed` list made from the sparse kernel form as it is
+    written, and ``rep.cocycle_basis`` is never built; the text written is
+    the same."""
+    basis = (Streamed(lambda: _cocycle_docs(rep)) if streamed
+             else [cochain_to_json(c) for c in rep.cocycle_basis])
     return {
         "degree": rep.degree,
         "dim_cochains": rep.dim_cochains,
         "dim_cocycles": rep.dim_cocycles,
         "dim_coboundaries": rep.dim_coboundaries,
         "betti": rep.betti,
-        "cocycle_basis": [cochain_to_json(c) for c in rep.cocycle_basis],
+        "cocycle_basis": basis,
     }
+
+
+def _cocycle_docs(rep: CohomologyReport):
+    """``cochain_to_json`` of each member of ``rep.cocycle_basis`` in order,
+    made from the entries of ``rep.kernel`` with no Fraction in between."""
+    n = rep.degree
+    main, *parts = cochain_blocks(*rep.shape, n)
+    for f, entries in rep.kernel.entries():
+        cells = ["0"] * rep.kernel.cols
+        cells[f] = "1"
+        for p, x, q in entries:
+            g = math.gcd(x, q)  # x/q in lowest terms, as rat_str writes it
+            cells[p] = str(x // g) if g == q else f"{x // g}/{q // g}"
+        yield {"main": cells[main], "n": n, "parts": [cells[b] for b in parts]}
 
 
 def check_report_to_json(report) -> dict:
@@ -303,14 +331,54 @@ def check_report_to_json(report) -> dict:
     return doc
 
 
-def report_text(doc) -> str:
-    """``doc`` exactly as ``json.dumps(doc, indent=2, sort_keys=True)`` writes it.
+class Streamed:
+    """A report list whose items are made as they are written: ``items()``
+    returns a fresh iterator over them.  :func:`write_report` takes one as
+    the whole document or as a dict value."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+    def __iter__(self):
+        return self.items()
+
+
+def write_report(doc, write, newline: str = "\n") -> None:
+    """Pass the text of ``doc`` to ``write`` in pieces: dicts key by key, a
+    :class:`Streamed` list item by item, anything else whole.  The pieces
+    join to what ``json.dumps(doc, indent=2, sort_keys=True)`` writes (with
+    each Streamed as its list), so a streamed list is never held as text.
 
     Covers what reports hold: dicts with str keys, lists, str, int, bool and
     None.  A list of strings is encoded in one join, where the json module's
     pure-Python encoder (which ``indent`` selects) makes a call per item.
     """
-    return _encode(doc, "\n")
+    if isinstance(doc, dict):
+        inner = newline + "  "
+        head = "{"
+        for key, value in sorted(doc.items()):
+            write(f"{head}{inner}{_quote(key)}: ")
+            write_report(value, write, inner)
+            head = ","
+        write("{}" if head == "{" else newline + "}")
+    elif isinstance(doc, Streamed):
+        inner = newline + "  "
+        head = "["
+        for item in doc:
+            write(f"{head}{inner}{_encode(item, inner)}")
+            head = ","
+        write("[]" if head == "[" else newline + "]")
+    else:
+        write(_encode(doc, newline))
+
+
+def report_text(doc) -> str:
+    """The text :func:`write_report` writes for ``doc``, as one string."""
+    pieces: list[str] = []
+    write_report(doc, pieces.append)
+    return "".join(pieces)
 
 
 def _encode(obj, newline: str) -> str:
@@ -328,11 +396,9 @@ def _encode(obj, newline: str) -> str:
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+        pieces: list[str] = []
+        write_report(obj, pieces.append, newline)
+        return "".join(pieces)
     if obj is None:
         return "null"
     if obj is True:

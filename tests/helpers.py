@@ -29,6 +29,7 @@ from hderlab import samples
 from hderlab.algebras import _contract
 from hderlab.exactlin import ONE, ZERO, echelon, vec_add
 from hderlab.extensions import _check_induced_actions
+from hderlab.serialize import Streamed
 
 # ---------------------------------------------------------------- generators
 
@@ -745,8 +746,20 @@ def oracle_verify_liehder(pair: H.LieHDerPair) -> H.CheckReport:
 
 def oracle_report_text(doc) -> str:
     """The json module's indented, key-sorted text: the reference for
-    ``serialize.report_text``."""
+    ``serialize.report_text`` and ``serialize.write_report``."""
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def materialized(doc):
+    """``doc`` with each ``serialize.Streamed`` list made a plain list, as
+    the json module can write it."""
+    if isinstance(doc, Streamed):
+        return [materialized(x) for x in doc]
+    if isinstance(doc, dict):
+        return {k: materialized(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [materialized(x) for x in doc]
+    return doc
 
 
 def oracle_verify_bimodule(alg: H.Algebra, hder, mod: H.Bimodule) -> H.CheckReport:

@@ -9,9 +9,9 @@ import pytest
 
 from hderlab import cli, freecons
 from hderlab.cli import main
-from hderlab.serialize import report_text
+from hderlab.serialize import write_report
 
-from helpers import oracle_report_text
+from helpers import materialized, oracle_report_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -125,10 +125,20 @@ def test_json_reports_match_pinned_digests(args, expected, capsys):
 
 @pytest.mark.parametrize("args,expected", COMMANDS, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_human_reports_match_pinned_digests(args, expected, monkeypatch, capsys):
-    docs = []
-    monkeypatch.setattr(cli, "report_text", lambda doc: docs.append(doc) or report_text(doc))
+    written = []
+
+    def spy(doc, write):
+        pieces = []
+        write_report(doc, pieces.append)
+        written.append((doc, "".join(pieces)))
+        write(written[-1][1])
+
+    monkeypatch.setattr(cli, "write_report", spy)
     assert main(_argv(args)) == expected
-    assert all(report_text(doc) == oracle_report_text(doc) for doc in docs)
+    # every command here writes its results, once, through the writer
+    assert len(written) == 1
+    doc, text = written[0]
+    assert text == oracle_report_text(materialized(doc))
     lines = capsys.readouterr().out.splitlines(keepends=True)
     assert lines[-1].startswith("timing_ms: ")
     out = "".join(line for line in lines if not line.startswith("timing_ms:"))

@@ -15,7 +15,7 @@ from hderlab.cli import main
 from hderlab.exactlin import ZERO, Matrix
 from hderlab.serialize import ParseError, parse_algebra, parse_matrix, report_text
 
-from helpers import oracle_report_text
+from helpers import materialized, oracle_report_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -49,6 +49,18 @@ def test_report_text_on_edge_shapes():
     for doc in ({"x": 0.5}, ["a", ("b",)], ("a",)):
         with pytest.raises(TypeError):
             report_text(doc)
+
+
+_STREAMED = st.lists(_DOCS, max_size=4).map(lambda xs: serialize.Streamed(lambda: iter(xs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(st.one_of(_DOCS, _STREAMED),
+                    lambda inner: st.dictionaries(_TEXT, inner, max_size=4), max_leaves=12))
+def test_streamed_lists_are_written_as_their_items(doc):
+    # a Streamed list, alone or as a dict value at any depth, reads as the
+    # plain list of its items
+    assert report_text(doc) == oracle_report_text(materialized(doc))
 
 
 def test_zero_is_formatted_without_the_shared_object():
