@@ -9,11 +9,14 @@ convolutions below bake in.  Nothing is ever symbolic: all series algebra is
 convolution on coefficient lists, truncated at the stored order.  The
 order-s equations are the two laws of ``algebras`` at order s.
 
-The equations and the gauge action compute on sparse tables of integer
-numerators over one common denominator (``Deformation._tables``; the gauge
-and its inverse series get their own), so their inner sums are integer
-sums; Fractions appear only at the boundary, in a reported violation, the
-obstruction cochain and the gauged coefficients.
+The equations compute on sparse tables of integer numerators over one
+common denominator (``Deformation._tables``), so their inner sums are
+integer sums.  The gauge group (action, composition, inverse) is one
+truncated matrix-series product, ``_series_mul``, on the same column form:
+the gauge is scaled to its own denominator, and its inverse is the
+geometric series in id - Phi by Horner's rule.  Fractions appear only at
+the boundary: in a reported violation, the obstruction cochain, the gauged
+coefficients and the composed or inverted gauge.
 """
 
 from __future__ import annotations
@@ -71,14 +74,20 @@ class Deformation:
 
 @dataclass(frozen=True)
 class GaugeMap:
-    """Truncated formal isomorphism: matrices (Phi_0 = id, Phi_1, ..., Phi_T)."""
+    """Truncated formal isomorphism: dim x dim matrices (Phi_0 = id, Phi_1,
+    ..., Phi_T); the operations check Phi_0 = id."""
 
     order: int
     phis: tuple[Matrix, ...]
 
     def __post_init__(self):
+        if self.order < 0:
+            raise ShapeError("gauge order must be >= 0")
         if len(self.phis) != self.order + 1:
             raise ShapeError(f"{self.order + 1} coefficients expected, got {len(self.phis)}")
+        d = self.dim
+        if any((m.rows, m.cols) != (d, d) for m in self.phis):
+            raise ShapeError(f"gauge coefficients must be {d}x{d} matrices")
 
     @property
     def dim(self) -> int:
@@ -185,122 +194,112 @@ def infinitesimal(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     return coeff, CheckReport.failed("infinitesimal cocycle condition", (at_order,))
 
 
-def _series_inverse(phis: list[Matrix]) -> list[Matrix]:
-    dim = phis[0].rows
-    psis = [Matrix.identity(dim)]
-    for s in range(1, len(phis)):
-        acc = Matrix.zeros(dim, dim)
-        for q in range(1, s + 1):
-            if not phis[q].is_zero():
-                acc = acc + psis[s - q] * phis[q]
-        psis.append(-acc)
-    return psis
+def _series_mul(a: dict, b: dict, order: int) -> dict:
+    """The product of two matrix series mod t^{order+1}, in column form.
+
+    A series is ``{s: columns}`` for its nonzero members only, column c as
+    ``{row: int}`` (the form of ``algebras._law_tables``), all over one
+    scale; the product is over the product of the two scales.
+    """
+    out: dict[int, list[dict[int, int]]] = {}
+    for p, acols in a.items():
+        for q, bcols in b.items():
+            if p + q <= order:
+                cols = out.setdefault(p + q, [{} for _ in bcols])
+                for acc, col in zip(cols, bcols):
+                    for u, y in col.items():
+                        for r, x in acols[u].items():
+                            acc[r] = acc.get(r, 0) + x * y
+    cleaned = ((s, tuple({r: x for r, x in col.items() if x} for col in cols))
+               for s, cols in out.items())
+    return {s: cols for s, cols in cleaned if any(cols)}
 
 
-def _series_product(a, b, order: int) -> list[Matrix]:
-    """Coefficients 0..order of (sum_p a_p t^p)(sum_q b_q t^q), skipping zero terms."""
-    a_zero = [m.is_zero() for m in a[:order + 1]]
-    b_zero = [m.is_zero() for m in b[:order + 1]]
-    out = []
-    for s in range(order + 1):
-        acc = Matrix.zeros(a[0].rows, b[0].cols)
-        for p in range(s + 1):
-            if not a_zero[p] and not b_zero[s - p]:
-                acc = acc + a[p] * b[s - p]
-        out.append(acc)
-    return out
+def _gauge_columns(gauge: GaugeMap, order: int) -> tuple[dict, int]:
+    """Phi_0..Phi_order as a column series over E, the lcm of their
+    denominators; members past the gauge's order are zero."""
+    if not gauge.phis[0].is_identity():
+        raise ValueError("gauge must start at the identity")
+    live = [(s, m) for s, m in enumerate(gauge.phis[:order + 1]) if not m.is_zero()]
+    e = common_denominator(itertools.chain(*(m.entries for _s, m in live)))
+    return {s: _int_chunks(m.transpose().entries, gauge.dim, e) for s, m in live}, e
+
+
+def _inverse_columns(phi: dict, e: int, dim: int, order: int) -> dict:
+    """Psi = sum_{k <= order} (id - Phi)^k by Horner's rule, over e^order
+    for Phi over e; it is Phi^{-1} mod t^{order+1} because id - Phi has no
+    constant term."""
+    shift = {s: tuple({r: -x for r, x in col.items()} for col in cols)
+             for s, cols in phi.items() if s}
+    psi, scale = {}, 1
+    for _ in range(order + 1):
+        psi = {0: tuple({c: scale} for c in range(dim)), **_series_mul(shift, psi, order)}
+        scale *= e
+    return psi
+
+
+def _fractions(cols, rows: int, scale: int) -> tuple:
+    """Columns ``{row: int}`` over ``scale`` as column-major Fractions."""
+    return as_fractions([col.get(r, 0) for col in cols for r in range(rows)], scale)
+
+
+def _gauge_map(series: dict, scale: int, dim: int, order: int) -> GaugeMap:
+    """The gauge whose members are a column series over ``scale``."""
+    phis = [Matrix.zeros(dim, dim)] * (order + 1)
+    for s, cols in series.items():
+        phis[s] = Matrix(dim, dim, _fractions(cols, dim, scale)).transpose()
+    return GaugeMap(order, tuple(phis))
 
 
 def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
-    """Conjugate coefficientwise: mu' = Phi^{-1} mu (Phi x Phi), d' = Phi^{-1} d Phi.
+    """Conjugate coefficientwise: mu' = Psi mu (Phi x Phi), d' = Psi d Phi.
 
-    The gauge is padded or truncated with zeros to the deformation's order;
-    the inverse series Psi is the truncated geometric series.  Phi and Psi
-    are integer columns over one denominator E, the deformation's tables
-    are over D, so mu'_s = sum Psi_p mu_q (Phi_r x Phi_w) accumulates over
-    D * E^3 and d'_{k,s} = sum Psi_p d_{k,q} Phi_r over D * E^2; zero series
-    terms are skipped and each Fraction is built once, at the end.
+    Psi = Phi^{-1}, and the gauge is padded or truncated with zeros to the
+    deformation's order.  Every product is ``_series_mul`` on the column
+    series of the deformation's tables (over D), Phi (over E) and Psi (over
+    E^T); Phi x Phi is (Phi x id)(id x Phi).  So mu' is over D * E^(T+2)
+    and d' over D * E^(T+1), and each Fraction is built once, at the end.
     """
-    dim = defm.dim
+    dim, T = defm.dim, defm.order
     if gauge.dim != dim:
         raise ShapeError("gauge dimension differs from the deformation")
-    if not gauge.phis[0].is_identity():
-        raise ValueError("gauge must start at the identity")
-    T = defm.order
-    phis = [gauge.phis[s] if s <= gauge.order else Matrix.zeros(dim, dim)
-            for s in range(T + 1)]
-    psis = _series_inverse(phis)
-    e = common_denominator(itertools.chain(*(m.entries for m in phis + psis)))
-    phi = [(r, _int_chunks(m.transpose().entries, dim, e))
-           for r, m in enumerate(phis) if not m.is_zero()]
-    psi = [(p, _int_chunks(m.transpose().entries, dim, e))
-           for p, m in enumerate(psis) if not m.is_zero()]
+    phi, e = _gauge_columns(gauge, T)
+    psi = _inverse_columns(phi, e, dim, T)
+    pairs = list(itertools.product(range(dim), repeat=2))
+    phi_id = {s: tuple({u * dim + j: x for u, x in cols[i].items()} for i, j in pairs)
+              for s, cols in phi.items()}
+    id_phi = {s: tuple({i * dim + v: y for v, y in cols[j].items()} for i, j in pairs)
+              for s, cols in phi.items()}
     mus, dcols, den = defm._tables
-    live_mus = [(q, mu) for q, mu in enumerate(mus) if any(mu)]
-
-    def conjugate(inner, out, offset):
-        # out[p + m][offset + a] gains coordinate a of Psi_p inner[m]
-        for m, vec in enumerate(inner):
-            for c, z in enumerate(vec):
-                if z:
-                    for p, cols in psi:
-                        if p + m > T:
-                            break
-                        for a, t in cols[c].items():
-                            out[p + m][offset + a] += z * t
-
-    new_mus = [[0] * (dim ** 3) for _ in range(T + 1)]
-    for i, j in itertools.product(range(dim), repeat=2):
-        inner = [[0] * dim for _ in range(T + 1)]  # sum mu_q (Phi_r x Phi_w) over D * E^2
-        for r, cols_r in phi:
-            for u, x in cols_r[i].items():
-                for w, cols_w in phi:
-                    if r + w > T:
-                        break
-                    for v, y in cols_w[j].items():
-                        xy = x * y
-                        for q, mu in live_mus:
-                            if r + w + q > T:
-                                break
-                            acc = inner[r + w + q]
-                            for c, z in mu[u * dim + v].items():
-                                acc[c] += xy * z
-        conjugate(inner, new_mus, (i * dim + j) * dim)
-
-    new_ds = []  # column-major, as arity-1 values
-    for series in dcols[1:]:
-        live = [(q, cols) for q, cols in enumerate(series) if any(cols)]
-        new = [[0] * (dim * dim) for _ in range(T + 1)]
-        for c in range(dim):
-            inner = [[0] * dim for _ in range(T + 1)]  # sum d_{k,q} Phi_r e_c over D * E
-            for r, cols_r in phi:
-                for u, x in cols_r[c].items():
-                    for q, cols in live:
-                        if r + q > T:
-                            break
-                        acc = inner[r + q]
-                        for b, y in cols[u].items():
-                            acc[b] += x * y
-            conjugate(inner, new, c * dim)
-        new_ds.append(new)
-    q_mu, q_d = den * e ** 3, den * e * e
+    mu, *ds = ({q: cols for q, cols in enumerate(series) if any(cols)}
+               for series in (mus, *dcols[1:]))
+    new_mu = _series_mul(psi, _series_mul(_series_mul(mu, phi_id, T), id_phi, T), T)
+    new_ds = [_series_mul(psi, _series_mul(dk, phi, T), T) for dk in ds]
+    q_mu, q_d = den * e ** (T + 2), den * e ** (T + 1)
+    zero_mu, zero_d = ({},) * (dim * dim), ({},) * dim
     return Deformation(tuple(
-        Cochain(MultiMap(2, dim, dim, as_fractions(new_mus[s], q_mu)),
-                tuple(MultiMap(1, dim, dim, as_fractions(new[s], q_d)) for new in new_ds))
+        Cochain(MultiMap(2, dim, dim, _fractions(new_mu.get(s, zero_mu), dim, q_mu)),
+                tuple(MultiMap(1, dim, dim, _fractions(new.get(s, zero_d), dim, q_d))
+                      for new in new_ds))
         for s in range(T + 1)))
 
 
 def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
-    """Truncated inverse series; composing back gives the identity mod t^{T+1}."""
-    if not gauge.phis[0].is_identity():
-        raise ValueError("gauge must start at the identity")
-    return GaugeMap(gauge.order, tuple(_series_inverse(list(gauge.phis))))
+    """The truncated inverse series Psi = sum_k (id - Phi)^k, by Horner's rule
+    on ``_series_mul``; composing back gives the identity mod t^{T+1}."""
+    phi, e = _gauge_columns(gauge, gauge.order)
+    return _gauge_map(_inverse_columns(phi, e, gauge.dim, gauge.order), e ** gauge.order,
+                      gauge.dim, gauge.order)
 
 
 def gauge_compose(first: GaugeMap, second: GaugeMap) -> GaugeMap:
-    """The gauge acting like `first` followed by `second` (series product)."""
+    """The gauge acting like `first` followed by `second`: the series
+    product first * second by ``_series_mul``, at the smaller order."""
+    if first.dim != second.dim:
+        raise ShapeError("gauge dimensions differ")
     order = min(first.order, second.order)
-    return GaugeMap(order, tuple(_series_product(first.phis, second.phis, order)))
+    (a, e), (b, f) = _gauge_columns(first, order), _gauge_columns(second, order)
+    return _gauge_map(_series_mul(a, b, order), e * f, first.dim, order)
 
 
 def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochain:

@@ -7,7 +7,8 @@ against dense Gauss-Jordan, the differential against the whole-map operators
 delta_hoch, delta' and delta_k evaluated tuple by tuple (and its matrix
 against one such evaluation per unit cochain), the deformation verifier and
 obstruction against the hand-written order-s convolutions, the gauge
-action against dense multimap composition, the input verifiers
+action against dense multimap composition and gauge composition and
+inversion against dense Fraction matrix series, the input verifiers
 (associativity, the higher-derivation law on a product or a bracket, the
 bimodule laws) against their Fraction scans over basis tuples, the three
 readers of the morphism law (morphisms, universal extensions, section
@@ -639,23 +640,39 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
     return H.Cochain(main, tuple(parts))
 
 
+def dense_series_product(a, b, order: int) -> list[H.Matrix]:
+    """Coefficients 0..order of (sum_p a_p t^p)(sum_q b_q t^q), every term a
+    dense Fraction product: the reference for ``deform.gauge_compose``."""
+    return [sum((a[p] * b[s - p] for p in range(s + 1)), H.Matrix.zeros(a[0].rows, b[0].cols))
+            for s in range(order + 1)]
+
+
+def dense_series_inverse(phis) -> list[H.Matrix]:
+    """The inverse series Psi of Phi (Phi_0 = id) to Phi's order, from
+    Psi_s = -sum_{q=1..s} Psi_{s-q} Phi_q: the reference for
+    ``deform.gauge_inverse`` and the Psi of ``dense_apply_gauge``."""
+    dim = phis[0].rows
+    psis = [H.Matrix.identity(dim)]
+    for s in range(1, len(phis)):
+        acc = H.Matrix.zeros(dim, dim)
+        for q in range(1, s + 1):
+            acc = acc + psis[s - q] * phis[q]
+        psis.append(-acc)
+    return psis
+
+
 def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
     """mu' = Psi mu (Phi x Phi), d' = Psi d Phi with dense Fraction multimaps.
 
     The reference for ``deform.apply_gauge``: the gauge is padded or
-    truncated to the deformation's order, Psi is the truncated geometric
-    inverse series, and every term is composed slot by slot and added.
+    truncated to the deformation's order, Psi is ``dense_series_inverse``,
+    and every term is composed slot by slot and added.
     """
     dim, T = defm.dim, defm.order
     mus_in, dks_in = _series(defm)
     phis = [gauge.phis[s] if s <= gauge.order else H.Matrix.zeros(dim, dim)
             for s in range(T + 1)]
-    psis = [H.Matrix.identity(dim)]
-    for s in range(1, T + 1):
-        acc = H.Matrix.zeros(dim, dim)
-        for q in range(1, s + 1):
-            acc = acc + psis[s - q] * phis[q]
-        psis.append(-acc)
+    psis = dense_series_inverse(phis)
     mus = []
     for s in range(T + 1):
         acc = H.MultiMap.zero(2, dim, dim)

@@ -14,8 +14,9 @@ from hderlab.serialize import (
 )
 
 from helpers import (
-    cochains_equal, dense_apply_gauge, loop_obstruction, loop_verify_deformation,
-    pair_fixtures, rand_fraction, rand_gauge, rand_matrix, rand_multimap,
+    cochains_equal, dense_apply_gauge, dense_series_inverse, dense_series_product,
+    loop_obstruction, loop_verify_deformation, pair_fixtures, rand_fraction, rand_gauge,
+    rand_matrix, rand_multimap,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -85,11 +86,53 @@ def test_gauge_composition_matches_sequential_application():
     assert seq == H.apply_gauge(defm, H.gauge_compose(g1, g2))
 
 
-def test_gauge_requires_identity_at_zero():
-    alg, hd = _dual_pair()
+@pytest.mark.parametrize("op", [
+    lambda g: H.apply_gauge(H.trivial_deformation(*_dual_pair(), 1), g),
+    H.gauge_inverse,
+    lambda g: H.gauge_compose(H.GaugeMap.identity(2, 1), g),
+    lambda g: H.gauge_compose(g, H.GaugeMap.identity(2, 1)),
+], ids=["apply_gauge", "gauge_inverse", "gauge_compose_second", "gauge_compose_first"])
+def test_gauge_requires_identity_at_zero(op):
     bad = H.GaugeMap(1, (H.Matrix.zeros(2, 2), H.Matrix.identity(2)))
     with pytest.raises(ValueError, match="identity"):
-        H.apply_gauge(H.trivial_deformation(alg, hd, 1), bad)
+        op(bad)
+
+
+@pytest.mark.parametrize("order, phis", [
+    (1, (H.Matrix.identity(2), H.Matrix.zeros(3, 3))),
+    (1, (H.Matrix.identity(2), H.Matrix.identity(3))),
+    (1, (H.Matrix.identity(2), H.Matrix(2, 3, (Fraction(1),) * 6))),
+    (1, (H.Matrix.zeros(2, 3), H.Matrix.zeros(2, 3))),
+    (-1, ()),
+], ids=["zero", "nonzero", "not_square", "first_not_square", "negative_order"])
+def test_gauge_checks_member_shapes(order, phis):
+    with pytest.raises(H.ShapeError):
+        H.GaugeMap(order, phis)
+
+
+def test_gauge_compose_rejects_different_dimensions():
+    with pytest.raises(H.ShapeError):
+        H.gauge_compose(H.GaugeMap.identity(2, 1), H.GaugeMap.identity(3, 1))
+
+
+def _gauge_with_zeros(rng: random.Random, dim: int, order: int) -> H.GaugeMap:
+    """A gauge whose members past Phi_0 are each zero with probability 1/3."""
+    return H.GaugeMap(order, (H.Matrix.identity(dim), *(
+        H.Matrix.zeros(dim, dim) if rng.random() < 1 / 3 else rand_matrix(rng, dim)
+        for _ in range(order))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2 ** 32))
+def test_gauge_compose_and_inverse_match_dense_series(dim, order, other_order, seed):
+    rng = random.Random(seed)
+    g, h = _gauge_with_zeros(rng, dim, order), _gauge_with_zeros(rng, dim, other_order)
+    inverse = H.gauge_inverse(g)
+    assert inverse == H.GaugeMap(order, tuple(dense_series_inverse(g.phis)))
+    low = min(order, other_order)
+    assert H.gauge_compose(g, h) == H.GaugeMap(low, tuple(dense_series_product(g.phis, h.phis, low)))
+    assert H.gauge_compose(g, inverse) == H.GaugeMap.identity(dim, order)
+    assert H.gauge_compose(inverse, g) == H.GaugeMap.identity(dim, order)
 
 
 def test_broken_first_order_coefficient_is_reported_at_s1():
