@@ -11,12 +11,15 @@ Conventions, fixed once and used everywhere:
   neither is ever stored.
 * f_0 = 0: convolution sums over a family of cochains never produce an
   index-0 member.
-* The differential is stated once, column by column (``_column``).  The
-  delta_k terms of a main-block column carry (-1)^n, n the degree of the
-  source cochain space; a unit map of arity m contributes its middle-sum
-  term at slot pos with (-1)^{pos+1} and its right-action term with
-  (-1)^{m+1}.  Parts of an n-cochain have arity n-1, so their right-action
-  sign is (-1)^n as well.
+* The differential is stated once, one basis tuple at a time
+  (``_tuple_columns``).  The middle sum and the delta_k compositions of a
+  unit map land on its own coordinate m_a and are otherwise the same for
+  every a, so they are summed once per tuple; the action terms and -d_k^M
+  are added per index a.  The delta_k terms of a main-block column carry
+  (-1)^n, n the degree of the source cochain space; a unit map of arity m
+  contributes its middle-sum term at slot pos with (-1)^{pos+1} and its
+  right-action term with (-1)^{m+1}.  Parts of an n-cochain have arity
+  n-1, so their right-action sign is (-1)^n as well.
 * The stencil computes on integers.  With D_act the common denominator of
   the products, the actions and the module maps, and D_hd that of
   d_1, ..., d_N, every entry of the degree-n differential is an int over
@@ -215,9 +218,11 @@ def vector_to_cochain(dim: int, mdim: int, nrank: int, n: int, vec: Vector) -> C
                    tuple([MultiMap(n - 1, dim, mdim, tuple(vec[b])) for b in parts]))
 
 
+@lru_cache(maxsize=64)
 def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
-    """The nonzero structure constants that ``_column`` reads for the
-    degree-n differential, as integer numerators over one scale.
+    """The nonzero structure constants that ``_tuple_columns`` reads for the
+    degree-n differential, as integer numerators over one scale (cached, so
+    read-only).
 
     D_act is the common denominator of the products, the actions and the
     module maps, D_hd that of d_1, ..., d_N, and S = D_act * D_hd^n is the
@@ -266,86 +271,73 @@ def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
     return d, md, hd.rank, lefts, rights, factors, drows, tuple(dmcols), d_act, scale
 
 
-def _add_coboundary(tables: tuple, m: int, flat: int, a: int, q: int, base: int,
-                    acc: dict, middle: bool) -> None:
-    """acc += the coboundary terms of the unit map sending the basis tuple
-    ``flat`` of arity m to m_a, in an output block of arity m + 1 that starts
-    at row ``base``: the left action through d_q, the alternating middle sum
-    when ``middle``, and (-1)^{m+1} times the right action through d_q."""
-    d, md, _, lefts, rights, factors, drows, _, _, _ = tables
-    shift = d ** m
-    for u, b, x in lefts[a]:
-        for i, y in drows[q][u].items():
-            row = base + (i * shift + flat) * md + b
-            acc[row] = acc.get(row, 0) + x * y
-    if middle:
-        for pos in range(m):
-            low = d ** (m - 1 - pos)
-            high, rest = divmod(flat, low * d)
-            r, lo = divmod(rest, low)
-            for i, j, x in factors[r]:
-                row = base + ((((high * d + i) * d + j) * low + lo) * md + a)
-                acc[row] = acc.get(row, 0) + (x if pos % 2 else -x)  # (-1)^{pos+1}
-    sign = 1 if m % 2 else -1  # (-1)^{m+1}
-    for u, b, x in rights[a]:
-        for i, y in drows[q][u].items():
-            row = base + (flat * d + i) * md + b
-            acc[row] = acc.get(row, 0) + sign * x * y
+def _tuple_columns(tables: tuple, n: int, t: int, indices):
+    """Yield ``(a, {row: x})`` for each module index a in ``indices``: the
+    entries x / S (ints, zeros possible) of column t * mdim + a of the
+    degree-n differential, the image of the unit cochain sending input basis
+    tuple t to m_a.  Tuples t < dim^n are the main block's (arity n), the
+    rest the parts' (arity n - 1).
 
-
-def _column(tables: tuple, n: int, p: int):
-    """Yield ``(row, x)`` for each nonzero entry x / S of column p of the
-    degree-n differential, each row once; x is an int and S the scale of
-    ``tables``.
-
-    A main-block column is the Hochschild coboundary of its unit map plus
-    (-1)^n times the delta_k terms in output part k: -d_k^M, and the
-    compositions f o (d_{q1} x ... x d_{qn}) with q1 + ... + qn = k.  A
-    column of input part j writes, into each output part k >= j, the left and
-    right action terms twisted by d_{k-j}; the middle sum goes to part j only.
+    A unit map of arity m has its two action terms through d_q and its
+    middle sum.  A main-block column adds (-1)^n times the delta_k terms in
+    output part k: -d_k^M and the compositions f o (d_{q1} x ... x d_{qn})
+    with q1 + ... + qn = k.  An input part j column writes its action terms
+    through d_{k-j} into each output part k >= j, its middle sum into part
+    j only.  ``shared`` holds the terms common to every a, by row minus a.
     """
-    d, md, nrank, _, _, _, drows, dmcols, d_act, _ = tables
+    d, md, nrank, lefts, rights, factors, drows, dmcols, d_act, _ = tables
     block = d ** n * md  # the input main block, and each output part (arity n)
     parts_base = d * block  # the output main block comes first
-    acc: dict[int, int] = {}
-    if p < block:
-        flat, a = divmod(p, md)
-        _add_coboundary(tables, n, flat, a, 0, 0, acc, True)
-        sign = 1 if n % 2 == 0 else -1  # (-1)^n
-        for k in range(1, nrank + 1):
-            base = parts_base + (k - 1) * block + flat * md
-            for b, x in dmcols[k - 1][a].items():
-                acc[base + b] = acc.get(base + b, 0) - sign * x
-        # (output tuple so far, q1 + ... so far) -> numerator, slot by slot
+    sign = 1 if n % 2 == 0 else -1  # (-1)^n
+    if t < d ** n:  # outputs: (q, block base) per action term; dm: the k of each -d_k^M
+        flat, m, middle, outputs, dm = t, n, 0, ((0, 0),), range(1, nrank + 1)
+        # the compositions: (output tuple so far, q1 + ...) -> numerator, slot by slot
         states = {(0, 0): sign * d_act}
         for slot in range(n - 1, -1, -1):
-            t = flat // d ** slot % d
+            i = flat // d ** slot % d
             grown: dict = {}
             for (out, used), x in states.items():
                 for q in range(nrank - used + 1):
-                    for j, y in drows[q][t].items():
+                    for j, y in drows[q][i].items():
                         key = (out * d + j, used + q)
                         grown[key] = grown.get(key, 0) + x * y
             states = grown
-        for (out, k), x in states.items():
-            if k:
-                row = parts_base + (k - 1) * block + out * md + a
-                acc[row] = acc.get(row, 0) + x
+        shared = {parts_base + (k - 1) * block + out * md: x
+                  for (out, k), x in states.items() if k}
     else:
-        j, rest = divmod(p - block, block // d)  # input parts have arity n - 1
-        flat, a = divmod(rest, md)
-        for k in range(j, nrank):  # 0-based parts: output k from input j <= k
-            _add_coboundary(tables, n - 1, flat, a, k - j, parts_base + k * block,
-                            acc, k == j)
-    for row, x in acc.items():
-        if x:
-            yield row, x
+        part, flat = divmod(t - d ** n, d ** (n - 1))  # input parts have arity n - 1
+        m, middle, shared, dm = n - 1, parts_base + part * block, {}, ()
+        outputs = tuple((k - part, parts_base + k * block) for k in range(part, nrank))
+    for pos in range(m):
+        low = d ** (m - 1 - pos)
+        high, rest = divmod(flat, low * d)
+        r, lo = divmod(rest, low)
+        for i, j, x in factors[r]:
+            row = middle + (((high * d + i) * d + j) * low + lo) * md
+            shared[row] = shared.get(row, 0) + (x if pos % 2 else -x)  # (-1)^{pos+1}
+    shift, right = d ** m, (1 if m % 2 else -1)  # right: (-1)^{m+1}
+    for a in indices:
+        acc = {row + a: x for row, x in shared.items()}
+        for q, base in outputs:
+            for u, b, x in lefts[a]:
+                for i, y in drows[q][u].items():
+                    row = base + (i * shift + flat) * md + b
+                    acc[row] = acc.get(row, 0) + x * y
+            for u, b, x in rights[a]:
+                for i, y in drows[q][u].items():
+                    row = base + (flat * d + i) * md + b
+                    acc[row] = acc.get(row, 0) + right * x * y
+        for k in dm:
+            base = parts_base + (k - 1) * block + flat * md
+            for b, x in dmcols[k - 1][a].items():
+                acc[base + b] = acc.get(base + b, 0) - sign * x
+        yield a, acc
 
 
 def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                  c: Cochain) -> Cochain:
-    """The coupled coboundary, summed over the nonzero coordinates of c;
-    squares to zero exactly."""
+    """The coupled coboundary, summed over the basis tuples and module
+    indices that c's nonzero coordinates touch; squares to zero exactly."""
     n = c.n
     if (c.main.dim, c.main.mdim) != (alg.dim, mod.mdim):
         raise ShapeError(f"cochain of shape ({c.main.dim}, {c.main.mdim}) on an "
@@ -355,11 +347,16 @@ def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     tables = _tables(alg, mod, hd, n)
     vec = cochain_to_vector(c)
     den = common_denominator(vec)
-    out = [0] * cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1)
+    touched: dict[int, dict[int, int]] = {}  # tuple -> {a: numerator over den}
     for p, v in enumerate(vec):
         if v:
-            v = v.numerator * (den // v.denominator)
-            for row, x in _column(tables, n, p):
+            t, a = divmod(p, mod.mdim)
+            touched.setdefault(t, {})[a] = v.numerator * (den // v.denominator)
+    out = [0] * cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1)
+    for t, coeffs in touched.items():
+        for a, column in _tuple_columns(tables, n, t, coeffs):
+            v = coeffs[a]
+            for row, x in column.items():
                 out[row] += v * x
     return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n + 1,
                              as_fractions(out, den * tables[-1]))
@@ -370,14 +367,17 @@ def differential_matrix(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                         n: int) -> Matrix:
     """Matrix of the degree-n differential in the fixed cochain bases, its
     integer columns scattered into the rows of its ``int_rows`` store."""
-    src = cochain_dim(alg.dim, mod.mdim, hd.rank, n)
-    rows: list[dict[int, int]] = [
-        {} for _ in range(cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1))]
+    md = mod.mdim
+    rows: list[dict[int, int]] = [{} for _ in range(cochain_dim(alg.dim, md, hd.rank, n + 1))]
     tables = _tables(alg, mod, hd, n)
-    for p in range(src):
-        for row, x in _column(tables, n, p):
-            rows[row][p] = x
-    return Matrix.from_int_rows(rows, tables[-1], src)
+    tuples = cochain_dim(alg.dim, 1, hd.rank, n)  # input basis tuples, mdim columns each
+    for t in range(tuples):
+        for a, column in _tuple_columns(tables, n, t, range(md)):
+            p = t * md + a
+            for row, x in column.items():
+                if x:
+                    rows[row][p] = x
+    return Matrix.from_int_rows(rows, tables[-1], tuples * md)
 
 
 @dataclass(frozen=True, eq=False)

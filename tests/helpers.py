@@ -123,12 +123,28 @@ def rescaled_pair(alg: H.Algebra, hd: H.HigherDerivation,
     return H.Algebra.from_table(table, labels=alg.basis_labels), H.HigherDerivation(hd.rank, maps)
 
 
+def doubled(mod: H.Bimodule) -> H.Bimodule:
+    """mod + mod: both actions and every module map act on each copy alone."""
+    n = mod.mdim
+
+    def diag(square):  # a square array, twice along the diagonal
+        return tuple(tuple(row) + (ZERO,) * n for row in square) + \
+            tuple((ZERO,) * n + tuple(row) for row in square)
+
+    right = tuple(tuple(tuple(v) + (ZERO,) * n for v in ra) for ra in mod.right) + \
+        tuple(tuple((ZERO,) * n + tuple(v) for v in ra) for ra in mod.right)
+    return H.Bimodule(2 * n, tuple(diag(m) for m in mod.left), right,
+                      tuple(H.Matrix.from_rows(diag(m.to_rows())) for m in mod.dmaps))
+
+
 def coefficient_fixtures() -> list[tuple[str, H.Algebra, H.HigherDerivation, H.Bimodule]]:
     """Pairs with both adjoint and trivial-with-random-dmaps coefficients,
     then a pair with non-integral structure constants: Q[x]/(x^3) with the
     divided powers of the derivation x -> x + x^2, in the rescaled basis
     (2/3, 3x/5, 5x^2/7), with its adjoint module and a trivial line whose
-    module maps have denominators 7 and 11 of their own."""
+    module maps have denominators 7 and 11 of their own.  Last, A + A over
+    the dual numbers at rank 2 (d_2 has the entry 1/2): nonzero actions on
+    a module of dimension 4, twice the algebra's."""
     rng = random.Random(5150)
     out = []
     for name, alg, hd in pair_fixtures():
@@ -144,6 +160,10 @@ def coefficient_fixtures() -> list[tuple[str, H.Algebra, H.HigherDerivation, H.B
     dmaps = (H.Matrix(1, 1, (Fraction(4, 11),)), H.Matrix(1, 1, (Fraction(-13, 7),)))
     out.append(("poly3-rescaled/shear2/adjoint", alg, hd, H.adjoint_bimodule(alg, hd)))
     out.append(("poly3-rescaled/shear2/trivial1", alg, hd, H.trivial_bimodule(alg, 1, dmaps)))
+    name, alg, hd, adjoint = out[0]
+    assert name == "dual/ordinary2/adjoint" and hd.rank == 2
+    out.append(("dual/ordinary2/adjoint+adjoint", alg, hd, doubled(adjoint)))
+    assert H.verify_bimodule(alg, hd, out[-1][3]).ok
     return out
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hderlab as H
-from hderlab import exactlin, samples
+from hderlab import cochain, exactlin, samples
 from hderlab.deform import product_multimap
 
 from helpers import (
@@ -363,7 +363,14 @@ def test_equal_structures_hash_equal_and_hit_the_cache():
     for a, b in zip(first, second):
         assert a is not b and a == b and hash(a) == hash(b) == hash(b)
     H.differential_matrix.cache_clear()
+    cochain._tables.cache_clear()
     m = H.differential_matrix(*first, 2)
     assert H.differential_matrix(*second, 2) is m
     info = H.differential_matrix.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    # differential(c) reads the stencil tables the matrix was built from
+    alg, mod, hd = second
+    c = rand_cochain(random.Random(75), alg.dim, mod.mdim, hd.rank, 2)
+    assert H.cochain_to_vector(H.differential(alg, mod, hd, c)) == m.apply(H.cochain_to_vector(c))
+    info = cochain._tables.cache_info()
     assert (info.hits, info.misses) == (1, 1)

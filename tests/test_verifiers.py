@@ -19,7 +19,7 @@ from hderlab import samples
 from hderlab.exactlin import ONE, ZERO
 
 from helpers import (
-    coefficient_fixtures, oracle_check_morphism, oracle_cocycle_from_section,
+    coefficient_fixtures, doubled, oracle_check_morphism, oracle_cocycle_from_section,
     oracle_universal_extension, oracle_verify_algebra, oracle_verify_bimodule,
     oracle_verify_hder, oracle_verify_liehder, pair_fixtures, rand_matrix, rescaled_pair,
 )
@@ -144,6 +144,8 @@ def coefficient_triples(draw):
         alg, hd = rescaled_pair(alg, hd, tuple(draw(SCALES) for _ in range(alg.dim)))
         if name.endswith("/adjoint"):
             mod = H.adjoint_bimodule(alg, hd)
+        elif name.endswith("/adjoint+adjoint"):
+            mod = doubled(H.adjoint_bimodule(alg, hd))
     return alg, hd, mod
 
 
