@@ -255,18 +255,6 @@ class Bimodule:
             if m.rows != self.mdim or m.cols != self.mdim:
                 raise ShapeError(f"module map {k} is {m.rows}x{m.cols}, expected {self.mdim}x{self.mdim}")
 
-    def act_left(self, avec: Vector, mvec: Vector) -> Vector:
-        return _contract(self.left, avec, mvec, self.mdim)
-
-    def act_right(self, mvec: Vector, avec: Vector) -> Vector:
-        return _contract(self.right, mvec, avec, self.mdim)
-
-    def apply_dmap(self, k: int, mvec: Vector) -> Vector:
-        """d_k^M(mvec), with d_0^M = identity."""
-        if k == 0:
-            return mvec
-        return self.dmaps[k - 1].apply(mvec)
-
     def basis_vector(self, a: int) -> Vector:
         return tuple(Fraction(1) if b == a else ZERO for b in range(self.mdim))
 

@@ -174,7 +174,7 @@ def cmd_cohomology(doc, args):
     alg, hd, mod = _structures(doc, args.coefficients, "--coefficients file")
     _guard(degree=args.degree)
     rep = cohomology(alg, mod, hd, args.degree)
-    return True, cohomology_to_json(rep, streamed=True), []
+    return True, cohomology_to_json(rep), []
 
 
 def cmd_classify_central(doc, args):

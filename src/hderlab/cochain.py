@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 
 from .algebras import Algebra, Bimodule
 from .exactlin import (
-    Kernel, Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, common_denominator,
+    Kernel, Matrix, ShapeError, Vector, ZERO, as_fractions, common_denominator,
     null_space, rank, require_image_in_kernel, solve_affine,
 )
 from .hder import HigherDerivation
@@ -86,28 +86,6 @@ class MultiMap:
         base = flat * self.mdim
         return self.values[base:base + self.mdim]
 
-    def eval(self, vectors) -> Vector:
-        """Full multilinear evaluation at coordinate vectors, skipping zeros."""
-        nonzero = [[(i, v) for i, v in enumerate(vec) if v] for vec in vectors]
-        out = [ZERO] * self.mdim
-        for combo in itertools.product(*nonzero):
-            coeff = ONE
-            flat = 0
-            for i, v in combo:
-                coeff *= v
-                flat = flat * self.dim + i
-            base = flat * self.mdim
-            for b in range(self.mdim):
-                x = self.values[base + b]
-                if x:
-                    out[b] += coeff * x
-        return tuple(out)
-
-    def add(self, other: "MultiMap") -> "MultiMap":
-        self._require_same_shape(other)
-        return MultiMap(self.arity, self.dim, self.mdim,
-                        tuple(a + b for a, b in zip(self.values, other.values)))
-
     def sub(self, other: "MultiMap") -> "MultiMap":
         self._require_same_shape(other)
         return MultiMap(self.arity, self.dim, self.mdim,
@@ -115,9 +93,6 @@ class MultiMap:
 
     def neg(self) -> "MultiMap":
         return MultiMap(self.arity, self.dim, self.mdim, tuple(-a for a in self.values))
-
-    def scale(self, c: Fraction) -> "MultiMap":
-        return MultiMap(self.arity, self.dim, self.mdim, tuple(c * a for a in self.values))
 
     def is_zero(self) -> bool:
         return all(not a for a in self.values)
@@ -158,19 +133,12 @@ class Cochain:
     def n(self) -> int:
         return self.main.arity
 
-    def add(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.main.add(other.main),
-                       tuple(a.add(b) for a, b in zip(self.parts, other.parts, strict=True)))
-
     def sub(self, other: "Cochain") -> "Cochain":
         return Cochain(self.main.sub(other.main),
                        tuple(a.sub(b) for a, b in zip(self.parts, other.parts, strict=True)))
 
     def neg(self) -> "Cochain":
         return Cochain(self.main.neg(), tuple(p.neg() for p in self.parts))
-
-    def scale(self, c: Fraction) -> "Cochain":
-        return Cochain(self.main.scale(c), tuple(p.scale(c) for p in self.parts))
 
     def is_zero(self) -> bool:
         return self.main.is_zero() and all(p.is_zero() for p in self.parts)

@@ -168,9 +168,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @cached_property
     def int_rows(self) -> tuple[tuple[dict[int, int], ...], int]:
         """``(rows, S)``: each row's nonzero entries as ``{column: x}`` with
@@ -189,9 +186,8 @@ class Matrix:
         for j, vj in enumerate(v):
             if not vj:
                 continue
-            base = j
             for i in range(self.rows):
-                e = self.entries[i * self.cols + base]
+                e = self.entries[i * self.cols + j]
                 if e:
                     out[i] += e * vj
         return tuple(out)
@@ -214,18 +210,10 @@ class Matrix:
                         out[obase + j] += a * b
         return Matrix(self.rows, other.cols, tuple(out))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
         return Matrix(self.rows, self.cols,
                       tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, c: Fraction) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))

@@ -6,13 +6,17 @@ The tensor algebra here is truncated by the graded ideal of words longer
 than ``max_degree``: concatenation that overflows the bound is zero.  That
 quotient is an honest associative algebra, and the induced maps descend to
 it because they preserve word length.  Words are enumerated by length and
-then lexicographically, with the empty word (the unit) first.
+then lexicographically, with the empty word (the unit) first.  The induced
+maps come from one recursion over the first letter of a word,
+D_k(a w) = sum_{p=0..k} theta_p(a) D_{k-p}(w), so their cost is polynomial
+in the number of maps theta_1..theta_N.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, vec_add
@@ -27,9 +31,6 @@ class TruncatedTensorAlgebra:
     max_degree: int
     words: tuple[Word, ...]
     algebra: Algebra
-
-    def word_index(self, w: Word) -> int:
-        return self.words.index(w)
 
 
 @dataclass(frozen=True)
@@ -77,26 +78,17 @@ def build_tensor_algebra(vdim: int, max_degree: int) -> TruncatedTensorAlgebra:
     return TruncatedTensorAlgebra(vdim, max_degree, words, alg)
 
 
-def _compositions(total: int, parts: int):
-    """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 def induced_tensor_hder(vdim: int, max_degree: int,
                         thetas: tuple[Matrix, ...]) -> tuple[TruncatedTensorAlgebra, HigherDerivation]:
     """Extend maps on V to the truncated tensor algebra.
 
-    The k-th induced map sends a word to the sum, over every way of
-    distributing a composition (p_1, ..., p_s) of k onto s chosen slots
-    i_1 < ... < i_s, of the word with theta_{p_l} applied at slot i_l.  It
-    preserves word length, vanishes on the empty word, and the result is a
-    higher derivation on the truncation.
+    The k-th induced map is d_k(v_1 ... v_l) = sum over p_1 + ... + p_l = k
+    of theta_{p_1} v_1 ... theta_{p_l} v_l, with theta_0 the identity.  It
+    is computed by one recursion over the first letter,
+    D_k(a w) = sum_{p=0..k} theta_p(a) D_{k-p}(w) with D_0 the identity,
+    visiting words shortest first, so the work is polynomial in the number
+    of maps.  The induced maps preserve word length, vanish on the empty
+    word, and form a higher derivation on the truncation.
     """
     rank = len(thetas)
     if rank < 1:
@@ -105,39 +97,38 @@ def induced_tensor_hder(vdim: int, max_degree: int,
         if th.rows != vdim or th.cols != vdim:
             raise ShapeError(f"theta {k} is {th.rows}x{th.cols}, expected {vdim}x{vdim}")
     tta = build_tensor_algebra(vdim, max_degree)
-    index = {w: i for i, w in enumerate(tta.words)}
-    n = len(tta.words)
+    words = tta.words
+    index = {w: i for i, w in enumerate(words)}
+    # images[p][a]: the nonzero (b, coefficient) of theta_p(v_a), theta_0 = id
+    images = [[[(a, ONE)] for a in range(vdim)]]
+    for th in thetas:
+        images.append([[(b, th.entry(b, a)) for b in range(vdim) if th.entry(b, a)]
+                       for a in range(vdim)])
+    # series[i][k]: D_k(words[i]) as {word index: coefficient}
+    series: list[list[dict[int, Fraction]]] = [[{0: ONE}] + [{} for _ in range(rank)]]
+    for w in words[1:]:
+        tail = series[index[w[1:]]]
+        dks = []
+        for k in range(rank + 1):
+            acc: dict[int, Fraction] = {}
+            for p in range(k + 1):
+                for b, x in images[p][w[0]]:
+                    for j, y in tail[k - p].items():
+                        i = index[(b, *words[j])]
+                        acc[i] = acc.get(i, ZERO) + x * y
+            dks.append(acc)
+        series.append(dks)
+    n = len(words)
     maps = []
     for k in range(1, rank + 1):
         cols: list[Vector] = []
-        for w in tta.words:
+        for dks in series:
             out = [ZERO] * n
-            length = len(w)
-            for s in range(1, min(length, k) + 1):
-                for comp in _compositions(k, s):
-                    for slots in itertools.combinations(range(length), s):
-                        _accumulate_replacements(out, w, slots, comp, thetas, index)
+            for i, x in dks[k].items():
+                out[i] = x
             cols.append(tuple(out))
         maps.append(Matrix.from_columns(cols))
     return tta, HigherDerivation(rank, tuple(maps))
-
-
-def _accumulate_replacements(out, w: Word, slots, comp, thetas, index) -> None:
-    choices = []
-    for slot, p in zip(slots, comp):
-        th = thetas[p - 1]
-        letter = w[slot]
-        nonzero = [(b, th.entry(b, letter)) for b in range(th.rows) if th.entry(b, letter)]
-        if not nonzero:
-            return
-        choices.append((slot, nonzero))
-    for picks in itertools.product(*(nz for _, nz in choices)):
-        coeff = ONE
-        new = list(w)
-        for (slot, _), (b, val) in zip(choices, picks):
-            coeff *= val
-            new[slot] = b
-        out[index[tuple(new)]] += coeff
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,8 @@ def polynomial_truncation(alg: Algebra, order: int) -> Algebra:
     labels = tuple(
         lbl if s == 0 else f"{lbl}*t^{s}"
         for s in range(order + 1) for lbl in alg.basis_labels)
-    unit = alg.unit_index if alg.unit_index is not None else None
-    return Algebra(big, tuple(tuple(tuple(row) for row in mid) for mid in c), labels, unit)
+    return Algebra(big, tuple(tuple(tuple(row) for row in mid) for mid in c), labels,
+                   alg.unit_index)
 
 
 def truncated_morphism_check(alg: Algebra, hd: HigherDerivation) -> CheckReport:

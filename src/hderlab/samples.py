@@ -57,15 +57,11 @@ def matrix_units_with_unit() -> Algebra:
     # E12*E21 = E11 = I - E22 ; E21*E12 = E22
     table[a][b] = (Fraction(1), ZERO, ZERO, Fraction(-1))
     table[b][a] = one(c)
-    # E12*E22 = E12 ; E22*E21 = E21 ; E21*? ...
+    # E12*E22 = E12 ; E22*E21 = E21 ; E22*E22 = E22
     table[a][c] = one(a)
     table[c][b] = one(b)
     table[c][c] = one(c)
-    # remaining products vanish: E12*E12, E21*E21, E22*E12, E21*E22
-    table[a][a] = _zero4()
-    table[b][b] = _zero4()
-    table[c][a] = _zero4()
-    table[b][c] = _zero4()
+    # the rest vanish: E12*E12, E21*E21, E22*E12, E21*E22
     return Algebra.from_table(table, labels=("I", "E12", "E21", "E22"), unit_index=0)
 
 
@@ -105,21 +101,6 @@ def truncated_polynomials(degree_bound: int) -> Algebra:
                 table[i][j][i + j] = ONE
     labels = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in range(n))
     return Algebra.from_table(table, labels=labels, unit_index=0)
-
-
-def derivative_matrix(degree_bound: int) -> Matrix:
-    """d/dx on the basis of :func:`truncated_polynomials`.
-
-    Beware: this linear map is NOT a derivation of the truncated algebra
-    (d(x * x^{n-1}) = 0 but the product rule gives n x^{n-1} != 0); it only
-    exists on the full polynomial ring.  Use :func:`euler_matrix` for a
-    derivation that genuinely lives on the truncation.
-    """
-    n = degree_bound
-    rows = [[ZERO] * n for _ in range(n)]
-    for j in range(1, n):
-        rows[j - 1][j] = Fraction(j)
-    return Matrix.from_rows(rows)
 
 
 def euler_matrix(degree_bound: int) -> Matrix:

@@ -14,13 +14,11 @@ about once per file.  Payloads format rationals with ``rat_str``, except
 the shared ``exactlin.ZERO``, which is written as "0" by identity.
 ``write_report`` writes a payload exactly as ``json.dumps(doc, indent=2,
 sort_keys=True)`` does, but encodes each list of strings with one C-level
-join, and hands the text to a ``write`` callable in pieces; ``report_text``
-joins them.  A :class:`Streamed` list is made and written one item at a
-time: ``cohomology_to_json(rep, streamed=True)`` writes the cocycle basis
-from the sparse kernel form ``rep.kernel``, formatting each entry x/q
-straight from the integers, so neither the Fraction basis nor the whole
-text exists at once.  Without ``streamed`` it returns the plain payload
-built from ``rep.cocycle_basis``, the reference for the streamed one.
+join, and hands the text to a ``write`` callable in pieces.  A
+:class:`Streamed` list is made and written one item at a time:
+``cohomology_to_json`` writes the cocycle basis from the sparse kernel form
+``rep.kernel``, formatting each entry x/q straight from the integers, so
+neither the Fraction basis nor the whole text exists at once.
 """
 
 from __future__ import annotations
@@ -293,20 +291,17 @@ def extension_to_json(ext: ExtensionPair) -> dict:
     }
 
 
-def cohomology_to_json(rep: CohomologyReport, streamed: bool = False) -> dict:
-    """The cohomology payload.  With ``streamed`` its ``cocycle_basis`` is a
-    :class:`Streamed` list made from the sparse kernel form as it is
-    written, and ``rep.cocycle_basis`` is never built; the text written is
-    the same."""
-    basis = (Streamed(lambda: _cocycle_docs(rep)) if streamed
-             else [cochain_to_json(c) for c in rep.cocycle_basis])
+def cohomology_to_json(rep: CohomologyReport) -> dict:
+    """The cohomology payload.  Its ``cocycle_basis`` is a :class:`Streamed`
+    list made from the sparse kernel form as it is written, and
+    ``rep.cocycle_basis`` is never built."""
     return {
         "degree": rep.degree,
         "dim_cochains": rep.dim_cochains,
         "dim_cocycles": rep.dim_cocycles,
         "dim_coboundaries": rep.dim_coboundaries,
         "betti": rep.betti,
-        "cocycle_basis": basis,
+        "cocycle_basis": Streamed(lambda: _cocycle_docs(rep)),
     }
 
 
@@ -372,13 +367,6 @@ def write_report(doc, write, newline: str = "\n") -> None:
         write("[]" if head == "[" else newline + "]")
     else:
         write(_encode(doc, newline))
-
-
-def report_text(doc) -> str:
-    """The text :func:`write_report` writes for ``doc``, as one string."""
-    pieces: list[str] = []
-    write_report(doc, pieces.append)
-    return "".join(pieces)
 
 
 def _encode(obj, newline: str) -> str:

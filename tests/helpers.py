@@ -12,12 +12,15 @@ inversion against dense Fraction matrix series, the input verifiers
 (associativity, the higher-derivation law on a product or a bracket, the
 bimodule laws) against their Fraction scans over basis tuples, the three
 readers of the morphism law (morphisms, universal extensions, section
-cocycles) against their own loops, and the report writer against the json
-module.
+cocycles) against their own loops, the induced tensor-algebra maps against
+their sum over compositions, and the report writer against the json module.
+The structure arithmetic only tests use (matrix and multimap sums, the
+module actions, multilinear evaluation) is stated here as functions too.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -30,7 +33,7 @@ from hderlab import samples
 from hderlab.algebras import _contract
 from hderlab.exactlin import ONE, ZERO, echelon, vec_add
 from hderlab.extensions import _check_induced_actions
-from hderlab.serialize import Streamed
+from hderlab.serialize import Streamed, cochain_to_json, write_report
 
 # ---------------------------------------------------------------- generators
 
@@ -81,6 +84,101 @@ def sparse_matrices(rows=st.integers(0, 7), cols=st.integers(0, 7)):
 
     return st.tuples(rows, cols).flatmap(
         lambda rc: st.one_of(plain(*rc), low_rank(*rc)))
+
+
+# ------------------------------------------- arithmetic the package lacks
+# The package computes each of these through one route of its own (integer
+# tables, per-tuple stencils); the tests state them directly.
+
+
+def mat_add(a: H.Matrix, b: H.Matrix) -> H.Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise H.ShapeError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    return H.Matrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
+
+
+def mat_neg(a: H.Matrix) -> H.Matrix:
+    return H.Matrix(a.rows, a.cols, tuple(-x for x in a.entries))
+
+
+def to_rows(m: H.Matrix) -> list[list[Fraction]]:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def mm_eval(mm: H.MultiMap, vectors) -> tuple:
+    """Full multilinear evaluation at coordinate vectors, skipping zeros."""
+    nonzero = [[(i, v) for i, v in enumerate(vec) if v] for vec in vectors]
+    out = [ZERO] * mm.mdim
+    for combo in itertools.product(*nonzero):
+        coeff = ONE
+        flat = 0
+        for i, v in combo:
+            coeff *= v
+            flat = flat * mm.dim + i
+        base = flat * mm.mdim
+        for b in range(mm.mdim):
+            x = mm.values[base + b]
+            if x:
+                out[b] += coeff * x
+    return tuple(out)
+
+
+def mm_add(a: H.MultiMap, b: H.MultiMap) -> H.MultiMap:
+    if (a.arity, a.dim, a.mdim) != (b.arity, b.dim, b.mdim):
+        raise H.ShapeError("multimap shape mismatch")
+    return H.MultiMap(a.arity, a.dim, a.mdim, tuple(x + y for x, y in zip(a.values, b.values)))
+
+
+def mm_scale(a: H.MultiMap, c: Fraction) -> H.MultiMap:
+    return H.MultiMap(a.arity, a.dim, a.mdim, tuple(c * x for x in a.values))
+
+
+def cochain_add(a: H.Cochain, b: H.Cochain) -> H.Cochain:
+    return H.Cochain(mm_add(a.main, b.main),
+                     tuple(mm_add(x, y) for x, y in zip(a.parts, b.parts, strict=True)))
+
+
+def cochain_scale(a: H.Cochain, c: Fraction) -> H.Cochain:
+    return H.Cochain(mm_scale(a.main, c), tuple(mm_scale(p, c) for p in a.parts))
+
+
+def act_left(mod: H.Bimodule, avec: tuple, mvec: tuple) -> tuple:
+    return _contract(mod.left, avec, mvec, mod.mdim)
+
+
+def act_right(mod: H.Bimodule, mvec: tuple, avec: tuple) -> tuple:
+    return _contract(mod.right, mvec, avec, mod.mdim)
+
+
+def apply_dmap(mod: H.Bimodule, k: int, mvec: tuple) -> tuple:
+    """d_k^M(mvec), with d_0^M = identity."""
+    return mvec if k == 0 else mod.dmaps[k - 1].apply(mvec)
+
+
+def word_index(tta: H.TruncatedTensorAlgebra, w: tuple) -> int:
+    return tta.words.index(w)
+
+
+def derivative_matrix(degree_bound: int) -> H.Matrix:
+    """d/dx on the basis of ``samples.truncated_polynomials``.
+
+    Beware: this linear map is NOT a derivation of the truncated algebra
+    (d(x * x^{n-1}) = 0 but the product rule gives n x^{n-1} != 0); it only
+    exists on the full polynomial ring.  ``samples.euler_matrix`` is a
+    derivation that genuinely lives on the truncation.
+    """
+    n = degree_bound
+    rows = [[ZERO] * n for _ in range(n)]
+    for j in range(1, n):
+        rows[j - 1][j] = Fraction(j)
+    return H.Matrix.from_rows(rows)
+
+
+def report_text(doc) -> str:
+    """The text ``serialize.write_report`` writes for ``doc``, as one string."""
+    pieces: list[str] = []
+    write_report(doc, pieces.append)
+    return "".join(pieces)
 
 
 # ------------------------------------------------------------ fixture menus
@@ -134,7 +232,7 @@ def doubled(mod: H.Bimodule) -> H.Bimodule:
     right = tuple(tuple(tuple(v) + (ZERO,) * n for v in ra) for ra in mod.right) + \
         tuple(tuple((ZERO,) * n + tuple(v) for v in ra) for ra in mod.right)
     return H.Bimodule(2 * n, tuple(diag(m) for m in mod.left), right,
-                      tuple(H.Matrix.from_rows(diag(m.to_rows())) for m in mod.dmaps))
+                      tuple(H.Matrix.from_rows(diag(to_rows(m))) for m in mod.dmaps))
 
 
 def coefficient_fixtures() -> list[tuple[str, H.Algebra, H.HigherDerivation, H.Bimodule]]:
@@ -187,12 +285,12 @@ def raw_cocycle_defects(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
     for i in range(d):
         for j in range(d):
             for l in range(d):
-                acc = list(mod.act_right(z.main.value_at((i, j)), alg.basis_vector(l)))
+                acc = list(act_right(mod, z.main.value_at((i, j)), alg.basis_vector(l)))
                 for r, coeff in enumerate(alg.c[i][j]):
                     if coeff:
                         for b, x in enumerate(z.main.value_at((r, l))):
                             acc[b] += coeff * x
-                term = mod.act_left(alg.basis_vector(i), z.main.value_at((j, l)))
+                term = act_left(mod, alg.basis_vector(i), z.main.value_at((j, l)))
                 for b, x in enumerate(term):
                     acc[b] -= x
                 for r, coeff in enumerate(alg.c[j][l]):
@@ -213,14 +311,14 @@ def raw_cocycle_defects(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
                     dpi = hd.apply(p, alg.basis_vector(i))
                     dqj = hd.apply(q, alg.basis_vector(j))
                     if q >= 1:
-                        term = mod.act_left(dpi, z.parts[q - 1].value_at((j,)))
+                        term = act_left(mod, dpi, z.parts[q - 1].value_at((j,)))
                         for b, x in enumerate(term):
                             acc[b] -= x
                     if p >= 1:
-                        term = mod.act_right(z.parts[p - 1].value_at((i,)), dqj)
+                        term = act_right(mod, z.parts[p - 1].value_at((i,)), dqj)
                         for b, x in enumerate(term):
                             acc[b] -= x
-                    term = z.main.eval((dpi, dqj))
+                    term = mm_eval(z.main, (dpi, dqj))
                     for b, x in enumerate(term):
                         acc[b] -= x
                 defects.extend(acc)
@@ -238,12 +336,12 @@ def raw_coboundary(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
     psi_vals = []
     for i in range(d):
         for j in range(d):
-            acc = list(mod.act_left(alg.basis_vector(i), h.value_at((j,))))
+            acc = list(act_left(mod, alg.basis_vector(i), h.value_at((j,))))
             for r, coeff in enumerate(alg.c[i][j]):
                 if coeff:
                     for b, x in enumerate(h.value_at((r,))):
                         acc[b] -= coeff * x
-            term = mod.act_right(h.value_at((i,)), alg.basis_vector(j))
+            term = act_right(mod, h.value_at((i,)), alg.basis_vector(j))
             for b, x in enumerate(term):
                 acc[b] += x
             psi_vals.extend(acc)
@@ -253,7 +351,7 @@ def raw_coboundary(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
         for i in range(d):
             acc = list(mod.dmaps[k - 1].apply(h.value_at((i,))))
             dk_ei = hd.apply(k, alg.basis_vector(i))
-            term = h.eval((dk_ei,))
+            term = mm_eval(h, (dk_ei,))
             for b, x in enumerate(term):
                 acc[b] -= x
             vals.extend(acc)
@@ -308,7 +406,7 @@ def dense_rref(m: H.Matrix) -> tuple[H.Matrix, tuple[int, ...]]:
 
     First-nonzero pivoting on full rows; the reference for ``reduced_matrix``.
     """
-    work = m.to_rows()
+    work = to_rows(m)
     pivots: list[int] = []
     pr = 0
     for pc in range(m.cols):
@@ -416,9 +514,9 @@ def delta_hoch(alg: H.Algebra, mod: H.Bimodule, f: H.MultiMap) -> H.MultiMap:
     n, d, md = f.arity, alg.dim, mod.mdim
     values: list[Fraction] = []
     for idx in itertools.product(range(d), repeat=n + 1):
-        acc = list(mod.act_left(alg.basis_vector(idx[0]), f.value_at(idx[1:])))
+        acc = list(act_left(mod, alg.basis_vector(idx[0]), f.value_at(idx[1:])))
         _add_middle_sum(alg, f, idx, acc)
-        tail = mod.act_right(f.value_at(idx[:n]), alg.basis_vector(idx[n]))
+        tail = act_right(mod, f.value_at(idx[:n]), alg.basis_vector(idx[n]))
         tail_sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
         for b in range(md):
             if tail[b]:
@@ -447,7 +545,7 @@ def delta_prime(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
             acc = [ZERO] * md
             for i in range(k):  # j = k - i >= 1
                 avec = hd.apply(i, alg.basis_vector(idx[0]))
-                term = mod.act_left(avec, parts[k - i - 1].value_at(idx[1:]))
+                term = act_left(mod, avec, parts[k - i - 1].value_at(idx[1:]))
                 for b in range(md):
                     if term[b]:
                         acc[b] += term[b]
@@ -455,7 +553,7 @@ def delta_prime(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
             tail_sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
             for i in range(1, k + 1):  # j = k - i, i >= 1
                 avec = hd.apply(k - i, alg.basis_vector(idx[n]))
-                term = mod.act_right(parts[i - 1].value_at(idx[:n]), avec)
+                term = act_right(mod, parts[i - 1].value_at(idx[:n]), avec)
                 for b in range(md):
                     if term[b]:
                         acc[b] += tail_sign * term[b]
@@ -493,7 +591,7 @@ def delta_k(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
                 break
             g = compose_slot(g, slot, mat)
         if not dead:
-            result = result.add(g)
+            result = mm_add(result, g)
     return result
 
 
@@ -513,7 +611,7 @@ def oracle_differential(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
         raise H.ShapeError(f"cochain has {len(c.parts)} parts, rank is {hd.rank}")
     primed = delta_prime(alg, mod, hd, c.parts)
     sign = ONE if n % 2 == 0 else -ONE  # (-1)^n, n = source degree
-    parts = tuple(primed[k - 1].add(delta_k(alg, mod, hd, c.main, k).scale(sign))
+    parts = tuple(mm_add(primed[k - 1], mm_scale(delta_k(alg, mod, hd, c.main, k), sign))
                   for k in range(1, hd.rank + 1))
     return H.Cochain(delta_hoch(alg, mod, c.main), parts)
 
@@ -562,8 +660,8 @@ def loop_verify_deformation(alg: H.Algebra, hd: H.HigherDerivation,
             rhs = (ZERO,) * d
             for p in range(s + 1):
                 q = s - p
-                lhs = vec_add(lhs, mus[p].eval((mus[q].value_at((i, j)), basis[l])))
-                rhs = vec_add(rhs, mus[p].eval((basis[i], mus[q].value_at((j, l)))))
+                lhs = vec_add(lhs, mm_eval(mus[p], (mus[q].value_at((i, j)), basis[l])))
+                rhs = vec_add(rhs, mm_eval(mus[p], (basis[i], mus[q].value_at((j, l)))))
             if lhs != rhs:
                 return H.CheckReport(
                     False, H.Violation(f"order-{s} associativity", (i, j, l), lhs, rhs))
@@ -590,7 +688,7 @@ def loop_verify_deformation(alg: H.Algebra, hd: H.HigherDerivation,
                             right = basis[j] if b == 0 else (db.apply(basis[j]) if db is not None else None)
                             if left is None or right is None:
                                 continue
-                            rhs = vec_add(rhs, mus[p].eval((left, right)))
+                            rhs = vec_add(rhs, mm_eval(mus[p], (left, right)))
                 if lhs != rhs:
                     return H.CheckReport(False, H.Violation(
                         f"order-{s} higher-derivation law k={k}", (i, j), lhs, rhs))
@@ -616,8 +714,8 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
             q = n + 1 - p
             if not 1 <= q <= n:
                 continue
-            left = mus[p].eval((mus[q].value_at((i, j)), basis[l]))
-            right = mus[p].eval((basis[i], mus[q].value_at((j, l))))
+            left = mm_eval(mus[p], (mus[q].value_at((i, j)), basis[l]))
+            right = mm_eval(mus[p], (basis[i], mus[q].value_at((j, l))))
             acc = vec_add(acc, tuple(x - y for x, y in zip(left, right)))
         main_values.extend(acc)
     main = H.MultiMap(3, d, d, tuple(main_values))
@@ -651,7 +749,7 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
                         right = basis[j] if bb == 0 else (db.apply(basis[j]) if db is not None else None)
                         if left is None or right is None:
                             continue
-                        term = mus[p].eval((left, right))
+                        term = mm_eval(mus[p], (left, right))
                         for b in range(d):
                             if term[b]:
                                 acc[b] -= term[b]
@@ -663,7 +761,8 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
 def dense_series_product(a, b, order: int) -> list[H.Matrix]:
     """Coefficients 0..order of (sum_p a_p t^p)(sum_q b_q t^q), every term a
     dense Fraction product: the reference for ``deform.gauge_compose``."""
-    return [sum((a[p] * b[s - p] for p in range(s + 1)), H.Matrix.zeros(a[0].rows, b[0].cols))
+    return [functools.reduce(mat_add, (a[p] * b[s - p] for p in range(s + 1)),
+                             H.Matrix.zeros(a[0].rows, b[0].cols))
             for s in range(order + 1)]
 
 
@@ -676,8 +775,8 @@ def dense_series_inverse(phis) -> list[H.Matrix]:
     for s in range(1, len(phis)):
         acc = H.Matrix.zeros(dim, dim)
         for q in range(1, s + 1):
-            acc = acc + psis[s - q] * phis[q]
-        psis.append(-acc)
+            acc = mat_add(acc, psis[s - q] * phis[q])
+        psis.append(mat_neg(acc))
     return psis
 
 
@@ -700,7 +799,7 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
             w = s - p - q - r
             if w >= 0:
                 term = compose_slot(compose_slot(mus_in[q], 0, phis[r]), 1, phis[w])
-                acc = acc.add(postcompose(term, psis[p]))
+                acc = mm_add(acc, postcompose(term, psis[p]))
         mus.append(acc)
     dks = []
     for series in dks_in:
@@ -709,7 +808,7 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
             acc = H.Matrix.zeros(dim, dim)
             for p, q in itertools.product(range(s + 1), repeat=2):
                 if p + q <= s:
-                    acc = acc + psis[p] * series[q] * phis[s - p - q]
+                    acc = mat_add(acc, psis[p] * series[q] * phis[s - p - q])
             new.append(acc)
         dks.append(tuple(new))
     return H.Deformation(tuple(
@@ -783,8 +882,22 @@ def oracle_verify_liehder(pair: H.LieHDerPair) -> H.CheckReport:
 
 def oracle_report_text(doc) -> str:
     """The json module's indented, key-sorted text: the reference for
-    ``serialize.report_text`` and ``serialize.write_report``."""
+    ``serialize.write_report``."""
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def plain_cohomology_payload(rep: H.CohomologyReport) -> dict:
+    """The cohomology payload with its cocycle basis a plain list made from
+    ``rep.cocycle_basis`` by ``cochain_to_json``: the reference for the
+    streamed basis of ``serialize.cohomology_to_json``."""
+    return {
+        "degree": rep.degree,
+        "dim_cochains": rep.dim_cochains,
+        "dim_cocycles": rep.dim_cocycles,
+        "dim_coboundaries": rep.dim_coboundaries,
+        "betti": rep.betti,
+        "cocycle_basis": [cochain_to_json(c) for c in rep.cocycle_basis],
+    }
 
 
 def materialized(doc):
@@ -810,33 +923,33 @@ def oracle_verify_bimodule(alg: H.Algebra, hder, mod: H.Bimodule) -> H.CheckRepo
         ma = mod.basis_vector(a)
         prod = alg.basis_product(i, j)
         ei, ej = alg.basis_vector(i), alg.basis_vector(j)
-        lhs = mod.act_left(prod, ma)
-        rhs = mod.act_left(ei, mod.act_left(ej, ma))
+        lhs = act_left(mod, prod, ma)
+        rhs = act_left(mod, ei, act_left(mod, ej, ma))
         if lhs != rhs:
             return H.CheckReport.failed("left module law", (i, j, a), lhs, rhs)
-        lhs = mod.act_right(ma, prod)
-        rhs = mod.act_right(mod.act_right(ma, ei), ej)
+        lhs = act_right(mod, ma, prod)
+        rhs = act_right(mod, act_right(mod, ma, ei), ej)
         if lhs != rhs:
             return H.CheckReport.failed("right module law", (i, j, a), lhs, rhs)
-        lhs = mod.act_right(mod.act_left(ei, ma), ej)
-        rhs = mod.act_left(ei, mod.act_right(ma, ej))
+        lhs = act_right(mod, act_left(mod, ei, ma), ej)
+        rhs = act_left(mod, ei, act_right(mod, ma, ej))
         if lhs != rhs:
             return H.CheckReport.failed("bimodule compatibility", (i, j, a), lhs, rhs)
     for k in range(1, hder.rank + 1):
         for i, a in itertools.product(range(d), range(md)):
             ei = alg.basis_vector(i)
             ma = mod.basis_vector(a)
-            lhs = mod.dmaps[k - 1].apply(mod.act_left(ei, ma))
+            lhs = mod.dmaps[k - 1].apply(act_left(mod, ei, ma))
             rhs = tuple(
                 sum(col) for col in zip(*(
-                    mod.act_left(hder.apply(p, ei), mod.apply_dmap(k - p, ma))
+                    act_left(mod, hder.apply(p, ei), apply_dmap(mod, k - p, ma))
                     for p in range(k + 1))))
             if lhs != rhs:
                 return H.CheckReport.failed("left derivation law", (k, i, a), lhs, rhs)
-            lhs = mod.dmaps[k - 1].apply(mod.act_right(ma, ei))
+            lhs = mod.dmaps[k - 1].apply(act_right(mod, ma, ei))
             rhs = tuple(
                 sum(col) for col in zip(*(
-                    mod.act_right(mod.apply_dmap(p, ma), hder.apply(k - p, ei))
+                    act_right(mod, apply_dmap(mod, p, ma), hder.apply(k - p, ei))
                     for p in range(k + 1))))
             if lhs != rhs:
                 return H.CheckReport.failed("right derivation law", (k, i, a), lhs, rhs)
@@ -863,6 +976,48 @@ def oracle_check_morphism(mor: H.AssHDerMorphism) -> H.CheckReport:
         if tgt.hder.maps[k - 1] * f != f * src.hder.maps[k - 1]:
             return H.CheckReport.failed("intertwining", (k,))
     return H.CheckReport.passed()
+
+
+def _compositions(total: int, parts: int):
+    """Ordered tuples of `parts` positive integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def oracle_induced_tensor_hder(vdim: int, max_degree: int, thetas: tuple) -> H.HigherDerivation:
+    """The induced maps on the truncated tensor algebra by their defining sum:
+    the k-th map sends a word to the sum, over every composition
+    (p_1, ..., p_s) of k placed on chosen slots i_1 < ... < i_s, of the word
+    with theta_{p_l} applied at slot i_l.  Exponential in the number of
+    maps; the reference for the recursion of ``freecons.induced_tensor_hder``."""
+    words = H.build_tensor_algebra(vdim, max_degree).words
+    index = {w: i for i, w in enumerate(words)}
+    maps = []
+    for k in range(1, len(thetas) + 1):
+        cols = []
+        for w in words:
+            out = [ZERO] * len(words)
+            for s in range(1, min(len(w), k) + 1):
+                for comp in _compositions(k, s):
+                    for slots in itertools.combinations(range(len(w)), s):
+                        choices = [[(b, thetas[p - 1].entry(b, w[slot])) for b in range(vdim)
+                                    if thetas[p - 1].entry(b, w[slot])]
+                                   for slot, p in zip(slots, comp)]
+                        for picks in itertools.product(*choices):
+                            coeff = ONE
+                            new = list(w)
+                            for slot, (b, val) in zip(slots, picks):
+                                coeff *= val
+                                new[slot] = b
+                            out[index[tuple(new)]] += coeff
+            cols.append(tuple(out))
+        maps.append(H.Matrix.from_columns(cols))
+    return H.HigherDerivation(len(thetas), tuple(maps))
 
 
 def oracle_universal_extension(tta: H.TruncatedTensorAlgebra, thetas: tuple,

@@ -20,8 +20,8 @@ from hderlab.cli import main as cli_main
 
 from helpers import (
     betti2_by_rank_count, cochains_equal, coefficient_fixtures, delta_hoch,
-    delta_k, delta_prime, pair_fixtures, rand_cochain, rand_gauge, rand_matrix,
-    rand_multimap,
+    delta_k, delta_prime, mat_add, pair_fixtures, rand_cochain, rand_gauge, rand_matrix,
+    rand_multimap, to_rows,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -93,7 +93,7 @@ def test_criterion_2_constructors_and_dual_route():
         for _ in range(4):
             maps = list(hd.maps)
             slot = rng.randrange(len(maps))
-            maps[slot] = maps[slot] + rand_matrix(rng, alg.dim)
+            maps[slot] = mat_add(maps[slot], rand_matrix(rng, alg.dim))
             candidates.append((alg, H.HigherDerivation(hd.rank, tuple(maps))))
         for _ in range(10):
             nrank = rng.randint(1, 3)
@@ -236,7 +236,7 @@ def test_criterion_5_classification():
 
         gap = rand_multimap(rng, 1, alg.dim, mod.mdim)
         gmat = H.multimap_to_matrix(gap)
-        rows = ext.section.to_rows()
+        rows = to_rows(ext.section)
         for r in range(mod.mdim):
             for c in range(alg.dim):
                 rows[alg.dim + r][c] = gmat.entry(r, c)

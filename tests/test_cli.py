@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -9,9 +10,7 @@ import pytest
 
 from hderlab import cli, freecons
 from hderlab.cli import main
-from hderlab.serialize import write_report
-
-from helpers import materialized, oracle_report_text
+from helpers import materialized, oracle_report_text, report_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -128,9 +127,7 @@ def test_human_reports_match_pinned_digests(args, expected, monkeypatch, capsys)
     written = []
 
     def spy(doc, write):
-        pieces = []
-        write_report(doc, pieces.append)
-        written.append((doc, "".join(pieces)))
+        written.append((doc, report_text(doc)))
         write(written[-1][1])
 
     monkeypatch.setattr(cli, "write_report", spy)
@@ -157,6 +154,24 @@ def test_degree_four_cohomology_of_m2_rank_two(capsys):
         (0, 307, 307)
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "b7aa3b486126438a8bba03da7c1ee66a41390540e65c2defb368b610704561e2"
+
+
+def test_free_tensor_is_polynomial_in_the_number_of_maps(capsys):
+    # 40 maps theta_k = [[1]] on a line at degree 5: d_k(x^l) is x^l times
+    # the number of ways to write k as an ordered sum of l nonnegative
+    # parts, C(k+l-1, l-1).  Summing over compositions of k, as the induced
+    # maps once were, takes tens of seconds here; the digest is of that
+    # route's report.
+    start = time.perf_counter()
+    assert main(["free-tensor", str(FIXTURES / "tensor_forty_thetas.json"), "--json"]) == 0
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr().out
+    maps = json.loads(out)["results"]["hder"]["maps"]
+    assert len(maps) == 40
+    assert maps[39][5][5] == "135751" == str(math.comb(40 + 5 - 1, 5 - 1))
+    assert maps[0][3][3] == "3" == str(math.comb(1 + 3 - 1, 3 - 1))
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "899bbf2cfa33fee376cb00f17d41f5e9211dc3f582affe18ab9e313d229dd4bc"
 
 
 @pytest.mark.parametrize("args", [

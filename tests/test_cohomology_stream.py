@@ -15,7 +15,10 @@ import hderlab as H
 from hderlab import cli, cochain, exactlin, samples
 from hderlab.serialize import cohomology_to_json
 
-from helpers import coefficient_fixtures, oracle_report_text, rand_matrix, rescaled_pair
+from helpers import (
+    coefficient_fixtures, oracle_report_text, plain_cohomology_payload, rand_matrix,
+    rescaled_pair,
+)
 
 CASES = [case[1:] for case in coefficient_fixtures()]
 BETTI0 = CASES[4]  # split/zero1/adjoint: betti 0 in degrees 1 to 3
@@ -53,7 +56,7 @@ def _full_route(alg, hd, mod, degree):
 def _emitted(rep, as_json: bool) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit("cohomology", True, cohomology_to_json(rep, streamed=True), [], as_json, 0)
+        cli._emit("cohomology", True, cohomology_to_json(rep), [], as_json, 0)
     return out.getvalue()
 
 
@@ -67,7 +70,7 @@ def test_rank_bound_stop_and_streamed_report_match_the_full_route(case, degree):
     rep = H.cohomology(alg, mod, hd, degree)
     assert (rep.dim_cochains, rep.dim_cocycles, rep.dim_coboundaries, rep.betti,
             rep.cocycle_basis) == _full_route(alg, hd, mod, degree)
-    payload = cohomology_to_json(rep)
+    payload = plain_cohomology_payload(rep)
     report = {"ok": True, "command": "cohomology", "results": payload,
               "violations": [], "timing_ms": 0}
     assert _emitted(rep, True) == oracle_report_text(report) + "\n"

@@ -15,8 +15,8 @@ from hderlab.serialize import (
 
 from helpers import (
     cochains_equal, dense_apply_gauge, dense_series_inverse, dense_series_product,
-    loop_obstruction, loop_verify_deformation, pair_fixtures, rand_fraction, rand_gauge,
-    rand_matrix, rand_multimap,
+    loop_obstruction, loop_verify_deformation, mm_eval, pair_fixtures, rand_fraction,
+    rand_gauge, rand_matrix, rand_multimap,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -315,8 +315,8 @@ def test_blocked_obstruction_main_is_the_associator_sum():
             for l in range(2):
                 direct = tuple(
                     x - y for x, y in zip(
-                        mu1.eval((mu1.value_at((i, j)), basis[l])),
-                        mu1.eval((basis[i], mu1.value_at((j, l))))))
+                        mm_eval(mu1, (mu1.value_at((i, j)), basis[l])),
+                        mm_eval(mu1, (basis[i], mu1.value_at((j, l))))))
                 assert ob.main.value_at((i, j, l)) == direct
 
 

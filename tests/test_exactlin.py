@@ -12,6 +12,7 @@ from hderlab.exactlin import (
 
 from helpers import (
     dense_kernel_basis, dense_rref, dense_solve_affine, reduced_matrix, sparse_matrices,
+    to_rows,
 )
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -121,7 +122,7 @@ def test_solve_exactness(m, data):
        st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
 def test_row_scaling_invariance(m, row, factor):
     row %= m.rows
-    rows = m.to_rows()
+    rows = to_rows(m)
     rows[row] = [factor * x for x in rows[row]]
     scaled = Matrix.from_rows(rows)
     assert rank(scaled) == rank(m)

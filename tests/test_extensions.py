@@ -8,7 +8,7 @@ import hderlab as H
 from hderlab import samples
 
 from helpers import (
-    betti2_by_rank_count, cochains_equal, delta_hoch, rand_matrix, rand_multimap,
+    betti2_by_rank_count, cochains_equal, delta_hoch, rand_matrix, rand_multimap, to_rows,
 )
 
 
@@ -138,7 +138,7 @@ def test_two_sections_differ_by_coboundary():
     ext = H.extension_from_cocycle(alg, hd, mod, z)
     gap = rand_multimap(rng, 1, 2, 2)
     gmat = H.multimap_to_matrix(gap)
-    rows = ext.section.to_rows()
+    rows = to_rows(ext.section)
     for r in range(2):
         for c in range(2):
             rows[2 + r][c] = gmat.entry(r, c)

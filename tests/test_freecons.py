@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import samples
 
-from helpers import pair_fixtures, rand_matrix
+from helpers import oracle_induced_tensor_hder, pair_fixtures, rand_matrix, word_index
 
 
 def test_tensor_algebra_basis_order_and_unit():
@@ -21,22 +23,22 @@ def test_tensor_algebra_basis_order_and_unit():
 
 def test_overflow_products_vanish():
     tta = H.build_tensor_algebra(2, 2)
-    i = tta.word_index((0, 1))
-    j = tta.word_index((1,))
+    i = word_index(tta, (0, 1))
+    j = word_index(tta, (1,))
     assert all(not x for x in tta.algebra.basis_product(i, j))
 
 
 def test_rank_one_induced_is_leibniz():
     lam = Fraction(7, 2)
     tta, hd = H.induced_tensor_hder(1, 2, (H.Matrix(1, 1, (lam,)),))
-    vv = tta.word_index((0, 0))
+    vv = word_index(tta, (0, 0))
     assert hd.maps[0].entry(vv, vv) == 2 * lam
 
 
 def test_rank_two_induced_hand_value():
     lam, mu = Fraction(3), Fraction(-1, 2)
     tta, hd = H.induced_tensor_hder(1, 2, (H.Matrix(1, 1, (lam,)), H.Matrix(1, 1, (mu,))))
-    vv = tta.word_index((0, 0))
+    vv = word_index(tta, (0, 0))
     assert hd.maps[1].entry(vv, vv) == 2 * mu + lam * lam
     assert H.verify_hder(tta.algebra, hd).ok
 
@@ -60,6 +62,33 @@ def test_induced_vanishes_on_empty_word():
     tta, hd = H.induced_tensor_hder(2, 2, tuple(rand_matrix(rng, 2) for _ in range(3)))
     for mat in hd.maps:
         assert all(not x for x in mat.column(0))
+
+
+@st.composite
+def _tensor_cases(draw):
+    """vdim <= 2 with at most 7 words (degree <= 6 on a line, <= 2 on a
+    plane) and 1 to 4 maps, each zero or with mostly-zero Fraction entries."""
+    vdim = draw(st.integers(1, 2))
+    degree = draw(st.integers(1, 6 if vdim == 1 else 2))
+    entries = st.one_of(st.just(Fraction(0)),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    theta = st.one_of(
+        st.just(H.Matrix.zeros(vdim, vdim)),
+        st.lists(entries, min_size=vdim * vdim, max_size=vdim * vdim).map(
+            lambda xs: H.Matrix(vdim, vdim, tuple(xs))))
+    return vdim, degree, tuple(draw(st.lists(theta, min_size=1, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tensor_cases())
+@example((1, 6, (H.Matrix.zeros(1, 1),) * 4))
+@example((2, 2, (H.Matrix.from_rows([[1, 2], [0, -1]]), H.Matrix.zeros(2, 2),
+                 H.Matrix.from_rows([[Fraction(1, 3), 0], [Fraction(-1, 2), 1]]))))
+def test_induced_recursion_matches_composition_sum(case):
+    vdim, degree, thetas = case
+    tta, hd = H.induced_tensor_hder(vdim, degree, thetas)
+    assert len(tta.words) <= 7
+    assert hd.maps == oracle_induced_tensor_hder(vdim, degree, thetas).maps
 
 
 @pytest.mark.parametrize("vdim,deg,nrank", [(1, 2, 2), (1, 3, 3), (2, 2, 2), (2, 3, 3)])
@@ -87,7 +116,7 @@ def test_universal_extension_eigen_example():
     rep = H.universal_extension(tta, thetas, target, f)
     assert rep.ok
     # the word v (x) v maps to x^2 = 0
-    assert all(not x for x in rep.map.column(tta.word_index((0, 0))))
+    assert all(not x for x in rep.map.column(word_index(tta, (0, 0))))
 
 
 def test_universal_extension_into_nonunital_target():

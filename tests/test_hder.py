@@ -6,7 +6,7 @@ import pytest
 import hderlab as H
 from hderlab import samples
 
-from helpers import pair_fixtures, rand_matrix
+from helpers import derivative_matrix, mat_add, pair_fixtures, rand_matrix
 
 
 def test_ordinary_on_dual_numbers_matches_hand_values():
@@ -36,7 +36,7 @@ def test_plain_derivative_does_not_survive_truncation():
     # ordinary constructor must refuse it
     p3 = samples.truncated_polynomials(3)
     with pytest.raises(ValueError, match="not a derivation"):
-        H.ordinary_hder(p3, samples.derivative_matrix(3), 2)
+        H.ordinary_hder(p3, derivative_matrix(3), 2)
 
 
 def test_ordinary_rejects_non_derivation():
@@ -160,7 +160,7 @@ def test_truncated_morphism_route_agrees_on_corruptions():
         for _ in range(3):
             maps = list(hd.maps)
             k = rng.randrange(len(maps))
-            maps[k] = maps[k] + rand_matrix(rng, alg.dim)
+            maps[k] = mat_add(maps[k], rand_matrix(rng, alg.dim))
             cand = H.HigherDerivation(hd.rank, tuple(maps))
             assert H.verify_hder(alg, cand).ok == H.truncated_morphism_check(alg, cand).ok
 

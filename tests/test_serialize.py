@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from hderlab import serialize
 from hderlab.cli import main
 from hderlab.exactlin import ZERO, Matrix
-from hderlab.serialize import ParseError, parse_algebra, parse_matrix, report_text
+from hderlab.serialize import ParseError, parse_algebra, parse_matrix
 
-from helpers import materialized, oracle_report_text
+from helpers import materialized, oracle_report_text, report_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

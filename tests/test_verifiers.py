@@ -19,7 +19,7 @@ from hderlab import samples
 from hderlab.exactlin import ONE, ZERO
 
 from helpers import (
-    coefficient_fixtures, doubled, oracle_check_morphism, oracle_cocycle_from_section,
+    coefficient_fixtures, doubled, mat_add, oracle_check_morphism, oracle_cocycle_from_section,
     oracle_universal_extension, oracle_verify_algebra, oracle_verify_bimodule,
     oracle_verify_hder, oracle_verify_liehder, pair_fixtures, rand_matrix, rescaled_pair,
 )
@@ -285,7 +285,7 @@ def test_cocycle_from_section_matches_oracle(ext, shifted, where, data):
     s = ext.section
     if shifted:  # s + i h for a linear h: A -> M is a section as well
         h = H.Matrix(md, d, tuple(data.draw(VALUES) for _ in range(md * d)))
-        s = s + ext.include * h
+        s = mat_add(s, ext.include * h)
     total = ext.total
     if where == "section":
         s = _perturb_map(data, (s,))[0]
