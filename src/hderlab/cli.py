@@ -29,7 +29,7 @@ import sys
 import time
 
 from .algebras import adjoint_bimodule, trivial_bimodule, verify_algebra
-from .cochain import NotACocycleError, cohomology, is_coboundary
+from .cochain import NotACocycleError, cocycle_preimage, cohomology
 from .deform import extend_to, obstruction, trivialize, verify_deformation
 from .exactlin import Matrix, ShapeError
 from .extensions import (
@@ -235,11 +235,11 @@ def cmd_deform_obstruct(doc, args):
     defm = _deformation(doc, alg, hd)
     ob = obstruction(alg, hd, defm)
     mod = adjoint_bimodule(alg, hd)
-    preimage = is_coboundary(alg, mod, hd, ob)
+    pre = cocycle_preimage(alg, mod, hd, ob)
     results = {"order": defm.order, "obstruction": cochain_to_json(ob),
-               "is_coboundary": preimage is not None}
-    if preimage is not None:
-        results["preimage"] = cochain_to_json(preimage)
+               "is_coboundary": pre is not None}
+    if pre is not None:
+        results["preimage"] = cochain_to_json(pre)
         return True, results, []
     return False, results, ["obstruction class is nonzero; deformation does not extend"]
 

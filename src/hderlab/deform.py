@@ -11,7 +11,10 @@ order-s equations are the two laws of ``algebras`` at order s.
 
 The equations compute on sparse tables of integer numerators over one
 common denominator (``Deformation._tables``), so their inner sums are
-integer sums.  The gauge group (action, composition, inverse) is one
+integer sums.  The deform commands test a cocycle only when the solve
+finds no preimage (``cochain.cocycle_preimage``): a preimage makes the
+cochain a coboundary, and so a cocycle, since d^2 = 0 on the complex of
+the verified pair.  The gauge group (action, composition, inverse) is one
 truncated matrix-series product, ``_series_mul``, on the same column form:
 the gauge is scaled to its own denominator, and its inverse is the
 geometric series in id - Phi by Horner's rule.  Fractions appear only at
@@ -29,8 +32,8 @@ from functools import cached_property
 from .algebras import (Algebra, CheckReport, Violation, _associativity_terms, _derivation_law_terms,
                        _int_chunks, _law_tables, adjoint_bimodule, tensor_values)
 from .cochain import (
-    Cochain, MultiMap, differential, matrix_to_multimap, multimap_to_matrix,
-    preimage, vector_to_cochain, zero_cochain,
+    Cochain, MultiMap, NotACocycleError, cocycle_preimage, differential, matrix_to_multimap,
+    multimap_to_matrix, preimage, vector_to_cochain, zero_cochain,
 )
 from .exactlin import Matrix, ShapeError, as_fractions, common_denominator
 from .hder import HigherDerivation
@@ -406,11 +409,12 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         if lowest is None:
             return TrivializeOutcome(acc)
         coeff = current.coeffs[lowest]
-        if not differential(alg, mod, hd, coeff).is_zero():
+        try:
+            h = cocycle_preimage(alg, mod, hd, coeff.neg())
+        except NotACocycleError:
             raise RuntimeError(
                 f"lowest coefficient at order {lowest} is not a cocycle; "
-                "the input cannot have verified")
-        h = preimage(alg, mod, hd, coeff.neg())
+                "the input cannot have verified") from None
         if h is None:
             return TrivializeOutcome(None, lowest, coeff)
         step = GaugeMap.single(dim, T, lowest, multimap_to_matrix(h.main))

@@ -33,6 +33,10 @@ COMMANDS = [
     (["deform-extend", "nil_deform_blocked.json"], 1),
     (["deform-trivialize", "dual_deform.json"], 0),
     (["deform-trivialize", "nil_deform_blocked.json", "--to", "1"], 1),
+    (["deform-verify", "tp3_gauged_deform.json"], 0),
+    (["deform-obstruct", "tp3_gauged_deform.json"], 0),
+    (["deform-extend", "tp3_gauged_deform.json", "--to", "6"], 0),
+    (["deform-trivialize", "tp3_gauged_deform.json"], 0),
     (["free-tensor", "tensor_line.json"], 0),
     (["free-tensor", "tensor_line.json", "--degree", "3"], 0),
 ]
@@ -59,6 +63,10 @@ REPORT_SHA256 = {
     "deform-extend nil_deform_blocked.json": "23cc317082ff9c65016e165b74ad0adfc49b4ee07b7e0d0fd638f2eea0b06e2f",
     "deform-trivialize dual_deform.json": "d9bbeecdcd07f8dd027f40d45ddfd3f1bbe8ceaf674ce7fa502baa7491e5f9cb",
     "deform-trivialize nil_deform_blocked.json --to 1": "7cff5baf0c0fe84bddc8a8db17e44d459a10d39e0f28adf1876d321cebc4d4d8",
+    "deform-verify tp3_gauged_deform.json": "fa0b658db8274b3e58c512b1045a68f299bae5eb0c71cbb4e3f80f98a1b0da06",
+    "deform-obstruct tp3_gauged_deform.json": "0357ab1045e96cd68aaa71da39e62c5542ba65b84021dc0fdcdbbb532200ed71",
+    "deform-extend tp3_gauged_deform.json --to 6": "4a045ef540332ddfda7457fa2fe6a4c4f7d466de011485740ba50931cc3c9621",
+    "deform-trivialize tp3_gauged_deform.json": "c9b4ca4e2faf1906cd8897c3d641960587b4c7a71dc37cbb365a77d711ce88c8",
     "free-tensor tensor_line.json": "d504e9876a85f6fee47f8fcd77440ce9ce8f1f6c10fbd7c9bf44b4676301ea1f",
     "free-tensor tensor_line.json --degree 3": "3e52e035418ba9554b6bce60f16f424fa86f05bfef8a05dbd66487f8dfdfb08e",
 }
@@ -85,6 +93,10 @@ HUMAN_SHA256 = {
     "deform-extend nil_deform_blocked.json": "6ff34262449f1f8417405d929f0ec24933cac6268a03fabc241e0345768de3ba",
     "deform-trivialize dual_deform.json": "d75483391e1d1451da00342d4e626b60b46cd301b9ff472d5edf0fe4fbb6d5e7",
     "deform-trivialize nil_deform_blocked.json --to 1": "9a868e86ff6ea689ed09ca1ff450f103212d0213de7f7730007649a87eb98d47",
+    "deform-verify tp3_gauged_deform.json": "681b2c0ce5c0cee85838e11f2f6232856ee87cc8e975a7579b7e246dd4498142",
+    "deform-obstruct tp3_gauged_deform.json": "0653ae816ceb0f8b93a7359adac26ae750b946a731f3f058356101844c850fe6",
+    "deform-extend tp3_gauged_deform.json --to 6": "58fa0e8b82d916e839eb66f071d532cb30e8d2a66381814e438324dbfe446ca9",
+    "deform-trivialize tp3_gauged_deform.json": "3d085e1cdf3d3b77fc2839a6b573c4a9e04337af65257e0765ec501cfbd188de",
     "free-tensor tensor_line.json": "1f320f3c950bb221f929d936ee9b6d304157ee0161fa1106d5de2377b979ec5a",
     "free-tensor tensor_line.json --degree 3": "c9ba4b0003b6f0f695c6ac6490415b69bcf6102d6395bda2af3a260f8d7fd56e",
 }

@@ -15,8 +15,8 @@ from hderlab.serialize import (
 
 from helpers import (
     cochains_equal, dense_apply_gauge, dense_series_inverse, dense_series_product,
-    loop_obstruction, loop_verify_deformation, mm_eval, pair_fixtures, rand_fraction,
-    rand_gauge, rand_matrix, rand_multimap,
+    loop_obstruction, loop_verify_deformation, mm_eval, pair_fixtures, rand_cochain,
+    rand_fraction, rand_gauge, rand_matrix, rand_multimap,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -498,3 +498,30 @@ def test_deform_extend_rejects_a_wrong_candidate(monkeypatch):
     argv = ["deform-extend", str(FIXTURES / "dual_deform.json"), "--to", "3", "--json"]
     with pytest.raises(RuntimeError, match="does not verify"):
         cli.main(argv)
+
+
+def _non_cocycle(rng, alg, hd, n):
+    mod = H.adjoint_bimodule(alg, hd)
+    while True:
+        c = rand_cochain(rng, alg.dim, alg.dim, hd.rank, n)
+        if not H.differential(alg, mod, hd, c).is_zero():
+            return c
+
+
+def test_trivialize_tests_the_cocycle_when_the_solve_fails(monkeypatch):
+    alg, hd = _dual_pair()
+    coeff = _non_cocycle(random.Random(7), alg, hd, 2)
+    defm = H.extend_deformation(H.trivial_deformation(alg, hd, 0), coeff)
+    monkeypatch.setattr(deform, "_require_verified", lambda *args: None)
+    with pytest.raises(RuntimeError, match="lowest coefficient at order 1 is not a cocycle"):
+        H.trivialize(alg, hd, defm)
+
+
+def test_deform_obstruct_tests_the_cocycle_when_the_solve_fails(monkeypatch, capsys):
+    alg, hd, _defm = DEFORMATION_FIXTURES[0]  # dual_deform.json
+    bad = _non_cocycle(random.Random(8), alg, hd, 3)
+    monkeypatch.setattr(cli, "obstruction", lambda *args: bad)
+    assert cli.main(["deform-obstruct", str(FIXTURES / "dual_deform.json"), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == ["degree-3 input is not a cocycle"]
+    assert report["results"] == {}
