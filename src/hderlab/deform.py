@@ -14,12 +14,18 @@ common denominator (``Deformation._tables``), so their inner sums are
 integer sums.  The deform commands test a cocycle only when the solve
 finds no preimage (``cochain.cocycle_preimage``): a preimage makes the
 cochain a coboundary, and so a cocycle, since d^2 = 0 on the complex of
-the verified pair.  The gauge group (action, composition, inverse) is one
-truncated matrix-series product, ``_series_mul``, on the same column form:
-the gauge is scaled to its own denominator, and its inverse is the
-geometric series in id - Phi by Horner's rule.  Fractions appear only at
-the boundary: in a reported violation, the obstruction cochain, the gauged
-coefficients and the composed or inverted gauge.
+the verified pair.  ``extend_to`` scans each appended order once: the
+terms that build the obstruction are kept, and the appended order is
+checked as those plus the terms that carry the new index.  The gauge group
+(action, composition, inverse) is one truncated matrix-series product,
+``_series_mul``, on the same column form: the gauge is scaled to its own
+denominator, and its inverse is the geometric series in id - Phi by
+Horner's rule.  The gauge action is one integer conjugation core,
+``_conjugate``, which ``trivialize`` runs on its integer state shear after
+shear.  Fractions appear only at the boundary: in a reported violation,
+the obstruction cochain, the gauged coefficients, the composed or inverted
+gauge, and in ``trivialize`` the coefficient handed to the solve, a
+blocking class and the final gauge.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .algebras import (Algebra, CheckReport, Violation, _associativity_terms, _d
                        _int_chunks, _law_tables, adjoint_bimodule, tensor_values)
 from .cochain import (
     Cochain, MultiMap, NotACocycleError, cocycle_preimage, differential, matrix_to_multimap,
-    multimap_to_matrix, preimage, vector_to_cochain, zero_cochain,
+    preimage, vector_to_cochain, zero_cochain,
 )
 from .exactlin import Matrix, ShapeError, as_fractions, common_denominator
 from .hder import HigherDerivation
@@ -101,15 +107,6 @@ class GaugeMap:
         return cls(order, (Matrix.identity(dim),
                            *(Matrix.zeros(dim, dim) for _ in range(order))))
 
-    @classmethod
-    def single(cls, dim: int, order: int, r: int, mat: Matrix) -> "GaugeMap":
-        """id + t^r * mat, truncated at the given order."""
-        if not 1 <= r <= order:
-            raise ValueError(f"coefficient index {r} out of range 1..{order}")
-        phis = [Matrix.identity(dim)] + [Matrix.zeros(dim, dim)] * order
-        phis[r] = mat
-        return cls(order, tuple(phis))
-
 
 def product_multimap(alg: Algebra) -> MultiMap:
     """The algebra multiplication as a bilinear self map."""
@@ -150,11 +147,15 @@ def _order_equations(defm: Deformation, s: int):
     return itertools.chain(_associativity_terms(tables, s), _derivation_law_terms(tables, s))
 
 
+def _violation(s: int, k: int, at: tuple, lhs, rhs, q: int) -> Violation:
+    law = "associativity" if k == 0 else f"higher-derivation law k={k}"
+    return Violation(f"order-{s} {law}", at, as_fractions(lhs, q), as_fractions(rhs, q))
+
+
 def _first_violation(defm: Deformation, s: int) -> Violation | None:
     for k, at, lhs, rhs, q in _order_equations(defm, s):
         if lhs != rhs:
-            law = "associativity" if k == 0 else f"higher-derivation law k={k}"
-            return Violation(f"order-{s} {law}", at, as_fractions(lhs, q), as_fractions(rhs, q))
+            return _violation(s, k, at, lhs, rhs, q)
     return None
 
 
@@ -254,37 +255,56 @@ def _gauge_map(series: dict, scale: int, dim: int, order: int) -> GaugeMap:
     return GaugeMap(order, tuple(phis))
 
 
-def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
-    """Conjugate coefficientwise: mu' = Psi mu (Phi x Phi), d' = Psi d Phi.
+def _columns(series) -> dict:
+    """The nonzero members of a table series (one per order), as a column
+    series."""
+    return {s: cols for s, cols in enumerate(series) if any(cols)}
 
-    Psi = Phi^{-1}, and the gauge is padded or truncated with zeros to the
-    deformation's order.  Every product is ``_series_mul`` on the column
-    series of the deformation's tables (over D), Phi (over E) and Psi (over
-    E^T); Phi x Phi is (Phi x id)(id x Phi).  So mu' is over D * E^(T+2)
-    and d' over D * E^(T+1), and each Fraction is built once, at the end.
+
+def _conjugate(mu: dict, ds: list, phi: dict, e: int, order: int) -> tuple[dict, list]:
+    """Psi mu (Phi x Phi) and Psi d Phi for each d of ``ds``, mod t^{order+1}.
+
+    All are column series; Phi is over e and Psi = Phi^{-1} over e^order
+    (``_inverse_columns``), and Phi x Phi is (Phi x id)(id x Phi).  So the
+    new mu is over e^(order+2) times the scale of mu, and each new d over
+    e^(order+1) times the scale of the ds.
     """
-    dim, T = defm.dim, defm.order
-    if gauge.dim != dim:
-        raise ShapeError("gauge dimension differs from the deformation")
-    phi, e = _gauge_columns(gauge, T)
-    psi = _inverse_columns(phi, e, dim, T)
+    dim = len(phi[0])
+    psi = _inverse_columns(phi, e, dim, order)
     pairs = list(itertools.product(range(dim), repeat=2))
     phi_id = {s: tuple({u * dim + j: x for u, x in cols[i].items()} for i, j in pairs)
               for s, cols in phi.items()}
     id_phi = {s: tuple({i * dim + v: y for v, y in cols[j].items()} for i, j in pairs)
               for s, cols in phi.items()}
-    mus, dcols, den = defm._tables
-    mu, *ds = ({q: cols for q, cols in enumerate(series) if any(cols)}
-               for series in (mus, *dcols[1:]))
-    new_mu = _series_mul(psi, _series_mul(_series_mul(mu, phi_id, T), id_phi, T), T)
-    new_ds = [_series_mul(psi, _series_mul(dk, phi, T), T) for dk in ds]
-    q_mu, q_d = den * e ** (T + 2), den * e ** (T + 1)
+    new_mu = _series_mul(psi, _series_mul(_series_mul(mu, phi_id, order), id_phi, order), order)
+    return new_mu, [_series_mul(psi, _series_mul(d, phi, order), order) for d in ds]
+
+
+def _coefficient(mu: dict, ds: list, q_mu: int, q_d: int, dim: int, s: int) -> Cochain:
+    """Coefficient s of the column series mu (over q_mu) and ds (over q_d)."""
     zero_mu, zero_d = ({},) * (dim * dim), ({},) * dim
-    return Deformation(tuple(
-        Cochain(MultiMap(2, dim, dim, _fractions(new_mu.get(s, zero_mu), dim, q_mu)),
-                tuple(MultiMap(1, dim, dim, _fractions(new.get(s, zero_d), dim, q_d))
-                      for new in new_ds))
-        for s in range(T + 1)))
+    return Cochain(MultiMap(2, dim, dim, _fractions(mu.get(s, zero_mu), dim, q_mu)),
+                   tuple(MultiMap(1, dim, dim, _fractions(d.get(s, zero_d), dim, q_d))
+                         for d in ds))
+
+
+def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
+    """Conjugate coefficientwise: mu' = Psi mu (Phi x Phi), d' = Psi d Phi.
+
+    Psi = Phi^{-1}, and the gauge is padded or truncated with zeros to the
+    deformation's order.  The conjugation is ``_conjugate`` on the column
+    series of the deformation's tables (over D) and of Phi (over E), the
+    integer core that ``trivialize`` runs too; each Fraction is built once,
+    at the end, with mu' over D * E^(T+2) and d' over D * E^(T+1).
+    """
+    dim, T = defm.dim, defm.order
+    if gauge.dim != dim:
+        raise ShapeError("gauge dimension differs from the deformation")
+    phi, e = _gauge_columns(gauge, T)
+    mus, dcols, den = defm._tables
+    mu, ds = _conjugate(_columns(mus), [_columns(d) for d in dcols[1:]], phi, e, T)
+    q_mu, q_d = den * e ** (T + 2), den * e ** (T + 1)
+    return Deformation(tuple(_coefficient(mu, ds, q_mu, q_d, dim, s) for s in range(T + 1)))
 
 
 def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
@@ -317,10 +337,13 @@ def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochai
     return _known_defect(defm)
 
 
-def _known_defect(defm: Deformation) -> Cochain:
+def _known_defect(defm: Deformation, known=None) -> Cochain:
+    """The obstruction from the order-(n+1) equations ``known``, scanned
+    here unless given."""
+    if known is None:
+        known = _order_equations(defm, defm.order + 1)
     # the scan order of the equations is the order of the cochain vector
-    defect = tuple(Fraction(x - y, q)
-                   for _k, _at, lhs, rhs, q in _order_equations(defm, defm.order + 1)
+    defect = tuple(Fraction(x - y, q) for _k, _at, lhs, rhs, q in known
                    for x, y in zip(lhs, rhs))
     return vector_to_cochain(defm.dim, defm.dim, defm.rank, 3, defect)
 
@@ -344,22 +367,42 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     """Extend order by order up to ``target``, verifying the input once.
 
     Returns the deformation reached and the obstruction blocking the next
-    order (None at ``target``).  Each appended order is checked: its
-    equations involve only coefficients up to it, so this is a full check.
+    order (None at ``target``).  Each order is scanned once: the terms of
+    the order-(n+1) equations that build the obstruction are kept, and once
+    the solve appends a coefficient the order is checked as those terms
+    plus the ones that carry the new index (``_append_checked``).  The
+    equations involve only coefficients up to n+1, so this is a full check.
     """
     _require_verified(alg, hd, defm)
     mod = adjoint_bimodule(alg, hd)
     current = defm
     while current.order < target:
-        ob = _known_defect(current)
+        known = list(_order_equations(current, current.order + 1))
+        ob = _known_defect(current, known)
         candidate = preimage(alg, mod, hd, ob)
         if candidate is None:
             return current, ob
-        current = extend_deformation(current, candidate)
-        bad = _first_violation(current, current.order)
-        if bad is not None:
-            raise RuntimeError(f"appended coefficient does not verify: {bad}")
+        current = _append_checked(current, candidate, known)
     return current, None
+
+
+def _append_checked(defm: Deformation, candidate: Cochain, known: list) -> Deformation:
+    """``defm`` with ``candidate`` appended at order s = n+1, its order-s
+    equations checked; ``known`` holds their terms with indices up to n.
+
+    In every other term one index is s, which forces all the others to 0,
+    so those terms are the order-1 equations of ``Deformation((c_0,
+    candidate))``.  Each equation is the two sums added, denominators
+    cross-multiplied, in the scan order of ``_order_equations``.
+    """
+    ext = extend_deformation(defm, candidate)
+    fresh = _order_equations(Deformation((defm.coeffs[0], candidate)), 1)
+    for (k, at, lhs, rhs, q), (_k, _at, new_lhs, new_rhs, r) in zip(known, fresh, strict=True):
+        if any((x - y) * r != (w - v) * q for x, y, v, w in zip(lhs, rhs, new_lhs, new_rhs)):
+            bad = _violation(ext.order, k, at, [x * r + v * q for x, v in zip(lhs, new_lhs)],
+                             [y * r + w * q for y, w in zip(rhs, new_rhs)], q * r)
+            raise RuntimeError(f"appended coefficient does not verify: {bad}")
+    return ext
 
 
 def extend_deformation(defm: Deformation, candidate: Cochain) -> Deformation:
@@ -395,28 +438,37 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     it without touching lower orders.  Success returns the accumulated gauge
     making the deformation trivial modulo t^{T+1}; a non-coboundary
     coefficient is returned as the blocking class.
+
+    The loop keeps one integer state: the column series of mu and of each
+    d_k, conjugated by each shear with ``_conjugate``, and the accumulated
+    gauge, multiplied by each shear with ``_series_mul``.  Fractions are
+    built only for the coefficient handed to the solve, a blocking class
+    and the returned gauge.
     """
     _require_verified(alg, hd, defm)
     T = defm.order if max_order is None else max_order
     if T > defm.order:
         raise ValueError("cannot trivialize past the stored order")
     dim = alg.dim
-    current = truncate_deformation(defm, T)
-    acc = GaugeMap.identity(dim, T)
+    mus, dcols, den = defm._tables
+    mu, ds = _columns(mus[:T + 1]), [_columns(d[:T + 1]) for d in dcols[1:]]
+    q_mu = q_d = den
+    acc, q_acc = {0: tuple({c: 1} for c in range(dim))}, 1
     mod = adjoint_bimodule(alg, hd)
     while True:
-        lowest = next((s for s in range(1, T + 1) if not current.coeffs[s].is_zero()), None)
+        lowest = next((s for s in range(1, T + 1) if s in mu or any(s in d for d in ds)), None)
         if lowest is None:
-            return TrivializeOutcome(acc)
-        coeff = current.coeffs[lowest]
-        try:
-            h = cocycle_preimage(alg, mod, hd, coeff.neg())
+            return TrivializeOutcome(_gauge_map(acc, q_acc, dim, T))
+        try:  # over the negated scales the coefficient is its own negative
+            h = cocycle_preimage(alg, mod, hd, _coefficient(mu, ds, -q_mu, -q_d, dim, lowest))
         except NotACocycleError:
             raise RuntimeError(
                 f"lowest coefficient at order {lowest} is not a cocycle; "
                 "the input cannot have verified") from None
         if h is None:
-            return TrivializeOutcome(None, lowest, coeff)
-        step = GaugeMap.single(dim, T, lowest, multimap_to_matrix(h.main))
-        current = apply_gauge(current, step)
-        acc = gauge_compose(acc, step)
+            return TrivializeOutcome(None, lowest, _coefficient(mu, ds, q_mu, q_d, dim, lowest))
+        e = common_denominator(h.main.values)
+        shear = {0: tuple({c: e} for c in range(dim)), lowest: _int_chunks(h.main.values, dim, e)}
+        mu, ds = _conjugate(mu, ds, shear, e, T)
+        q_mu, q_d = q_mu * e ** (T + 2), q_d * e ** (T + 1)
+        acc, q_acc = _series_mul(acc, shear, T), q_acc * e

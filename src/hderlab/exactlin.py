@@ -16,6 +16,10 @@ combines two rows as ``a*v - b*row``, in the manner of fraction-free
 (Bareiss) elimination.  Back-substitution runs only when the reduced form is
 asked for, and a reduced entry x of the row with pivot value p becomes the
 Fraction x/p only where ``kernel_basis`` or ``solve_affine`` hand it out.
+Repeated solves against one matrix reuse its rows: the first
+``solve_affine`` on a matrix keeps the rows that raised its rank, and a
+later right-hand side is eliminated on those rows only, then confirmed on
+every row by a sparse integer product.
 A null space can stay in sparse form, :class:`Kernel` (the reduced integer
 rows and the free columns), which states the canonical kernel vector once
 for ``kernel_basis`` and for writers that format it without Fractions.
@@ -295,10 +299,11 @@ class Echelon:
         rank grew."""
         den = common_denominator(row.values())
         return self._insert({j: x.numerator * (den // x.denominator)
-                             for j, x in row.items() if x})
+                             for j, x in row.items() if x}) is not None
 
-    def _insert(self, v: dict[int, int]) -> bool:
-        """``add`` for an integer row that the echelon may take over."""
+    def _insert(self, v: dict[int, int]) -> int | None:
+        """``add`` for an integer row that the echelon may take over; the
+        pivot of the new row, or None when it reduced to zero."""
         rows = self.rows
         while v:
             c = min(v)
@@ -306,9 +311,9 @@ class Echelon:
             if prow is None:
                 _divide_content(v, -1 if v[c] < 0 else 1)
                 rows[c] = v
-                return True
+                return c
             _eliminate(v, c, prow)
-        return False
+        return None
 
     def reduced(self) -> dict[int, dict[int, int]]:
         """The stored rows, back-substituted in place into reduced row
@@ -325,22 +330,25 @@ class Echelon:
         return rows
 
 
-def echelon(m: Matrix, bound: int | None = None) -> Echelon:
+def echelon(m: Matrix, bound: int | None = None, raised: list | None = None) -> Echelon:
     """The echelon form of the rows of ``m``; every elimination runs here.
 
     Rows are taken in order until the rank reaches ``bound`` (default
     ``m.cols``, where no further row can add to it).  A caller passes a
     smaller bound only when it has proved that the rank of ``m`` is at most
     that: the rows taken then already span the row space, and the reduced
-    form is the canonical one.
+    form is the canonical one.  A ``raised`` list receives ``(i, p)`` for
+    each row i that raised the rank, p the pivot it was stored at.
     """
     bound = m.cols if bound is None else bound
     ech = Echelon()
-    for row in m.int_rows[0]:
+    for i, row in enumerate(m.int_rows[0]):
         if ech.rank >= bound:
             break
         if row:
-            ech._insert(dict(row))
+            p = ech._insert(dict(row))
+            if p is not None and raised is not None:
+                raised.append((i, p))
     return ech
 
 
@@ -411,27 +419,58 @@ def solve_affine(m: Matrix, b: Vector) -> Vector | None:
     """Canonical solution of ``m @ x == b``, or None when inconsistent.
 
     Free variables are set to zero, so the result is the reduced-echelon
-    particular solution.
+    particular solution.  The first solve on ``m`` eliminates the augmented
+    ``[m | b]`` and keeps, on ``m``, the rows that raised the rank of m:
+    those whose pivot landed below column ``m.cols``.  They span the row
+    space of m, so a later solve eliminates ``[m | b]`` on those rows only,
+    which always has a solution; it is the canonical one exactly when a
+    sparse integer product confirms ``m @ x == b`` on every row.
     """
     if len(b) != m.rows:
         raise ShapeError(f"expected right-hand side of length {m.rows}, got {len(b)}")
     n = m.cols
     rows, scale = m.int_rows
     den = common_denominator(b)
-    aug = []  # [m | b] as ints over scale * den
-    for row, bi in zip(rows, b):
-        v = {j: den * x for j, x in row.items()}
-        if bi:
-            v[n] = scale * bi.numerator * (den // bi.denominator)
+    nums = [x.numerator * (den // x.denominator) if x else 0 for x in b]
+    basis = m.__dict__.get("_solve_rows")
+    taken = range(m.rows) if basis is None else basis
+    aug = []  # [m | b] as ints over scale * den, on the rows taken
+    for i in taken:
+        v = {j: den * x for j, x in rows[i].items()}
+        if nums[i]:
+            v[n] = scale * nums[i]
         aug.append(v)
-    red = echelon(Matrix.from_int_rows(aug, scale * den, n + 1)).reduced()
+    raised = [] if basis is None else None
+    red = echelon(Matrix.from_int_rows(aug, scale * den, n + 1), raised=raised).reduced()
+    if basis is None:
+        m.__dict__["_solve_rows"] = tuple(i for i, p in raised if p < n)
     if n in red:
         return None
     x = [ZERO] * n
     for p, row in red.items():
         if n in row:
             x[p] = Fraction(row[n], row[p])
+    if basis is not None and not _solves(rows, scale, x, nums, den):
+        return None
     return tuple(x)
+
+
+def _solves(rows, scale: int, x: list, nums: list, den: int) -> bool:
+    """Whether ``rows / scale`` times x is ``nums / den`` on every row: with
+    x = X / L over the lcm L of its denominators, den * (row . X) must be
+    nums[i] * scale * L."""
+    lcm = common_denominator(x)
+    xs = {j: v.numerator * (lcm // v.denominator) for j, v in enumerate(x) if v}
+    rhs = scale * lcm
+    for row, bi in zip(rows, nums):
+        acc = 0
+        for j, a in row.items():
+            y = xs.get(j)
+            if y:
+                acc += a * y
+        if den * acc != bi * rhs:
+            return False
+    return True
 
 
 def require_image_in_kernel(boundary: Matrix, kernel_of: Matrix) -> None:

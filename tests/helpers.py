@@ -6,9 +6,11 @@ probes use the section-difference formulas directly, elimination is checked
 against dense Gauss-Jordan, the differential against the whole-map operators
 delta_hoch, delta' and delta_k evaluated tuple by tuple (and its matrix
 against one such evaluation per unit cochain), the deformation verifier and
-obstruction against the hand-written order-s convolutions, the gauge
-action against dense multimap composition and gauge composition and
-inversion against dense Fraction matrix series, the input verifiers
+obstruction against the hand-written order-s convolutions, extension and
+trivialization against their loops with a second full scan per appended
+order and with Fraction gauges at every step, the gauge action against
+dense multimap composition and gauge composition and inversion against
+dense Fraction matrix series, the input verifiers
 (associativity, the higher-derivation law on a product or a bracket, the
 bimodule laws) against their Fraction scans over basis tuples, the three
 readers of the morphism law (morphisms, universal extensions, section
@@ -29,7 +31,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 import hderlab as H
-from hderlab import samples
+from hderlab import deform, samples
 from hderlab.algebras import _contract
 from hderlab.exactlin import ONE, ZERO, echelon, vec_add
 from hderlab.extensions import _check_induced_actions
@@ -814,6 +816,55 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
     return H.Deformation(tuple(
         H.Cochain(mus[s], tuple(H.matrix_to_multimap(series[s]) for series in dks))
         for s in range(T + 1)))
+
+
+def two_scan_extend_to(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformation,
+                       target: int) -> tuple[H.Deformation, H.Cochain | None]:
+    """Order-by-order extension that scans each appended order twice: once
+    for the known defect, and in full after the solve.  The reference for
+    ``deform.extend_to``; the solve is looked up as ``deform.preimage`` at
+    call time, so a test can replace it for both."""
+    deform._require_verified(alg, hd, defm)
+    mod = H.adjoint_bimodule(alg, hd)
+    current = defm
+    while current.order < target:
+        ob = deform._known_defect(current)
+        candidate = deform.preimage(alg, mod, hd, ob)
+        if candidate is None:
+            return current, ob
+        current = H.extend_deformation(current, candidate)
+        bad = deform._first_violation(current, current.order)
+        if bad is not None:
+            raise RuntimeError(f"appended coefficient does not verify: {bad}")
+    return current, None
+
+
+def loop_trivialize(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformation,
+                    max_order: int | None = None) -> H.TrivializeOutcome:
+    """Kill the lowest nonzero coefficient by a shear id + t^r h, one
+    Fraction deformation and gauge per step (``apply_gauge`` and
+    ``gauge_compose``).  The reference for ``deform.trivialize``."""
+    deform._require_verified(alg, hd, defm)
+    T = defm.order if max_order is None else max_order
+    if T > defm.order:
+        raise ValueError("cannot trivialize past the stored order")
+    dim = alg.dim
+    current = H.truncate_deformation(defm, T)
+    acc = H.GaugeMap.identity(dim, T)
+    mod = H.adjoint_bimodule(alg, hd)
+    while True:
+        lowest = next((s for s in range(1, T + 1) if not current.coeffs[s].is_zero()), None)
+        if lowest is None:
+            return H.TrivializeOutcome(acc)
+        coeff = current.coeffs[lowest]
+        h = H.is_coboundary(alg, mod, hd, coeff.neg())
+        if h is None:
+            return H.TrivializeOutcome(None, lowest, coeff)
+        phis = [H.Matrix.identity(dim)] + [H.Matrix.zeros(dim, dim)] * T
+        phis[lowest] = H.multimap_to_matrix(h.main)
+        step = H.GaugeMap(T, tuple(phis))
+        current = H.apply_gauge(current, step)
+        acc = H.gauge_compose(acc, step)
 
 
 def oracle_verify_algebra(alg: H.Algebra) -> H.CheckReport:

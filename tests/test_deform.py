@@ -15,8 +15,8 @@ from hderlab.serialize import (
 
 from helpers import (
     cochains_equal, dense_apply_gauge, dense_series_inverse, dense_series_product,
-    loop_obstruction, loop_verify_deformation, mm_eval, pair_fixtures, rand_cochain,
-    rand_fraction, rand_gauge, rand_matrix, rand_multimap,
+    loop_obstruction, loop_trivialize, loop_verify_deformation, mm_eval, pair_fixtures,
+    rand_cochain, rand_fraction, rand_gauge, rand_matrix, rand_multimap, two_scan_extend_to,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -335,17 +335,14 @@ def test_vanishing_third_cohomology_means_always_extensible():
 DEFORMATION_FILES = ("dual_deform.json", "dual_deform_bad.json", "nil_deform_blocked.json")
 
 
-def _deformation_fixtures():
-    out = []
-    for name in DEFORMATION_FILES:
-        doc = json.loads((FIXTURES / name).read_text())
-        alg = parse_algebra(doc["algebra"])
-        hd = parse_hder(doc["hder"], alg.dim)
-        out.append((alg, hd, parse_deformation(doc["deformation"], alg.dim, hd.rank)))
-    return out
+def _load_deformation(name):
+    doc = json.loads((FIXTURES / name).read_text())
+    alg = parse_algebra(doc["algebra"])
+    hd = parse_hder(doc["hder"], alg.dim)
+    return alg, hd, parse_deformation(doc["deformation"], alg.dim, hd.rank)
 
 
-DEFORMATION_FIXTURES = _deformation_fixtures()
+DEFORMATION_FIXTURES = [_load_deformation(name) for name in DEFORMATION_FILES]
 PAIRS = pair_fixtures()
 
 
@@ -525,3 +522,115 @@ def test_deform_obstruct_tests_the_cocycle_when_the_solve_fails(monkeypatch, cap
     report = json.loads(capsys.readouterr().out)
     assert report["violations"] == ["degree-3 input is not a cocycle"]
     assert report["results"] == {}
+
+
+LOOP_FILES = DEFORMATION_FILES + ("tp3_gauged_deform.json",)
+
+
+def _outcome_or_error(run, *args):
+    """What ``run(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return run(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_extends_like_two_scans(alg, hd, defm, target):
+    got = _outcome_or_error(H.extend_to, alg, hd, defm, target)
+    assert got == _outcome_or_error(two_scan_extend_to, alg, hd, defm, target)
+    return got
+
+
+@pytest.mark.parametrize("name", LOOP_FILES)
+def test_extend_to_matches_two_scan_loop_on_fixtures(name):
+    alg, hd, defm = _load_deformation(name)
+    for target in (defm.order, defm.order + 1, defm.order + 2):
+        _assert_extends_like_two_scans(alg, hd, defm, target)
+
+
+def _tp3_or_dual(kind: str, rank: int):
+    if kind == "dual":
+        return samples.dual_numbers(), samples.dual_numbers_hder(rank)
+    p3 = samples.truncated_polynomials(3)
+    return p3, H.ordinary_hder(p3, samples.euler_matrix(3), rank)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("tp3", "dual")), st.integers(1, 2), st.integers(0, 4),
+       st.integers(1, 2), st.integers(0, 2 ** 32))
+def test_extend_to_matches_two_scan_loop_on_gauged_families(kind, rank, order, more, seed):
+    alg, hd = _tp3_or_dual(kind, rank)
+    defm = H.apply_gauge(H.trivial_deformation(alg, hd, order),
+                         rand_gauge(random.Random(seed), alg.dim, order))
+    reached, blocked = _assert_extends_like_two_scans(alg, hd, defm, order + more)
+    assert reached.order == order + more and blocked is None
+
+
+@pytest.mark.parametrize("name", ["dual_deform.json", "tp3_gauged_deform.json"])
+@pytest.mark.parametrize("seed", range(3))
+def test_extend_to_rejects_a_candidate_with_one_entry_changed(monkeypatch, name, seed):
+    alg, hd, defm = _load_deformation(name)
+    solve = deform.preimage
+    rng = random.Random(seed)
+
+    def one_entry_off(alg, mod, hd, c):
+        n = c.n - 1
+        sol = list(H.cochain_to_vector(solve(alg, mod, hd, c)))
+        m = H.differential_matrix(alg, mod, hd, n)
+        j = rng.choice(sorted({j for row in m.int_rows[0] for j in row}))  # d(e_j) != 0
+        sol[j] += rand_fraction(rng, 1, 3)
+        return H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, tuple(sol))
+
+    monkeypatch.setattr(deform, "preimage", one_entry_off)
+    kind, text = _outcome_or_error(H.extend_to, alg, hd, defm, defm.order + 1)
+    assert kind is RuntimeError and text.startswith("appended coefficient does not verify")
+    rng = random.Random(seed)  # the oracle's solve changes the same entry
+    assert (kind, text) == _outcome_or_error(two_scan_extend_to, alg, hd, defm, defm.order + 1)
+
+
+def _assert_trivializes_like_the_loop(alg, hd, defm, max_order=None):
+    got = _outcome_or_error(H.trivialize, alg, hd, defm, max_order)
+    assert got == _outcome_or_error(loop_trivialize, alg, hd, defm, max_order)
+    if isinstance(got, H.TrivializeOutcome) and got.gauge is not None:
+        T = got.gauge.order
+        assert H.apply_gauge(H.truncate_deformation(defm, T), got.gauge) \
+            == H.trivial_deformation(alg, hd, T)
+    return got
+
+
+@pytest.mark.parametrize("name", LOOP_FILES)
+def test_trivialize_matches_fraction_loop_on_fixtures(name):
+    alg, hd, defm = _load_deformation(name)
+    for max_order in range(defm.order + 2):
+        _assert_trivializes_like_the_loop(alg, hd, defm, max_order)
+
+
+def test_trivialize_fixtures_reach_both_outcomes():
+    outcomes = [H.trivialize(*_load_deformation(name)) for name in
+                ("dual_deform.json", "nil_deform_blocked.json", "tp3_gauged_deform.json")]
+    assert [out.gauge is None for out in outcomes] == [False, True, False]
+    assert outcomes[1].blocked_order == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(PAIRS) - 1), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2 ** 32))
+def test_trivialize_matches_fraction_loop_on_gauged_families(index, order, cap, seed):
+    rng = random.Random(seed)
+    _name, alg, hd = PAIRS[index]
+    defm = H.apply_gauge(H.trivial_deformation(alg, hd, order),
+                         rand_gauge(rng, alg.dim, order))
+    out = _assert_trivializes_like_the_loop(alg, hd, defm, min(cap, order))
+    assert out.gauge is not None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2 ** 32))
+def test_trivialize_matches_fraction_loop_on_nil_first_orders(dim, rank, seed):
+    # zero product and zero maps: every order-1 coefficient verifies, and
+    # most are not coboundaries, so the loops block at order 1
+    rng = random.Random(seed)
+    alg, hd = samples.zero_algebra(dim), H.HigherDerivation.zero(dim, rank)
+    coeff = rand_cochain(rng, dim, dim, rank, 2)
+    defm = H.extend_deformation(H.trivial_deformation(alg, hd, 0), coeff)
+    _assert_trivializes_like_the_loop(alg, hd, defm)

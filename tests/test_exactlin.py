@@ -152,6 +152,22 @@ def test_sparse_kernel_matches_dense_oracle(shape, data):
     assert solve_affine(m, b) == dense_solve_affine(m, b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_later_solves_on_one_matrix_match_dense_oracle(m, data):
+    # the first solve keeps the rows of m that raised its rank; later ones
+    # eliminate on those rows only and must still reject an inconsistent b
+    for _ in range(data.draw(st.integers(2, 4), label="solves")):
+        b = list(m.apply(tuple(data.draw(fractions) for _ in range(m.cols))))
+        kind = data.draw(st.sampled_from(("consistent", "one entry off", "any")), label="kind")
+        if kind == "one entry off" and b:
+            b[data.draw(st.integers(0, len(b) - 1))] += data.draw(fractions.filter(bool))
+        elif kind == "any":
+            b = [data.draw(fractions) for _ in range(m.rows)]
+        assert solve_affine(m, tuple(b)) == dense_solve_affine(m, tuple(b))
+        assert "_solve_rows" in m.__dict__
+
+
 def test_solve_inconsistent_matches_dense_oracle():
     m = Matrix.from_rows([[1, 0, 2], [0, 0, 0], [2, 0, 4]])
     b = (Fraction(1), Fraction(0), Fraction(3))
