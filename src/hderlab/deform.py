@@ -9,14 +9,24 @@ convolutions below bake in.  Nothing is ever symbolic: all series algebra is
 convolution on coefficient lists, truncated at the stored order.  The
 order-s equations are the two laws of ``algebras`` at order s.
 
-The equations compute on sparse tables of integer numerators over one
-common denominator (``Deformation._tables``), so their inner sums are
-integer sums.  The deform commands test a cocycle only when the solve
-finds no preimage (``cochain.cocycle_preimage``): a preimage makes the
-cochain a coboundary, and so a cocycle, since d^2 = 0 on the complex of
-the verified pair.  ``extend_to`` scans each appended order once: the
-terms that build the obstruction are kept, and the appended order is
-checked as those plus the terms that carry the new index.  The gauge group
+The equations compute on tables of integer numerators over one common
+denominator (``Deformation._tables``, an ``algebras.LawTables``), which packs
+both sides of every equation: per basis tuple, one integer holds the
+numerators of all orders 0..n+1 in slots of B bits, B chosen so that every
+slot stays below 2^(B-1) in absolute value.  Two such integers are equal in
+their low slots exactly when the equations there hold, since a base-2^B
+expansion with digits that small is unique; so verification masks the slots
+of orders 0..n and compares, and the lowest differing bit names the first
+failing order, law and tuple.  The slots are unpacked only for a reported
+violation, for the order-(n+1) slots that make the obstruction, and for the
+append check of ``extend_to``.
+
+The deform commands test a cocycle only when the solve finds no preimage
+(``cochain.cocycle_preimage``): a preimage makes the cochain a coboundary,
+and so a cocycle, since d^2 = 0 on the complex of the verified pair.
+``extend_to`` scans each appended order once: the terms that build the
+obstruction are kept, and the appended order is checked as those plus the
+terms that carry the new index.  The gauge group
 (action, composition, inverse) is one truncated matrix-series product,
 ``_series_mul``, on the same column form: the gauge is scaled to its own
 denominator, and its inverse is the geometric series in id - Phi by
@@ -35,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebras import (Algebra, CheckReport, Violation, _associativity_terms, _derivation_law_terms,
-                       _int_chunks, _law_tables, adjoint_bimodule, tensor_values)
+from .algebras import (Algebra, CheckReport, LawTables, Violation, _int_chunks, _law_tables,
+                       adjoint_bimodule, tensor_values)
 from .cochain import (
     Cochain, MultiMap, NotACocycleError, cocycle_preimage, differential, matrix_to_multimap,
     preimage, vector_to_cochain, zero_cochain,
@@ -74,7 +84,7 @@ class Deformation:
         return len(self.coeffs[0].parts)
 
     @cached_property
-    def _tables(self) -> tuple[tuple, tuple, int]:
+    def _tables(self) -> LawTables:
         """The coefficients as ``algebras._law_tables``."""
         return _law_tables(self.dim, [c.main.values for c in self.coeffs],
                            [[c.parts[k].values for c in self.coeffs]
@@ -139,34 +149,28 @@ def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
             raise ValueError(f"order-0 derivation coefficient {k} is not d_{k}")
 
 
-def _order_equations(defm: Deformation, s: int):
-    """Both sides ``(k, at, lhs, rhs, q)`` of every order-s equation, over q,
-    in scan order: associativity (k = 0), then the law for k = 1..N.  At
-    s = order + 1 they hold exactly the known terms."""
-    tables = defm._tables
-    return itertools.chain(_associativity_terms(tables, s), _derivation_law_terms(tables, s))
-
-
 def _violation(s: int, k: int, at: tuple, lhs, rhs, q: int) -> Violation:
     law = "associativity" if k == 0 else f"higher-derivation law k={k}"
     return Violation(f"order-{s} {law}", at, as_fractions(lhs, q), as_fractions(rhs, q))
 
 
-def _first_violation(defm: Deformation, s: int) -> Violation | None:
-    for k, at, lhs, rhs, q in _order_equations(defm, s):
-        if lhs != rhs:
-            return _violation(s, k, at, lhs, rhs, q)
-    return None
+def _known_terms(defm: Deformation) -> list[tuple[list, list, int]]:
+    """``(lhs, rhs, q)`` of the order-(n+1) equations for k = 0..N, every
+    slot unpacked in scan order: they hold exactly the known terms."""
+    tables = defm._tables
+    return [(*tables.unpack(k, defm.order + 1), tables.scale(k)) for k in range(tables.rank + 1)]
 
 
 def verify_deformation(alg: Algebra, hd: HigherDerivation,
                        defm: Deformation) -> CheckReport:
-    """All order-s equations for s = 0..order, on all basis tuples."""
+    """All order-s equations for s = 0..order, on all basis tuples; the
+    first failure is reported by order, then law, then tuple."""
     _check_base(alg, hd, defm)
-    for s in range(defm.order + 1):
-        bad = _first_violation(defm, s)
-        if bad is not None:
-            return CheckReport(False, bad)
+    tables = defm._tables
+    bad = tables.first_failure(defm.order)
+    if bad is not None:
+        s, k, *located = bad
+        return CheckReport(False, _violation(s, k, *located, tables.scale(k)))
     return CheckReport.passed()
 
 
@@ -301,8 +305,9 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
     if gauge.dim != dim:
         raise ShapeError("gauge dimension differs from the deformation")
     phi, e = _gauge_columns(gauge, T)
-    mus, dcols, den = defm._tables
-    mu, ds = _conjugate(_columns(mus), [_columns(d) for d in dcols[1:]], phi, e, T)
+    tables = defm._tables
+    mu, ds = _conjugate(_columns(tables.mus), [_columns(d) for d in tables.dcols[1:]], phi, e, T)
+    den = tables.den
     q_mu, q_d = den * e ** (T + 2), den * e ** (T + 1)
     return Deformation(tuple(_coefficient(mu, ds, q_mu, q_d, dim, s) for s in range(T + 1)))
 
@@ -338,13 +343,12 @@ def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochai
 
 
 def _known_defect(defm: Deformation, known=None) -> Cochain:
-    """The obstruction from the order-(n+1) equations ``known``, scanned
-    here unless given."""
+    """The obstruction from the order-(n+1) equations ``known``
+    (``_known_terms``), computed here unless given."""
     if known is None:
-        known = _order_equations(defm, defm.order + 1)
+        known = _known_terms(defm)
     # the scan order of the equations is the order of the cochain vector
-    defect = tuple(Fraction(x - y, q) for _k, _at, lhs, rhs, q in known
-                   for x, y in zip(lhs, rhs))
+    defect = tuple(Fraction(x - y, q) for lhs, rhs, q in known for x, y in zip(lhs, rhs))
     return vector_to_cochain(defm.dim, defm.dim, defm.rank, 3, defect)
 
 
@@ -377,7 +381,7 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     mod = adjoint_bimodule(alg, hd)
     current = defm
     while current.order < target:
-        known = list(_order_equations(current, current.order + 1))
+        known = _known_terms(current)
         ob = _known_defect(current, known)
         candidate = preimage(alg, mod, hd, ob)
         if candidate is None:
@@ -392,15 +396,24 @@ def _append_checked(defm: Deformation, candidate: Cochain, known: list) -> Defor
 
     In every other term one index is s, which forces all the others to 0,
     so those terms are the order-1 equations of ``Deformation((c_0,
-    candidate))``.  Each equation is the two sums added, denominators
-    cross-multiplied, in the scan order of ``_order_equations``.
+    candidate))``.  Each slot is the two sums added, denominators
+    cross-multiplied, in scan order; the two sets of planes have their own
+    widths, so both are unpacked.
     """
     ext = extend_deformation(defm, candidate)
-    fresh = _order_equations(Deformation((defm.coeffs[0], candidate)), 1)
-    for (k, at, lhs, rhs, q), (_k, _at, new_lhs, new_rhs, r) in zip(known, fresh, strict=True):
-        if any((x - y) * r != (w - v) * q for x, y, v, w in zip(lhs, rhs, new_lhs, new_rhs)):
-            bad = _violation(ext.order, k, at, [x * r + v * q for x, v in zip(lhs, new_lhs)],
-                             [y * r + w * q for y, w in zip(rhs, new_rhs)], q * r)
+    fresh = Deformation((defm.coeffs[0], candidate))._tables
+    d = defm.dim
+    for k, (lhs, rhs, q) in enumerate(known):
+        r = fresh.scale(k)
+        new_lhs, new_rhs = fresh.unpack(k, 1)
+        gaps = [(x - y) * r for x, y in zip(lhs, rhs)]
+        fills = [(w - v) * q for v, w in zip(new_lhs, new_rhs)]
+        if gaps != fills:
+            t = next(m for m, (g, f) in enumerate(zip(gaps, fills)) if g != f) // d
+            cut = slice(t * d, t * d + d)
+            bad = _violation(ext.order, k, fresh.tuple_at(k, t),
+                             [x * r + v * q for x, v in zip(lhs[cut], new_lhs[cut])],
+                             [y * r + w * q for y, w in zip(rhs[cut], new_rhs[cut])], q * r)
             raise RuntimeError(f"appended coefficient does not verify: {bad}")
     return ext
 
@@ -450,9 +463,9 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     if T > defm.order:
         raise ValueError("cannot trivialize past the stored order")
     dim = alg.dim
-    mus, dcols, den = defm._tables
-    mu, ds = _columns(mus[:T + 1]), [_columns(d[:T + 1]) for d in dcols[1:]]
-    q_mu = q_d = den
+    tables = defm._tables
+    mu, ds = _columns(tables.mus[:T + 1]), [_columns(d[:T + 1]) for d in tables.dcols[1:]]
+    q_mu = q_d = tables.den
     acc, q_acc = {0: tuple({c: 1} for c in range(dim))}, 1
     mod = adjoint_bimodule(alg, hd)
     while True:

@@ -21,8 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import (Algebra, Bimodule, CheckReport, _associativity_terms,
-                       _derivation_law_terms, _pair_tables)
+from .algebras import Algebra, Bimodule, CheckReport, _pair_tables
 from .cochain import (
     Cochain, MultiMap, NotACocycleError, cochain_to_vector, cohomology,
     differential, differential_matrix, is_coboundary, multimap_to_matrix,
@@ -143,24 +142,28 @@ def verify_bimodule(alg: Algebra, hder: HigherDerivation, mod: Bimodule) -> Chec
     total = semidirect(alg, hder, mod)
     tables = _pair_tables(total.algebra.c, total.hder.maps)
 
-    def failed(law, at, lhs, rhs, q):
+    def failed(law, at, lhs, rhs, k):
+        q = tables.scale(k)
         return CheckReport.failed(law, at, as_fractions(lhs[d:], q), as_fractions(rhs[d:], q))
 
     triples = [t for i, j, a in itertools.product(range(d), range(d), range(d, d + md))
                for t in ((i, j, a), (a, i, j), (i, a, j))]
-    for _, (x, y, z), lhs, rhs, q in _associativity_terms(tables, _at=triples):
-        if lhs != rhs:
-            if z >= d:
-                return failed("left module law", (x, y, z - d), lhs, rhs, q)
-            if x >= d:
-                return failed("right module law", (y, z, x - d), rhs, lhs, q)
-            return failed("bimodule compatibility", (x, z, y - d), lhs, rhs, q)
+    bad = tables.failure(0, 0, triples)
+    if bad is not None:
+        (x, y, z), lhs, rhs = bad
+        if z >= d:
+            return failed("left module law", (x, y, z - d), lhs, rhs, 0)
+        if x >= d:
+            return failed("right module law", (y, z, x - d), rhs, lhs, 0)
+        return failed("bimodule compatibility", (x, z, y - d), lhs, rhs, 0)
     pairs = [t for i, a in itertools.product(range(d), range(d, d + md)) for t in ((i, a), (a, i))]
-    for k, (x, y), lhs, rhs, q in _derivation_law_terms(tables, _at=pairs):
-        if lhs != rhs:
+    for k in range(1, hder.rank + 1):
+        bad = tables.failure(k, 0, pairs)
+        if bad is not None:
+            (x, y), lhs, rhs = bad
             if y >= d:
-                return failed("left derivation law", (k, x, y - d), lhs, rhs, q)
-            return failed("right derivation law", (k, y, x - d), lhs, rhs, q)
+                return failed("left derivation law", (k, x, y - d), lhs, rhs, k)
+            return failed("right derivation law", (k, y, x - d), lhs, rhs, k)
     return CheckReport.passed()
 
 

@@ -24,8 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebras import (Algebra, CheckReport, Tensor3, Violation, _derivation_law_terms,
-                       _hash_once, _pair_tables)
+from .algebras import Algebra, CheckReport, Tensor3, Violation, _hash_once, _pair_tables
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, vec_add
 
 
@@ -92,8 +91,12 @@ def verify_hder(alg: Algebra, hd: HigherDerivation) -> CheckReport:
 def _leibniz_check(t: Tensor3, maps: tuple[Matrix, ...], law: str) -> CheckReport:
     """The higher-derivation law of ``algebras`` at order 0, on the product
     ``t`` and the maps d_1..d_N, for k = 1..N on all basis pairs."""
-    for k, (i, j), lhs, rhs, q in _derivation_law_terms(_pair_tables(t, maps)):
-        if lhs != rhs:
+    tables = _pair_tables(t, maps)
+    for k in range(1, len(maps) + 1):
+        bad = tables.failure(k, 0)
+        if bad is not None:
+            (i, j), lhs, rhs = bad
+            q = tables.scale(k)
             return CheckReport.failed(law, (k, i, j), as_fractions(lhs, q), as_fractions(rhs, q))
     return CheckReport.passed()
 

@@ -6,7 +6,8 @@ probes use the section-difference formulas directly, elimination is checked
 against dense Gauss-Jordan, the differential against the whole-map operators
 delta_hoch, delta' and delta_k evaluated tuple by tuple (and its matrix
 against one such evaluation per unit cochain), the deformation verifier and
-obstruction against the hand-written order-s convolutions, extension and
+obstruction against the hand-written order-s convolutions, the packed law
+sides against the per-tuple integer scans they replaced, extension and
 trivialization against their loops with a second full scan per appended
 order and with Fraction gauges at every step, the gauge action against
 dense multimap composition and gauge composition and inversion against
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import deform, samples
-from hderlab.algebras import _contract
+from hderlab.algebras import LawTables, _contract
 from hderlab.exactlin import ONE, ZERO, echelon, vec_add
 from hderlab.extensions import _check_induced_actions
 from hderlab.serialize import Streamed, cochain_to_json, write_report
@@ -833,9 +834,12 @@ def two_scan_extend_to(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformati
         if candidate is None:
             return current, ob
         current = H.extend_deformation(current, candidate)
-        bad = deform._first_violation(current, current.order)
-        if bad is not None:
-            raise RuntimeError(f"appended coefficient does not verify: {bad}")
+        tables, s = current._tables, current.order
+        for k in range(tables.rank + 1):
+            bad = tables.failure(k, s)
+            if bad is not None:
+                raise RuntimeError("appended coefficient does not verify: "
+                                   f"{deform._violation(s, k, *bad, tables.scale(k))}")
     return current, None
 
 
@@ -865,6 +869,64 @@ def loop_trivialize(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformation,
         step = H.GaugeMap(T, tuple(phis))
         current = H.apply_gauge(current, step)
         acc = H.gauge_compose(acc, step)
+
+
+def oracle_associativity_terms(tables: LawTables, s: int = 0, at=None):
+    """Yields ``(0, (i, j, l), lhs, rhs, D^2)`` in scan order, the numerators of
+    sum_{p+q=s} mu_p(mu_q(e_i, e_j), e_l) = sum_{p+q=s} mu_p(e_i, mu_q(e_j, e_l))
+    over D^2, summed term by term on the integer tables, with mu_p past the
+    last one stored taken as zero.  ``at`` lists the basis triples to scan,
+    in order; by default all of them.  The reference for the associativity
+    sides of ``algebras.LawTables``."""
+    mus, den = tables.mus, tables.den
+    d, n = tables.dim, len(mus) - 1
+    pairs = [(mus[p], mus[s - p]) for p in range(max(0, s - n), min(s, n) + 1)]
+    for i, j, l in itertools.product(range(d), repeat=3) if at is None else at:
+        lhs, rhs = [0] * d, [0] * d
+        for mp, mq in pairs:
+            for c, x in mq[i * d + j].items():
+                for b, y in mp[c * d + l].items():
+                    lhs[b] += x * y
+            for c, x in mq[j * d + l].items():
+                for b, y in mp[i * d + c].items():
+                    rhs[b] += x * y
+        yield 0, (i, j, l), lhs, rhs, den * den
+
+
+def oracle_derivation_law_terms(tables: LawTables, s: int = 0, at=None):
+    """Yields ``(k, (i, j), lhs, rhs, D^3)`` for k = 1..N in scan order, the
+    numerators of sum_p d_{k,p}(mu_{s-p}(e_i, e_j)) = sum_{a+b=k}
+    sum_{p+q+r=s} mu_p(d_{a,q} e_i, d_{b,r} e_j) over D^3 (the lhs scaled by
+    D), summed term by term, with terms past the last stored order taken as
+    zero.  ``at`` lists the basis pairs scanned for each k, in order; by
+    default all of them.  The reference for the law sides of
+    ``algebras.LawTables``."""
+    mus, dcols, den = tables.mus, tables.dcols, tables.den
+    d, n = tables.dim, len(mus) - 1
+    at = list(itertools.product(range(d), repeat=2)) if at is None else at
+    orders = range(max(0, s - n), min(s, n) + 1)  # p with p <= n and s - p <= n
+    for k in range(1, len(dcols)):
+        left_terms = [(dcols[k][p], mus[s - p]) for p in orders]
+        right_terms = []
+        for a in range(k + 1):
+            da, db = dcols[a], dcols[k - a]
+            for q in range(min(s, len(da) - 1) + 1):
+                for r in range(min(s - q, len(db) - 1) + 1):
+                    if s - q - r <= n:
+                        right_terms.append((mus[s - q - r], da[q], db[r]))
+        for i, j in at:
+            lhs, rhs = [0] * d, [0] * d
+            for dk, mq in left_terms:
+                for c, x in mq[i * d + j].items():
+                    for b, y in dk[c].items():
+                        lhs[b] += x * y
+            for mp, da, db in right_terms:
+                for u, x in da[i].items():
+                    for v, y in db[j].items():
+                        xy = x * y
+                        for b, z in mp[u * d + v].items():
+                            rhs[b] += xy * z
+            yield k, (i, j), [x * den for x in lhs], rhs, den ** 3
 
 
 def oracle_verify_algebra(alg: H.Algebra) -> H.CheckReport:

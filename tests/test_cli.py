@@ -37,6 +37,10 @@ COMMANDS = [
     (["deform-obstruct", "tp3_gauged_deform.json"], 0),
     (["deform-extend", "tp3_gauged_deform.json", "--to", "6"], 0),
     (["deform-trivialize", "tp3_gauged_deform.json"], 0),
+    # gauge entries near 2^40 over 7 and 11: slots of 239 bits
+    (["deform-verify", "tp3_wide_deform.json"], 0),
+    (["deform-obstruct", "tp3_wide_deform.json"], 0),
+    (["deform-extend", "tp3_wide_deform.json", "--to", "6"], 0),
     (["free-tensor", "tensor_line.json"], 0),
     (["free-tensor", "tensor_line.json", "--degree", "3"], 0),
 ]
@@ -67,6 +71,9 @@ REPORT_SHA256 = {
     "deform-obstruct tp3_gauged_deform.json": "0357ab1045e96cd68aaa71da39e62c5542ba65b84021dc0fdcdbbb532200ed71",
     "deform-extend tp3_gauged_deform.json --to 6": "4a045ef540332ddfda7457fa2fe6a4c4f7d466de011485740ba50931cc3c9621",
     "deform-trivialize tp3_gauged_deform.json": "c9b4ca4e2faf1906cd8897c3d641960587b4c7a71dc37cbb365a77d711ce88c8",
+    "deform-verify tp3_wide_deform.json": "fa0b658db8274b3e58c512b1045a68f299bae5eb0c71cbb4e3f80f98a1b0da06",
+    "deform-obstruct tp3_wide_deform.json": "b7ed0945b1165e363703e6a86735bc7141233956029b5ab552ec94da6068031d",
+    "deform-extend tp3_wide_deform.json --to 6": "980d02a28b2d0ca779eca7c38df56b33b6da271738d36b7d8a98df8a7958411a",
     "free-tensor tensor_line.json": "d504e9876a85f6fee47f8fcd77440ce9ce8f1f6c10fbd7c9bf44b4676301ea1f",
     "free-tensor tensor_line.json --degree 3": "3e52e035418ba9554b6bce60f16f424fa86f05bfef8a05dbd66487f8dfdfb08e",
 }
@@ -97,6 +104,9 @@ HUMAN_SHA256 = {
     "deform-obstruct tp3_gauged_deform.json": "0653ae816ceb0f8b93a7359adac26ae750b946a731f3f058356101844c850fe6",
     "deform-extend tp3_gauged_deform.json --to 6": "58fa0e8b82d916e839eb66f071d532cb30e8d2a66381814e438324dbfe446ca9",
     "deform-trivialize tp3_gauged_deform.json": "3d085e1cdf3d3b77fc2839a6b573c4a9e04337af65257e0765ec501cfbd188de",
+    "deform-verify tp3_wide_deform.json": "681b2c0ce5c0cee85838e11f2f6232856ee87cc8e975a7579b7e246dd4498142",
+    "deform-obstruct tp3_wide_deform.json": "d0d1afc89155f4b64f8a1baeae9f8b56d0fd66f32e0971b099245a50ea4f6dab",
+    "deform-extend tp3_wide_deform.json --to 6": "817c90d165c3a5ee7b56ccf781d47242f802dd0e2ae90bbf8bf36c50ce4dc4ed",
     "free-tensor tensor_line.json": "1f320f3c950bb221f929d936ee9b6d304157ee0161fa1106d5de2377b979ec5a",
     "free-tensor tensor_line.json --degree 3": "c9ba4b0003b6f0f695c6ac6490415b69bcf6102d6395bda2af3a260f8d7fd56e",
 }

@@ -373,9 +373,11 @@ def test_serialization_roundtrip(defm, section):
 
 
 def _perturbed(defm: H.Deformation, rng: random.Random,
-               delta: Fraction | None = None) -> H.Deformation:
-    """One entry of one mu_s or d_{k,s} (s >= 1) moved by a nonzero amount."""
-    s = rng.randint(1, defm.order)
+               delta: Fraction | None = None, s: int | None = None) -> H.Deformation:
+    """One entry of one mu_s or d_{k,s} moved by a nonzero amount; s is
+    drawn from 1..order unless given."""
+    if s is None:
+        s = rng.randint(1, defm.order)
     if delta is None:
         delta = rand_fraction(rng, 1, 3)
     k = rng.randint(0, defm.rank)
@@ -422,6 +424,17 @@ def test_gauge_trivial_deformations_match_loop_oracles(index, order, perturb, se
 def test_perturbed_fixture_deformations_match_loop_oracles(index, seed):
     alg, hd, defm = DEFORMATION_FIXTURES[index]
     _assert_matches_loops(alg, hd, _perturbed(defm, random.Random(seed)))
+
+
+@pytest.mark.parametrize("s", [None, 0, 1, 2, 3, 4])
+def test_wide_slot_fixture_matches_loop_oracles(s):
+    # slots of 239 bits; s is the order of a moved entry, None for none
+    alg, hd, defm = _load_deformation("tp3_wide_deform.json")
+    if s is not None:
+        defm = _perturbed(defm, random.Random(s), Fraction(1, 7), s)
+        if s == 0:
+            alg, hd = _base_pair(defm)
+    _assert_matches_loops(alg, hd, defm)
 
 
 def _non_integral(rng: random.Random) -> Fraction:
@@ -524,7 +537,7 @@ def test_deform_obstruct_tests_the_cocycle_when_the_solve_fails(monkeypatch, cap
     assert report["results"] == {}
 
 
-LOOP_FILES = DEFORMATION_FILES + ("tp3_gauged_deform.json",)
+LOOP_FILES = DEFORMATION_FILES + ("tp3_gauged_deform.json", "tp3_wide_deform.json")
 
 
 def _outcome_or_error(run, *args):
@@ -555,6 +568,31 @@ def _tp3_or_dual(kind: str, rank: int):
     return p3, H.ordinary_hder(p3, samples.euler_matrix(3), rank)
 
 
+def _base_pair(defm: H.Deformation) -> tuple[H.Algebra, H.HigherDerivation]:
+    """The pair whose product and maps are the order-0 coefficient."""
+    d, c0 = defm.dim, defm.coeffs[0]
+    table = [[c0.main.values[(i * d + j) * d:(i * d + j + 1) * d] for j in range(d)]
+             for i in range(d)]
+    return (H.Algebra.from_table(table),
+            H.HigherDerivation(defm.rank, tuple(H.multimap_to_matrix(p) for p in c0.parts)))
+
+
+@pytest.mark.parametrize("kind", ["tp3", "dual"])
+@pytest.mark.parametrize("s", range(5))
+@pytest.mark.parametrize("seed", range(4))
+def test_one_entry_off_at_each_order_matches_loop_oracles(kind, s, seed):
+    # a gauge-trivial order-4 family with one entry of mu_s or d_{k,s}
+    # moved; at s = 0 the pair moves with it, so the base check passes and
+    # the order-0 laws are what fails
+    rng = random.Random(seed)
+    alg, hd = _tp3_or_dual(kind, 1 + seed % 2)
+    defm = _perturbed(H.apply_gauge(H.trivial_deformation(alg, hd, 4), rand_gauge(rng, alg.dim, 4)),
+                      rng, s=s)
+    if s == 0:
+        alg, hd = _base_pair(defm)
+    _assert_matches_loops(alg, hd, defm)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(("tp3", "dual")), st.integers(1, 2), st.integers(0, 4),
        st.integers(1, 2), st.integers(0, 2 ** 32))
@@ -566,7 +604,7 @@ def test_extend_to_matches_two_scan_loop_on_gauged_families(kind, rank, order, m
     assert reached.order == order + more and blocked is None
 
 
-@pytest.mark.parametrize("name", ["dual_deform.json", "tp3_gauged_deform.json"])
+@pytest.mark.parametrize("name", ["dual_deform.json", "tp3_gauged_deform.json", "tp3_wide_deform.json"])
 @pytest.mark.parametrize("seed", range(3))
 def test_extend_to_rejects_a_candidate_with_one_entry_changed(monkeypatch, name, seed):
     alg, hd, defm = _load_deformation(name)
