@@ -17,7 +17,11 @@ largest entries, l1 norms and term counts so that every slot of either side
 stays below 2^(B-1) in absolute value; a base-2^B expansion with digits that
 small is unique, so comparing two packed integers decides every equation in
 them exactly, and slots are unpacked only to report a failure or to build or
-check an obstruction.
+check an obstruction.  The set-up takes one pass: one walk over each
+coefficient's entries gives its integer numerators and its norms
+(``_int_table``), and the packed series come straight from those numerators.
+A command builds one table per pair: ``hder._pair_reports`` judges
+associativity, the unit laws and the higher-derivation law on it.
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -27,11 +31,13 @@ next to ``semidirect`` in ``extensions``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import lshift, mul, or_
 
-from .exactlin import Matrix, ShapeError, Vector, ZERO, as_fractions, common_denominator, rat, rat_str
+from .exactlin import ONE, Matrix, ShapeError, Vector, ZERO, as_fractions, rat, rat_str
 
 Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -51,7 +57,7 @@ def zero_tensor3(d0: int, d1: int, d2: int) -> Tensor3:
 
 def tensor_values(t: Tensor3) -> tuple[Fraction, ...]:
     """The entries flat in [i][j][k] order: a bilinear map's values."""
-    return tuple(x for mid in t for inner in mid for x in inner)
+    return tuple(itertools.chain.from_iterable(itertools.chain.from_iterable(t)))
 
 
 def _hash_once(self) -> int:
@@ -81,48 +87,59 @@ def _contract(t: Tensor3, x: Vector, y: Vector, n: int) -> Vector:
     return tuple(out)
 
 
-def _int_chunks(values, d: int, den: int) -> tuple[dict[int, int], ...]:
-    """Consecutive length-d blocks of ``values`` as ``{index: numerator}``
-    over ``den`` (a multiple of every denominator), zeros left out."""
-    return tuple({c: x.numerator * (den // x.denominator)
-                  for c in range(d) if (x := values[base + c])}
-                 for base in range(0, len(values), d))
+def _int_table(values, d: int, den: int, transpose: bool = False) -> tuple[list[int], int, int]:
+    """The numerators of ``values`` over ``den`` (a multiple of every
+    denominator), zeros included, with their norms from the same pass: mx,
+    the largest |numerator|, and mx times the most nonzeros a consecutive
+    length-d block holds, a bound on the l1 norm of a block.  With
+    ``transpose``, ``values`` is a d x d matrix row by row, and its
+    numerators come out column by column."""
+    flat, counts, mx = [0] * len(values), [0] * (len(values) // d), 0
+    for pos, x in enumerate(values):
+        if x is not ZERO and x:
+            if transpose:
+                pos = pos % d * d + pos // d
+            flat[pos] = v = x.numerator * (den // x.denominator)
+            if v > mx or -v > mx:
+                mx = abs(v)
+            counts[pos // d] += 1
+    return flat, mx, mx * max(counts, default=0)
 
 
-def _law_tables(d: int, products, series) -> LawTables:
-    """The law tables from the flat values of each mu_p and the column-major
-    values ``series[k - 1][s]`` of each d_{k,s}, over D, the lcm of their
-    denominators: ``mus[p][i * d + j]`` is D * mu_p(e_i, e_j) as ``{c: x}``
-    and ``dcols[k][s][c]`` is D * column c of d_{k,s} as ``{b: x}``, d_{0,0} = id."""
-    den = common_denominator(itertools.chain(*products, *itertools.chain(*series)))
-    ident = tuple({c: den} for c in range(d))
-    return LawTables(tuple(_int_chunks(v, d, den) for v in products),
-                     ((ident,),) + tuple(tuple(_int_chunks(v, d, den) for v in ser) for ser in series),
-                     den)
+def _chunks(flat, d: int) -> tuple[dict[int, int], ...]:
+    """Consecutive length-d blocks of ``flat`` as ``{index: x}``, zeros left out."""
+    return tuple({c: x for c, x in enumerate(flat[base:base + d]) if x}
+                 for base in range(0, len(flat), d))
+
+
+def _law_tables(d: int, products, series, transpose: bool = False) -> LawTables:
+    """The law tables of the flat values of each mu_p and the values
+    ``series[k - 1][s]`` of each d_{k,s}, column by column (row by row with
+    ``transpose``), over D, the lcm of their denominators.  One pass over
+    each coefficient takes its numerators and its norms."""
+    den = math.lcm(*{x.denominator for x in itertools.chain(*products, *itertools.chain(*series))
+                     if x is not ZERO})
+    tables = [[_int_table(v, d, den) for v in products],
+              [([den if b == c else 0 for c in range(d) for b in range(d)], den, den)]]
+    tables += [[_int_table(v, d, den, transpose) for v in ser] for ser in series]
+    return LawTables(d, den, tables)
 
 
 def _pair_tables(t: Tensor3, maps=()) -> LawTables:
     """The order-0 law tables of the product ``t`` and the maps d_1..d_N."""
-    return _law_tables(len(t), (tensor_values(t),), tuple((m.transpose().entries,) for m in maps))
+    return _law_tables(len(t), (tensor_values(t),), tuple((m.entries,) for m in maps), True)
 
 
-def _norms(coefficients) -> tuple[list[int], list[int]]:
-    """Per coefficient (a sequence of ``{index: x}`` dicts): mx, its largest
-    |entry|, and mx times the most entries a dict holds, a bound on the l1
-    norms of its vectors."""
-    mx = [max(map(abs, itertools.chain.from_iterable(map(dict.values, c))), default=0)
-          for c in coefficients]
-    return mx, [m * max(map(len, c)) for m, c in zip(mx, coefficients)]
-
-
-def _combination(terms, vectors) -> list[int]:
-    """sum_c x vectors[c] over the ``(c, x)`` of terms, coordinatewise;
-    vectors[0] gives the length."""
-    out = None
-    for c, x in terms:
-        part = [x * v for v in vectors[c]]
-        out = part if out is None else [a + b for a, b in zip(out, part)]
-    return [0] * len(vectors[0]) if out is None else out
+def _combine(weights, vectors, zero: list[int]) -> list[int]:
+    """sum_c weights[c] vectors[c], coordinatewise, over the nonzero
+    weights (the shorter of the two sets the range of c); ``zero`` (never
+    written) when all are zero.  Each coordinate accumulates its packed
+    products, one list per nonzero weight."""
+    acc = zero
+    for x, vec in zip(weights, vectors):
+        if x:
+            acc = [x * v for v in vec] if acc is zero else [a + x * v for a, v in zip(acc, vec)]
+    return acc
 
 
 class LawTables:
@@ -157,16 +174,31 @@ class LawTables:
     D sum_c mu(e_i, e_j)_c d_k(e_c) against
     sum_{a+b=k} sum_u d_a(e_i)_u S_b(u, j), where the staged series
     S_b(u, j) = sum_v d_b(e_j)_v mu(e_u, e_v) serves every k.
+
+    ``tables[0][p]`` holds mu_p and ``tables[k + 1][s]`` holds d_{k,s}
+    (d_{0,0} = id), each as ``(numerators, mx, l1)`` from ``_int_table``:
+    the numerators over D, flat in [i][j][c] order for mu_p and column by
+    column for d_{k,s}.
     """
 
-    def __init__(self, mus, dcols, den: int):
-        self.mus, self.dcols, self.den = mus, dcols, den
-        self.dim = len(dcols[0][0])
-        self.order = len(mus) - 1
-        self.rank = len(dcols) - 1
+    def __init__(self, dim: int, den: int, tables):
+        self.dim, self.den, self._tables = dim, den, tables
+        self.order = len(tables[0]) - 1
+        self.rank = len(tables) - 2
         self._sides: dict[int, tuple[list[int], list[int]]] = {}
-        self._staged: dict[int, list[list[int]]] = {}
         self._windows: dict[int, tuple[int, int, int]] = {}
+
+    @cached_property
+    def mus(self) -> tuple:
+        """``mus[p][i * d + j]`` = D * mu_p(e_i, e_j) as ``{c: x}``."""
+        return tuple(_chunks(flat, self.dim) for flat, _mx, _l1 in self._tables[0])
+
+    @cached_property
+    def dcols(self) -> tuple:
+        """``dcols[k][s][c]`` = D * column c of d_{k,s} as ``{b: x}``, with
+        d_{0,0} = id."""
+        return tuple(tuple(_chunks(flat, self.dim) for flat, _mx, _l1 in ser)
+                     for ser in self._tables[1:])
 
     def scale(self, k: int) -> int:
         """The denominator of the numerators of law k: D^2 for
@@ -188,113 +220,105 @@ class LawTables:
         staged series.
 
         With mx the largest |entry| and l1 a bound on the l1 norm of a
-        vector of mu_p or a column of d_{k,p} (``_norms``), each taken as a
-        series in the order, a slot at order s is at most the coefficient of
-        t^s in: l1(mu) mx(mu) for associativity, on either side; for law k,
-        D l1(mu) mx(d_k) on the left and sum_a l1(d_a) S_{k-a} on the
+        vector of mu_p or a column of d_{k,p} (``_int_table``), each taken as
+        a series in the order, a slot at order s is at most the coefficient
+        of t^s in: l1(mu) mx(mu) for associativity, on either side; for law
+        k, D l1(mu) mx(d_k) on the left and sum_a l1(d_a) S_{k-a} on the
         right, where S_b = l1(d_b) mx(mu) bounds the staged series.  The
         bound series are nonnegative, so they are multiplied packed too, in
         slots wide enough for any product of three norms summed over all
         terms."""
         top = self.order + 1
-        mu_mx, mu_l1 = _norms(self.mus)
-        d_mx, d_l1 = [[self.den]], [[self.den]]  # d_{0,0} = D id
-        for ser in self.dcols[1:]:
-            mx, l1 = _norms(ser)
-            d_mx.append(mx)
-            d_l1.append(l1)
-        width = 3 * max(*mu_l1, *itertools.chain(*d_l1)).bit_length() + \
+        tables = self._tables
+        width = 3 * max(l1 for ser in tables for _flat, _mx, l1 in ser).bit_length() + \
             (self.rank + 1).bit_length() + 2 * (top + 1).bit_length() + 1
 
-        def pack(series):
+        def pack(series, at):
             if len(series) == 1:
-                return series[0]
-            return sum(x << width * s for s, x in enumerate(series))
+                return series[0][at]
+            return sum(norms[at] << width * s for s, norms in enumerate(series))
 
-        mu, ones = pack(mu_mx), pack(mu_l1)
-        rows = list(map(pack, d_l1))
+        mu, ones = pack(tables[0], 1), pack(tables[0], 2)
+        rows = [pack(ser, 2) for ser in tables[1:]]
         staged = [row * mu for row in rows]
         bounds = [ones * mu, *staged]
         for k in range(1, self.rank + 1):
-            bounds.append(self.den * ones * pack(d_mx[k]))
-            bounds.append(sum(rows[a] * staged[k - a] for a in range(k + 1)))
-        mask = (1 << width) - 1
-        return max((b >> width * s) & mask for b in bounds for s in range(top + 1)).bit_length() + 1
+            bounds.append(self.den * ones * pack(tables[k + 1], 1))
+            bounds.append(sum(map(mul, rows, staged[k::-1])))
+        # the bounds hold nonnegative slots, so their bitwise or has, slot
+        # by slot, the bit length of the largest
+        slots, mask = reduce(or_, bounds), (1 << width) - 1
+        return max(((slots >> width * s) & mask).bit_length() for s in range(top + 1)) + 1
 
     @cached_property
-    def _packs(self) -> tuple:
-        """The packed series, X = 2^B.  Per pair (x, y), ``scalars[x d + y]``
-        lists (c, sum_p mu_p(e_x, e_y)_c X^(p d)) for the c that occur, and
-        the vector sum_p sum_c mu_p(e_x, e_y)_c X^(p d + c) is ``rows[x][y]``
-        and ``columns[y][x]``.  Per k, ``column[k][c]`` = sum_p sum_b
-        (d_{k,p})_{b,c} X^(p d + b), and ``entries[k][c]`` lists
-        (b, sum_p (d_{k,p})_{b,c} X^(p d)) for the b that occur."""
+    def _packs(self) -> tuple[list[list[int]], list[int]]:
+        """The packed series, X = 2^B, dense in the coordinates, block by
+        block: the d^2 blocks (x, y) of mu, then the d columns of each of
+        d_0, ..., d_N.  ``scalars[m][c]`` = sum_p x_{p,c} X^(p d), x_p being
+        block m of the order-p coefficient, and ``vectors[m]`` =
+        sum_c scalars[m][c] X^c."""
         d, bits = self.dim, self.bits
-        step = bits * d
-
-        def series(coefficients):
-            """Per vector: its entries as (index, scalar series) and its
-            vector series."""
-            scalars = [dict(vec) for vec in coefficients[0]]
-            vectors = [sum(x << bits * c for c, x in vec.items()) for vec in coefficients[0]]
-            for p, vecs in enumerate(coefficients[1:], start=1):
-                base = step * p
-                for m, (at, vec) in enumerate(zip(scalars, vecs)):
-                    for c, x in vec.items():
-                        at[c] = at.get(c, 0) + (x << base)
-                        vectors[m] += x << base + bits * c
-            return [list(at.items()) for at in scalars], vectors
-
-        scalars, vectors = series(self.mus)
-        column, entries = [], []
-        for ser in self.dcols:
-            ent, col = series(ser)
-            entries.append(ent)
-            column.append(col)
-        return ([vectors[x * d:x * d + d] for x in range(d)], [vectors[y::d] for y in range(d)],
-                scalars, column, entries)
-
-    def _stage(self, b: int) -> list[list[int]]:
-        """``staged[u][j]`` = S_b(u, j) = sum_v d_b(e_j)_v mu(e_u, e_v), from
-        order n + 2 on cut off by its balanced residue, which keeps the slots
-        below (``bits`` bounds them)."""
-        staged = self._staged.get(b)
-        if staged is None:
-            _rows, columns, _scalars, _column, entries = self._packs
-            staged = [list(row) for row in zip(*(_combination(terms, columns) for terms in entries[b]))]
-            if self.order > 1:  # orders reach 2n > n + 1
-                half = 1 << self.bits * self.dim * (self.order + 2) - 1
-                staged = [[((x + half) & (2 * half - 1)) - half for x in row] for row in staged]
-            self._staged[b] = staged
-        return staged
+        offsets, shifts = [bits * d * p for p in range(self.order + 1)], [bits * c for c in range(d)]
+        flat: list[int] = []
+        for series in self._tables:
+            if len(series) == 1:
+                flat += series[0][0]
+            else:
+                flat += [sum(map(lshift, xs, offsets))
+                         for xs in zip(*(numerators for numerators, _mx, _l1 in series))]
+        scalars = [flat[base:base + d] for base in range(0, len(flat), d)]
+        return scalars, [sum(map(lshift, at, shifts)) for at in scalars]
 
     def sides(self, k: int) -> tuple[list[int], list[int]]:
         """The packed lhs and rhs of law k (0 for associativity) at every
         basis tuple, in scan order, over ``scale(k)``; terms past the last
-        stored order are zero."""
+        stored order are zero.  The laws k >= 1 are evaluated together."""
         sides = self._sides.get(k)
         if sides is None:
-            d = self.dim
-            rows, columns, scalars, column, entries = self._packs
+            d, dd = self.dim, self.dim ** 2
+            scalars, vectors = self._packs
+            rows = [vectors[x * d:x * d + d] for x in range(d)]
             if k == 0:
-                # at (i, j, l): sum_c mu(e_i, e_j)_c mu(e_c, e_l) by l, and
-                # sum_c mu(e_j, e_l)_c mu(e_i, e_c) by i
-                lhs = list(itertools.chain.from_iterable(_combination(terms, rows) for terms in scalars))
-                by_i = [_combination(terms, columns) for terms in scalars]
-                rhs = [col[i] for i in range(d) for col in by_i]
+                # at (i, j, .): sum_c mu(e_i, e_j)_c mu(e_c, e_.); at (., j, l):
+                # sum_c mu(e_j, e_l)_c mu(e_., e_c), transposed into scan order
+                zero, columns = [0] * d, [vectors[c:dd:d] for c in range(d)]
+                lhs: list[int] = []
+                by_jl = []
+                for at in scalars[:dd]:
+                    lhs += _combine(at, rows, zero)
+                    by_jl.append(_combine(at, columns, zero))
+                self._sides[0] = (lhs, [col[i] for i in range(d) for col in by_jl])
             else:
-                col = column[k]
-                lhs = [self.den * sum(x * col[c] for c, x in terms) for terms in scalars]
-                rhs = []
-                for i in range(d):
-                    row = [0] * d
-                    for a in range(k + 1):
-                        terms = entries[a][i]
-                        if terms:
-                            row = [y + z for y, z in zip(row, _combination(terms, self._stage(k - a)))]
-                    rhs += row
-            sides = self._sides[k] = (lhs, rhs)
+                self._law_sides(scalars, vectors, rows)
+            sides = self._sides[k]
         return sides
+
+    def _law_sides(self, scalars, vectors, rows) -> None:
+        """The sides of law k = 1..N.  At (i, .), law k combines the
+        staged rows S_k(u, .), ..., S_0(u, .) with the weights d_0(e_i)_u,
+        ..., d_k(e_i)_u, which ``left[i]`` lists in turn; ``right`` holds
+        those rows after step k.  S_b(u, j) = sum_v mu(e_u, e_v) d_b(e_j)_v
+        is cut off from order n + 2 on by its balanced residue, which keeps
+        the slots below (``bits`` bounds them)."""
+        d, dd, den = self.dim, self.dim ** 2, self.den
+        # orders reach 2n > n + 1 from n = 2 on
+        half = 1 << self.bits * d * (self.order + 2) - 1 if self.order > 1 else 0
+        zero, mu = [0] * d, scalars[:dd]
+        left = [list(itertools.chain.from_iterable(scalars[dd + i::d])) for i in range(d)]
+        by_u = [vectors[v:dd:d] for v in range(d)]  # mu(e_., e_v)
+        right: list[list[int]] = []
+        for k in range(self.rank + 1):
+            columns = [_combine(at, by_u, zero) for at in scalars[dd + k * d:dd + k * d + d]]
+            staged = list(zip(*columns))
+            if half:
+                staged = [[((x + half) & (2 * half - 1)) - half for x in row] for row in staged]
+            right = staged + right
+            if k:
+                col = vectors[dd + k * d:dd + k * d + d]
+                rhs: list[int] = []
+                for at in left:
+                    rhs += _combine(at, right, zero)
+                self._sides[k] = ([den * sum(map(mul, at, col)) for at in mu], rhs)
 
     def _window(self, s: int) -> tuple[int, int, int]:
         """``(offset, drop, mask)`` for order s: adding offset, 2^(B-1) in
@@ -426,7 +450,7 @@ class Algebra:
                    tuple(labels), unit_index)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1) if j == i else ZERO for j in range(self.dim))
+        return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
     def basis_product(self, i: int, j: int) -> Vector:
         return self.c[i][j]
@@ -470,7 +494,7 @@ class Bimodule:
                 raise ShapeError(f"module map {k} is {m.rows}x{m.cols}, expected {self.mdim}x{self.mdim}")
 
     def basis_vector(self, a: int) -> Vector:
-        return tuple(Fraction(1) if b == a else ZERO for b in range(self.mdim))
+        return tuple(ONE if b == a else ZERO for b in range(self.mdim))
 
     def has_zero_actions(self) -> bool:
         return all(not x for m in self.left for inner in m for x in inner) and \
@@ -479,16 +503,20 @@ class Bimodule:
 
 def verify_algebra(alg: Algebra) -> CheckReport:
     """Associativity on all basis triples, plus unit laws when a unit is declared."""
-    d, c = alg.dim, alg.c
-    tables = _pair_tables(c)
+    return _algebra_report(alg, _pair_tables(alg.c))
+
+
+def _algebra_report(alg: Algebra, tables: LawTables) -> CheckReport:
+    """``verify_algebra`` on ``tables``, the order-0 tables of ``alg.c``
+    (with or without maps)."""
     bad = tables.failure(0, 0)
     if bad is not None:
         at, lhs, rhs = bad
         q = tables.scale(0)
         return CheckReport.failed("associativity", at, as_fractions(lhs, q), as_fractions(rhs, q))
-    u = alg.unit_index
+    c, u = alg.c, alg.unit_index
     if u is not None:
-        for j in range(d):
+        for j in range(alg.dim):
             ej = alg.basis_vector(j)
             if c[u][j] != ej:
                 return CheckReport.failed("left unit law", (u, j), c[u][j], ej)

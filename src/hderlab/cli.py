@@ -37,7 +37,7 @@ from .extensions import (
     verify_bimodule,
 )
 from .freecons import induced_tensor_hder
-from .hder import verify_hder
+from .hder import _pair_reports, verify_hder
 from .serialize import (
     ParseError, check_report_to_json, cochain_to_json, cohomology_to_json,
     deformation_to_json, extension_to_json, gauge_to_json, hder_to_json,
@@ -117,8 +117,9 @@ def _structures(doc, coefficients: str, who: str):
     of a verified pair are lawful by construction.
     """
     alg, hd = _algebra_hder(doc)
-    _require("algebra", verify_algebra(alg))
-    _require("hder", verify_hder(alg, hd))
+    alg_report, hder_report = _pair_reports(alg, hd)
+    _require("algebra", alg_report)
+    _require("hder", hder_report)
     if coefficients == "adjoint":
         mod = adjoint_bimodule(alg, hd)
     elif coefficients == "trivial":
@@ -154,11 +155,14 @@ def cmd_check(doc, args):
 
     alg = parse_algebra(_section(doc, "algebra"))
     _guard(dim=alg.dim)
-    record("algebra", verify_algebra(alg))
     hd = None
     if "hder" in doc:
         hd = parse_hder(doc["hder"], alg.dim)
-        record("hder", verify_hder(alg, hd))
+        alg_report, hder_report = _pair_reports(alg, hd)
+        record("algebra", alg_report)
+        record("hder", hder_report)
+    else:
+        record("algebra", verify_algebra(alg))
     if "bimodule" in doc:
         if hd is None:
             raise ParseError("a 'bimodule' section needs an 'hder' section")
@@ -196,10 +200,10 @@ def cmd_extend_abelian(doc, args):
         ext = extension_from_cocycle(alg, hd, mod, z)
     except NotACocycleError as exc:
         return False, {"cocycle_check": str(exc)}, [str(exc)]
+    alg_report, hder_report = _pair_reports(ext.total.algebra, ext.total.hder)
     results = {"extension": extension_to_json(ext),
-               "total_algebra_check": check_report_to_json(verify_algebra(ext.total.algebra)),
-               "total_hder_check": check_report_to_json(verify_hder(ext.total.algebra,
-                                                                    ext.total.hder))}
+               "total_algebra_check": check_report_to_json(alg_report),
+               "total_hder_check": check_report_to_json(hder_report)}
     return True, results, []
 
 
@@ -325,14 +329,13 @@ SUBCOMMANDS = {
 }
 
 
-def _parser(names, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The hderlab parser with the subcommands ``names``, in table order."""
-    parser = parser_class(
+def build_parser() -> argparse.ArgumentParser:
+    """The hderlab parser with every subcommand, in table order."""
+    parser = argparse.ArgumentParser(
         prog="hderlab",
         description="Workbench for associative algebras with higher derivations")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        _handler, help_text, arguments = SUBCOMMANDS[name]
+    for name, (_handler, help_text, arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="JSON problem file")
         p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -341,33 +344,36 @@ def _parser(names, parser_class=argparse.ArgumentParser) -> argparse.ArgumentPar
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(SUBCOMMANDS)
-
-
 class _Fallback(Exception):
-    """The one-subcommand parser met input it would have to report on."""
+    """The lean parser met input it would have to report on."""
 
 
 class _LeanParser(argparse.ArgumentParser):
-    """Prints nothing and exits nowhere: help and errors go to the full parser."""
+    """Prints nothing and exits nowhere: errors go to the full parser."""
 
     def error(self, message):
         raise _Fallback
 
-    def print_help(self, file=None):
-        raise _Fallback
-
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with only the subcommand ``argv[0]`` names, which is several
-    times cheaper than building all of them; usage, help and errors come
-    from the full parser, so they read exactly as before."""
+    """Parse with one flat parser holding only the arguments of the
+    subcommand ``argv[0]``, several times cheaper than building all of them.
+    It has no help option, so a help request is an error to it; help and
+    errors come from the full parser, so usage, help and error text read
+    exactly as before."""
     if argv and argv[0] in SUBCOMMANDS:
+        parser = _LeanParser(add_help=False)
+        parser.add_argument("file")
+        parser.add_argument("--json", action="store_true")
+        for flag, kwargs in SUBCOMMANDS[argv[0]][2]:
+            parser.add_argument(flag, **kwargs)
         try:
-            return _parser(argv[:1], _LeanParser).parse_args(argv)
+            args = parser.parse_args(argv[1:])
         except _Fallback:
             pass
+        else:
+            args.command = argv[0]
+            return args
     return build_parser().parse_args(argv)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebras import (Algebra, CheckReport, LawTables, Violation, _int_chunks, _law_tables,
+from .algebras import (Algebra, CheckReport, LawTables, Violation, _chunks, _int_table, _law_tables,
                        adjoint_bimodule, tensor_values)
 from .cochain import (
     Cochain, MultiMap, NotACocycleError, cocycle_preimage, differential, matrix_to_multimap,
@@ -230,7 +230,7 @@ def _gauge_columns(gauge: GaugeMap, order: int) -> tuple[dict, int]:
         raise ValueError("gauge must start at the identity")
     live = [(s, m) for s, m in enumerate(gauge.phis[:order + 1]) if not m.is_zero()]
     e = common_denominator(itertools.chain(*(m.entries for _s, m in live)))
-    return {s: _int_chunks(m.transpose().entries, gauge.dim, e) for s, m in live}, e
+    return {s: _chunks(_int_table(m.entries, gauge.dim, e, True)[0], gauge.dim) for s, m in live}, e
 
 
 def _inverse_columns(phi: dict, e: int, dim: int, order: int) -> dict:
@@ -481,7 +481,8 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         if h is None:
             return TrivializeOutcome(None, lowest, _coefficient(mu, ds, q_mu, q_d, dim, lowest))
         e = common_denominator(h.main.values)
-        shear = {0: tuple({c: e} for c in range(dim)), lowest: _int_chunks(h.main.values, dim, e)}
+        shear = {0: tuple({c: e} for c in range(dim)),
+                 lowest: _chunks(_int_table(h.main.values, dim, e)[0], dim)}
         mu, ds = _conjugate(mu, ds, shear, e, T)
         q_mu, q_d = q_mu * e ** (T + 2), q_d * e ** (T + 1)
         acc, q_acc = _series_mul(acc, shear, T), q_acc * e

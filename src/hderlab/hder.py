@@ -24,7 +24,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebras import Algebra, CheckReport, Tensor3, Violation, _hash_once, _pair_tables
+from .algebras import (Algebra, CheckReport, LawTables, Tensor3, Violation, _algebra_report, _hash_once,
+                       _pair_tables)
 from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, vec_add
 
 
@@ -83,16 +84,32 @@ class AssHDerMorphism:
 
 def verify_hder(alg: Algebra, hd: HigherDerivation) -> CheckReport:
     """The defining identity for every k = 1..N on all basis pairs."""
+    _require_same_dim(alg, hd)
+    return _leibniz_report(_pair_tables(alg.c, hd.maps), "higher derivation identity")
+
+
+def _pair_reports(alg: Algebra, hd: HigherDerivation) -> tuple[CheckReport, CheckReport]:
+    """``(verify_algebra(alg), verify_hder(alg, hd))`` from one table: the
+    input checks of a command that reads a pair."""
+    _require_same_dim(alg, hd)
+    tables = _pair_tables(alg.c, hd.maps)
+    return _algebra_report(alg, tables), _leibniz_report(tables, "higher derivation identity")
+
+
+def _require_same_dim(alg: Algebra, hd: HigherDerivation) -> None:
     if hd.dim != alg.dim:
         raise ShapeError(f"maps are {hd.dim}x{hd.dim}, algebra has dim {alg.dim}")
-    return _leibniz_check(alg.c, hd.maps, "higher derivation identity")
 
 
 def _leibniz_check(t: Tensor3, maps: tuple[Matrix, ...], law: str) -> CheckReport:
     """The higher-derivation law of ``algebras`` at order 0, on the product
     ``t`` and the maps d_1..d_N, for k = 1..N on all basis pairs."""
-    tables = _pair_tables(t, maps)
-    for k in range(1, len(maps) + 1):
+    return _leibniz_report(_pair_tables(t, maps), law)
+
+
+def _leibniz_report(tables: LawTables, law: str) -> CheckReport:
+    """``_leibniz_check`` on the order-0 tables of the product and maps."""
+    for k in range(1, tables.rank + 1):
         bad = tables.failure(k, 0)
         if bad is not None:
             (i, j), lhs, rhs = bad
