@@ -7,6 +7,12 @@ not extend or trivialize), 2 means the input was unusable (parse or shape
 errors, a size cap breach, a section that fails its own verifier, or input
 outside the command's precondition).
 
+Each call parses argv with one flat argparse parser that holds only the
+named subcommand's arguments; help requests and errors fall back to the
+parser of all subcommands (``build_parser``), so usage, help and error text
+are exactly argparse's for that parser.  A command that reads a pair judges
+the algebra and the higher derivation on one law table (``hder._pair_reports``).
+
 ``--json`` selects the machine format.  JSON reports are byte-identical
 across runs for identical inputs: solver outputs are canonical, key order
 is sorted, and timing_ms is pinned to 0 there (the human summary shows the

@@ -85,7 +85,7 @@ class AssHDerMorphism:
 def verify_hder(alg: Algebra, hd: HigherDerivation) -> CheckReport:
     """The defining identity for every k = 1..N on all basis pairs."""
     _require_same_dim(alg, hd)
-    return _leibniz_report(_pair_tables(alg.c, hd.maps), "higher derivation identity")
+    return _leibniz_check(alg.c, hd.maps, "higher derivation identity")
 
 
 def _pair_reports(alg: Algebra, hd: HigherDerivation) -> tuple[CheckReport, CheckReport]:

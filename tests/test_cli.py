@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hderlab import cli, freecons
 from hderlab.cli import main
@@ -267,10 +270,47 @@ def _outcome(parse, argv, capsys):
     ["check", "a.json", "b.json"],
 ], ids=lambda argv: " ".join(argv) or "(none)")
 def test_lean_parse_matches_full_parser(argv, capsys):
-    # the one-subcommand parser must give the same namespace, usage, help,
-    # error text and exit code as the parser of all subcommands
+    # the flat one-subcommand parser must give the same namespace, usage,
+    # help, error text and exit code as the parser of all subcommands
     expected = _outcome(cli.build_parser().parse_args, argv, capsys)
     assert _outcome(cli._parse_args, argv, capsys) == expected
+
+
+def _flag_tokens():
+    """Every flag of every subcommand and each of its prefixes past "--",
+    with ``--flag=value`` forms that take a good, a bad and a negative value."""
+    flags = {"--json", "--help"} | {flag for _h, _t, arguments in cli.SUBCOMMANDS.values()
+                                    for flag, _kwargs in arguments}
+    tokens = {flag[:n] for flag in flags for n in range(3, len(flag) + 1)}
+    tokens |= {f"{flag}={value}" for flag in flags for value in ("2", "-1", "file", "left", "")}
+    return sorted(tokens)
+
+
+ARGV_TOKENS = sorted(cli.SUBCOMMANDS) + ["nope", "f.json", "a.json", "-", "-h", "--", "-x",
+                                         "-1", "-3", "0", "2", "x", "adjoint", "trivial",
+                                         "file", "left", "z"] + _flag_tokens()
+
+
+def _captured(parse, argv):
+    """``_outcome`` without pytest's capture, which hypothesis examples share."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(cli.SUBCOMMANDS)), st.sampled_from(ARGV_TOKENS)),
+       st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+def test_lean_parse_matches_full_parser_on_drawn_argv(head, tail):
+    # subcommand names, files, every flag and its prefixes, --flag=value,
+    # negative ints, bad choices, help at any position, "--", repeated flags
+    # and extra positionals: the flat parser must agree with the full one
+    argv = [head, *tail]
+    assert _captured(cli._parse_args, argv) == _captured(cli.build_parser().parse_args, argv)
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
@@ -385,6 +425,19 @@ def test_check_reports_violation_with_exit_1(tmp_path, capsys):
     assert main([*("check", str(doc))]) == 1
     out = capsys.readouterr().out
     assert "violation" in out
+
+
+def test_check_records_algebra_and_hder_violations_from_one_table(capsys):
+    # x u = u breaks associativity and d_1(u) = x breaks the higher
+    # derivation law; both reports come from one table, and check records
+    # both violations, in the bytes it wrote before the table was shared
+    assert main(["check", str(FIXTURES / "nonassoc_bad_hder.json"), "--json"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["violations"] == [
+        "algebra: associativity fails at (1, 0, 1): lhs=(0, 1) rhs=(0, 0)",
+        "hder: higher derivation identity fails at (1, 0, 0): lhs=(0, 1) rhs=(1, 1)"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "922bf2b976eb04d48b068df241b36685d960edac89030c287a1fdac4d11627ac"
 
 
 def test_human_output_has_summary_lines(capsys):

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 import hderlab as H
 from hderlab import samples
 from hderlab.exactlin import ONE, ZERO
+from hderlab.hder import _pair_reports
 
 from helpers import (
     coefficient_fixtures, doubled, mat_add, oracle_check_morphism, oracle_cocycle_from_section,
@@ -100,6 +101,25 @@ def test_verify_hder_matches_oracle(pair, where, data):
     elif where == "map":
         hd = H.HigherDerivation(hd.rank, _perturb_map(data, hd.maps))
     _same(H.verify_hder(alg, hd), oracle_verify_hder(alg, hd))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs(), st.sampled_from(("none", "product", "map")), st.data())
+def test_pair_reports_share_one_table(pair, where, data):
+    # one table judges both input checks of a command: with one entry moved
+    # in the product or in a map, the two reports are the oracles' and the
+    # hder verdict is the truncated morphism check's
+    alg, hd = pair
+    if where == "product":
+        at = _draw_index(data, (alg.dim,) * 3)
+        alg = H.Algebra(alg.dim, _with_entry(alg.c, at, data.draw(VALUES)),
+                        alg.basis_labels, alg.unit_index)
+    elif where == "map":
+        hd = H.HigherDerivation(hd.rank, _perturb_map(data, hd.maps))
+    alg_report, hder_report = _pair_reports(alg, hd)
+    _same(alg_report, oracle_verify_algebra(alg))
+    _same(hder_report, oracle_verify_hder(alg, hd))
+    assert hder_report.ok == H.truncated_morphism_check(alg, hd).ok
 
 
 @settings(max_examples=60, deadline=None)
