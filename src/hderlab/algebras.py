@@ -20,8 +20,8 @@ them exactly, and slots are unpacked only to report a failure or to build or
 check an obstruction.  The set-up takes one pass: one walk over each
 coefficient's entries gives its integer numerators and its norms
 (``_int_table``), and the packed series come straight from those numerators.
-A command builds one table per pair: ``hder._pair_reports`` judges
-associativity, the unit laws and the higher-derivation law on it.
+A command builds one table per pair: ``hder._pair_reports`` judges both
+associativity and the higher-derivation law on it.
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -96,7 +96,7 @@ def _int_table(values, d: int, den: int, transpose: bool = False) -> tuple[list[
     numerators come out column by column."""
     flat, counts, mx = [0] * len(values), [0] * (len(values) // d), 0
     for pos, x in enumerate(values):
-        if x is not ZERO and x:
+        if x is not ZERO and x:  # parsed zeros are the shared ZERO: no Fraction call
             if transpose:
                 pos = pos % d * d + pos // d
             flat[pos] = v = x.numerator * (den // x.denominator)

@@ -335,18 +335,22 @@ SUBCOMMANDS = {
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """``file``, ``--json`` and the arguments of subcommand ``name``."""
+    parser.add_argument("file", help="JSON problem file")
+    parser.add_argument("--json", action="store_true", help="machine-readable report")
+    for flag, kwargs in SUBCOMMANDS[name][2]:
+        parser.add_argument(flag, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The hderlab parser with every subcommand, in table order."""
     parser = argparse.ArgumentParser(
         prog="hderlab",
         description="Workbench for associative algebras with higher derivations")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, help_text, arguments) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="JSON problem file")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
+    for name, (_handler, help_text, _arguments) in SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -369,10 +373,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     exactly as before."""
     if argv and argv[0] in SUBCOMMANDS:
         parser = _LeanParser(add_help=False)
-        parser.add_argument("file")
-        parser.add_argument("--json", action="store_true")
-        for flag, kwargs in SUBCOMMANDS[argv[0]][2]:
-            parser.add_argument(flag, **kwargs)
+        _add_arguments(parser, argv[0])
         try:
             args = parser.parse_args(argv[1:])
         except _Fallback:
