@@ -250,13 +250,17 @@ def test_deform_trivialize_negative_order_exits_2(to, capsys):
     assert captured.err == f"input error: deform-trivialize needs --to >= 0, got {to}\n"
 
 
-def _outcome(parse, argv, capsys):
-    try:
-        result = vars(parse(argv))
-    except SystemExit as exc:
-        result = ("exit", exc.code)
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
+def _outcome(parse, argv):
+    """The namespace or exit code of ``parse(argv)``, with its stdout and
+    stderr, captured here rather than by pytest, whose capture hypothesis
+    examples would share."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [
@@ -269,16 +273,16 @@ def _outcome(parse, argv, capsys):
     ["deform-trivialize", "f.json"], ["free-tensor", "f.json", "--degree"],
     ["check", "a.json", "b.json"],
 ], ids=lambda argv: " ".join(argv) or "(none)")
-def test_lean_parse_matches_full_parser(argv, capsys):
+def test_lean_parse_matches_full_parser(argv):
     # the flat one-subcommand parser must give the same namespace, usage,
     # help, error text and exit code as the parser of all subcommands
-    expected = _outcome(cli.build_parser().parse_args, argv, capsys)
-    assert _outcome(cli._parse_args, argv, capsys) == expected
+    assert _outcome(cli._parse_args, argv) == _outcome(cli.build_parser().parse_args, argv)
 
 
 def _flag_tokens():
     """Every flag of every subcommand and each of its prefixes past "--",
-    with ``--flag=value`` forms that take a good, a bad and a negative value."""
+    with ``--flag=value`` forms that take a good, a bad, a negative and an
+    empty value."""
     flags = {"--json", "--help"} | {flag for _h, _t, arguments in cli.SUBCOMMANDS.values()
                                     for flag, _kwargs in arguments}
     tokens = {flag[:n] for flag in flags for n in range(3, len(flag) + 1)}
@@ -291,17 +295,6 @@ ARGV_TOKENS = sorted(cli.SUBCOMMANDS) + ["nope", "f.json", "a.json", "-", "-h", 
                                          "file", "left", "z"] + _flag_tokens()
 
 
-def _captured(parse, argv):
-    """``_outcome`` without pytest's capture, which hypothesis examples share."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = vars(parse(argv))
-        except SystemExit as exc:
-            result = ("exit", exc.code)
-    return result, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.sampled_from(sorted(cli.SUBCOMMANDS)), st.sampled_from(ARGV_TOKENS)),
        st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
@@ -310,7 +303,7 @@ def test_lean_parse_matches_full_parser_on_drawn_argv(head, tail):
     # negative ints, bad choices, help at any position, "--", repeated flags
     # and extra positionals: the flat parser must agree with the full one
     argv = [head, *tail]
-    assert _captured(cli._parse_args, argv) == _captured(cli.build_parser().parse_args, argv)
+    assert _outcome(cli._parse_args, argv) == _outcome(cli.build_parser().parse_args, argv)
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
