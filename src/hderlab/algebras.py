@@ -10,18 +10,11 @@ are stated once, at every order s, on integer tables over one denominator:
 order 0 is what the input verifiers check, order s the deformation equations.
 
 ``LawTables`` evaluates both sides as packed integers (Kronecker
-substitution): per basis tuple, the numerators of every order and output
-coordinate sit in the B-bit slots of one integer, so a product of two packed
-series is the whole convolution over the orders.  B is chosen from the
-largest entries, l1 norms and term counts so that every slot of either side
-stays below 2^(B-1) in absolute value; a base-2^B expansion with digits that
-small is unique, so comparing two packed integers decides every equation in
-them exactly, and slots are unpacked only to report a failure or to build or
-check an obstruction.  The set-up takes one pass: one walk over each
-coefficient's entries gives its integer numerators and its norms
-(``_int_table``), and the packed series come straight from those numerators.
-A command builds one table per pair: ``hder._pair_reports`` judges both
-associativity and the higher-derivation law on it.
+substitution), in slots of a width B proven wide enough, so that comparing
+two integers decides every equation in them exactly.  The set-up takes one
+pass: one walk over each coefficient's entries gives its integer numerators
+and its norms (``_int_table``).  A command builds one table per pair:
+``hder._pair_reports`` judges both laws on it.
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -88,12 +81,10 @@ def _contract(t: Tensor3, x: Vector, y: Vector, n: int) -> Vector:
 
 
 def _int_table(values, d: int, den: int, transpose: bool = False) -> tuple[list[int], int, int]:
-    """The numerators of ``values`` over ``den`` (a multiple of every
-    denominator), zeros included, with their norms from the same pass: mx,
-    the largest |numerator|, and mx times the most nonzeros a consecutive
-    length-d block holds, a bound on the l1 norm of a block.  With
-    ``transpose``, ``values`` is a d x d matrix row by row, and its
-    numerators come out column by column."""
+    """The numerators of ``values`` over ``den``, a multiple of every
+    denominator, and from the same pass mx, the largest |numerator|, and mx
+    times the most nonzeros of a length-d block, bounding its l1 norm.
+    With ``transpose``, a d x d matrix row by row comes out column by column."""
     flat, counts, mx = [0] * len(values), [0] * (len(values) // d), 0
     for pos, x in enumerate(values):
         if x is not ZERO and x:  # parsed zeros are the shared ZERO: no Fraction call
@@ -106,17 +97,16 @@ def _int_table(values, d: int, den: int, transpose: bool = False) -> tuple[list[
     return flat, mx, mx * max(counts, default=0)
 
 
-def _chunks(flat, d: int) -> tuple[dict[int, int], ...]:
-    """Consecutive length-d blocks of ``flat`` as ``{index: x}``, zeros left out."""
-    return tuple({c: x for c, x in enumerate(flat[base:base + d]) if x}
-                 for base in range(0, len(flat), d))
+def _balanced_offset(bits: int, slots: int) -> int:
+    """2^(B-1) in each of the low ``slots`` slots of B bits: added to balanced
+    digits (|x| < 2^(B-1)), it makes them nonnegative with no carry."""
+    return ((1 << bits * slots) - 1) // ((1 << bits) - 1) << bits - 1
 
 
 def _law_tables(d: int, products, series, transpose: bool = False) -> LawTables:
-    """The law tables of the flat values of each mu_p and the values
-    ``series[k - 1][s]`` of each d_{k,s}, column by column (row by row with
-    ``transpose``), over D, the lcm of their denominators.  One pass over
-    each coefficient takes its numerators and its norms."""
+    """The law tables of the flat values of each mu_p and of each d_{k,s},
+    ``series[k - 1][s]``, column by column (row by row with ``transpose``),
+    over D, the lcm of their denominators."""
     den = math.lcm(*{x.denominator for x in itertools.chain(*products, *itertools.chain(*series))
                      if x is not ZERO})
     tables = [[_int_table(v, d, den) for v in products],
@@ -130,16 +120,18 @@ def _pair_tables(t: Tensor3, maps=()) -> LawTables:
     return _law_tables(len(t), (tensor_values(t),), tuple((m.entries,) for m in maps), True)
 
 
-def _combine(weights, vectors, zero: list[int]) -> list[int]:
-    """sum_c weights[c] vectors[c], coordinatewise, over the nonzero
-    weights (the shorter of the two sets the range of c); ``zero`` (never
-    written) when all are zero.  Each coordinate accumulates its packed
-    products, one list per nonzero weight."""
-    acc = zero
-    for x, vec in zip(weights, vectors):
-        if x:
-            acc = [x * v for v in vec] if acc is zero else [a + x * v for a, v in zip(acc, vec)]
-    return acc
+def _times(vectors: list, weights) -> list[list[int]]:
+    """For each list w of ``weights``, sum_a w[a] vectors[a] coordinatewise
+    over the nonzero w[a], a ranging over the shorter of w and vectors: for
+    packed entries, a product of series over the index a."""
+    out = []
+    for ws in weights:
+        acc = None
+        for w, vec in zip(ws, vectors):
+            if w:
+                acc = [w * v for v in vec] if acc is None else [x + w * v for x, v in zip(acc, vec)]
+        out.append([0] * len(vectors[0]) if acc is None else acc)
+    return out
 
 
 class LawTables:
@@ -148,26 +140,21 @@ class LawTables:
 
     The equations are evaluated on packed integers (Kronecker
     substitution): a sequence of integers x_m is the one integer
-    sum_m x_m 2^(B m), a slot of B bits each, and a sum of products of
-    such sequences is a sum of big-integer products.  Each basis tuple of
-    the scan -- (i, j, l) for associativity, (i, j) for law k -- holds one
-    packed integer per side, slot s d + b holding the numerator of order s
-    at output coordinate b.  One product of two such series is then the
-    whole convolution over the orders p + q = s, and the slots of one order,
-    tuple after tuple in scan order, are the order-s plane: the order of
-    the 3-cochain vector.  The sums run over the nonzero entries only, so
-    the integers stay at about (2n + 2) d B bits and sparse tables cost no
-    padding.
+    sum_m x_m 2^(B m), in slots of B bits, and a sum of products of such
+    sequences is a sum of big-integer products.  Each basis tuple of the
+    scan, (i, j, l) for associativity and (i, j) for law k, holds one packed
+    integer per side, slot s d + b holding the numerator of order s at
+    output coordinate b: one product is the whole convolution over the
+    orders, and the slots of one order, tuple after tuple, are the order-s
+    plane in the order of the 3-cochain vector.  The sums run over the
+    nonzero entries only.
 
-    B is fixed per table from the largest entry and l1 norm of every
-    coefficient and the terms of every order up to n + 1 (``bits``), so
-    each slot x of lhs and of rhs at those orders has |x| < 2^(B-1).  A
-    base-2^B expansion with digits that small is unique and no slot carries
-    into the next: the low slots of lhs and rhs agree exactly when their low
-    bits do, and the lowest set bit of lhs - rhs lies in the first failing
-    slot.  The slots past order n + 1 hold terms nobody reads.  Digits are
-    unpacked only to report a failure and to build or check an obstruction,
-    where lhs - rhs is formed.
+    ``bits`` fixes B so that each slot x of lhs and rhs at orders up to
+    n + 1 has |x| < 2^(B-1).  A base-2^B expansion with digits that small
+    is unique and no slot carries into the next, so the low slots of lhs
+    and rhs agree exactly when their low bits do, and the lowest set bit of
+    lhs - rhs lies in the first failing slot.  Digits are unpacked only to
+    report a failure and to build or check an obstruction.
 
     Associativity at (i, j, l) is sum_c mu(e_i, e_j)_c mu(e_c, e_l) against
     sum_c mu(e_j, e_l)_c mu(e_i, e_c).  Law k at (i, j) is
@@ -178,7 +165,9 @@ class LawTables:
     ``tables[0][p]`` holds mu_p and ``tables[k + 1][s]`` holds d_{k,s}
     (d_{0,0} = id), each as ``(numerators, mx, l1)`` from ``_int_table``:
     the numerators over D, flat in [i][j][c] order for mu_p and column by
-    column for d_{k,s}.
+    column for d_{k,s}.  These flat numerators are the family's one integer
+    form: the scans here pack them per basis tuple, and the gauge algebra
+    of ``deform`` packs them entry by entry (``deform._Packed``).
     """
 
     def __init__(self, dim: int, den: int, tables):
@@ -187,18 +176,6 @@ class LawTables:
         self.rank = len(tables) - 2
         self._sides: dict[int, tuple[list[int], list[int]]] = {}
         self._windows: dict[int, tuple[int, int, int]] = {}
-
-    @cached_property
-    def mus(self) -> tuple:
-        """``mus[p][i * d + j]`` = D * mu_p(e_i, e_j) as ``{c: x}``."""
-        return tuple(_chunks(flat, self.dim) for flat, _mx, _l1 in self._tables[0])
-
-    @cached_property
-    def dcols(self) -> tuple:
-        """``dcols[k][s][c]`` = D * column c of d_{k,s} as ``{b: x}``, with
-        d_{0,0} = id."""
-        return tuple(tuple(_chunks(flat, self.dim) for flat, _mx, _l1 in ser)
-                     for ser in self._tables[1:])
 
     def scale(self, k: int) -> int:
         """The denominator of the numerators of law k: D^2 for
@@ -216,18 +193,13 @@ class LawTables:
     @cached_property
     def bits(self) -> int:
         """B: 1 + the bit length of the largest bound on a slot of lhs or
-        rhs at orders s = 0..n+1, over both laws and k = 1..N, and of a
-        staged series.
-
-        With mx the largest |entry| and l1 a bound on the l1 norm of a
-        vector of mu_p or a column of d_{k,p} (``_int_table``), each taken as
-        a series in the order, a slot at order s is at most the coefficient
-        of t^s in: l1(mu) mx(mu) for associativity, on either side; for law
-        k, D l1(mu) mx(d_k) on the left and sum_a l1(d_a) S_{k-a} on the
-        right, where S_b = l1(d_b) mx(mu) bounds the staged series.  The
-        bound series are nonnegative, so they are multiplied packed too, in
-        slots wide enough for any product of three norms summed over all
-        terms."""
+        rhs at orders 0..n+1, over both laws, and of a staged series.  With
+        mx and l1 (``_int_table``) as series in the order, a slot at order s
+        is at most the coefficient of t^s in l1(mu) mx(mu) for associativity;
+        for law k, in D l1(mu) mx(d_k) on the left and sum_a l1(d_a) S_{k-a}
+        on the right, S_b = l1(d_b) mx(mu) bounding the staged series.  These
+        nonnegative series are multiplied packed too, in slots wide enough
+        for any product of three norms summed over all terms."""
         top = self.order + 1
         tables = self._tables
         width = 3 * max(l1 for ser in tables for _flat, _mx, l1 in ser).bit_length() + \
@@ -252,11 +224,10 @@ class LawTables:
 
     @cached_property
     def _packs(self) -> tuple[list[list[int]], list[int]]:
-        """The packed series, X = 2^B, dense in the coordinates, block by
-        block: the d^2 blocks (x, y) of mu, then the d columns of each of
-        d_0, ..., d_N.  ``scalars[m][c]`` = sum_p x_{p,c} X^(p d), x_p being
-        block m of the order-p coefficient, and ``vectors[m]`` =
-        sum_c scalars[m][c] X^c."""
+        """The packed series, X = 2^B, block by block (the d^2 blocks (x, y)
+        of mu, then the d columns of each of d_0, ..., d_N): ``scalars[m][c]``
+        = sum_p x_{p,c} X^(p d) for x_p block m of the order-p coefficient,
+        and ``vectors[m]`` = sum_c scalars[m][c] X^c."""
         d, bits = self.dim, self.bits
         offsets, shifts = [bits * d * p for p in range(self.order + 1)], [bits * c for c in range(d)]
         flat: list[int] = []
@@ -281,55 +252,46 @@ class LawTables:
             if k == 0:
                 # at (i, j, .): sum_c mu(e_i, e_j)_c mu(e_c, e_.); at (., j, l):
                 # sum_c mu(e_j, e_l)_c mu(e_., e_c), transposed into scan order
-                zero, columns = [0] * d, [vectors[c:dd:d] for c in range(d)]
-                lhs: list[int] = []
-                by_jl = []
-                for at in scalars[:dd]:
-                    lhs += _combine(at, rows, zero)
-                    by_jl.append(_combine(at, columns, zero))
-                self._sides[0] = (lhs, [col[i] for i in range(d) for col in by_jl])
+                by_jl = _times([vectors[c:dd:d] for c in range(d)], scalars[:dd])
+                self._sides[0] = (list(itertools.chain(*_times(rows, scalars[:dd]))),
+                                  [col[i] for i in range(d) for col in by_jl])
             else:
                 self._law_sides(scalars, vectors, rows)
             sides = self._sides[k]
         return sides
 
     def _law_sides(self, scalars, vectors, rows) -> None:
-        """The sides of law k = 1..N.  At (i, .), law k combines the
-        staged rows S_k(u, .), ..., S_0(u, .) with the weights d_0(e_i)_u,
-        ..., d_k(e_i)_u, which ``left[i]`` lists in turn; ``right`` holds
-        those rows after step k.  S_b(u, j) = sum_v mu(e_u, e_v) d_b(e_j)_v
-        is cut off from order n + 2 on by its balanced residue, which keeps
-        the slots below (``bits`` bounds them)."""
+        """The sides of law k = 1..N.  At (i, .), law k combines the staged
+        rows S_k(u, .), ..., S_0(u, .), which ``right`` holds after step k,
+        with the weights d_0(e_i)_u, ..., d_k(e_i)_u of ``left[i]``, block by
+        block.  S_b(u, j) = sum_v mu(e_u, e_v) d_b(e_j)_v is cut off from
+        order n + 2 on by its balanced residue (``bits`` bounds the rest)."""
         d, dd, den = self.dim, self.dim ** 2, self.den
         # orders reach 2n > n + 1 from n = 2 on
         half = 1 << self.bits * d * (self.order + 2) - 1 if self.order > 1 else 0
-        zero, mu = [0] * d, scalars[:dd]
-        left = [list(itertools.chain.from_iterable(scalars[dd + i::d])) for i in range(d)]
+        mu = scalars[:dd]
+        left = [list(itertools.chain(*scalars[dd + i::d])) for i in range(d)]
         by_u = [vectors[v:dd:d] for v in range(d)]  # mu(e_., e_v)
         right: list[list[int]] = []
         for k in range(self.rank + 1):
-            columns = [_combine(at, by_u, zero) for at in scalars[dd + k * d:dd + k * d + d]]
-            staged = list(zip(*columns))
+            staged = list(zip(*_times(by_u, scalars[dd + k * d:dd + k * d + d])))
             if half:
                 staged = [[((x + half) & (2 * half - 1)) - half for x in row] for row in staged]
             right = staged + right
             if k:
                 col = vectors[dd + k * d:dd + k * d + d]
-                rhs: list[int] = []
-                for at in left:
-                    rhs += _combine(at, right, zero)
-                self._sides[k] = ([den * sum(map(mul, at, col)) for at in mu], rhs)
+                rhs = _times(right, left)
+                self._sides[k] = ([den * sum(map(mul, at, col)) for at in mu],
+                                  list(itertools.chain(*rhs)))
 
     def _window(self, s: int) -> tuple[int, int, int]:
-        """``(offset, drop, mask)`` for order s: adding offset, 2^(B-1) in
-        every slot up to order s, makes those digits nonnegative and below
-        2^B, so no carry crosses a slot; shifting by drop and masking
-        leaves the d slots of order s."""
+        """``(offset, drop, mask)`` for order s: adding the balanced offset
+        up to order s, shifting by drop and masking leaves its d slots."""
         window = self._windows.get(s)
         if window is None:
             bits, d = self.bits, self.dim
-            ones = ((1 << bits * d * (s + 1)) - 1) // ((1 << bits) - 1)
-            window = self._windows[s] = (ones << bits - 1, bits * d * s, (1 << bits * d) - 1)
+            window = self._windows[s] = (_balanced_offset(bits, d * (s + 1)), bits * d * s,
+                                         (1 << bits * d) - 1)
         return window
 
     def _digits(self, packed: int, s: int) -> list[int]:

@@ -372,7 +372,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     errors come from the full parser, so usage, help and error text read
     exactly as before."""
     if argv and argv[0] in SUBCOMMANDS:
-        parser = _LeanParser(add_help=False)
+        # it never lays out help: the formatter argparse builds per argument
+        # gets a fixed width instead of asking for the terminal's
+        parser = _LeanParser(add_help=False,
+                             formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80))
         _add_arguments(parser, argv[0])
         try:
             args = parser.parse_args(argv[1:])

@@ -1,39 +1,24 @@
 """Truncated one-parameter deformations of a pair and their calculus.
 
 A deformation of order n is a family of n + 1 coefficients, each a 2-cochain
-with self coefficients (the same type as a 2-cocycle twisting an extension):
-coefficient s is (mu_s; d_{1,s}, ..., d_{N,s}), and coefficient 0 is the
-algebra product with the maps d_1, ..., d_N.  The index-0 derivation series
-is the constant identity (d_{0,0} = id, d_{0,s} = 0 for s >= 1), which the
-convolutions below bake in.  Nothing is ever symbolic: all series algebra is
-convolution on coefficient lists, truncated at the stored order.  The
-order-s equations are the two laws of ``algebras`` at order s.
+with self coefficients: coefficient s is (mu_s; d_{1,s}, ..., d_{N,s}), and
+coefficient 0 is the algebra product with the maps d_1, ..., d_N
+(d_{0,0} = id, d_{0,s} = 0 for s >= 1).  All series algebra runs on integer
+numerators, truncated at the stored order.
 
-The equations compute on tables of integer numerators over one common
-denominator (``Deformation._tables``, an ``algebras.LawTables``), which packs
-both sides of every equation: per basis tuple, one integer holds the
-numerators of all orders 0..n+1 in slots of B bits, B chosen so that every
-slot stays below 2^(B-1) in absolute value.  Two such integers are equal in
-their low slots exactly when the equations there hold, since a base-2^B
-expansion with digits that small is unique; so verification masks the slots
-of orders 0..n and compares, and the lowest differing bit names the first
-failing order, law and tuple.  The slots are unpacked only for a reported
-violation, for the order-(n+1) slots that make the obstruction, and for the
-append check of ``extend_to``.
+The order-s equations are the two laws of ``algebras`` at order s, on the
+packed tables ``Deformation._tables`` (an ``algebras.LawTables``):
+verification masks the slots of orders 0..n and compares.  Slots are
+unpacked only for a reported violation, the obstruction and the append
+check of ``extend_to``.  The deform commands test a cocycle only when the
+solve finds no preimage (``cochain.cocycle_preimage``): a preimage makes
+the cochain a coboundary, so a cocycle, as d^2 = 0 for the verified pair.
 
-The deform commands test a cocycle only when the solve finds no preimage
-(``cochain.cocycle_preimage``): a preimage makes the cochain a coboundary,
-and so a cocycle, since d^2 = 0 on the complex of the verified pair.
-``extend_to`` scans each appended order once: the terms that build the
-obstruction are kept, and the appended order is checked as those plus the
-terms that carry the new index.  The gauge group
-(action, composition, inverse) is one truncated matrix-series product,
-``_series_mul``, on the same column form: the gauge is scaled to its own
-denominator, and its inverse is the geometric series in id - Phi by
-Horner's rule.  The gauge action is one integer conjugation core,
-``_conjugate``, which ``trivialize`` runs on its integer state shear after
-shear.  Fractions appear only at the boundary: in a reported violation,
-the obstruction cochain, the gauged coefficients, the composed or inverted
+The gauge group runs on one packed form too (``_Packed``): an entry of a
+gauge, d_k or mu series is one integer sum_s x_s 2^(B s), and the action,
+composition, inverse and the shears of ``trivialize`` are big-integer
+products of entries.  Fractions appear only at the boundary: a reported
+violation, the obstruction, the gauged coefficients, a composed or inverted
 gauge, and in ``trivialize`` the coefficient handed to the solve, a
 blocking class and the final gauge.
 """
@@ -41,12 +26,13 @@ blocking class and the final gauge.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_, sub
 
-from .algebras import (Algebra, CheckReport, LawTables, Violation, _chunks, _int_table, _law_tables,
-                       adjoint_bimodule, tensor_values)
+from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _int_table,
+                       _law_tables, _times, adjoint_bimodule, tensor_values)
 from .cochain import (
     Cochain, MultiMap, NotACocycleError, cocycle_preimage, differential, matrix_to_multimap,
     preimage, vector_to_cochain, zero_cochain,
@@ -202,142 +188,178 @@ def infinitesimal(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     return coeff, CheckReport.failed("infinitesimal cocycle condition", (at_order,))
 
 
-def _series_mul(a: dict, b: dict, order: int) -> dict:
-    """The product of two matrix series mod t^{order+1}, in column form.
+class _Packed:
+    """Matrix series mod t^(T+1), packed entry by entry: an entry is the
+    integer sum_s x_s 2^(B s) of its balanced digits, |x_s| < 2^(B-1), and a
+    product of series is a set of big-integer products (``algebras._times``).
+    B bounds every digit of orders 0..T of the products formed, so those are
+    exact (balanced digits are unique) whatever the slots past T hold."""
 
-    A series is ``{s: columns}`` for its nonzero members only, column c as
-    ``{row: int}`` (the form of ``algebras._law_tables``), all over one
-    scale; the product is over the product of the two scales.
-    """
-    out: dict[int, list[dict[int, int]]] = {}
-    for p, acols in a.items():
-        for q, bcols in b.items():
-            if p + q <= order:
-                cols = out.setdefault(p + q, [{} for _ in bcols])
-                for acc, col in zip(cols, bcols):
-                    for u, y in col.items():
-                        for r, x in acols[u].items():
-                            acc[r] = acc.get(r, 0) + x * y
-    cleaned = ((s, tuple({r: x for r, x in col.items() if x} for col in cols))
-               for s, cols in out.items())
-    return {s: cols for s, cols in cleaned if any(cols)}
+    def __init__(self, bound: int, order: int):
+        self.bits = bits = max(bound, 1).bit_length() + 1
+        self.order, self.offset = order, _balanced_offset(bits, order + 1)
+        self.mask = (1 << bits * (order + 1)) - 1
+
+    def pack(self, members: list) -> list[int]:
+        """The entries of the series with the flat integer ``members``."""
+        *members, entries = members
+        for member in reversed(members):
+            entries = [(x << self.bits) + y for x, y in zip(entries, member)]
+        return entries
+
+    def members(self, entries, orders=None) -> list[list[int]]:
+        """The digits at ``orders`` (by default all: ``pack`` undone)."""
+        lifted, slot, half = [x + self.offset for x in entries], (1 << self.bits) - 1, 1 << self.bits - 1
+        return [[(x >> self.bits * s & slot) - half for x in lifted]
+                for s in (range(self.order + 1) if orders is None else orders)]
+
+    def cut(self, entries) -> list[int]:
+        offset, mask = self.offset, self.mask
+        return [(x + offset & mask) - offset for x in entries]
+
+    def fits(self, entries, growth: int) -> bool:
+        """Whether every digit x has |x| growth < 2^(B-1): for L = B - 1 -
+        len(growth), x + 2^L per slot has slots below 2^(L+1) iff all x lie in
+        [-2^L, 2^L), as balanced digits are unique."""
+        low, ones = self.bits - 1 - growth.bit_length(), self.offset >> self.bits - 1
+        lift, outside = (ones << low, ~((ones << low + 1) - ones)) if low >= 0 else (0, 0)
+        return low >= 0 and not any(x + lift & outside for x in entries)
+
+    def lowest(self, entries) -> int | None:
+        """The lowest order s >= 1 with a nonzero digit."""
+        # a digit is zero exactly when its slot of x + offset is 2^(B-1)
+        found = reduce(or_, [(x + self.offset) ^ self.offset for x in entries]) >> self.bits
+        return ((found & -found).bit_length() - 1) // self.bits + 1 if found else None
 
 
-def _gauge_columns(gauge: GaugeMap, order: int) -> tuple[dict, int]:
-    """Phi_0..Phi_order as a column series over E, the lcm of their
-    denominators; members past the gauge's order are zero."""
+def _split(flat: list, dim: int) -> list:
+    """The entries [a][rest] as ``dim`` vectors over rest, one per a."""
+    m = len(flat) // dim
+    return [flat[a * m:a * m + m] for a in range(dim)]
+
+
+def _contract(vectors: list, weights: list) -> list[int]:
+    """``_times`` laid out as the entries [rest][new index]."""
+    return list(itertools.chain(*zip(*_times(vectors, weights))))
+
+
+def _product(p: _Packed, a: list, b: list, dim: int) -> list[int]:
+    """The product of two packed series given column by column."""
+    return p.cut(itertools.chain(*_times(_split(a, dim), _split(b, dim))))
+
+
+def _gauge_members(gauge: GaugeMap, order: int) -> tuple[list, int]:
+    """Phi_0..Phi_order as integer numerators column by column over E, the
+    lcm of their denominators; members past the gauge's order are zero."""
     if not gauge.phis[0].is_identity():
         raise ValueError("gauge must start at the identity")
-    live = [(s, m) for s, m in enumerate(gauge.phis[:order + 1]) if not m.is_zero()]
-    e = common_denominator(itertools.chain(*(m.entries for _s, m in live)))
-    return {s: _chunks(_int_table(m.entries, gauge.dim, e, True)[0], gauge.dim) for s, m in live}, e
+    dim = gauge.dim
+    phis = gauge.phis[:order + 1] + (Matrix.zeros(dim, dim),) * (order - gauge.order)
+    e = common_denominator(itertools.chain(*(m.entries for m in phis)))
+    return [_int_table(m.entries, dim, e, True)[0] for m in phis], e
 
 
-def _inverse_columns(phi: dict, e: int, dim: int, order: int) -> dict:
-    """Psi = sum_{k <= order} (id - Phi)^k by Horner's rule, over e^order
-    for Phi over e; it is Phi^{-1} mod t^{order+1} because id - Phi has no
-    constant term."""
-    shift = {s: tuple({r: -x for r, x in col.items()} for col in cols)
-             for s, cols in phi.items() if s}
-    psi, scale = {}, 1
-    for _ in range(order + 1):
-        psi = {0: tuple({c: scale} for c in range(dim)), **_series_mul(shift, psi, order)}
-        scale *= e
-    return psi
+def _growth(members: list, e: int, dim: int, order: int) -> tuple[int, int]:
+    """K and how much ``_conjugate`` can grow a digit, Phi (``members``)
+    over e: Psi = sum_{k <= K} e^(K-k) Delta^k is Phi^{-1} over e^K for
+    Delta = e id - Phi, K = T // r, r the lowest order of Delta."""
+    r = next((s for s, m in enumerate(members) if s and any(m)), 0)
+    steps, cols = order // r if r else 0, _split([sum(map(abs, xs)) for xs in zip(*members)], dim)
+    row = max(map(sum, zip(*cols))) - e  # Phi_0 = e id
+    return steps, e * max(map(sum, cols)) ** 2 * sum(e ** (steps - k) * row ** k for k in range(steps + 1))
 
 
-def _fractions(cols, rows: int, scale: int) -> tuple:
-    """Columns ``{row: int}`` over ``scale`` as column-major Fractions."""
-    return as_fractions([col.get(r, 0) for col in cols for r in range(rows)], scale)
+def _inverse(p: _Packed, phi: list, e: int, steps: int) -> list[int]:
+    """Psi by Horner's rule, P_j = e^j id + P_{j-1} Delta, column by column."""
+    dim = math.isqrt(len(phi))
+    delta = [[e * (u == c) - x for u, x in enumerate(col)] for c, col in enumerate(_split(phi, dim))]
+    psi = [int(k % (dim + 1) == 0) for k in range(dim * dim)]
+    for j in range(1, steps + 1):
+        psi = list(itertools.chain(*_times(_split(psi, dim), delta)))
+        for k in range(0, dim * dim, dim + 1):
+            psi[k] += e ** j
+    return p.cut(psi)
 
 
-def _gauge_map(series: dict, scale: int, dim: int, order: int) -> GaugeMap:
-    """The gauge whose members are a column series over ``scale``."""
-    phis = [Matrix.zeros(dim, dim)] * (order + 1)
-    for s, cols in series.items():
-        phis[s] = Matrix(dim, dim, _fractions(cols, dim, scale)).transpose()
-    return GaugeMap(order, tuple(phis))
+def _conjugate(p: _Packed, state: list, phi: list, e: int, steps: int) -> list[int]:
+    """Psi mu (Phi x Phi), then e Psi d Phi for each d, over e^(K+2) times
+    the scale of ``state`` (mu [i][j][c], then each d [c][b]).  A product
+    contracts the leading index and puts the new one last; with the ds
+    stacked [c][b][k] beside mu, Phi contracts i of mu and c of the ds,
+    then j of mu, and Psi c of mu and b of the ds."""
+    dim = math.isqrt(len(phi))
+    size, cols = dim ** 3, _split(phi, dim)
+    ds = list(itertools.chain(*zip(*(state[k:k + dim * dim] for k in range(size, len(state), dim * dim)))))
+    both = _contract([u + v for u, v in zip(_split(state[:size], dim), _split(ds, dim))], cols)
+    mu = _contract(_split(both[:size], dim), cols)
+    rows = list(zip(*_split(_inverse(p, phi, e, steps), dim)))
+    both = _contract([u + v for u, v in zip(_split(mu, dim), _split(both[size:], dim))], rows)
+    return p.cut(both[:size] + [e * x for x in both[size:]])
 
 
-def _columns(series) -> dict:
-    """The nonzero members of a table series (one per order), as a column
-    series."""
-    return {s: cols for s, cols in enumerate(series) if any(cols)}
+def _coefficient(p: _Packed, state: list, q: int, dim: int, s: int) -> Cochain:
+    values, size = as_fractions(p.members(state, [s])[0], q), dim ** 3
+    ds = [values[k:k + dim * dim] for k in range(size, len(values), dim * dim)]
+    return Cochain(MultiMap(2, dim, dim, values[:size]), tuple(MultiMap(1, dim, dim, d) for d in ds))
 
 
-def _conjugate(mu: dict, ds: list, phi: dict, e: int, order: int) -> tuple[dict, list]:
-    """Psi mu (Phi x Phi) and Psi d Phi for each d of ``ds``, mod t^{order+1}.
-
-    All are column series; Phi is over e and Psi = Phi^{-1} over e^order
-    (``_inverse_columns``), and Phi x Phi is (Phi x id)(id x Phi).  So the
-    new mu is over e^(order+2) times the scale of mu, and each new d over
-    e^(order+1) times the scale of the ds.
-    """
-    dim = len(phi[0])
-    psi = _inverse_columns(phi, e, dim, order)
-    pairs = list(itertools.product(range(dim), repeat=2))
-    phi_id = {s: tuple({u * dim + j: x for u, x in cols[i].items()} for i, j in pairs)
-              for s, cols in phi.items()}
-    id_phi = {s: tuple({i * dim + v: y for v, y in cols[j].items()} for i, j in pairs)
-              for s, cols in phi.items()}
-    new_mu = _series_mul(psi, _series_mul(_series_mul(mu, phi_id, order), id_phi, order), order)
-    return new_mu, [_series_mul(psi, _series_mul(d, phi, order), order) for d in ds]
+def _gauge_map(p: _Packed, entries: list, scale: int, dim: int) -> GaugeMap:
+    rows = list(itertools.chain(*zip(*_split(entries, dim))))
+    return GaugeMap(p.order, tuple(Matrix(dim, dim, as_fractions(m, scale)) for m in p.members(rows)))
 
 
-def _coefficient(mu: dict, ds: list, q_mu: int, q_d: int, dim: int, s: int) -> Cochain:
-    """Coefficient s of the column series mu (over q_mu) and ds (over q_d)."""
-    zero_mu, zero_d = ({},) * (dim * dim), ({},) * dim
-    return Cochain(MultiMap(2, dim, dim, _fractions(mu.get(s, zero_mu), dim, q_mu)),
-                   tuple(MultiMap(1, dim, dim, _fractions(d.get(s, zero_d), dim, q_d))
-                         for d in ds))
+def _state(tables: LawTables, order: int) -> list[list[int]]:
+    """The members of mu and of each d_k up to ``order``, as ``_conjugate``
+    lays them out."""
+    series = [tables._tables[0], *tables._tables[2:]]
+    return [list(itertools.chain(*(ser[s][0] for ser in series))) for s in range(order + 1)]
 
 
 def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
-    """Conjugate coefficientwise: mu' = Psi mu (Phi x Phi), d' = Psi d Phi.
-
-    Psi = Phi^{-1}, and the gauge is padded or truncated with zeros to the
-    deformation's order.  The conjugation is ``_conjugate`` on the column
-    series of the deformation's tables (over D) and of Phi (over E), the
-    integer core that ``trivialize`` runs too; each Fraction is built once,
-    at the end, with mu' over D * E^(T+2) and d' over D * E^(T+1).
-    """
+    """Conjugate coefficientwise: mu' = Psi mu (Phi x Phi), d' = Psi d Phi,
+    Psi = Phi^{-1}, the gauge padded or truncated with zeros to the
+    deformation's order, by ``_conjugate`` on the packed numerators."""
     dim, T = defm.dim, defm.order
     if gauge.dim != dim:
         raise ShapeError("gauge dimension differs from the deformation")
-    phi, e = _gauge_columns(gauge, T)
-    tables = defm._tables
-    mu, ds = _conjugate(_columns(tables.mus), [_columns(d) for d in tables.dcols[1:]], phi, e, T)
-    den = tables.den
-    q_mu, q_d = den * e ** (T + 2), den * e ** (T + 1)
-    return Deformation(tuple(_coefficient(mu, ds, q_mu, q_d, dim, s) for s in range(T + 1)))
+    (members, e), state = _gauge_members(gauge, T), _state(defm._tables, T)
+    steps, growth = _growth(members, e, dim, T)
+    p = _Packed(max(1, *map(abs, itertools.chain(*state))) * growth, T)
+    state = _conjugate(p, p.pack(state), p.pack(members), e, steps)
+    return Deformation(tuple(_coefficient(p, state, defm._tables.den * e ** (steps + 2), dim, s)
+                             for s in range(T + 1)))
 
 
 def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
-    """The truncated inverse series Psi = sum_k (id - Phi)^k, by Horner's rule
-    on ``_series_mul``; composing back gives the identity mod t^{T+1}."""
-    phi, e = _gauge_columns(gauge, gauge.order)
-    return _gauge_map(_inverse_columns(phi, e, gauge.dim, gauge.order), e ** gauge.order,
-                      gauge.dim, gauge.order)
+    """The truncated inverse series Psi = sum_k (id - Phi)^k, by Horner's
+    rule, in slots holding the digits of Psi for |id - Phi|: these bound the
+    digits and reach them when id - Phi is positive."""
+    dim, T = gauge.dim, gauge.order
+    members, e = _gauge_members(gauge, T)
+    steps, growth = _growth(members, e, dim, T)
+    absolute, rough = [members[0]] + [[-abs(x) for x in m] for m in members[1:]], _Packed(growth, T)
+    p = _Packed(max(itertools.chain(*rough.members(_inverse(rough, rough.pack(absolute), e, steps)))), T)
+    return _gauge_map(p, _inverse(p, p.pack(members), e, steps), e ** steps, dim)
 
 
 def gauge_compose(first: GaugeMap, second: GaugeMap) -> GaugeMap:
-    """The gauge acting like `first` followed by `second`: the series
-    product first * second by ``_series_mul``, at the smaller order."""
+    """The gauge acting like `first` followed by `second`: the product
+    first * second at the smaller order, in slots holding the digits of the
+    product of absolute values, which reach its bound for positive entries."""
     if first.dim != second.dim:
         raise ShapeError("gauge dimensions differ")
-    order = min(first.order, second.order)
-    (a, e), (b, f) = _gauge_columns(first, order), _gauge_columns(second, order)
-    return _gauge_map(_series_mul(a, b, order), e * f, first.dim, order)
+    dim, order = first.dim, min(first.order, second.order)
+    (a, e), (b, f) = _gauge_members(first, order), _gauge_members(second, order)
+    rough = _Packed(sum(map(abs, itertools.chain(*a))) * sum(map(abs, itertools.chain(*b))), order)
+    absolute = [[list(map(abs, m)) for m in members] for members in (a, b)]
+    p = _Packed(max(itertools.chain(*rough.members(_product(rough, *map(rough.pack, absolute), dim)))), order)
+    return _gauge_map(p, _product(p, p.pack(a), p.pack(b), dim), e * f, dim)
 
 
 def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochain:
-    """All known terms of the order-(n+1) equations, as a 3-cochain.
-
-    A candidate next coefficient extends the deformation exactly when its
-    differential equals this cochain.  It is lhs - rhs of the order-(n+1)
-    equations with zero order-(n+1) coefficients: every term left out
-    carries an index n+1.
-    """
+    """All known terms of the order-(n+1) equations, as a 3-cochain: lhs -
+    rhs with zero order-(n+1) coefficients.  A candidate next coefficient
+    extends the deformation exactly when its differential equals it."""
     _require_verified(alg, hd, defm)
     return _known_defect(defm)
 
@@ -348,7 +370,7 @@ def _known_defect(defm: Deformation, known=None) -> Cochain:
     if known is None:
         known = _known_terms(defm)
     # the scan order of the equations is the order of the cochain vector
-    defect = tuple(Fraction(x - y, q) for lhs, rhs, q in known for x, y in zip(lhs, rhs))
+    defect = tuple(itertools.chain(*(as_fractions(map(sub, lhs, rhs), q) for lhs, rhs, q in known)))
     return vector_to_cochain(defm.dim, defm.dim, defm.rank, 3, defect)
 
 
@@ -371,11 +393,10 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     """Extend order by order up to ``target``, verifying the input once.
 
     Returns the deformation reached and the obstruction blocking the next
-    order (None at ``target``).  Each order is scanned once: the terms of
-    the order-(n+1) equations that build the obstruction are kept, and once
-    the solve appends a coefficient the order is checked as those terms
-    plus the ones that carry the new index (``_append_checked``).  The
-    equations involve only coefficients up to n+1, so this is a full check.
+    order (None at ``target``).  Each order is scanned once: the terms that
+    build the obstruction are kept, and an appended coefficient is checked
+    as those plus the terms that carry its index (``_append_checked``), a
+    full check as the equations involve only coefficients up to n+1.
     """
     _require_verified(alg, hd, defm)
     mod = adjoint_bimodule(alg, hd)
@@ -393,13 +414,9 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
 def _append_checked(defm: Deformation, candidate: Cochain, known: list) -> Deformation:
     """``defm`` with ``candidate`` appended at order s = n+1, its order-s
     equations checked; ``known`` holds their terms with indices up to n.
-
-    In every other term one index is s, which forces all the others to 0,
-    so those terms are the order-1 equations of ``Deformation((c_0,
-    candidate))``.  Each slot is the two sums added, denominators
-    cross-multiplied, in scan order; the two sets of planes have their own
-    widths, so both are unpacked.
-    """
+    In every other term one index is s, forcing the others to 0: they are
+    the order-1 equations of ``Deformation((c_0, candidate))``.  Each slot
+    is the two sums added, denominators cross-multiplied, in scan order."""
     ext = extend_deformation(defm, candidate)
     fresh = Deformation((defm.coeffs[0], candidate))._tables
     d = defm.dim
@@ -442,6 +459,20 @@ class TrivializeOutcome:
     blocking_class: Cochain | None = None
 
 
+def _reduce(p: _Packed, entries: list, scale: int) -> tuple[list, int]:
+    """``entries`` and ``scale`` over their content, the gcd of the scale
+    and every digit: its power of 2 from x + offset, whose slots share the
+    low zero bits of the digits, and an odd factor checked on the digits."""
+    two = scale & -scale
+    g = math.gcd(scale // two, *entries)
+    if g > 1:
+        g = math.gcd(g, *itertools.chain(*p.members(entries)))
+    slots = reduce(or_, [x + p.offset for x in entries])
+    slots = reduce(or_, [slots >> p.bits * s for s in range(p.order + 1)]) & (1 << p.bits) - 1
+    g *= min(two, slots & -slots)
+    return ([x // g for x in entries], scale // g) if g > 1 else (entries, scale)
+
+
 def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
                max_order: int | None = None) -> TrivializeOutcome:
     """Kill coefficients from the bottom up by solving for gauge shears.
@@ -452,37 +483,41 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     making the deformation trivial modulo t^{T+1}; a non-coboundary
     coefficient is returned as the blocking class.
 
-    The loop keeps one integer state: the column series of mu and of each
-    d_k, conjugated by each shear with ``_conjugate``, and the accumulated
-    gauge, multiplied by each shear with ``_series_mul``.  Fractions are
-    built only for the coefficient handed to the solve, a blocking class
-    and the returned gauge.
+    The state is packed once (``_Packed``) and stays packed: mu and the d_k
+    over one scale, the gauge over another.  A shear e id + t^r H (over e)
+    has an inverse of T // r + 1 terms; it conjugates the state and
+    multiplies the gauge, each then divided by its content with its scale.
+    Only the lowest order's digits become Fractions, for the solve.
     """
     _require_verified(alg, hd, defm)
     T = defm.order if max_order is None else max_order
     if T > defm.order:
         raise ValueError("cannot trivialize past the stored order")
-    dim = alg.dim
-    tables = defm._tables
-    mu, ds = _columns(tables.mus[:T + 1]), [_columns(d[:T + 1]) for d in tables.dcols[1:]]
-    q_mu = q_d = tables.den
-    acc, q_acc = {0: tuple({c: 1} for c in range(dim))}, 1
+    dim, state = alg.dim, _state(defm._tables, T)
+    identity = [int(k % (dim + 1) == 0) for k in range(dim * dim)]
+    p = _Packed(max(map(abs, itertools.chain(*state))), T)
+    state, acc, q, q_acc = p.pack(state), p.pack([identity]), defm._tables.den, 1
     mod = adjoint_bimodule(alg, hd)
     while True:
-        lowest = next((s for s in range(1, T + 1) if s in mu or any(s in d for d in ds)), None)
+        lowest = p.lowest(state)
         if lowest is None:
-            return TrivializeOutcome(_gauge_map(acc, q_acc, dim, T))
-        try:  # over the negated scales the coefficient is its own negative
-            h = cocycle_preimage(alg, mod, hd, _coefficient(mu, ds, -q_mu, -q_d, dim, lowest))
+            return TrivializeOutcome(_gauge_map(p, acc, q_acc, dim))
+        try:  # over the negated scale the coefficient is its own negative
+            h = cocycle_preimage(alg, mod, hd, _coefficient(p, state, -q, dim, lowest))
         except NotACocycleError:
             raise RuntimeError(
                 f"lowest coefficient at order {lowest} is not a cocycle; "
                 "the input cannot have verified") from None
         if h is None:
-            return TrivializeOutcome(None, lowest, _coefficient(mu, ds, q_mu, q_d, dim, lowest))
+            return TrivializeOutcome(None, lowest, _coefficient(p, state, q, dim, lowest))
         e = common_denominator(h.main.values)
-        shear = {0: tuple({c: e} for c in range(dim)),
-                 lowest: _chunks(_int_table(h.main.values, dim, e)[0], dim)}
-        mu, ds = _conjugate(mu, ds, shear, e, T)
-        q_mu, q_d = q_mu * e ** (T + 2), q_d * e ** (T + 1)
-        acc, q_acc = _series_mul(acc, shear, T), q_acc * e
+        shear = [[e * x for x in identity]] + [[0] * dim * dim] * (lowest - 1) + \
+            [_int_table(h.main.values, dim, e)[0]]
+        steps, growth = _growth(shear, e, dim, T)
+        if not (p.fits(state, growth) and p.fits(acc, growth)):  # widen, room for two shears
+            members = [p.members(state), p.members(acc)]
+            p = _Packed(max(1, *map(abs, itertools.chain(*members[0], *members[1]))) * growth ** 2, T)
+            state, acc = map(p.pack, members)
+        phi = p.pack(shear)
+        state, q = _reduce(p, _conjugate(p, state, phi, e, steps), q * e ** (steps + 2))
+        acc, q_acc = _reduce(p, _product(p, acc, phi, dim), q_acc * e)

@@ -871,6 +871,21 @@ def loop_trivialize(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformation,
         acc = H.gauge_compose(acc, step)
 
 
+def _chunked(tables: LawTables) -> tuple[list, list]:
+    """The oracles' own sparse view of the flat numerators of ``tables``:
+    ``mus[p][i * d + j]`` = D mu_p(e_i, e_j) as ``{c: x}``, and
+    ``dcols[k][s][c]`` = D times column c of d_{k,s} as ``{b: x}``, with
+    d_{0,0} = id; zeros left out."""
+    d = tables.dim
+
+    def chunks(flat):
+        return [{c: x for c, x in enumerate(flat[base:base + d]) if x}
+                for base in range(0, len(flat), d)]
+
+    return ([chunks(flat) for flat, _mx, _l1 in tables._tables[0]],
+            [[chunks(flat) for flat, _mx, _l1 in ser] for ser in tables._tables[1:]])
+
+
 def oracle_associativity_terms(tables: LawTables, s: int = 0, at=None):
     """Yields ``(0, (i, j, l), lhs, rhs, D^2)`` in scan order, the numerators of
     sum_{p+q=s} mu_p(mu_q(e_i, e_j), e_l) = sum_{p+q=s} mu_p(e_i, mu_q(e_j, e_l))
@@ -878,7 +893,7 @@ def oracle_associativity_terms(tables: LawTables, s: int = 0, at=None):
     last one stored taken as zero.  ``at`` lists the basis triples to scan,
     in order; by default all of them.  The reference for the associativity
     sides of ``algebras.LawTables``."""
-    mus, den = tables.mus, tables.den
+    (mus, _dcols), den = _chunked(tables), tables.den
     d, n = tables.dim, len(mus) - 1
     pairs = [(mus[p], mus[s - p]) for p in range(max(0, s - n), min(s, n) + 1)]
     for i, j, l in itertools.product(range(d), repeat=3) if at is None else at:
@@ -901,7 +916,7 @@ def oracle_derivation_law_terms(tables: LawTables, s: int = 0, at=None):
     zero.  ``at`` lists the basis pairs scanned for each k, in order; by
     default all of them.  The reference for the law sides of
     ``algebras.LawTables``."""
-    mus, dcols, den = tables.mus, tables.dcols, tables.den
+    (mus, dcols), den = _chunked(tables), tables.den
     d, n = tables.dim, len(mus) - 1
     at = list(itertools.product(range(d), repeat=2)) if at is None else at
     orders = range(max(0, s - n), min(s, n) + 1)  # p with p <= n and s - p <= n

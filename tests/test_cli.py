@@ -44,6 +44,7 @@ COMMANDS = [
     (["deform-verify", "tp3_wide_deform.json"], 0),
     (["deform-obstruct", "tp3_wide_deform.json"], 0),
     (["deform-extend", "tp3_wide_deform.json", "--to", "6"], 0),
+    (["deform-trivialize", "tp3_wide_deform.json"], 0),
     (["free-tensor", "tensor_line.json"], 0),
     (["free-tensor", "tensor_line.json", "--degree", "3"], 0),
 ]
@@ -77,6 +78,7 @@ REPORT_SHA256 = {
     "deform-verify tp3_wide_deform.json": "fa0b658db8274b3e58c512b1045a68f299bae5eb0c71cbb4e3f80f98a1b0da06",
     "deform-obstruct tp3_wide_deform.json": "b7ed0945b1165e363703e6a86735bc7141233956029b5ab552ec94da6068031d",
     "deform-extend tp3_wide_deform.json --to 6": "980d02a28b2d0ca779eca7c38df56b33b6da271738d36b7d8a98df8a7958411a",
+    "deform-trivialize tp3_wide_deform.json": "da584f071c15c0a8d33d10113746c4e4432984350972ce9a2c5b099198dff0e1",
     "free-tensor tensor_line.json": "d504e9876a85f6fee47f8fcd77440ce9ce8f1f6c10fbd7c9bf44b4676301ea1f",
     "free-tensor tensor_line.json --degree 3": "3e52e035418ba9554b6bce60f16f424fa86f05bfef8a05dbd66487f8dfdfb08e",
 }
@@ -110,6 +112,7 @@ HUMAN_SHA256 = {
     "deform-verify tp3_wide_deform.json": "681b2c0ce5c0cee85838e11f2f6232856ee87cc8e975a7579b7e246dd4498142",
     "deform-obstruct tp3_wide_deform.json": "d0d1afc89155f4b64f8a1baeae9f8b56d0fd66f32e0971b099245a50ea4f6dab",
     "deform-extend tp3_wide_deform.json --to 6": "817c90d165c3a5ee7b56ccf781d47242f802dd0e2ae90bbf8bf36c50ce4dc4ed",
+    "deform-trivialize tp3_wide_deform.json": "d280f92f9ee64011fa2b705f52a6cf7365ee9a6ed4a134bd4368d039648435a9",
     "free-tensor tensor_line.json": "1f320f3c950bb221f929d936ee9b6d304157ee0161fa1106d5de2377b979ec5a",
     "free-tensor tensor_line.json --degree 3": "c9ba4b0003b6f0f695c6ac6490415b69bcf6102d6395bda2af3a260f8d7fd56e",
 }
