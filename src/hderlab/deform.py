@@ -273,12 +273,12 @@ def _inverse(p: _Packed, phi: list, e: int, steps: int) -> list[int]:
     """Psi by Horner's rule, P_j = e^j id + P_{j-1} Delta, column by column."""
     dim = math.isqrt(len(phi))
     delta = [[e * (u == c) - x for u, x in enumerate(col)] for c, col in enumerate(_split(phi, dim))]
-    psi = [int(k % (dim + 1) == 0) for k in range(dim * dim)]
-    for j in range(1, steps + 1):
-        psi = list(itertools.chain(*_times(_split(psi, dim), delta)))
-        for k in range(0, dim * dim, dim + 1):
-            psi[k] += e ** j
-    return p.cut(psi)
+    cols, scale = [[int(u == c) for u in range(dim)] for c in range(dim)], 1
+    for _ in range(steps):
+        cols, scale = _times(cols, delta), scale * e
+        for c in range(dim):
+            cols[c][c] += scale
+    return p.cut(itertools.chain(*cols))
 
 
 def _conjugate(p: _Packed, state: list, phi: list, e: int, steps: int) -> list[int]:
@@ -493,10 +493,10 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     T = defm.order if max_order is None else max_order
     if T > defm.order:
         raise ValueError("cannot trivialize past the stored order")
-    dim, state = alg.dim, _state(defm._tables, T)
-    identity = [int(k % (dim + 1) == 0) for k in range(dim * dim)]
-    p = _Packed(max(map(abs, itertools.chain(*state))), T)
-    state, acc, q, q_acc = p.pack(state), p.pack([identity]), defm._tables.den, 1
+    dim, identity = alg.dim, [int(k % (alg.dim + 1) == 0) for k in range(alg.dim ** 2)]
+    members = [_state(defm._tables, T), [identity]]  # at hand until the first shear
+    p = _Packed(max(map(abs, itertools.chain(*members[0]))), T)
+    (state, acc), q, q_acc = map(p.pack, members), defm._tables.den, 1
     mod = adjoint_bimodule(alg, hd)
     while True:
         lowest = p.lowest(state)
@@ -511,13 +511,12 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         if h is None:
             return TrivializeOutcome(None, lowest, _coefficient(p, state, q, dim, lowest))
         e = common_denominator(h.main.values)
-        shear = [[e * x for x in identity]] + [[0] * dim * dim] * (lowest - 1) + \
-            [_int_table(h.main.values, dim, e)[0]]
-        steps, growth = _growth(shear, e, dim, T)
+        shear = [[e * x for x in identity], _int_table(h.main.values, dim, e)[0]]
+        steps, growth = _growth(shear, e, dim, T // lowest)  # in u = t^r, Phi = e id + u H
         if not (p.fits(state, growth) and p.fits(acc, growth)):  # widen, room for two shears
-            members = [p.members(state), p.members(acc)]
+            members = members or [p.members(state), p.members(acc)]
             p = _Packed(max(1, *map(abs, itertools.chain(*members[0], *members[1]))) * growth ** 2, T)
             state, acc = map(p.pack, members)
-        phi = p.pack(shear)
+        members, phi = None, [x + (y << p.bits * lowest) for x, y in zip(*shear)]
         state, q = _reduce(p, _conjugate(p, state, phi, e, steps), q * e ** (steps + 2))
         acc, q_acc = _reduce(p, _product(p, acc, phi, dim), q_acc * e)
