@@ -7,11 +7,14 @@ not extend or trivialize), 2 means the input was unusable (parse or shape
 errors, a size cap breach, a section that fails its own verifier, or input
 outside the command's precondition).
 
-Each call parses argv with one flat argparse parser that holds only the
-named subcommand's arguments; help requests and errors fall back to the
-parser of all subcommands (``build_parser``), so usage, help and error text
-are exactly argparse's for that parser.  A command that reads a pair judges
-the algebra and the higher derivation on one law table (``hder._pair_reports``).
+The plain form of a call (a subcommand, one file, ``--json`` and whole
+option names from ``SUBCOMMANDS``, each with a value that does not start
+with "-") is matched against that table without argparse.  Any other argv,
+help and every error among them, goes to the argparse parser of all
+subcommands (``build_parser``), so usage, help and error text and their exit
+codes are exactly argparse's; argparse is imported only then.  A command
+that reads a pair judges the algebra and the higher derivation on one law
+table (``hder._pair_reports``).
 
 ``--json`` selects the machine format.  JSON reports are byte-identical
 across runs for identical inputs: solver outputs are canonical, key order
@@ -28,11 +31,11 @@ accidental combinatorial blowups from running away.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .algebras import adjoint_bimodule, trivial_bimodule, verify_algebra
 from .cochain import NotACocycleError, cocycle_preimage, cohomology
@@ -335,55 +338,58 @@ SUBCOMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    """``file``, ``--json`` and the arguments of subcommand ``name``."""
-    parser.add_argument("file", help="JSON problem file")
-    parser.add_argument("--json", action="store_true", help="machine-readable report")
-    for flag, kwargs in SUBCOMMANDS[name][2]:
-        parser.add_argument(flag, **kwargs)
+def build_parser():
+    """The hderlab parser with every subcommand, in table order.  It writes
+    every usage, help and error text; a plain argv never builds it."""
+    import argparse  # here only: a plain argv never needs it or the gettext it imports
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """The hderlab parser with every subcommand, in table order."""
     parser = argparse.ArgumentParser(
         prog="hderlab",
         description="Workbench for associative algebras with higher derivations")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, help_text, _arguments) in SUBCOMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (_handler, help_text, arguments) in SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("file", help="JSON problem file")
+        command.add_argument("--json", action="store_true", help="machine-readable report")
+        for flag, kwargs in arguments:
+            command.add_argument(flag, **kwargs)
     return parser
 
 
-class _Fallback(Exception):
-    """The lean parser met input it would have to report on."""
-
-
-class _LeanParser(argparse.ArgumentParser):
-    """Prints nothing and exits nowhere: errors go to the full parser."""
-
-    def error(self, message):
-        raise _Fallback
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with one flat parser holding only the arguments of the
-    subcommand ``argv[0]``, several times cheaper than building all of them.
-    It has no help option, so a help request is an error to it; help and
-    errors come from the full parser, so usage, help and error text read
-    exactly as before."""
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """Match the plain form of a call against the ``SUBCOMMANDS`` table: a
+    known subcommand, one ``file`` and ``--json`` or whole option names, each
+    followed by a value that does not start with "-" and passes the option's
+    type, choices and required.  Any other argv goes to ``build_parser``, so
+    help, usage and every error read exactly as argparse writes them."""
     if argv and argv[0] in SUBCOMMANDS:
-        # it never lays out help: the formatter argparse builds per argument
-        # gets a fixed width instead of asking for the terminal's
-        parser = _LeanParser(add_help=False,
-                             formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80))
-        _add_arguments(parser, argv[0])
-        try:
-            args = parser.parse_args(argv[1:])
-        except _Fallback:
-            pass
+        options = dict(SUBCOMMANDS[argv[0]][2])
+        args = {"command": argv[0], "file": None, "json": False}
+        args.update((flag[2:], kwargs.get("default")) for flag, kwargs in options.items())
+        tokens = iter(argv[1:])
+        for token in tokens:
+            if token == "--json":
+                args["json"] = True
+            elif token in options:
+                kwargs, value = options[token], next(tokens, "-")  # "-": no value left
+                if value.startswith("-"):
+                    break
+                try:
+                    value = kwargs.get("type", str)(value)
+                except ValueError:  # argparse's "invalid int value"
+                    break
+                if value not in kwargs.get("choices", [value]):
+                    break
+                args[token[2:]] = value
+            elif token.startswith("-") or args["file"] is not None:
+                break
+            else:
+                args["file"] = token
         else:
-            args.command = argv[0]
-            return args
+            if args["file"] is not None and all(
+                    args[flag[2:]] is not None for flag, kwargs in options.items()
+                    if kwargs.get("required")):
+                return SimpleNamespace(**args)
     return build_parser().parse_args(argv)
 
 

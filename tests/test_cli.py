@@ -277,8 +277,8 @@ def _outcome(parse, argv):
     ["check", "a.json", "b.json"],
 ], ids=lambda argv: " ".join(argv) or "(none)")
 def test_lean_parse_matches_full_parser(argv):
-    # the flat one-subcommand parser must give the same namespace, usage,
-    # help, error text and exit code as the parser of all subcommands
+    # the table matcher must give the same namespace, usage, help, error
+    # text and exit code as the parser of all subcommands
     assert _outcome(cli._parse_args, argv) == _outcome(cli.build_parser().parse_args, argv)
 
 
@@ -295,7 +295,8 @@ def _flag_tokens():
 
 ARGV_TOKENS = sorted(cli.SUBCOMMANDS) + ["nope", "f.json", "a.json", "-", "-h", "--", "-x",
                                          "-1", "-3", "0", "2", "x", "adjoint", "trivial",
-                                         "file", "left", "z"] + _flag_tokens()
+                                         "file", "left", "z", "", " 3", "+3", "1_0", "3.0",
+                                         "-0", "\u0663"] + _flag_tokens()
 
 
 @settings(max_examples=400, deadline=None)
@@ -303,10 +304,21 @@ ARGV_TOKENS = sorted(cli.SUBCOMMANDS) + ["nope", "f.json", "a.json", "-", "-h", 
        st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
 def test_lean_parse_matches_full_parser_on_drawn_argv(head, tail):
     # subcommand names, files, every flag and its prefixes, --flag=value,
-    # negative ints, bad choices, help at any position, "--", repeated flags
-    # and extra positionals: the flat parser must agree with the full one
+    # negative ints, bad choices, help at any position, "--", repeated flags,
+    # extra positionals, and values at the edges of int() (empty, a space, a
+    # sign, an underscore, a decimal point, a non-ASCII digit): the table
+    # matcher must agree with the full parser or hand the argv to it
     argv = [head, *tail]
     assert _outcome(cli._parse_args, argv) == _outcome(cli.build_parser().parse_args, argv)
+
+
+def test_plain_argv_does_not_import_argparse():
+    # in a fresh interpreter, a plain argv is parsed without importing argparse
+    script = ("import sys; from hderlab import cli; "
+              f"code = cli.main(['check', {str(FIXTURES / 'dual_pair.json')!r}, '--json']); "
+              "sys.stdout.write(repr(code) + ' ' + repr('argparse' in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True).stdout
+    assert out.decode().rsplit("\n", 1)[-1] == "0 False"
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
