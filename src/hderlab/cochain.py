@@ -441,7 +441,9 @@ def preimage(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     """The canonical (n-1)-cochain whose differential is the n-cochain c,
     free variables zero, or None when c is not in the image; n >= 2.
 
-    Every preimage solve runs here; the callers check what c must be."""
+    Each solve on the cached d_{n-1} after the first is one substitution
+    into its factor (``exactlin.solve_affine``).  The callers check what c
+    must be; ``deform.trivialize`` solves integers on the same matrix."""
     n = c.n
     sol = solve_affine(differential_matrix(alg, mod, hd, n - 1), cochain_to_vector(c))
     if sol is None:

@@ -11,16 +11,17 @@ packed tables ``Deformation._tables`` (an ``algebras.LawTables``):
 verification masks the slots of orders 0..n and compares.  Slots are
 unpacked only for a reported violation, the obstruction and the append
 check of ``extend_to``.  The deform commands test a cocycle only when the
-solve finds no preimage (``cochain.cocycle_preimage``): a preimage makes
-the cochain a coboundary, so a cocycle, as d^2 = 0 for the verified pair.
+solve finds no preimage (``cochain.cocycle_preimage``, and in
+``trivialize``): a preimage makes the cochain a coboundary, so a cocycle,
+as d^2 = 0 for the verified pair.
 
 The gauge group runs on one packed form too (``_Packed``): an entry of a
 gauge, d_k or mu series is one integer sum_s x_s 2^(B s), and the action,
 composition, inverse and the shears of ``trivialize`` are big-integer
 products of entries.  Fractions appear only at the boundary: a reported
 violation, the obstruction, the gauged coefficients, a composed or inverted
-gauge, and in ``trivialize`` the coefficient handed to the solve, a
-blocking class and the final gauge.
+gauge, and in ``trivialize`` a blocking class and the final gauge; the
+solves of ``trivialize`` take the packed digits as integers.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from operator import or_, sub
 from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _int_table,
                        _law_tables, _times, adjoint_bimodule, tensor_values)
 from .cochain import (
-    Cochain, MultiMap, NotACocycleError, cocycle_preimage, differential, matrix_to_multimap,
-    preimage, vector_to_cochain, zero_cochain,
+    Cochain, MultiMap, differential, differential_matrix, matrix_to_multimap, preimage,
+    vector_to_cochain, zero_cochain,
 )
-from .exactlin import Matrix, ShapeError, as_fractions, common_denominator
+from .exactlin import Matrix, ShapeError, as_fractions, common_denominator, solve_ints
 from .hder import HigherDerivation
 
 
@@ -487,7 +488,8 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     over one scale, the gauge over another.  A shear e id + t^r H (over e)
     has an inverse of T // r + 1 terms; it conjugates the state and
     multiplies the gauge, each then divided by its content with its scale.
-    Only the lowest order's digits become Fractions, for the solve.
+    The lowest order's digits go to the integer solve (``solve_ints``),
+    whose preimage numerators over their lcm e are H.
     """
     _require_verified(alg, hd, defm)
     T = defm.order if max_order is None else max_order
@@ -502,16 +504,16 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         lowest = p.lowest(state)
         if lowest is None:
             return TrivializeOutcome(_gauge_map(p, acc, q_acc, dim))
-        try:  # over the negated scale the coefficient is its own negative
-            h = cocycle_preimage(alg, mod, hd, _coefficient(p, state, -q, dim, lowest))
-        except NotACocycleError:
-            raise RuntimeError(
-                f"lowest coefficient at order {lowest} is not a cocycle; "
-                "the input cannot have verified") from None
-        if h is None:
-            return TrivializeOutcome(None, lowest, _coefficient(p, state, q, dim, lowest))
-        e = common_denominator(h.main.values)
-        shear = [[e * x for x in identity], _int_table(h.main.values, dim, e)[0]]
+        # over the negated scale the digits are the coefficient's negative
+        sol = solve_ints(differential_matrix(alg, mod, hd, 1), p.members(state, [lowest])[0], -q)
+        if sol is None:
+            blocking = _coefficient(p, state, q, dim, lowest)
+            if not differential(alg, mod, hd, blocking).is_zero():
+                raise RuntimeError(f"lowest coefficient at order {lowest} is not a cocycle; "
+                                   "the input cannot have verified")
+            return TrivializeOutcome(None, lowest, blocking)
+        h, e = sol
+        shear = [[e * x for x in identity], h]
         steps, growth = _growth(shear, e, dim, T // lowest)  # in u = t^r, Phi = e id + u H
         if not (p.fits(state, growth) and p.fits(acc, growth)):  # widen, room for two shears
             members = members or [p.members(state), p.members(acc)]

@@ -15,11 +15,9 @@ Fraction operation: :func:`echelon` feeds the integer rows to an
 combines two rows as ``a*v - b*row``, in the manner of fraction-free
 (Bareiss) elimination.  Back-substitution runs only when the reduced form is
 asked for, and a reduced entry x of the row with pivot value p becomes the
-Fraction x/p only where ``kernel_basis`` or ``solve_affine`` hand it out.
-Repeated solves against one matrix reuse its rows: the first
-``solve_affine`` on a matrix keeps the rows that raised its rank, and a
-later right-hand side is eliminated on those rows only, then confirmed on
-every row by a sparse integer product.
+Fraction x/p only where ``kernel_basis`` hands it out.  A solve substitutes
+into one factor per matrix, kept from its first solve: the same
+:class:`Echelon` of the rows of [m^T | I] (:func:`solve_affine`).
 A null space can stay in sparse form, :class:`Kernel` (the reduced integer
 rows and the free columns), which states the canonical kernel vector once
 for ``kernel_basis`` and for writers that format it without Fractions.
@@ -182,6 +180,23 @@ class Matrix:
                       for j, x in enumerate(self.entries[i * c:(i + 1) * c]) if x}
                      for i in range(self.rows)), scale
 
+    def int_columns(self) -> list[dict[int, int]]:
+        """The integer store read by columns: ``{row: x}`` per column, over
+        the scale of ``int_rows``; fresh dicts a caller may take over."""
+        cols: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.int_rows[0]):
+            for j, x in row.items():
+                cols[j][i] = x
+        return cols
+
+    @cached_property
+    def _factor(self) -> tuple["Echelon", tuple[int, ...]]:
+        """The echelon of the rows of [m^T | I], column j tagged 1 at
+        ``rows + j``, and the free columns of m, whose rows are not kept."""
+        ech, r = Echelon(), self.rows
+        return ech, tuple(j for j, v in enumerate(self.int_columns())
+                          if ech._insert({**v, r + j: 1}, r) is None)
+
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product, skipping zero coordinates of ``v``."""
         if len(v) != self.cols:
@@ -286,8 +301,10 @@ class Echelon:
     ``rows[p] / rows[p][p]``.
     """
 
-    def __init__(self):
+    def __init__(self, rows=()):  # integer rows, taken over
         self.rows: dict[int, dict[int, int]] = {}
+        for v in rows:
+            self._insert(v)
 
     @property
     def rank(self) -> int:
@@ -301,12 +318,12 @@ class Echelon:
         return self._insert({j: x.numerator * (den // x.denominator)
                              for j, x in row.items() if x}) is not None
 
-    def _insert(self, v: dict[int, int]) -> int | None:
+    def _insert(self, v: dict[int, int], end: float = math.inf) -> int | None:
         """``add`` for an integer row that the echelon may take over; the
-        pivot of the new row, or None when it reduced to zero."""
+        pivot of the new row, or None, and the row not kept, when its
+        columns below ``end`` reduced to zero."""
         rows = self.rows
-        while v:
-            c = min(v)
+        while v and (c := min(v)) < end:
             prow = rows.get(c)
             if prow is None:
                 _divide_content(v, -1 if v[c] < 0 else 1)
@@ -330,25 +347,22 @@ class Echelon:
         return rows
 
 
-def echelon(m: Matrix, bound: int | None = None, raised: list | None = None) -> Echelon:
+def echelon(m: Matrix, bound: int | None = None) -> Echelon:
     """The echelon form of the rows of ``m``; every elimination runs here.
 
     Rows are taken in order until the rank reaches ``bound`` (default
     ``m.cols``, where no further row can add to it).  A caller passes a
     smaller bound only when it has proved that the rank of ``m`` is at most
     that: the rows taken then already span the row space, and the reduced
-    form is the canonical one.  A ``raised`` list receives ``(i, p)`` for
-    each row i that raised the rank, p the pivot it was stored at.
+    form is the canonical one.
     """
     bound = m.cols if bound is None else bound
     ech = Echelon()
-    for i, row in enumerate(m.int_rows[0]):
+    for row in m.int_rows[0]:
         if ech.rank >= bound:
             break
         if row:
-            p = ech._insert(dict(row))
-            if p is not None and raised is not None:
-                raised.append((i, p))
+            ech._insert(dict(row))
     return ech
 
 
@@ -416,61 +430,43 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 
 
 def solve_affine(m: Matrix, b: Vector) -> Vector | None:
-    """Canonical solution of ``m @ x == b``, or None when inconsistent.
+    """Canonical solution of ``m @ x == b``, or None when inconsistent: the
+    reduced-echelon particular solution, free variables zero.
 
-    Free variables are set to zero, so the result is the reduced-echelon
-    particular solution.  The first solve on ``m`` eliminates the augmented
-    ``[m | b]`` and keeps, on ``m``, the rows that raised the rank of m:
-    those whose pivot landed below column ``m.cols``.  They span the row
-    space of m, so a later solve eliminates ``[m | b]`` on those rows only,
-    which always has a solution; it is the canonical one exactly when a
-    sparse integer product confirms ``m @ x == b`` on every row.
+    ``m._factor`` keeps, for the columns of m = M / S in order, a row per
+    column that raised the rank: an integer combination of the columns up
+    to it (its tags past ``m.rows``), pivot at its smallest row index.  The
+    integer b = B / D enters as [S B | 0 | D], its tag at ``rows + cols``,
+    and is reduced against those pivots.  The stored rows are an echelon
+    basis of the column space, so a row index with no pivot means b is
+    outside it: inconsistency is the remainder itself, and no residual
+    check is needed.  Otherwise the tags say M (-v[rows + k])_k =
+    S B v[tag] / D, so x_k = -v[rows + k] / v[tag].  x is zero on the free
+    columns, and the others, the columns outside the span of the columns
+    before them, are the pivot columns of the reduced echelon form of
+    [m | b]: x is the solution that form gives.
     """
-    if len(b) != m.rows:
-        raise ShapeError(f"expected right-hand side of length {m.rows}, got {len(b)}")
-    n = m.cols
-    rows, scale = m.int_rows
     den = common_denominator(b)
-    nums = [x.numerator * (den // x.denominator) if x else 0 for x in b]
-    basis = m.__dict__.get("_solve_rows")
-    taken = range(m.rows) if basis is None else basis
-    aug = []  # [m | b] as ints over scale * den, on the rows taken
-    for i in taken:
-        v = {j: den * x for j, x in rows[i].items()}
-        if nums[i]:
-            v[n] = scale * nums[i]
-        aug.append(v)
-    raised = [] if basis is None else None
-    red = echelon(Matrix.from_int_rows(aug, scale * den, n + 1), raised=raised).reduced()
-    if basis is None:
-        m.__dict__["_solve_rows"] = tuple(i for i, p in raised if p < n)
-    if n in red:
-        return None
-    x = [ZERO] * n
-    for p, row in red.items():
-        if n in row:
-            x[p] = Fraction(row[n], row[p])
-    if basis is not None and not _solves(rows, scale, x, nums, den):
-        return None
-    return tuple(x)
+    sol = solve_ints(m, [x.numerator * (den // x.denominator) if x else 0 for x in b], den)
+    return None if sol is None else as_fractions(*sol)
 
 
-def _solves(rows, scale: int, x: list, nums: list, den: int) -> bool:
-    """Whether ``rows / scale`` times x is ``nums / den`` on every row: with
-    x = X / L over the lcm L of its denominators, den * (row . X) must be
-    nums[i] * scale * L."""
-    lcm = common_denominator(x)
-    xs = {j: v.numerator * (lcm // v.denominator) for j, v in enumerate(x) if v}
-    rhs = scale * lcm
-    for row, bi in zip(rows, nums):
-        acc = 0
-        for j, a in row.items():
-            y = xs.get(j)
-            if y:
-                acc += a * y
-        if den * acc != bi * rhs:
-            return False
-    return True
+def solve_ints(m: Matrix, nums, den: int) -> tuple[list[int], int] | None:
+    """:func:`solve_affine` for b = nums / den, ``den`` a nonzero int: x as
+    ``(X, L)``, x = X / L over the lcm L > 0 of its denominators."""
+    r, n = m.rows, m.cols
+    if len(nums) != r:
+        raise ShapeError(f"expected right-hand side of length {r}, got {len(nums)}")
+    rows, scale, tag = m._factor[0].rows, m.int_rows[1], r + n
+    v = {i: scale * x for i, x in enumerate(nums) if x}
+    v[tag] = den
+    while (c := min(v)) < r:
+        prow = rows.get(c)
+        if prow is None:
+            return None
+        _eliminate(v, c, prow)
+    _divide_content(v, -1 if v[tag] < 0 else 1)
+    return [-v.get(k, 0) for k in range(r, tag)], v[tag]
 
 
 def require_image_in_kernel(boundary: Matrix, kernel_of: Matrix) -> None:

@@ -27,7 +27,7 @@ from .cochain import (
     differential, differential_matrix, is_coboundary, multimap_to_matrix,
     zero_cochain,
 )
-from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, echelon
+from .exactlin import Echelon, Matrix, ShapeError, Vector, ZERO, ONE, as_fractions
 from .hder import (AssHDerMorphism, AssHDerPair, HigherDerivation, _morphism_law_terms,
                    check_morphism)
 
@@ -297,7 +297,7 @@ def classify_central(alg: Algebra, hd: HigherDerivation,
     if not mod.has_zero_actions():
         raise ValueError("central classification requires a bimodule with zero actions")
     report = cohomology(alg, mod, hd, 2)
-    span = echelon(differential_matrix(alg, mod, hd, 1).transpose())
+    span = Echelon(differential_matrix(alg, mod, hd, 1).int_columns())
     chosen: list[Cochain] = []
     for cocycle in report.cocycle_basis:
         if span.add(dict(enumerate(cochain_to_vector(cocycle)))):

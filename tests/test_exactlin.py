@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hderlab.exactlin import (
     ZERO, BrokenComplexError, Echelon, Matrix, ShapeError, echelon, kernel_basis,
-    rank, rat, rat_str, require_image_in_kernel, solve_affine,
+    rank, rat, rat_str, require_image_in_kernel, solve_affine, solve_ints,
 )
 
 from helpers import (
@@ -155,8 +155,9 @@ def test_sparse_kernel_matches_dense_oracle(shape, data):
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices(), st.data())
 def test_later_solves_on_one_matrix_match_dense_oracle(m, data):
-    # the first solve keeps the rows of m that raised its rank; later ones
-    # eliminate on those rows only and must still reject an inconsistent b
+    # the first solve factors m and keeps the factor on it; later ones
+    # substitute into that factor and must still reject an inconsistent b
+    factors = []
     for _ in range(data.draw(st.integers(2, 4), label="solves")):
         b = list(m.apply(tuple(data.draw(fractions) for _ in range(m.cols))))
         kind = data.draw(st.sampled_from(("consistent", "one entry off", "any")), label="kind")
@@ -165,7 +166,8 @@ def test_later_solves_on_one_matrix_match_dense_oracle(m, data):
         elif kind == "any":
             b = [data.draw(fractions) for _ in range(m.rows)]
         assert solve_affine(m, tuple(b)) == dense_solve_affine(m, tuple(b))
-        assert "_solve_rows" in m.__dict__
+        factors.append(m.__dict__["_factor"])
+    assert all(f is factors[0] for f in factors)
 
 
 def test_solve_inconsistent_matches_dense_oracle():
@@ -253,6 +255,96 @@ def test_many_fractional_right_hand_sides_on_one_matrix(m, data):
         assert sol == dense_solve_affine(m, b)
         if sol is not None:
             assert m.apply(sol) == b
+
+
+@st.composite
+def int_row_matrices(draw, max_side=6):
+    """``(m, d)``: m from integer rows over a scale > 1, its columns drawn
+    from last to first as fresh, zero, a repeat of a later column or an
+    integer combination of later ones; d is a row made a combination of the
+    other rows (the column relations still hold), or None."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    small = st.integers(-4, 4)
+    columns: list[list[int]] = []
+    for _ in range(cols):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "combination")))
+        if kind == "zero" or (kind != "fresh" and not columns):
+            col = [0] * rows
+        elif kind == "repeat":
+            col = list(draw(st.sampled_from(columns)))
+        elif kind == "combination":
+            col = [0] * rows
+            for later in columns:
+                c = draw(small)
+                col = [x + c * y for x, y in zip(col, later)]
+        else:
+            col = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 7)),
+                                min_size=rows, max_size=rows))
+        columns.insert(0, col)
+    int_rows = [list(r) for r in zip(*columns)]
+    dependent = None
+    if rows > 1 and draw(st.booleans()):
+        dependent = draw(st.integers(0, rows - 1))
+        combo = [0] * cols
+        for i, row in enumerate(int_rows):
+            if i != dependent:
+                c = draw(small)
+                combo = [x + c * y for x, y in zip(combo, row)]
+        int_rows[dependent] = combo
+    scale = draw(st.integers(2, 12))
+    m = Matrix.from_int_rows([{j: x for j, x in enumerate(r) if x} for r in int_rows], scale, cols)
+    return m, dependent
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_row_matrices(), st.data())
+def test_factor_solves_integer_row_matrices_like_dense_oracle(md, data):
+    m, dependent = md
+    for _ in range(3):  # the first solve builds the factor, later ones reuse it
+        b = list(m.apply(tuple(data.draw(fractions) for _ in range(m.cols))))
+        off = dependent is not None and data.draw(st.booleans(), label="dependent row off")
+        if off:  # m x = b on every row but the one that depends on the others
+            b[dependent] += data.draw(fractions.filter(bool))
+        sol = solve_affine(m, tuple(b))
+        assert sol == dense_solve_affine(m, tuple(b))
+        assert (sol is None) == off
+        den = math.lcm(*(x.denominator for x in b))
+        nums = [int(x * den) for x in b]
+        ints = solve_ints(m, nums, den)
+        assert ints == solve_ints(m, [-x for x in nums], -den)
+        if ints is not None:
+            xs, q = ints
+            assert q > 0 and math.gcd(q, *xs) == 1
+            assert tuple(Fraction(x, q) for x in xs) == sol
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_factor_free_columns_are_the_reduced_echelon_non_pivots(shape, data):
+    m = data.draw(st.one_of(SHAPES[shape], degenerate_matrices(),
+                            int_row_matrices().map(lambda md: md[0])))
+    _ech, free = m._factor
+    assert free == tuple(j for j in range(m.cols) if j not in echelon(m).reduced())
+
+
+@pytest.mark.parametrize("m", [Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(2, 3),
+                               Matrix.from_rows([[0, 2, 0], [0, 1, 0]])],
+                         ids=["0x3", "3x0", "all zero", "zero columns"])
+def test_solve_edge_shapes_match_dense_oracle(m):
+    zero = (ZERO,) * m.rows
+    assert solve_affine(m, zero) == dense_solve_affine(m, zero) == (ZERO,) * m.cols
+    assert solve_ints(m, [0] * m.rows, 5) == ([0] * m.cols, 1)
+    assert m._factor[1] == tuple(j for j in range(m.cols) if j not in echelon(m).reduced())
+    if m.rows:
+        b = (ZERO,) * (m.rows - 1) + (Fraction(3, 2),)
+        assert solve_affine(m, b) == dense_solve_affine(m, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices())
+def test_solve_of_zero_is_zero(m):
+    assert solve_affine(m, (ZERO,) * m.rows) == (ZERO,) * m.cols
 
 
 @settings(max_examples=40, deadline=None)
