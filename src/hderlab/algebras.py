@@ -11,10 +11,11 @@ order 0 is what the input verifiers check, order s the deformation equations.
 
 ``LawTables`` evaluates both sides as packed integers (Kronecker
 substitution), in slots of a width B proven wide enough, so that comparing
-two integers decides every equation in them exactly.  The set-up takes one
-pass: one walk over each coefficient's entries gives its integer numerators
-and its norms (``_int_table``).  A command builds one table per pair:
-``hder._pair_reports`` judges both laws on it.
+two integers decides every equation in them exactly.  It is set up from
+integer forms: the one an algebra or a bimodule keeps (``int_form``, its
+numerators over their lcm denominator: the one read of its Fractions, and
+what it hashes), a map's ``int_rows``, or one form of a deformation's
+coefficients.  A command builds one table per pair (``hder._pair_reports``).
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import lshift, mul, or_
 
-from .exactlin import ONE, Matrix, ShapeError, Vector, ZERO, as_fractions, rat, rat_str
+from .exactlin import ONE, Matrix, ShapeError, Vector, ZERO, as_fractions, int_form, rat, rat_str
 
 Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -54,12 +55,13 @@ def tensor_values(t: Tensor3) -> tuple[Fraction, ...]:
 
 
 def _hash_once(self) -> int:
-    """``__hash__`` for a frozen dataclass: the hash of its field values,
-    computed on first use and kept, so that an ``lru_cache`` hit keyed on a
-    structure does not rehash every structure constant."""
+    """``__hash__`` for a frozen dataclass: the hash of its ``int_form`` in
+    place of its ``Tensor3`` fields, and of its other fields (a map through
+    ``Matrix.__hash__``), computed on first use and kept: no Fraction."""
     h = self.__dict__.get("_hash")
     if h is None:
-        h = self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        h = self.__dict__["_hash"] = hash((getattr(self, "int_form", None), *(
+            getattr(self, f.name) for f in fields(self) if f.type != "Tensor3")))
     return h
 
 
@@ -80,21 +82,23 @@ def _contract(t: Tensor3, x: Vector, y: Vector, n: int) -> Vector:
     return tuple(out)
 
 
-def _int_table(values, d: int, den: int, transpose: bool = False) -> tuple[list[int], int, int]:
-    """The numerators of ``values`` over ``den``, a multiple of every
-    denominator, and from the same pass mx, the largest |numerator|, and mx
-    times the most nonzeros of a length-d block, bounding its l1 norm.
-    With ``transpose``, a d x d matrix row by row comes out column by column."""
-    flat, counts, mx = [0] * len(values), [0] * (len(values) // d), 0
-    for pos, x in enumerate(values):
-        if x is not ZERO and x:  # parsed zeros are the shared ZERO: no Fraction call
-            if transpose:
-                pos = pos % d * d + pos // d
-            flat[pos] = v = x.numerator * (den // x.denominator)
+def _int_table(nums, d: int, mult: int = 1) -> tuple[list[int], int, int]:
+    """The integer numerators ``nums`` times ``mult``, and from the same pass
+    mx, the largest |numerator|, and mx times the most nonzeros of a
+    length-d block, bounding its l1 norm."""
+    flat, counts, mx = [0] * len(nums), [0] * (len(nums) // d), 0
+    for pos, x in enumerate(nums):
+        if x:
+            flat[pos] = v = x * mult
             if v > mx or -v > mx:
                 mx = abs(v)
             counts[pos // d] += 1
     return flat, mx, mx * max(counts, default=0)
+
+
+def _columns(m: Matrix) -> list[int]:
+    """The numerators of ``m.int_rows``, column by column."""
+    return [row.get(j, 0) for j in range(m.cols) for row in m.int_rows[0]]
 
 
 def _balanced_offset(bits: int, slots: int) -> int:
@@ -103,21 +107,22 @@ def _balanced_offset(bits: int, slots: int) -> int:
     return ((1 << bits * slots) - 1) // ((1 << bits) - 1) << bits - 1
 
 
-def _law_tables(d: int, products, series, transpose: bool = False) -> LawTables:
+def _law_tables(d: int, products, series) -> LawTables:
     """The law tables of the flat values of each mu_p and of each d_{k,s},
-    ``series[k - 1][s]``, column by column (row by row with ``transpose``),
-    over D, the lcm of their denominators."""
-    den = math.lcm(*{x.denominator for x in itertools.chain(*products, *itertools.chain(*series))
-                     if x is not ZERO})
-    tables = [[_int_table(v, d, den) for v in products],
-              [([den if b == c else 0 for c in range(d) for b in range(d)], den, den)]]
-    tables += [[_int_table(v, d, den, transpose) for v in ser] for ser in series]
-    return LawTables(d, den, tables)
+    ``series[k - 1][s]``, column by column, over D, the lcm of their
+    denominators: one ``int_form`` of them all."""
+    nums, den = int_form([*itertools.chain(*products, *itertools.chain(*series))])
+    cut = iter(nums)
+    return LawTables(d, den, [[(list(itertools.islice(cut, len(v))), 1) for v in ser]
+                             for ser in (products, *series)])
 
 
-def _pair_tables(t: Tensor3, maps=()) -> LawTables:
-    """The order-0 law tables of the product ``t`` and the maps d_1..d_N."""
-    return _law_tables(len(t), (tensor_values(t),), tuple((m.entries,) for m in maps), True)
+def _pair_tables(d: int, form: tuple, maps=()) -> LawTables:
+    """The order-0 law tables of a product given by its integer form (the
+    numerators [i][j][k] over their denominator) and of the maps d_1..d_N."""
+    nums, den = form
+    top = math.lcm(den, *(m.int_rows[1] for m in maps))
+    return LawTables(d, top, [[(nums, top // den)], *([(_columns(m), top // m.int_rows[1])] for m in maps)])
 
 
 def _times(vectors: list, weights) -> list[list[int]]:
@@ -170,7 +175,11 @@ class LawTables:
     of ``deform`` packs them entry by entry (``deform._Packed``).
     """
 
-    def __init__(self, dim: int, den: int, tables):
+    def __init__(self, dim: int, den: int, series):
+        """``series`` holds the members of mu, then of each d_k, as
+        ``(nums, mult)``: their numerators over ``den`` are nums * mult."""
+        tables = [[_int_table(nums, dim, mult) for nums, mult in ser] for ser in series]
+        tables.insert(1, [([den if b == c else 0 for c in range(dim) for b in range(dim)], den, den)])
         self.dim, self.den, self._tables = dim, den, tables
         self.order = len(tables[0]) - 1
         self.rank = len(tables) - 2
@@ -403,6 +412,11 @@ class Algebra:
         if self.unit_index is not None and not 0 <= self.unit_index < d:
             raise ShapeError(f"unit index {self.unit_index} out of range")
 
+    @cached_property
+    def int_form(self) -> tuple[tuple[int, ...], int]:
+        """``int_form`` of the structure constants, flat in [i][j][k] order."""
+        return int_form(tensor_values(self.c))
+
     @classmethod
     def from_table(cls, table, labels=None, unit_index=None) -> "Algebra":
         dim = len(table)
@@ -455,6 +469,12 @@ class Bimodule:
             if m.rows != self.mdim or m.cols != self.mdim:
                 raise ShapeError(f"module map {k} is {m.rows}x{m.cols}, expected {self.mdim}x{self.mdim}")
 
+    @cached_property
+    def int_form(self) -> tuple[tuple[int, ...], int]:
+        """``int_form`` of ``left`` then ``right``, each flat; the module maps
+        keep theirs, ``int_rows``."""
+        return int_form(tensor_values(self.left) + tensor_values(self.right))
+
     def basis_vector(self, a: int) -> Vector:
         return tuple(ONE if b == a else ZERO for b in range(self.mdim))
 
@@ -465,7 +485,7 @@ class Bimodule:
 
 def verify_algebra(alg: Algebra) -> CheckReport:
     """Associativity on all basis triples, plus unit laws when a unit is declared."""
-    return _algebra_report(alg, _pair_tables(alg.c))
+    return _algebra_report(alg, _pair_tables(alg.dim, alg.int_form))
 
 
 def _algebra_report(alg: Algebra, tables: LawTables) -> CheckReport:
@@ -489,10 +509,10 @@ def _algebra_report(alg: Algebra, tables: LawTables) -> CheckReport:
 
 def adjoint_bimodule(alg: Algebra, hder) -> Bimodule:
     """The algebra acting on itself, with the higher derivation as module maps."""
-    d = alg.dim
-    left = alg.c
-    right = alg.c
-    return Bimodule(d, left, right, tuple(hder.maps))
+    mod = Bimodule(alg.dim, alg.c, alg.c, tuple(hder.maps))
+    nums, den = alg.int_form
+    mod.__dict__["int_form"] = nums + nums, den  # the actions are the product, twice
+    return mod
 
 
 def trivial_bimodule(alg: Algebra, mdim: int, dmaps: tuple[Matrix, ...]) -> Bimodule:

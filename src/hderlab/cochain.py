@@ -23,10 +23,12 @@ Conventions, fixed once and used everywhere:
 * The stencil computes on integers.  With D_act the common denominator of
   the products, the actions and the module maps, and D_hd that of
   d_1, ..., d_N, every entry of the degree-n differential is an int over
-  S = D_act * D_hd^n.  ``differential_matrix`` keeps those ints as the
-  matrix's ``int_rows`` store, which elimination reads directly;
-  ``differential(c)`` sums ints over S times the common denominator of c
-  and builds a Fraction only for each output coordinate.
+  S = D_act * D_hd^n.  One table per pair holds them at degree 1, read
+  from the integer forms the structures keep; degree n scales it and S by
+  D_hd^(n-1), and reads it as it is when D_hd = 1.  ``differential_matrix``
+  keeps the ints as the matrix's ``int_rows`` store, which elimination reads
+  directly; ``differential(c)`` sums ints over S times the common
+  denominator of c and builds a Fraction only for each output coordinate.
 * Cochains vectorize main block first (row-major multi-index, module index
   fastest), then the parts for k = 1..N.
 * Degree-2 data has one type: a 2-cocycle twisting an extension and a
@@ -37,7 +39,6 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,8 +46,8 @@ from functools import cached_property, lru_cache
 
 from .algebras import Algebra, Bimodule
 from .exactlin import (
-    Kernel, Matrix, ShapeError, Vector, ZERO, as_fractions, common_denominator,
-    null_space, rank, require_image_in_kernel, solve_affine,
+    Kernel, Matrix, ShapeError, Vector, ZERO, as_fractions, int_form, null_space, rank,
+    require_image_in_kernel, solve_affine,
 )
 from .hder import HigherDerivation
 
@@ -187,13 +188,14 @@ def vector_to_cochain(dim: int, mdim: int, nrank: int, n: int, vec: Vector) -> C
 
 
 @lru_cache(maxsize=64)
-def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
+def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation) -> tuple:
     """The nonzero structure constants that ``_tuple_columns`` reads for the
-    degree-n differential, as integer numerators over one scale (cached, so
-    read-only).
+    degree-1 differential (``_degree`` scales them to degree n), as integer
+    numerators over one scale, from the integer forms of the structures:
+    one table per pair (cached, so read-only).
 
     D_act is the common denominator of the products, the actions and the
-    module maps, D_hd that of d_1, ..., d_N, and S = D_act * D_hd^n is the
+    module maps, D_hd that of d_1, ..., d_N, and S = D_act * D_hd is the
     scale of every column (the last entry of the tuple).  ``lefts[a]`` and
     ``rights[a]`` list ``(u, b, x)`` for x * D_hd / S the coefficient of m_b
     in e_u m_a and in m_a e_u; ``factors[r]`` lists ``(i, j, x)`` for x / S
@@ -203,29 +205,21 @@ def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
     d_q, and D_act times n row entries, are numerators over S as well.
     """
     d, md = alg.dim, mod.mdim
+    (anums, aden), (mnums, mden) = alg.int_form, mod.int_form
     dmaps = tuple(m.int_rows for m in mod.dmaps)
-    d_act = math.lcm(
-        common_denominator(x for m in alg.c for inner in m for x in inner),
-        common_denominator(x for t in (mod.left, mod.right) for m in t for inner in m
-                           for x in inner),
-        *(den for _, den in dmaps))
+    d_act = math.lcm(aden, mden, *(den for _, den in dmaps))
     maps = tuple(m.int_rows for m in hd.maps)
     d_hd = math.lcm(*(den for _, den in maps))
-    scale = d_act * d_hd ** n
-    act = scale // d_hd  # an action entry always meets one entry of a d_q
-
-    def num(x: Fraction, mult: int) -> int:
-        return x.numerator * (mult // x.denominator)
-
-    lefts = tuple([(u, b, num(x, act)) for u in range(d)
-                   for b, x in enumerate(mod.left[u][a]) if x] for a in range(md))
-    rights = tuple([(u, b, num(x, act)) for u in range(d)
-                    for b, x in enumerate(mod.right[a][u]) if x] for a in range(md))
+    scale, act, r0 = d_act * d_hd, d_act // mden, d * md * md  # right[a][u][b] is at r0 + (a d + u) md + b
+    lefts = tuple([(u, b, x * act) for u in range(d) for b in range(md)
+                   if (x := mnums[(u * md + a) * md + b])] for a in range(md))
+    rights = tuple([(u, b, x * act) for u in range(d) for b in range(md)
+                    if (x := mnums[r0 + (a * d + u) * md + b])] for a in range(md))
     factors: list[list] = [[] for _ in range(d)]
-    for i, j in itertools.product(range(d), repeat=2):
-        for r, x in enumerate(alg.c[i][j]):
-            if x:
-                factors[r].append((i, j, num(x, scale)))
+    for at, x in enumerate(anums):
+        if x:
+            ij, r = divmod(at, d)
+            factors[r].append((*divmod(ij, d), x * (scale // aden)))
     drows = (tuple({u: d_hd} for u in range(d)),) + tuple(
         tuple({i: x * (d_hd // den) for i, x in row.items()} for row in rows)
         for rows, den in maps)
@@ -237,6 +231,21 @@ def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
                 cols[a][b] = x * (scale // den)
         dmcols.append(cols)
     return d, md, hd.rank, lefts, rights, factors, drows, tuple(dmcols), d_act, scale
+
+
+def _degree(tables: tuple, n: int) -> tuple:
+    """The table of the degree-n differential: the pair's, ``_tables``, with
+    S and every numerator over it scaled by D_hd^(n-1), so S = D_act * D_hd^n;
+    the pair's own table when that factor is 1."""
+    d, md, nrank, lefts, rights, factors, drows, dmcols, d_act, scale = tables
+    f = (scale // d_act) ** (n - 1)
+    if f == 1:
+        return tables
+    lefts, rights = (tuple([(u, b, x * f) for u, b, x in at] for at in side)
+                     for side in (lefts, rights))
+    return (d, md, nrank, lefts, rights, [[(i, j, x * f) for i, j, x in at] for at in factors],
+            drows, tuple([{b: x * f for b, x in col.items()} for col in cols] for cols in dmcols),
+            d_act, scale * f)
 
 
 def _tuple_columns(tables: tuple, n: int, t: int, indices):
@@ -312,14 +321,13 @@ def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                          f"algebra of dim {alg.dim} with module dim {mod.mdim}")
     if n > 1 and len(c.parts) != hd.rank:
         raise ShapeError(f"cochain has {len(c.parts)} parts, rank is {hd.rank}")
-    tables = _tables(alg, mod, hd, n)
-    vec = cochain_to_vector(c)
-    den = common_denominator(vec)
+    tables = _degree(_tables(alg, mod, hd), n)
+    nums, den = int_form(cochain_to_vector(c))
     touched: dict[int, dict[int, int]] = {}  # tuple -> {a: numerator over den}
-    for p, v in enumerate(vec):
+    for p, v in enumerate(nums):
         if v:
             t, a = divmod(p, mod.mdim)
-            touched.setdefault(t, {})[a] = v.numerator * (den // v.denominator)
+            touched.setdefault(t, {})[a] = v
     out = [0] * cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1)
     for t, coeffs in touched.items():
         for a, column in _tuple_columns(tables, n, t, coeffs):
@@ -337,7 +345,7 @@ def differential_matrix(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     integer columns scattered into the rows of its ``int_rows`` store."""
     md = mod.mdim
     rows: list[dict[int, int]] = [{} for _ in range(cochain_dim(alg.dim, md, hd.rank, n + 1))]
-    tables = _tables(alg, mod, hd, n)
+    tables = _degree(_tables(alg, mod, hd), n)
     tuples = cochain_dim(alg.dim, 1, hd.rank, n)  # input basis tuples, mdim columns each
     for t in range(tuples):
         for a, column in _tuple_columns(tables, n, t, range(md)):

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_, sub
 
-from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _int_table,
-                       _law_tables, _times, adjoint_bimodule, tensor_values)
+from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _columns,
+                       _int_table, _law_tables, _times, adjoint_bimodule, tensor_values)
 from .cochain import (
     Cochain, MultiMap, differential, differential_matrix, matrix_to_multimap, preimage,
     vector_to_cochain, zero_cochain,
 )
-from .exactlin import Matrix, ShapeError, as_fractions, common_denominator, solve_ints
+from .exactlin import Matrix, ShapeError, as_fractions, solve_ints
 from .hder import HigherDerivation
 
 
@@ -256,8 +256,8 @@ def _gauge_members(gauge: GaugeMap, order: int) -> tuple[list, int]:
         raise ValueError("gauge must start at the identity")
     dim = gauge.dim
     phis = gauge.phis[:order + 1] + (Matrix.zeros(dim, dim),) * (order - gauge.order)
-    e = common_denominator(itertools.chain(*(m.entries for m in phis)))
-    return [_int_table(m.entries, dim, e, True)[0] for m in phis], e
+    e = math.lcm(*(m.int_rows[1] for m in phis))
+    return [_int_table(_columns(m), dim, e // m.int_rows[1])[0] for m in phis], e
 
 
 def _growth(members: list, e: int, dim: int, order: int) -> tuple[int, int]:

@@ -72,9 +72,11 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y, strict=True))
 
 
-def common_denominator(values) -> int:
-    """The lcm of the denominators of some rationals (1 for none)."""
-    return math.lcm(*{x.denominator for x in values})
+def int_form(values) -> tuple[tuple[int, ...], int]:
+    """The numerators of some rationals over the lcm of their denominators,
+    and that lcm: the integer form a structure makes once and keeps."""
+    den = math.lcm(*{x.denominator for x in values if x is not ZERO})  # parsed zeros are ZERO
+    return tuple([0 if x is ZERO else x.numerator * (den // x.denominator) for x in values]), den
 
 
 def as_fractions(numerators, q: int) -> tuple[Fraction, ...]:
@@ -117,7 +119,12 @@ class Matrix:
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        """The hash of ``int_rows`` over its lowest scale, so a matrix hashes
+        as its equals do whatever scale built it, without dense entries."""
+        rows, scale = self.int_rows
+        g = math.gcd(scale, *(x for row in rows for x in row.values()))
+        return hash((self.rows, self.cols, scale // g,
+                     *(frozenset((j, x // g) for j, x in row.items()) for row in rows)))
 
     def __repr__(self) -> str:
         return f"Matrix(rows={self.rows}, cols={self.cols}, entries={self.entries})"
@@ -174,10 +181,9 @@ class Matrix:
     def int_rows(self) -> tuple[tuple[dict[int, int], ...], int]:
         """``(rows, S)``: each row's nonzero entries as ``{column: x}`` with
         x an int, and entry (i, j) equal to ``rows[i][j] / S``."""
-        scale = common_denominator(self.entries)
+        nums, scale = int_form(self.entries)
         c = self.cols
-        return tuple({j: x.numerator * (scale // x.denominator)
-                      for j, x in enumerate(self.entries[i * c:(i + 1) * c]) if x}
+        return tuple({j: x for j, x in enumerate(nums[i * c:(i + 1) * c]) if x}
                      for i in range(self.rows)), scale
 
     def int_columns(self) -> list[dict[int, int]]:
@@ -314,9 +320,8 @@ class Echelon:
         """Reduce ``row`` (``{column: rational}``) against the stored pivots,
         smallest column first, and keep it if it survives; True when the
         rank grew."""
-        den = common_denominator(row.values())
-        return self._insert({j: x.numerator * (den // x.denominator)
-                             for j, x in row.items() if x}) is not None
+        nums = int_form(row.values())[0]
+        return self._insert({j: x for j, x in zip(row, nums) if x}) is not None
 
     def _insert(self, v: dict[int, int], end: float = math.inf) -> int | None:
         """``add`` for an integer row that the echelon may take over; the
@@ -446,8 +451,7 @@ def solve_affine(m: Matrix, b: Vector) -> Vector | None:
     before them, are the pivot columns of the reduced echelon form of
     [m | b]: x is the solution that form gives.
     """
-    den = common_denominator(b)
-    sol = solve_ints(m, [x.numerator * (den // x.denominator) if x else 0 for x in b], den)
+    sol = solve_ints(m, *int_form(b))
     return None if sol is None else as_fractions(*sol)
 
 

@@ -140,7 +140,7 @@ def verify_bimodule(alg: Algebra, hder: HigherDerivation, mod: Bimodule) -> Chec
         raise ShapeError(f"{hder.rank} module maps expected, got {len(mod.dmaps)}")
     d, md = alg.dim, mod.mdim
     total = semidirect(alg, hder, mod)
-    tables = _pair_tables(total.algebra.c, total.hder.maps)
+    tables = _pair_tables(total.algebra.dim, total.algebra.int_form, total.hder.maps)
 
     def failed(law, at, lhs, rhs, k):
         q = tables.scale(k)

@@ -18,9 +18,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract
-from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, vec_add
-from .hder import AssHDerPair, HigherDerivation, _leibniz_check, _morphism_law_terms
+from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract, _pair_tables, tensor_values
+from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, int_form, vec_add
+from .hder import AssHDerPair, HigherDerivation, _leibniz_report, _morphism_law_terms
 
 Word = tuple[int, ...]
 
@@ -213,4 +213,5 @@ def verify_liehder(pair: LieHDerPair) -> CheckReport:
             pair.bracket_vec(pair.bracket_vec(ek, ei), ej))
         if any(total):
             return CheckReport.failed("jacobi identity", (i, j, k), total, (ZERO,) * d)
-    return _leibniz_check(b, pair.maps, "lie higher derivation identity")
+    return _leibniz_report(_pair_tables(d, int_form(tensor_values(b)), pair.maps),
+                           "lie higher derivation identity")

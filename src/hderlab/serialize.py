@@ -16,9 +16,10 @@ the shared ``exactlin.ZERO``, which is written as "0" by identity.
 sort_keys=True)`` does, but encodes each list of strings with one C-level
 join, and hands the text to a ``write`` callable in pieces.  A
 :class:`Streamed` list is made and written one item at a time:
-``cohomology_to_json`` writes the cocycle basis from the sparse kernel form
-``rep.kernel``, formatting each entry x/q straight from the integers, so
-neither the Fraction basis nor the whole text exists at once.
+``cohomology_to_json`` writes each member of the cocycle basis as text made
+from the sparse kernel form ``rep.kernel``, cells quoted as they are made
+from the integers and every zero the one quoted "0", so neither the
+Fraction basis, nor a dict per cocycle, nor the whole text exists at once.
 """
 
 from __future__ import annotations
@@ -293,30 +294,35 @@ def extension_to_json(ext: ExtensionPair) -> dict:
 
 def cohomology_to_json(rep: CohomologyReport) -> dict:
     """The cohomology payload.  Its ``cocycle_basis`` is a :class:`Streamed`
-    list made from the sparse kernel form as it is written, and
-    ``rep.cocycle_basis`` is never built."""
+    list written as text made from the sparse kernel form, so neither
+    ``rep.cocycle_basis`` nor a dict of it is built; its ``items()`` make
+    ``cochain_to_json`` of each member, for a reader that wants the values."""
     return {
         "degree": rep.degree,
         "dim_cochains": rep.dim_cochains,
         "dim_cocycles": rep.dim_cocycles,
         "dim_coboundaries": rep.dim_coboundaries,
         "betti": rep.betti,
-        "cocycle_basis": Streamed(lambda: _cocycle_docs(rep)),
+        "cocycle_basis": Streamed(lambda: map(cochain_to_json, rep.cocycle_basis),
+                                  functools.partial(_cocycle_texts, rep)),
     }
 
 
-def _cocycle_docs(rep: CohomologyReport):
-    """``cochain_to_json`` of each member of ``rep.cocycle_basis`` in order,
-    made from the entries of ``rep.kernel`` with no Fraction in between."""
-    n = rep.degree
+def _cocycle_texts(rep: CohomologyReport, newline: str):
+    """The text of ``cochain_to_json`` of each member of ``rep.cocycle_basis``
+    at the indent ``newline`` ends with, from the entries of ``rep.kernel``
+    with no Fraction in between: cells quoted as they are made, every zero
+    the one ``'"0"'``, x/q in lowest terms as ``rat_str`` writes it."""
+    n, one = rep.degree, newline + "  "
     main, *parts = cochain_blocks(*rep.shape, n)
     for f, entries in rep.kernel.entries():
-        cells = ["0"] * rep.kernel.cols
-        cells[f] = "1"
+        cells = ['"0"'] * rep.kernel.cols
+        cells[f] = '"1"'
         for p, x, q in entries:
-            g = math.gcd(x, q)  # x/q in lowest terms, as rat_str writes it
-            cells[p] = str(x // g) if g == q else f"{x // g}/{q // g}"
-        yield {"main": cells[main], "n": n, "parts": [cells[b] for b in parts]}
+            g = math.gcd(x, q)
+            cells[p] = f'"{x // g}"' if g == q else f'"{x // g}/{q // g}"'
+        yield (f'{{{one}"main": {_json_list(cells[main], one)},{one}"n": {n},{one}"parts": '
+               f'{_json_list([_json_list(cells[b], one + "  ") for b in parts], one)}{newline}}}')
 
 
 def check_report_to_json(report) -> dict:
@@ -328,13 +334,15 @@ def check_report_to_json(report) -> dict:
 
 class Streamed:
     """A report list whose items are made as they are written: ``items()``
-    returns a fresh iterator over them.  :func:`write_report` takes one as
-    the whole document or as a dict value."""
+    returns a fresh iterator over them, and ``texts(newline)``, if given,
+    one over their JSON at the indent ``newline`` ends with, written as it
+    stands.  :func:`write_report` takes one as the whole document or as a
+    dict value."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "texts")
 
-    def __init__(self, items):
-        self.items = items
+    def __init__(self, items, texts=None):
+        self.items, self.texts = items, texts
 
     def __iter__(self):
         return self.items()
@@ -361,26 +369,29 @@ def write_report(doc, write, newline: str = "\n") -> None:
     elif isinstance(doc, Streamed):
         inner = newline + "  "
         head = "["
-        for item in doc:
-            write(f"{head}{inner}{_encode(item, inner)}")
+        for text in doc.texts(inner) if doc.texts else (_encode(item, inner) for item in doc):
+            write(f"{head}{inner}{text}")
             head = ","
         write("[]" if head == "[" else newline + "]")
     else:
         write(_encode(doc, newline))
 
 
+def _json_list(items, newline: str) -> str:
+    """A JSON list of encoded ``items`` (a nonempty iterable or a list)."""
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
+
+
 def _encode(obj, newline: str) -> str:
     """``obj`` as JSON; ``newline`` is a line break plus the current indent."""
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        if type(obj[0]) is str:
+        if obj and type(obj[0]) is str:
             try:
-                return f"[{inner}{(',' + inner).join(map(_quote, obj))}{newline}]"
+                return _json_list(map(_quote, obj), newline)
             except TypeError:  # not every item is a string
                 pass
-        return f"[{inner}{(',' + inner).join([_encode(x, inner) for x in obj])}{newline}]"
+        return _json_list([_encode(x, newline + "  ") for x in obj], newline)
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, dict):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -629,6 +630,60 @@ def differential_matrix_by_columns(alg: H.Algebra, mod: H.Bimodule,
         c = H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, unit)
         cols.append(H.cochain_to_vector(oracle_differential(alg, mod, hd, c)))
     return H.Matrix.from_columns(cols)
+
+
+def oracle_stencil_tables(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
+                          n: int) -> tuple:
+    """The table that ``cochain._tuple_columns`` reads for the degree-n
+    differential, built for that degree alone from the Fraction entries:
+    the reference for ``cochain._degree(cochain._tables(alg, mod, hd), n)``.
+
+    D_act is the common denominator of the products, the actions and the
+    module maps, D_hd that of d_1, ..., d_N, and S = D_act * D_hd^n is the
+    scale of every column (the last entry of the tuple).  ``lefts[a]`` and
+    ``rights[a]`` list ``(u, b, x)`` for x * D_hd / S the coefficient of m_b
+    in e_u m_a and in m_a e_u; ``factors[r]`` lists ``(i, j, x)`` for x / S
+    the coefficient of e_r in e_i e_j; ``drows[q][u]`` is row u of
+    D_hd * d_q as ``{i: x}``, with d_0 = id; ``dmcols[k - 1][a]`` is column a
+    of S * d_k^M as ``{b: x}``."""
+    def common_denominator(values):
+        return math.lcm(*{x.denominator for x in values})
+
+    d, md = alg.dim, mod.mdim
+    dmaps = tuple(m.int_rows for m in mod.dmaps)
+    d_act = math.lcm(
+        common_denominator(x for m in alg.c for inner in m for x in inner),
+        common_denominator(x for t in (mod.left, mod.right) for m in t for inner in m
+                           for x in inner),
+        *(den for _, den in dmaps))
+    maps = tuple(m.int_rows for m in hd.maps)
+    d_hd = math.lcm(*(den for _, den in maps))
+    scale = d_act * d_hd ** n
+    act = scale // d_hd  # an action entry always meets one entry of a d_q
+
+    def num(x: Fraction, mult: int) -> int:
+        return x.numerator * (mult // x.denominator)
+
+    lefts = tuple([(u, b, num(x, act)) for u in range(d)
+                   for b, x in enumerate(mod.left[u][a]) if x] for a in range(md))
+    rights = tuple([(u, b, num(x, act)) for u in range(d)
+                    for b, x in enumerate(mod.right[a][u]) if x] for a in range(md))
+    factors: list[list] = [[] for _ in range(d)]
+    for i, j in itertools.product(range(d), repeat=2):
+        for r, x in enumerate(alg.c[i][j]):
+            if x:
+                factors[r].append((i, j, num(x, scale)))
+    drows = (tuple({u: d_hd} for u in range(d)),) + tuple(
+        tuple({i: x * (d_hd // den) for i, x in row.items()} for row in rows)
+        for rows, den in maps)
+    dmcols = []
+    for rows, den in dmaps:
+        cols: list[dict] = [{} for _ in range(md)]
+        for b, row in enumerate(rows):
+            for a, x in row.items():
+                cols[a][b] = x * (scale // den)
+        dmcols.append(cols)
+    return d, md, hd.rank, lefts, rights, factors, drows, tuple(dmcols), d_act, scale
 
 
 def _series(defm: H.Deformation) -> tuple[list, list]:

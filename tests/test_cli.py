@@ -47,6 +47,8 @@ COMMANDS = [
     (["deform-trivialize", "tp3_wide_deform.json"], 0),
     (["free-tensor", "tensor_line.json"], 0),
     (["free-tensor", "tensor_line.json", "--degree", "3"], 0),
+    # M2(Q) at rank 2, degree 3: cocycles whose parts nest at both report indents
+    (["cohomology", "m2_e12_rank2.json", "--degree", "3"], 0),
 ]
 
 
@@ -81,6 +83,7 @@ REPORT_SHA256 = {
     "deform-trivialize tp3_wide_deform.json": "da584f071c15c0a8d33d10113746c4e4432984350972ce9a2c5b099198dff0e1",
     "free-tensor tensor_line.json": "d504e9876a85f6fee47f8fcd77440ce9ce8f1f6c10fbd7c9bf44b4676301ea1f",
     "free-tensor tensor_line.json --degree 3": "3e52e035418ba9554b6bce60f16f424fa86f05bfef8a05dbd66487f8dfdfb08e",
+    "cohomology m2_e12_rank2.json --degree 3": "db1175c6a4585cd55cd45bc76d78c1a6e4b0aaf6de62d726cad954d948d222fd",
 }
 
 
@@ -115,6 +118,7 @@ HUMAN_SHA256 = {
     "deform-trivialize tp3_wide_deform.json": "d280f92f9ee64011fa2b705f52a6cf7365ee9a6ed4a134bd4368d039648435a9",
     "free-tensor tensor_line.json": "1f320f3c950bb221f929d936ee9b6d304157ee0161fa1106d5de2377b979ec5a",
     "free-tensor tensor_line.json --degree 3": "c9ba4b0003b6f0f695c6ac6490415b69bcf6102d6395bda2af3a260f8d7fd56e",
+    "cohomology m2_e12_rank2.json --degree 3": "d8dd2d4633a817fb6851a965334f80c10d8af35aa1c5c38a317be3a172fdb08f",
 }
 
 

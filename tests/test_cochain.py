@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import hderlab as H
 from hderlab import cochain, exactlin, samples
 from hderlab.deform import product_multimap
+from hderlab.serialize import parse_algebra, parse_bimodule, tensor3_to_json
 
 from helpers import (
     betti2_by_rank_count, cochain_add, cochain_scale, cochains_equal, coefficient_fixtures,
     delta_hoch, delta_k, delta_prime, differential_matrix_by_columns, mm_add, mm_eval,
-    mm_scale, oracle_differential, rand_cochain, rand_fraction, rand_multimap, raw_coboundary,
+    mm_scale, oracle_differential, oracle_stencil_tables, rand_cochain, rand_fraction,
+    rand_multimap, raw_coboundary, rescaled_pair,
 )
 
 FIXTURES = coefficient_fixtures()
@@ -359,7 +361,9 @@ def test_integer_stencil_on_fractional_structure_constants():
     rng = random.Random(74)
     rescaled = [f for f in FIXTURES if f[0].startswith("poly3-rescaled/")]
     assert len(rescaled) == 2
-    den = exactlin.common_denominator
+    def den(values):  # the lcm of the denominators
+        return exactlin.int_form([*values])[1]
+
     for name, alg, hd, mod in rescaled:
         d_alg = den(x for t in alg.c for row in t for x in row)
         d_hd = den(x for m in hd.maps for x in m.entries)
@@ -399,3 +403,122 @@ def test_equal_structures_hash_equal_and_hit_the_cache():
     assert H.cochain_to_vector(H.differential(alg, mod, hd, c)) == m.apply(H.cochain_to_vector(c))
     info = cochain._tables.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def _tokens(values, rng: random.Random) -> list[str]:
+    """Each rational as a "p/q" token, p and q multiplied by 1 to 4: "2/4"
+    and "1/2" name one value."""
+    out = []
+    for x in values:
+        k = rng.randint(1, 4)
+        out.append(f"{x.numerator * k}/{x.denominator * k}")
+    return out
+
+
+def _tensor_tokens(t, rng: random.Random) -> list:
+    return [[_tokens(inner, rng) for inner in mid] for mid in t]
+
+
+def _hashed_without_fraction_hash(*structures) -> list[int]:
+    """``hash`` of each structure, failing if any Fraction is hashed."""
+    original = Fraction.__hash__
+    calls = []
+    Fraction.__hash__ = lambda self: calls.append(self) or original(self)
+    try:
+        hashes = [hash(x) for x in structures]
+    finally:
+        Fraction.__hash__ = original
+    assert calls == []
+    return hashes
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 6))
+def test_structures_from_every_route_share_one_integer_form_hash_and_cache_entry(seed, k):
+    # one pair reached three ways: tokens written over unreduced
+    # denominators ("2/4") against rat_str's ("1/2"), the maps as integer rows over
+    # k times their scale against Fraction rows, and the adjoint module
+    # against the same tensors read as a file bimodule
+    rng = random.Random(seed)
+    name, alg, hd, _mod = FIXTURES[rng.randrange(len(FIXTURES))]
+    alg, hd = rescaled_pair(alg, hd, tuple(Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2, 5)))
+                                           for _ in range(alg.dim)))
+    d = alg.dim
+    first = (parse_algebra({"dim": d, "table": tensor3_to_json(alg.c), "basis": list(alg.basis_labels)}),
+             H.adjoint_bimodule(alg, hd),
+             H.HigherDerivation(hd.rank, tuple(H.Matrix.from_rows([m.row(i) for i in range(d)])
+                                               for m in hd.maps)))
+    table = _tensor_tokens(alg.c, rng)
+    second = (parse_algebra({"dim": d, "table": table, "basis": list(alg.basis_labels)}),
+              parse_bimodule({"mdim": d, "left": table, "right": _tensor_tokens(alg.c, rng),
+                              "dmaps": [[_tokens(m.row(i), rng) for i in range(d)]
+                                        for m in hd.maps]}, d, hd.rank),
+              H.HigherDerivation(hd.rank, tuple(
+                  H.Matrix.from_int_rows([{j: x * k for j, x in row.items()} for row in m.int_rows[0]],
+                                         m.int_rows[1] * k, d) for m in hd.maps)))
+    hashes = [_hashed_without_fraction_hash(*first), _hashed_without_fraction_hash(*second)]
+    # a matrix hashes from its integer rows, without making dense entries
+    m = second[2].maps[0]
+    assert "entries" not in m.__dict__
+    assert hashes[0] == hashes[1], name
+    for a, b in zip(first, second):
+        assert a == b, name
+    assert first[0].int_form == second[0].int_form and first[1].int_form == second[1].int_form
+    H.differential_matrix.cache_clear()
+    dm = H.differential_matrix(first[0], first[1], first[2], 2)
+    assert H.differential_matrix(second[0], second[1], second[2], 2) is dm
+    hash(dm)
+    assert "entries" not in dm.__dict__
+    # one changed entry changes the form
+    i, j, c = (rng.randrange(d) for _ in range(3))
+    bumped = [[list(inner) for inner in mid] for mid in alg.c]
+    bumped[i][j][c] += Fraction(1, 3)
+    assert H.Algebra.from_table(bumped).int_form != first[0].int_form
+    assert H.Bimodule(d, alg.c, tuple(tuple(map(tuple, mid)) for mid in bumped), hd.maps).int_form \
+        != first[1].int_form
+    rows = [list(m.row(r)) for r in range(d)]
+    rows[i][j] += 1
+    assert H.Matrix.from_rows(rows).int_rows != m.int_rows
+
+
+@pytest.mark.parametrize("name,alg,hd,mod", FIXTURES, ids=[f[0] for f in FIXTURES])
+def test_stencil_tables_match_the_per_degree_oracle(name, alg, hd, mod):
+    pair = cochain._tables(alg, mod, hd)
+    d_hd = pair[-1] // pair[-2]
+    for n in range(1, 5):
+        table = cochain._degree(pair, n)
+        assert table == oracle_stencil_tables(alg, mod, hd, n), (name, n)
+        assert (table is pair) == (n == 1 or d_hd == 1), (name, n)
+
+
+def _rational_tokens(rng: random.Random, count: int, dens) -> list[str]:
+    return [f"{rng.randint(-9, 9) if rng.random() < 0.6 else 0}/{rng.choice(dens)}"
+            for _ in range(count)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(2, 3))
+def test_stencil_tables_scale_with_the_degree_when_the_maps_have_denominators(seed, dim, rank):
+    # d_k = d1^k / k! has denominators from rank 2 on, so the degree-n
+    # table is the pair's scaled by D_hd^(n-1) > 1; the module is a file
+    # bimodule whose entries have denominators of their own (3, 7, 9)
+    rng = random.Random(seed)
+    base = samples.truncated_polynomials(dim)
+    # an odd numerator: d_2 = d1^2 / 2 has an even denominator
+    d1 = samples.euler_matrix(dim).scale(Fraction(rng.choice((1, 3)), rng.choice((1, 2, 5))))
+    alg, hd = rescaled_pair(base, H.ordinary_hder(base, d1, rank),
+                            tuple(Fraction(rng.choice((1, -1, 3)), rng.choice((1, 2))) for _ in range(dim)))
+    md = rng.randint(1, 3)
+
+    def tensor(a, b, c):
+        return [[_rational_tokens(rng, c, (1, 3, 7, 9)) for _ in range(b)] for _ in range(a)]
+
+    mod = parse_bimodule({"mdim": md, "left": tensor(dim, md, md), "right": tensor(md, dim, md),
+                          "dmaps": [[_rational_tokens(rng, md, (1, 3, 7)) for _ in range(md)]
+                                    for _ in range(rank)]}, dim, rank)
+    pair = cochain._tables(alg, mod, hd)
+    assert pair[-1] // pair[-2] > 1  # D_hd
+    for n in range(1, 5):
+        table = cochain._degree(pair, n)
+        assert table == oracle_stencil_tables(alg, mod, hd, n), n
+        assert (table is pair) == (n == 1)
