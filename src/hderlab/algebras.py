@@ -13,8 +13,8 @@ order 0 is what the input verifiers check, order s the deformation equations.
 substitution), in slots of a width B proven wide enough, so that comparing
 two integers decides every equation in them exactly.  It is set up from
 integer forms: the one an algebra or a bimodule keeps (``int_form``, its
-numerators over their lcm denominator: the one read of its Fractions, and
-what it hashes), a map's ``int_rows``, or one form of a deformation's
+numerators over their lcm denominator, made once and what it hashes), a
+map's ``int_rows``, or one form of a deformation's
 coefficients.  A command builds one table per pair (``hder._pair_reports``).
 
 The bimodule laws are the same two laws on the semidirect product A + M,
