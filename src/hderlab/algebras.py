@@ -11,11 +11,12 @@ order 0 is what the input verifiers check, order s the deformation equations.
 
 ``LawTables`` evaluates both sides as packed integers (Kronecker
 substitution), in slots of a width B proven wide enough, so that comparing
-two integers decides every equation in them exactly.  It is set up from
-integer forms: the one an algebra or a bimodule keeps (``int_form``, its
-numerators over their lcm denominator, made once and what it hashes), a
-map's ``int_rows``, or one form of a deformation's
-coefficients.  A command builds one table per pair (``hder._pair_reports``).
+two integers decides every equation in them exactly.  A pair's tables are
+set up from integer forms: the one an algebra or a bimodule keeps
+(``int_form``, its numerators over their lcm denominator, made once and
+what it hashes) and a map's ``int_rows``; a deformation's coefficients are
+read once, over the lcm of their denominators.  A command builds one table
+per pair (``hder._pair_reports``).
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -82,14 +83,15 @@ def _contract(t: Tensor3, x: Vector, y: Vector, n: int) -> Vector:
     return tuple(out)
 
 
-def _int_table(nums, d: int, mult: int = 1) -> tuple[list[int], int, int]:
-    """The integer numerators ``nums`` times ``mult``, and from the same pass
-    mx, the largest |numerator|, and mx times the most nonzeros of a
+def _int_table(values, d: int, mult: int = 1) -> tuple[list[int], int, int]:
+    """The integers x * ``mult`` for the rationals x of ``values`` (ints, or
+    Fractions whose denominators divide ``mult``), and from the same pass
+    mx, the largest |x * mult|, and mx times the most nonzeros of a
     length-d block, bounding its l1 norm."""
-    flat, counts, mx = [0] * len(nums), [0] * (len(nums) // d), 0
-    for pos, x in enumerate(nums):
-        if x:
-            flat[pos] = v = x * mult
+    flat, counts, mx = [0] * len(values), [0] * (len(values) // d), 0
+    for pos, x in enumerate(values):
+        if x is not ZERO and x:  # parsed zeros are the shared ZERO: no Fraction call
+            flat[pos] = v = x.numerator * (mult // x.denominator)
             if v > mx or -v > mx:
                 mx = abs(v)
             counts[pos // d] += 1
@@ -110,11 +112,10 @@ def _balanced_offset(bits: int, slots: int) -> int:
 def _law_tables(d: int, products, series) -> LawTables:
     """The law tables of the flat values of each mu_p and of each d_{k,s},
     ``series[k - 1][s]``, column by column, over D, the lcm of their
-    denominators: one ``int_form`` of them all."""
-    nums, den = int_form([*itertools.chain(*products, *itertools.chain(*series))])
-    cut = iter(nums)
-    return LawTables(d, den, [[(list(itertools.islice(cut, len(v))), 1) for v in ser]
-                             for ser in (products, *series)])
+    denominators, each value read once (``_int_table``)."""
+    den = math.lcm(*{x.denominator for x in itertools.chain(*products, *itertools.chain(*series))
+                     if x is not ZERO})
+    return LawTables(d, den, [[(v, den) for v in ser] for ser in (products, *series)])
 
 
 def _pair_tables(d: int, form: tuple, maps=()) -> LawTables:
@@ -177,8 +178,8 @@ class LawTables:
 
     def __init__(self, dim: int, den: int, series):
         """``series`` holds the members of mu, then of each d_k, as
-        ``(nums, mult)``: their numerators over ``den`` are nums * mult."""
-        tables = [[_int_table(nums, dim, mult) for nums, mult in ser] for ser in series]
+        ``(values, mult)``: their numerators over ``den`` are values * mult."""
+        tables = [[_int_table(values, dim, mult) for values, mult in ser] for ser in series]
         tables.insert(1, [([den if b == c else 0 for c in range(dim) for b in range(dim)], den, den)])
         self.dim, self.den, self._tables = dim, den, tables
         self.order = len(tables[0]) - 1
@@ -509,10 +510,7 @@ def _algebra_report(alg: Algebra, tables: LawTables) -> CheckReport:
 
 def adjoint_bimodule(alg: Algebra, hder) -> Bimodule:
     """The algebra acting on itself, with the higher derivation as module maps."""
-    mod = Bimodule(alg.dim, alg.c, alg.c, tuple(hder.maps))
-    nums, den = alg.int_form
-    mod.__dict__["int_form"] = nums + nums, den  # the actions are the product, twice
-    return mod
+    return Bimodule(alg.dim, alg.c, alg.c, tuple(hder.maps))
 
 
 def trivial_bimodule(alg: Algebra, mdim: int, dmaps: tuple[Matrix, ...]) -> Bimodule:

@@ -23,9 +23,9 @@ Conventions, fixed once and used everywhere:
 * The stencil computes on integers.  With D_act the common denominator of
   the products, the actions and the module maps, and D_hd that of
   d_1, ..., d_N, every entry of the degree-n differential is an int over
-  S = D_act * D_hd^n.  One table per pair holds them at degree 1, read
-  from the integer forms the structures keep; degree n scales it and S by
-  D_hd^(n-1), and reads it as it is when D_hd = 1.  ``differential_matrix``
+  S = D_act * D_hd^n.  One table per pair and degree holds them, read
+  from the integer forms the structures keep, so no Fraction of the
+  structures is read to build it.  ``differential_matrix``
   keeps the ints as the matrix's ``int_rows`` store, which elimination reads
   directly; ``differential(c)`` sums ints over S times the common
   denominator of c and builds a Fraction only for each output coordinate.
@@ -188,14 +188,13 @@ def vector_to_cochain(dim: int, mdim: int, nrank: int, n: int, vec: Vector) -> C
 
 
 @lru_cache(maxsize=64)
-def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation) -> tuple:
+def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
     """The nonzero structure constants that ``_tuple_columns`` reads for the
-    degree-1 differential (``_degree`` scales them to degree n), as integer
-    numerators over one scale, from the integer forms of the structures:
-    one table per pair (cached, so read-only).
+    degree-n differential, as integer numerators over one scale, from the
+    integer forms of the structures (cached, so read-only).
 
     D_act is the common denominator of the products, the actions and the
-    module maps, D_hd that of d_1, ..., d_N, and S = D_act * D_hd is the
+    module maps, D_hd that of d_1, ..., d_N, and S = D_act * D_hd^n is the
     scale of every column (the last entry of the tuple).  ``lefts[a]`` and
     ``rights[a]`` list ``(u, b, x)`` for x * D_hd / S the coefficient of m_b
     in e_u m_a and in m_a e_u; ``factors[r]`` lists ``(i, j, x)`` for x / S
@@ -210,7 +209,8 @@ def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation) -> tuple:
     d_act = math.lcm(aden, mden, *(den for _, den in dmaps))
     maps = tuple(m.int_rows for m in hd.maps)
     d_hd = math.lcm(*(den for _, den in maps))
-    scale, act, r0 = d_act * d_hd, d_act // mden, d * md * md  # right[a][u][b] is at r0 + (a d + u) md + b
+    scale = d_act * d_hd ** n
+    act, r0 = scale // d_hd // mden, d * md * md  # right[a][u][b] is at r0 + (a d + u) md + b
     lefts = tuple([(u, b, x * act) for u in range(d) for b in range(md)
                    if (x := mnums[(u * md + a) * md + b])] for a in range(md))
     rights = tuple([(u, b, x * act) for u in range(d) for b in range(md)
@@ -231,21 +231,6 @@ def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation) -> tuple:
                 cols[a][b] = x * (scale // den)
         dmcols.append(cols)
     return d, md, hd.rank, lefts, rights, factors, drows, tuple(dmcols), d_act, scale
-
-
-def _degree(tables: tuple, n: int) -> tuple:
-    """The table of the degree-n differential: the pair's, ``_tables``, with
-    S and every numerator over it scaled by D_hd^(n-1), so S = D_act * D_hd^n;
-    the pair's own table when that factor is 1."""
-    d, md, nrank, lefts, rights, factors, drows, dmcols, d_act, scale = tables
-    f = (scale // d_act) ** (n - 1)
-    if f == 1:
-        return tables
-    lefts, rights = (tuple([(u, b, x * f) for u, b, x in at] for at in side)
-                     for side in (lefts, rights))
-    return (d, md, nrank, lefts, rights, [[(i, j, x * f) for i, j, x in at] for at in factors],
-            drows, tuple([{b: x * f for b, x in col.items()} for col in cols] for cols in dmcols),
-            d_act, scale * f)
 
 
 def _tuple_columns(tables: tuple, n: int, t: int, indices):
@@ -321,7 +306,7 @@ def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                          f"algebra of dim {alg.dim} with module dim {mod.mdim}")
     if n > 1 and len(c.parts) != hd.rank:
         raise ShapeError(f"cochain has {len(c.parts)} parts, rank is {hd.rank}")
-    tables = _degree(_tables(alg, mod, hd), n)
+    tables = _tables(alg, mod, hd, n)
     nums, den = int_form(cochain_to_vector(c))
     touched: dict[int, dict[int, int]] = {}  # tuple -> {a: numerator over den}
     for p, v in enumerate(nums):
@@ -345,7 +330,7 @@ def differential_matrix(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     integer columns scattered into the rows of its ``int_rows`` store."""
     md = mod.mdim
     rows: list[dict[int, int]] = [{} for _ in range(cochain_dim(alg.dim, md, hd.rank, n + 1))]
-    tables = _degree(_tables(alg, mod, hd), n)
+    tables = _tables(alg, mod, hd, n)
     tuples = cochain_dim(alg.dim, 1, hd.rank, n)  # input basis tuples, mdim columns each
     for t in range(tuples):
         for a, column in _tuple_columns(tables, n, t, range(md)):

@@ -635,8 +635,8 @@ def differential_matrix_by_columns(alg: H.Algebra, mod: H.Bimodule,
 def oracle_stencil_tables(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
                           n: int) -> tuple:
     """The table that ``cochain._tuple_columns`` reads for the degree-n
-    differential, built for that degree alone from the Fraction entries:
-    the reference for ``cochain._degree(cochain._tables(alg, mod, hd), n)``.
+    differential, built from the Fraction entries: the reference for
+    ``cochain._tables(alg, mod, hd, n)``, which reads the integer forms.
 
     D_act is the common denominator of the products, the actions and the
     module maps, D_hd that of d_1, ..., d_N, and S = D_act * D_hd^n is the
