@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import lshift, mul, or_
 
-from .exactlin import ONE, Matrix, ShapeError, Vector, ZERO, as_fractions, int_form, rat, rat_str
+from .exactlin import ONE, Matrix, ShapeError, Value, Vector, ZERO, as_fractions, int_form, rat, rat_str
 
 Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -56,13 +55,14 @@ def tensor_values(t: Tensor3) -> tuple[Fraction, ...]:
 
 
 def _hash_once(self) -> int:
-    """``__hash__`` for a frozen dataclass: the hash of its ``int_form`` in
-    place of its ``Tensor3`` fields, and of its other fields (a map through
+    """``__hash__`` for a value class: the hash of its ``int_form`` in place
+    of its ``Tensor3`` fields, and of its other fields (a map through
     ``Matrix.__hash__``), computed on first use and kept: no Fraction."""
     h = self.__dict__.get("_hash")
     if h is None:
         h = self.__dict__["_hash"] = hash((getattr(self, "int_form", None), *(
-            getattr(self, f.name) for f in fields(self) if f.type != "Tensor3")))
+            self.__dict__[name] for name in self._fields
+            if type(self).__annotations__[name] != "Tensor3")))
     return h
 
 
@@ -358,8 +358,7 @@ class LawTables:
                      for side in self.sides(k))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """First failing instance of a law, in lexicographic scan order."""
 
     law: str
@@ -378,8 +377,7 @@ def _fmt(values) -> str:
     return ", ".join(rat_str(x) for x in values)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     ok: bool
     violation: Violation | None = None
 
@@ -392,8 +390,7 @@ class CheckReport:
         return cls(False, Violation(law, at, lhs, rhs))
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Value):
     """Associative algebra by structure constants c[i][j][k]."""
 
     dim: int
@@ -449,8 +446,7 @@ class Algebra:
         return Matrix.from_columns(cols)
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(Value):
     """Bimodule with module-side derivation maps.
 
     ``left[i][a][b]`` is the coefficient of m_b in e_i * m_a, and
@@ -497,14 +493,16 @@ def _algebra_report(alg: Algebra, tables: LawTables) -> CheckReport:
         at, lhs, rhs = bad
         q = tables.scale(0)
         return CheckReport.failed("associativity", at, as_fractions(lhs, q), as_fractions(rhs, q))
-    c, u = alg.c, alg.unit_index
-    if u is not None:
-        for j in range(alg.dim):
-            ej = alg.basis_vector(j)
-            if c[u][j] != ej:
-                return CheckReport.failed("left unit law", (u, j), c[u][j], ej)
-            if c[j][u] != ej:
-                return CheckReport.failed("right unit law", (j, u), c[j][u], ej)
+    u = alg.unit_index
+    if u is not None:  # e_u e_j and e_j e_u read off the integer form: den at k = j, else 0
+        d, (nums, den) = alg.dim, alg.int_form
+        for j in range(d):
+            ej = (0,) * j + (den,) + (0,) * (d - j - 1)
+            for law, at, start in (("left unit law", (u, j), (u * d + j) * d),
+                                   ("right unit law", (j, u), (j * d + u) * d)):
+                if nums[start:start + d] != ej:
+                    return CheckReport.failed(law, at, as_fractions(nums[start:start + d], den),
+                                              alg.basis_vector(j))
     return CheckReport.passed()
 
 

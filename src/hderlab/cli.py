@@ -12,9 +12,12 @@ option names from ``SUBCOMMANDS``, each with a value that does not start
 with "-") is matched against that table without argparse.  Any other argv,
 help and every error among them, goes to the argparse parser of all
 subcommands (``build_parser``), so usage, help and error text and their exit
-codes are exactly argparse's; argparse is imported only then.  A command
-that reads a pair judges the algebra and the higher derivation on one law
-table (``hder._pair_reports``).
+codes are exactly argparse's; argparse is imported only then.  At import
+the module loads only what every command reads: ``exactlin`` and
+``serialize``, which imports ``algebras``, ``hder`` and ``cochain``.  A
+handler that needs ``deform``, ``extensions`` or ``freecons`` imports it.
+A command that reads a pair judges the algebra and the higher derivation
+on one law table (``hder._pair_reports``).
 
 ``--json`` selects the machine format.  JSON reports are byte-identical
 across runs for identical inputs: solver outputs are canonical, key order
@@ -39,13 +42,7 @@ from types import SimpleNamespace
 
 from .algebras import adjoint_bimodule, trivial_bimodule, verify_algebra
 from .cochain import NotACocycleError, cocycle_preimage, cohomology
-from .deform import extend_to, obstruction, trivialize, verify_deformation
 from .exactlin import Matrix, ShapeError
-from .extensions import (
-    SectionError, classify_central, cocycle_from_section, extension_from_cocycle,
-    verify_bimodule,
-)
-from .freecons import induced_tensor_hder
 from .hder import _pair_reports, verify_hder
 from .serialize import (
     ParseError, check_report_to_json, cochain_to_json, cohomology_to_json,
@@ -139,6 +136,7 @@ def _structures(doc, coefficients: str, who: str):
         raise ParseError(f"{who} needs a 'bimodule' section")
     _guard(mdim=mod.mdim)
     if coefficients == "file":
+        from .extensions import verify_bimodule
         _require("bimodule", verify_bimodule(alg, hd, mod))
     return alg, hd, mod
 
@@ -173,6 +171,7 @@ def cmd_check(doc, args):
     else:
         record("algebra", verify_algebra(alg))
     if "bimodule" in doc:
+        from .extensions import verify_bimodule
         if hd is None:
             raise ParseError("a 'bimodule' section needs an 'hder' section")
         mod = parse_bimodule(doc["bimodule"], alg.dim, hd.rank)
@@ -191,6 +190,7 @@ def cmd_cohomology(doc, args):
 
 
 def cmd_classify_central(doc, args):
+    from .extensions import classify_central
     coefficients = "file" if "bimodule" in doc else "trivial"
     alg, hd, mod = _structures(doc, coefficients, args.command)
     if not mod.has_zero_actions():
@@ -204,6 +204,7 @@ def cmd_classify_central(doc, args):
 
 
 def cmd_extend_abelian(doc, args):
+    from .extensions import extension_from_cocycle
     alg, hd, mod, z = _extension_inputs(doc, args)
     try:
         ext = extension_from_cocycle(alg, hd, mod, z)
@@ -217,6 +218,7 @@ def cmd_extend_abelian(doc, args):
 
 
 def cmd_cocycle_from_section(doc, args):
+    from .extensions import SectionError, cocycle_from_section, extension_from_cocycle
     alg, hd, mod, z = _extension_inputs(doc, args)
     ext = extension_from_cocycle(alg, hd, mod, z)
     section = None
@@ -236,6 +238,7 @@ def _deformation(doc, alg, hd):
 
 
 def cmd_deform_verify(doc, args):
+    from .deform import verify_deformation
     alg, hd = _algebra_hder(doc)
     defm = _deformation(doc, alg, hd)
     rep = verify_deformation(alg, hd, defm)
@@ -244,6 +247,7 @@ def cmd_deform_verify(doc, args):
 
 
 def cmd_deform_obstruct(doc, args):
+    from .deform import obstruction
     alg, hd = _algebra_hder(doc)
     defm = _deformation(doc, alg, hd)
     ob = obstruction(alg, hd, defm)
@@ -258,6 +262,7 @@ def cmd_deform_obstruct(doc, args):
 
 
 def cmd_deform_extend(doc, args):
+    from .deform import extend_to
     alg, hd = _algebra_hder(doc)
     defm = _deformation(doc, alg, hd)
     target = args.to if args.to is not None else defm.order + 1
@@ -276,6 +281,7 @@ def cmd_deform_extend(doc, args):
 
 
 def cmd_deform_trivialize(doc, args):
+    from .deform import trivialize
     if args.to is not None and args.to < 0:
         raise UnverifiedInput(f"deform-trivialize needs --to >= 0, got {args.to}")
     alg, hd = _algebra_hder(doc)
@@ -293,6 +299,7 @@ def cmd_deform_trivialize(doc, args):
 
 
 def cmd_free_tensor(doc, args):
+    from .freecons import induced_tensor_hder
     vdim, degree, thetas = parse_tensor_section(_section(doc, "tensor"))
     if args.degree is not None:
         degree = args.degree
@@ -422,7 +429,7 @@ def main(argv=None) -> int:
     except (ParseError, ShapeError, CapExceeded, UnverifiedInput) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotACocycleError, ValueError) as exc:
+    except ValueError as exc:
         # well-formed input, mathematically rejected (not a cocycle, not a
         # section, an unverified deformation, ...)
         elapsed = int((time.perf_counter() - start) * 1000)

@@ -40,13 +40,12 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algebras import Algebra, Bimodule
 from .exactlin import (
-    Kernel, Matrix, ShapeError, Vector, ZERO, as_fractions, int_form, null_space, rank,
+    Kernel, Matrix, ShapeError, Value, Vector, ZERO, as_fractions, int_form, null_space, rank,
     require_image_in_kernel, solve_affine,
 )
 from .hder import HigherDerivation
@@ -56,8 +55,7 @@ class NotACocycleError(ValueError):
     """An input that must be killed by the differential is not."""
 
 
-@dataclass(frozen=True)
-class MultiMap:
+class MultiMap(Value):
     """Multilinear map A^{x arity} -> M as a flat row-major value tensor.
 
     ``values[(((i1*dim + i2)*dim + ...)*dim + i_n)*mdim + b]`` is the b-th
@@ -114,8 +112,7 @@ def multimap_to_matrix(mm: MultiMap) -> Matrix:
     return Matrix(mm.dim, mm.mdim, mm.values).transpose()
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Value):
     """(f; f_1, ..., f_N) for degree >= 2; a bare linear map in degree 1."""
 
     main: MultiMap
@@ -341,8 +338,7 @@ def differential_matrix(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     return Matrix.from_int_rows(rows, tables[-1], tuples * md)
 
 
-@dataclass(frozen=True, eq=False)
-class CohomologyReport:
+class CohomologyReport(Value):
     """H^n in one degree.  The cocycles are kept in sparse form, ``kernel``
     (the reduced integer rows of the differential and its free columns), on
     the cochain shape ``(dim, mdim, nrank)``; ``cocycle_basis`` is built
@@ -354,8 +350,8 @@ class CohomologyReport:
     dim_cocycles: int
     dim_coboundaries: int
     betti: int
-    shape: tuple[int, int, int] = field(repr=False)
-    kernel: Kernel = field(repr=False)
+    shape: tuple[int, int, int]
+    kernel: Kernel
 
     @cached_property
     def cocycle_basis(self) -> tuple[Cochain, ...]:
@@ -373,6 +369,10 @@ class CohomologyReport:
 
     def __hash__(self) -> int:
         return hash(self._public())
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields[:5])
+        return f"CohomologyReport({counts})"
 
 
 def cohomology(alg: Algebra, mod: Bimodule, hd: HigherDerivation, degree: int,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_, sub
 
@@ -38,12 +37,11 @@ from .cochain import (
     Cochain, MultiMap, differential, differential_matrix, matrix_to_multimap, preimage,
     vector_to_cochain, zero_cochain,
 )
-from .exactlin import Matrix, ShapeError, as_fractions, solve_ints
+from .exactlin import Matrix, ShapeError, Value, as_fractions, solve_ints
 from .hder import HigherDerivation
 
 
-@dataclass(frozen=True)
-class Deformation:
+class Deformation(Value):
     """Coefficients ``coeffs[s]`` = (mu_s; d_{1,s}, ..., d_{N,s}) for
     s = 0..order, each a 2-cochain with self coefficients."""
 
@@ -78,8 +76,7 @@ class Deformation:
                             for k in range(self.rank)])
 
 
-@dataclass(frozen=True)
-class GaugeMap:
+class GaugeMap(Value):
     """Truncated formal isomorphism: dim x dim matrices (Phi_0 = id, Phi_1,
     ..., Phi_T); the operations check Phi_0 = id."""
 
@@ -375,8 +372,7 @@ def _known_defect(defm: Deformation, known=None) -> Cochain:
     return vector_to_cochain(defm.dim, defm.dim, defm.rank, 3, defect)
 
 
-@dataclass(frozen=True)
-class ExtendOutcome:
+class ExtendOutcome(Value):
     """Next-order candidate when one exists; the obstruction either way."""
 
     candidate: Cochain | None
@@ -451,8 +447,7 @@ def truncate_deformation(defm: Deformation, order: int) -> Deformation:
     return Deformation(defm.coeffs[:order + 1])
 
 
-@dataclass(frozen=True)
-class TrivializeOutcome:
+class TrivializeOutcome(Value):
     """Either the trivializing gauge, or the order and class that block it."""
 
     gauge: GaugeMap | None

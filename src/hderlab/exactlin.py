@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 Vector = tuple[Fraction, ...]
 
@@ -82,6 +83,61 @@ def int_form(values) -> tuple[tuple[int, ...], int]:
 def as_fractions(numerators, q: int) -> tuple[Fraction, ...]:
     """The Fractions x/q for a sequence of integer numerators x."""
     return tuple(Fraction(x, q) if x else ZERO for x in numerators)
+
+
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the frozen value classes, generating no code: the fields are a
+    subclass's own annotations, in order, with class-level defaults, taken by
+    position or keyword before ``__post_init__`` runs; ==, hash and repr read
+    them as a frozen dataclass's do, and assignment raises AttributeError."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        key = attrgetter(*cls._fields)
+        cls._key = staticmethod(key if len(cls._fields) > 1 else lambda self: (key(self),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):  # not __dict__: a made dict slows later reads
+            _set(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The fields' values, in order, from the arguments and the defaults."""
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or values.keys() != set(names) or not kwargs.keys().isdisjoint(
+                names[:len(args)]):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        return [values[name] for name in names]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Matrix:
@@ -180,11 +236,15 @@ class Matrix:
     @cached_property
     def int_rows(self) -> tuple[tuple[dict[int, int], ...], int]:
         """``(rows, S)``: each row's nonzero entries as ``{column: x}`` with
-        x an int, and entry (i, j) equal to ``rows[i][j] / S``."""
-        nums, scale = int_form(self.entries)
-        c = self.cols
-        return tuple({j: x for j, x in enumerate(nums[i * c:(i + 1) * c]) if x}
-                     for i in range(self.rows)), scale
+        x an int, and entry (i, j) equal to ``rows[i][j] / S``, S the lcm of
+        the denominators; one pass scatters the nonzero numerators."""
+        entries, c = self.entries, self.cols
+        scale = math.lcm(*{x.denominator for x in entries if x is not ZERO})
+        rows = [{} for _ in range(self.rows)]
+        for pos, x in enumerate(entries):
+            if x is not ZERO and (v := x.numerator):
+                rows[pos // c][pos % c] = v * (scale // x.denominator)
+        return tuple(rows), scale
 
     def int_columns(self) -> list[dict[int, int]]:
         """The integer store read by columns: ``{row: x}`` per column, over

@@ -18,7 +18,6 @@ cocycle of a section s is how far s is from a morphism of pairs, so
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import Algebra, Bimodule, CheckReport, _pair_tables
@@ -27,7 +26,7 @@ from .cochain import (
     differential, differential_matrix, is_coboundary, multimap_to_matrix,
     zero_cochain,
 )
-from .exactlin import Echelon, Matrix, ShapeError, Vector, ZERO, ONE, as_fractions
+from .exactlin import Echelon, Matrix, ShapeError, Value, Vector, ZERO, ONE, as_fractions
 from .hder import (AssHDerMorphism, AssHDerPair, HigherDerivation, _morphism_law_terms,
                    check_morphism)
 
@@ -36,8 +35,7 @@ class SectionError(ValueError):
     """A claimed splitting is not one, or induces the wrong actions."""
 
 
-@dataclass(frozen=True)
-class ExtensionPair:
+class ExtensionPair(Value):
     """An extension in normal form, with its base data kept alongside."""
 
     base: AssHDerPair

@@ -15,26 +15,23 @@ in the number of maps theta_1..theta_N.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract, _pair_tables, tensor_values
-from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, int_form, vec_add
+from .exactlin import Matrix, ShapeError, Value, Vector, ZERO, ONE, int_form, vec_add
 from .hder import AssHDerPair, HigherDerivation, _leibniz_report, _morphism_law_terms
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TruncatedTensorAlgebra:
+class TruncatedTensorAlgebra(Value):
     vdim: int
     max_degree: int
     words: tuple[Word, ...]
     algebra: Algebra
 
 
-@dataclass(frozen=True)
-class LieHDerPair:
+class LieHDerPair(Value):
     """Lie algebra by an antisymmetric bracket tensor, plus maps phi_1..phi_N."""
 
     dim: int
@@ -131,8 +128,7 @@ def induced_tensor_hder(vdim: int, max_degree: int,
     return tta, HigherDerivation(rank, tuple(maps))
 
 
-@dataclass(frozen=True)
-class UniversalExtensionReport:
+class UniversalExtensionReport(Value):
     ok: bool
     violation: Violation | None
     map: Matrix

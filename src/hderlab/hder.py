@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .algebras import (Algebra, CheckReport, LawTables, Violation, _algebra_report, _hash_once,
                        _pair_tables)
-from .exactlin import Matrix, ShapeError, Vector, ZERO, ONE, as_fractions, vec_add
+from .exactlin import Matrix, ShapeError, Value, Vector, ZERO, ONE, as_fractions, vec_add
 
 
-@dataclass(frozen=True)
-class HigherDerivation:
+class HigherDerivation(Value):
     """Rank-N sequence of square matrices; maps[k-1] is d_k on coordinates."""
 
     rank: int
@@ -62,8 +60,7 @@ class HigherDerivation:
         return cls(rank, (Matrix.zeros(dim, dim),) * rank)
 
 
-@dataclass(frozen=True)
-class AssHDerPair:
+class AssHDerPair(Value):
     algebra: Algebra
     hder: HigherDerivation
 
@@ -73,8 +70,7 @@ class AssHDerPair:
                 f"higher derivation acts on dim {self.hder.dim}, algebra has dim {self.algebra.dim}")
 
 
-@dataclass(frozen=True)
-class AssHDerMorphism:
+class AssHDerMorphism(Value):
     """A linear map between two pairs of equal rank, to be checked."""
 
     source: AssHDerPair

@@ -32,12 +32,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .algebras import Algebra, Bimodule, tensor_values
 from .cochain import (
-    Cochain, CohomologyReport, MultiMap, cochain_blocks, matrix_to_multimap,
-    multimap_to_matrix,
+    Cochain, MultiMap, cochain_blocks, matrix_to_multimap, multimap_to_matrix,
 )
-from .deform import Deformation, GaugeMap
 from .exactlin import ZERO, Matrix, rat_str
-from .extensions import ExtensionPair
 from .hder import HigherDerivation
 
 
@@ -229,6 +226,7 @@ def parse_two_cocycle(doc, dim: int, mdim: int, nrank: int, path: str) -> Cochai
 def parse_deformation(doc, dim: int, nrank: int, path: str = "deformation") -> Deformation:
     """The JSON holds the d_{k,s} as matrices, series by series; they become
     the arity-1 parts of the coefficients here and nowhere else."""
+    from .deform import Deformation
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected an object")
     order = _int(_need(doc, "order", path), f"{path}.order")

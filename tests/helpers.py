@@ -11,18 +11,21 @@ sides against the per-tuple integer scans they replaced, extension and
 trivialization against their loops with a second full scan per appended
 order and with Fraction gauges at every step, the gauge action against
 dense multimap composition and gauge composition and inversion against
-dense Fraction matrix series, the input verifiers
+dense Fraction matrix series, a matrix's integer rows against ``int_form``
+read row by row, the input verifiers
 (associativity, the higher-derivation law on a product or a bracket, the
 bimodule laws) against their Fraction scans over basis tuples, the three
 readers of the morphism law (morphisms, universal extensions, section
 cocycles) against their own loops, the induced tensor-algebra maps against
-their sum over compositions, and the report writer against the json module.
+their sum over compositions, the report writer against the json module,
+and the value classes against the frozen dataclasses they were written as.
 The structure arithmetic only tests use (matrix and multimap sums, the
 module actions, multilinear evaluation) is stated here as functions too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -35,7 +38,7 @@ from hypothesis import strategies as st
 import hderlab as H
 from hderlab import deform, samples
 from hderlab.algebras import LawTables, _contract
-from hderlab.exactlin import ONE, ZERO, echelon, vec_add
+from hderlab.exactlin import ONE, ZERO, echelon, int_form, vec_add
 from hderlab.extensions import _check_induced_actions
 from hderlab.serialize import Streamed, cochain_to_json, write_report
 
@@ -390,6 +393,15 @@ def betti2_by_rank_count(alg: H.Algebra, hd: H.HigherDerivation,
 def cochains_equal(a: H.Cochain, b: H.Cochain) -> bool:
     return a.main.values == b.main.values and len(a.parts) == len(b.parts) and \
         all(x.values == y.values for x, y in zip(a.parts, b.parts))
+
+
+def oracle_int_rows(m: H.Matrix) -> tuple[tuple[dict, ...], int]:
+    """``Matrix.int_rows`` as ``int_form`` of the entries, then a dict of the
+    nonzero numerators per row: the reference for its one-pass scatter."""
+    nums, scale = int_form(m.entries)
+    c = m.cols
+    return tuple({j: x for j, x in enumerate(nums[i * c:(i + 1) * c]) if x}
+                 for i in range(m.rows)), scale
 
 
 def reduced_matrix(m: H.Matrix) -> tuple[H.Matrix, tuple[int, ...]]:
@@ -1284,3 +1296,51 @@ def oracle_cocycle_from_section(ext: H.ExtensionPair, section: H.Matrix | None =
             chi_values.extend(ext.module_part(diff))
         chis.append(H.MultiMap(1, d, md, tuple(chi_values)))
     return H.Cochain(H.MultiMap(2, d, md, tuple(psi_values)), tuple(chis))
+
+
+# ------------------------------------------------------- dataclass twins
+# Each value class as it was written as a frozen dataclass: its fields in
+# order, a (name, default) pair where a default was given, and "Tensor3"
+# where the annotation was (the one annotation ``algebras._hash_once`` reads).
+DATACLASS_FIELDS = {
+    "Violation": ("law", "at", ("lhs", None), ("rhs", None)),
+    "CheckReport": ("ok", ("violation", None)),
+    "Algebra": ("dim", "c:Tensor3", "basis_labels", ("unit_index", None)),
+    "Bimodule": ("mdim", "left:Tensor3", "right:Tensor3", "dmaps"),
+    "MultiMap": ("arity", "dim", "mdim", "values"),
+    "Cochain": ("main", ("parts", ())),
+    "CohomologyReport": ("degree", "dim_cochains", "dim_cocycles", "dim_coboundaries", "betti",
+                         "shape", "kernel"),
+    "Deformation": ("coeffs",),
+    "GaugeMap": ("order", "phis"),
+    "ExtendOutcome": ("candidate", "obstruction"),
+    "TrivializeOutcome": ("gauge", ("blocked_order", None), ("blocking_class", None)),
+    "ExtensionPair": ("base", "module", "total", "include", "project", "section"),
+    "TruncatedTensorAlgebra": ("vdim", "max_degree", "words", "algebra"),
+    "LieHDerPair": ("dim", "bracket:Tensor3", "maps"),
+    "UniversalExtensionReport": ("ok", "violation", "map", "unit_handling"),
+    "HigherDerivation": ("rank", "maps"),
+    "AssHDerPair": ("algebra", "hder"),
+    "AssHDerMorphism": ("source", "target", "matrix"),
+}
+
+
+def dataclass_twin(cls):
+    """``cls`` as a ``dataclasses.make_dataclass`` class with the fields of
+    ``DATACLASS_FIELDS`` and the methods ``cls`` states itself, so that
+    ``==``, hash and repr are the ones ``dataclasses`` generates unless the
+    class states its own.  ``CohomologyReport`` was ``eq=False`` with shape
+    and kernel left out of its repr."""
+    report = cls.__name__ == "CohomologyReport"
+    specs, names = [], []
+    for spec in DATACLASS_FIELDS[cls.__name__]:
+        name, default = spec if isinstance(spec, tuple) else (spec, dataclasses.MISSING)
+        name, _, kind = name.partition(":")
+        names.append(name)
+        specs.append((name, kind or "object", dataclasses.field(
+            default=default, repr=not (report and name in ("shape", "kernel")))))
+    own = {k: v for k, v in vars(cls).items()
+           if k not in ("__dict__", "__weakref__", "__annotations__", "__repr__", "_defaults", "_key")
+           and k not in names}
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace={**own, "_fields": tuple(names)},
+                                      frozen=True, eq=not report)

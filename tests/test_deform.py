@@ -530,7 +530,7 @@ def test_trivialize_tests_the_cocycle_when_the_solve_fails(monkeypatch):
 def test_deform_obstruct_tests_the_cocycle_when_the_solve_fails(monkeypatch, capsys):
     alg, hd, _defm = DEFORMATION_FIXTURES[0]  # dual_deform.json
     bad = _non_cocycle(random.Random(8), alg, hd, 3)
-    monkeypatch.setattr(cli, "obstruction", lambda *args: bad)
+    monkeypatch.setattr(deform, "obstruction", lambda *args: bad)
     assert cli.main(["deform-obstruct", str(FIXTURES / "dual_deform.json"), "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["violations"] == ["degree-3 input is not a cocycle"]

@@ -11,8 +11,8 @@ from hderlab.exactlin import (
 )
 
 from helpers import (
-    dense_kernel_basis, dense_rref, dense_solve_affine, reduced_matrix, sparse_matrices,
-    to_rows,
+    dense_kernel_basis, dense_rref, dense_solve_affine, oracle_int_rows, reduced_matrix,
+    sparse_matrices, to_rows,
 )
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -187,6 +187,17 @@ def test_echelon_add_reports_rank_growth(m):
         assert ech.add(dict(enumerate(m.row(i)))) == (after > before)
         assert ech.rank == after
         before = after
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_matrices(), sparse_matrices(st.just(0)), sparse_matrices(cols=st.just(0)),
+                 sparse_matrices(st.integers(1, 4), st.integers(1, 4)).map(
+                     lambda m: Matrix(m.rows + 1, m.cols, m.entries + (Fraction(0),) * m.cols))))
+def test_int_rows_match_oracle(m):
+    # 0 x n, n x 0, zero rows (a computed zero last), denominators up to 6
+    rows, scale = m.int_rows
+    assert (rows, scale) == oracle_int_rows(m)
+    assert all(isinstance(x, int) and x for row in rows for x in row.values())
 
 
 # Wide denominators and negative entries, mostly zeros, for the integer rows.

@@ -13,6 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hderlab as H
@@ -126,6 +127,48 @@ def test_verify_liehder_matches_oracle(pair, where, data):
         maps = _perturb_map(data, maps)
     lie = H.LieHDerPair(lie.dim, bracket, maps)
     _same(H.verify_liehder(lie), oracle_verify_liehder(lie))
+
+
+def _one_sided_units() -> list:
+    """E11 and E12 of the 2x2 matrices, E11 declared the unit: a left unit
+    only; in the opposite algebra a right unit only."""
+    z, e0, e1 = (0, 0), (1, 0), (0, 1)
+    return [H.Algebra.from_table([[e0, e1], [z, z]], unit_index=0),
+            H.Algebra.from_table([[e0, z], [e1, z]], unit_index=0)]
+
+
+UNITAL = [samples.dual_numbers(), samples.truncated_polynomials(3),
+          samples.matrix_units_with_unit(), *_one_sided_units()]
+
+
+def _rescaled_unital(alg, scales, unit):
+    d = alg.dim
+    table = rescaled_pair(alg, H.HigherDerivation.zero(d, 1), scales)[0].c
+    return H.Algebra(d, table, alg.basis_labels, unit)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(UNITAL), st.data())
+def test_unit_laws_match_oracle_with_denominators(alg, data):
+    # associativity survives the basis change, so the unit laws are judged,
+    # on a declared unit that a scale other than 1 or another index breaks
+    scales = tuple(data.draw(SCALES) for _ in range(alg.dim))
+    alg = _rescaled_unital(alg, scales, data.draw(st.integers(0, alg.dim - 1)))
+    _same(H.verify_algebra(alg), oracle_verify_algebra(alg))
+
+
+@pytest.mark.parametrize("alg, scales, text", [
+    (samples.dual_numbers(), (Fraction(1, 2), Fraction(3, 5)),
+     "left unit law fails at (0, 0): lhs=(1/2, 0) rhs=(1, 0)"),
+    (_one_sided_units()[0], (ONE, Fraction(2, 3)), "right unit law fails at (1, 0): lhs=(0, 0) rhs=(0, 1)"),
+    (_one_sided_units()[1], (ONE, Fraction(2, 3)), "left unit law fails at (0, 1): lhs=(0, 0) rhs=(0, 1)"),
+])
+def test_unit_law_violations_match_oracle(alg, scales, text):
+    alg = _rescaled_unital(alg, scales, 0)
+    report = H.verify_algebra(alg)
+    _same(report, oracle_verify_algebra(alg))
+    _same(_pair_reports(alg, H.HigherDerivation.zero(alg.dim, 1))[0], report)
+    assert str(report.violation) == text
 
 
 def test_rescaled_violation_keeps_its_denominators():
