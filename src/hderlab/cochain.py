@@ -371,7 +371,8 @@ class CohomologyReport(Value):
         return hash(self._public())
 
     def __repr__(self) -> str:
-        counts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields[:5])
+        counts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
+                           if name not in ("shape", "kernel"))
         return f"CohomologyReport({counts})"
 
 
