@@ -14,9 +14,10 @@ substitution), in slots of a width B proven wide enough, so that comparing
 two integers decides every equation in them exactly.  A pair's tables are
 set up from integer forms: the one an algebra or a bimodule keeps
 (``int_form``, its numerators over their lcm denominator, made once and
-what it hashes) and a map's ``int_rows``; a deformation's coefficients are
-read once, over the lcm of their denominators.  A command builds one table
-per pair (``hder._pair_reports``).
+what it hashes) and a map's ``int_rows``; a deformation's are its
+numerators over the lcm of their denominators, as a problem file is read
+(``deform.read_deformation``), and ``LawTables.extended`` appends an order
+to them.  A command builds one table per pair (``hder._pair_reports``).
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -84,18 +85,14 @@ def _contract(t: Tensor3, x: Vector, y: Vector, n: int) -> Vector:
 
 
 def _int_table(values, d: int, mult: int = 1) -> tuple[list[int], int, int]:
-    """The integers x * ``mult`` for the rationals x of ``values`` (ints, or
-    Fractions whose denominators divide ``mult``), and from the same pass
-    mx, the largest |x * mult|, and mx times the most nonzeros of a
-    length-d block, bounding its l1 norm."""
-    flat, counts, mx = [0] * len(values), [0] * (len(values) // d), 0
-    for pos, x in enumerate(values):
-        if x is not ZERO and x:  # parsed zeros are the shared ZERO: no Fraction call
-            flat[pos] = v = x.numerator * (mult // x.denominator)
-            if v > mx or -v > mx:
-                mx = abs(v)
-            counts[pos // d] += 1
-    return flat, mx, mx * max(counts, default=0)
+    """The integers x * ``mult`` for the ints x of ``values`` (the values
+    themselves, not a copy, when ``mult`` is 1), mx, the largest of their
+    absolute values, and mx times the most nonzeros of a length-d block,
+    bounding its l1 norm."""
+    flat = values if mult == 1 else [x * mult for x in values]
+    zeros = min(map(tuple.count, zip(*[iter(flat)] * d), itertools.repeat(0)), default=d)
+    mx = max(map(abs, flat), default=0)
+    return flat, mx, mx * (d - zeros)
 
 
 def _columns(m: Matrix) -> list[int]:
@@ -110,12 +107,12 @@ def _balanced_offset(bits: int, slots: int) -> int:
 
 
 def _law_tables(d: int, products, series) -> LawTables:
-    """The law tables of the flat values of each mu_p and of each d_{k,s},
-    ``series[k - 1][s]``, column by column, over D, the lcm of their
-    denominators, each value read once (``_int_table``)."""
-    den = math.lcm(*{x.denominator for x in itertools.chain(*products, *itertools.chain(*series))
-                     if x is not ZERO})
-    return LawTables(d, den, [[(v, den) for v in ser] for ser in (products, *series)])
+    """The law tables of the flat Fraction values of each mu_p and of each
+    d_{k,s}, ``series[k - 1][s]``, column by column, over D, the lcm of
+    their denominators, each member read once (``int_form``)."""
+    forms = [list(map(int_form, ser)) for ser in (products, *series)]
+    den = math.lcm(*(q for ser in forms for _nums, q in ser))
+    return LawTables(d, den, [[(nums, den // q) for nums, q in ser] for ser in forms])
 
 
 def _pair_tables(d: int, form: tuple, maps=()) -> LawTables:
@@ -186,6 +183,15 @@ class LawTables:
         self.rank = len(tables) - 2
         self._sides: dict[int, tuple[list[int], list[int]]] = {}
         self._windows: dict[int, tuple[int, int, int]] = {}
+
+    def extended(self, values, den: int) -> LawTables:
+        """These tables with order n + 1 appended, over lcm(D, den): its
+        numerators over ``den``, mu's d^3 then d^2 for each d_k, are
+        ``values``.  The older members are shared, or rescaled if D grows."""
+        d, top = self.dim, math.lcm(self.den, den)
+        members = [values[:d ** 3], *(values[b:b + d * d] for b in range(d ** 3, len(values), d * d))]
+        return LawTables(d, top, [[(flat, top // self.den) for flat, _mx, _l1 in ser] + [(new, top // den)]
+                                  for ser, new in zip([self._tables[0], *self._tables[2:]], members)])
 
     def scale(self, k: int) -> int:
         """The denominator of the numerators of law k: D^2 for

@@ -5,7 +5,8 @@ command ran and its mathematical answer is positive, 1 means the answer is
 negative (a check failed, something is not a cocycle, a deformation will
 not extend or trivialize), 2 means the input was unusable (parse or shape
 errors, a size cap breach, a section that fails its own verifier, or input
-outside the command's precondition).
+outside the command's precondition), and 3 means hderlab itself failed (any
+other exception): one stderr line starting "internal error:", no report.
 
 The plain form of a call (a subcommand, one file, ``--json`` and whole
 option names from ``SUBCOMMANDS``, each with a value that does not start
@@ -41,12 +42,12 @@ import time
 from types import SimpleNamespace
 
 from .algebras import adjoint_bimodule, trivial_bimodule, verify_algebra
-from .cochain import NotACocycleError, cocycle_preimage, cohomology
+from .cochain import NotACocycleError, cohomology
 from .exactlin import Matrix, ShapeError
 from .hder import _pair_reports, verify_hder
 from .serialize import (
     ParseError, check_report_to_json, cochain_to_json, cohomology_to_json,
-    deformation_to_json, extension_to_json, gauge_to_json, hder_to_json,
+    deformation_to_json, extension_to_json, gauge_to_json, hder_to_json, int_cochain_to_json,
     parse_algebra, parse_bimodule, parse_deformation, parse_hder, parse_matrix,
     parse_tensor_section, parse_two_cocycle, write_report,
 )
@@ -54,6 +55,7 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class CapExceeded(ValueError):
@@ -247,16 +249,15 @@ def cmd_deform_verify(doc, args):
 
 
 def cmd_deform_obstruct(doc, args):
-    from .deform import obstruction
+    from .deform import obstruction_preimage
     alg, hd = _algebra_hder(doc)
     defm = _deformation(doc, alg, hd)
-    ob = obstruction(alg, hd, defm)
-    mod = adjoint_bimodule(alg, hd)
-    pre = cocycle_preimage(alg, mod, hd, ob)
-    results = {"order": defm.order, "obstruction": cochain_to_json(ob),
+    ob, pre = obstruction_preimage(alg, hd, defm)
+    shape = (alg.dim, alg.dim, hd.rank)
+    results = {"order": defm.order, "obstruction": int_cochain_to_json(*ob, shape, 3),
                "is_coboundary": pre is not None}
     if pre is not None:
-        results["preimage"] = cochain_to_json(pre)
+        results["preimage"] = int_cochain_to_json(*pre, shape, 2)
         return True, results, []
     return False, results, ["obstruction class is nonzero; deformation does not extend"]
 
@@ -435,6 +436,9 @@ def main(argv=None) -> int:
         elapsed = int((time.perf_counter() - start) * 1000)
         _emit(args.command, False, {}, [str(exc)], args.json, elapsed)
         return EXIT_NEGATIVE
+    except Exception as exc:  # a fault of hderlab, not an answer: no report
+        print(" ".join(f"internal error: {type(exc).__name__}: {exc}".splitlines()), file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed = int((time.perf_counter() - start) * 1000)
     _emit(args.command, ok, results, violations, args.json, elapsed)
     return EXIT_OK if ok else EXIT_NEGATIVE

@@ -418,18 +418,6 @@ def is_coboundary(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     return preimage(alg, mod, hd, c)
 
 
-def cocycle_preimage(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
-                     c: Cochain) -> Cochain | None:
-    """``is_coboundary`` with the solve first, for a structure already
-    verified: there d^2 = 0, so a preimage makes c a coboundary and hence a
-    cocycle, and the cocycle test runs only when the solve finds none.  A
-    non-cocycle still raises ``NotACocycleError``."""
-    pre = preimage(alg, mod, hd, c)
-    if pre is None and not differential(alg, mod, hd, c).is_zero():
-        raise NotACocycleError(f"degree-{c.n} input is not a cocycle")
-    return pre
-
-
 def preimage(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
              c: Cochain) -> Cochain | None:
     """The canonical (n-1)-cochain whose differential is the n-cochain c,

@@ -10,18 +10,19 @@ The order-s equations are the two laws of ``algebras`` at order s, on the
 packed tables ``Deformation._tables`` (an ``algebras.LawTables``):
 verification masks the slots of orders 0..n and compares.  Slots are
 unpacked only for a reported violation, the obstruction and the append
-check of ``extend_to``.  The deform commands test a cocycle only when the
-solve finds no preimage (``cochain.cocycle_preimage``, and in
-``trivialize``): a preimage makes the cochain a coboundary, so a cocycle,
-as d^2 = 0 for the verified pair.
+check of ``extend_to``.  A problem file is read straight into those
+tables (``read_deformation``), the obstruction is solved on their
+integers, and ``extend_to`` appends each solution to them.  The deform
+commands test a cocycle only when the solve finds no preimage: a preimage
+makes the cochain a coboundary, so a cocycle, as d^2 = 0 for the pair.
 
 The gauge group runs on one packed form too (``_Packed``): an entry of a
 gauge, d_k or mu series is one integer sum_s x_s 2^(B s), and the action,
 composition, inverse and the shears of ``trivialize`` are big-integer
 products of entries.  Fractions appear only at the boundary: a reported
-violation, the obstruction, the gauged coefficients, a composed or inverted
-gauge, and in ``trivialize`` a blocking class and the final gauge; the
-solves of ``trivialize`` take the packed digits as integers.
+violation, a returned cochain (the obstruction, the gauged or a blocking
+coefficient), a composed or inverted gauge and the final gauge of
+``trivialize``, and ``coeffs``, made when first read.
 """
 
 from __future__ import annotations
@@ -29,51 +30,105 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property, reduce
-from operator import or_, sub
+from operator import or_
 
 from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _columns,
                        _int_table, _law_tables, _times, adjoint_bimodule, tensor_values)
 from .cochain import (
-    Cochain, MultiMap, differential, differential_matrix, matrix_to_multimap, preimage,
-    vector_to_cochain, zero_cochain,
+    Cochain, MultiMap, NotACocycleError, differential, differential_matrix, matrix_to_multimap,
+    preimage, vector_to_cochain, zero_cochain,
 )
-from .exactlin import Matrix, ShapeError, Value, as_fractions, solve_ints
+from .exactlin import Matrix, ShapeError, Value, _set, as_fractions, solve_ints
 from .hder import HigherDerivation
+from .serialize import ParseError, _int, _list, _need, _pair, _row, parse_tensor3
 
 
 class Deformation(Value):
     """Coefficients ``coeffs[s]`` = (mu_s; d_{1,s}, ..., d_{N,s}) for
-    s = 0..order, each a 2-cochain with self coefficients."""
+    s = 0..order, each a 2-cochain with self coefficients.  One built by
+    ``from_tables`` from its integer form ``_tables`` makes ``coeffs`` on
+    first use and keeps them, as ``Matrix.from_int_rows`` does its entries."""
 
     coeffs: tuple[Cochain, ...]
 
     def __post_init__(self):
         if not self.coeffs:
             raise ShapeError("a deformation needs its order-0 coefficient")
-        d, rank = self.dim, self.rank
+        d, rank = self.coeffs[0].main.dim, len(self.coeffs[0].parts)
         for c in self.coeffs:
             if c.n != 2 or c.main.dim != d or c.main.mdim != d or len(c.parts) != rank:
                 raise ShapeError(f"coefficients must be 2-cochains of self maps of "
                                  f"dimension {d} with {rank} parts")
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    @classmethod
+    def from_tables(cls, tables: LawTables) -> "Deformation":
+        defm = cls.__new__(cls)
+        defm.__dict__["_tables"] = tables
+        return defm
 
-    @property
-    def dim(self) -> int:
-        return self.coeffs[0].main.dim
+    def __getattr__(self, name: str):  # a missing attribute: coeffs, for one built from_tables
+        if name != "coeffs" or "_tables" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        t = self._tables
+        _set(self, "coeffs", tuple(_cochain(t.dim, t.rank, 2, v, t.den) for v in _state(t, t.order)))
+        return self.coeffs
 
-    @property
-    def rank(self) -> int:
-        return len(self.coeffs[0].parts)
+    order = property(lambda self: self._tables.order)
+    dim = property(lambda self: self._tables.dim)
+    rank = property(lambda self: self._tables.rank)
 
     @cached_property
     def _tables(self) -> LawTables:
         """The coefficients as ``algebras._law_tables``."""
-        return _law_tables(self.dim, [c.main.values for c in self.coeffs],
+        return _law_tables(self.coeffs[0].main.dim, [c.main.values for c in self.coeffs],
                            [[c.parts[k].values for c in self.coeffs]
-                            for k in range(self.rank)])
+                            for k in range(len(self.coeffs[0].parts))])
+
+
+def _leaves(obj, shape: tuple):
+    """The entries of ``obj`` in order when it nests lists of the lengths
+    in ``shape``, level by level; None when it does not."""
+    level = [obj]
+    for length in shape:
+        if not all(isinstance(x, list) and len(x) == length for x in level):
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    return level
+
+
+def read_deformation(doc, dim: int, nrank: int, path: str) -> Deformation:
+    """``serialize.parse_deformation``: each token is read as p/q in lowest
+    terms (``serialize._pair``) and becomes its numerator over D, the lcm of
+    the family's denominators, in a member of the law tables; no Fraction.
+    A malformed section is walked again, entry by entry, for its first error."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected an object")
+    order = _int(_need(doc, "order", path), f"{path}.order")
+    if order < 0:
+        raise ParseError(f"{path}.order: must be >= 0")
+    try:  # TypeError: another shape than the one asked for (None), or an unhashable entry
+        pairs = [list(map(_pair, _leaves(doc.get("mu"), (order + 1, dim, dim, dim)))),
+                 list(map(_pair, _leaves(doc.get("d"), (nrank, order + 1, dim, dim))))]
+    except (ParseError, TypeError):
+        _read_entries(doc, dim, nrank, order, path)  # raises: it fails where these do
+    den = math.lcm(*{q for xs in pairs for _p, q in xs})
+    (mus, ds), size, dd = ([p * (den // q) for p, q in xs] for xs in pairs), dim ** 3, dim * dim
+    series = [[(mus[b:b + size], 1) for b in range(0, len(mus), size)]]
+    for k in range(0, len(ds), (order + 1) * dd):  # each d_{k,s} column by column
+        series.append([([x for c in range(dim) for x in ds[b + c:b + dd:dim]], 1)
+                       for b in range(k, k + (order + 1) * dd, dd)])
+    return Deformation.from_tables(LawTables(dim, den, series))
+
+
+def _read_entries(doc, dim: int, nrank: int, order: int, path: str) -> None:
+    """Raise the ParseError that names the first failing entry of a
+    malformed deformation section, walked as the Fraction reader walks it."""
+    for p, t in enumerate(_list(_need(doc, "mu", path), f"{path}.mu", order + 1)):
+        parse_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]", _pair)
+    for k, ser in enumerate(_list(_need(doc, "d", path), f"{path}.d", nrank)):
+        for s, m in enumerate(_list(ser, f"{path}.d[{k}]", order + 1)):
+            for r, row in enumerate(_list(m, f"{path}.d[{k}][{s}]", dim)):
+                _row(row, dim, f"{path}.d[{k}][{s}][{r}]", _pair)
 
 
 class GaugeMap(Value):
@@ -107,30 +162,33 @@ def product_multimap(alg: Algebra) -> MultiMap:
     return MultiMap(2, alg.dim, alg.dim, tensor_values(alg.c))
 
 
-def _base_coefficient(alg: Algebra, hd: HigherDerivation) -> Cochain:
-    """(mu_0; d_1, ..., d_N): the algebra product and the higher derivation."""
-    return Cochain(product_multimap(alg), tuple(map(matrix_to_multimap, hd.maps)))
-
-
 def trivial_deformation(alg: Algebra, hd: HigherDerivation, order: int) -> Deformation:
-    """The undeformed family: the base coefficient followed by zeros."""
+    """The undeformed family: (mu_0; d_1, ..., d_N), the algebra product and
+    the higher derivation, followed by zeros."""
     if order < 0:
         raise ShapeError("order must be >= 0")
-    return Deformation((_base_coefficient(alg, hd),)
+    return Deformation((Cochain(product_multimap(alg), tuple(map(matrix_to_multimap, hd.maps))),)
                        + (zero_cochain(alg.dim, alg.dim, hd.rank, 2),) * order)
 
 
 def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
-    if defm.dim != alg.dim:
+    """The order-0 members against ``alg.int_form`` and each map's ``int_rows``."""
+    tables = defm._tables
+    if tables.dim != alg.dim:
         raise ShapeError("deformation dimension differs from the algebra")
-    if defm.rank != hd.rank:
+    if tables.rank != hd.rank:
         raise ShapeError("deformation rank differs from the higher derivation")
-    have, want = defm.coeffs[0], _base_coefficient(alg, hd)
-    if have.main != want.main:
-        raise ValueError("order-0 product coefficient is not the algebra multiplication")
-    for k, (part, dk) in enumerate(zip(have.parts, want.parts), start=1):
-        if part != dk:
-            raise ValueError(f"order-0 derivation coefficient {k} is not d_{k}")
+    (mus, _identity, *dks), den = tables._tables, tables.den
+    forms = [alg.int_form, *((_columns(m), m.int_rows[1]) for m in hd.maps)]
+    for k, (ser, (nums, q)) in enumerate(zip([mus, *dks], forms)):
+        if [x * q for x in ser[0][0]] != [y * den for y in nums]:  # as rationals, entry by entry
+            raise ValueError(f"order-0 derivation coefficient {k} is not d_{k}" if k else
+                             "order-0 product coefficient is not the algebra multiplication")
+
+
+def _cochain(dim: int, rank: int, n: int, nums, den: int) -> Cochain:
+    """The degree-n self cochain with the vector nums / den."""
+    return vector_to_cochain(dim, dim, rank, n, as_fractions(nums, den))
 
 
 def _violation(s: int, k: int, at: tuple, lhs, rhs, q: int) -> Violation:
@@ -138,11 +196,14 @@ def _violation(s: int, k: int, at: tuple, lhs, rhs, q: int) -> Violation:
     return Violation(f"order-{s} {law}", at, as_fractions(lhs, q), as_fractions(rhs, q))
 
 
-def _known_terms(defm: Deformation) -> list[tuple[list, list, int]]:
-    """``(lhs, rhs, q)`` of the order-(n+1) equations for k = 0..N, every
-    slot unpacked in scan order: they hold exactly the known terms."""
-    tables = defm._tables
-    return [(*tables.unpack(k, defm.order + 1), tables.scale(k)) for k in range(tables.rank + 1)]
+def _defect(tables: LawTables) -> tuple[list[int], int]:
+    """lhs - rhs of the order-(n+1) equations, every slot unpacked in scan
+    order (the 3-cochain vector's), over D^3: exactly the known terms."""
+    out, top = [], tables.scale(tables.rank)
+    for k in range(tables.rank + 1):
+        lhs, rhs, up = *tables.unpack(k, tables.order + 1), top // tables.scale(k)
+        out += [(x - y) * up for x, y in zip(lhs, rhs)]
+    return out, top
 
 
 def verify_deformation(alg: Algebra, hd: HigherDerivation,
@@ -295,12 +356,6 @@ def _conjugate(p: _Packed, state: list, phi: list, e: int, steps: int) -> list[i
     return p.cut(both[:size] + [e * x for x in both[size:]])
 
 
-def _coefficient(p: _Packed, state: list, q: int, dim: int, s: int) -> Cochain:
-    values, size = as_fractions(p.members(state, [s])[0], q), dim ** 3
-    ds = [values[k:k + dim * dim] for k in range(size, len(values), dim * dim)]
-    return Cochain(MultiMap(2, dim, dim, values[:size]), tuple(MultiMap(1, dim, dim, d) for d in ds))
-
-
 def _gauge_map(p: _Packed, entries: list, scale: int, dim: int) -> GaugeMap:
     rows = list(itertools.chain(*zip(*_split(entries, dim))))
     return GaugeMap(p.order, tuple(Matrix(dim, dim, as_fractions(m, scale)) for m in p.members(rows)))
@@ -308,7 +363,7 @@ def _gauge_map(p: _Packed, entries: list, scale: int, dim: int) -> GaugeMap:
 
 def _state(tables: LawTables, order: int) -> list[list[int]]:
     """The members of mu and of each d_k up to ``order``, as ``_conjugate``
-    lays them out."""
+    lays them out: order by order, the 2-cochain vector."""
     series = [tables._tables[0], *tables._tables[2:]]
     return [list(itertools.chain(*(ser[s][0] for ser in series))) for s in range(order + 1)]
 
@@ -324,8 +379,8 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
     steps, growth = _growth(members, e, dim, T)
     p = _Packed(max(1, *map(abs, itertools.chain(*state))) * growth, T)
     state = _conjugate(p, p.pack(state), p.pack(members), e, steps)
-    return Deformation(tuple(_coefficient(p, state, defm._tables.den * e ** (steps + 2), dim, s)
-                             for s in range(T + 1)))
+    return Deformation(tuple(_cochain(dim, defm.rank, 2, m, defm._tables.den * e ** (steps + 2))
+                             for m in p.members(state)))
 
 
 def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
@@ -362,14 +417,22 @@ def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochai
     return _known_defect(defm)
 
 
-def _known_defect(defm: Deformation, known=None) -> Cochain:
-    """The obstruction from the order-(n+1) equations ``known``
-    (``_known_terms``), computed here unless given."""
-    if known is None:
-        known = _known_terms(defm)
-    # the scan order of the equations is the order of the cochain vector
-    defect = tuple(itertools.chain(*(as_fractions(map(sub, lhs, rhs), q) for lhs, rhs, q in known)))
-    return vector_to_cochain(defm.dim, defm.dim, defm.rank, 3, defect)
+def _known_defect(defm: Deformation) -> Cochain:
+    """The obstruction, unverified."""
+    return _cochain(defm.dim, defm.rank, 3, *_defect(defm._tables))
+
+
+def obstruction_preimage(alg: Algebra, hd: HigherDerivation, defm: Deformation):
+    """``obstruction`` and its canonical preimage (None for a nonzero class),
+    each as numerators over one denominator, with the solve first: the
+    cocycle test of ``is_coboundary`` runs only when it finds no preimage."""
+    _require_verified(alg, hd, defm)
+    ob = _defect(defm._tables)
+    mod = adjoint_bimodule(alg, hd)
+    pre = solve_ints(differential_matrix(alg, mod, hd, 2), *ob)
+    if pre is None and not differential(alg, mod, hd, _cochain(alg.dim, hd.rank, 3, *ob)).is_zero():
+        raise NotACocycleError("degree-3 input is not a cocycle")
+    return ob, pre
 
 
 class ExtendOutcome(Value):
@@ -390,46 +453,24 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     """Extend order by order up to ``target``, verifying the input once.
 
     Returns the deformation reached and the obstruction blocking the next
-    order (None at ``target``).  Each order is scanned once: the terms that
-    build the obstruction are kept, and an appended coefficient is checked
-    as those plus the terms that carry its index (``_append_checked``), a
-    full check as the equations involve only coefficients up to n+1.
+    order (None at ``target``).  Each defect is solved on integers, and the
+    solution appended to the law tables (``LawTables.extended``) is checked
+    there, a full check as the order-s equations involve only coefficients
+    up to s; that one scan also holds the known terms of order s + 1.
     """
     _require_verified(alg, hd, defm)
-    mod = adjoint_bimodule(alg, hd)
-    current = defm
-    while current.order < target:
-        known = _known_terms(current)
-        ob = _known_defect(current, known)
-        candidate = preimage(alg, mod, hd, ob)
+    mod, tables = adjoint_bimodule(alg, hd), defm._tables
+    while tables.order < target:
+        ob = _defect(tables)
+        candidate = solve_ints(differential_matrix(alg, mod, hd, 2), *ob)
         if candidate is None:
-            return current, ob
-        current = _append_checked(current, candidate, known)
-    return current, None
-
-
-def _append_checked(defm: Deformation, candidate: Cochain, known: list) -> Deformation:
-    """``defm`` with ``candidate`` appended at order s = n+1, its order-s
-    equations checked; ``known`` holds their terms with indices up to n.
-    In every other term one index is s, forcing the others to 0: they are
-    the order-1 equations of ``Deformation((c_0, candidate))``.  Each slot
-    is the two sums added, denominators cross-multiplied, in scan order."""
-    ext = extend_deformation(defm, candidate)
-    fresh = Deformation((defm.coeffs[0], candidate))._tables
-    d = defm.dim
-    for k, (lhs, rhs, q) in enumerate(known):
-        r = fresh.scale(k)
-        new_lhs, new_rhs = fresh.unpack(k, 1)
-        gaps = [(x - y) * r for x, y in zip(lhs, rhs)]
-        fills = [(w - v) * q for v, w in zip(new_lhs, new_rhs)]
-        if gaps != fills:
-            t = next(m for m, (g, f) in enumerate(zip(gaps, fills)) if g != f) // d
-            cut = slice(t * d, t * d + d)
-            bad = _violation(ext.order, k, fresh.tuple_at(k, t),
-                             [x * r + v * q for x, v in zip(lhs[cut], new_lhs[cut])],
-                             [y * r + w * q for y, w in zip(rhs[cut], new_rhs[cut])], q * r)
-            raise RuntimeError(f"appended coefficient does not verify: {bad}")
-    return ext
+            return Deformation.from_tables(tables), _cochain(tables.dim, tables.rank, 3, *ob)
+        tables = tables.extended(*candidate)
+        for k in range(tables.rank + 1):
+            if (bad := tables.failure(k, tables.order)) is not None:
+                raise RuntimeError("appended coefficient does not verify: "
+                                   f"{_violation(tables.order, k, *bad, tables.scale(k))}")
+    return Deformation.from_tables(tables), None
 
 
 def extend_deformation(defm: Deformation, candidate: Cochain) -> Deformation:
@@ -502,7 +543,7 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         # over the negated scale the digits are the coefficient's negative
         sol = solve_ints(differential_matrix(alg, mod, hd, 1), p.members(state, [lowest])[0], -q)
         if sol is None:
-            blocking = _coefficient(p, state, q, dim, lowest)
+            blocking = _cochain(dim, hd.rank, 2, p.members(state, [lowest])[0], q)
             if not differential(alg, mod, hd, blocking).is_zero():
                 raise RuntimeError(f"lowest coefficient at order {lowest} is not a cocycle; "
                                    "the input cannot have verified")

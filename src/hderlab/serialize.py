@@ -6,12 +6,13 @@ tensors are nested [i][j][k] lists; multilinear maps are flat row-major lists
 matching the cochain value layout.  Parse errors carry the failing JSON path.
 
 Rational tokens go through ``_token``, an ``lru_cache`` keyed by value and
-type (so ``true`` never reads as ``1``).  The cache is process-wide: it
-outlives a problem file and, in a long-running process, keeps its last 256
-tokens (JSON ints and the strings "p/q", however long) and their Fractions
-alive.  A problem file repeats few tokens many times, so a token is parsed
-about once per file.  Payloads format rationals with ``rat_str``, except
-the shared ``exactlin.ZERO``, which is written as "0" by identity.
+type (so ``true`` never reads as ``1``), or its twin ``_pair`` for p/q in
+lowest terms as two ints.  Each cache is process-wide: in a long-running
+process it keeps its last 256 tokens (JSON ints and the strings "p/q",
+however long) and their values alive.  A problem file repeats few tokens
+many times, so a token is parsed about once per file.  Payloads format
+rationals with ``rat_str`` (``exactlin.ZERO`` as "0" by identity), or
+numerators over a denominator as it would, with no Fraction made.
 ``write_report`` writes a payload exactly as ``json.dumps(doc, indent=2,
 sort_keys=True)`` does, but encodes each list of strings with one C-level
 join, and hands the text to a ``write`` callable in pieces.  A
@@ -30,10 +31,8 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .algebras import Algebra, Bimodule, tensor_values
-from .cochain import (
-    Cochain, MultiMap, cochain_blocks, matrix_to_multimap, multimap_to_matrix,
-)
+from .algebras import Algebra, Bimodule
+from .cochain import Cochain, MultiMap, cochain_blocks
 from .exactlin import ZERO, Matrix, rat_str
 from .hder import HigherDerivation
 
@@ -73,36 +72,43 @@ def _shown(obj) -> str:
     return f"{text[:32]}... ({len(text)} characters)"
 
 
-def _parse_token(obj) -> Fraction:
-    """A JSON int or a string ``-?digits(/digits)?``; the error names no path."""
+def _parse_pair(obj) -> tuple[int, int]:
+    """A JSON int or a string ``-?digits(/digits)?`` as ``(p, q)``, p/q in
+    lowest terms with q > 0; the error names no path."""
     if type(obj) is int:
-        return Fraction(obj) if obj else ZERO
+        return obj, 1
     if isinstance(obj, float):
         raise ParseError("floats are not accepted; use rational strings")
     m = _RATIONAL.fullmatch(obj) if isinstance(obj, str) else None
     try:
-        if m is not None:
-            value = Fraction(int(m[1]), int(m[2] or 1))
-            return value if value else ZERO
-    except (ValueError, ZeroDivisionError):  # past the int digit limit, or "p/0"
+        if m is not None and (q := int(m[2] or 1)):  # not "p/0"
+            g = math.gcd(p := int(m[1]), q)
+            return p // g, q // g
+    except ValueError:  # past the int digit limit
         pass
     raise ParseError(f"not an exact rational: {_shown(obj)}")
+
+
+def _parse_token(obj) -> Fraction:
+    p, q = _parse_pair(obj)
+    return Fraction(p, q) if p else ZERO
 
 
 # typed: True == 1 and hash(True) == hash(1), so an untyped key would let a
 # cached 1 answer for true
 _token = functools.lru_cache(maxsize=256, typed=True)(_parse_token)
+_pair = functools.lru_cache(maxsize=256, typed=True)(_parse_pair)
 
 
-def _row(obj, length: int, path: str) -> tuple[Fraction, ...]:
-    """A list of ``length`` rationals; an entry's path is built only if it fails."""
+def _row(obj, length: int, path: str, token=_token) -> tuple:
+    """A list of ``length`` rationals read by ``token``; an entry's path is built only if it fails."""
     data = _list(obj, path, length)
     try:
-        return tuple(map(_token, data))
+        return tuple(map(token, data))
     except (ParseError, TypeError):  # TypeError: an unhashable entry
         for i, x in enumerate(data):
             try:
-                _parse_token(x)
+                _parse_pair(x)
             except ParseError as exc:
                 raise ParseError(f"{path}[{i}]: {exc}") from None
         raise
@@ -123,8 +129,8 @@ def matrix_to_json(mat: Matrix) -> list[list[str]]:
     return [cells[r * c:(r + 1) * c] for r in range(mat.rows)]
 
 
-def parse_tensor3(obj, d0: int, d1: int, d2: int, path: str):
-    return tuple(tuple(_row(inner, d2, f"{path}[{i}][{j}]")
+def parse_tensor3(obj, d0: int, d1: int, d2: int, path: str, token=_token):
+    return tuple(tuple(_row(inner, d2, f"{path}[{i}][{j}]", token)
                        for j, inner in enumerate(_list(mid, f"{path}[{i}]", d1)))
                  for i, mid in enumerate(_list(obj, path, d0)))
 
@@ -224,39 +230,34 @@ def parse_two_cocycle(doc, dim: int, mdim: int, nrank: int, path: str) -> Cochai
 
 
 def parse_deformation(doc, dim: int, nrank: int, path: str = "deformation") -> Deformation:
-    """The JSON holds the d_{k,s} as matrices, series by series; they become
-    the arity-1 parts of the coefficients here and nowhere else."""
-    from .deform import Deformation
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
-    order = _int(_need(doc, "order", path), f"{path}.order")
-    if order < 0:
-        raise ParseError(f"{path}.order: must be >= 0")
-    mu_docs = _list(_need(doc, "mu", path), f"{path}.mu", order + 1)
-    mus = []
-    for p, t in enumerate(mu_docs):
-        mus.append(MultiMap(2, dim, dim, tensor_values(
-            parse_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]"))))
-    d_docs = _list(_need(doc, "d", path), f"{path}.d", nrank)
-    dks = []
-    for k, series in enumerate(d_docs):
-        series = _list(series, f"{path}.d[{k}]", order + 1)
-        dks.append([matrix_to_multimap(parse_matrix(m, dim, dim, f"{path}.d[{k}][{s}]"))
-                    for s, m in enumerate(series)])
-    return Deformation(tuple(Cochain(mu, tuple(series[s] for series in dks))
-                             for s, mu in enumerate(mus)))
+    """The JSON holds mu_p as tensors and the d_{k,s} as matrices, series
+    by series; ``deform.read_deformation`` reads them as integers."""
+    from .deform import read_deformation
+    return read_deformation(doc, dim, nrank, path)
+
+
+def _int_cells(nums, den: int) -> list[str]:
+    """``rat_str`` of x/den for each int x, den > 0, with no Fraction made."""
+    return [str(x // g) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}" for x in nums]
+
+
+def int_cochain_to_json(nums, den: int, shape: tuple[int, int, int], n: int) -> dict:
+    """``cochain_to_json`` of the degree-n cochain nums / den of ``shape``."""
+    cells = _int_cells(nums, den)
+    main, *parts = cochain_blocks(*shape, n)
+    return {"n": n, "main": cells[main], "parts": [cells[b] for b in parts]}
 
 
 def deformation_to_json(defm: Deformation) -> dict:
-    d = defm.dim
-    mu_json = []
-    for c in defm.coeffs:
-        cells = _rat_strs(c.main.values)  # [i][j][k] at (i * d + j) * d + k
-        mu_json.append([[cells[(i * d + j) * d:(i * d + j + 1) * d] for j in range(d)]
-                        for i in range(d)])
-    return {"order": defm.order, "mu": mu_json,
-            "d": [[matrix_to_json(multimap_to_matrix(c.parts[k])) for c in defm.coeffs]
-                  for k in range(defm.rank)]}
+    """Written from the numerators over D of ``defm._tables``: mu_p
+    [i][j][k] at (i * d + j) * d + k, d_{k,s} column by column."""
+    tables = defm._tables
+    d, den, (mus, _identity, *dks) = tables.dim, tables.den, tables._tables
+    return {"order": tables.order,
+            "mu": [[[c[x:x + d] for x in range(i, i + d * d, d)] for i in range(0, d ** 3, d * d)]
+                   for c in (_int_cells(member[0], den) for member in mus)],
+            "d": [[[c[b::d] for b in range(d)] for c in (_int_cells(member[0], den) for member in ser)]
+                  for ser in dks]}
 
 
 def parse_tensor_section(doc, path: str = "tensor") -> tuple[int, int | None, tuple[Matrix, ...]]:

@@ -12,7 +12,7 @@ trivialization against their loops with a second full scan per appended
 order and with Fraction gauges at every step, the gauge action against
 dense multimap composition and gauge composition and inversion against
 dense Fraction matrix series, a matrix's integer rows against ``int_form``
-read row by row, the input verifiers
+read row by row, the deformation reader against its Fraction route, the input verifiers
 (associativity, the higher-derivation law on a product or a bracket, the
 bimodule laws) against their Fraction scans over basis tuples, the three
 readers of the morphism law (morphisms, universal extensions, section
@@ -37,10 +37,13 @@ from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import deform, samples
-from hderlab.algebras import LawTables, _contract
-from hderlab.exactlin import ONE, ZERO, echelon, int_form, vec_add
+from hderlab.algebras import LawTables, _contract, tensor_values
+from hderlab.exactlin import ONE, ZERO, as_fractions, echelon, int_form, vec_add
 from hderlab.extensions import _check_induced_actions
-from hderlab.serialize import Streamed, cochain_to_json, write_report
+from hderlab.serialize import (
+    ParseError, Streamed, _int, _list, _need, cochain_to_json, parse_matrix, parse_tensor3,
+    write_report,
+)
 
 # ---------------------------------------------------------------- generators
 
@@ -402,6 +405,36 @@ def oracle_int_rows(m: H.Matrix) -> tuple[tuple[dict, ...], int]:
     c = m.cols
     return tuple({j: x for j, x in enumerate(nums[i * c:(i + 1) * c]) if x}
                  for i in range(m.rows)), scale
+
+
+def oracle_parse_deformation(doc, dim: int, nrank: int, path: str = "deformation") -> H.Deformation:
+    """``serialize.parse_deformation`` as it read a family through Fractions:
+    each mu_p a ``MultiMap`` of the parsed tensor, each d_{k,s} a parsed
+    ``Matrix`` made an arity-1 ``MultiMap``, the coefficients ``Cochain``s.
+    The reference for the integer reader, its tables and its errors."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected an object")
+    order = _int(_need(doc, "order", path), f"{path}.order")
+    if order < 0:
+        raise ParseError(f"{path}.order: must be >= 0")
+    mu_docs = _list(_need(doc, "mu", path), f"{path}.mu", order + 1)
+    mus = []
+    for p, t in enumerate(mu_docs):
+        mus.append(H.MultiMap(2, dim, dim, tensor_values(
+            parse_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]"))))
+    d_docs = _list(_need(doc, "d", path), f"{path}.d", nrank)
+    dks = []
+    for k, series in enumerate(d_docs):
+        series = _list(series, f"{path}.d[{k}]", order + 1)
+        dks.append([H.matrix_to_multimap(parse_matrix(m, dim, dim, f"{path}.d[{k}][{s}]"))
+                    for s, m in enumerate(series)])
+    return H.Deformation(tuple(H.Cochain(mu, tuple(series[s] for series in dks))
+                               for s, mu in enumerate(mus)))
+
+
+def law_table_members(tables: LawTables) -> list:
+    """The members of ``tables`` as lists, whichever sequence holds them."""
+    return [[(list(flat), mx, l1) for flat, mx, l1 in ser] for ser in tables._tables]
 
 
 def reduced_matrix(m: H.Matrix) -> tuple[H.Matrix, tuple[int, ...]]:
@@ -888,19 +921,21 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
 
 def two_scan_extend_to(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformation,
                        target: int) -> tuple[H.Deformation, H.Cochain | None]:
-    """Order-by-order extension that scans each appended order twice: once
-    for the known defect, and in full after the solve.  The reference for
-    ``deform.extend_to``; the solve is looked up as ``deform.preimage`` at
-    call time, so a test can replace it for both."""
+    """Order-by-order extension of Fraction deformations that scans each
+    appended order twice: once for the known defect, and in full after the
+    solve.  The reference for ``deform.extend_to``; the solve is looked up
+    as ``deform.solve_ints`` at call time, so a test can replace it for
+    both."""
     deform._require_verified(alg, hd, defm)
-    mod = H.adjoint_bimodule(alg, hd)
+    m = H.differential_matrix(alg, H.adjoint_bimodule(alg, hd), hd, 2)
     current = defm
     while current.order < target:
         ob = deform._known_defect(current)
-        candidate = deform.preimage(alg, mod, hd, ob)
-        if candidate is None:
+        sol = deform.solve_ints(m, *int_form(H.cochain_to_vector(ob)))
+        if sol is None:
             return current, ob
-        current = H.extend_deformation(current, candidate)
+        current = H.extend_deformation(
+            current, H.vector_to_cochain(alg.dim, alg.dim, hd.rank, 2, as_fractions(*sol)))
         tables, s = current._tables, current.order
         for k in range(tables.rank + 1):
             bad = tables.failure(k, s)

@@ -206,6 +206,35 @@ def test_free_tensor_is_polynomial_in_the_number_of_maps(capsys):
         "899bbf2cfa33fee376cb00f17d41f5e9211dc3f582affe18ab9e313d229dd4bc"
 
 
+@pytest.mark.parametrize("args", [["deform-verify"], ["deform-obstruct"], ["deform-extend", "--to", "4"],
+                                  ["deform-trivialize"]], ids=" ".join)
+def test_spelled_deformation_gives_the_same_report(args, capsys):
+    # dual_deform_spelled.json holds the family of dual_deform.json written
+    # as JSON ints, "2/4", "-0", "0/5" and the like
+    reports = []
+    for name in ("dual_deform.json", "dual_deform_spelled.json"):
+        assert main([args[0], str(FIXTURES / name), *args[1:], "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("error", [RuntimeError("appended coefficient does not verify\nat (0, 1)"),
+                                   KeyError("k"), ZeroDivisionError("division by zero")],
+                         ids=lambda exc: type(exc).__name__)
+def test_an_internal_error_exits_3_with_one_line(error, monkeypatch, capsys):
+    # an exception main does not name is a fault of hderlab, not an answer
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "_pair_reports", fail)
+    assert main(["check", str(FIXTURES / "dual_pair.json"), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"internal error: {type(error).__name__}: ")
+
+
 @pytest.mark.parametrize("args", [
     ["cohomology", "dual_pair.json", "--degree", "1"],
     ["cohomology", "dual_pair.json", "--degree", "2"],

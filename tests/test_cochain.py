@@ -301,31 +301,6 @@ def test_is_coboundary_detects_fresh_class():
     assert H.is_coboundary(z1, mod, hd, rep.cocycle_basis[0]) is None
 
 
-def test_cocycle_preimage_solves_first(monkeypatch):
-    rng = random.Random(71)
-    alg, hd, mod = _dual_adjoint()
-    img = H.differential(alg, mod, hd, rand_cochain(rng, 2, 2, 2, 1))
-    tested = []
-    differential = cochain.differential
-    monkeypatch.setattr(cochain, "differential",
-                        lambda *args: tested.append(args[-1]) or differential(*args))
-    # a found preimage skips the cocycle test and is is_coboundary's
-    pre = cochain.cocycle_preimage(alg, mod, hd, img)
-    assert tested == []
-    assert cochains_equal(pre, H.is_coboundary(alg, mod, hd, img))
-    # no preimage: the test runs, and a non-cocycle raises as in is_coboundary
-    c = rand_cochain(rng, 2, 2, 2, 2)
-    tested.clear()
-    with pytest.raises(H.NotACocycleError, match="degree-2 input is not a cocycle"):
-        cochain.cocycle_preimage(alg, mod, hd, c)
-    assert tested == [c]
-    z1 = samples.zero_algebra(1)
-    zhd = H.HigherDerivation.zero(1, 1)
-    zmod = H.trivial_bimodule(z1, 1, (H.Matrix.zeros(1, 1),))
-    fresh = H.cohomology(z1, zmod, zhd, 2).cocycle_basis[0]
-    assert cochain.cocycle_preimage(z1, zmod, zhd, fresh) is None
-
-
 def test_vectorization_roundtrip():
     rng = random.Random(71)
     for n in (1, 2, 3):

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import cli, deform, samples
+from hderlab.exactlin import ZERO, as_fractions, int_form
 from hderlab.serialize import (
-    deformation_to_json, parse_algebra, parse_deformation, parse_hder,
+    ParseError, deformation_to_json, parse_algebra, parse_deformation, parse_hder,
 )
 
 from helpers import (
     cochains_equal, dense_apply_gauge, dense_series_inverse, dense_series_product,
+    law_table_members, oracle_parse_deformation,
     loop_obstruction, loop_trivialize, loop_verify_deformation, mm_eval, pair_fixtures,
     rand_cochain, rand_fraction, rand_gauge, rand_matrix, rand_multimap, two_scan_extend_to,
 )
@@ -372,6 +374,99 @@ def test_serialization_roundtrip(defm, section):
         assert doc == section
 
 
+def _spelled(x: Fraction, rng: random.Random):
+    """One of the JSON tokens that read as x: a JSON int, "p", "p/q" times
+    a common factor, or for zero "-0" and "0/q"."""
+    if not x:
+        return rng.choice((0, "0", "-0", "0/5", "-0/7"))
+    k = rng.choice((1, 1, 2, 3))
+    if x.denominator == k == 1:
+        return rng.choice((x.numerator, str(x.numerator)))
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+def _spelled_family(rng: random.Random, dim: int, rank: int, order: int) -> dict:
+    """A deformation section of random entries, some near 2^40 over 7 and
+    11, each token spelled by ``_spelled``; no law is asked to hold."""
+    def entry():
+        big = Fraction(rng.choice((-1, 1)) * rng.randint(2 ** 39, 2 ** 40), rng.choice((7, 11)))
+        return _spelled(rng.choice((ZERO, ZERO, rand_fraction(rng), big)), rng)
+
+    def square():
+        return [[entry() for _ in range(dim)] for _ in range(dim)]
+
+    return {"order": order, "mu": [[square() for _ in range(dim)] for _ in range(order + 1)],
+            "d": [[square() for _ in range(order + 1)] for _ in range(rank)]}
+
+
+def _read_or_error(read, doc, dim, rank):
+    try:
+        return read(doc, dim, rank)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_integer_reader_matches_the_fraction_reader(dim, rank, order, seed):
+    doc = _spelled_family(random.Random(seed), dim, rank, order)
+    read, oracle = parse_deformation(doc, dim, rank), oracle_parse_deformation(doc, dim, rank)
+    assert "coeffs" not in vars(read)  # read into the law tables alone
+    assert law_table_members(read._tables) == law_table_members(oracle._tables)
+    assert read._tables.den == oracle._tables.den
+    assert read == oracle and hash(read) == hash(oracle) and repr(read) == repr(oracle)
+
+
+_BAD_TOKENS = (0.5, 1.0, True, False, None, [1], {"a": 1}, "+3", " 3", "0.5", "1e5", "1/0",
+               "-0/0", "9" * 5000, "1/" + "7" * 5000)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2), st.integers(0, 2 ** 32),
+       st.one_of(st.sampled_from(_BAD_TOKENS),
+                 st.sampled_from(("short row", "not a list", "no d", "order", "short series"))))
+def test_integer_reader_rejects_what_the_fraction_reader_rejects(dim, rank, order, seed, bad):
+    # one bad token or one bad shape; the readers walk the file in one order,
+    # so they name the same first failure
+    rng = random.Random(seed)
+    doc = _spelled_family(rng, dim, rank, order)
+    rows = [row for t in doc["mu"] for m in t for row in m] + \
+        [row for ser in doc["d"] for m in ser for row in m]
+    row = rng.choice(rows)
+    if bad == "short row":
+        row.pop()
+    elif bad == "not a list":
+        doc["mu" if rng.random() < 0.5 else "d"][0] = "x"
+    elif bad == "no d":
+        del doc["d"]
+    elif bad == "order":
+        doc["order"] += 1
+    elif bad == "short series":
+        doc["d"][-1].pop()
+    else:
+        row[rng.randrange(len(row))] = bad
+    got = _read_or_error(parse_deformation, doc, dim, rank)
+    assert isinstance(got, str) and got == _read_or_error(oracle_parse_deformation, doc, dim, rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_appended_orders_equal_tables_read_from_fractions(index, appended, seed):
+    # candidates over 1, 2, 3, 5 and 7: most of their denominators do not
+    # divide D, so the older members are rescaled to the new lcm
+    rng = random.Random(seed)
+    _alg, _hd, defm = DEFORMATION_FIXTURES[index]
+    tables, coeffs, size = defm._tables, defm.coeffs, H.cochain_dim(defm.dim, defm.dim, defm.rank, 2)
+    for _ in range(appended):
+        values = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5, 7))) for _ in range(size)]
+        tables = tables.extended(*int_form(values))
+        coeffs += (H.vector_to_cochain(defm.dim, defm.dim, defm.rank, 2, tuple(values)),)
+        rebuilt = H.Deformation(coeffs)._tables
+        assert law_table_members(tables) == law_table_members(rebuilt)
+        assert tables.den == rebuilt.den
+        assert H.Deformation.from_tables(tables) == H.Deformation(coeffs)
+
+
 def _perturbed(defm: H.Deformation, rng: random.Random,
                delta: Fraction | None = None, s: int | None = None) -> H.Deformation:
     """One entry of one mu_s or d_{k,s} moved by a nonzero amount; s is
@@ -493,21 +588,31 @@ def test_deform_extend_verifies_its_input_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_deform_extend_rejects_a_wrong_candidate(monkeypatch):
-    solve = deform.preimage
+def _solve_one_entry_off(monkeypatch, pick, delta):
+    """Make ``deform.solve_ints`` move the entry ``pick(columns)`` of each
+    solution by ``delta()``, where ``columns`` lists, in order, the
+    columns j with d(e_j) != 0."""
+    solve = deform.solve_ints
 
-    def off_by_one_column(alg, mod, hd, c):
-        n = c.n - 1
-        sol = list(H.cochain_to_vector(solve(alg, mod, hd, c)))
-        m = H.differential_matrix(alg, mod, hd, n)
-        j = next(j for row in m.int_rows[0] for j in row)  # a column with d(e_j) != 0
-        sol[j] += 1
-        return H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, tuple(sol))
+    def one_entry_off(m, nums, den):
+        x, q = solve(m, nums, den)
+        sol = list(as_fractions(x, q))
+        sol[pick(sorted({j for row in m.int_rows[0] for j in row}))] += delta()
+        return int_form(sol)
 
-    monkeypatch.setattr(deform, "preimage", off_by_one_column)
+    monkeypatch.setattr(deform, "solve_ints", one_entry_off)
+
+
+def test_deform_extend_rejects_a_wrong_candidate(monkeypatch, capsys):
+    # an appended coefficient that fails its check is a fault of hderlab:
+    # exit 3, one stderr line and no report
+    _solve_one_entry_off(monkeypatch, lambda columns: columns[0], lambda: 1)
     argv = ["deform-extend", str(FIXTURES / "dual_deform.json"), "--to", "3", "--json"]
-    with pytest.raises(RuntimeError, match="does not verify"):
-        cli.main(argv)
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("internal error: RuntimeError: appended coefficient does not verify")
 
 
 def _non_cocycle(rng, alg, hd, n):
@@ -530,14 +635,36 @@ def test_trivialize_tests_the_cocycle_when_the_solve_fails(monkeypatch):
 def test_deform_obstruct_tests_the_cocycle_when_the_solve_fails(monkeypatch, capsys):
     alg, hd, _defm = DEFORMATION_FIXTURES[0]  # dual_deform.json
     bad = _non_cocycle(random.Random(8), alg, hd, 3)
-    monkeypatch.setattr(deform, "obstruction", lambda *args: bad)
+    monkeypatch.setattr(deform, "_defect", lambda tables: int_form(H.cochain_to_vector(bad)))
     assert cli.main(["deform-obstruct", str(FIXTURES / "dual_deform.json"), "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["violations"] == ["degree-3 input is not a cocycle"]
     assert report["results"] == {}
 
 
-LOOP_FILES = DEFORMATION_FILES + ("tp3_gauged_deform.json", "tp3_wide_deform.json")
+def test_obstruction_preimage_solves_first(monkeypatch):
+    tested = []
+    differential = deform.differential
+    monkeypatch.setattr(deform, "differential", lambda *args: tested.append(args[-1]) or differential(*args))
+    # a found preimage skips the cocycle test, and is the obstruction's
+    alg, hd, defm = DEFORMATION_FIXTURES[0]  # dual_deform.json
+    (nums, den), pre = deform.obstruction_preimage(alg, hd, defm)
+    ob = H.vector_to_cochain(alg.dim, alg.dim, hd.rank, 3, as_fractions(nums, den))
+    assert tested == [] and cochains_equal(ob, H.obstruction(alg, hd, defm))
+    assert cochains_equal(H.vector_to_cochain(alg.dim, alg.dim, hd.rank, 2, as_fractions(*pre)),
+                          H.is_coboundary(alg, H.adjoint_bimodule(alg, hd), hd, ob))
+    # no preimage: the test runs on a nonzero class, and a non-cocycle raises
+    assert deform.obstruction_preimage(*DEFORMATION_FIXTURES[2])[1] is None  # nil_deform_blocked.json
+    assert len(tested) == 1
+    bad = _non_cocycle(random.Random(9), alg, hd, 3)
+    monkeypatch.setattr(deform, "_defect", lambda tables: int_form(H.cochain_to_vector(bad)))
+    with pytest.raises(H.NotACocycleError, match="degree-3 input is not a cocycle"):
+        deform.obstruction_preimage(alg, hd, defm)
+    assert tested[-1] == bad
+
+
+LOOP_FILES = DEFORMATION_FILES + ("tp3_gauged_deform.json", "tp3_wide_deform.json",
+                                  "dual_deform_spelled.json")
 
 
 def _outcome_or_error(run, *args):
@@ -608,18 +735,9 @@ def test_extend_to_matches_two_scan_loop_on_gauged_families(kind, rank, order, m
 @pytest.mark.parametrize("seed", range(3))
 def test_extend_to_rejects_a_candidate_with_one_entry_changed(monkeypatch, name, seed):
     alg, hd, defm = _load_deformation(name)
-    solve = deform.preimage
     rng = random.Random(seed)
-
-    def one_entry_off(alg, mod, hd, c):
-        n = c.n - 1
-        sol = list(H.cochain_to_vector(solve(alg, mod, hd, c)))
-        m = H.differential_matrix(alg, mod, hd, n)
-        j = rng.choice(sorted({j for row in m.int_rows[0] for j in row}))  # d(e_j) != 0
-        sol[j] += rand_fraction(rng, 1, 3)
-        return H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, tuple(sol))
-
-    monkeypatch.setattr(deform, "preimage", one_entry_off)
+    _solve_one_entry_off(monkeypatch, lambda columns: rng.choice(columns),
+                         lambda: rand_fraction(rng, 1, 3))
     kind, text = _outcome_or_error(H.extend_to, alg, hd, defm, defm.order + 1)
     assert kind is RuntimeError and text.startswith("appended coefficient does not verify")
     rng = random.Random(seed)  # the oracle's solve changes the same entry
