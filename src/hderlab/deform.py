@@ -36,11 +36,11 @@ from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_off
                        _int_table, _law_tables, _times, adjoint_bimodule, tensor_values)
 from .cochain import (
     Cochain, MultiMap, NotACocycleError, differential, differential_matrix, matrix_to_multimap,
-    preimage, vector_to_cochain, zero_cochain,
+    vector_to_cochain, zero_cochain,
 )
 from .exactlin import Matrix, ShapeError, Value, _set, as_fractions, solve_ints
 from .hder import HigherDerivation
-from .serialize import ParseError, _int, _list, _need, _pair, _row, parse_tensor3
+from .serialize import ParseError, _int, _list, _need, _pair, parse_matrix, parse_tensor3
 
 
 class Deformation(Value):
@@ -124,11 +124,10 @@ def _read_entries(doc, dim: int, nrank: int, order: int, path: str) -> None:
     """Raise the ParseError that names the first failing entry of a
     malformed deformation section, walked as the Fraction reader walks it."""
     for p, t in enumerate(_list(_need(doc, "mu", path), f"{path}.mu", order + 1)):
-        parse_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]", _pair)
+        parse_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]")
     for k, ser in enumerate(_list(_need(doc, "d", path), f"{path}.d", nrank)):
         for s, m in enumerate(_list(ser, f"{path}.d[{k}]", order + 1)):
-            for r, row in enumerate(_list(m, f"{path}.d[{k}][{s}]", dim)):
-                _row(row, dim, f"{path}.d[{k}][{s}][{r}]", _pair)
+            parse_matrix(m, dim, dim, f"{path}.d[{k}][{s}]")
 
 
 class GaugeMap(Value):
@@ -444,8 +443,9 @@ class ExtendOutcome(Value):
 
 def try_extend(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> ExtendOutcome:
     """Solve for a next coefficient; absence certifies a fresh obstruction class."""
-    ob = obstruction(alg, hd, defm)
-    return ExtendOutcome(preimage(alg, adjoint_bimodule(alg, hd), hd, ob), ob)
+    ob, pre = obstruction_preimage(alg, hd, defm)
+    return ExtendOutcome(None if pre is None else _cochain(alg.dim, hd.rank, 2, *pre),
+                         _cochain(alg.dim, hd.rank, 3, *ob))
 
 
 def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,

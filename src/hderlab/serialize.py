@@ -100,11 +100,11 @@ _token = functools.lru_cache(maxsize=256, typed=True)(_parse_token)
 _pair = functools.lru_cache(maxsize=256, typed=True)(_parse_pair)
 
 
-def _row(obj, length: int, path: str, token=_token) -> tuple:
-    """A list of ``length`` rationals read by ``token``; an entry's path is built only if it fails."""
+def _row(obj, length: int, path: str) -> tuple:
+    """A list of ``length`` rationals; an entry's path is built only if it fails."""
     data = _list(obj, path, length)
     try:
-        return tuple(map(token, data))
+        return tuple(map(_token, data))
     except (ParseError, TypeError):  # TypeError: an unhashable entry
         for i, x in enumerate(data):
             try:
@@ -129,8 +129,8 @@ def matrix_to_json(mat: Matrix) -> list[list[str]]:
     return [cells[r * c:(r + 1) * c] for r in range(mat.rows)]
 
 
-def parse_tensor3(obj, d0: int, d1: int, d2: int, path: str, token=_token):
-    return tuple(tuple(_row(inner, d2, f"{path}[{i}][{j}]", token)
+def parse_tensor3(obj, d0: int, d1: int, d2: int, path: str):
+    return tuple(tuple(_row(inner, d2, f"{path}[{i}][{j}]")
                        for j, inner in enumerate(_list(mid, f"{path}[{i}]", d1)))
                  for i, mid in enumerate(_list(obj, path, d0)))
 
