@@ -11,13 +11,14 @@ order 0 is what the input verifiers check, order s the deformation equations.
 
 ``LawTables`` evaluates both sides as packed integers (Kronecker
 substitution), in slots of a width B proven wide enough, so that comparing
-two integers decides every equation in them exactly.  A pair's tables are
-set up from integer forms: the one an algebra or a bimodule keeps
-(``int_form``, its numerators over their lcm denominator, made once and
-what it hashes) and a map's ``int_rows``; a deformation's are its
-numerators over the lcm of their denominators, as a problem file is read
-(``deform.read_deformation``), and ``LawTables.extended`` appends an order
-to them.  A command builds one table per pair (``hder._pair_reports``).
+two integers decides every equation in them exactly.  Tables are built
+from the 2-cochain vector of each order, (mu_s; d_{1,s}, ..., d_{N,s}),
+as numerators over one denominator (``LawTables.orders``).  A pair's
+order-0 vector comes from the integer forms an algebra or a bimodule
+keeps (``int_form``, its numerators over their lcm denominator, made once
+and what it hashes) and a map's ``int_rows``; a deformation's, from the
+problem file (``deform.read_deformation``), and ``LawTables.extended``
+appends an order.  A command builds one table per pair (``hder._pair_reports``).
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -84,20 +85,17 @@ def _contract(t: Tensor3, x: Vector, y: Vector, n: int) -> Vector:
     return tuple(out)
 
 
-def _int_table(values, d: int, mult: int = 1) -> tuple[list[int], int, int]:
-    """The integers x * ``mult`` for the ints x of ``values`` (the values
-    themselves, not a copy, when ``mult`` is 1), mx, the largest of their
-    absolute values, and mx times the most nonzeros of a length-d block,
-    bounding its l1 norm."""
-    flat = values if mult == 1 else [x * mult for x in values]
+def _int_table(flat, d: int) -> tuple[list[int], int, int]:
+    """The integers ``flat``, mx, the largest of their absolute values, and
+    mx times the most nonzeros of a length-d block, bounding its l1 norm."""
     zeros = min(map(tuple.count, zip(*[iter(flat)] * d), itertools.repeat(0)), default=d)
     mx = max(map(abs, flat), default=0)
     return flat, mx, mx * (d - zeros)
 
 
-def _columns(m: Matrix) -> list[int]:
-    """The numerators of ``m.int_rows``, column by column."""
-    return [row.get(j, 0) for j in range(m.cols) for row in m.int_rows[0]]
+def _columns(m: Matrix, mult: int = 1) -> list[int]:
+    """The numerators of ``m.int_rows`` times ``mult``, column by column."""
+    return [row.get(j, 0) * mult for j in range(m.cols) for row in m.int_rows[0]]
 
 
 def _balanced_offset(bits: int, slots: int) -> int:
@@ -106,13 +104,12 @@ def _balanced_offset(bits: int, slots: int) -> int:
     return ((1 << bits * slots) - 1) // ((1 << bits) - 1) << bits - 1
 
 
-def _law_tables(d: int, products, series) -> LawTables:
-    """The law tables of the flat Fraction values of each mu_p and of each
-    d_{k,s}, ``series[k - 1][s]``, column by column, over D, the lcm of
-    their denominators, each member read once (``int_form``)."""
-    forms = [list(map(int_form, ser)) for ser in (products, *series)]
-    den = math.lcm(*(q for ser in forms for _nums, q in ser))
-    return LawTables(d, den, [[(nums, den // q) for nums, q in ser] for ser in forms])
+def _law_tables(d: int, vectors) -> LawTables:
+    """The law tables of the Fraction 2-cochain vectors of orders 0..n,
+    over D, the lcm of their denominators (``int_form``)."""
+    nums, den = int_form([x for v in vectors for x in v])
+    size = len(nums) // len(vectors)
+    return LawTables(d, den, [list(nums[b:b + size]) for b in range(0, len(nums), size)])
 
 
 def _pair_tables(d: int, form: tuple, maps=()) -> LawTables:
@@ -120,7 +117,10 @@ def _pair_tables(d: int, form: tuple, maps=()) -> LawTables:
     numerators [i][j][k] over their denominator) and of the maps d_1..d_N."""
     nums, den = form
     top = math.lcm(den, *(m.int_rows[1] for m in maps))
-    return LawTables(d, top, [[(nums, top // den)], *([(_columns(m), top // m.int_rows[1])] for m in maps)])
+    vector = [x * (top // den) for x in nums]
+    for m in maps:
+        vector += _columns(m, top // m.int_rows[1])
+    return LawTables(d, top, [vector])
 
 
 def _times(vectors: list, weights) -> list[list[int]]:
@@ -165,33 +165,37 @@ class LawTables:
     sum_{a+b=k} sum_u d_a(e_i)_u S_b(u, j), where the staged series
     S_b(u, j) = sum_v d_b(e_j)_v mu(e_u, e_v) serves every k.
 
-    ``tables[0][p]`` holds mu_p and ``tables[k + 1][s]`` holds d_{k,s}
-    (d_{0,0} = id), each as ``(numerators, mx, l1)`` from ``_int_table``:
-    the numerators over D, flat in [i][j][c] order for mu_p and column by
-    column for d_{k,s}.  These flat numerators are the family's one integer
-    form: the scans here pack them per basis tuple, and the gauge algebra
-    of ``deform`` packs them entry by entry (``deform._Packed``).
+    ``orders[s]`` is the order-s coefficient, the numerators over D of its
+    2-cochain vector: mu_s flat in [i][j][c] order, then each d_{k,s}
+    column by column.  It is the family's one integer form, packed per
+    basis tuple here and entry by entry by ``deform._Packed``.
+    ``_tables[0][s]`` and ``_tables[k + 1][s]`` are its mu_s and d_{k,s}
+    blocks (d_{0,0} = id) as ``(numerators, mx, l1)``, for ``bits``.
     """
 
-    def __init__(self, dim: int, den: int, series):
-        """``series`` holds the members of mu, then of each d_k, as
-        ``(values, mult)``: their numerators over ``den`` are values * mult."""
-        tables = [[_int_table(values, dim, mult) for values, mult in ser] for ser in series]
-        tables.insert(1, [([den if b == c else 0 for c in range(dim) for b in range(dim)], den, den)])
-        self.dim, self.den, self._tables = dim, den, tables
-        self.order = len(tables[0]) - 1
-        self.rank = len(tables) - 2
+    def __init__(self, dim: int, den: int, orders):
+        """``orders``: each order's vector over ``den``, kept as given."""
+        self.dim, self.den, self.orders = dim, den, orders
+        self.order = len(orders) - 1
+        self.rank = (len(orders[0]) - dim ** 3) // (dim * dim)
         self._sides: dict[int, tuple[list[int], list[int]]] = {}
         self._windows: dict[int, tuple[int, int, int]] = {}
 
+    @cached_property
+    def _tables(self) -> list[list[tuple[list[int], int, int]]]:
+        d, size, vectors = self.dim, self.dim ** 3, self.orders
+        maps = [[_int_table(v[b:b + d * d], d) for v in vectors] for b in range(size, len(vectors[0]), d * d)]
+        identity = [self.den if b == c else 0 for c in range(d) for b in range(d)]
+        return [[_int_table(v[:size], d) for v in vectors], [(identity, self.den, self.den)], *maps]
+
     def extended(self, values, den: int) -> LawTables:
         """These tables with order n + 1 appended, over lcm(D, den): its
-        numerators over ``den``, mu's d^3 then d^2 for each d_k, are
-        ``values``.  The older members are shared, or rescaled if D grows."""
-        d, top = self.dim, math.lcm(self.den, den)
-        members = [values[:d ** 3], *(values[b:b + d * d] for b in range(d ** 3, len(values), d * d))]
-        return LawTables(d, top, [[(flat, top // self.den) for flat, _mx, _l1 in ser] + [(new, top // den)]
-                                  for ser, new in zip([self._tables[0], *self._tables[2:]], members)])
+        vector's numerators over ``den`` are ``values``.  The older vectors
+        are shared, or rescaled if D grows."""
+        top = math.lcm(self.den, den)
+        older = self.orders if top == self.den else [[x * (top // self.den) for x in v] for v in self.orders]
+        new = values if top == den else [x * (top // den) for x in values]
+        return LawTables(self.dim, top, [*older, new])
 
     def scale(self, k: int) -> int:
         """The denominator of the numerators of law k: D^2 for
@@ -244,15 +248,11 @@ class LawTables:
         of mu, then the d columns of each of d_0, ..., d_N): ``scalars[m][c]``
         = sum_p x_{p,c} X^(p d) for x_p block m of the order-p coefficient,
         and ``vectors[m]`` = sum_c scalars[m][c] X^c."""
-        d, bits = self.dim, self.bits
+        d, bits, size = self.dim, self.bits, self.dim ** 3
         offsets, shifts = [bits * d * p for p in range(self.order + 1)], [bits * c for c in range(d)]
-        flat: list[int] = []
-        for series in self._tables:
-            if len(series) == 1:
-                flat += series[0][0]
-            else:
-                flat += [sum(map(lshift, xs, offsets))
-                         for xs in zip(*(numerators for numerators, _mx, _l1 in series))]
+        flat = list(self.orders[0]) if self.order == 0 else [sum(map(lshift, xs, offsets))
+                                                            for xs in zip(*self.orders)]
+        flat[size:size] = self._tables[1][0][0]  # d_0 = id
         scalars = [flat[base:base + d] for base in range(0, len(flat), d)]
         return scalars, [sum(map(lshift, at, shifts)) for at in scalars]
 

@@ -10,17 +10,19 @@ The order-s equations are the two laws of ``algebras`` at order s, on the
 packed tables ``Deformation._tables`` (an ``algebras.LawTables``):
 verification masks the slots of orders 0..n and compares.  Slots are
 unpacked only for a reported violation, the obstruction and the append
-check of ``extend_to``.  A problem file is read straight into those
-tables (``read_deformation``), the obstruction is solved on their
-integers, and ``extend_to`` appends each solution to them.  The deform
-commands test a cocycle only when the solve finds no preimage: a preimage
-makes the cochain a coboundary, so a cocycle, as d^2 = 0 for the pair.
+check of ``extend_to``.  The tables are built from the 2-cochain vector
+of each order over one denominator (``LawTables.orders``): a problem file
+is read into it (``read_deformation``), ``apply_gauge`` writes its
+integers to it, the obstruction is solved on it and ``extend_to`` appends
+each solution.  The deform commands test a cocycle only when the solve
+finds no preimage: a preimage makes the cochain a coboundary, so a
+cocycle, as d^2 = 0 for the pair.
 
 The gauge group runs on one packed form too (``_Packed``): an entry of a
 gauge, d_k or mu series is one integer sum_s x_s 2^(B s), and the action,
 composition, inverse and the shears of ``trivialize`` are big-integer
 products of entries.  Fractions appear only at the boundary: a reported
-violation, a returned cochain (the obstruction, the gauged or a blocking
+violation, a returned cochain (the obstruction or a blocking
 coefficient), a composed or inverted gauge and the final gauge of
 ``trivialize``, and ``coeffs``, made when first read.
 """
@@ -33,14 +35,13 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _columns,
-                       _int_table, _law_tables, _times, adjoint_bimodule, tensor_values)
+                       _law_tables, _pair_tables, _times, adjoint_bimodule, tensor_values)
 from .cochain import (
-    Cochain, MultiMap, NotACocycleError, differential, differential_matrix, matrix_to_multimap,
-    vector_to_cochain, zero_cochain,
+    Cochain, MultiMap, NotACocycleError, cochain_blocks, cochain_to_vector, differential,
+    differential_matrix, vector_to_cochain,
 )
 from .exactlin import Matrix, ShapeError, Value, _set, as_fractions, solve_ints
-from .hder import HigherDerivation
-from .serialize import ParseError, _int, _list, _need, _pair, parse_matrix, parse_tensor3
+from .hder import HigherDerivation, _require_same_dim
 
 
 class Deformation(Value):
@@ -70,7 +71,7 @@ class Deformation(Value):
         if name != "coeffs" or "_tables" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         t = self._tables
-        _set(self, "coeffs", tuple(_cochain(t.dim, t.rank, 2, v, t.den) for v in _state(t, t.order)))
+        _set(self, "coeffs", tuple(_cochain(t.dim, t.rank, 2, v, t.den) for v in t.orders))
         return self.coeffs
 
     order = property(lambda self: self._tables.order)
@@ -80,54 +81,20 @@ class Deformation(Value):
     @cached_property
     def _tables(self) -> LawTables:
         """The coefficients as ``algebras._law_tables``."""
-        return _law_tables(self.coeffs[0].main.dim, [c.main.values for c in self.coeffs],
-                           [[c.parts[k].values for c in self.coeffs]
-                            for k in range(len(self.coeffs[0].parts))])
+        return _law_tables(self.coeffs[0].main.dim, list(map(cochain_to_vector, self.coeffs)))
 
 
-def _leaves(obj, shape: tuple):
-    """The entries of ``obj`` in order when it nests lists of the lengths
-    in ``shape``, level by level; None when it does not."""
-    level = [obj]
-    for length in shape:
-        if not all(isinstance(x, list) and len(x) == length for x in level):
-            return None
-        level = list(itertools.chain.from_iterable(level))
-    return level
-
-
-def read_deformation(doc, dim: int, nrank: int, path: str) -> Deformation:
-    """``serialize.parse_deformation``: each token is read as p/q in lowest
-    terms (``serialize._pair``) and becomes its numerator over D, the lcm of
-    the family's denominators, in a member of the law tables; no Fraction.
-    A malformed section is walked again, entry by entry, for its first error."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
-    order = _int(_need(doc, "order", path), f"{path}.order")
-    if order < 0:
-        raise ParseError(f"{path}.order: must be >= 0")
-    try:  # TypeError: another shape than the one asked for (None), or an unhashable entry
-        pairs = [list(map(_pair, _leaves(doc.get("mu"), (order + 1, dim, dim, dim)))),
-                 list(map(_pair, _leaves(doc.get("d"), (nrank, order + 1, dim, dim))))]
-    except (ParseError, TypeError):
-        _read_entries(doc, dim, nrank, order, path)  # raises: it fails where these do
-    den = math.lcm(*{q for xs in pairs for _p, q in xs})
-    (mus, ds), size, dd = ([p * (den // q) for p, q in xs] for xs in pairs), dim ** 3, dim * dim
-    series = [[(mus[b:b + size], 1) for b in range(0, len(mus), size)]]
-    for k in range(0, len(ds), (order + 1) * dd):  # each d_{k,s} column by column
-        series.append([([x for c in range(dim) for x in ds[b + c:b + dd:dim]], 1)
-                       for b in range(k, k + (order + 1) * dd, dd)])
-    return Deformation.from_tables(LawTables(dim, den, series))
-
-
-def _read_entries(doc, dim: int, nrank: int, order: int, path: str) -> None:
-    """Raise the ParseError that names the first failing entry of a
-    malformed deformation section, walked as the Fraction reader walks it."""
-    for p, t in enumerate(_list(_need(doc, "mu", path), f"{path}.mu", order + 1)):
-        parse_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]")
-    for k, ser in enumerate(_list(_need(doc, "d", path), f"{path}.d", nrank)):
-        for s, m in enumerate(_list(ser, f"{path}.d[{k}]", order + 1)):
-            parse_matrix(m, dim, dim, f"{path}.d[{k}][{s}]")
+def read_deformation(dim: int, order: int, mu: list, ds: list) -> Deformation:
+    """``serialize.parse_deformation`` on the ``(p, q)`` entries of mu_0..mu_n,
+    each [i][j][k], and of each d_k series, each d_{k,s} [row][column]:
+    each becomes its numerator over D, the lcm of the family's
+    denominators, in the 2-cochain vector of its order; no Fraction."""
+    den = math.lcm(*{q for _p, q in itertools.chain(mu, ds)})
+    nums, size, dd, n = [p * (den // q) for p, q in itertools.chain(mu, ds)], dim ** 3, dim * dim, order + 1
+    # maps[k * n + s] is d_{k,s} column by column
+    maps = [[x for c in range(dim) for x in nums[b + c:b + dd:dim]] for b in range(n * size, len(nums), dd)]
+    orders = [nums[s * size:s * size + size] + [x for m in maps[s::n] for x in m] for s in range(n)]
+    return Deformation.from_tables(LawTables(dim, den, orders))
 
 
 class GaugeMap(Value):
@@ -166,21 +133,23 @@ def trivial_deformation(alg: Algebra, hd: HigherDerivation, order: int) -> Defor
     the higher derivation, followed by zeros."""
     if order < 0:
         raise ShapeError("order must be >= 0")
-    return Deformation((Cochain(product_multimap(alg), tuple(map(matrix_to_multimap, hd.maps))),)
-                       + (zero_cochain(alg.dim, alg.dim, hd.rank, 2),) * order)
+    _require_same_dim(alg, hd)
+    base = _pair_tables(alg.dim, alg.int_form, hd.maps)
+    zero = [0] * len(base.orders[0])
+    return Deformation.from_tables(LawTables(alg.dim, base.den, [*base.orders, *[zero] * order]))
 
 
 def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
-    """The order-0 members against ``alg.int_form`` and each map's ``int_rows``."""
+    """The order-0 vector against that of ``alg.int_form`` and the maps'
+    ``int_rows`` (``algebras._pair_tables``), as rationals, entry by entry."""
     tables = defm._tables
     if tables.dim != alg.dim:
         raise ShapeError("deformation dimension differs from the algebra")
     if tables.rank != hd.rank:
         raise ShapeError("deformation rank differs from the higher derivation")
-    (mus, _identity, *dks), den = tables._tables, tables.den
-    forms = [alg.int_form, *((_columns(m), m.int_rows[1]) for m in hd.maps)]
-    for k, (ser, (nums, q)) in enumerate(zip([mus, *dks], forms)):
-        if [x * q for x in ser[0][0]] != [y * den for y in nums]:  # as rationals, entry by entry
+    base = _pair_tables(alg.dim, alg.int_form, hd.maps)
+    for k, block in enumerate(cochain_blocks(alg.dim, alg.dim, hd.rank, 2)):
+        if [x * base.den for x in tables.orders[0][block]] != [y * tables.den for y in base.orders[0][block]]:
             raise ValueError(f"order-0 derivation coefficient {k} is not d_{k}" if k else
                              "order-0 product coefficient is not the algebra multiplication")
 
@@ -314,7 +283,7 @@ def _gauge_members(gauge: GaugeMap, order: int) -> tuple[list, int]:
     dim = gauge.dim
     phis = gauge.phis[:order + 1] + (Matrix.zeros(dim, dim),) * (order - gauge.order)
     e = math.lcm(*(m.int_rows[1] for m in phis))
-    return [_int_table(_columns(m), dim, e // m.int_rows[1])[0] for m in phis], e
+    return [_columns(m, e // m.int_rows[1]) for m in phis], e
 
 
 def _growth(members: list, e: int, dim: int, order: int) -> tuple[int, int]:
@@ -360,13 +329,6 @@ def _gauge_map(p: _Packed, entries: list, scale: int, dim: int) -> GaugeMap:
     return GaugeMap(p.order, tuple(Matrix(dim, dim, as_fractions(m, scale)) for m in p.members(rows)))
 
 
-def _state(tables: LawTables, order: int) -> list[list[int]]:
-    """The members of mu and of each d_k up to ``order``, as ``_conjugate``
-    lays them out: order by order, the 2-cochain vector."""
-    series = [tables._tables[0], *tables._tables[2:]]
-    return [list(itertools.chain(*(ser[s][0] for ser in series))) for s in range(order + 1)]
-
-
 def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
     """Conjugate coefficientwise: mu' = Psi mu (Phi x Phi), d' = Psi d Phi,
     Psi = Phi^{-1}, the gauge padded or truncated with zeros to the
@@ -374,12 +336,12 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
     dim, T = defm.dim, defm.order
     if gauge.dim != dim:
         raise ShapeError("gauge dimension differs from the deformation")
-    (members, e), state = _gauge_members(gauge, T), _state(defm._tables, T)
+    (members, e), orders = _gauge_members(gauge, T), defm._tables.orders
     steps, growth = _growth(members, e, dim, T)
-    p = _Packed(max(1, *map(abs, itertools.chain(*state))) * growth, T)
-    state = _conjugate(p, p.pack(state), p.pack(members), e, steps)
-    return Deformation(tuple(_cochain(dim, defm.rank, 2, m, defm._tables.den * e ** (steps + 2))
-                             for m in p.members(state)))
+    p = _Packed(max(1, *map(abs, itertools.chain(*orders))) * growth, T)
+    state = _conjugate(p, p.pack(orders), p.pack(members), e, steps)
+    state, q = _reduce(p, state, defm._tables.den * e ** (steps + 2))
+    return Deformation.from_tables(LawTables(dim, q, p.members(state)))
 
 
 def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
@@ -532,7 +494,7 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     if T > defm.order:
         raise ValueError("cannot trivialize past the stored order")
     dim, identity = alg.dim, [int(k % (alg.dim + 1) == 0) for k in range(alg.dim ** 2)]
-    members = [_state(defm._tables, T), [identity]]  # at hand until the first shear
+    members = [defm._tables.orders[:T + 1], [identity]]  # at hand until the first shear
     p = _Packed(max(map(abs, itertools.chain(*members[0]))), T)
     (state, acc), q, q_acc = map(p.pack, members), defm._tables.den, 1
     mod = adjoint_bimodule(alg, hd)

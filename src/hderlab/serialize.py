@@ -5,12 +5,14 @@ Rationals are JSON integers or strings "p/q" or "p" (ASCII digits, p maybe
 tensors are nested [i][j][k] lists; multilinear maps are flat row-major lists
 matching the cochain value layout.  Parse errors carry the failing JSON path.
 
-Rational tokens go through ``_token``, an ``lru_cache`` keyed by value and
-type (so ``true`` never reads as ``1``), or its twin ``_pair`` for p/q in
-lowest terms as two ints.  Each cache is process-wide: in a long-running
-process it keeps its last 256 tokens (JSON ints and the strings "p/q",
-however long) and their values alive.  A problem file repeats few tokens
-many times, so a token is parsed about once per file.  Payloads format
+Every section is read by one walker, ``_pairs``: it checks the nesting of
+the lists and reads each token through one cache, ``_pair`` (p/q in lowest
+terms as two ints; an ``lru_cache`` keyed by value and type, so ``true``
+never reads as ``1``, that keeps its last 256 tokens alive process-wide).
+A file repeats few tokens many times, so a token is parsed about once per
+file.  Paths are built only when the read fails, by ``_walk``, which
+raises the first error, depth first.  Matrices keep their integer rows;
+tensors and multimaps make one Fraction per distinct p/q.  Payloads format
 rationals with ``rat_str`` (``exactlin.ZERO`` as "0" by identity), or
 numerators over a denominator as it would, with no Fraction made.
 ``write_report`` writes a payload exactly as ``json.dumps(doc, indent=2,
@@ -26,6 +28,7 @@ Fraction basis, nor a dict per cocycle, nor the whole text exists at once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -61,6 +64,16 @@ def _list(obj, path: str, length: int | None = None) -> list:
     return obj
 
 
+def _count(doc, key: str, path: str, least: int = 1) -> int:
+    """The integer ``doc[key]``, at least ``least``, of the object ``doc``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected an object")
+    n = _int(_need(doc, key, path), f"{path}.{key}")
+    if n < least:
+        raise ParseError(f"{path}.{key}: must be >= {least}")
+    return n
+
+
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -89,29 +102,50 @@ def _parse_pair(obj) -> tuple[int, int]:
     raise ParseError(f"not an exact rational: {_shown(obj)}")
 
 
-def _parse_token(obj) -> Fraction:
-    p, q = _parse_pair(obj)
-    return Fraction(p, q) if p else ZERO
-
-
 # typed: True == 1 and hash(True) == hash(1), so an untyped key would let a
 # cached 1 answer for true
-_token = functools.lru_cache(maxsize=256, typed=True)(_parse_token)
 _pair = functools.lru_cache(maxsize=256, typed=True)(_parse_pair)
 
 
-def _row(obj, length: int, path: str) -> tuple:
-    """A list of ``length`` rationals; an entry's path is built only if it fails."""
-    data = _list(obj, path, length)
-    try:
-        return tuple(map(_token, data))
-    except (ParseError, TypeError):  # TypeError: an unhashable entry
-        for i, x in enumerate(data):
-            try:
-                _parse_pair(x)
-            except ParseError as exc:
-                raise ParseError(f"{path}[{i}]: {exc}") from None
+def _leaves(obj, shape: tuple):
+    """The entries of ``obj`` in order when it nests lists of the lengths
+    in ``shape``, level by level; None when it does not."""
+    level = [obj]
+    for length in shape:
+        if not all(isinstance(x, list) and len(x) == length for x in level):
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    return level
+
+
+def _pairs(obj, shape: tuple, path: str) -> list[tuple[int, int]]:
+    """The entries of ``obj``, nested lists of the lengths in ``shape``, in
+    order, each as ``_pair`` reads it.  When that fails, ``_walk`` raises
+    the first error, named by its path."""
+    try:  # TypeError: another shape than the one asked for (None), or an unhashable entry
+        return list(map(_pair, _leaves(obj, shape)))
+    except (ParseError, TypeError):
+        _walk(obj, shape, path)
         raise
+
+
+def _walk(obj, shape: tuple, path: str) -> None:
+    """Raise the ParseError of the first failing list or entry of ``obj``,
+    depth first: a list's type and length before its items."""
+    for i, x in enumerate(_list(obj, path, shape[0])):
+        if len(shape) > 1:
+            _walk(x, shape[1:], f"{path}[{i}]")
+            continue
+        try:
+            _parse_pair(x)
+        except ParseError as exc:
+            raise ParseError(f"{path}[{i}]: {exc}") from None
+
+
+def _fractions(pairs) -> list[Fraction]:
+    """The pairs as Fractions, one made per distinct p/q, zero as ``ZERO``."""
+    made = {pq: Fraction(*pq) if pq[0] else ZERO for pq in set(pairs)}
+    return [made[pq] for pq in pairs]
 
 
 def _rat_strs(values) -> list[str]:
@@ -119,9 +153,23 @@ def _rat_strs(values) -> list[str]:
     return ["0" if x is ZERO else rat_str(x) for x in values]
 
 
+def _matrices(obj, shape: tuple, path: str) -> tuple[Matrix, ...]:
+    """The matrices of ``obj``, nested lists of the lengths in ``shape``,
+    the last two its rows and columns, read by ``_pairs``; each is kept as
+    its ``int_rows``, numerators over the lcm of its denominators."""
+    *counts, rows, cols = shape
+    pairs, out, size = _pairs(obj, shape, path), [], rows * cols
+    for k in range(math.prod(counts)):
+        block = pairs[k * size:k * size + size]
+        den = math.lcm(*{q for _p, q in block})
+        nums = [p * (den // q) for p, q in block]
+        out.append(Matrix.from_int_rows([{j: x for j, x in enumerate(nums[r * cols:r * cols + cols]) if x}
+                                         for r in range(rows)], den, cols))
+    return tuple(out)
+
+
 def parse_matrix(obj, rows: int, cols: int, path: str) -> Matrix:
-    return Matrix(rows, cols, tuple(x for r, row in enumerate(_list(obj, path, rows))
-                                    for x in _row(row, cols, f"{path}[{r}]")))
+    return _matrices(obj, (rows, cols), path)[0]
 
 
 def matrix_to_json(mat: Matrix) -> list[list[str]]:
@@ -130,9 +178,9 @@ def matrix_to_json(mat: Matrix) -> list[list[str]]:
 
 
 def parse_tensor3(obj, d0: int, d1: int, d2: int, path: str):
-    return tuple(tuple(_row(inner, d2, f"{path}[{i}][{j}]")
-                       for j, inner in enumerate(_list(mid, f"{path}[{i}]", d1)))
-                 for i, mid in enumerate(_list(obj, path, d0)))
+    values = _fractions(_pairs(obj, (d0, d1, d2), path))
+    rows = [tuple(values[b:b + d2]) for b in range(0, len(values), d2)]
+    return tuple(tuple(rows[b:b + d1]) for b in range(0, len(rows), d1))
 
 
 def tensor3_to_json(tensor) -> list:
@@ -140,11 +188,7 @@ def tensor3_to_json(tensor) -> list:
 
 
 def parse_algebra(doc, path: str = "algebra") -> Algebra:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
-    dim = _int(_need(doc, "dim", path), f"{path}.dim")
-    if dim < 1:
-        raise ParseError(f"{path}.dim: must be >= 1")
+    dim = _count(doc, "dim", path)
     table = parse_tensor3(_need(doc, "table", path), dim, dim, dim, f"{path}.table")
     labels = doc.get("basis")
     if labels is None:
@@ -167,14 +211,8 @@ def algebra_to_json(alg: Algebra) -> dict:
 
 
 def parse_hder(doc, dim: int, path: str = "hder") -> HigherDerivation:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
-    nrank = _int(_need(doc, "rank", path), f"{path}.rank")
-    if nrank < 1:
-        raise ParseError(f"{path}.rank: must be >= 1")
-    maps = _list(_need(doc, "maps", path), f"{path}.maps", nrank)
-    return HigherDerivation(nrank, tuple(
-        parse_matrix(m, dim, dim, f"{path}.maps[{k}]") for k, m in enumerate(maps)))
+    nrank = _count(doc, "rank", path)
+    return HigherDerivation(nrank, _matrices(_need(doc, "maps", path), (nrank, dim, dim), f"{path}.maps"))
 
 
 def hder_to_json(hd: HigherDerivation) -> dict:
@@ -182,20 +220,15 @@ def hder_to_json(hd: HigherDerivation) -> dict:
 
 
 def parse_bimodule(doc, dim: int, nrank: int, path: str = "bimodule") -> Bimodule:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
-    mdim = _int(_need(doc, "mdim", path), f"{path}.mdim")
-    if mdim < 1:
-        raise ParseError(f"{path}.mdim: must be >= 1")
+    mdim = _count(doc, "mdim", path)
     left = parse_tensor3(_need(doc, "left", path), dim, mdim, mdim, f"{path}.left")
     right = parse_tensor3(_need(doc, "right", path), mdim, dim, mdim, f"{path}.right")
-    dmaps = _list(_need(doc, "dmaps", path), f"{path}.dmaps", nrank)
-    return Bimodule(mdim, left, right, tuple(
-        parse_matrix(m, mdim, mdim, f"{path}.dmaps[{k}]") for k, m in enumerate(dmaps)))
+    dmaps = _matrices(_need(doc, "dmaps", path), (nrank, mdim, mdim), f"{path}.dmaps")
+    return Bimodule(mdim, left, right, dmaps)
 
 
 def parse_multimap(obj, arity: int, dim: int, mdim: int, path: str) -> MultiMap:
-    return MultiMap(arity, dim, mdim, _row(obj, dim ** arity * mdim, path))
+    return MultiMap(arity, dim, mdim, tuple(_fractions(_pairs(obj, (dim ** arity * mdim,), path))))
 
 
 def multimap_to_json(mm: MultiMap) -> list[str]:
@@ -203,18 +236,14 @@ def multimap_to_json(mm: MultiMap) -> list[str]:
 
 
 def parse_cochain(doc, dim: int, mdim: int, nrank: int, path: str = "cochain") -> Cochain:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
-    n = _int(_need(doc, "n", path), f"{path}.n")
-    if n < 1:
-        raise ParseError(f"{path}.n: must be >= 1")
+    n = _count(doc, "n", path)
     main = parse_multimap(_need(doc, "main", path), n, dim, mdim, f"{path}.main")
     if n == 1:
         return Cochain(main)
-    parts = _list(_need(doc, "parts", path), f"{path}.parts", nrank)
-    return Cochain(main, tuple(
-        parse_multimap(p, n - 1, dim, mdim, f"{path}.parts[{k}]")
-        for k, p in enumerate(parts)))
+    size = dim ** (n - 1) * mdim
+    values = _fractions(_pairs(_need(doc, "parts", path), (nrank, size), f"{path}.parts"))
+    return Cochain(main, tuple(MultiMap(n - 1, dim, mdim, tuple(values[b:b + size]))
+                               for b in range(0, len(values), size)))
 
 
 def cochain_to_json(c: Cochain) -> dict:
@@ -231,9 +260,13 @@ def parse_two_cocycle(doc, dim: int, mdim: int, nrank: int, path: str) -> Cochai
 
 def parse_deformation(doc, dim: int, nrank: int, path: str = "deformation") -> Deformation:
     """The JSON holds mu_p as tensors and the d_{k,s} as matrices, series
-    by series; ``deform.read_deformation`` reads them as integers."""
+    by series; ``deform.read_deformation`` makes the pairs the family's law
+    tables, no Fraction made."""
     from .deform import read_deformation
-    return read_deformation(doc, dim, nrank, path)
+    order = _count(doc, "order", path, 0)
+    mu = _pairs(_need(doc, "mu", path), (order + 1, dim, dim, dim), f"{path}.mu")
+    ds = _pairs(_need(doc, "d", path), (nrank, order + 1, dim, dim), f"{path}.d")
+    return read_deformation(dim, order, mu, ds)
 
 
 def _int_cells(nums, den: int) -> list[str]:
@@ -249,32 +282,26 @@ def int_cochain_to_json(nums, den: int, shape: tuple[int, int, int], n: int) -> 
 
 
 def deformation_to_json(defm: Deformation) -> dict:
-    """Written from the numerators over D of ``defm._tables``: mu_p
-    [i][j][k] at (i * d + j) * d + k, d_{k,s} column by column."""
+    """Written from the 2-cochain vectors of ``defm._tables``, numerators
+    over D: mu_p [i][j][k] at (i * d + j) * d + k, then d_{k,s} column by
+    column."""
     tables = defm._tables
-    d, den, (mus, _identity, *dks) = tables.dim, tables.den, tables._tables
+    d, dd, cells = tables.dim, tables.dim ** 2, [_int_cells(v, tables.den) for v in tables.orders]
     return {"order": tables.order,
-            "mu": [[[c[x:x + d] for x in range(i, i + d * d, d)] for i in range(0, d ** 3, d * d)]
-                   for c in (_int_cells(member[0], den) for member in mus)],
-            "d": [[[c[b::d] for b in range(d)] for c in (_int_cells(member[0], den) for member in ser)]
-                  for ser in dks]}
+            "mu": [[[c[x:x + d] for x in range(i, i + dd, d)] for i in range(0, d * dd, dd)] for c in cells],
+            "d": [[[c[b + r:b + dd:d] for r in range(d)] for c in cells]
+                  for b in range(d * dd, d * dd + tables.rank * dd, dd)]}
 
 
 def parse_tensor_section(doc, path: str = "tensor") -> tuple[int, int | None, tuple[Matrix, ...]]:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
-    vdim = _int(_need(doc, "vdim", path), f"{path}.vdim")
-    if vdim < 1:
-        raise ParseError(f"{path}.vdim: must be >= 1")
+    vdim = _count(doc, "vdim", path)
     degree = doc.get("degree")
     if degree is not None:
         degree = _int(degree, f"{path}.degree")
     theta_docs = _list(_need(doc, "thetas", path), f"{path}.thetas")
     if not theta_docs:
         raise ParseError(f"{path}.thetas: at least one map is required")
-    thetas = tuple(parse_matrix(m, vdim, vdim, f"{path}.thetas[{k}]")
-                   for k, m in enumerate(theta_docs))
-    return vdim, degree, thetas
+    return vdim, degree, _matrices(theta_docs, (len(theta_docs), vdim, vdim), f"{path}.thetas")
 
 
 def gauge_to_json(gauge: GaugeMap) -> dict:

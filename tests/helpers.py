@@ -12,7 +12,10 @@ trivialization against their loops with a second full scan per appended
 order and with Fraction gauges at every step, the gauge action against
 dense multimap composition and gauge composition and inversion against
 dense Fraction matrix series, a matrix's integer rows against ``int_form``
-read row by row, the deformation reader against its Fraction route, the input verifiers
+read row by row, the one walker that reads every problem-file section
+against the nested Fraction reader it replaced (with its own token read),
+``trivial_deformation`` and ``apply_gauge`` against their Fraction
+bodies, the input verifiers
 (associativity, the higher-derivation law on a product or a bracket, the
 bimodule laws) against their Fraction scans over basis tuples, the three
 readers of the morphism law (morphisms, universal extensions, section
@@ -31,6 +34,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -40,10 +44,7 @@ from hderlab import deform, samples
 from hderlab.algebras import LawTables, _contract, tensor_values
 from hderlab.exactlin import ONE, ZERO, as_fractions, echelon, int_form, vec_add
 from hderlab.extensions import _check_induced_actions
-from hderlab.serialize import (
-    ParseError, Streamed, _int, _list, _need, cochain_to_json, parse_matrix, parse_tensor3,
-    write_report,
-)
+from hderlab.serialize import ParseError, Streamed, _int, _list, _need, cochain_to_json, write_report
 
 # ---------------------------------------------------------------- generators
 
@@ -407,29 +408,171 @@ def oracle_int_rows(m: H.Matrix) -> tuple[tuple[dict, ...], int]:
                  for i in range(m.rows)), scale
 
 
+# The problem-file reader as it was before one walker read every section:
+# a ``_list`` per level, a path string per row, and its own token read.
+
+_ORACLE_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def oracle_token(obj) -> Fraction:
+    """A JSON int, or a string p or p/q of ASCII digits with q > 0, as a
+    Fraction; otherwise the reader's error, naming no path."""
+    if type(obj) is int:
+        return Fraction(obj)
+    if isinstance(obj, float):
+        raise ParseError("floats are not accepted; use rational strings")
+    if isinstance(obj, str) and _ORACLE_RATIONAL.fullmatch(obj):
+        num, _, den = obj.partition("/")
+        try:
+            if int(den or 1):
+                return Fraction(int(num), int(den or 1))
+        except ValueError:  # past the int digit limit
+            pass
+    text = repr(obj)
+    raise ParseError("not an exact rational: "
+                     + (text if len(text) <= 64 else f"{text[:32]}... ({len(text)} characters)"))
+
+
+def oracle_row(obj, length: int, path: str) -> tuple:
+    out = []
+    for i, x in enumerate(_list(obj, path, length)):
+        try:
+            out.append(oracle_token(x))
+        except ParseError as exc:
+            raise ParseError(f"{path}[{i}]: {exc}") from None
+    return tuple(out)
+
+
+def oracle_matrix(obj, rows: int, cols: int, path: str) -> H.Matrix:
+    return H.Matrix(rows, cols, tuple(x for r, row in enumerate(_list(obj, path, rows))
+                                      for x in oracle_row(row, cols, f"{path}[{r}]")))
+
+
+def oracle_matrices(obj, count: int | None, rows: int, cols: int, path: str) -> tuple:
+    return tuple(oracle_matrix(m, rows, cols, f"{path}[{k}]") for k, m in enumerate(_list(obj, path, count)))
+
+
+def oracle_tensor3(obj, d0: int, d1: int, d2: int, path: str):
+    return tuple(tuple(oracle_row(inner, d2, f"{path}[{i}][{j}]")
+                       for j, inner in enumerate(_list(mid, f"{path}[{i}]", d1)))
+                 for i, mid in enumerate(_list(obj, path, d0)))
+
+
+def _oracle_count(doc, key: str, path: str, least: int = 1) -> int:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected an object")
+    n = _int(_need(doc, key, path), f"{path}.{key}")
+    if n < least:
+        raise ParseError(f"{path}.{key}: must be >= {least}")
+    return n
+
+
+def oracle_parse_algebra(doc, path: str = "algebra") -> H.Algebra:
+    dim = _oracle_count(doc, "dim", path)
+    table = oracle_tensor3(_need(doc, "table", path), dim, dim, dim, f"{path}.table")
+    labels = doc.get("basis")
+    labels = [str(x) for x in _list([f"e{i}" for i in range(dim)] if labels is None else labels,
+                                    f"{path}.basis", dim)]
+    unit = doc.get("unit")
+    if unit is not None:
+        unit = _int(unit, f"{path}.unit")
+        if not 0 <= unit < dim:
+            raise ParseError(f"{path}.unit: index {unit} out of range")
+    return H.Algebra(dim, table, tuple(labels), unit)
+
+
+def oracle_parse_hder(doc, dim: int, path: str = "hder") -> H.HigherDerivation:
+    nrank = _oracle_count(doc, "rank", path)
+    maps = oracle_matrices(_need(doc, "maps", path), nrank, dim, dim, f"{path}.maps")
+    return H.HigherDerivation(nrank, maps)
+
+
+def oracle_parse_bimodule(doc, dim: int, nrank: int, path: str = "bimodule") -> H.Bimodule:
+    mdim = _oracle_count(doc, "mdim", path)
+    left = oracle_tensor3(_need(doc, "left", path), dim, mdim, mdim, f"{path}.left")
+    right = oracle_tensor3(_need(doc, "right", path), mdim, dim, mdim, f"{path}.right")
+    return H.Bimodule(mdim, left, right,
+                      oracle_matrices(_need(doc, "dmaps", path), nrank, mdim, mdim, f"{path}.dmaps"))
+
+
+def oracle_parse_cochain(doc, dim: int, mdim: int, nrank: int, path: str = "cochain") -> H.Cochain:
+    n = _oracle_count(doc, "n", path)
+    main = H.MultiMap(n, dim, mdim, oracle_row(_need(doc, "main", path), dim ** n * mdim, f"{path}.main"))
+    if n == 1:
+        return H.Cochain(main)
+    parts = _list(_need(doc, "parts", path), f"{path}.parts", nrank)
+    return H.Cochain(main, tuple(H.MultiMap(n - 1, dim, mdim, oracle_row(p, dim ** (n - 1) * mdim,
+                                                                         f"{path}.parts[{k}]"))
+                                 for k, p in enumerate(parts)))
+
+
+def oracle_parse_tensor_section(doc, path: str = "tensor") -> tuple:
+    vdim = _oracle_count(doc, "vdim", path)
+    degree = doc.get("degree")
+    if degree is not None:
+        degree = _int(degree, f"{path}.degree")
+    theta_docs = _list(_need(doc, "thetas", path), f"{path}.thetas")
+    if not theta_docs:
+        raise ParseError(f"{path}.thetas: at least one map is required")
+    return vdim, degree, oracle_matrices(theta_docs, None, vdim, vdim, f"{path}.thetas")
+
+
 def oracle_parse_deformation(doc, dim: int, nrank: int, path: str = "deformation") -> H.Deformation:
     """``serialize.parse_deformation`` as it read a family through Fractions:
     each mu_p a ``MultiMap`` of the parsed tensor, each d_{k,s} a parsed
     ``Matrix`` made an arity-1 ``MultiMap``, the coefficients ``Cochain``s.
     The reference for the integer reader, its tables and its errors."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
-    order = _int(_need(doc, "order", path), f"{path}.order")
-    if order < 0:
-        raise ParseError(f"{path}.order: must be >= 0")
+    order = _oracle_count(doc, "order", path, 0)
     mu_docs = _list(_need(doc, "mu", path), f"{path}.mu", order + 1)
-    mus = []
-    for p, t in enumerate(mu_docs):
-        mus.append(H.MultiMap(2, dim, dim, tensor_values(
-            parse_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]"))))
-    d_docs = _list(_need(doc, "d", path), f"{path}.d", nrank)
-    dks = []
-    for k, series in enumerate(d_docs):
-        series = _list(series, f"{path}.d[{k}]", order + 1)
-        dks.append([H.matrix_to_multimap(parse_matrix(m, dim, dim, f"{path}.d[{k}][{s}]"))
-                    for s, m in enumerate(series)])
+    mus = [H.MultiMap(2, dim, dim, tensor_values(oracle_tensor3(t, dim, dim, dim, f"{path}.mu[{p}]")))
+           for p, t in enumerate(mu_docs)]
+    dks = [[H.matrix_to_multimap(m) for m in oracle_matrices(series, order + 1, dim, dim, f"{path}.d[{k}]")]
+           for k, series in enumerate(_list(_need(doc, "d", path), f"{path}.d", nrank))]
     return H.Deformation(tuple(H.Cochain(mu, tuple(series[s] for series in dks))
                                for s, mu in enumerate(mus)))
+
+
+# tokens the reader rejects: floats, bools, null, unhashable leaves, strings
+# outside -?digits(/digits)?, a zero denominator, past the int digit limit
+BAD_TOKENS = (0.5, 1.0, True, False, None, [1], [], {"a": 1}, "+3", " 3", "0.5", "1e5", "1/0",
+              "-0/0", "\u0663", "9" * 5000, "1/" + "7" * 5000)
+
+
+def spelled(x: Fraction, rng: random.Random):
+    """One of the JSON tokens that read as x: a JSON int, "p", "p/q" times
+    a common factor, or for zero "-0" and "0/q"."""
+    if not x:
+        return rng.choice((0, "0", "-0", "0/5", "-0/7"))
+    k = rng.choice((1, 1, 2, 3))
+    if x.denominator == k == 1:
+        return rng.choice((x.numerator, str(x.numerator)))
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+def fraction_trivial_deformation(alg: H.Algebra, hd: H.HigherDerivation, order: int) -> H.Deformation:
+    """``deform.trivial_deformation`` as it built its coefficients as
+    Fraction cochains: the reference for the one built on the order-0
+    vector of the pair's law tables."""
+    if order < 0:
+        raise H.ShapeError("order must be >= 0")
+    return H.Deformation((H.Cochain(H.product_multimap(alg), tuple(map(H.matrix_to_multimap, hd.maps))),)
+                         + (H.zero_cochain(alg.dim, alg.dim, hd.rank, 2),) * order)
+
+
+def fraction_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
+    """``deform.apply_gauge`` as it returned Fraction cochains: the same
+    packed conjugation, read back through ``deform._cochain``."""
+    dim, T, tables = defm.dim, defm.order, defm._tables
+    if gauge.dim != dim:
+        raise H.ShapeError("gauge dimension differs from the deformation")
+    series = [tables._tables[0], *tables._tables[2:]]
+    state = [list(itertools.chain(*(ser[s][0] for ser in series))) for s in range(T + 1)]
+    members, e = deform._gauge_members(gauge, T)
+    steps, growth = deform._growth(members, e, dim, T)
+    p = deform._Packed(max(1, *map(abs, itertools.chain(*state))) * growth, T)
+    state = deform._conjugate(p, p.pack(state), p.pack(members), e, steps)
+    return H.Deformation(tuple(deform._cochain(dim, defm.rank, 2, m, tables.den * e ** (steps + 2))
+                               for m in p.members(state)))
 
 
 def law_table_members(tables: LawTables) -> list:

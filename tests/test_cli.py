@@ -218,6 +218,19 @@ def test_spelled_deformation_gives_the_same_report(args, capsys):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("args", [["check"], ["cohomology", "--degree", "2", "--coefficients", "file"],
+                                  ["extend-abelian"], ["cocycle-from-section"]], ids=" ".join)
+def test_spelled_pair_sections_give_the_same_report(args, capsys):
+    # dual_cocycle_spelled.json holds the algebra, hder, bimodule, cocycle
+    # and section of dual_cocycle.json written as JSON ints, "2/4", "-0",
+    # "0/5", "6/3" and the like: every section is read to the same values
+    reports = []
+    for name in ("dual_cocycle.json", "dual_cocycle_spelled.json"):
+        assert main([args[0], str(FIXTURES / name), *args[1:], "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("error", [RuntimeError("appended coefficient does not verify\nat (0, 1)"),
                                    KeyError("k"), ZeroDivisionError("division by zero")],
                          ids=lambda exc: type(exc).__name__)

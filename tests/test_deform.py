@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import cli, deform, samples
+from hderlab.algebras import LawTables
 from hderlab.exactlin import ZERO, as_fractions, int_form
 from hderlab.serialize import (
     ParseError, deformation_to_json, parse_algebra, parse_deformation, parse_hder,
 )
 
 from helpers import (
-    cochains_equal, dense_apply_gauge, dense_series_inverse, dense_series_product,
-    law_table_members, oracle_parse_deformation,
+    BAD_TOKENS, cochains_equal, dense_apply_gauge, dense_series_inverse, dense_series_product,
+    fraction_apply_gauge, fraction_trivial_deformation, law_table_members, oracle_parse_deformation,
     loop_obstruction, loop_trivialize, loop_verify_deformation, mm_eval, pair_fixtures,
-    rand_cochain, rand_fraction, rand_gauge, rand_matrix, rand_multimap, two_scan_extend_to,
+    rand_cochain, rand_fraction, rand_gauge, rand_matrix, rand_multimap, spelled, two_scan_extend_to,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -374,23 +375,12 @@ def test_serialization_roundtrip(defm, section):
         assert doc == section
 
 
-def _spelled(x: Fraction, rng: random.Random):
-    """One of the JSON tokens that read as x: a JSON int, "p", "p/q" times
-    a common factor, or for zero "-0" and "0/q"."""
-    if not x:
-        return rng.choice((0, "0", "-0", "0/5", "-0/7"))
-    k = rng.choice((1, 1, 2, 3))
-    if x.denominator == k == 1:
-        return rng.choice((x.numerator, str(x.numerator)))
-    return f"{x.numerator * k}/{x.denominator * k}"
-
-
 def _spelled_family(rng: random.Random, dim: int, rank: int, order: int) -> dict:
     """A deformation section of random entries, some near 2^40 over 7 and
-    11, each token spelled by ``_spelled``; no law is asked to hold."""
+    11, each token spelled by ``helpers.spelled``; no law is asked to hold."""
     def entry():
         big = Fraction(rng.choice((-1, 1)) * rng.randint(2 ** 39, 2 ** 40), rng.choice((7, 11)))
-        return _spelled(rng.choice((ZERO, ZERO, rand_fraction(rng), big)), rng)
+        return spelled(rng.choice((ZERO, ZERO, rand_fraction(rng), big)), rng)
 
     def square():
         return [[entry() for _ in range(dim)] for _ in range(dim)]
@@ -417,13 +407,9 @@ def test_integer_reader_matches_the_fraction_reader(dim, rank, order, seed):
     assert read == oracle and hash(read) == hash(oracle) and repr(read) == repr(oracle)
 
 
-_BAD_TOKENS = (0.5, 1.0, True, False, None, [1], {"a": 1}, "+3", " 3", "0.5", "1e5", "1/0",
-               "-0/0", "9" * 5000, "1/" + "7" * 5000)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2), st.integers(0, 2 ** 32),
-       st.one_of(st.sampled_from(_BAD_TOKENS),
+       st.one_of(st.sampled_from(BAD_TOKENS),
                  st.sampled_from(("short row", "not a list", "no d", "order", "short series"))))
 def test_integer_reader_rejects_what_the_fraction_reader_rejects(dim, rank, order, seed, bad):
     # one bad token or one bad shape; the readers walk the file in one order,
@@ -551,6 +537,56 @@ def test_apply_gauge_matches_dense_oracle(index, order, gauge_order, start, seed
         defm = _perturbed(defm, rng, _non_integral(rng))
     gauge = rand_gauge(rng, alg.dim, gauge_order)
     assert H.apply_gauge(defm, gauge) == dense_apply_gauge(defm, gauge)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(PAIRS) - 1), st.integers(0, 3), st.integers(0, 4), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_table_producers_match_their_fraction_bodies(index, order, gauge_order, perturb, seed):
+    # trivial_deformation and apply_gauge fill law tables straight from
+    # integers; as rationals they give what their Fraction bodies gave (the
+    # denominator D of the tables may differ, so members are not compared)
+    rng = random.Random(seed)
+    _name, alg, hd = PAIRS[index]
+    trivial = H.trivial_deformation(alg, hd, order)
+    assert "coeffs" not in vars(trivial)
+    assert trivial == fraction_trivial_deformation(alg, hd, order)
+    assert trivial.coeffs == fraction_trivial_deformation(alg, hd, order).coeffs
+    defm = H.apply_gauge(trivial, rand_gauge(rng, alg.dim, order))
+    if perturb and order:
+        defm = _perturbed(defm, rng, _non_integral(rng))
+    gauge = rand_gauge(rng, alg.dim, gauge_order)
+    got, want = H.apply_gauge(defm, gauge), fraction_apply_gauge(defm, gauge)
+    assert "coeffs" not in vars(got)
+    assert got == want and got.coeffs == want.coeffs and hash(got) == hash(want)
+    assert deformation_to_json(got) == deformation_to_json(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_law_tables_keep_their_vectors(dim, rank, order, seed):
+    rng = random.Random(seed)
+    size = H.cochain_dim(dim, dim, rank, 2)
+    den = rng.choice((1, 2, 6, 35))
+    vectors = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(size)] for _ in range(order + 1)]
+    tables = LawTables(dim, den, vectors)
+    assert tables.orders == vectors and (tables.order, tables.rank) == (order, rank)
+    defm = H.Deformation.from_tables(tables)
+    rebuilt = H.Deformation(defm.coeffs)
+    assert defm == rebuilt and hash(defm) == hash(rebuilt)
+    assert [[x * rebuilt._tables.den for x in v] for v in vectors] == \
+        [[x * den for x in v] for v in rebuilt._tables.orders]
+    assert parse_deformation(deformation_to_json(defm), dim, rank) == defm
+
+
+def test_extend_deformation_rejects_a_candidate_of_the_wrong_shape():
+    alg, hd = _dual_pair()
+    defm = H.trivial_deformation(alg, hd, 1)
+    for candidate in (H.zero_cochain(2, 2, 2, 3), H.zero_cochain(2, 2, 1, 2), H.zero_cochain(3, 3, 2, 2),
+                      H.zero_cochain(2, 3, 2, 2)):
+        with pytest.raises(H.ShapeError):
+            H.extend_deformation(defm, candidate)
+    assert H.extend_deformation(defm, H.zero_cochain(2, 2, 2, 2)) == H.trivial_deformation(alg, hd, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,7 +35,7 @@ def _tables(dim: int, rank: int, order: int, value):
     products = [tuple(value() for _ in range(dim ** 3)) for _ in range(order + 1)]
     series = [[tuple(value() for _ in range(dim ** 2)) for _ in range(order + 1)]
               for _ in range(rank)]
-    return _law_tables(dim, products, series)
+    return _law_tables(dim, [mu + sum((ser[s] for ser in series), ()) for s, mu in enumerate(products)])
 
 
 def _assert_matches_oracle(tables, rng: random.Random):
