@@ -15,10 +15,14 @@ two integers decides every equation in them exactly.  Tables are built
 from the 2-cochain vector of each order, (mu_s; d_{1,s}, ..., d_{N,s}),
 as numerators over one denominator (``LawTables.orders``).  A pair's
 order-0 vector comes from the integer forms an algebra or a bimodule
-keeps (``int_form``, its numerators over their lcm denominator, made once
-and what it hashes) and a map's ``int_rows``; a deformation's, from the
-problem file (``deform.read_deformation``), and ``LawTables.extended``
-appends an order.  A command builds one table per pair (``hder._pair_reports``).
+keeps (``int_form``, its numerators over their lcm denominator, and what
+it hashes) and a map's ``int_rows``; a deformation's, from the problem
+file (``deform.read_deformation``), and ``LawTables.extended`` appends an
+order.  A command builds one table per pair (``hder._pair_reports``).  An
+algebra or a bimodule is built from its Fraction tensors or, by
+``from_int_form``, from its integer form, as the reader and every
+construction a command makes build them; either makes the other on first
+read and keeps it.
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -33,22 +37,44 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import lshift, mul, or_
 
-from .exactlin import ONE, Matrix, ShapeError, Value, Vector, ZERO, as_fractions, int_form, rat, rat_str
+from .exactlin import ONE, Matrix, ShapeError, Value, Vector, ZERO, _set, as_fractions, int_form, rat, rat_str
 
 Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
-def tensor3(data, d0: int, d1: int, d2: int, what: str = "tensor") -> Tensor3:
-    """Normalize a nested iterable into a d0 x d1 x d2 tuple of Fractions."""
-    rows = tuple(tuple(tuple(rat(x) for x in inner) for inner in middle) for middle in data)
-    if len(rows) != d0 or any(len(m) != d1 for m in rows) or any(
-            len(inner) != d2 for m in rows for inner in m):
-        raise ShapeError(f"{what} is not {d0}x{d1}x{d2}")
-    return rows
+def _tensor3(nums, den: int, d1: int, d2: int) -> Tensor3:
+    """The rationals nums / den, flat, as a tensor of d1 x d2 blocks: one
+    Fraction per distinct numerator, every zero the shared ZERO."""
+    made = {x: Fraction(x, den) if x else ZERO for x in set(nums)}
+    rows = [tuple(made[x] for x in nums[b:b + d2]) for b in range(0, len(nums), d2)]
+    return tuple(tuple(rows[b:b + d1]) for b in range(0, len(rows), d1))
 
 
-def zero_tensor3(d0: int, d1: int, d2: int) -> Tensor3:
-    return tuple(tuple((ZERO,) * d2 for _ in range(d1)) for _ in range(d0))
+def _from_form(cls, form, **fields):
+    """An ``Algebra`` or ``Bimodule`` from its other fields and its integer
+    form, numerators over a denominator > 0, kept in lowest terms as
+    ``int_form``; its tensors are made from it when first read."""
+    (nums, den), obj = form, cls.__new__(cls)
+    g = math.gcd(den, *nums)
+    form = (tuple(nums), den) if g == 1 else (tuple(x // g for x in nums), den // g)
+    for name, value in (*fields.items(), ("int_form", form)):
+        _set(obj, name, value)
+    return obj
+
+
+def _views(self, name: str):
+    """``__getattr__`` of ``Algebra`` and ``Bimodule``: the one of
+    ``int_form`` and the ``Tensor3`` fields (``_split`` of the form) that the
+    instance was not built with, made from the other and kept."""
+    tensors = [t for t in self._fields if type(self).__annotations__[t] == "Tensor3"]
+    if name == "int_form":
+        _set(self, name, int_form([x for t in tensors for x in tensor_values(getattr(self, t))]))
+    elif name in tensors:
+        for t, value in self._split(*object.__getattribute__(self, "int_form")).items():
+            _set(self, t, value)
+    else:
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    return object.__getattribute__(self, name)
 
 
 def tensor_values(t: Tensor3) -> tuple[Fraction, ...]:
@@ -59,12 +85,12 @@ def tensor_values(t: Tensor3) -> tuple[Fraction, ...]:
 def _hash_once(self) -> int:
     """``__hash__`` for a value class: the hash of its ``int_form`` in place
     of its ``Tensor3`` fields, and of its other fields (a map through
-    ``Matrix.__hash__``), computed on first use and kept: no Fraction."""
-    h = self.__dict__.get("_hash")
+    ``Matrix.__hash__``), computed on first use and kept (``_set``): no Fraction."""
+    h = getattr(self, "_hash", None)
     if h is None:
-        h = self.__dict__["_hash"] = hash((getattr(self, "int_form", None), *(
-            self.__dict__[name] for name in self._fields
-            if type(self).__annotations__[name] != "Tensor3")))
+        _set(self, "_hash", h := hash((getattr(self, "int_form", None), *(
+            getattr(self, name) for name in self._fields
+            if type(self).__annotations__[name] != "Tensor3"))))
     return h
 
 
@@ -397,7 +423,8 @@ class CheckReport(Value):
 
 
 class Algebra(Value):
-    """Associative algebra by structure constants c[i][j][k]."""
+    """Associative algebra by structure constants c[i][j][k]; ``int_form``
+    is ``exactlin.int_form`` of them, flat in [i][j][k] order."""
 
     dim: int
     c: Tensor3
@@ -405,6 +432,7 @@ class Algebra(Value):
     unit_index: int | None = None
 
     __hash__ = _hash_once
+    __getattr__ = _views
 
     def __post_init__(self):
         d = self.dim
@@ -416,18 +444,19 @@ class Algebra(Value):
         if self.unit_index is not None and not 0 <= self.unit_index < d:
             raise ShapeError(f"unit index {self.unit_index} out of range")
 
-    @cached_property
-    def int_form(self) -> tuple[tuple[int, ...], int]:
-        """``int_form`` of the structure constants, flat in [i][j][k] order."""
-        return int_form(tensor_values(self.c))
+    @classmethod
+    def from_int_form(cls, dim: int, form, basis_labels, unit_index=None) -> "Algebra":
+        return _from_form(cls, form, dim=dim, basis_labels=tuple(basis_labels), unit_index=unit_index)
+
+    def _split(self, nums, den: int) -> dict:
+        return {"c": _tensor3(nums, den, self.dim, self.dim)}
 
     @classmethod
     def from_table(cls, table, labels=None, unit_index=None) -> "Algebra":
-        dim = len(table)
-        if labels is None:
-            labels = tuple(f"e{i}" for i in range(dim))
-        return cls(dim, tensor3(table, dim, dim, dim, "structure tensor"),
-                   tuple(labels), unit_index)
+        """From nested [i][j][k] lists of rationals (``rat``); labels e0, e1, ..."""
+        labels = tuple(f"e{i}" for i in range(len(table))) if labels is None else tuple(labels)
+        return cls(len(table), tuple(tuple(tuple(map(rat, inner)) for inner in mid) for mid in table),
+                   labels, unit_index)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
@@ -458,6 +487,7 @@ class Bimodule(Value):
     ``left[i][a][b]`` is the coefficient of m_b in e_i * m_a, and
     ``right[a][i][b]`` the coefficient of m_b in m_a * e_i.  ``dmaps`` holds
     the square matrices (d_1^M, ..., d_N^M) acting on module coordinates.
+    ``int_form`` is that of ``left`` then ``right``, each flat.
     """
 
     mdim: int
@@ -466,24 +496,29 @@ class Bimodule(Value):
     dmaps: tuple[Matrix, ...]
 
     __hash__ = _hash_once
+    __getattr__ = _views
 
     def __post_init__(self):
         for k, m in enumerate(self.dmaps, start=1):
             if m.rows != self.mdim or m.cols != self.mdim:
                 raise ShapeError(f"module map {k} is {m.rows}x{m.cols}, expected {self.mdim}x{self.mdim}")
 
-    @cached_property
-    def int_form(self) -> tuple[tuple[int, ...], int]:
-        """``int_form`` of ``left`` then ``right``, each flat; the module maps
-        keep theirs, ``int_rows``."""
-        return int_form(tensor_values(self.left) + tensor_values(self.right))
+    @classmethod
+    def from_int_form(cls, mdim: int, form, dmaps) -> "Bimodule":
+        mod = _from_form(cls, form, mdim=mdim, dmaps=tuple(dmaps))
+        mod.__post_init__()
+        return mod
+
+    def _split(self, nums, den: int) -> dict:
+        half, md = len(nums) // 2, self.mdim
+        return {"left": _tensor3(nums[:half], den, md, md),
+                "right": _tensor3(nums[half:], den, half // md ** 2, md)}
 
     def basis_vector(self, a: int) -> Vector:
         return tuple(ONE if b == a else ZERO for b in range(self.mdim))
 
     def has_zero_actions(self) -> bool:
-        return all(not x for m in self.left for inner in m for x in inner) and \
-            all(not x for m in self.right for inner in m for x in inner)
+        return not any(self.int_form[0])
 
 
 def verify_algebra(alg: Algebra) -> CheckReport:
@@ -514,10 +549,10 @@ def _algebra_report(alg: Algebra, tables: LawTables) -> CheckReport:
 
 def adjoint_bimodule(alg: Algebra, hder) -> Bimodule:
     """The algebra acting on itself, with the higher derivation as module maps."""
-    return Bimodule(alg.dim, alg.c, alg.c, tuple(hder.maps))
+    nums, den = alg.int_form
+    return Bimodule.from_int_form(alg.dim, (nums + nums, den), hder.maps)
 
 
 def trivial_bimodule(alg: Algebra, mdim: int, dmaps: tuple[Matrix, ...]) -> Bimodule:
     """Zero left and right actions; any dmaps are lawful since every law vanishes."""
-    return Bimodule(mdim, zero_tensor3(alg.dim, mdim, mdim),
-                    zero_tensor3(mdim, alg.dim, mdim), tuple(dmaps))
+    return Bimodule.from_int_form(mdim, ((0,) * (2 * alg.dim * mdim * mdim), 1), dmaps)

@@ -192,14 +192,15 @@ def cmd_cohomology(doc, args):
 
 
 def cmd_classify_central(doc, args):
-    from .extensions import classify_central
+    from .extensions import _central_classes
     coefficients = "file" if "bimodule" in doc else "trivial"
     alg, hd, mod = _structures(doc, coefficients, args.command)
     if not mod.has_zero_actions():
         raise UnverifiedInput(f"{args.command} needs a bimodule section with zero actions")
     _guard(total_dim=alg.dim + mod.mdim)
-    classes = classify_central(alg, hd, mod)
-    reps = [{"cocycle": cochain_to_json(z), "extension": extension_to_json(e)}
+    classes = _central_classes(alg, hd, mod)
+    shape = (alg.dim, mod.mdim, hd.rank)
+    reps = [{"cocycle": int_cochain_to_json(*z, shape, 2), "extension": extension_to_json(e)}
             for z, e in classes]
     results = {"betti": len(classes) - 1, "classes": reps}
     return True, results, []

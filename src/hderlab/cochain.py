@@ -303,9 +303,16 @@ def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                          f"algebra of dim {alg.dim} with module dim {mod.mdim}")
     if n > 1 and len(c.parts) != hd.rank:
         raise ShapeError(f"cochain has {len(c.parts)} parts, rank is {hd.rank}")
-    tables = _tables(alg, mod, hd, n)
     nums, den = int_form(cochain_to_vector(c))
-    touched: dict[int, dict[int, int]] = {}  # tuple -> {a: numerator over den}
+    out, scale = _coboundary(alg, mod, hd, n, nums)
+    return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n + 1, as_fractions(out, den * scale))
+
+
+def _coboundary(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int, nums) -> tuple[list, int]:
+    """``differential`` of the degree-n cochain nums / q, any q, as numerators
+    over q S and S, the degree-n stencil scale; only touched tuples summed."""
+    tables = _tables(alg, mod, hd, n)
+    touched: dict[int, dict[int, int]] = {}  # tuple -> {a: numerator over q}
     for p, v in enumerate(nums):
         if v:
             t, a = divmod(p, mod.mdim)
@@ -316,8 +323,7 @@ def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
             v = coeffs[a]
             for row, x in column.items():
                 out[row] += v * x
-    return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n + 1,
-                             as_fractions(out, den * tables[-1]))
+    return out, tables[-1]
 
 
 @lru_cache(maxsize=64)

@@ -23,8 +23,8 @@ gauge, d_k or mu series is one integer sum_s x_s 2^(B s), and the action,
 composition, inverse and the shears of ``trivialize`` are big-integer
 products of entries.  Fractions appear only at the boundary: a reported
 violation, a returned cochain (the obstruction or a blocking
-coefficient), a composed or inverted gauge and the final gauge of
-``trivialize``, and ``coeffs``, made when first read.
+coefficient), and ``coeffs`` and a gauge's entries, made when first read
+(a gauge's matrices are built from their integer rows).
 """
 
 from __future__ import annotations
@@ -326,7 +326,9 @@ def _conjugate(p: _Packed, state: list, phi: list, e: int, steps: int) -> list[i
 
 def _gauge_map(p: _Packed, entries: list, scale: int, dim: int) -> GaugeMap:
     rows = list(itertools.chain(*zip(*_split(entries, dim))))
-    return GaugeMap(p.order, tuple(Matrix(dim, dim, as_fractions(m, scale)) for m in p.members(rows)))
+    return GaugeMap(p.order, tuple(Matrix.from_int_rows([{j: x for j, x in enumerate(m[r:r + dim]) if x}
+                                                         for r in range(0, dim * dim, dim)], scale, dim)
+                                   for m in p.members(rows)))
 
 
 def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:

@@ -432,7 +432,10 @@ def echelon(m: Matrix, bound: int | None = None) -> Echelon:
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the rationals."""
+    """Rank over the rationals: that of the columns when they are fewer
+    than the rows, as the rank stops at the shorter side."""
+    if m.cols < m.rows:
+        m = Matrix.from_int_rows(m.int_columns(), m.int_rows[1], m.rows)
     return echelon(m).rank
 
 

@@ -13,20 +13,26 @@ representation exactly when the semidirect product is a pair, so
 ``verify_bimodule`` checks the laws of ``algebras`` on ``semidirect``.  The
 cocycle of a section s is how far s is from a morphism of pairs, so
 ``cocycle_from_section`` reads the two sides of the morphism law of ``hder``.
+
+The total pair is built from the integer forms of the algebra, the module,
+the maps and the cocycle (``_total_pair``), and the cocycle test sums the
+differential's stencil on the cocycle's numerators; ``classify_central``
+reads its representatives off the sparse kernel form, so the CLI classifies
+without a Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .algebras import Algebra, Bimodule, CheckReport, _pair_tables
 from .cochain import (
-    Cochain, MultiMap, NotACocycleError, cochain_to_vector, cohomology,
-    differential, differential_matrix, is_coboundary, multimap_to_matrix,
-    zero_cochain,
+    Cochain, MultiMap, NotACocycleError, _coboundary, cochain_blocks, cochain_dim, cochain_to_vector,
+    cohomology, differential_matrix, is_coboundary, multimap_to_matrix, vector_to_cochain,
 )
-from .exactlin import Echelon, Matrix, ShapeError, Value, Vector, ZERO, ONE, as_fractions
+from .exactlin import Echelon, Matrix, ShapeError, Value, Vector, ZERO, ONE, as_fractions, int_form
 from .hder import (AssHDerMorphism, AssHDerPair, HigherDerivation, _morphism_law_terms,
                    check_morphism)
 
@@ -69,57 +75,65 @@ def extension_structure(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
     algebra and higher-derivation verifiers if and only if z is killed by
     the differential.
     """
-    if z.n != 2 or len(z.parts) != hd.rank:
-        raise ShapeError(f"a 2-cochain with {hd.rank} parts is required, "
-                         f"got degree {z.n} with {len(z.parts)}")
+    return _total_pair(alg, hd, mod, *_cochain_form(alg, hd, mod, z))
+
+
+def _cochain_form(alg: Algebra, hd: HigherDerivation, mod: Bimodule, z: Cochain) -> tuple:
+    """``int_form`` of the vector of z, a 2-cochain of the pair's shape."""
+    if z.n != 2 or len(z.parts) != hd.rank or (z.main.dim, z.main.mdim) != (alg.dim, mod.mdim):
+        raise ShapeError(f"a 2-cochain of shape ({alg.dim}, {mod.mdim}) with {hd.rank} parts is required, "
+                         f"got degree {z.n} of shape ({z.main.dim}, {z.main.mdim}) with {len(z.parts)}")
+    return int_form(cochain_to_vector(z))
+
+
+def _total_pair(alg: Algebra, hd: HigherDerivation, mod: Bimodule, nums, den: int) -> AssHDerPair:
+    """``extension_structure`` of the 2-cochain vector nums / den, from the
+    integer forms: A's product, psi and the actions over the lcm of their
+    denominators, each map d_k + chi_k + d_k^M over that of its three."""
     d, md = alg.dim, mod.mdim
-    big = d + md
-    c = [[[ZERO] * big for _ in range(big)] for _ in range(big)]
-    for i, j in itertools.product(range(d), repeat=2):
-        row = c[i][j]
-        for k, coeff in enumerate(alg.c[i][j]):
-            if coeff:
-                row[k] = coeff
-        for b, coeff in enumerate(z.main.value_at((i, j))):
-            if coeff:
-                row[d + b] = coeff
-    for i, a in itertools.product(range(d), range(md)):
-        for b, coeff in enumerate(mod.left[i][a]):
-            if coeff:
-                c[i][d + a][d + b] = coeff
-        for b, coeff in enumerate(mod.right[a][i]):
-            if coeff:
-                c[d + a][i][d + b] = coeff
+    big, r0 = d + md, d * md * md  # right[a][i][b] is at r0 + (a d + i) md + b
+    (anums, aden), (mnums, mden) = alg.int_form, mod.int_form
+    top = math.lcm(aden, mden, den)
+    sa, sm, sz = top // aden, top // mden, top // den
+    c = [0] * big ** 3
+    for i in range(d):
+        for j in range(d):  # e_i e_j = (e_i e_j in A, psi(e_i, e_j))
+            at, ij = (i * big + j) * big, i * d + j
+            c[at:at + d] = [x * sa for x in anums[ij * d:ij * d + d]]
+            c[at + d:at + big] = [x * sz for x in nums[ij * md:ij * md + md]]
+        for a in range(md):  # e_i m_a and m_a e_i
+            at, left, right = (i * big + d + a) * big + d, (i * md + a) * md, r0 + (a * d + i) * md
+            c[at:at + md] = [x * sm for x in mnums[left:left + md]]
+            at = ((d + a) * big + i) * big + d
+            c[at:at + md] = [x * sm for x in mnums[right:right + md]]
+    maps, main = [], d * d * md
+    for k, (dk, dkm) in enumerate(zip(hd.maps, mod.dmaps)):
+        (rows, s1), (mrows, s2) = dk.int_rows, dkm.int_rows
+        chi = nums[main + k * d * md:main + (k + 1) * d * md]  # entry (b, c) at c md + b
+        scale = math.lcm(s1, s2, den)
+        t1, t2, tz = scale // s1, scale // s2, scale // den
+        out = [{j: x * t1 for j, x in row.items()} for row in rows]
+        for b, row in enumerate(mrows):
+            out.append({c: x * tz for c in range(d) if (x := chi[c * md + b])})
+            out[-1].update((d + j, x * t2) for j, x in row.items())
+        maps.append(Matrix.from_int_rows(out, scale, big))
     labels = alg.basis_labels + tuple(f"m{a}" for a in range(md))
-    total_alg = Algebra(big, tuple(tuple(tuple(r) for r in mid) for mid in c), labels)
-    maps = []
-    for k in range(1, hd.rank + 1):
-        dk = hd.maps[k - 1]
-        dkm = mod.dmaps[k - 1]
-        fk = multimap_to_matrix(z.parts[k - 1])
-        rows = []
-        for r in range(d):
-            rows.append((*dk.row(r), *([ZERO] * md)))
-        for r in range(md):
-            rows.append((*fk.row(r), *dkm.row(r)))
-        maps.append(Matrix.from_rows(rows))
-    return AssHDerPair(total_alg, HigherDerivation(hd.rank, tuple(maps)))
+    return AssHDerPair(Algebra.from_int_form(big, (c, top), labels),
+                       HigherDerivation(hd.rank, tuple(maps)))
 
 
 def _canonical_matrices(d: int, md: int) -> tuple[Matrix, Matrix, Matrix]:
+    """The inclusion M -> E, projection E -> A and section A -> E, E = A + M."""
     big = d + md
-    include = Matrix.from_rows([[ONE if (r - d) == c else ZERO for c in range(md)]
-                                for r in range(big)])
-    project = Matrix.from_rows([[ONE if r == c else ZERO for c in range(big)]
-                                for r in range(d)])
-    section = Matrix.from_rows([[ONE if r == c else ZERO for c in range(d)]
-                                for r in range(big)])
+    include = Matrix.from_int_rows([{} for _ in range(d)] + [{a: 1} for a in range(md)], 1, md)
+    project = Matrix.from_int_rows([{r: 1} for r in range(d)], 1, big)
+    section = Matrix.from_int_rows([{r: 1} for r in range(d)] + [{} for _ in range(md)], 1, d)
     return include, project, section
 
 
 def semidirect(alg: Algebra, hd: HigherDerivation, mod: Bimodule) -> AssHDerPair:
     """(a, m)(b, n) = (ab, an + mb) with block-diagonal derivation maps."""
-    return extension_structure(alg, hd, mod, zero_cochain(alg.dim, mod.mdim, hd.rank, 2))
+    return _total_pair(alg, hd, mod, [0] * cochain_dim(alg.dim, mod.mdim, hd.rank, 2), 1)
 
 
 def verify_bimodule(alg: Algebra, hder: HigherDerivation, mod: Bimodule) -> CheckReport:
@@ -172,15 +186,23 @@ def extension_from_cocycle(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
     The error names the first violated component: the bilinear one, or the
     index k of the first failing derivation condition.
     """
-    defect = differential(alg, mod, hd, z)
-    if not defect.main.is_zero():
+    return _extension(alg, hd, mod, _cochain_form(alg, hd, mod, z),
+                      _canonical_matrices(alg.dim, mod.mdim))
+
+
+def _extension(alg: Algebra, hd: HigherDerivation, mod: Bimodule, form: tuple,
+               canonical: tuple) -> ExtensionPair:
+    """``extension_from_cocycle`` of the 2-cochain vector nums / den, ``form``:
+    the cocycle test sums the stencil on the numerators."""
+    nums, den = form
+    defect = _coboundary(alg, mod, hd, 2, nums)[0]
+    main, *parts = cochain_blocks(alg.dim, mod.mdim, hd.rank, 3)
+    if any(defect[main]):
         raise NotACocycleError("delta_hoch of the bilinear component is nonzero")
-    for k, part in enumerate(defect.parts, start=1):
-        if not part.is_zero():
+    for k, block in enumerate(parts, start=1):
+        if any(defect[block]):
             raise NotACocycleError(f"derivation cocycle condition fails at k={k}")
-    total = extension_structure(alg, hd, mod, z)
-    include, project, section = _canonical_matrices(alg.dim, mod.mdim)
-    return ExtensionPair(AssHDerPair(alg, hd), mod, total, include, project, section)
+    return ExtensionPair(AssHDerPair(alg, hd), mod, _total_pair(alg, hd, mod, nums, den), *canonical)
 
 
 def _check_induced_actions(ext: ExtensionPair, section: Matrix) -> None:
@@ -292,15 +314,26 @@ def classify_central(alg: Algebra, hd: HigherDerivation,
     canonical cocycle kernel basis, keeping those that grow the span of the
     coboundaries; the output order is the kernel-basis order.
     """
+    shape = (alg.dim, mod.mdim, hd.rank)
+    return [(vector_to_cochain(*shape, 2, as_fractions(*form)), ext)
+            for form, ext in _central_classes(alg, hd, mod)]
+
+
+def _central_classes(alg: Algebra, hd: HigherDerivation, mod: Bimodule) -> list[tuple[tuple, ExtensionPair]]:
+    """``classify_central`` with each representative as the integer form
+    ``(nums, den)`` of its vector, read off ``Kernel.entries``."""
     if not mod.has_zero_actions():
         raise ValueError("central classification requires a bimodule with zero actions")
     report = cohomology(alg, mod, hd, 2)
     span = Echelon(differential_matrix(alg, mod, hd, 1).int_columns())
-    chosen: list[Cochain] = []
-    for cocycle in report.cocycle_basis:
-        if span.add(dict(enumerate(cochain_to_vector(cocycle)))):
-            chosen.append(cocycle)
+    chosen: list[tuple] = []
+    for f, entries in report.kernel.entries():
         if len(chosen) == report.betti:
             break
-    zero = zero_cochain(alg.dim, mod.mdim, hd.rank, 2)
-    return [(z, extension_from_cocycle(alg, hd, mod, z)) for z in (zero, *chosen)]
+        den = math.lcm(*(q for _p, _x, q in entries))
+        vector = {f: den, **{p: x * (den // q) for p, x, q in entries}}
+        if span._insert(dict(vector)) is not None:
+            chosen.append(([vector.get(p, 0) for p in range(report.kernel.cols)], den))
+    canonical = _canonical_matrices(alg.dim, mod.mdim)
+    zero = ([0] * report.dim_cochains, 1)
+    return [(form, _extension(alg, hd, mod, form, canonical)) for form in (zero, *chosen)]

@@ -9,13 +9,14 @@ it because they preserve word length.  Words are enumerated by length and
 then lexicographically, with the empty word (the unit) first.  The induced
 maps come from one recursion over the first letter of a word,
 D_k(a w) = sum_{p=0..k} theta_p(a) D_{k-p}(w), so their cost is polynomial
-in the number of maps theta_1..theta_N.
+in the number of maps theta_1..theta_N.  The tensor algebra and the induced
+maps are built on integers, from the thetas' ``int_rows``.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract, _pair_tables, tensor_values
 from .exactlin import Matrix, ShapeError, Value, Vector, ZERO, ONE, int_form, vec_add
@@ -65,13 +66,12 @@ def build_tensor_algebra(vdim: int, max_degree: int) -> TruncatedTensorAlgebra:
     words = _enumerate_words(vdim, max_degree)
     index = {w: i for i, w in enumerate(words)}
     n = len(words)
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    nums = [0] * n ** 3
     for i, u in enumerate(words):
         for j, w in enumerate(words):
             if len(u) + len(w) <= max_degree:
-                c[i][j][index[u + w]] = ONE
-    alg = Algebra(n, tuple(tuple(tuple(row) for row in mid) for mid in c),
-                  tuple(_word_label(w) for w in words), unit_index=0)
+                nums[(i * n + j) * n + index[u + w]] = 1
+    alg = Algebra.from_int_form(n, (nums, 1), map(_word_label, words), 0)
     return TruncatedTensorAlgebra(vdim, max_degree, words, alg)
 
 
@@ -96,35 +96,38 @@ def induced_tensor_hder(vdim: int, max_degree: int,
     tta = build_tensor_algebra(vdim, max_degree)
     words = tta.words
     index = {w: i for i, w in enumerate(words)}
-    # images[p][a]: the nonzero (b, coefficient) of theta_p(v_a), theta_0 = id
-    images = [[[(a, ONE)] for a in range(vdim)]]
+    # images[p][a]: the nonzero (b, x) of theta_p(v_a), x over the lcm L of
+    # the thetas' scales, theta_0 = id
+    scale = math.lcm(*(th.int_rows[1] for th in thetas))
+    images = [[[(a, scale)] for a in range(vdim)]]
     for th in thetas:
-        images.append([[(b, th.entry(b, a)) for b in range(vdim) if th.entry(b, a)]
+        rows, up = th.int_rows[0], scale // th.int_rows[1]
+        images.append([[(b, row[a] * up) for b, row in enumerate(rows) if a in row]
                        for a in range(vdim)])
-    # series[i][k]: D_k(words[i]) as {word index: coefficient}
-    series: list[list[dict[int, Fraction]]] = [[{0: ONE}] + [{} for _ in range(rank)]]
+    # series[i][k]: D_k(words[i]) as {word index: numerator over L^len(words[i])}
+    series: list[list[dict[int, int]]] = [[{0: 1}] + [{} for _ in range(rank)]]
     for w in words[1:]:
         tail = series[index[w[1:]]]
         dks = []
         for k in range(rank + 1):
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int] = {}
             for p in range(k + 1):
                 for b, x in images[p][w[0]]:
                     for j, y in tail[k - p].items():
                         i = index[(b, *words[j])]
-                        acc[i] = acc.get(i, ZERO) + x * y
+                        acc[i] = acc.get(i, 0) + x * y
             dks.append(acc)
         series.append(dks)
     n = len(words)
     maps = []
     for k in range(1, rank + 1):
-        cols: list[Vector] = []
-        for dks in series:
-            out = [ZERO] * n
+        rows = [{} for _ in range(n)]
+        for col, dks in enumerate(series):
+            up = scale ** (max_degree - len(words[col]))
             for i, x in dks[k].items():
-                out[i] = x
-            cols.append(tuple(out))
-        maps.append(Matrix.from_columns(cols))
+                if x:
+                    rows[i][col] = x * up
+        maps.append(Matrix.from_int_rows(rows, scale ** max_degree, n))
     return tta, HigherDerivation(rank, tuple(maps))
 
 

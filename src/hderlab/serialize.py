@@ -11,10 +11,13 @@ terms as two ints; an ``lru_cache`` keyed by value and type, so ``true``
 never reads as ``1``, that keeps its last 256 tokens alive process-wide).
 A file repeats few tokens many times, so a token is parsed about once per
 file.  Paths are built only when the read fails, by ``_walk``, which
-raises the first error, depth first.  Matrices keep their integer rows;
-tensors and multimaps make one Fraction per distinct p/q.  Payloads format
-rationals with ``rat_str`` (``exactlin.ZERO`` as "0" by identity), or
-numerators over a denominator as it would, with no Fraction made.
+raises the first error, depth first.  Matrices keep their integer rows,
+algebras and bimodules their integer forms (``from_int_form``); only
+multimaps, the cochains' values, make Fractions, one per distinct p/q.
+Payloads format numerators over a denominator as ``rat_str`` would, with no
+Fraction made (``_int_cells``: algebras, matrices, deformations and integer
+cochains), or a multimap's rationals with ``rat_str`` (``exactlin.ZERO`` as
+"0" by identity).
 ``write_report`` writes a payload exactly as ``json.dumps(doc, indent=2,
 sort_keys=True)`` does, but encodes each list of strings with one C-level
 join, and hands the text to a ``write`` callable in pieces.  A
@@ -153,6 +156,13 @@ def _rat_strs(values) -> list[str]:
     return ["0" if x is ZERO else rat_str(x) for x in values]
 
 
+def _int_form(pairs) -> tuple[list[int], int]:
+    """The ``(p, q)`` pairs, each in lowest terms, as numerators over the
+    lcm of the q: their ``int_form``."""
+    den = math.lcm(*{q for _p, q in pairs})
+    return [p * (den // q) for p, q in pairs], den
+
+
 def _matrices(obj, shape: tuple, path: str) -> tuple[Matrix, ...]:
     """The matrices of ``obj``, nested lists of the lengths in ``shape``,
     the last two its rows and columns, read by ``_pairs``; each is kept as
@@ -160,9 +170,7 @@ def _matrices(obj, shape: tuple, path: str) -> tuple[Matrix, ...]:
     *counts, rows, cols = shape
     pairs, out, size = _pairs(obj, shape, path), [], rows * cols
     for k in range(math.prod(counts)):
-        block = pairs[k * size:k * size + size]
-        den = math.lcm(*{q for _p, q in block})
-        nums = [p * (den // q) for p, q in block]
+        nums, den = _int_form(pairs[k * size:k * size + size])
         out.append(Matrix.from_int_rows([{j: x for j, x in enumerate(nums[r * cols:r * cols + cols]) if x}
                                          for r in range(rows)], den, cols))
     return tuple(out)
@@ -173,23 +181,16 @@ def parse_matrix(obj, rows: int, cols: int, path: str) -> Matrix:
 
 
 def matrix_to_json(mat: Matrix) -> list[list[str]]:
-    cells, c = _rat_strs(mat.entries), mat.cols
+    """The rows of cells, written from ``int_rows``."""
+    rows, scale = mat.int_rows
+    c = mat.cols
+    cells = _int_cells([row.get(j, 0) for row in rows for j in range(c)], scale)
     return [cells[r * c:(r + 1) * c] for r in range(mat.rows)]
-
-
-def parse_tensor3(obj, d0: int, d1: int, d2: int, path: str):
-    values = _fractions(_pairs(obj, (d0, d1, d2), path))
-    rows = [tuple(values[b:b + d2]) for b in range(0, len(values), d2)]
-    return tuple(tuple(rows[b:b + d1]) for b in range(0, len(rows), d1))
-
-
-def tensor3_to_json(tensor) -> list:
-    return [[_rat_strs(inner) for inner in mid] for mid in tensor]
 
 
 def parse_algebra(doc, path: str = "algebra") -> Algebra:
     dim = _count(doc, "dim", path)
-    table = parse_tensor3(_need(doc, "table", path), dim, dim, dim, f"{path}.table")
+    table = _int_form(_pairs(_need(doc, "table", path), (dim, dim, dim), f"{path}.table"))
     labels = doc.get("basis")
     if labels is None:
         labels = [f"e{i}" for i in range(dim)]
@@ -199,12 +200,15 @@ def parse_algebra(doc, path: str = "algebra") -> Algebra:
         unit = _int(unit, f"{path}.unit")
         if not 0 <= unit < dim:
             raise ParseError(f"{path}.unit: index {unit} out of range")
-    return Algebra(dim, table, tuple(labels), unit)
+    return Algebra.from_int_form(dim, table, labels, unit)
 
 
 def algebra_to_json(alg: Algebra) -> dict:
-    doc = {"dim": alg.dim, "basis": list(alg.basis_labels),
-           "table": tensor3_to_json(alg.c)}
+    """Written from ``alg.int_form``."""
+    d = alg.dim
+    cells = _int_cells(*alg.int_form)
+    doc = {"dim": d, "basis": list(alg.basis_labels),
+           "table": [[cells[b:b + d] for b in range(i, i + d * d, d)] for i in range(0, d ** 3, d * d)]}
     if alg.unit_index is not None:
         doc["unit"] = alg.unit_index
     return doc
@@ -221,10 +225,10 @@ def hder_to_json(hd: HigherDerivation) -> dict:
 
 def parse_bimodule(doc, dim: int, nrank: int, path: str = "bimodule") -> Bimodule:
     mdim = _count(doc, "mdim", path)
-    left = parse_tensor3(_need(doc, "left", path), dim, mdim, mdim, f"{path}.left")
-    right = parse_tensor3(_need(doc, "right", path), mdim, dim, mdim, f"{path}.right")
+    left = _pairs(_need(doc, "left", path), (dim, mdim, mdim), f"{path}.left")
+    right = _pairs(_need(doc, "right", path), (mdim, dim, mdim), f"{path}.right")
     dmaps = _matrices(_need(doc, "dmaps", path), (nrank, mdim, mdim), f"{path}.dmaps")
-    return Bimodule(mdim, left, right, dmaps)
+    return Bimodule.from_int_form(mdim, _int_form(left + right), dmaps)
 
 
 def parse_multimap(obj, arity: int, dim: int, mdim: int, path: str) -> MultiMap:

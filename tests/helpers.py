@@ -20,7 +20,9 @@ bodies, the input verifiers
 bimodule laws) against their Fraction scans over basis tuples, the three
 readers of the morphism law (morphisms, universal extensions, section
 cocycles) against their own loops, the induced tensor-algebra maps against
-their sum over compositions, the report writer against the json module,
+their sum over compositions, the truncated tensor algebra, the total pair
+of an extension and its cocycle test against their Fraction builds, the
+report writer against the json module,
 and the value classes against the frozen dataclasses they were written as.
 The structure arithmetic only tests use (matrix and multimap sums, the
 module actions, multilinear evaluation) is stated here as functions too.
@@ -1349,6 +1351,76 @@ def oracle_check_morphism(mor: H.AssHDerMorphism) -> H.CheckReport:
         if tgt.hder.maps[k - 1] * f != f * src.hder.maps[k - 1]:
             return H.CheckReport.failed("intertwining", (k,))
     return H.CheckReport.passed()
+
+
+def oracle_build_tensor_algebra(vdim: int, max_degree: int) -> H.TruncatedTensorAlgebra:
+    """``freecons.build_tensor_algebra`` as it built the structure tensor in
+    Fractions: the reference for the integer build."""
+    if vdim < 1 or max_degree < 1:
+        raise H.ShapeError("need vdim >= 1 and max_degree >= 1")
+    words = tuple(w for length in range(max_degree + 1)
+                  for w in itertools.product(range(vdim), repeat=length))
+    index = {w: i for i, w in enumerate(words)}
+    n = len(words)
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, u in enumerate(words):
+        for j, w in enumerate(words):
+            if len(u) + len(w) <= max_degree:
+                c[i][j][index[u + w]] = ONE
+    labels = tuple("⊗".join(f"v{i}" for i in w) if w else "1" for w in words)
+    alg = H.Algebra(n, tuple(tuple(tuple(row) for row in mid) for mid in c), labels, unit_index=0)
+    return H.TruncatedTensorAlgebra(vdim, max_degree, words, alg)
+
+
+def oracle_extension_structure(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
+                               z: H.Cochain) -> H.AssHDerPair:
+    """``extensions.extension_structure`` as it built the A + M pair from
+    the Fraction tensors, the multimaps of z and the maps' rows: the
+    reference for the build on integer forms."""
+    if z.n != 2 or len(z.parts) != hd.rank:
+        raise H.ShapeError(f"a 2-cochain with {hd.rank} parts is required, "
+                           f"got degree {z.n} with {len(z.parts)}")
+    d, md = alg.dim, mod.mdim
+    big = d + md
+    c = [[[ZERO] * big for _ in range(big)] for _ in range(big)]
+    for i, j in itertools.product(range(d), repeat=2):
+        row = c[i][j]
+        for k, coeff in enumerate(alg.c[i][j]):
+            if coeff:
+                row[k] = coeff
+        for b, coeff in enumerate(z.main.value_at((i, j))):
+            if coeff:
+                row[d + b] = coeff
+    for i, a in itertools.product(range(d), range(md)):
+        for b, coeff in enumerate(mod.left[i][a]):
+            if coeff:
+                c[i][d + a][d + b] = coeff
+        for b, coeff in enumerate(mod.right[a][i]):
+            if coeff:
+                c[d + a][i][d + b] = coeff
+    labels = alg.basis_labels + tuple(f"m{a}" for a in range(md))
+    total_alg = H.Algebra(big, tuple(tuple(tuple(r) for r in mid) for mid in c), labels)
+    maps = []
+    for k in range(1, hd.rank + 1):
+        dk, dkm = hd.maps[k - 1], mod.dmaps[k - 1]
+        fk = H.multimap_to_matrix(z.parts[k - 1])
+        rows = [(*dk.row(r), *([ZERO] * md)) for r in range(d)]
+        rows += [(*fk.row(r), *dkm.row(r)) for r in range(md)]
+        maps.append(H.Matrix.from_rows(rows))
+    return H.AssHDerPair(total_alg, H.HigherDerivation(hd.rank, tuple(maps)))
+
+
+def oracle_cocycle_error(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
+                         z: H.Cochain) -> str | None:
+    """The ``NotACocycleError`` text ``extension_from_cocycle`` gave from the
+    Fraction differential of z, or None for a cocycle."""
+    defect = H.differential(alg, mod, hd, z)
+    if not defect.main.is_zero():
+        return "delta_hoch of the bilinear component is nonzero"
+    for k, part in enumerate(defect.parts, start=1):
+        if not part.is_zero():
+            return f"derivation cocycle condition fails at k={k}"
+    return None
 
 
 def _compositions(total: int, parts: int):
