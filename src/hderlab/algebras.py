@@ -14,15 +14,15 @@ substitution), in slots of a width B proven wide enough, so that comparing
 two integers decides every equation in them exactly.  Tables are built
 from the 2-cochain vector of each order, (mu_s; d_{1,s}, ..., d_{N,s}),
 as numerators over one denominator (``LawTables.orders``).  A pair's
-order-0 vector comes from the integer forms an algebra or a bimodule
-keeps (``int_form``, its numerators over their lcm denominator, and what
-it hashes) and a map's ``int_rows``; a deformation's, from the problem
+order-0 vector comes from the integer form an algebra or a bimodule
+stores (``int_form``, its numerators over one denominator, in lowest
+terms: its one field for the structure constants, and what ==, hash and
+repr read) and a map's ``int_rows``; a deformation's, from the problem
 file (``deform.read_deformation``), and ``LawTables.extended`` appends an
-order.  A command builds one table per pair (``hder._pair_reports``).  An
-algebra or a bimodule is built from its Fraction tensors or, by
-``from_int_form``, from its integer form, as the reader and every
-construction a command makes build them; either makes the other on first
-read and keeps it.
+order.  A command builds one table per pair (``hder._pair_reports``).  The
+Fraction tensors (``c``; ``left``, ``right``) are views made from the
+form on first read; ``Algebra.from_table`` builds an algebra from
+rationals.
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -50,47 +50,20 @@ def _tensor3(nums, den: int, d1: int, d2: int) -> Tensor3:
     return tuple(tuple(rows[b:b + d1]) for b in range(0, len(rows), d1))
 
 
-def _from_form(cls, form, **fields):
-    """An ``Algebra`` or ``Bimodule`` from its other fields and its integer
-    form, numerators over a denominator > 0, kept in lowest terms as
-    ``int_form``; its tensors are made from it when first read."""
-    (nums, den), obj = form, cls.__new__(cls)
+def _lowest_terms(obj) -> None:
+    """Keep ``obj.int_form``, numerators over a denominator > 0, as a tuple
+    of them divided by their gcd with the denominator."""
+    nums, den = obj.int_form
     g = math.gcd(den, *nums)
-    form = (tuple(nums), den) if g == 1 else (tuple(x // g for x in nums), den // g)
-    for name, value in (*fields.items(), ("int_form", form)):
-        _set(obj, name, value)
-    return obj
-
-
-def _views(self, name: str):
-    """``__getattr__`` of ``Algebra`` and ``Bimodule``: the one of
-    ``int_form`` and the ``Tensor3`` fields (``_split`` of the form) that the
-    instance was not built with, made from the other and kept."""
-    tensors = [t for t in self._fields if type(self).__annotations__[t] == "Tensor3"]
-    if name == "int_form":
-        _set(self, name, int_form([x for t in tensors for x in tensor_values(getattr(self, t))]))
-    elif name in tensors:
-        for t, value in self._split(*object.__getattribute__(self, "int_form")).items():
-            _set(self, t, value)
-    else:
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-    return object.__getattribute__(self, name)
-
-
-def tensor_values(t: Tensor3) -> tuple[Fraction, ...]:
-    """The entries flat in [i][j][k] order: a bilinear map's values."""
-    return tuple(itertools.chain.from_iterable(itertools.chain.from_iterable(t)))
+    _set(obj, "int_form", (tuple(nums), den) if g == 1 else (tuple(x // g for x in nums), den // g))
 
 
 def _hash_once(self) -> int:
-    """``__hash__`` for a value class: the hash of its ``int_form`` in place
-    of its ``Tensor3`` fields, and of its other fields (a map through
-    ``Matrix.__hash__``), computed on first use and kept (``_set``): no Fraction."""
+    """``__hash__`` for a value class: the hash of its fields (a map through
+    ``Matrix.__hash__``), computed on first use and kept (``_set``)."""
     h = getattr(self, "_hash", None)
     if h is None:
-        _set(self, "_hash", h := hash((getattr(self, "int_form", None), *(
-            getattr(self, name) for name in self._fields
-            if type(self).__annotations__[name] != "Tensor3"))))
+        _set(self, "_hash", h := hash(tuple(getattr(self, name) for name in self._fields)))
     return h
 
 
@@ -423,40 +396,39 @@ class CheckReport(Value):
 
 
 class Algebra(Value):
-    """Associative algebra by structure constants c[i][j][k]; ``int_form``
-    is ``exactlin.int_form`` of them, flat in [i][j][k] order."""
+    """Associative algebra by structure constants c[i][j][k], stored as
+    ``int_form``: the numerators flat in [i][j][k] order over one
+    denominator, in lowest terms.  ``c`` is the Fraction view of it."""
 
     dim: int
-    c: Tensor3
+    int_form: tuple[tuple[int, ...], int]
     basis_labels: tuple[str, ...]
     unit_index: int | None = None
 
     __hash__ = _hash_once
-    __getattr__ = _views
 
     def __post_init__(self):
         d = self.dim
         if len(self.basis_labels) != d:
             raise ShapeError(f"{d} basis labels expected, got {len(self.basis_labels)}")
-        if len(self.c) != d or any(len(m) != d for m in self.c) or any(
-                len(inner) != d for m in self.c for inner in m):
+        if len(self.int_form[0]) != d ** 3:
             raise ShapeError(f"structure tensor is not {d}x{d}x{d}")
         if self.unit_index is not None and not 0 <= self.unit_index < d:
             raise ShapeError(f"unit index {self.unit_index} out of range")
+        _lowest_terms(self)
 
-    @classmethod
-    def from_int_form(cls, dim: int, form, basis_labels, unit_index=None) -> "Algebra":
-        return _from_form(cls, form, dim=dim, basis_labels=tuple(basis_labels), unit_index=unit_index)
-
-    def _split(self, nums, den: int) -> dict:
-        return {"c": _tensor3(nums, den, self.dim, self.dim)}
+    @cached_property
+    def c(self) -> Tensor3:
+        return _tensor3(*self.int_form, self.dim, self.dim)
 
     @classmethod
     def from_table(cls, table, labels=None, unit_index=None) -> "Algebra":
         """From nested [i][j][k] lists of rationals (``rat``); labels e0, e1, ..."""
-        labels = tuple(f"e{i}" for i in range(len(table))) if labels is None else tuple(labels)
-        return cls(len(table), tuple(tuple(tuple(map(rat, inner)) for inner in mid) for mid in table),
-                   labels, unit_index)
+        d = len(table)
+        labels = tuple(f"e{i}" for i in range(d)) if labels is None else tuple(labels)
+        if any(len(mid) != d or any(len(inner) != d for inner in mid) for mid in table):
+            raise ShapeError(f"structure tensor is not {d}x{d}x{d}")
+        return cls(d, int_form([rat(x) for mid in table for inner in mid for x in inner]), labels, unit_index)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
@@ -485,34 +457,37 @@ class Bimodule(Value):
     """Bimodule with module-side derivation maps.
 
     ``left[i][a][b]`` is the coefficient of m_b in e_i * m_a, and
-    ``right[a][i][b]`` the coefficient of m_b in m_a * e_i.  ``dmaps`` holds
-    the square matrices (d_1^M, ..., d_N^M) acting on module coordinates.
-    ``int_form`` is that of ``left`` then ``right``, each flat.
+    ``right[a][i][b]`` the coefficient of m_b in m_a * e_i; ``int_form``
+    stores both flat, ``left`` then ``right``, in lowest terms, and the two
+    are Fraction views of it.  ``dmaps`` holds the square matrices
+    (d_1^M, ..., d_N^M) acting on module coordinates.
     """
 
     mdim: int
-    left: Tensor3
-    right: Tensor3
+    int_form: tuple[tuple[int, ...], int]
     dmaps: tuple[Matrix, ...]
 
     __hash__ = _hash_once
-    __getattr__ = _views
 
     def __post_init__(self):
+        md = self.mdim
+        if md < 1 or len(self.int_form[0]) % (2 * md * md):
+            raise ShapeError(f"action tensors do not fit a {md}-dimensional module")
         for k, m in enumerate(self.dmaps, start=1):
-            if m.rows != self.mdim or m.cols != self.mdim:
-                raise ShapeError(f"module map {k} is {m.rows}x{m.cols}, expected {self.mdim}x{self.mdim}")
+            if m.rows != md or m.cols != md:
+                raise ShapeError(f"module map {k} is {m.rows}x{m.cols}, expected {md}x{md}")
+        _lowest_terms(self)
 
-    @classmethod
-    def from_int_form(cls, mdim: int, form, dmaps) -> "Bimodule":
-        mod = _from_form(cls, form, mdim=mdim, dmaps=tuple(dmaps))
-        mod.__post_init__()
-        return mod
+    @cached_property
+    def left(self) -> Tensor3:
+        nums, den = self.int_form
+        return _tensor3(nums[:len(nums) // 2], den, self.mdim, self.mdim)
 
-    def _split(self, nums, den: int) -> dict:
-        half, md = len(nums) // 2, self.mdim
-        return {"left": _tensor3(nums[:half], den, md, md),
-                "right": _tensor3(nums[half:], den, half // md ** 2, md)}
+    @cached_property
+    def right(self) -> Tensor3:
+        nums, den = self.int_form
+        half = len(nums) // 2
+        return _tensor3(nums[half:], den, half // self.mdim ** 2, self.mdim)
 
     def basis_vector(self, a: int) -> Vector:
         return tuple(ONE if b == a else ZERO for b in range(self.mdim))
@@ -527,8 +502,8 @@ def verify_algebra(alg: Algebra) -> CheckReport:
 
 
 def _algebra_report(alg: Algebra, tables: LawTables) -> CheckReport:
-    """``verify_algebra`` on ``tables``, the order-0 tables of ``alg.c``
-    (with or without maps)."""
+    """``verify_algebra`` on ``tables``, the order-0 tables of
+    ``alg.int_form`` (with or without maps)."""
     bad = tables.failure(0, 0)
     if bad is not None:
         at, lhs, rhs = bad
@@ -550,9 +525,9 @@ def _algebra_report(alg: Algebra, tables: LawTables) -> CheckReport:
 def adjoint_bimodule(alg: Algebra, hder) -> Bimodule:
     """The algebra acting on itself, with the higher derivation as module maps."""
     nums, den = alg.int_form
-    return Bimodule.from_int_form(alg.dim, (nums + nums, den), hder.maps)
+    return Bimodule(alg.dim, (nums + nums, den), hder.maps)
 
 
 def trivial_bimodule(alg: Algebra, mdim: int, dmaps: tuple[Matrix, ...]) -> Bimodule:
     """Zero left and right actions; any dmaps are lawful since every law vanishes."""
-    return Bimodule.from_int_form(mdim, ((0,) * (2 * alg.dim * mdim * mdim), 1), dmaps)
+    return Bimodule(mdim, ((0,) * (2 * alg.dim * mdim * mdim), 1), tuple(dmaps))

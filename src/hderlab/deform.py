@@ -35,7 +35,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _columns,
-                       _law_tables, _pair_tables, _times, adjoint_bimodule, tensor_values)
+                       _law_tables, _pair_tables, _times, adjoint_bimodule)
 from .cochain import (
     Cochain, MultiMap, NotACocycleError, cochain_blocks, cochain_to_vector, differential,
     differential_matrix, vector_to_cochain,
@@ -125,7 +125,7 @@ class GaugeMap(Value):
 
 def product_multimap(alg: Algebra) -> MultiMap:
     """The algebra multiplication as a bilinear self map."""
-    return MultiMap(2, alg.dim, alg.dim, tensor_values(alg.c))
+    return MultiMap(2, alg.dim, alg.dim, as_fractions(*alg.int_form))
 
 
 def trivial_deformation(alg: Algebra, hd: HigherDerivation, order: int) -> Deformation:

@@ -170,9 +170,15 @@ class Matrix:
         raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
 
     def __eq__(self, other) -> bool:
+        """Row by row on ``int_rows`` (nonzeros only), each side's
+        numerators times the other's scale: no dense entries."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        (rows, s), (others, t) = self.int_rows, other.int_rows
+        return all(len(a) == len(b) and all(x * t == b.get(j, 0) * s for j, x in a.items())
+                   for a, b in zip(rows, others))
 
     def __hash__(self) -> int:
         """The hash of ``int_rows`` over its lowest scale, so a matrix hashes

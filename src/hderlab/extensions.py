@@ -118,7 +118,7 @@ def _total_pair(alg: Algebra, hd: HigherDerivation, mod: Bimodule, nums, den: in
             out[-1].update((d + j, x * t2) for j, x in row.items())
         maps.append(Matrix.from_int_rows(out, scale, big))
     labels = alg.basis_labels + tuple(f"m{a}" for a in range(md))
-    return AssHDerPair(Algebra.from_int_form(big, (c, top), labels),
+    return AssHDerPair(Algebra(big, (c, top), labels),
                        HigherDerivation(hd.rank, tuple(maps)))
 
 

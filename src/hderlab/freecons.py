@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract, _pair_tables, tensor_values
+from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract, _pair_tables
 from .exactlin import Matrix, ShapeError, Value, Vector, ZERO, ONE, int_form, vec_add
 from .hder import AssHDerPair, HigherDerivation, _leibniz_report, _morphism_law_terms
 
@@ -71,7 +71,7 @@ def build_tensor_algebra(vdim: int, max_degree: int) -> TruncatedTensorAlgebra:
         for j, w in enumerate(words):
             if len(u) + len(w) <= max_degree:
                 nums[(i * n + j) * n + index[u + w]] = 1
-    alg = Algebra.from_int_form(n, (nums, 1), map(_word_label, words), 0)
+    alg = Algebra(n, (nums, 1), tuple(map(_word_label, words)), 0)
     return TruncatedTensorAlgebra(vdim, max_degree, words, alg)
 
 
@@ -212,5 +212,5 @@ def verify_liehder(pair: LieHDerPair) -> CheckReport:
             pair.bracket_vec(pair.bracket_vec(ek, ei), ej))
         if any(total):
             return CheckReport.failed("jacobi identity", (i, j, k), total, (ZERO,) * d)
-    return _leibniz_report(_pair_tables(d, int_form(tensor_values(b)), pair.maps),
+    return _leibniz_report(_pair_tables(d, int_form([x for mid in b for row in mid for x in row]), pair.maps),
                            "lie higher derivation identity")

@@ -187,21 +187,18 @@ def inner_hder(alg: Algebra, xs: list[Vector], ys: list[Vector]) -> HigherDeriva
 
 def polynomial_truncation(alg: Algebra, order: int) -> Algebra:
     """A[t]/(t^{order+1}) on the basis e_i t^s, indexed s*dim + i."""
-    d = alg.dim
+    d, (nums, den) = alg.dim, alg.int_form
     big = d * (order + 1)
-    c = [[[ZERO] * big for _ in range(big)] for _ in range(big)]
+    c = [0] * big ** 3
     for s in range(order + 1):
         for r in range(order + 1 - s):
             for i, j in itertools.product(range(d), repeat=2):
-                row = c[s * d + i][r * d + j]
-                for k, coeff in enumerate(alg.c[i][j]):
-                    if coeff:
-                        row[(s + r) * d + k] = coeff
+                at = ((s * d + i) * big + r * d + j) * big + (s + r) * d
+                c[at:at + d] = nums[(i * d + j) * d:(i * d + j + 1) * d]
     labels = tuple(
         lbl if s == 0 else f"{lbl}*t^{s}"
         for s in range(order + 1) for lbl in alg.basis_labels)
-    return Algebra(big, tuple(tuple(tuple(row) for row in mid) for mid in c), labels,
-                   alg.unit_index)
+    return Algebra(big, (c, den), labels, alg.unit_index)
 
 
 def truncated_morphism_check(alg: Algebra, hd: HigherDerivation) -> CheckReport:

@@ -12,8 +12,9 @@ never reads as ``1``, that keeps its last 256 tokens alive process-wide).
 A file repeats few tokens many times, so a token is parsed about once per
 file.  Paths are built only when the read fails, by ``_walk``, which
 raises the first error, depth first.  Matrices keep their integer rows,
-algebras and bimodules their integer forms (``from_int_form``); only
-multimaps, the cochains' values, make Fractions, one per distinct p/q.
+and algebras and bimodules are built on the one form they store
+(``int_form``); only multimaps, the cochains' values, make Fractions, one
+per distinct p/q.
 Payloads format numerators over a denominator as ``rat_str`` would, with no
 Fraction made (``_int_cells``: algebras, matrices, deformations and integer
 cochains), or a multimap's rationals with ``rat_str`` (``exactlin.ZERO`` as
@@ -200,7 +201,7 @@ def parse_algebra(doc, path: str = "algebra") -> Algebra:
         unit = _int(unit, f"{path}.unit")
         if not 0 <= unit < dim:
             raise ParseError(f"{path}.unit: index {unit} out of range")
-    return Algebra.from_int_form(dim, table, labels, unit)
+    return Algebra(dim, table, tuple(labels), unit)
 
 
 def algebra_to_json(alg: Algebra) -> dict:
@@ -228,7 +229,7 @@ def parse_bimodule(doc, dim: int, nrank: int, path: str = "bimodule") -> Bimodul
     left = _pairs(_need(doc, "left", path), (dim, mdim, mdim), f"{path}.left")
     right = _pairs(_need(doc, "right", path), (mdim, dim, mdim), f"{path}.right")
     dmaps = _matrices(_need(doc, "dmaps", path), (nrank, mdim, mdim), f"{path}.dmaps")
-    return Bimodule.from_int_form(mdim, _int_form(left + right), dmaps)
+    return Bimodule(mdim, _int_form(left + right), dmaps)
 
 
 def parse_multimap(obj, arity: int, dim: int, mdim: int, path: str) -> MultiMap:

@@ -43,7 +43,7 @@ from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import deform, samples
-from hderlab.algebras import LawTables, _contract, tensor_values
+from hderlab.algebras import LawTables, _contract
 from hderlab.exactlin import ONE, ZERO, as_fractions, echelon, int_form, vec_add
 from hderlab.extensions import _check_induced_actions
 from hderlab.serialize import ParseError, Streamed, _int, _list, _need, cochain_to_json, write_report
@@ -155,6 +155,16 @@ def cochain_scale(a: H.Cochain, c: Fraction) -> H.Cochain:
     return H.Cochain(mm_scale(a.main, c), tuple(mm_scale(p, c) for p in a.parts))
 
 
+def tensor_values(t) -> tuple:
+    """The entries of a nested [i][j][k] tensor, flat in that order."""
+    return tuple(x for mid in t for row in mid for x in row)
+
+
+def bimodule_from_tensors(mdim: int, left, right, dmaps) -> H.Bimodule:
+    """A ``Bimodule`` from its Fraction action tensors, through ``int_form``."""
+    return H.Bimodule(mdim, int_form(tensor_values(left) + tensor_values(right)), tuple(dmaps))
+
+
 def act_left(mod: H.Bimodule, avec: tuple, mvec: tuple) -> tuple:
     return _contract(mod.left, avec, mvec, mod.mdim)
 
@@ -244,8 +254,8 @@ def doubled(mod: H.Bimodule) -> H.Bimodule:
 
     right = tuple(tuple(tuple(v) + (ZERO,) * n for v in ra) for ra in mod.right) + \
         tuple(tuple((ZERO,) * n + tuple(v) for v in ra) for ra in mod.right)
-    return H.Bimodule(2 * n, tuple(diag(m) for m in mod.left), right,
-                      tuple(H.Matrix.from_rows(diag(to_rows(m))) for m in mod.dmaps))
+    return bimodule_from_tensors(2 * n, tuple(diag(m) for m in mod.left), right,
+                                 tuple(H.Matrix.from_rows(diag(to_rows(m))) for m in mod.dmaps))
 
 
 def coefficient_fixtures() -> list[tuple[str, H.Algebra, H.HigherDerivation, H.Bimodule]]:
@@ -480,7 +490,7 @@ def oracle_parse_algebra(doc, path: str = "algebra") -> H.Algebra:
         unit = _int(unit, f"{path}.unit")
         if not 0 <= unit < dim:
             raise ParseError(f"{path}.unit: index {unit} out of range")
-    return H.Algebra(dim, table, tuple(labels), unit)
+    return H.Algebra.from_table(table, labels, unit)
 
 
 def oracle_parse_hder(doc, dim: int, path: str = "hder") -> H.HigherDerivation:
@@ -493,8 +503,8 @@ def oracle_parse_bimodule(doc, dim: int, nrank: int, path: str = "bimodule") -> 
     mdim = _oracle_count(doc, "mdim", path)
     left = oracle_tensor3(_need(doc, "left", path), dim, mdim, mdim, f"{path}.left")
     right = oracle_tensor3(_need(doc, "right", path), mdim, dim, mdim, f"{path}.right")
-    return H.Bimodule(mdim, left, right,
-                      oracle_matrices(_need(doc, "dmaps", path), nrank, mdim, mdim, f"{path}.dmaps"))
+    return bimodule_from_tensors(mdim, left, right,
+                                 oracle_matrices(_need(doc, "dmaps", path), nrank, mdim, mdim, f"{path}.dmaps"))
 
 
 def oracle_parse_cochain(doc, dim: int, mdim: int, nrank: int, path: str = "cochain") -> H.Cochain:
@@ -1368,7 +1378,7 @@ def oracle_build_tensor_algebra(vdim: int, max_degree: int) -> H.TruncatedTensor
             if len(u) + len(w) <= max_degree:
                 c[i][j][index[u + w]] = ONE
     labels = tuple("⊗".join(f"v{i}" for i in w) if w else "1" for w in words)
-    alg = H.Algebra(n, tuple(tuple(tuple(row) for row in mid) for mid in c), labels, unit_index=0)
+    alg = H.Algebra.from_table(c, labels, unit_index=0)
     return H.TruncatedTensorAlgebra(vdim, max_degree, words, alg)
 
 
@@ -1399,7 +1409,7 @@ def oracle_extension_structure(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bi
             if coeff:
                 c[d + a][i][d + b] = coeff
     labels = alg.basis_labels + tuple(f"m{a}" for a in range(md))
-    total_alg = H.Algebra(big, tuple(tuple(tuple(r) for r in mid) for mid in c), labels)
+    total_alg = H.Algebra.from_table(c, labels)
     maps = []
     for k in range(1, hd.rank + 1):
         dk, dkm = hd.maps[k - 1], mod.dmaps[k - 1]
@@ -1550,13 +1560,12 @@ def oracle_cocycle_from_section(ext: H.ExtensionPair, section: H.Matrix | None =
 
 # ------------------------------------------------------- dataclass twins
 # Each value class as it was written as a frozen dataclass: its fields in
-# order, a (name, default) pair where a default was given, and "Tensor3"
-# where the annotation was (the one annotation ``algebras._hash_once`` reads).
+# order, and a (name, default) pair where a default was given.
 DATACLASS_FIELDS = {
     "Violation": ("law", "at", ("lhs", None), ("rhs", None)),
     "CheckReport": ("ok", ("violation", None)),
-    "Algebra": ("dim", "c:Tensor3", "basis_labels", ("unit_index", None)),
-    "Bimodule": ("mdim", "left:Tensor3", "right:Tensor3", "dmaps"),
+    "Algebra": ("dim", "int_form", "basis_labels", ("unit_index", None)),
+    "Bimodule": ("mdim", "int_form", "dmaps"),
     "MultiMap": ("arity", "dim", "mdim", "values"),
     "Cochain": ("main", ("parts", ())),
     "CohomologyReport": ("degree", "dim_cochains", "dim_cocycles", "dim_coboundaries", "betti",
@@ -1567,7 +1576,7 @@ DATACLASS_FIELDS = {
     "TrivializeOutcome": ("gauge", ("blocked_order", None), ("blocking_class", None)),
     "ExtensionPair": ("base", "module", "total", "include", "project", "section"),
     "TruncatedTensorAlgebra": ("vdim", "max_degree", "words", "algebra"),
-    "LieHDerPair": ("dim", "bracket:Tensor3", "maps"),
+    "LieHDerPair": ("dim", "bracket", "maps"),
     "UniversalExtensionReport": ("ok", "violation", "map", "unit_handling"),
     "HigherDerivation": ("rank", "maps"),
     "AssHDerPair": ("algebra", "hder"),
@@ -1585,9 +1594,8 @@ def dataclass_twin(cls):
     specs, names = [], []
     for spec in DATACLASS_FIELDS[cls.__name__]:
         name, default = spec if isinstance(spec, tuple) else (spec, dataclasses.MISSING)
-        name, _, kind = name.partition(":")
         names.append(name)
-        specs.append((name, kind or "object", dataclasses.field(
+        specs.append((name, "object", dataclasses.field(
             default=default, repr=not (report and name in ("shape", "kernel")))))
     own = {k: v for k, v in vars(cls).items()
            if k not in ("__dict__", "__weakref__", "__annotations__", "__repr__", "_defaults", "_key")

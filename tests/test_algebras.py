@@ -52,7 +52,7 @@ def test_square_root_of_unit_is_associative():
 def test_unit_law_enforced_only_when_declared():
     z = samples.zero_algebra(2)
     assert H.verify_algebra(z).ok
-    with_unit = H.Algebra(z.dim, z.c, z.basis_labels, unit_index=0)
+    with_unit = H.Algebra.from_table(z.c, z.basis_labels, unit_index=0)
     report = H.verify_algebra(with_unit)
     assert not report.ok and "unit" in report.violation.law
 
@@ -98,8 +98,7 @@ def test_corrupted_module_map_is_caught():
     alg = samples.dual_numbers()
     hd = samples.dual_numbers_hder(2)
     mod = H.adjoint_bimodule(alg, hd)
-    broken = H.Bimodule(mod.mdim, mod.left, mod.right,
-                        (H.Matrix.identity(2), mod.dmaps[1]))
+    broken = H.Bimodule(mod.mdim, mod.int_form, (H.Matrix.identity(2), mod.dmaps[1]))
     report = H.verify_bimodule(alg, hd, broken)
     assert not report.ok
     assert "derivation law" in report.violation.law
@@ -112,7 +111,7 @@ def test_bimodule_shape_errors():
     with pytest.raises(ShapeError):
         H.verify_bimodule(alg, H.HigherDerivation.zero(2, 3), mod)
     with pytest.raises(ShapeError):
-        H.Bimodule(2, mod.left, mod.right, (H.Matrix.zeros(1, 1), H.Matrix.zeros(2, 2)))
+        H.Bimodule(2, mod.int_form, (H.Matrix.zeros(1, 1), H.Matrix.zeros(2, 2)))
 
 
 def test_adjoint_construction_verifies_on_all_fixtures():

@@ -11,7 +11,7 @@ from hderlab.deform import product_multimap
 from hderlab.serialize import algebra_to_json, parse_algebra, parse_bimodule
 
 from helpers import (
-    betti2_by_rank_count, cochain_add, cochain_scale, cochains_equal, coefficient_fixtures,
+    betti2_by_rank_count, bimodule_from_tensors, cochain_add, cochain_scale, cochains_equal, coefficient_fixtures,
     delta_hoch, delta_k, delta_prime, differential_matrix_by_columns, mm_add, mm_eval,
     mm_scale, oracle_differential, oracle_stencil_tables, rand_cochain, rand_fraction,
     rand_multimap, raw_coboundary, rescaled_pair,
@@ -450,8 +450,7 @@ def test_structures_from_every_route_share_one_integer_form_hash_and_cache_entry
     bumped = [[list(inner) for inner in mid] for mid in alg.c]
     bumped[i][j][c] += Fraction(1, 3)
     assert H.Algebra.from_table(bumped).int_form != first[0].int_form
-    assert H.Bimodule(d, alg.c, tuple(tuple(map(tuple, mid)) for mid in bumped), hd.maps).int_form \
-        != first[1].int_form
+    assert bimodule_from_tensors(d, alg.c, bumped, hd.maps).int_form != first[1].int_form
     rows = [list(m.row(r)) for r in range(d)]
     rows[i][j] += 1
     assert H.Matrix.from_rows(rows).int_rows != m.int_rows

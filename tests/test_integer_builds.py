@@ -1,12 +1,17 @@
 """Algebras, bimodules and the structures the extension and free-tensor
 commands build are made on integer forms; each is checked here against the
 Fraction build it replaced (``helpers.oracle_*``): the integer form, the
-tensor views and the maps' entries, == and hash.  The commands that read
-and write only these make no Fraction at all.
+tensor views and the maps' entries, == and hash.  An algebra or a bimodule
+stores one form, in lowest terms, whatever scale built it, and one
+``__post_init__`` checks it; a matrix compares on its integer rows.  The
+commands that read and write only these make no Fraction at all, nor does
+a command run again in the same process, whose cache hits compare equal
+structures.
 """
 
 import fractions
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +24,7 @@ from hderlab import cli, samples, serialize
 from hderlab.exactlin import Echelon, ZERO
 
 from helpers import (
-    oracle_build_tensor_algebra, oracle_cocycle_error, oracle_extension_structure,
+    bimodule_from_tensors, oracle_build_tensor_algebra, oracle_cocycle_error, oracle_extension_structure,
     oracle_induced_tensor_hder, oracle_parse_algebra, oracle_parse_bimodule, oracle_token,
     pair_fixtures, rand_cochain, rand_fraction, rand_matrix, rescaled_pair, spelled,
 )
@@ -116,13 +121,13 @@ def _modules(rng: random.Random, alg, hd, kind: str):
         mdim = rng.randint(1, 2)
         dmaps = tuple(_sparse_matrix(rng, mdim) for _ in range(hd.rank))
         zeros = lambda d0, d1, d2: tuple(tuple((ZERO,) * d2 for _ in range(d1)) for _ in range(d0))
-        return H.trivial_bimodule(alg, mdim, dmaps), H.Bimodule(mdim, zeros(d, mdim, mdim),
-                                                                zeros(mdim, d, mdim), dmaps)
+        return H.trivial_bimodule(alg, mdim, dmaps), bimodule_from_tensors(mdim, zeros(d, mdim, mdim),
+                                                                           zeros(mdim, d, mdim), dmaps)
     if kind == "adjoint":
-        return H.adjoint_bimodule(alg, hd), H.Bimodule(d, alg.c, alg.c, tuple(hd.maps))
+        return H.adjoint_bimodule(alg, hd), bimodule_from_tensors(d, alg.c, alg.c, hd.maps)
     mdim = rng.randint(1, 2)
-    want = H.Bimodule(mdim, _tensor(rng, d, mdim, mdim), _tensor(rng, mdim, d, mdim),
-                      tuple(rand_matrix(rng, mdim) for _ in range(hd.rank)))
+    want = bimodule_from_tensors(mdim, _tensor(rng, d, mdim, mdim), _tensor(rng, mdim, d, mdim),
+                                 tuple(rand_matrix(rng, mdim) for _ in range(hd.rank)))
     doc = {"mdim": mdim, "left": _spelled_tensor(want.left, rng), "right": _spelled_tensor(want.right, rng),
            "dmaps": [[[spelled(m.entry(i, j), rng) for j in range(mdim)] for i in range(mdim)]
                      for m in want.dmaps]}
@@ -266,6 +271,76 @@ def test_induced_maps_from_read_thetas_match_the_fraction_sum(vdim, degree, rank
     assert H.verify_hder(tta.algebra, hd).ok
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(2, 6), st.integers(0, 2 ** 32))
+def test_one_form_at_any_scale_reads_the_same(d, mdim, k, seed):
+    # numerators over a common denominator, times k: the same structure as
+    # the unscaled form and as the from_table build of the Fractions
+    rng = random.Random(seed)
+    table, left, right = _tensor(rng, d, d, d), _tensor(rng, d, mdim, mdim), _tensor(rng, mdim, d, mdim)
+    labels, unit = tuple(f"x{i}" for i in range(d)), rng.choice((None, rng.randrange(d)))
+    dmaps = tuple(rand_matrix(rng, mdim) for _ in range(rng.randint(1, 2)))
+
+    def form(*tensors):
+        values = [x for t in tensors for mid in t for row in mid for x in row]
+        den = math.lcm(*(x.denominator for x in values))
+        return [int(x * den) for x in values], den
+
+    for tensors, build, oracle, views in (
+            ((table,), lambda f: H.Algebra(d, f, labels, unit), H.Algebra.from_table(table, labels, unit),
+             ("c",)),
+            ((left, right), lambda f: H.Bimodule(mdim, f, dmaps),
+             bimodule_from_tensors(mdim, left, right, dmaps), ("left", "right"))):
+        nums, den = form(*tensors)
+        plain, scaled = build((nums, den)), build(([x * k for x in nums], den * k))
+        assert scaled.int_form == plain.int_form == oracle.int_form
+        assert math.gcd(*scaled.int_form[0], scaled.int_form[1]) == 1
+        for a, b in ((scaled, plain), (scaled, oracle)):
+            assert a == b and b == a and hash(a) == hash(b) and repr(a) == repr(b)
+        for name, want in zip(views, tensors):
+            assert getattr(scaled, name) == want
+        moved = list(nums)
+        moved[rng.randrange(len(moved))] += rng.choice((-1, 1))
+        assert build((moved, den)) != plain
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 6), st.integers(0, 2 ** 32))
+def test_matrix_equality_reads_the_integer_rows(rows, cols, k, seed):
+    rng = random.Random(seed)
+    entries = [[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)]
+    scale = k * math.lcm(*(x.denominator for row in entries for x in row))
+    stored = H.Matrix.from_int_rows([{j: int(x * scale) for j, x in enumerate(row) if x} for row in entries],
+                                    scale, cols)
+    dense = H.Matrix.from_rows(entries)
+    assert dense == stored and stored == dense and hash(dense) == hash(stored)
+    assert "entries" not in stored.__dict__  # compared without dense entries
+    i, j = rng.randrange(rows), rng.randrange(cols)
+    entries[i][j] += rng.choice((Fraction(-1, 2), Fraction(1), -entries[i][j] or Fraction(1, 3)))
+    moved = H.Matrix.from_rows(entries)
+    assert moved != stored and stored != moved and not moved == stored
+    assert H.Matrix.from_rows([row + [ZERO] for row in entries]) != moved
+
+
+def test_algebra_and_bimodule_check_their_form():
+    form, labels = ((0,) * 8, 1), ("a", "b")
+    assert H.Algebra(2, form, labels, 1).int_form == form
+    for args in ((2, ((0,) * 8, 1), ["a"]),        # one label for two basis vectors
+                 (2, ((0,) * 8, 1), ["a"], 5),     # and a unit past the basis
+                 (2, form, labels, 2), (2, form, labels, -1),
+                 (2, ((0,) * 7, 1), labels), (2, ((0,) * 27, 1), labels)):
+        with pytest.raises(H.ShapeError):
+            H.Algebra(*args)
+    with pytest.raises(H.ShapeError):  # eight entries, but not 2x2x2
+        H.Algebra.from_table([[[1, 2, 3], [4]], [[0, 0], [0, 0]]])
+    one = (H.Matrix.zeros(1, 1),)
+    assert H.Bimodule(1, ((0, 2, 4, 6), 2), one).int_form == ((0, 1, 2, 3), 1)
+    for args in ((1, ((0,) * 3, 1), one), (2, ((0,) * 4, 1), (H.Matrix.zeros(2, 2),)),
+                 (2, ((0,) * 8, 1), one), (0, ((), 1), ())):
+        with pytest.raises(H.ShapeError):
+            H.Bimodule(*args)
+
+
 def _counting(monkeypatch) -> list:
     """Record every Fraction made from here on, through ``__new__`` or, where
     arithmetic bypasses it, ``_from_coprime_ints``."""
@@ -284,16 +359,30 @@ def _counting(monkeypatch) -> list:
     return made
 
 
+_EXTEND = ["deform-extend", "tp3_gauged_deform.json", "--to", "6"]
+_COHOMOLOGY = ["cohomology", "split_pair.json", "--degree", "2"]
+
+
 @pytest.mark.parametrize("args,fractions_made", [
     (["check", "dual_pair.json"], False),
     (["classify-central", "nil_central.json"], False),
     (["free-tensor", "tensor_line.json"], False),
-    (["cohomology", "split_pair.json", "--degree", "2"], False),
+    (_COHOMOLOGY, False),
     (["deform-trivialize", "dual_deform.json"], False),
     # the cocycle is a multimap, read as Fractions: the count sees them
     (["extend-abelian", "dual_cocycle.json"], True),
+    # the last of several commands in one process, counted alone: its cache
+    # hits compare the structures it read with the equal ones cached before
+    pytest.param([_EXTEND, _EXTEND], False, id="deform-extend tp3_gauged_deform.json --to 6, again"),
+    pytest.param([_EXTEND, ["deform-obstruct", "tp3_gauged_deform.json"]], False,
+                 id="deform-obstruct tp3_gauged_deform.json after deform-extend"),
+    pytest.param([_COHOMOLOGY, _COHOMOLOGY], False, id="cohomology split_pair.json --degree 2, again"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_integer_commands_make_no_fraction(args, fractions_made, monkeypatch, capsys):
+    *before, args = args if isinstance(args[0], list) else [args]
+    for cmd in before:
+        assert cli.main([cmd[0], str(FIXTURES / cmd[1]), *cmd[2:], "--json"]) == 0
+    capsys.readouterr()
     made = _counting(monkeypatch)
     code = cli.main([args[0], str(FIXTURES / args[1]), *args[2:], "--json"])
     monkeypatch.undo()

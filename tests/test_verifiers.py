@@ -22,7 +22,7 @@ from hderlab.exactlin import ONE, ZERO
 from hderlab.hder import _pair_reports
 
 from helpers import (
-    coefficient_fixtures, doubled, mat_add, oracle_check_morphism, oracle_cocycle_from_section,
+    bimodule_from_tensors, coefficient_fixtures, doubled, mat_add, oracle_check_morphism, oracle_cocycle_from_section,
     oracle_universal_extension, oracle_verify_algebra, oracle_verify_bimodule,
     oracle_verify_hder, oracle_verify_liehder, pair_fixtures, rand_matrix, rescaled_pair,
 )
@@ -86,8 +86,7 @@ def test_verify_algebra_matches_oracle(pair, data):
     alg, _ = pair
     if data.draw(st.booleans()):
         at = _draw_index(data, (alg.dim,) * 3)
-        alg = H.Algebra(alg.dim, _with_entry(alg.c, at, data.draw(VALUES)),
-                        alg.basis_labels, alg.unit_index)
+        alg = H.Algebra.from_table(_with_entry(alg.c, at, data.draw(VALUES)), alg.basis_labels, alg.unit_index)
     _same(H.verify_algebra(alg), oracle_verify_algebra(alg))
 
 
@@ -97,8 +96,7 @@ def test_verify_hder_matches_oracle(pair, where, data):
     alg, hd = pair
     if where == "product":
         at = _draw_index(data, (alg.dim,) * 3)
-        alg = H.Algebra(alg.dim, _with_entry(alg.c, at, data.draw(VALUES)),
-                        alg.basis_labels, alg.unit_index)
+        alg = H.Algebra.from_table(_with_entry(alg.c, at, data.draw(VALUES)), alg.basis_labels, alg.unit_index)
     elif where == "map":
         hd = H.HigherDerivation(hd.rank, _perturb_map(data, hd.maps))
     _same(H.verify_hder(alg, hd), oracle_verify_hder(alg, hd))
@@ -144,7 +142,7 @@ UNITAL = [samples.dual_numbers(), samples.truncated_polynomials(3),
 def _rescaled_unital(alg, scales, unit):
     d = alg.dim
     table = rescaled_pair(alg, H.HigherDerivation.zero(d, 1), scales)[0].c
-    return H.Algebra(d, table, alg.basis_labels, unit)
+    return H.Algebra.from_table(table, alg.basis_labels, unit)
 
 
 @settings(max_examples=80, deadline=None)
@@ -212,7 +210,7 @@ def test_verify_bimodule_matches_oracle(triple, where, data):
         right = _with_entry(right, _draw_index(data, (md, d, md)), data.draw(VALUES))
     elif where == "dmaps":
         dmaps = _perturb_map(data, dmaps)
-    mod = H.Bimodule(md, left, right, dmaps)
+    mod = bimodule_from_tensors(md, left, right, dmaps)
     _same(H.verify_bimodule(alg, hd, mod), oracle_verify_bimodule(alg, hd, mod))
 
 
@@ -227,8 +225,8 @@ def test_verify_bimodule_judges_only_module_tuples_over_a_non_associative_algebr
     d, value, rng = alg.dim, data.draw(SCALES), data.draw(st.randoms())
     spots = list(itertools.product(range(d), repeat=3))
     rng.shuffle(spots)
-    moved = (H.Algebra(d, _with_entry(alg.c, at, alg.c[at[0]][at[1]][at[2]] + value),
-                       alg.basis_labels, alg.unit_index) for at in spots)
+    moved = (H.Algebra.from_table(_with_entry(alg.c, at, alg.c[at[0]][at[1]][at[2]] + value),
+                                  alg.basis_labels, alg.unit_index) for at in spots)
     bad = next((b for b in moved if not H.verify_algebra(b).ok), None)
     assume(bad is not None)  # every algebra of dimension 1 is associative
     if module == "trivial":
@@ -323,8 +321,7 @@ def test_universal_extension_matches_oracle(case, where, data):
     alg = target.algebra
     if where == "product":
         at = _draw_index(data, (alg.dim,) * 3)
-        alg = H.Algebra(alg.dim, _with_entry(alg.c, at, data.draw(VALUES)),
-                        alg.basis_labels, alg.unit_index)
+        alg = H.Algebra.from_table(_with_entry(alg.c, at, data.draw(VALUES)), alg.basis_labels, alg.unit_index)
         target = H.AssHDerPair(alg, target.hder)
     elif where == "map":
         target = _with_map(target, _perturb_map(data, target.hder.maps))
@@ -368,7 +365,7 @@ def test_cocycle_from_section_matches_oracle(ext, shifted, where, data):
     elif where == "product":
         at = _draw_index(data, (d + md,) * 3)
         c = _with_entry(total.algebra.c, at, data.draw(VALUES))
-        total = H.AssHDerPair(H.Algebra(d + md, c, total.algebra.basis_labels), total.hder)
+        total = H.AssHDerPair(H.Algebra.from_table(c, total.algebra.basis_labels), total.hder)
     elif where == "map":
         total = _with_map(total, _perturb_map(data, total.hder.maps))
     ext = H.ExtensionPair(ext.base, ext.module, total, ext.include, ext.project, ext.section)
