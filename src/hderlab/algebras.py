@@ -17,12 +17,12 @@ as numerators over one denominator (``LawTables.orders``).  A pair's
 order-0 vector comes from the integer form an algebra or a bimodule
 stores (``int_form``, its numerators over one denominator, in lowest
 terms: its one field for the structure constants, and what ==, hash and
-repr read) and a map's ``int_rows``; a deformation's, from the problem
-file (``deform.read_deformation``), and ``LawTables.extended`` appends an
-order.  A command builds one table per pair (``hder._pair_reports``).  The
-Fraction tensors (``c``; ``left``, ``right``) are views made from the
-form on first read; ``Algebra.from_table`` builds an algebra from
-rationals.
+repr read) and a map's ``int_rows``.  A ``deform.Deformation`` stores its
+tables in lowest terms as its one field (tables compare on dim, den and
+orders), and ``LawTables.extended`` appends an order to them.  A command
+builds one table per pair (``hder._pair_reports``).  The Fraction tensors
+(``c``; ``left``, ``right``) are views made from the form on first read;
+``Algebra.from_table`` builds an algebra from rationals.
 
 The bimodule laws are the same two laws on the semidirect product A + M,
 scanned on the basis tuples that hold one module vector; that verifier lives
@@ -103,14 +103,6 @@ def _balanced_offset(bits: int, slots: int) -> int:
     return ((1 << bits * slots) - 1) // ((1 << bits) - 1) << bits - 1
 
 
-def _law_tables(d: int, vectors) -> LawTables:
-    """The law tables of the Fraction 2-cochain vectors of orders 0..n,
-    over D, the lcm of their denominators (``int_form``)."""
-    nums, den = int_form([x for v in vectors for x in v])
-    size = len(nums) // len(vectors)
-    return LawTables(d, den, [list(nums[b:b + size]) for b in range(0, len(nums), size)])
-
-
 def _pair_tables(d: int, form: tuple, maps=()) -> LawTables:
     """The order-0 law tables of a product given by its integer form (the
     numerators [i][j][k] over their denominator) and of the maps d_1..d_N."""
@@ -180,6 +172,12 @@ class LawTables:
         self._sides: dict[int, tuple[list[int], list[int]]] = {}
         self._windows: dict[int, tuple[int, int, int]] = {}
 
+    # ==, hash and repr read (dim, den, orders), each order as a tuple
+    _key = property(lambda self: (self.dim, self.den, tuple(map(tuple, self.orders))))
+    __eq__ = lambda self, other: self._key == other._key if isinstance(other, LawTables) else NotImplemented
+    __hash__ = lambda self: hash(self._key)
+    __repr__ = lambda self: f"LawTables{self._key!r}"
+
     @cached_property
     def _tables(self) -> list[list[tuple[list[int], int, int]]]:
         d, size, vectors = self.dim, self.dim ** 3, self.orders
@@ -193,7 +191,7 @@ class LawTables:
         are shared, or rescaled if D grows."""
         top = math.lcm(self.den, den)
         older = self.orders if top == self.den else [[x * (top // self.den) for x in v] for v in self.orders]
-        new = values if top == den else [x * (top // den) for x in values]
+        new = list(values) if top == den else [x * (top // den) for x in values]
         return LawTables(self.dim, top, [*older, new])
 
     def scale(self, k: int) -> int:

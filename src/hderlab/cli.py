@@ -2,11 +2,11 @@
 
 Exit codes separate meanings so shell pipelines can branch: 0 means the
 command ran and its mathematical answer is positive, 1 means the answer is
-negative (a check failed, something is not a cocycle, a deformation will
-not extend or trivialize), 2 means the input was unusable (parse or shape
-errors, a size cap breach, a section that fails its own verifier, or input
-outside the command's precondition), and 3 means hderlab itself failed (any
-other exception): one stderr line starting "internal error:", no report.
+negative (a check failed, a deformation will not extend or trivialize, or a
+``cochain.NegativeAnswer`` was raised), 2 means the input was unusable
+(parse or shape errors, a size cap breach, a section that fails its own
+verifier, or input outside the command's precondition), and 3 means hderlab
+itself failed (any other exception): one stderr line "internal error: ...".
 
 The plain form of a call (a subcommand, one file, ``--json`` and whole
 option names from ``SUBCOMMANDS``, each with a value that does not start
@@ -42,7 +42,7 @@ import time
 from types import SimpleNamespace
 
 from .algebras import adjoint_bimodule, trivial_bimodule, verify_algebra
-from .cochain import NotACocycleError, cohomology
+from .cochain import NegativeAnswer, NotACocycleError, cohomology
 from .exactlin import Matrix, ShapeError
 from .hder import _pair_reports, verify_hder
 from .serialize import (
@@ -431,9 +431,9 @@ def main(argv=None) -> int:
     except (ParseError, ShapeError, CapExceeded, UnverifiedInput) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        # well-formed input, mathematically rejected (not a cocycle, not a
-        # section, an unverified deformation, ...)
+    except NegativeAnswer as exc:
+        # well-formed input, mathematically rejected: NotACocycleError,
+        # SectionError or NotVerifiedError; a plain ValueError is a fault
         elapsed = int((time.perf_counter() - start) * 1000)
         _emit(args.command, False, {}, [str(exc)], args.json, elapsed)
         return EXIT_NEGATIVE

@@ -51,7 +51,11 @@ from .exactlin import (
 from .hder import HigherDerivation
 
 
-class NotACocycleError(ValueError):
+class NegativeAnswer(ValueError):
+    """A well-formed input that the mathematics rejects: a negative answer."""
+
+
+class NotACocycleError(NegativeAnswer):
     """An input that must be killed by the differential is not."""
 
 

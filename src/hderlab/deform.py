@@ -6,82 +6,80 @@ coefficient 0 is the algebra product with the maps d_1, ..., d_N
 (d_{0,0} = id, d_{0,s} = 0 for s >= 1).  All series algebra runs on integer
 numerators, truncated at the stored order.
 
-The order-s equations are the two laws of ``algebras`` at order s, on the
-packed tables ``Deformation._tables`` (an ``algebras.LawTables``):
-verification masks the slots of orders 0..n and compares.  Slots are
-unpacked only for a reported violation, the obstruction and the append
-check of ``extend_to``.  The tables are built from the 2-cochain vector
-of each order over one denominator (``LawTables.orders``): a problem file
-is read into it (``read_deformation``), ``apply_gauge`` writes its
-integers to it, the obstruction is solved on it and ``extend_to`` appends
-each solution.  The deform commands test a cocycle only when the solve
-finds no preimage: a preimage makes the cochain a coboundary, so a
-cocycle, as d^2 = 0 for the pair.
+A ``Deformation`` stores one form, ``tables`` (an ``algebras.LawTables``):
+the 2-cochain vector of each order over one denominator, in lowest terms.
+A problem file is read into it (``read_deformation``), ``apply_gauge``
+writes its integers to it, an appended order extends it and a truncation
+slices it.  The order-s equations are the two laws of ``algebras`` at order
+s on these tables: verification masks the slots of orders 0..n and
+compares.  A cocycle test sums the differential's stencil on numerators
+(``cochain._coboundary``); the deform commands run one only when the solve
+finds no preimage, since a preimage makes the cochain a coboundary.
 
 The gauge group runs on one packed form too (``_Packed``): an entry of a
 gauge, d_k or mu series is one integer sum_s x_s 2^(B s), and the action,
 composition, inverse and the shears of ``trivialize`` are big-integer
 products of entries.  Fractions appear only at the boundary: a reported
-violation, a returned cochain (the obstruction or a blocking
-coefficient), and ``coeffs`` and a gauge's entries, made when first read
-(a gauge's matrices are built from their integer rows).
+violation, a returned cochain (the obstruction, an infinitesimal or a
+blocking coefficient), a deformation's ``coeffs`` view and a gauge's
+entries (its matrices are built from their integer rows).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 
 from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _columns,
-                       _law_tables, _pair_tables, _times, adjoint_bimodule)
+                       _pair_tables, _times, adjoint_bimodule)
 from .cochain import (
-    Cochain, MultiMap, NotACocycleError, cochain_blocks, cochain_to_vector, differential,
+    Cochain, MultiMap, NegativeAnswer, NotACocycleError, _coboundary, cochain_blocks, cochain_to_vector,
     differential_matrix, vector_to_cochain,
 )
-from .exactlin import Matrix, ShapeError, Value, _set, as_fractions, solve_ints
+from .exactlin import Matrix, ShapeError, Value, _set, as_fractions, int_form, solve_ints
 from .hder import HigherDerivation, _require_same_dim
 
 
-class Deformation(Value):
-    """Coefficients ``coeffs[s]`` = (mu_s; d_{1,s}, ..., d_{N,s}) for
-    s = 0..order, each a 2-cochain with self coefficients.  One built by
-    ``from_tables`` from its integer form ``_tables`` makes ``coeffs`` on
-    first use and keeps them, as ``Matrix.from_int_rows`` does its entries."""
+class NotVerifiedError(NegativeAnswer):
+    """A deformation fails its equations, or does not start at the pair."""
 
-    coeffs: tuple[Cochain, ...]
+
+class Deformation(Value):
+    """Coefficients (mu_s; d_{1,s}, ..., d_{N,s}) for s = 0..order, stored
+    as ``tables`` divided by their content, so that ==, hash and repr read
+    one form whatever scale built it; ``coeffs`` is a Fraction view."""
+
+    tables: LawTables
 
     def __post_init__(self):
-        if not self.coeffs:
-            raise ShapeError("a deformation needs its order-0 coefficient")
-        d, rank = self.coeffs[0].main.dim, len(self.coeffs[0].parts)
-        for c in self.coeffs:
-            if c.n != 2 or c.main.dim != d or c.main.mdim != d or len(c.parts) != rank:
-                raise ShapeError(f"coefficients must be 2-cochains of self maps of "
-                                 f"dimension {d} with {rank} parts")
+        t = self.tables
+        if (g := math.gcd(t.den, *itertools.chain(*t.orders))) > 1:
+            _set(self, "tables", LawTables(t.dim, t.den // g, [[x // g for x in v] for v in t.orders]))
 
     @classmethod
-    def from_tables(cls, tables: LawTables) -> "Deformation":
-        defm = cls.__new__(cls)
-        defm.__dict__["_tables"] = tables
-        return defm
+    def from_coeffs(cls, coeffs) -> "Deformation":
+        """The deformation with the Fraction 2-cochains ``coeffs``."""
+        if not coeffs:
+            raise ShapeError("a deformation needs its order-0 coefficient")
+        _require_coefficients(coeffs, coeffs[0].main.dim, len(coeffs[0].parts))
+        nums, den = int_form([x for c in coeffs for x in cochain_to_vector(c)])
+        size = len(nums) // len(coeffs)
+        return cls(LawTables(coeffs[0].main.dim, den, [list(v) for v in zip(*[iter(nums)] * size)]))
 
-    def __getattr__(self, name: str):  # a missing attribute: coeffs, for one built from_tables
-        if name != "coeffs" or "_tables" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        t = self._tables
-        _set(self, "coeffs", tuple(_cochain(t.dim, t.rank, 2, v, t.den) for v in t.orders))
-        return self.coeffs
+    coeffs = property(lambda self: tuple(_cochain(self.dim, self.rank, 2, v, self.tables.den)
+                                         for v in self.tables.orders))
+    order = property(lambda self: self.tables.order)
+    dim = property(lambda self: self.tables.dim)
+    rank = property(lambda self: self.tables.rank)
 
-    order = property(lambda self: self._tables.order)
-    dim = property(lambda self: self._tables.dim)
-    rank = property(lambda self: self._tables.rank)
 
-    @cached_property
-    def _tables(self) -> LawTables:
-        """The coefficients as ``algebras._law_tables``."""
-        return _law_tables(self.coeffs[0].main.dim, list(map(cochain_to_vector, self.coeffs)))
+def _require_coefficients(coeffs, d: int, rank: int) -> None:
+    for c in coeffs:
+        if c.n != 2 or c.main.dim != d or c.main.mdim != d or len(c.parts) != rank:
+            raise ShapeError(f"coefficients must be 2-cochains of self maps of "
+                             f"dimension {d} with {rank} parts")
 
 
 def read_deformation(dim: int, order: int, mu: list, ds: list) -> Deformation:
@@ -94,7 +92,7 @@ def read_deformation(dim: int, order: int, mu: list, ds: list) -> Deformation:
     # maps[k * n + s] is d_{k,s} column by column
     maps = [[x for c in range(dim) for x in nums[b + c:b + dd:dim]] for b in range(n * size, len(nums), dd)]
     orders = [nums[s * size:s * size + size] + [x for m in maps[s::n] for x in m] for s in range(n)]
-    return Deformation.from_tables(LawTables(dim, den, orders))
+    return Deformation(LawTables(dim, den, orders))
 
 
 class GaugeMap(Value):
@@ -136,13 +134,13 @@ def trivial_deformation(alg: Algebra, hd: HigherDerivation, order: int) -> Defor
     _require_same_dim(alg, hd)
     base = _pair_tables(alg.dim, alg.int_form, hd.maps)
     zero = [0] * len(base.orders[0])
-    return Deformation.from_tables(LawTables(alg.dim, base.den, [*base.orders, *[zero] * order]))
+    return Deformation(LawTables(alg.dim, base.den, [*base.orders, *[zero] * order]))
 
 
 def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
     """The order-0 vector against that of ``alg.int_form`` and the maps'
     ``int_rows`` (``algebras._pair_tables``), as rationals, entry by entry."""
-    tables = defm._tables
+    tables = defm.tables
     if tables.dim != alg.dim:
         raise ShapeError("deformation dimension differs from the algebra")
     if tables.rank != hd.rank:
@@ -150,8 +148,8 @@ def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
     base = _pair_tables(alg.dim, alg.int_form, hd.maps)
     for k, block in enumerate(cochain_blocks(alg.dim, alg.dim, hd.rank, 2)):
         if [x * base.den for x in tables.orders[0][block]] != [y * tables.den for y in base.orders[0][block]]:
-            raise ValueError(f"order-0 derivation coefficient {k} is not d_{k}" if k else
-                             "order-0 product coefficient is not the algebra multiplication")
+            raise NotVerifiedError(f"order-0 derivation coefficient {k} is not d_{k}" if k else
+                                   "order-0 product coefficient is not the algebra multiplication")
 
 
 def _cochain(dim: int, rank: int, n: int, nums, den: int) -> Cochain:
@@ -179,7 +177,7 @@ def verify_deformation(alg: Algebra, hd: HigherDerivation,
     """All order-s equations for s = 0..order, on all basis tuples; the
     first failure is reported by order, then law, then tuple."""
     _check_base(alg, hd, defm)
-    tables = defm._tables
+    tables = defm.tables
     bad = tables.first_failure(defm.order)
     if bad is not None:
         s, k, *located = bad
@@ -190,7 +188,7 @@ def verify_deformation(alg: Algebra, hd: HigherDerivation,
 def _require_verified(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
     report = verify_deformation(alg, hd, defm)
     if not report.ok:
-        raise ValueError(f"deformation does not verify: {report.violation}")
+        raise NotVerifiedError(f"deformation does not verify: {report.violation}")
 
 
 def infinitesimal(alg: Algebra, hd: HigherDerivation, defm: Deformation,
@@ -204,15 +202,14 @@ def infinitesimal(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     if not 1 <= at_order <= defm.order:
         raise ValueError(f"coefficient index {at_order} out of range 1..{defm.order}")
     _require_verified(alg, hd, defm)
+    orders = defm.tables.orders
     for s in range(1, at_order):
-        if not defm.coeffs[s].is_zero():
+        if any(orders[s]):
             raise ValueError(f"coefficient {s} is nonzero below the requested order")
-    coeff = defm.coeffs[at_order]
-    mod = adjoint_bimodule(alg, hd)
-    defect = differential(alg, mod, hd, coeff)
-    if defect.is_zero():
-        return coeff, CheckReport.passed()
-    return coeff, CheckReport.failed("infinitesimal cocycle condition", (at_order,))
+    coeff = _cochain(defm.dim, defm.rank, 2, orders[at_order], defm.tables.den)
+    if any(_coboundary(alg, adjoint_bimodule(alg, hd), hd, 2, orders[at_order])[0]):
+        return coeff, CheckReport.failed("infinitesimal cocycle condition", (at_order,))
+    return coeff, CheckReport.passed()
 
 
 class _Packed:
@@ -338,12 +335,11 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
     dim, T = defm.dim, defm.order
     if gauge.dim != dim:
         raise ShapeError("gauge dimension differs from the deformation")
-    (members, e), orders = _gauge_members(gauge, T), defm._tables.orders
+    (members, e), orders = _gauge_members(gauge, T), defm.tables.orders
     steps, growth = _growth(members, e, dim, T)
     p = _Packed(max(1, *map(abs, itertools.chain(*orders))) * growth, T)
     state = _conjugate(p, p.pack(orders), p.pack(members), e, steps)
-    state, q = _reduce(p, state, defm._tables.den * e ** (steps + 2))
-    return Deformation.from_tables(LawTables(dim, q, p.members(state)))
+    return Deformation(LawTables(dim, defm.tables.den * e ** (steps + 2), p.members(state)))
 
 
 def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
@@ -382,18 +378,18 @@ def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochai
 
 def _known_defect(defm: Deformation) -> Cochain:
     """The obstruction, unverified."""
-    return _cochain(defm.dim, defm.rank, 3, *_defect(defm._tables))
+    return _cochain(defm.dim, defm.rank, 3, *_defect(defm.tables))
 
 
 def obstruction_preimage(alg: Algebra, hd: HigherDerivation, defm: Deformation):
     """``obstruction`` and its canonical preimage (None for a nonzero class),
     each as numerators over one denominator, with the solve first: the
-    cocycle test of ``is_coboundary`` runs only when it finds no preimage."""
+    cocycle test, on the numerators, runs only when it finds no preimage."""
     _require_verified(alg, hd, defm)
-    ob = _defect(defm._tables)
+    ob = _defect(defm.tables)
     mod = adjoint_bimodule(alg, hd)
     pre = solve_ints(differential_matrix(alg, mod, hd, 2), *ob)
-    if pre is None and not differential(alg, mod, hd, _cochain(alg.dim, hd.rank, 3, *ob)).is_zero():
+    if pre is None and any(_coboundary(alg, mod, hd, 3, ob[0])[0]):
         raise NotACocycleError("degree-3 input is not a cocycle")
     return ob, pre
 
@@ -423,25 +419,26 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     up to s; that one scan also holds the known terms of order s + 1.
     """
     _require_verified(alg, hd, defm)
-    mod, tables = adjoint_bimodule(alg, hd), defm._tables
+    mod, tables = adjoint_bimodule(alg, hd), defm.tables
     while tables.order < target:
         ob = _defect(tables)
         candidate = solve_ints(differential_matrix(alg, mod, hd, 2), *ob)
         if candidate is None:
-            return Deformation.from_tables(tables), _cochain(tables.dim, tables.rank, 3, *ob)
+            return Deformation(tables), _cochain(tables.dim, tables.rank, 3, *ob)
         tables = tables.extended(*candidate)
         for k in range(tables.rank + 1):
             if (bad := tables.failure(k, tables.order)) is not None:
                 raise RuntimeError("appended coefficient does not verify: "
                                    f"{_violation(tables.order, k, *bad, tables.scale(k))}")
-    return Deformation.from_tables(tables), None
+    return Deformation(tables), None
 
 
 def extend_deformation(defm: Deformation, candidate: Cochain) -> Deformation:
     """Append a next-order coefficient."""
     if candidate.n != 2 or len(candidate.parts) != defm.rank:
         raise ShapeError("candidate must be a 2-cochain with one part per derivation map")
-    return Deformation(defm.coeffs + (candidate,))
+    _require_coefficients((candidate,), defm.dim, defm.rank)
+    return Deformation(defm.tables.extended(*int_form(cochain_to_vector(candidate))))
 
 
 def truncate_deformation(defm: Deformation, order: int) -> Deformation:
@@ -449,7 +446,7 @@ def truncate_deformation(defm: Deformation, order: int) -> Deformation:
         raise ValueError("cannot truncate to a negative order")
     if order > defm.order:
         raise ValueError("cannot truncate to a higher order")
-    return Deformation(defm.coeffs[:order + 1])
+    return Deformation(LawTables(defm.dim, defm.tables.den, defm.tables.orders[:order + 1]))
 
 
 class TrivializeOutcome(Value):
@@ -496,9 +493,9 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     if T > defm.order:
         raise ValueError("cannot trivialize past the stored order")
     dim, identity = alg.dim, [int(k % (alg.dim + 1) == 0) for k in range(alg.dim ** 2)]
-    members = [defm._tables.orders[:T + 1], [identity]]  # at hand until the first shear
+    members = [defm.tables.orders[:T + 1], [identity]]  # at hand until the first shear
     p = _Packed(max(map(abs, itertools.chain(*members[0]))), T)
-    (state, acc), q, q_acc = map(p.pack, members), defm._tables.den, 1
+    (state, acc), q, q_acc = map(p.pack, members), defm.tables.den, 1
     mod = adjoint_bimodule(alg, hd)
     while True:
         lowest = p.lowest(state)
@@ -507,11 +504,11 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         # over the negated scale the digits are the coefficient's negative
         sol = solve_ints(differential_matrix(alg, mod, hd, 1), p.members(state, [lowest])[0], -q)
         if sol is None:
-            blocking = _cochain(dim, hd.rank, 2, p.members(state, [lowest])[0], q)
-            if not differential(alg, mod, hd, blocking).is_zero():
+            digits = p.members(state, [lowest])[0]
+            if any(_coboundary(alg, mod, hd, 2, digits)[0]):
                 raise RuntimeError(f"lowest coefficient at order {lowest} is not a cocycle; "
                                    "the input cannot have verified")
-            return TrivializeOutcome(None, lowest, blocking)
+            return TrivializeOutcome(None, lowest, _cochain(dim, hd.rank, 2, digits, q))
         h, e = sol
         shear = [[e * x for x in identity], h]
         steps, growth = _growth(shear, e, dim, T // lowest)  # in u = t^r, Phi = e id + u H

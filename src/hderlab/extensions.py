@@ -29,15 +29,15 @@ from fractions import Fraction
 
 from .algebras import Algebra, Bimodule, CheckReport, _pair_tables
 from .cochain import (
-    Cochain, MultiMap, NotACocycleError, _coboundary, cochain_blocks, cochain_dim, cochain_to_vector,
-    cohomology, differential_matrix, is_coboundary, multimap_to_matrix, vector_to_cochain,
+    Cochain, MultiMap, NegativeAnswer, NotACocycleError, _coboundary, cochain_blocks, cochain_dim,
+    cochain_to_vector, cohomology, differential_matrix, is_coboundary, multimap_to_matrix, vector_to_cochain,
 )
 from .exactlin import Echelon, Matrix, ShapeError, Value, Vector, ZERO, ONE, as_fractions, int_form
 from .hder import (AssHDerMorphism, AssHDerPair, HigherDerivation, _morphism_law_terms,
                    check_morphism)
 
 
-class SectionError(ValueError):
+class SectionError(NegativeAnswer):
     """A claimed splitting is not one, or induces the wrong actions."""
 
 

@@ -287,10 +287,10 @@ def int_cochain_to_json(nums, den: int, shape: tuple[int, int, int], n: int) -> 
 
 
 def deformation_to_json(defm: Deformation) -> dict:
-    """Written from the 2-cochain vectors of ``defm._tables``, numerators
+    """Written from the 2-cochain vectors of ``defm.tables``, numerators
     over D: mu_p [i][j][k] at (i * d + j) * d + k, then d_{k,s} column by
     column."""
-    tables = defm._tables
+    tables = defm.tables
     d, dd, cells = tables.dim, tables.dim ** 2, [_int_cells(v, tables.den) for v in tables.orders]
     return {"order": tables.order,
             "mu": [[[c[x:x + d] for x in range(i, i + dd, d)] for i in range(0, d * dd, dd)] for c in cells],

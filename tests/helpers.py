@@ -540,7 +540,7 @@ def oracle_parse_deformation(doc, dim: int, nrank: int, path: str = "deformation
            for p, t in enumerate(mu_docs)]
     dks = [[H.matrix_to_multimap(m) for m in oracle_matrices(series, order + 1, dim, dim, f"{path}.d[{k}]")]
            for k, series in enumerate(_list(_need(doc, "d", path), f"{path}.d", nrank))]
-    return H.Deformation(tuple(H.Cochain(mu, tuple(series[s] for series in dks))
+    return H.Deformation.from_coeffs(tuple(H.Cochain(mu, tuple(series[s] for series in dks))
                                for s, mu in enumerate(mus)))
 
 
@@ -567,14 +567,32 @@ def fraction_trivial_deformation(alg: H.Algebra, hd: H.HigherDerivation, order: 
     vector of the pair's law tables."""
     if order < 0:
         raise H.ShapeError("order must be >= 0")
-    return H.Deformation((H.Cochain(H.product_multimap(alg), tuple(map(H.matrix_to_multimap, hd.maps))),)
+    return H.Deformation.from_coeffs((H.Cochain(H.product_multimap(alg), tuple(map(H.matrix_to_multimap, hd.maps))),)
                          + (H.zero_cochain(alg.dim, alg.dim, hd.rank, 2),) * order)
+
+
+def fraction_extend_deformation(defm: H.Deformation, candidate: H.Cochain) -> H.Deformation:
+    """``deform.extend_deformation`` as it appended a Fraction cochain to
+    ``coeffs``: the reference for the order appended to the law tables."""
+    if candidate.n != 2 or len(candidate.parts) != defm.rank:
+        raise H.ShapeError("candidate must be a 2-cochain with one part per derivation map")
+    return H.Deformation.from_coeffs(defm.coeffs + (candidate,))
+
+
+def fraction_truncate_deformation(defm: H.Deformation, order: int) -> H.Deformation:
+    """``deform.truncate_deformation`` as it sliced ``coeffs``: the reference
+    for the slice of the law tables' orders."""
+    if order < 0:
+        raise ValueError("cannot truncate to a negative order")
+    if order > defm.order:
+        raise ValueError("cannot truncate to a higher order")
+    return H.Deformation.from_coeffs(defm.coeffs[:order + 1])
 
 
 def fraction_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
     """``deform.apply_gauge`` as it returned Fraction cochains: the same
     packed conjugation, read back through ``deform._cochain``."""
-    dim, T, tables = defm.dim, defm.order, defm._tables
+    dim, T, tables = defm.dim, defm.order, defm.tables
     if gauge.dim != dim:
         raise H.ShapeError("gauge dimension differs from the deformation")
     series = [tables._tables[0], *tables._tables[2:]]
@@ -583,7 +601,7 @@ def fraction_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformatio
     steps, growth = deform._growth(members, e, dim, T)
     p = deform._Packed(max(1, *map(abs, itertools.chain(*state))) * growth, T)
     state = deform._conjugate(p, p.pack(state), p.pack(members), e, steps)
-    return H.Deformation(tuple(deform._cochain(dim, defm.rank, 2, m, tables.den * e ** (steps + 2))
+    return H.Deformation.from_coeffs(tuple(deform._cochain(dim, defm.rank, 2, m, tables.den * e ** (steps + 2))
                                for m in p.members(state)))
 
 
@@ -1069,7 +1087,7 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
                     acc = mat_add(acc, psis[p] * series[q] * phis[s - p - q])
             new.append(acc)
         dks.append(tuple(new))
-    return H.Deformation(tuple(
+    return H.Deformation.from_coeffs(tuple(
         H.Cochain(mus[s], tuple(H.matrix_to_multimap(series[s]) for series in dks))
         for s in range(T + 1)))
 
@@ -1091,7 +1109,7 @@ def two_scan_extend_to(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformati
             return current, ob
         current = H.extend_deformation(
             current, H.vector_to_cochain(alg.dim, alg.dim, hd.rank, 2, as_fractions(*sol)))
-        tables, s = current._tables, current.order
+        tables, s = current.tables, current.order
         for k in range(tables.rank + 1):
             bad = tables.failure(k, s)
             if bad is not None:
@@ -1570,7 +1588,7 @@ DATACLASS_FIELDS = {
     "Cochain": ("main", ("parts", ())),
     "CohomologyReport": ("degree", "dim_cochains", "dim_cocycles", "dim_coboundaries", "betti",
                          "shape", "kernel"),
-    "Deformation": ("coeffs",),
+    "Deformation": ("tables",),
     "GaugeMap": ("order", "phis"),
     "ExtendOutcome": ("candidate", "obstruction"),
     "TrivializeOutcome": ("gauge", ("blocked_order", None), ("blocking_class", None)),

@@ -232,10 +232,12 @@ def test_spelled_pair_sections_give_the_same_report(args, capsys):
 
 
 @pytest.mark.parametrize("error", [RuntimeError("appended coefficient does not verify\nat (0, 1)"),
-                                   KeyError("k"), ZeroDivisionError("division by zero")],
+                                   KeyError("k"), ZeroDivisionError("division by zero"),
+                                   ValueError("not a negative answer")],
                          ids=lambda exc: type(exc).__name__)
 def test_an_internal_error_exits_3_with_one_line(error, monkeypatch, capsys):
-    # an exception main does not name is a fault of hderlab, not an answer
+    # an exception main does not name is a fault of hderlab, not an answer;
+    # negative answers come only from the named exceptions (NegativeAnswer)
     def fail(*args):
         raise error
 
@@ -532,3 +534,16 @@ def test_unverified_deformation_exits_1_on_obstruction_commands(capsys):
         assert code == 1, cmd
         out = capsys.readouterr().out
         assert "does not verify" in out
+
+
+@pytest.mark.parametrize("cmd", ["deform-verify", "deform-obstruct", "deform-extend", "deform-trivialize"])
+def test_deformation_off_its_pair_exits_1(cmd, tmp_path, capsys):
+    # an order-0 product that is not the algebra's is a negative answer
+    # (NotVerifiedError), reported like a failed check
+    doc = json.loads((FIXTURES / "dual_deform.json").read_text())
+    doc["deformation"]["mu"][0][1][1] = ["0", "1"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([cmd, str(path), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == ["order-0 product coefficient is not the algebra multiplication"]

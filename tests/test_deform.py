@@ -17,7 +17,8 @@ from hderlab.serialize import (
 
 from helpers import (
     BAD_TOKENS, cochains_equal, dense_apply_gauge, dense_series_inverse, dense_series_product,
-    fraction_apply_gauge, fraction_trivial_deformation, law_table_members, oracle_parse_deformation,
+    fraction_apply_gauge, fraction_extend_deformation, fraction_trivial_deformation,
+    fraction_truncate_deformation, law_table_members, oracle_parse_deformation,
     loop_obstruction, loop_trivialize, loop_verify_deformation, mm_eval, pair_fixtures,
     rand_cochain, rand_fraction, rand_gauge, rand_matrix, rand_multimap, spelled, two_scan_extend_to,
 )
@@ -52,8 +53,8 @@ def test_base_mismatch_is_an_error():
     alg, hd = _dual_pair()
     defm = H.trivial_deformation(alg, hd, 1)
     base, first = defm.coeffs
-    doctored = H.Deformation((H.Cochain(H.MultiMap.zero(2, 2, 2), base.parts), first))
-    with pytest.raises(ValueError, match="order-0"):
+    doctored = H.Deformation.from_coeffs((H.Cochain(H.MultiMap.zero(2, 2, 2), base.parts), first))
+    with pytest.raises(deform.NotVerifiedError, match="order-0"):
         H.verify_deformation(alg, hd, doctored)
 
 
@@ -402,8 +403,8 @@ def test_integer_reader_matches_the_fraction_reader(dim, rank, order, seed):
     doc = _spelled_family(random.Random(seed), dim, rank, order)
     read, oracle = parse_deformation(doc, dim, rank), oracle_parse_deformation(doc, dim, rank)
     assert "coeffs" not in vars(read)  # read into the law tables alone
-    assert law_table_members(read._tables) == law_table_members(oracle._tables)
-    assert read._tables.den == oracle._tables.den
+    assert law_table_members(read.tables) == law_table_members(oracle.tables)
+    assert read.tables.den == oracle.tables.den
     assert read == oracle and hash(read) == hash(oracle) and repr(read) == repr(oracle)
 
 
@@ -442,15 +443,15 @@ def test_appended_orders_equal_tables_read_from_fractions(index, appended, seed)
     # divide D, so the older members are rescaled to the new lcm
     rng = random.Random(seed)
     _alg, _hd, defm = DEFORMATION_FIXTURES[index]
-    tables, coeffs, size = defm._tables, defm.coeffs, H.cochain_dim(defm.dim, defm.dim, defm.rank, 2)
+    tables, coeffs, size = defm.tables, defm.coeffs, H.cochain_dim(defm.dim, defm.dim, defm.rank, 2)
     for _ in range(appended):
         values = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5, 7))) for _ in range(size)]
         tables = tables.extended(*int_form(values))
         coeffs += (H.vector_to_cochain(defm.dim, defm.dim, defm.rank, 2, tuple(values)),)
-        rebuilt = H.Deformation(coeffs)._tables
+        rebuilt = H.Deformation.from_coeffs(coeffs).tables
         assert law_table_members(tables) == law_table_members(rebuilt)
         assert tables.den == rebuilt.den
-        assert H.Deformation.from_tables(tables) == H.Deformation(coeffs)
+        assert H.Deformation(tables) == H.Deformation.from_coeffs(coeffs)
 
 
 def _perturbed(defm: H.Deformation, rng: random.Random,
@@ -468,7 +469,7 @@ def _perturbed(defm: H.Deformation, rng: random.Random,
     maps[k] = H.MultiMap(maps[k].arity, maps[k].dim, maps[k].mdim, tuple(vals))
     coeffs = list(defm.coeffs)
     coeffs[s] = H.Cochain(maps[0], tuple(maps[1:]))
-    return H.Deformation(tuple(coeffs))
+    return H.Deformation.from_coeffs(tuple(coeffs))
 
 
 def _assert_matches_loops(alg, hd, defm):
@@ -571,12 +572,38 @@ def test_law_tables_keep_their_vectors(dim, rank, order, seed):
     vectors = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(size)] for _ in range(order + 1)]
     tables = LawTables(dim, den, vectors)
     assert tables.orders == vectors and (tables.order, tables.rank) == (order, rank)
-    defm = H.Deformation.from_tables(tables)
-    rebuilt = H.Deformation(defm.coeffs)
+    defm = H.Deformation(tables)
+    rebuilt = H.Deformation.from_coeffs(defm.coeffs)
     assert defm == rebuilt and hash(defm) == hash(rebuilt)
-    assert [[x * rebuilt._tables.den for x in v] for v in vectors] == \
-        [[x * den for x in v] for v in rebuilt._tables.orders]
+    assert [[x * rebuilt.tables.den for x in v] for v in vectors] == \
+        [[x * den for x in v] for v in rebuilt.tables.orders]
     assert parse_deformation(deformation_to_json(defm), dim, rank) == defm
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 3), st.integers(2, 12), st.integers(0, 2 ** 32))
+def test_a_deformation_keeps_one_form(dim, rank, order, k, seed):
+    # the tables in lowest terms are the one form: a rescaled family is the
+    # same value, the Fraction view reads back to it, one moved numerator
+    # is another value, and appending or slicing orders on the tables gives
+    # what the Fraction bodies gave
+    rng = random.Random(seed)
+    size = H.cochain_dim(dim, dim, rank, 2)
+    den = rng.choice((1, 2, 6, 35))
+    vectors = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(size)] for _ in range(order + 1)]
+    defm = H.Deformation(LawTables(dim, den, vectors))
+    scaled = H.Deformation(LawTables(dim, k * den, [[k * x for x in v] for v in vectors]))
+    assert scaled == defm and hash(scaled) == hash(defm) and repr(scaled) == repr(defm)
+    assert H.Deformation.from_coeffs(defm.coeffs) == defm
+    moved = [list(v) for v in vectors]
+    moved[rng.randint(0, order)][rng.randrange(size)] += rng.choice((-1, 1))
+    assert H.Deformation(LawTables(dim, den, moved)) != defm
+    candidate = rand_cochain(rng, dim, dim, rank, 2)
+    got, want = H.extend_deformation(defm, candidate), fraction_extend_deformation(defm, candidate)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    for T in range(-1, order + 2):
+        assert _outcome_or_error(H.truncate_deformation, defm, T) == \
+            _outcome_or_error(fraction_truncate_deformation, defm, T)
 
 
 def test_extend_deformation_rejects_a_candidate_of_the_wrong_shape():
@@ -680,8 +707,8 @@ def test_deform_obstruct_tests_the_cocycle_when_the_solve_fails(monkeypatch, cap
 
 def test_obstruction_preimage_solves_first(monkeypatch):
     tested = []
-    differential = deform.differential
-    monkeypatch.setattr(deform, "differential", lambda *args: tested.append(args[-1]) or differential(*args))
+    coboundary = deform._coboundary
+    monkeypatch.setattr(deform, "_coboundary", lambda *args: tested.append(args[-1]) or coboundary(*args))
     # a found preimage skips the cocycle test, and is the obstruction's
     alg, hd, defm = DEFORMATION_FIXTURES[0]  # dual_deform.json
     (nums, den), pre = deform.obstruction_preimage(alg, hd, defm)
@@ -696,7 +723,7 @@ def test_obstruction_preimage_solves_first(monkeypatch):
     monkeypatch.setattr(deform, "_defect", lambda tables: int_form(H.cochain_to_vector(bad)))
     with pytest.raises(H.NotACocycleError, match="degree-3 input is not a cocycle"):
         deform.obstruction_preimage(alg, hd, defm)
-    assert tested[-1] == bad
+    assert tested[-1] == int_form(H.cochain_to_vector(bad))[0]
 
 
 LOOP_FILES = DEFORMATION_FILES + ("tp3_gauged_deform.json", "tp3_wide_deform.json",

@@ -363,28 +363,36 @@ _EXTEND = ["deform-extend", "tp3_gauged_deform.json", "--to", "6"]
 _COHOMOLOGY = ["cohomology", "split_pair.json", "--degree", "2"]
 
 
-@pytest.mark.parametrize("args,fractions_made", [
-    (["check", "dual_pair.json"], False),
-    (["classify-central", "nil_central.json"], False),
-    (["free-tensor", "tensor_line.json"], False),
-    (_COHOMOLOGY, False),
-    (["deform-trivialize", "dual_deform.json"], False),
+def _case(args, fractions_made, code=0, name=None):
+    """One case, with the id it had before the exit code was a parameter."""
+    return pytest.param(args, fractions_made, code, id=name or f"{' '.join(args)}-{fractions_made}")
+
+
+@pytest.mark.parametrize("args,fractions_made,code", [
+    _case(["check", "dual_pair.json"], False),
+    _case(["classify-central", "nil_central.json"], False),
+    _case(["free-tensor", "tensor_line.json"], False),
+    _case(_COHOMOLOGY, False),
+    _case(["deform-trivialize", "dual_deform.json"], False),
+    # a nonzero class: the cocycle test of the failed solve sums the
+    # stencil on the obstruction's numerators
+    _case(["deform-obstruct", "nil_deform_blocked.json"], False, 1),
     # the cocycle is a multimap, read as Fractions: the count sees them
-    (["extend-abelian", "dual_cocycle.json"], True),
+    _case(["extend-abelian", "dual_cocycle.json"], True),
     # the last of several commands in one process, counted alone: its cache
     # hits compare the structures it read with the equal ones cached before
-    pytest.param([_EXTEND, _EXTEND], False, id="deform-extend tp3_gauged_deform.json --to 6, again"),
-    pytest.param([_EXTEND, ["deform-obstruct", "tp3_gauged_deform.json"]], False,
-                 id="deform-obstruct tp3_gauged_deform.json after deform-extend"),
-    pytest.param([_COHOMOLOGY, _COHOMOLOGY], False, id="cohomology split_pair.json --degree 2, again"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-def test_integer_commands_make_no_fraction(args, fractions_made, monkeypatch, capsys):
+    _case([_EXTEND, _EXTEND], False, name="deform-extend tp3_gauged_deform.json --to 6, again"),
+    _case([_EXTEND, ["deform-obstruct", "tp3_gauged_deform.json"]], False,
+          name="deform-obstruct tp3_gauged_deform.json after deform-extend"),
+    _case([_COHOMOLOGY, _COHOMOLOGY], False, name="cohomology split_pair.json --degree 2, again"),
+])
+def test_integer_commands_make_no_fraction(args, fractions_made, code, monkeypatch, capsys):
     *before, args = args if isinstance(args[0], list) else [args]
     for cmd in before:
         assert cli.main([cmd[0], str(FIXTURES / cmd[1]), *cmd[2:], "--json"]) == 0
     capsys.readouterr()
     made = _counting(monkeypatch)
-    code = cli.main([args[0], str(FIXTURES / args[1]), *args[2:], "--json"])
+    got = cli.main([args[0], str(FIXTURES / args[1]), *args[2:], "--json"])
     monkeypatch.undo()
-    assert code == 0 and json.loads(capsys.readouterr().out)["ok"] is True
+    assert got == code and json.loads(capsys.readouterr().out)["ok"] is (code == 0)
     assert bool(made) is fractions_made, made[:5]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hderlab.algebras import _law_tables
+import hderlab as H
 
 from helpers import oracle_associativity_terms, oracle_derivation_law_terms
 
@@ -35,7 +35,8 @@ def _tables(dim: int, rank: int, order: int, value):
     products = [tuple(value() for _ in range(dim ** 3)) for _ in range(order + 1)]
     series = [[tuple(value() for _ in range(dim ** 2)) for _ in range(order + 1)]
               for _ in range(rank)]
-    return _law_tables(dim, [mu + sum((ser[s] for ser in series), ()) for s, mu in enumerate(products)])
+    vectors = [mu + sum((ser[s] for ser in series), ()) for s, mu in enumerate(products)]
+    return H.Deformation.from_coeffs([H.vector_to_cochain(dim, dim, rank, 2, v) for v in vectors]).tables
 
 
 def _assert_matches_oracle(tables, rng: random.Random):

@@ -230,7 +230,7 @@ def _int_forms(value):
     if isinstance(value, H.HigherDerivation):
         return _int_forms(value.maps)
     if isinstance(value, H.Deformation):
-        return value._tables.orders, value._tables.den
+        return value.tables.orders, value.tables.den
     if isinstance(value, tuple):
         return tuple(map(_int_forms, value))
     return value
