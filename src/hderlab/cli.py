@@ -6,7 +6,9 @@ negative (a check failed, a deformation will not extend or trivialize, or a
 ``cochain.NegativeAnswer`` was raised), 2 means the input was unusable
 (parse or shape errors, a size cap breach, a section that fails its own
 verifier, or input outside the command's precondition), and 3 means hderlab
-itself failed (any other exception): one stderr line "internal error: ...".
+itself failed (any other exception, one raised while the report is written
+included, such as a closed or full stdout): one stderr line "internal
+error: ...".  The report is written inside the same handlers as the command.
 
 The plain form of a call (a subcommand, one file, ``--json`` and whole
 option names from ``SUBCOMMANDS``, each with a value that does not start
@@ -47,7 +49,7 @@ from .exactlin import Matrix, ShapeError
 from .hder import _pair_reports, verify_hder
 from .serialize import (
     ParseError, check_report_to_json, cochain_to_json, cohomology_to_json,
-    deformation_to_json, extension_to_json, gauge_to_json, hder_to_json, int_cochain_to_json,
+    deformation_to_json, extension_to_json, gauge_to_json, hder_to_json,
     parse_algebra, parse_bimodule, parse_deformation, parse_hder, parse_matrix,
     parse_tensor_section, parse_two_cocycle, write_report,
 )
@@ -192,16 +194,14 @@ def cmd_cohomology(doc, args):
 
 
 def cmd_classify_central(doc, args):
-    from .extensions import _central_classes
+    from .extensions import classify_central
     coefficients = "file" if "bimodule" in doc else "trivial"
     alg, hd, mod = _structures(doc, coefficients, args.command)
     if not mod.has_zero_actions():
         raise UnverifiedInput(f"{args.command} needs a bimodule section with zero actions")
     _guard(total_dim=alg.dim + mod.mdim)
-    classes = _central_classes(alg, hd, mod)
-    shape = (alg.dim, mod.mdim, hd.rank)
-    reps = [{"cocycle": int_cochain_to_json(*z, shape, 2), "extension": extension_to_json(e)}
-            for z, e in classes]
+    classes = classify_central(alg, hd, mod)
+    reps = [{"cocycle": cochain_to_json(z), "extension": extension_to_json(e)} for z, e in classes]
     results = {"betti": len(classes) - 1, "classes": reps}
     return True, results, []
 
@@ -250,15 +250,14 @@ def cmd_deform_verify(doc, args):
 
 
 def cmd_deform_obstruct(doc, args):
-    from .deform import obstruction_preimage
+    from .deform import try_extend
     alg, hd = _algebra_hder(doc)
     defm = _deformation(doc, alg, hd)
-    ob, pre = obstruction_preimage(alg, hd, defm)
-    shape = (alg.dim, alg.dim, hd.rank)
-    results = {"order": defm.order, "obstruction": int_cochain_to_json(*ob, shape, 3),
-               "is_coboundary": pre is not None}
-    if pre is not None:
-        results["preimage"] = int_cochain_to_json(*pre, shape, 2)
+    out = try_extend(alg, hd, defm)
+    results = {"order": defm.order, "obstruction": cochain_to_json(out.obstruction),
+               "is_coboundary": out.candidate is not None}
+    if out.candidate is not None:
+        results["preimage"] = cochain_to_json(out.candidate)
         return True, results, []
     return False, results, ["obstruction class is nonzero; deformation does not extend"]
 
@@ -410,15 +409,29 @@ def _emit(command: str, ok: bool, results: dict, violations: list[str],
                   "violations": violations, "timing_ms": 0}
         write_report(report, write)
         write("\n")
+    else:
+        print(f"command: {command}")
+        print(f"ok: {'yes' if ok else 'no'}")
+        for v in violations:
+            print(f"violation: {v}")
+        if results:
+            write_report(results, write)
+            write("\n")
+        print(f"timing_ms: {elapsed_ms}")
+    sys.stdout.flush()  # a closed or full stdout fails here, inside main's handlers
+
+
+def _mute_stdout() -> None:
+    """Point the file descriptor of stdout at ``os.devnull``, so that the
+    flush at exit drops what a failed write left buffered instead of
+    failing again (the ``signal`` module's note on SIGPIPE)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file: nothing is flushed to a descriptor
         return
-    print(f"command: {command}")
-    print(f"ok: {'yes' if ok else 'no'}")
-    for v in violations:
-        print(f"violation: {v}")
-    if results:
-        write_report(results, write)
-        write("\n")
-    print(f"timing_ms: {elapsed_ms}")
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -426,22 +439,22 @@ def main(argv=None) -> int:
     handler = SUBCOMMANDS[args.command][0]
     start = time.perf_counter()
     try:
-        doc = _load(args.file)
-        ok, results, violations = handler(doc, args)
+        try:
+            doc = _load(args.file)
+            ok, results, violations = handler(doc, args)
+        except NegativeAnswer as exc:
+            # well-formed input, mathematically rejected: NotACocycleError,
+            # SectionError or NotVerifiedError; a plain ValueError is a fault
+            ok, results, violations = False, {}, [str(exc)]
+        _emit(args.command, ok, results, violations, args.json, int((time.perf_counter() - start) * 1000))
     except (ParseError, ShapeError, CapExceeded, UnverifiedInput) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NegativeAnswer as exc:
-        # well-formed input, mathematically rejected: NotACocycleError,
-        # SectionError or NotVerifiedError; a plain ValueError is a fault
-        elapsed = int((time.perf_counter() - start) * 1000)
-        _emit(args.command, False, {}, [str(exc)], args.json, elapsed)
-        return EXIT_NEGATIVE
-    except Exception as exc:  # a fault of hderlab, not an answer: no report
+    except Exception as exc:  # a fault of hderlab or of its stdout, not an answer: no report
+        if isinstance(exc, OSError):  # stdout is closed or full
+            _mute_stdout()
         print(" ".join(f"internal error: {type(exc).__name__}: {exc}".splitlines()), file=sys.stderr)
         return EXIT_INTERNAL
-    elapsed = int((time.perf_counter() - start) * 1000)
-    _emit(args.command, ok, results, violations, args.json, elapsed)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

@@ -27,10 +27,12 @@ Conventions, fixed once and used everywhere:
   from the integer forms the structures keep, so no Fraction of the
   structures is read to build it.  ``differential_matrix``
   keeps the ints as the matrix's ``int_rows`` store, which elimination reads
-  directly; ``differential(c)`` sums ints over S times the common
-  denominator of c and builds a Fraction only for each output coordinate.
+  directly; ``differential(c)`` sums ints over S times the denominator of c.
 * Cochains vectorize main block first (row-major multi-index, module index
-  fastest), then the parts for k = 1..N.
+  fastest), then the parts for k = 1..N.  A ``Cochain`` stores that vector
+  as one integer form, numerators over one denominator in lowest terms, and
+  the differential, the coboundary test and the preimage solve all run on
+  it; its multimaps are views.
 * Degree-2 data has one type: a 2-cocycle twisting an extension and a
   deformation coefficient (mu_s; d_{1,s}, ..., d_{N,s}) are both 2-cochains,
   the latter with self coefficients.  An arity-1 map holds its matrix
@@ -43,10 +45,10 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebras import Algebra, Bimodule
+from .algebras import Algebra, Bimodule, _lowest_terms
 from .exactlin import (
-    Kernel, Matrix, ShapeError, Value, Vector, ZERO, as_fractions, int_form, null_space, rank,
-    require_image_in_kernel, solve_affine,
+    Kernel, Matrix, ShapeError, Value, Vector, ZERO, _set, as_fractions, int_form, null_space, rank,
+    require_image_in_kernel, solve_ints,
 )
 from .hder import HigherDerivation
 
@@ -82,27 +84,15 @@ class MultiMap(Value):
     def zero(cls, arity: int, dim: int, mdim: int) -> "MultiMap":
         return cls(arity, dim, mdim, (ZERO,) * (dim ** arity * mdim))
 
+    def is_zero(self) -> bool:
+        return all(not a for a in self.values)
+
     def value_at(self, idx: tuple[int, ...]) -> Vector:
         flat = 0
         for i in idx:
             flat = flat * self.dim + i
         base = flat * self.mdim
         return self.values[base:base + self.mdim]
-
-    def sub(self, other: "MultiMap") -> "MultiMap":
-        self._require_same_shape(other)
-        return MultiMap(self.arity, self.dim, self.mdim,
-                        tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def neg(self) -> "MultiMap":
-        return MultiMap(self.arity, self.dim, self.mdim, tuple(-a for a in self.values))
-
-    def is_zero(self) -> bool:
-        return all(not a for a in self.values)
-
-    def _require_same_shape(self, other: "MultiMap") -> None:
-        if (self.arity, self.dim, self.mdim) != (other.arity, other.dim, other.mdim):
-            raise ShapeError("multimap shape mismatch")
 
 
 def matrix_to_multimap(mat: Matrix) -> MultiMap:
@@ -117,33 +107,56 @@ def multimap_to_matrix(mm: MultiMap) -> Matrix:
 
 
 class Cochain(Value):
-    """(f; f_1, ..., f_N) for degree >= 2; a bare linear map in degree 1."""
+    """(f; f_1, ..., f_N) for degree n >= 2; a bare linear map in degree 1.
 
-    main: MultiMap
-    parts: tuple[MultiMap, ...] = ()
+    A cochain stores one form, ``int_form``: its degree-n vector (the
+    layout of ``cochain_blocks``) as numerators over one denominator, in
+    lowest terms, on the shape ``(dim, mdim, nrank)``; nrank reads 0 in
+    degree 1, which has no parts.  ==, hash and repr read the form.
+    ``main`` and ``parts`` are Fraction multimap views made on first read,
+    and ``from_maps`` builds a cochain from multimaps.
+    """
+
+    dim: int
+    mdim: int
+    nrank: int
+    n: int
+    int_form: tuple[tuple[int, ...], int]
 
     def __post_init__(self):
-        if self.main.arity == 1:
-            if self.parts:
-                raise ShapeError("degree-1 cochains have no parts")
-            return
-        for p in self.parts:
-            if p.arity != self.main.arity - 1 or p.dim != self.main.dim or p.mdim != self.main.mdim:
+        if self.n < 1:
+            raise ShapeError("cochain degree must be at least 1")
+        if self.n == 1:
+            _set(self, "nrank", 0)
+        if len(self.int_form[0]) != cochain_dim(*self.shape, self.n):
+            raise ShapeError("vector length does not match the cochain space")
+        _lowest_terms(self)
+
+    @classmethod
+    def from_maps(cls, main: MultiMap, parts=()) -> "Cochain":
+        """The cochain (main; parts) of Fraction multimaps."""
+        parts = tuple(parts)
+        if main.arity == 1 and parts:
+            raise ShapeError("degree-1 cochains have no parts")
+        for p in parts:
+            if (p.arity, p.dim, p.mdim) != (main.arity - 1, main.dim, main.mdim):
                 raise ShapeError("part shape does not match the main map")
+        return cls(main.dim, main.mdim, len(parts), main.arity,
+                   int_form([*main.values, *(x for p in parts for x in p.values)]))
 
-    @property
-    def n(self) -> int:
-        return self.main.arity
+    shape = property(lambda self: (self.dim, self.mdim, self.nrank))
+    main = property(lambda self: self._maps[0])
+    parts = property(lambda self: self._maps[1:])
 
-    def sub(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.main.sub(other.main),
-                       tuple(a.sub(b) for a, b in zip(self.parts, other.parts, strict=True)))
-
-    def neg(self) -> "Cochain":
-        return Cochain(self.main.neg(), tuple(p.neg() for p in self.parts))
+    @cached_property
+    def _maps(self) -> tuple[MultiMap, ...]:
+        values = as_fractions(*self.int_form)
+        main, *parts = cochain_blocks(*self.shape, self.n)
+        return (MultiMap(self.n, self.dim, self.mdim, values[main]),
+                *(MultiMap(self.n - 1, self.dim, self.mdim, values[b]) for b in parts))
 
     def is_zero(self) -> bool:
-        return self.main.is_zero() and all(p.is_zero() for p in self.parts)
+        return not any(self.int_form[0])
 
 
 def cochain_dim(dim: int, mdim: int, nrank: int, n: int) -> int:
@@ -156,17 +169,11 @@ def cochain_dim(dim: int, mdim: int, nrank: int, n: int) -> int:
 
 
 def zero_cochain(dim: int, mdim: int, nrank: int, n: int) -> Cochain:
-    if n == 1:
-        return Cochain(MultiMap.zero(1, dim, mdim))
-    return Cochain(MultiMap.zero(n, dim, mdim),
-                   tuple(MultiMap.zero(n - 1, dim, mdim) for _ in range(nrank)))
+    return Cochain(dim, mdim, nrank, n, ((0,) * cochain_dim(dim, mdim, nrank, n), 1))
 
 
 def cochain_to_vector(c: Cochain) -> Vector:
-    vec = list(c.main.values)
-    for p in c.parts:
-        vec.extend(p.values)
-    return tuple(vec)
+    return as_fractions(*c.int_form)
 
 
 def cochain_blocks(dim: int, mdim: int, nrank: int, n: int) -> list[slice]:
@@ -181,11 +188,7 @@ def cochain_blocks(dim: int, mdim: int, nrank: int, n: int) -> list[slice]:
 
 
 def vector_to_cochain(dim: int, mdim: int, nrank: int, n: int, vec: Vector) -> Cochain:
-    if len(vec) != cochain_dim(dim, mdim, nrank, n):
-        raise ShapeError("vector length does not match the cochain space")
-    main, *parts = cochain_blocks(dim, mdim, nrank, n)
-    return Cochain(MultiMap(n, dim, mdim, tuple(vec[main])),
-                   tuple([MultiMap(n - 1, dim, mdim, tuple(vec[b])) for b in parts]))
+    return Cochain(dim, mdim, nrank, n, int_form(vec))
 
 
 @lru_cache(maxsize=64)
@@ -302,14 +305,14 @@ def differential(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     """The coupled coboundary, summed over the basis tuples and module
     indices that c's nonzero coordinates touch; squares to zero exactly."""
     n = c.n
-    if (c.main.dim, c.main.mdim) != (alg.dim, mod.mdim):
-        raise ShapeError(f"cochain of shape ({c.main.dim}, {c.main.mdim}) on an "
+    if (c.dim, c.mdim) != (alg.dim, mod.mdim):
+        raise ShapeError(f"cochain of shape ({c.dim}, {c.mdim}) on an "
                          f"algebra of dim {alg.dim} with module dim {mod.mdim}")
-    if n > 1 and len(c.parts) != hd.rank:
-        raise ShapeError(f"cochain has {len(c.parts)} parts, rank is {hd.rank}")
-    nums, den = int_form(cochain_to_vector(c))
+    if n > 1 and c.nrank != hd.rank:
+        raise ShapeError(f"cochain has {c.nrank} parts, rank is {hd.rank}")
+    nums, den = c.int_form
     out, scale = _coboundary(alg, mod, hd, n, nums)
-    return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n + 1, as_fractions(out, den * scale))
+    return Cochain(alg.dim, mod.mdim, hd.rank, n + 1, (out, den * scale))
 
 
 def _coboundary(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int, nums) -> tuple[list, int]:
@@ -365,8 +368,7 @@ class CohomologyReport(Value):
 
     @cached_property
     def cocycle_basis(self) -> tuple[Cochain, ...]:
-        return tuple(vector_to_cochain(*self.shape, self.degree, v)
-                     for v in self.kernel.vectors())
+        return tuple(Cochain(*self.shape, self.degree, form) for form in self.kernel.forms())
 
     def _public(self) -> tuple:
         return (self.degree, self.dim_cochains, self.dim_cocycles,
@@ -434,11 +436,7 @@ def preimage(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
     free variables zero, or None when c is not in the image; n >= 2.
 
     Each solve on the cached d_{n-1} after the first is one substitution
-    into its factor (``exactlin.solve_affine``).  The callers check what c
+    into its factor (``exactlin.solve_ints``, on the form of c).  The callers check what c
     must be; ``deform.trivialize`` solves integers on the same matrix."""
-    n = c.n
-    sol = solve_affine(differential_matrix(alg, mod, hd, n - 1), cochain_to_vector(c))
-    if sol is None:
-        return None
-    return vector_to_cochain(alg.dim, mod.mdim, hd.rank, n - 1, sol)
-
+    sol = solve_ints(differential_matrix(alg, mod, hd, c.n - 1), *c.int_form)
+    return None if sol is None else Cochain(alg.dim, mod.mdim, hd.rank, c.n - 1, sol)

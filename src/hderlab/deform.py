@@ -19,10 +19,12 @@ finds no preimage, since a preimage makes the cochain a coboundary.
 The gauge group runs on one packed form too (``_Packed``): an entry of a
 gauge, d_k or mu series is one integer sum_s x_s 2^(B s), and the action,
 composition, inverse and the shears of ``trivialize`` are big-integer
-products of entries.  Fractions appear only at the boundary: a reported
-violation, a returned cochain (the obstruction, an infinitesimal or a
-blocking coefficient), a deformation's ``coeffs`` view and a gauge's
-entries (its matrices are built from their integer rows).
+products of entries.  A returned cochain (the obstruction and its
+preimage, an infinitesimal, a blocking coefficient) is built from the
+integers at hand, as a ``Cochain`` stores one integer form.  Fractions
+appear only at the boundary: a reported violation, the multimap views of a
+cochain, a deformation's ``coeffs`` and a gauge's entries (its matrices are
+built from their integer rows).
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from operator import or_
 from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _columns,
                        _pair_tables, _times, adjoint_bimodule)
 from .cochain import (
-    Cochain, MultiMap, NegativeAnswer, NotACocycleError, _coboundary, cochain_blocks, cochain_to_vector,
-    differential_matrix, vector_to_cochain,
+    Cochain, MultiMap, NegativeAnswer, NotACocycleError, _coboundary, cochain_blocks, differential_matrix,
+    preimage,
 )
-from .exactlin import Matrix, ShapeError, Value, _set, as_fractions, int_form, solve_ints
+from .exactlin import Matrix, ShapeError, Value, _set, as_fractions, solve_ints
 from .hder import HigherDerivation, _require_same_dim
 
 
@@ -49,7 +51,8 @@ class NotVerifiedError(NegativeAnswer):
 class Deformation(Value):
     """Coefficients (mu_s; d_{1,s}, ..., d_{N,s}) for s = 0..order, stored
     as ``tables`` divided by their content, so that ==, hash and repr read
-    one form whatever scale built it; ``coeffs`` is a Fraction view."""
+    one form whatever scale built it; ``coeffs`` is a view of it, one
+    ``Cochain`` per order."""
 
     tables: LawTables
 
@@ -60,15 +63,15 @@ class Deformation(Value):
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "Deformation":
-        """The deformation with the Fraction 2-cochains ``coeffs``."""
+        """The deformation with the 2-cochains ``coeffs``."""
         if not coeffs:
             raise ShapeError("a deformation needs its order-0 coefficient")
-        _require_coefficients(coeffs, coeffs[0].main.dim, len(coeffs[0].parts))
-        nums, den = int_form([x for c in coeffs for x in cochain_to_vector(c)])
-        size = len(nums) // len(coeffs)
-        return cls(LawTables(coeffs[0].main.dim, den, [list(v) for v in zip(*[iter(nums)] * size)]))
+        _require_coefficients(coeffs, coeffs[0].dim, coeffs[0].nrank)
+        den = math.lcm(*(c.int_form[1] for c in coeffs))
+        return cls(LawTables(coeffs[0].dim, den, [[x * (den // q) for x in nums]
+                                                  for nums, q in (c.int_form for c in coeffs)]))
 
-    coeffs = property(lambda self: tuple(_cochain(self.dim, self.rank, 2, v, self.tables.den)
+    coeffs = property(lambda self: tuple(Cochain(self.dim, self.dim, self.rank, 2, (v, self.tables.den))
                                          for v in self.tables.orders))
     order = property(lambda self: self.tables.order)
     dim = property(lambda self: self.tables.dim)
@@ -77,7 +80,7 @@ class Deformation(Value):
 
 def _require_coefficients(coeffs, d: int, rank: int) -> None:
     for c in coeffs:
-        if c.n != 2 or c.main.dim != d or c.main.mdim != d or len(c.parts) != rank:
+        if (c.n, c.shape) != (2, (d, d, rank)):
             raise ShapeError(f"coefficients must be 2-cochains of self maps of "
                              f"dimension {d} with {rank} parts")
 
@@ -152,11 +155,6 @@ def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
                                    "order-0 product coefficient is not the algebra multiplication")
 
 
-def _cochain(dim: int, rank: int, n: int, nums, den: int) -> Cochain:
-    """The degree-n self cochain with the vector nums / den."""
-    return vector_to_cochain(dim, dim, rank, n, as_fractions(nums, den))
-
-
 def _violation(s: int, k: int, at: tuple, lhs, rhs, q: int) -> Violation:
     law = "associativity" if k == 0 else f"higher-derivation law k={k}"
     return Violation(f"order-{s} {law}", at, as_fractions(lhs, q), as_fractions(rhs, q))
@@ -206,7 +204,7 @@ def infinitesimal(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     for s in range(1, at_order):
         if any(orders[s]):
             raise ValueError(f"coefficient {s} is nonzero below the requested order")
-    coeff = _cochain(defm.dim, defm.rank, 2, orders[at_order], defm.tables.den)
+    coeff = Cochain(defm.dim, defm.dim, defm.rank, 2, (orders[at_order], defm.tables.den))
     if any(_coboundary(alg, adjoint_bimodule(alg, hd), hd, 2, orders[at_order])[0]):
         return coeff, CheckReport.failed("infinitesimal cocycle condition", (at_order,))
     return coeff, CheckReport.passed()
@@ -373,25 +371,7 @@ def obstruction(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> Cochai
     rhs with zero order-(n+1) coefficients.  A candidate next coefficient
     extends the deformation exactly when its differential equals it."""
     _require_verified(alg, hd, defm)
-    return _known_defect(defm)
-
-
-def _known_defect(defm: Deformation) -> Cochain:
-    """The obstruction, unverified."""
-    return _cochain(defm.dim, defm.rank, 3, *_defect(defm.tables))
-
-
-def obstruction_preimage(alg: Algebra, hd: HigherDerivation, defm: Deformation):
-    """``obstruction`` and its canonical preimage (None for a nonzero class),
-    each as numerators over one denominator, with the solve first: the
-    cocycle test, on the numerators, runs only when it finds no preimage."""
-    _require_verified(alg, hd, defm)
-    ob = _defect(defm.tables)
-    mod = adjoint_bimodule(alg, hd)
-    pre = solve_ints(differential_matrix(alg, mod, hd, 2), *ob)
-    if pre is None and any(_coboundary(alg, mod, hd, 3, ob[0])[0]):
-        raise NotACocycleError("degree-3 input is not a cocycle")
-    return ob, pre
+    return Cochain(defm.dim, defm.dim, defm.rank, 3, _defect(defm.tables))
 
 
 class ExtendOutcome(Value):
@@ -402,10 +382,15 @@ class ExtendOutcome(Value):
 
 
 def try_extend(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> ExtendOutcome:
-    """Solve for a next coefficient; absence certifies a fresh obstruction class."""
-    ob, pre = obstruction_preimage(alg, hd, defm)
-    return ExtendOutcome(None if pre is None else _cochain(alg.dim, hd.rank, 2, *pre),
-                         _cochain(alg.dim, hd.rank, 3, *ob))
+    """Solve for a next coefficient; absence certifies a fresh obstruction
+    class.  The solve comes first: the cocycle test, on the obstruction's
+    numerators, runs only when it finds no preimage."""
+    ob = obstruction(alg, hd, defm)
+    mod = adjoint_bimodule(alg, hd)
+    candidate = preimage(alg, mod, hd, ob)
+    if candidate is None and any(_coboundary(alg, mod, hd, 3, ob.int_form[0])[0]):
+        raise NotACocycleError("degree-3 input is not a cocycle")
+    return ExtendOutcome(candidate, ob)
 
 
 def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
@@ -424,7 +409,7 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         ob = _defect(tables)
         candidate = solve_ints(differential_matrix(alg, mod, hd, 2), *ob)
         if candidate is None:
-            return Deformation(tables), _cochain(tables.dim, tables.rank, 3, *ob)
+            return Deformation(tables), Cochain(tables.dim, tables.dim, tables.rank, 3, ob)
         tables = tables.extended(*candidate)
         for k in range(tables.rank + 1):
             if (bad := tables.failure(k, tables.order)) is not None:
@@ -435,10 +420,10 @@ def extend_to(alg: Algebra, hd: HigherDerivation, defm: Deformation,
 
 def extend_deformation(defm: Deformation, candidate: Cochain) -> Deformation:
     """Append a next-order coefficient."""
-    if candidate.n != 2 or len(candidate.parts) != defm.rank:
+    if candidate.n != 2 or candidate.nrank != defm.rank:
         raise ShapeError("candidate must be a 2-cochain with one part per derivation map")
     _require_coefficients((candidate,), defm.dim, defm.rank)
-    return Deformation(defm.tables.extended(*int_form(cochain_to_vector(candidate))))
+    return Deformation(defm.tables.extended(*candidate.int_form))
 
 
 def truncate_deformation(defm: Deformation, order: int) -> Deformation:
@@ -508,7 +493,7 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
             if any(_coboundary(alg, mod, hd, 2, digits)[0]):
                 raise RuntimeError(f"lowest coefficient at order {lowest} is not a cocycle; "
                                    "the input cannot have verified")
-            return TrivializeOutcome(None, lowest, _cochain(dim, hd.rank, 2, digits, q))
+            return TrivializeOutcome(None, lowest, Cochain(dim, dim, hd.rank, 2, (digits, q)))
         h, e = sol
         shear = [[e * x for x in identity], h]
         steps, growth = _growth(shear, e, dim, T // lowest)  # in u = t^r, Phi = e id + u H

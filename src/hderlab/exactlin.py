@@ -81,8 +81,10 @@ def int_form(values) -> tuple[tuple[int, ...], int]:
 
 
 def as_fractions(numerators, q: int) -> tuple[Fraction, ...]:
-    """The Fractions x/q for a sequence of integer numerators x."""
-    return tuple(Fraction(x, q) if x else ZERO for x in numerators)
+    """The Fractions x/q for a sequence of integer numerators x, one made
+    per distinct x, zeros the shared ``ZERO``."""
+    made = {x: Fraction(x, q) if x else ZERO for x in set(numerators)}
+    return tuple([made[x] for x in numerators])
 
 
 _set = object.__setattr__
@@ -284,22 +286,14 @@ class Matrix:
         return tuple(out)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """The product of the integer rows, over the lcm of its entries'
+        denominators, as a product of the entries would store it."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [ZERO] * (self.rows * other.cols)
-        for i in range(self.rows):
-            ibase = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[ibase + k]
-                if not a:
-                    continue
-                kbase = k * other.cols
-                obase = i * other.cols
-                for j in range(other.cols):
-                    b = other.entries[kbase + j]
-                    if b:
-                        out[obase + j] += a * b
-        return Matrix(self.rows, other.cols, tuple(out))
+        rows = [{j: x for j, x in acc.items() if x} for acc in _products(self.int_rows[0], other.int_rows[0])]
+        scale = self.int_rows[1] * other.int_rows[1]
+        g = math.gcd(scale, *(x for row in rows for x in row.values()))
+        return Matrix.from_int_rows([{j: x // g for j, x in row.items()} for row in rows], scale // g, other.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
@@ -382,17 +376,11 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, row: dict) -> bool:
-        """Reduce ``row`` (``{column: rational}``) against the stored pivots,
-        smallest column first, and keep it if it survives; True when the
-        rank grew."""
-        nums = int_form(row.values())[0]
-        return self._insert({j: x for j, x in zip(row, nums) if x}) is not None
-
     def _insert(self, v: dict[int, int], end: float = math.inf) -> int | None:
-        """``add`` for an integer row that the echelon may take over; the
-        pivot of the new row, or None, and the row not kept, when its
-        columns below ``end`` reduced to zero."""
+        """Reduce the integer row ``v``, which the echelon may take over,
+        against the stored pivots, smallest column first, and keep it if it
+        survives: the pivot of the new row, or None, and the row not kept,
+        when its columns below ``end`` reduced to zero."""
         rows = self.rows
         while v and (c := min(v)) < end:
             prow = rows.get(c)
@@ -450,7 +438,7 @@ class Kernel:
     integer rows ``rows`` of an :class:`Echelon` (``Echelon.reduced``) and
     the free columns ``free``, one basis vector per free column, in order.
 
-    ``entries`` states the canonical vector once; ``vectors`` makes Fraction
+    ``entries`` states the canonical vector once; ``forms`` makes integer
     vectors of it, and a report writer can format it without them.
     """
 
@@ -476,15 +464,16 @@ class Kernel:
         for f in self.free:
             yield f, [(p, -rows[p][f], rows[p][p]) for p in at.pop(f)]
 
-    def vectors(self):
-        """Yield the basis vectors as tuples of Fractions, zeros the shared
-        ``ZERO``."""
+    def forms(self):
+        """Yield each basis vector as ``(nums, den)``: its numerators, dense,
+        over the lcm of its denominators."""
         for f, entries in self.entries():
-            v = [ZERO] * self.cols
-            v[f] = ONE
+            den = math.lcm(*(q for _p, _x, q in entries))
+            nums = [0] * self.cols
+            nums[f] = den
             for p, x, q in entries:
-                v[p] = Fraction(x, q)
-            yield tuple(v)
+                nums[p] = x * (den // q)
+            yield nums, den
 
 
 def null_space(m: Matrix, bound: int | None = None) -> Kernel:
@@ -500,7 +489,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     entries at the pivot columns, and zeros elsewhere; ordered by f
     (:meth:`Kernel.entries`).
     """
-    return list(null_space(m).vectors())
+    return [as_fractions(*form) for form in null_space(m).forms()]
 
 
 def solve_affine(m: Matrix, b: Vector) -> Vector | None:
@@ -551,11 +540,17 @@ def require_image_in_kernel(boundary: Matrix, kernel_of: Matrix) -> None:
         raise ShapeError(
             f"boundary lands in a {boundary.rows}-dim space but the kernel map "
             f"expects {kernel_of.cols}")
-    brows = boundary.int_rows[0]
-    for row in kernel_of.int_rows[0]:
-        acc: dict[int, int] = {}
-        for k, a in row.items():
-            for j, y in brows[k].items():
-                acc[j] = acc.get(j, 0) + a * y
+    for acc in _products(kernel_of.int_rows[0], boundary.int_rows[0]):
         if any(acc.values()):
             raise BrokenComplexError("image not contained in kernel")
+
+
+def _products(rows, others):
+    """Yield each row of the product of two integer row stores as ``{column:
+    x}``, zeros possible."""
+    for row in rows:
+        acc: dict[int, int] = {}
+        for k, a in row.items():
+            for j, y in others[k].items():
+                acc[j] = acc.get(j, 0) + a * y
+        yield acc

@@ -16,24 +16,24 @@ cocycle of a section s is how far s is from a morphism of pairs, so
 
 The total pair is built from the integer forms of the algebra, the module,
 the maps and the cocycle (``_total_pair``), and the cocycle test sums the
-differential's stencil on the cocycle's numerators; ``classify_central``
-reads its representatives off the sparse kernel form, so the CLI classifies
-without a Fraction.
+differential's stencil on the cocycle's integer form; ``classify_central``
+reads its representatives off the sparse kernel form, and
+``cocycle_from_section`` reads the morphism law on integers, so no
+extension command makes a Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .algebras import Algebra, Bimodule, CheckReport, _pair_tables
 from .cochain import (
-    Cochain, MultiMap, NegativeAnswer, NotACocycleError, _coboundary, cochain_blocks, cochain_dim,
-    cochain_to_vector, cohomology, differential_matrix, is_coboundary, multimap_to_matrix, vector_to_cochain,
+    Cochain, MultiMap, NegativeAnswer, NotACocycleError, _coboundary, cochain_blocks, cochain_dim, cohomology,
+    differential_matrix, is_coboundary,
 )
-from .exactlin import Echelon, Matrix, ShapeError, Value, Vector, ZERO, ONE, as_fractions, int_form
-from .hder import (AssHDerMorphism, AssHDerPair, HigherDerivation, _morphism_law_terms,
+from .exactlin import Echelon, Matrix, ShapeError, Value, as_fractions
+from .hder import (AssHDerMorphism, AssHDerPair, HigherDerivation, _morphism_law_terms, _mult,
                    check_morphism)
 
 
@@ -59,12 +59,6 @@ class ExtensionPair(Value):
     def mdim(self) -> int:
         return self.module.mdim
 
-    def module_part(self, v: Vector) -> Vector:
-        return v[self.dim:]
-
-    def algebra_part(self, v: Vector) -> Vector:
-        return v[:self.dim]
-
 
 def extension_structure(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
                         z: Cochain) -> AssHDerPair:
@@ -75,15 +69,15 @@ def extension_structure(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
     algebra and higher-derivation verifiers if and only if z is killed by
     the differential.
     """
-    return _total_pair(alg, hd, mod, *_cochain_form(alg, hd, mod, z))
+    _require_two_cochain(alg, hd, mod, z)
+    return _total_pair(alg, hd, mod, *z.int_form)
 
 
-def _cochain_form(alg: Algebra, hd: HigherDerivation, mod: Bimodule, z: Cochain) -> tuple:
-    """``int_form`` of the vector of z, a 2-cochain of the pair's shape."""
-    if z.n != 2 or len(z.parts) != hd.rank or (z.main.dim, z.main.mdim) != (alg.dim, mod.mdim):
+def _require_two_cochain(alg: Algebra, hd: HigherDerivation, mod: Bimodule, z: Cochain) -> None:
+    """Raise unless z is a 2-cochain of the pair's shape."""
+    if (z.n, z.shape) != (2, (alg.dim, mod.mdim, hd.rank)):
         raise ShapeError(f"a 2-cochain of shape ({alg.dim}, {mod.mdim}) with {hd.rank} parts is required, "
-                         f"got degree {z.n} of shape ({z.main.dim}, {z.main.mdim}) with {len(z.parts)}")
-    return int_form(cochain_to_vector(z))
+                         f"got degree {z.n} of shape ({z.dim}, {z.mdim}) with {z.nrank}")
 
 
 def _total_pair(alg: Algebra, hd: HigherDerivation, mod: Bimodule, nums, den: int) -> AssHDerPair:
@@ -186,8 +180,8 @@ def extension_from_cocycle(alg: Algebra, hd: HigherDerivation, mod: Bimodule,
     The error names the first violated component: the bilinear one, or the
     index k of the first failing derivation condition.
     """
-    return _extension(alg, hd, mod, _cochain_form(alg, hd, mod, z),
-                      _canonical_matrices(alg.dim, mod.mdim))
+    _require_two_cochain(alg, hd, mod, z)
+    return _extension(alg, hd, mod, z.int_form, _canonical_matrices(alg.dim, mod.mdim))
 
 
 def _extension(alg: Algebra, hd: HigherDerivation, mod: Bimodule, form: tuple,
@@ -206,20 +200,19 @@ def _extension(alg: Algebra, hd: HigherDerivation, mod: Bimodule, form: tuple,
 
 
 def _check_induced_actions(ext: ExtensionPair, section: Matrix) -> None:
-    alg, mod = ext.base.algebra, ext.module
-    total = ext.total.algebra
-    for i in range(alg.dim):
-        s_i = section.column(i)
-        for a in range(mod.mdim):
-            inc = ext.include.column(a)
-            left = ext.module_part(total.mult(s_i, inc))
-            if left != mod.left[i][a]:
-                raise SectionError(
-                    f"induced left action at ({i}, {a}) differs from the declared bimodule")
-            right = ext.module_part(total.mult(inc, s_i))
-            if right != mod.right[a][i]:
-                raise SectionError(
-                    f"induced right action at ({a}, {i}) differs from the declared bimodule")
+    """The actions s induces, s(e_i) m_a and m_a s(e_i) in the total
+    algebra, against the declared ones, on the integer forms."""
+    d, md, total = ext.dim, ext.mdim, ext.total.algebra
+    (mnums, mden), r0 = ext.module.int_form, d * md * md  # right[a][i] is at r0 + (a d + i) md
+    images, inc = section.int_columns(), ext.include.int_columns()
+    scale = section.int_rows[1] * ext.include.int_rows[1] * total.int_form[1]
+    for i in range(d):
+        for a in range(md):
+            for side, product, at in (("left", _mult(total, images[i], inc[a]), (i * md + a) * md),
+                                      ("right", _mult(total, inc[a], images[i]), r0 + (a * d + i) * md)):
+                if any(product.get(d + b, 0) * mden != x * scale for b, x in enumerate(mnums[at:at + md])):
+                    where = (i, a) if side == "left" else (a, i)
+                    raise SectionError(f"induced {side} action at {where} differs from the declared bimodule")
 
 
 def cocycle_from_section(ext: ExtensionPair, section: Matrix | None = None) -> Cochain:
@@ -227,7 +220,8 @@ def cocycle_from_section(ext: ExtensionPair, section: Matrix | None = None) -> C
 
     psi(a, b) = s(a) s(b) - s(ab) and chi_k(a) = d^E_k(s(a)) - s(d_k(a)),
     both landing in M.  Any linear right inverse of the projection works and
-    must induce the declared bimodule actions.
+    must induce the declared bimodule actions.  The two sides come from the
+    morphism law on integers, one scale per k.
     """
     s = ext.section if section is None else section
     d, md = ext.dim, ext.mdim
@@ -238,29 +232,27 @@ def cocycle_from_section(ext: ExtensionPair, section: Matrix | None = None) -> C
     _check_induced_actions(ext, s)
     # psi = s(a)s(b) - s(ab) is rhs - lhs of the multiplicativity terms,
     # chi_k = d_k^E s - s d_k is lhs - rhs of the k-th intertwining terms
-    values: list[list[Fraction]] = [[] for _ in range(ext.base.hder.rank + 1)]
-    for k, _, lhs, rhs in _morphism_law_terms(ext.base, ext.total, s):
+    blocks: list[list[int]] = [[] for _ in range(ext.base.hder.rank + 1)]
+    scales = [1] * len(blocks)
+    for k, _, lhs, rhs, q in _morphism_law_terms(ext.base, ext.total, s):
         diff = [y - x for x, y in zip(lhs, rhs)] if k == 0 else [x - y for x, y in zip(lhs, rhs)]
-        if any(ext.algebra_part(diff)):
+        if any(diff[:d]):
             raise SectionError(("derivation" if k else "section") +
                                " defect does not land in the module part")
-        values[k].extend(ext.module_part(diff))
-    return Cochain(MultiMap(2, d, md, tuple(values[0])),
-                   tuple(MultiMap(1, d, md, tuple(v)) for v in values[1:]))
+        blocks[k].extend(diff[d:])
+        scales[k] = q
+    den = math.lcm(*scales)
+    return Cochain(d, md, ext.base.hder.rank, 2,
+                   ([x * (den // q) for block, q in zip(blocks, scales) for x in block], den))
 
 
 def equivalence_from_cochain(h: MultiMap) -> Matrix:
     """The shear (a, m) |-> (a, m + h(a)) as a block matrix; always invertible."""
     if h.arity != 1:
         raise ShapeError("a linear map A -> M is required")
-    d, md = h.dim, h.mdim
-    hmat = multimap_to_matrix(h)
-    rows = []
-    for r in range(d):
-        rows.append(tuple(ONE if c == r else ZERO for c in range(d + md)))
-    for r in range(md):
-        rows.append((*hmat.row(r), *(ONE if c == r else ZERO for c in range(md))))
-    return Matrix.from_rows(rows)
+    d, md = h.dim, h.mdim  # h holds its matrix column-major: row b is values[b::md]
+    return Matrix.from_rows([[int(c == r) for c in range(d + md)] for r in range(d)] +
+                            [[*h.values[r::md], *(int(c == r) for c in range(md))] for r in range(md)])
 
 
 def check_equivalence(e1: ExtensionPair, e2: ExtensionPair,
@@ -293,9 +285,10 @@ def find_equivalence(e1: ExtensionPair, e2: ExtensionPair) -> Matrix | None:
     if e1.base != e2.base or e1.module != e2.module:
         raise ShapeError("extensions are not over the same base and module")
     alg, hd, mod = e1.base.algebra, e1.base.hder, e1.module
-    z1 = cocycle_from_section(e1)
-    z2 = cocycle_from_section(e2)
-    h = is_coboundary(alg, mod, hd, z1.sub(z2))
+    (x1, q1), (x2, q2) = cocycle_from_section(e1).int_form, cocycle_from_section(e2).int_form
+    q = math.lcm(q1, q2)
+    gap = Cochain(alg.dim, mod.mdim, hd.rank, 2, ([a * (q // q1) - b * (q // q2) for a, b in zip(x1, x2)], q))
+    h = is_coboundary(alg, mod, hd, gap)
     if h is None:
         return None
     psi = equivalence_from_cochain(h.main)
@@ -311,29 +304,20 @@ def classify_central(alg: Algebra, hd: HigherDerivation,
 
     Central classification needs the trivial representation, so nonzero
     actions are rejected.  Representatives are chosen greedily from the
-    canonical cocycle kernel basis, keeping those that grow the span of the
+    canonical cocycle kernel basis, read off its sparse form
+    (``Kernel.forms``), keeping those that grow the span of the
     coboundaries; the output order is the kernel-basis order.
     """
-    shape = (alg.dim, mod.mdim, hd.rank)
-    return [(vector_to_cochain(*shape, 2, as_fractions(*form)), ext)
-            for form, ext in _central_classes(alg, hd, mod)]
-
-
-def _central_classes(alg: Algebra, hd: HigherDerivation, mod: Bimodule) -> list[tuple[tuple, ExtensionPair]]:
-    """``classify_central`` with each representative as the integer form
-    ``(nums, den)`` of its vector, read off ``Kernel.entries``."""
     if not mod.has_zero_actions():
         raise ValueError("central classification requires a bimodule with zero actions")
     report = cohomology(alg, mod, hd, 2)
     span = Echelon(differential_matrix(alg, mod, hd, 1).int_columns())
     chosen: list[tuple] = []
-    for f, entries in report.kernel.entries():
+    for nums, den in report.kernel.forms():
         if len(chosen) == report.betti:
             break
-        den = math.lcm(*(q for _p, _x, q in entries))
-        vector = {f: den, **{p: x * (den // q) for p, x, q in entries}}
-        if span._insert(dict(vector)) is not None:
-            chosen.append(([vector.get(p, 0) for p in range(report.kernel.cols)], den))
+        if span._insert({p: x for p, x in enumerate(nums) if x}) is not None:
+            chosen.append((nums, den))
     canonical = _canonical_matrices(alg.dim, mod.mdim)
-    zero = ([0] * report.dim_cochains, 1)
-    return [(form, _extension(alg, hd, mod, form, canonical)) for form in (zero, *chosen)]
+    return [(Cochain(*report.shape, 2, form), _extension(alg, hd, mod, form, canonical))
+            for form in (([0] * report.dim_cochains, 1), *chosen)]

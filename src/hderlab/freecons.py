@@ -10,7 +10,8 @@ then lexicographically, with the empty word (the unit) first.  The induced
 maps come from one recursion over the first letter of a word,
 D_k(a w) = sum_{p=0..k} theta_p(a) D_{k-p}(w), so their cost is polynomial
 in the number of maps theta_1..theta_N.  The tensor algebra and the induced
-maps are built on integers, from the thetas' ``int_rows``.
+maps are built on integers, from the thetas' ``int_rows``, and so are the
+universal extension's map and the morphism law it is checked by.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import itertools
 import math
 
 from .algebras import Algebra, CheckReport, Tensor3, Violation, _contract, _pair_tables
-from .exactlin import Matrix, ShapeError, Value, Vector, ZERO, ONE, int_form, vec_add
-from .hder import AssHDerPair, HigherDerivation, _leibniz_report, _morphism_law_terms
+from .exactlin import Matrix, ShapeError, Value, Vector, ZERO, ONE, as_fractions, int_form, vec_add
+from .hder import AssHDerPair, HigherDerivation, _leibniz_report, _morphism_law_terms, _mult
 
 Word = tuple[int, ...]
 
@@ -160,17 +161,22 @@ def universal_extension(tta: TruncatedTensorAlgebra, thetas: tuple[Matrix, ...],
 
     unital = alg.unit_index is not None
     unit_handling = "mapped-to-unit" if unital else "degree-zero-skipped"
-    zero = (ZERO,) * alg.dim
-    images: list[Vector] = []
+    # the image of a word of length l >= 1, the product of its letters'
+    # images, is over F^l A^(l-1) (F, A the scales of f and the algebra);
+    # every column is brought to that of the longest words
+    images, fs, den, top = f.int_columns(), f.int_rows[1], alg.int_form[1], tta.max_degree
+    scale, columns = fs ** top * den ** (top - 1), []
     for w in tta.words:
         if not w:
-            images.append(alg.unit_vector() if unital else zero)
+            columns.append({alg.unit_index: scale} if unital else {})
             continue
-        acc = f.column(w[0])
+        acc = images[w[0]]
         for letter in w[1:]:
-            acc = alg.mult(acc, f.column(letter))
-        images.append(acc)
-    lifted = Matrix.from_columns(images)
+            acc = _mult(alg, acc, images[letter])
+        up = (fs * den) ** (top - len(w))
+        columns.append({r: x * up for r, x in acc.items() if x})
+    lifted = Matrix.from_int_rows([{c: col[r] for c, col in enumerate(columns) if r in col}
+                                   for r in range(alg.dim)], scale, len(columns))
 
     _, induced = induced_tensor_hder(tta.vdim, tta.max_degree, thetas)
     words = tta.words
@@ -178,8 +184,9 @@ def universal_extension(tta: TruncatedTensorAlgebra, thetas: tuple[Matrix, ...],
              if len(u) + len(w) <= tta.max_degree and (unital or (u and w))]
     cols = [i for i, w in enumerate(words) if unital or w]
     source = AssHDerPair(tta.algebra, induced)
-    for k, at, lhs, rhs in _morphism_law_terms(source, target, lifted, pairs, cols):
+    for k, at, lhs, rhs, q in _morphism_law_terms(source, target, lifted, pairs, cols):
         if lhs != rhs:
+            lhs, rhs = as_fractions(lhs, q), as_fractions(rhs, q)
             violation = Violation("intertwining", (k, *at), lhs, rhs) if k else \
                 Violation("multiplicativity", at, lhs, rhs)
             return UniversalExtensionReport(False, violation, lifted, unit_handling)

@@ -13,9 +13,10 @@ a |-> a + d_1(a) t + ... + d_N(a) t^N is an algebra morphism; the two must
 agree on every input.
 
 The morphism law of pairs, f(ab) = f(a) f(b) and d_k f = f d_k, is stated
-once as well (``_morphism_law_terms``).  ``check_morphism``, the universal
-extension of ``freecons`` and the section cocycle of ``extensions`` all read
-it.
+once as well (``_morphism_law_terms``), on the integer forms of the algebras
+and the maps' integer rows.  ``check_morphism``, the universal extension of
+``freecons`` and the section cocycle of ``extensions`` all read it, and make
+Fractions only for a violation they report.
 """
 
 from __future__ import annotations
@@ -227,22 +228,59 @@ def truncated_morphism_check(alg: Algebra, hd: HigherDerivation) -> CheckReport:
     return CheckReport.passed()
 
 
+def _mult(alg: Algebra, x: dict, y: dict) -> dict:
+    """The product x y in ``alg``, on its integer form, for sparse integer
+    vectors ``{coordinate: x}``: numerators over the product of the scales
+    of x, y and the form."""
+    nums, n = alg.int_form[0], alg.dim
+    out: dict[int, int] = {}
+    for u, a in x.items():
+        for v, b in y.items():
+            at = (u * n + v) * n
+            for r, z in enumerate(nums[at:at + n]):
+                if z:
+                    out[r] = out.get(r, 0) + a * b * z
+    return out
+
+
+def _combine(cols: list, weights: dict) -> dict:
+    """sum_c w_c cols[c] for sparse integer columns ``{row: x}`` and
+    integer weights ``{c: w_c}``."""
+    out: dict[int, int] = {}
+    for c, w in weights.items():
+        if w:
+            for r, x in cols[c].items():
+                out[r] = out.get(r, 0) + w * x
+    return out
+
+
 def _morphism_law_terms(src: AssHDerPair, tgt: AssHDerPair, f: Matrix,
                         pairs=None, cols=None):
-    """Both sides of the morphism law for the linear map f: src -> tgt, in scan
-    order.  Yields ``(0, (i, j), f(e_i e_j), f(e_i) f(e_j))`` over the basis
-    pairs, then ``(k, (i,), d_k f(e_i), f(d_k e_i))`` for k = 1..N over the
-    columns.  ``pairs`` and ``cols`` list what to scan, in order; by default
-    every basis pair and every column."""
-    d = src.algebra.dim
-    images = [f.column(i) for i in range(d)]
+    """Both sides of the morphism law for the linear map f: src -> tgt, in
+    scan order, on the integer forms of the algebras and the integer rows of
+    the maps: each side lists the target coordinates as numerators over one
+    scale q per k.  Yields ``(0, (i, j), f(e_i e_j), f(e_i) f(e_j), q)`` over
+    the basis pairs, then ``(k, (i,), d_k f(e_i), f(d_k e_i), q)`` for
+    k = 1..N over the columns.  ``pairs`` and ``cols`` list what to scan, in
+    order; by default every basis pair and every column."""
+    d, n = src.algebra.dim, tgt.algebra.dim
+    images, fs = f.int_columns(), f.int_rows[1]
+    (snums, sden), tden = src.algebra.int_form, tgt.algebra.int_form[1]
+
+    def sides(lhs: dict, p: int, rhs: dict, r: int):
+        q = math.lcm(p, r)
+        return [lhs.get(b, 0) * (q // p) for b in range(n)], [rhs.get(b, 0) * (q // r) for b in range(n)], q
+
     for i, j in itertools.product(range(d), repeat=2) if pairs is None else pairs:
-        yield 0, (i, j), f.apply(src.algebra.basis_product(i, j)), \
-            tgt.algebra.mult(images[i], images[j])
+        at = (i * d + j) * d
+        yield 0, (i, j), *sides(_combine(images, dict(enumerate(snums[at:at + d]))), sden * fs,
+                                _mult(tgt.algebra, images[i], images[j]), fs * fs * tden)
     for k in range(1, src.hder.rank + 1):
         d_src, d_tgt = src.hder.maps[k - 1], tgt.hder.maps[k - 1]
+        scols, tcols = d_src.int_columns(), d_tgt.int_columns()
         for i in range(d) if cols is None else cols:
-            yield k, (i,), d_tgt.apply(images[i]), f.apply(d_src.column(i))
+            yield k, (i,), *sides(_combine(tcols, images[i]), d_tgt.int_rows[1] * fs,
+                                  _combine(images, scols[i]), fs * d_src.int_rows[1])
 
 
 def check_morphism(mor: AssHDerMorphism) -> CheckReport:
@@ -255,9 +293,9 @@ def check_morphism(mor: AssHDerMorphism) -> CheckReport:
         raise ShapeError(
             f"morphism matrix is {f.rows}x{f.cols}, expected "
             f"{tgt.algebra.dim}x{src.algebra.dim}")
-    for k, at, lhs, rhs in _morphism_law_terms(src, tgt, f):
+    for k, at, lhs, rhs, q in _morphism_law_terms(src, tgt, f):
         if lhs != rhs:
             if k:
                 return CheckReport.failed("intertwining", (k,))
-            return CheckReport.failed("algebra morphism", at, lhs, rhs)
+            return CheckReport.failed("algebra morphism", at, as_fractions(lhs, q), as_fractions(rhs, q))
     return CheckReport.passed()

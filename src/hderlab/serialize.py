@@ -12,13 +12,12 @@ never reads as ``1``, that keeps its last 256 tokens alive process-wide).
 A file repeats few tokens many times, so a token is parsed about once per
 file.  Paths are built only when the read fails, by ``_walk``, which
 raises the first error, depth first.  Matrices keep their integer rows,
-and algebras and bimodules are built on the one form they store
-(``int_form``); only multimaps, the cochains' values, make Fractions, one
-per distinct p/q.
+and algebras, bimodules, cochains and deformations are built on the one
+form they store (``int_form``, or a deformation's law tables): no reader
+makes a Fraction.
 Payloads format numerators over a denominator as ``rat_str`` would, with no
-Fraction made (``_int_cells``: algebras, matrices, deformations and integer
-cochains), or a multimap's rationals with ``rat_str`` (``exactlin.ZERO`` as
-"0" by identity).
+Fraction made (``_int_cells``: algebras, matrices, cochains and
+deformations).
 ``write_report`` writes a payload exactly as ``json.dumps(doc, indent=2,
 sort_keys=True)`` does, but encodes each list of strings with one C-level
 join, and hands the text to a ``write`` callable in pieces.  A
@@ -35,12 +34,11 @@ import functools
 import itertools
 import math
 import re
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebras import Algebra, Bimodule
-from .cochain import Cochain, MultiMap, cochain_blocks
-from .exactlin import ZERO, Matrix, rat_str
+from .cochain import Cochain, cochain_blocks
+from .exactlin import Matrix
 from .hder import HigherDerivation
 
 
@@ -146,17 +144,6 @@ def _walk(obj, shape: tuple, path: str) -> None:
             raise ParseError(f"{path}[{i}]: {exc}") from None
 
 
-def _fractions(pairs) -> list[Fraction]:
-    """The pairs as Fractions, one made per distinct p/q, zero as ``ZERO``."""
-    made = {pq: Fraction(*pq) if pq[0] else ZERO for pq in set(pairs)}
-    return [made[pq] for pq in pairs]
-
-
-def _rat_strs(values) -> list[str]:
-    """``rat_str`` of each value; the shared ``ZERO`` is "0" without a call."""
-    return ["0" if x is ZERO else rat_str(x) for x in values]
-
-
 def _int_form(pairs) -> tuple[list[int], int]:
     """The ``(p, q)`` pairs, each in lowest terms, as numerators over the
     lcm of the q: their ``int_form``."""
@@ -232,28 +219,20 @@ def parse_bimodule(doc, dim: int, nrank: int, path: str = "bimodule") -> Bimodul
     return Bimodule(mdim, _int_form(left + right), dmaps)
 
 
-def parse_multimap(obj, arity: int, dim: int, mdim: int, path: str) -> MultiMap:
-    return MultiMap(arity, dim, mdim, tuple(_fractions(_pairs(obj, (dim ** arity * mdim,), path))))
-
-
-def multimap_to_json(mm: MultiMap) -> list[str]:
-    return _rat_strs(mm.values)
-
-
 def parse_cochain(doc, dim: int, mdim: int, nrank: int, path: str = "cochain") -> Cochain:
+    """Read by ``_pairs`` straight into the cochain's integer form."""
     n = _count(doc, "n", path)
-    main = parse_multimap(_need(doc, "main", path), n, dim, mdim, f"{path}.main")
-    if n == 1:
-        return Cochain(main)
-    size = dim ** (n - 1) * mdim
-    values = _fractions(_pairs(_need(doc, "parts", path), (nrank, size), f"{path}.parts"))
-    return Cochain(main, tuple(MultiMap(n - 1, dim, mdim, tuple(values[b:b + size]))
-                               for b in range(0, len(values), size)))
+    pairs = _pairs(_need(doc, "main", path), (dim ** n * mdim,), f"{path}.main")
+    if n > 1:
+        pairs += _pairs(_need(doc, "parts", path), (nrank, dim ** (n - 1) * mdim), f"{path}.parts")
+    return Cochain(dim, mdim, nrank, n, _int_form(pairs))
 
 
 def cochain_to_json(c: Cochain) -> dict:
-    return {"n": c.n, "main": multimap_to_json(c.main),
-            "parts": [multimap_to_json(p) for p in c.parts]}
+    """Written from ``c.int_form``, its main block and then each part."""
+    cells = _int_cells(*c.int_form)
+    main, *parts = cochain_blocks(*c.shape, c.n)
+    return {"n": c.n, "main": cells[main], "parts": [cells[b] for b in parts]}
 
 
 def parse_two_cocycle(doc, dim: int, mdim: int, nrank: int, path: str) -> Cochain:
@@ -277,13 +256,6 @@ def parse_deformation(doc, dim: int, nrank: int, path: str = "deformation") -> D
 def _int_cells(nums, den: int) -> list[str]:
     """``rat_str`` of x/den for each int x, den > 0, with no Fraction made."""
     return [str(x // g) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}" for x in nums]
-
-
-def int_cochain_to_json(nums, den: int, shape: tuple[int, int, int], n: int) -> dict:
-    """``cochain_to_json`` of the degree-n cochain nums / den of ``shape``."""
-    cells = _int_cells(nums, den)
-    main, *parts = cochain_blocks(*shape, n)
-    return {"n": n, "main": cells[main], "parts": [cells[b] for b in parts]}
 
 
 def deformation_to_json(defm: Deformation) -> dict:

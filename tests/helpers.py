@@ -24,8 +24,9 @@ their sum over compositions, the truncated tensor algebra, the total pair
 of an extension and its cocycle test against their Fraction builds, the
 report writer against the json module,
 and the value classes against the frozen dataclasses they were written as.
-The structure arithmetic only tests use (matrix and multimap sums, the
-module actions, multilinear evaluation) is stated here as functions too.
+The structure arithmetic only tests use (matrix, multimap and cochain sums
+and differences, the module actions, multilinear evaluation, adding a
+Fraction row to an echelon) is stated here as functions too.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ def rand_multimap(rng: random.Random, arity: int, dim: int, mdim: int) -> H.Mult
 
 def rand_cochain(rng: random.Random, dim: int, mdim: int, nrank: int, n: int) -> H.Cochain:
     if n == 1:
-        return H.Cochain(rand_multimap(rng, 1, dim, mdim))
-    return H.Cochain(rand_multimap(rng, n, dim, mdim),
-                     tuple(rand_multimap(rng, n - 1, dim, mdim) for _ in range(nrank)))
+        return H.Cochain.from_maps(rand_multimap(rng, 1, dim, mdim))
+    return H.Cochain.from_maps(rand_multimap(rng, n, dim, mdim),
+                               tuple(rand_multimap(rng, n - 1, dim, mdim) for _ in range(nrank)))
 
 
 def rand_gauge(rng: random.Random, dim: int, order: int) -> H.GaugeMap:
@@ -146,13 +147,41 @@ def mm_scale(a: H.MultiMap, c: Fraction) -> H.MultiMap:
     return H.MultiMap(a.arity, a.dim, a.mdim, tuple(c * x for x in a.values))
 
 
+def echelon_add(ech, row: dict) -> bool:
+    """``Echelon.add`` as it was: reduce the Fraction row ``{column:
+    rational}`` against the stored pivots and keep it if it survives; True
+    when the rank grew."""
+    nums = int_form(row.values())[0]
+    return ech._insert({j: x for j, x in zip(row, nums) if x}) is not None
+
+
+def mm_neg(a: H.MultiMap) -> H.MultiMap:
+    """``MultiMap.neg`` as it was, before the cochain layers subtracted integers."""
+    return mm_scale(a, -ONE)
+
+
+def mm_sub(a: H.MultiMap, b: H.MultiMap) -> H.MultiMap:
+    """``MultiMap.sub`` as it was."""
+    return mm_add(a, mm_neg(b))
+
+
 def cochain_add(a: H.Cochain, b: H.Cochain) -> H.Cochain:
-    return H.Cochain(mm_add(a.main, b.main),
-                     tuple(mm_add(x, y) for x, y in zip(a.parts, b.parts, strict=True)))
+    return H.Cochain.from_maps(mm_add(a.main, b.main),
+                               tuple(mm_add(x, y) for x, y in zip(a.parts, b.parts, strict=True)))
 
 
 def cochain_scale(a: H.Cochain, c: Fraction) -> H.Cochain:
-    return H.Cochain(mm_scale(a.main, c), tuple(mm_scale(p, c) for p in a.parts))
+    return H.Cochain.from_maps(mm_scale(a.main, c), tuple(mm_scale(p, c) for p in a.parts))
+
+
+def cochain_neg(a: H.Cochain) -> H.Cochain:
+    """``Cochain.neg`` as it was, on the multimap views."""
+    return cochain_scale(a, -ONE)
+
+
+def cochain_sub(a: H.Cochain, b: H.Cochain) -> H.Cochain:
+    """``Cochain.sub`` as it was, on the multimap views."""
+    return cochain_add(a, cochain_neg(b))
 
 
 def tensor_values(t) -> tuple:
@@ -379,7 +408,7 @@ def raw_coboundary(alg: H.Algebra, hd: H.HigherDerivation, mod: H.Bimodule,
                 acc[b] -= x
             vals.extend(acc)
         chis.append(H.MultiMap(1, d, md, tuple(vals)))
-    return H.Cochain(H.MultiMap(2, d, md, tuple(psi_vals)), tuple(chis))
+    return H.Cochain.from_maps(H.MultiMap(2, d, md, tuple(psi_vals)), tuple(chis))
 
 
 def betti2_by_rank_count(alg: H.Algebra, hd: H.HigherDerivation,
@@ -511,11 +540,11 @@ def oracle_parse_cochain(doc, dim: int, mdim: int, nrank: int, path: str = "coch
     n = _oracle_count(doc, "n", path)
     main = H.MultiMap(n, dim, mdim, oracle_row(_need(doc, "main", path), dim ** n * mdim, f"{path}.main"))
     if n == 1:
-        return H.Cochain(main)
+        return H.Cochain.from_maps(main)
     parts = _list(_need(doc, "parts", path), f"{path}.parts", nrank)
-    return H.Cochain(main, tuple(H.MultiMap(n - 1, dim, mdim, oracle_row(p, dim ** (n - 1) * mdim,
-                                                                         f"{path}.parts[{k}]"))
-                                 for k, p in enumerate(parts)))
+    return H.Cochain.from_maps(main, tuple(H.MultiMap(n - 1, dim, mdim, oracle_row(p, dim ** (n - 1) * mdim,
+                                                                                   f"{path}.parts[{k}]"))
+                                           for k, p in enumerate(parts)))
 
 
 def oracle_parse_tensor_section(doc, path: str = "tensor") -> tuple:
@@ -540,7 +569,7 @@ def oracle_parse_deformation(doc, dim: int, nrank: int, path: str = "deformation
            for p, t in enumerate(mu_docs)]
     dks = [[H.matrix_to_multimap(m) for m in oracle_matrices(series, order + 1, dim, dim, f"{path}.d[{k}]")]
            for k, series in enumerate(_list(_need(doc, "d", path), f"{path}.d", nrank))]
-    return H.Deformation.from_coeffs(tuple(H.Cochain(mu, tuple(series[s] for series in dks))
+    return H.Deformation.from_coeffs(tuple(H.Cochain.from_maps(mu, tuple(series[s] for series in dks))
                                for s, mu in enumerate(mus)))
 
 
@@ -567,7 +596,7 @@ def fraction_trivial_deformation(alg: H.Algebra, hd: H.HigherDerivation, order: 
     vector of the pair's law tables."""
     if order < 0:
         raise H.ShapeError("order must be >= 0")
-    return H.Deformation.from_coeffs((H.Cochain(H.product_multimap(alg), tuple(map(H.matrix_to_multimap, hd.maps))),)
+    return H.Deformation.from_coeffs((H.Cochain.from_maps(H.product_multimap(alg), tuple(map(H.matrix_to_multimap, hd.maps))),)
                          + (H.zero_cochain(alg.dim, alg.dim, hd.rank, 2),) * order)
 
 
@@ -591,7 +620,7 @@ def fraction_truncate_deformation(defm: H.Deformation, order: int) -> H.Deformat
 
 def fraction_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
     """``deform.apply_gauge`` as it returned Fraction cochains: the same
-    packed conjugation, read back through ``deform._cochain``."""
+    packed conjugation, read back as cochains."""
     dim, T, tables = defm.dim, defm.order, defm.tables
     if gauge.dim != dim:
         raise H.ShapeError("gauge dimension differs from the deformation")
@@ -601,8 +630,8 @@ def fraction_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformatio
     steps, growth = deform._growth(members, e, dim, T)
     p = deform._Packed(max(1, *map(abs, itertools.chain(*state))) * growth, T)
     state = deform._conjugate(p, p.pack(state), p.pack(members), e, steps)
-    return H.Deformation.from_coeffs(tuple(deform._cochain(dim, defm.rank, 2, m, tables.den * e ** (steps + 2))
-                               for m in p.members(state)))
+    return H.Deformation.from_coeffs(tuple(H.Cochain(dim, dim, defm.rank, 2, (m, tables.den * e ** (steps + 2)))
+                                           for m in p.members(state)))
 
 
 def law_table_members(tables: LawTables) -> list:
@@ -800,7 +829,7 @@ def delta_k(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
     if not 1 <= k <= hd.rank:
         raise ValueError(f"k must be in 1..{hd.rank}")
     n = f.arity
-    result = postcompose(f, mod.dmaps[k - 1]).neg()
+    result = mm_neg(postcompose(f, mod.dmaps[k - 1]))
     for multi in _compositions_nonneg(k, n):
         g = f
         dead = False
@@ -826,16 +855,16 @@ def oracle_differential(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivation,
     """
     n = c.n
     if n == 1:
-        parts = tuple(delta_k(alg, mod, hd, c.main, k).neg()
+        parts = tuple(mm_neg(delta_k(alg, mod, hd, c.main, k))
                       for k in range(1, hd.rank + 1))
-        return H.Cochain(delta_hoch(alg, mod, c.main), parts)
+        return H.Cochain.from_maps(delta_hoch(alg, mod, c.main), parts)
     if len(c.parts) != hd.rank:
         raise H.ShapeError(f"cochain has {len(c.parts)} parts, rank is {hd.rank}")
     primed = delta_prime(alg, mod, hd, c.parts)
     sign = ONE if n % 2 == 0 else -ONE  # (-1)^n, n = source degree
     parts = tuple(mm_add(primed[k - 1], mm_scale(delta_k(alg, mod, hd, c.main, k), sign))
                   for k in range(1, hd.rank + 1))
-    return H.Cochain(delta_hoch(alg, mod, c.main), parts)
+    return H.Cochain.from_maps(delta_hoch(alg, mod, c.main), parts)
 
 
 def differential_matrix_by_columns(alg: H.Algebra, mod: H.Bimodule,
@@ -1031,7 +1060,7 @@ def loop_obstruction(alg: H.Algebra, hd: H.HigherDerivation,
                                 acc[b] -= term[b]
             values.extend(acc)
         parts.append(H.MultiMap(2, d, d, tuple(values)))
-    return H.Cochain(main, tuple(parts))
+    return H.Cochain.from_maps(main, tuple(parts))
 
 
 def dense_series_product(a, b, order: int) -> list[H.Matrix]:
@@ -1088,8 +1117,13 @@ def dense_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformation:
             new.append(acc)
         dks.append(tuple(new))
     return H.Deformation.from_coeffs(tuple(
-        H.Cochain(mus[s], tuple(H.matrix_to_multimap(series[s]) for series in dks))
+        H.Cochain.from_maps(mus[s], tuple(H.matrix_to_multimap(series[s]) for series in dks))
         for s in range(T + 1)))
+
+
+def known_defect(defm: H.Deformation) -> H.Cochain:
+    """The obstruction 3-cochain of ``defm``, unverified."""
+    return H.Cochain(defm.dim, defm.dim, defm.rank, 3, deform._defect(defm.tables))
 
 
 def two_scan_extend_to(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformation,
@@ -1103,7 +1137,7 @@ def two_scan_extend_to(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformati
     m = H.differential_matrix(alg, H.adjoint_bimodule(alg, hd), hd, 2)
     current = defm
     while current.order < target:
-        ob = deform._known_defect(current)
+        ob = known_defect(current)
         sol = deform.solve_ints(m, *int_form(H.cochain_to_vector(ob)))
         if sol is None:
             return current, ob
@@ -1136,7 +1170,7 @@ def loop_trivialize(alg: H.Algebra, hd: H.HigherDerivation, defm: H.Deformation,
         if lowest is None:
             return H.TrivializeOutcome(acc)
         coeff = current.coeffs[lowest]
-        h = H.is_coboundary(alg, mod, hd, coeff.neg())
+        h = H.is_coboundary(alg, mod, hd, cochain_neg(coeff))
         if h is None:
             return H.TrivializeOutcome(None, lowest, coeff)
         phis = [H.Matrix.identity(dim)] + [H.Matrix.zeros(dim, dim)] * T
@@ -1559,9 +1593,9 @@ def oracle_cocycle_from_section(ext: H.ExtensionPair, section: H.Matrix | None =
     for i, j in itertools.product(range(d), repeat=2):
         prod = total.algebra.mult(s.column(i), s.column(j))
         diff = tuple(x - y for x, y in zip(prod, s.apply(alg.basis_product(i, j))))
-        if any(ext.algebra_part(diff)):
+        if any(diff[:d]):
             raise H.SectionError("section defect does not land in the module part")
-        psi_values.extend(ext.module_part(diff))
+        psi_values.extend(diff[d:])
     chis = []
     for k in range(1, ext.base.hder.rank + 1):
         chi_values = []
@@ -1569,11 +1603,11 @@ def oracle_cocycle_from_section(ext: H.ExtensionPair, section: H.Matrix | None =
             diff = tuple(x - y for x, y in zip(
                 total.hder.maps[k - 1].apply(s.column(i)),
                 s.apply(ext.base.hder.apply(k, alg.basis_vector(i)))))
-            if any(ext.algebra_part(diff)):
+            if any(diff[:d]):
                 raise H.SectionError("derivation defect does not land in the module part")
-            chi_values.extend(ext.module_part(diff))
+            chi_values.extend(diff[d:])
         chis.append(H.MultiMap(1, d, md, tuple(chi_values)))
-    return H.Cochain(H.MultiMap(2, d, md, tuple(psi_values)), tuple(chis))
+    return H.Cochain.from_maps(H.MultiMap(2, d, md, tuple(psi_values)), tuple(chis))
 
 
 # ------------------------------------------------------- dataclass twins
@@ -1585,7 +1619,7 @@ DATACLASS_FIELDS = {
     "Algebra": ("dim", "int_form", "basis_labels", ("unit_index", None)),
     "Bimodule": ("mdim", "int_form", "dmaps"),
     "MultiMap": ("arity", "dim", "mdim", "values"),
-    "Cochain": ("main", ("parts", ())),
+    "Cochain": ("dim", "mdim", "nrank", "n", "int_form"),
     "CohomologyReport": ("degree", "dim_cochains", "dim_cocycles", "dim_coboundaries", "betti",
                          "shape", "kernel"),
     "Deformation": ("tables",),

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hderlab import cli, freecons
+from hderlab import adjoint_bimodule, cli, cohomology, freecons, samples
 from hderlab.cli import main
+from hderlab.hder import ordinary_hder
+from hderlab.serialize import algebra_to_json, hder_to_json, parse_algebra, parse_hder
 from helpers import materialized, oracle_report_text, report_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -188,6 +190,39 @@ def test_degree_four_cohomology_of_m2_rank_two(capsys):
         "b7aa3b486126438a8bba03da7c1ee66a41390540e65c2defb368b610704561e2"
 
 
+# Q[x]/(x^4) with the ordinary hder of the Euler derivation at rank 2: the
+# cochain dimensions of m2_e12_rank2.json, with a class in every degree
+FRONTIER = FIXTURES / "tp4_euler_rank2.json"
+
+
+def test_frontier_fixture_is_made_from_the_samples(capsys):
+    # regenerate: write json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    alg = samples.truncated_polynomials(4)
+    doc = {"algebra": algebra_to_json(alg),
+           "hder": hder_to_json(ordinary_hder(alg, samples.euler_matrix(4), 2))}
+    assert FRONTIER.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert main(["check", str(FRONTIER), "--json"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("degree,counts", [(2, (4, 19, 15)), (3, (3, 80, 77)), (4, (3, 307, 304)),
+                                           (5, (3, 1232, 1229))])
+def test_frontier_fixture_has_classes_in_every_degree(degree, counts):
+    doc = json.loads(FRONTIER.read_text())
+    alg = parse_algebra(doc["algebra"])
+    hd = parse_hder(doc["hder"], alg.dim)
+    mod = adjoint_bimodule(alg, hd)
+    rep = cohomology(alg, mod, hd, degree)
+    assert (rep.betti, rep.dim_cocycles, rep.dim_coboundaries) == counts
+
+
+def test_frontier_fixture_degree_four_report(capsys):
+    assert main(["cohomology", str(FRONTIER), "--degree", "4", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d14a7642feb949997b9b05aef79706aac9803ae5923d7323de9c3d8922791dd7"
+
+
 def test_free_tensor_is_polynomial_in_the_number_of_maps(capsys):
     # 40 maps theta_k = [[1]] on a line at degree 5: d_k(x^l) is x^l times
     # the number of ways to write k as an ordered sum of l nonnegative
@@ -248,6 +283,62 @@ def test_an_internal_error_exits_3_with_one_line(error, monkeypatch, capsys):
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"internal error: {type(error).__name__}: ")
+
+
+def _one_internal_error(err: str, name: str) -> None:
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"internal error: {name}: "), err
+
+
+@pytest.mark.parametrize("args,expected", [(["cohomology", "split_pair.json", "--degree", "2"], 0),
+                                           (["deform-obstruct", "dual_deform_bad.json"], 1)],
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_a_writer_fault_mid_stream_exits_3_with_one_line(args, expected, monkeypatch, capsys):
+    # the report of a positive and of a negative answer is written inside
+    # main's handlers: a fault after a few pieces is a fault of hderlab
+    assert main([*_argv(args), "--json"]) == expected
+    capsys.readouterr()
+    write_report = cli.write_report
+
+    def failing(doc, write):
+        written = []
+
+        def limited(text):  # three pieces get out, then the write fails
+            if len(written) == 3:
+                raise RuntimeError("write failed mid-stream")
+            written.append(text)
+            write(text)
+
+        write_report(doc, limited)
+
+    monkeypatch.setattr(cli, "write_report", failing)
+    assert main([*_argv(args), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith('{\n  "command": ')
+    _one_internal_error(captured.err, "RuntimeError")
+
+
+def test_a_closed_stdout_pipe_exits_3_with_one_line():
+    # the reader takes 10 bytes of a 478 kB report and closes the pipe: the
+    # next write fails, and what is left buffered goes to os.devnull at exit
+    argv = [sys.executable, "-m", "hderlab.cli", "cohomology", str(FIXTURES / "m2_e12_rank2.json"),
+            "--degree", "3", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 3
+    _one_internal_error(err, "BrokenPipeError")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_a_full_stdout_exits_3_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "hderlab.cli", "check", str(FIXTURES / "dual_pair.json"),
+                               "--json"], stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 3
+    _one_internal_error(proc.stderr.decode(), "OSError")
 
 
 @pytest.mark.parametrize("args", [

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import hderlab as H
 from hderlab import cochain, exactlin, samples
 from hderlab.deform import product_multimap
-from hderlab.serialize import algebra_to_json, parse_algebra, parse_bimodule
+from hderlab.serialize import algebra_to_json, cochain_to_json, parse_algebra, parse_bimodule, parse_cochain
 
 from helpers import (
     betti2_by_rank_count, bimodule_from_tensors, cochain_add, cochain_scale, cochains_equal, coefficient_fixtures,
@@ -25,6 +26,29 @@ def _dual_adjoint():
     alg = samples.dual_numbers()
     hd = samples.dual_numbers_hder(2)
     return alg, hd, H.adjoint_bimodule(alg, hd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2), st.integers(1, 3), st.integers(2, 6),
+       st.integers(0, 2 ** 32))
+def test_a_cochain_stores_one_form_at_any_scale(dim, mdim, nrank, n, k, seed):
+    # the form in lowest terms whatever scale built it; the multimap views,
+    # the Fraction vector and the report cells all read it
+    rng = random.Random(seed)
+    c = rand_cochain(rng, dim, mdim, nrank, n)
+    nums, den = c.int_form
+    assert math.gcd(den, *nums) == 1 and c.shape == (dim, mdim, nrank if n > 1 else 0)
+    scaled = H.Cochain(dim, mdim, nrank, n, ([x * k for x in nums], den * k))
+    assert scaled.int_form == c.int_form
+    assert scaled == c and hash(scaled) == hash(c) and repr(scaled) == repr(c)
+    assert H.Cochain.from_maps(c.main, c.parts) == c
+    assert H.cochain_to_vector(c) == tuple(Fraction(x, den) for x in nums)
+    assert parse_cochain(cochain_to_json(c), dim, mdim, nrank) == c
+    moved = list(nums)
+    moved[rng.randrange(len(moved))] += 1
+    assert H.Cochain(dim, mdim, nrank, n, (moved, den)) != c
+    with pytest.raises(H.ShapeError):
+        H.Cochain(dim, mdim, nrank, n, (nums + (0,), den))
 
 
 def test_multimap_indexing_matches_flat_layout():
@@ -161,7 +185,7 @@ def test_differential_on_trivial_module_spot_value():
     hd = samples.dual_numbers_hder(2)
     mod = H.trivial_bimodule(alg, 1, (H.Matrix.zeros(1, 1), H.Matrix.zeros(1, 1)))
     f = H.MultiMap(1, 2, 1, (Fraction(1), Fraction(0)))  # f(u)=1, f(x)=0
-    out = H.differential(alg, mod, hd, H.Cochain(f))
+    out = H.differential(alg, mod, hd, H.Cochain.from_maps(f))
     assert out.main.value_at((0, 0)) == (Fraction(-1),)  # -f(u u) = -1
     assert len(out.parts) == 2
 
@@ -205,7 +229,7 @@ def test_raw_coboundary_agrees_with_differential():
     for _, alg, hd, mod in coefficient_fixtures()[:8]:
         h = rand_multimap(rng, 1, alg.dim, mod.mdim)
         raw = raw_coboundary(alg, hd, mod, h)
-        assert cochains_equal(raw, H.differential(alg, mod, hd, H.Cochain(h)))
+        assert cochains_equal(raw, H.differential(alg, mod, hd, H.Cochain.from_maps(h)))
 
 
 def test_cochain_space_dimensions():

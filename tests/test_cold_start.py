@@ -188,7 +188,7 @@ def test_value_class_rejects_bad_arguments_like_a_dataclass():
     # __post_init__ runs after positional, keyword and default construction
     one = H.MultiMap.zero(1, 1, 1)
     for build in (lambda: H.MultiMap(0, 1, 1, ()), lambda: H.MultiMap(arity=0, dim=1, mdim=1, values=()),
-                  lambda: H.Cochain(one, (one,)), lambda: H.Algebra.from_table([[[ONE]]], ())):
+                  lambda: H.Cochain.from_maps(one, (one,)), lambda: H.Algebra.from_table([[[ONE]]], ())):
         with pytest.raises(H.ShapeError):
             build()
     for args, kwargs in [((), {}), ((True, None, 3), {}), ((True,), {"ok": True}),

@@ -18,7 +18,7 @@ from hderlab.serialize import (
 from helpers import (
     BAD_TOKENS, cochains_equal, dense_apply_gauge, dense_series_inverse, dense_series_product,
     fraction_apply_gauge, fraction_extend_deformation, fraction_trivial_deformation,
-    fraction_truncate_deformation, law_table_members, oracle_parse_deformation,
+    fraction_truncate_deformation, known_defect, law_table_members, oracle_parse_deformation,
     loop_obstruction, loop_trivialize, loop_verify_deformation, mm_eval, pair_fixtures,
     rand_cochain, rand_fraction, rand_gauge, rand_matrix, rand_multimap, spelled, two_scan_extend_to,
 )
@@ -40,7 +40,7 @@ def _order_one(alg, hd, mu1, d1s):
     """The order-1 family over (alg, hd) whose first coefficient is
     (mu1; d_{1,1}, ..., d_{N,1}), the d_{k,1} given as matrices."""
     return H.extend_deformation(H.trivial_deformation(alg, hd, 0),
-                                H.Cochain(mu1, tuple(map(H.matrix_to_multimap, d1s))))
+                                H.Cochain.from_maps(mu1, tuple(map(H.matrix_to_multimap, d1s))))
 
 
 def test_trivial_deformation_verifies():
@@ -53,7 +53,7 @@ def test_base_mismatch_is_an_error():
     alg, hd = _dual_pair()
     defm = H.trivial_deformation(alg, hd, 1)
     base, first = defm.coeffs
-    doctored = H.Deformation.from_coeffs((H.Cochain(H.MultiMap.zero(2, 2, 2), base.parts), first))
+    doctored = H.Deformation.from_coeffs((H.Cochain.from_maps(H.MultiMap.zero(2, 2, 2), base.parts), first))
     with pytest.raises(deform.NotVerifiedError, match="order-0"):
         H.verify_deformation(alg, hd, doctored)
 
@@ -157,7 +157,7 @@ def test_infinitesimal_is_a_cocycle_and_shifts_by_gauge():
         defm = H.apply_gauge(H.trivial_deformation(alg, hd, 2), g)
         coeff, rep = H.infinitesimal(alg, hd, defm)
         assert rep.ok
-        dphi = H.differential(alg, mod, hd, H.Cochain(H.matrix_to_multimap(g.phis[1])))
+        dphi = H.differential(alg, mod, hd, H.Cochain.from_maps(H.matrix_to_multimap(g.phis[1])))
         assert cochains_equal(coeff, dphi)
 
 
@@ -468,7 +468,7 @@ def _perturbed(defm: H.Deformation, rng: random.Random,
     vals[rng.randrange(len(vals))] += delta
     maps[k] = H.MultiMap(maps[k].arity, maps[k].dim, maps[k].mdim, tuple(vals))
     coeffs = list(defm.coeffs)
-    coeffs[s] = H.Cochain(maps[0], tuple(maps[1:]))
+    coeffs[s] = H.Cochain.from_maps(maps[0], tuple(maps[1:]))
     return H.Deformation.from_coeffs(tuple(coeffs))
 
 
@@ -478,7 +478,7 @@ def _assert_matches_loops(alg, hd, defm):
     assert report == expected
     assert str(report.violation) == str(expected.violation)
     reference = loop_obstruction(alg, hd, defm)
-    assert cochains_equal(deform._known_defect(defm), reference)
+    assert cochains_equal(known_defect(defm), reference)
     if report.ok:
         assert cochains_equal(H.obstruction(alg, hd, defm), reference)
 
@@ -711,18 +711,16 @@ def test_obstruction_preimage_solves_first(monkeypatch):
     monkeypatch.setattr(deform, "_coboundary", lambda *args: tested.append(args[-1]) or coboundary(*args))
     # a found preimage skips the cocycle test, and is the obstruction's
     alg, hd, defm = DEFORMATION_FIXTURES[0]  # dual_deform.json
-    (nums, den), pre = deform.obstruction_preimage(alg, hd, defm)
-    ob = H.vector_to_cochain(alg.dim, alg.dim, hd.rank, 3, as_fractions(nums, den))
-    assert tested == [] and cochains_equal(ob, H.obstruction(alg, hd, defm))
-    assert cochains_equal(H.vector_to_cochain(alg.dim, alg.dim, hd.rank, 2, as_fractions(*pre)),
-                          H.is_coboundary(alg, H.adjoint_bimodule(alg, hd), hd, ob))
+    out = H.try_extend(alg, hd, defm)
+    assert tested == [] and cochains_equal(out.obstruction, H.obstruction(alg, hd, defm))
+    assert cochains_equal(out.candidate, H.is_coboundary(alg, H.adjoint_bimodule(alg, hd), hd, out.obstruction))
     # no preimage: the test runs on a nonzero class, and a non-cocycle raises
-    assert deform.obstruction_preimage(*DEFORMATION_FIXTURES[2])[1] is None  # nil_deform_blocked.json
+    assert H.try_extend(*DEFORMATION_FIXTURES[2]).candidate is None  # nil_deform_blocked.json
     assert len(tested) == 1
     bad = _non_cocycle(random.Random(9), alg, hd, 3)
     monkeypatch.setattr(deform, "_defect", lambda tables: int_form(H.cochain_to_vector(bad)))
     with pytest.raises(H.NotACocycleError, match="degree-3 input is not a cocycle"):
-        deform.obstruction_preimage(alg, hd, defm)
+        H.try_extend(alg, hd, defm)
     assert tested[-1] == int_form(H.cochain_to_vector(bad))[0]
 
 

@@ -11,7 +11,7 @@ from hderlab.exactlin import (
 )
 
 from helpers import (
-    dense_kernel_basis, dense_rref, dense_solve_affine, oracle_int_rows, reduced_matrix,
+    dense_kernel_basis, dense_rref, echelon_add, dense_solve_affine, oracle_int_rows, reduced_matrix,
     sparse_matrices, to_rows,
 )
 
@@ -184,7 +184,7 @@ def test_echelon_add_reports_rank_growth(m):
     before = 0
     for i in range(m.rows):
         after = len(dense_rref(Matrix(i + 1, m.cols, m.entries[:(i + 1) * m.cols]))[1])
-        assert ech.add(dict(enumerate(m.row(i)))) == (after > before)
+        assert echelon_add(ech, dict(enumerate(m.row(i)))) == (after > before)
         assert ech.rank == after
         before = after
 
@@ -368,11 +368,11 @@ def test_int_rows_are_one_scale_over_the_entries(m):
 
 def test_echelon_add_takes_fraction_rows_and_keeps_them_primitive():
     ech = Echelon()
-    assert ech.add({0: Fraction(-2, 3), 2: Fraction(4, 9)})
+    assert echelon_add(ech, {0: Fraction(-2, 3), 2: Fraction(4, 9)})
     assert ech.rows == {0: {0: 3, 2: -2}}
-    assert not ech.add({0: Fraction(6), 2: Fraction(-4)})  # a multiple
-    assert not ech.add({1: ZERO})
-    assert ech.add({1: Fraction(5, 7), 2: Fraction(10, 21)})
+    assert not echelon_add(ech, {0: Fraction(6), 2: Fraction(-4)})  # a multiple
+    assert not echelon_add(ech, {1: ZERO})
+    assert echelon_add(ech, {1: Fraction(5, 7), 2: Fraction(10, 21)})
     assert ech.rows[1] == {1: 3, 2: 2}
     assert ech.reduced() == {0: {0: 3, 2: -2}, 1: {1: 3, 2: 2}}
 

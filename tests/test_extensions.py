@@ -8,7 +8,7 @@ import hderlab as H
 from hderlab import samples
 
 from helpers import (
-    betti2_by_rank_count, cochains_equal, delta_hoch, rand_matrix, rand_multimap, to_rows,
+    betti2_by_rank_count, cochain_sub, cochains_equal, delta_hoch, mm_neg, rand_matrix, rand_multimap, to_rows,
 )
 
 
@@ -55,7 +55,7 @@ def test_extension_from_coboundary_is_equivalent_to_semidirect():
     rng = random.Random(81)
     alg, hd, mod = _dual_adjoint()
     h = rand_multimap(rng, 1, 2, 2)
-    z = H.differential(alg, mod, hd, H.Cochain(h))
+    z = H.differential(alg, mod, hd, H.Cochain.from_maps(h))
     ext = H.extension_from_cocycle(alg, hd, mod, z)
     assert _pair_verifies(ext.total)
     semi = H.extension_from_cocycle(alg, hd, mod, H.zero_cochain(2, 2, 2, 2))
@@ -79,8 +79,8 @@ def test_iff_both_directions_on_random_cochains():
                 vec = [a + c * b for a, b in zip(vec, v)]
             z = H.vector_to_cochain(2, 2, 2, 2, tuple(vec))
         else:
-            z = H.Cochain(rand_multimap(rng, 2, 2, 2),
-                          tuple(rand_multimap(rng, 1, 2, 2) for _ in range(2)))
+            z = H.Cochain.from_maps(rand_multimap(rng, 2, 2, 2),
+                                    tuple(rand_multimap(rng, 1, 2, 2) for _ in range(2)))
         is_cocycle = H.differential(alg, mod, hd, z).is_zero()
         structure = H.extension_structure(alg, hd, mod, z)
         verifies = _pair_verifies(structure)
@@ -99,8 +99,8 @@ def test_not_a_cocycle_error_names_component():
     alg, hd, mod = _dual_adjoint()
     rng = random.Random(83)
     # break only the bilinear component
-    bad_main = H.Cochain(rand_multimap(rng, 2, 2, 2),
-                         tuple(H.MultiMap.zero(1, 2, 2) for _ in range(2)))
+    bad_main = H.Cochain.from_maps(rand_multimap(rng, 2, 2, 2),
+                                   tuple(H.MultiMap.zero(1, 2, 2) for _ in range(2)))
     assert not delta_hoch(alg, mod, bad_main.main).is_zero()
     with pytest.raises(H.NotACocycleError, match="bilinear"):
         H.extension_from_cocycle(alg, hd, mod, bad_main)
@@ -108,7 +108,7 @@ def test_not_a_cocycle_error_names_component():
     # trivial module makes delta' chi_1 = -chi_1(ab) the only term
     tmod = H.trivial_bimodule(alg, 1, (H.Matrix.zeros(1, 1), H.Matrix.zeros(1, 1)))
     chi = H.MultiMap(1, 2, 1, (Fraction(1), Fraction(0)))
-    bad_k = H.Cochain(H.MultiMap.zero(2, 2, 1), (chi, H.MultiMap.zero(1, 2, 1)))
+    bad_k = H.Cochain.from_maps(H.MultiMap.zero(2, 2, 1), (chi, H.MultiMap.zero(1, 2, 1)))
     with pytest.raises(H.NotACocycleError, match="k=1"):
         H.extension_from_cocycle(alg, hd, tmod, bad_k)
 
@@ -134,7 +134,7 @@ def test_two_sections_differ_by_coboundary():
     rng = random.Random(85)
     alg, hd, mod = _dual_adjoint()
     h = rand_multimap(rng, 1, 2, 2)
-    z = H.differential(alg, mod, hd, H.Cochain(h))
+    z = H.differential(alg, mod, hd, H.Cochain.from_maps(h))
     ext = H.extension_from_cocycle(alg, hd, mod, z)
     gap = rand_multimap(rng, 1, 2, 2)
     gmat = H.multimap_to_matrix(gap)
@@ -144,8 +144,8 @@ def test_two_sections_differ_by_coboundary():
             rows[2 + r][c] = gmat.entry(r, c)
     other = H.Matrix.from_rows(rows)
     z2 = H.cocycle_from_section(ext, other)
-    diff = z2.sub(z)
-    expected = H.differential(alg, mod, hd, H.Cochain(gap))
+    diff = cochain_sub(z2, z)
+    expected = H.differential(alg, mod, hd, H.Cochain.from_maps(gap))
     assert cochains_equal(diff, expected)
 
 
@@ -170,7 +170,7 @@ def test_equivalence_from_cochain_properties():
     rng = random.Random(86)
     h = rand_multimap(rng, 1, 2, 2)
     psi = H.equivalence_from_cochain(h)
-    inv = H.equivalence_from_cochain(h.neg())
+    inv = H.equivalence_from_cochain(mm_neg(h))
     assert psi * inv == H.Matrix.identity(4)
     assert H.equivalence_from_cochain(H.MultiMap.zero(1, 2, 2)) == H.Matrix.identity(4)
 
@@ -213,7 +213,7 @@ def test_classify_central_representatives_are_pairwise_inequivalent():
     mod = H.trivial_bimodule(z1, 1, (H.Matrix.zeros(1, 1),))
     classes = H.classify_central(z1, hd, mod)
     for (za, ea), (zb, eb) in itertools.combinations(classes, 2):
-        diff = za.sub(zb)
+        diff = cochain_sub(za, zb)
         assert H.is_coboundary(z1, mod, hd, diff) is None
         assert _pair_verifies(ea.total) and _pair_verifies(eb.total)
 
@@ -230,8 +230,8 @@ def test_classification_transports_cocycles_along_equivalences():
         c = Fraction(rng.randint(-2, 2))
         vec = [a + c * b for a, b in zip(vec, v)]
     z = H.vector_to_cochain(2, 2, 2, 2, tuple(vec))
-    dz = H.differential(alg, mod, hd, H.Cochain(h))
-    z2 = z.sub(dz)
+    dz = H.differential(alg, mod, hd, H.Cochain.from_maps(h))
+    z2 = cochain_sub(z, dz)
     e1 = H.extension_from_cocycle(alg, hd, mod, z)
     e2 = H.extension_from_cocycle(alg, hd, mod, z2)
     psi = H.equivalence_from_cochain(h)
@@ -244,7 +244,7 @@ def test_find_equivalence_between_cohomologous_extensions():
     rng = random.Random(89)
     alg, hd, mod = _dual_adjoint()
     h = rand_multimap(rng, 1, 2, 2)
-    z = H.differential(alg, mod, hd, H.Cochain(h))
+    z = H.differential(alg, mod, hd, H.Cochain.from_maps(h))
     ext = H.extension_from_cocycle(alg, hd, mod, z)
     semi = H.extension_from_cocycle(alg, hd, mod, H.zero_cochain(2, 2, 2, 2))
     psi = H.find_equivalence(ext, semi)

@@ -23,8 +23,9 @@ import hderlab as H
 from hderlab import cli, samples, serialize
 from hderlab.exactlin import Echelon, ZERO
 
+from test_cli import COMMANDS
 from helpers import (
-    bimodule_from_tensors, oracle_build_tensor_algebra, oracle_cocycle_error, oracle_extension_structure,
+    bimodule_from_tensors, echelon_add, oracle_build_tensor_algebra, oracle_cocycle_error, oracle_extension_structure,
     oracle_induced_tensor_hder, oracle_parse_algebra, oracle_parse_bimodule, oracle_token,
     pair_fixtures, rand_cochain, rand_fraction, rand_matrix, rescaled_pair, spelled,
 )
@@ -162,8 +163,8 @@ def test_total_pair_matches_the_fraction_build(case):
     z = rand_cochain(rng, alg.dim, mod.mdim, hd.rank, 2)
     if rng.random() < 0.4:  # zero parts, or a zero main map whose parts' denominators
         # are not the total algebra's: its form must still be in lowest terms
-        z = H.Cochain(z.main, tuple(H.MultiMap.zero(1, alg.dim, mod.mdim) for _ in z.parts)) \
-            if rng.random() < 0.5 else H.Cochain(H.MultiMap.zero(2, alg.dim, mod.mdim), z.parts)
+        z = H.Cochain.from_maps(z.main, tuple(H.MultiMap.zero(1, alg.dim, mod.mdim) for _ in z.parts)) \
+            if rng.random() < 0.5 else H.Cochain.from_maps(H.MultiMap.zero(2, alg.dim, mod.mdim), z.parts)
     read_alg = _read_algebra(alg, rng)
     for got, want in ((H.extension_structure(read_alg, hd, mod, _read_cochain(z, rng)),
                        oracle_extension_structure(alg, hd, fraction_mod, z)),
@@ -219,7 +220,7 @@ def _fraction_classify(alg, hd, mod):
     span = Echelon(H.differential_matrix(alg, mod, hd, 1).int_columns())
     chosen = []
     for cocycle in report.cocycle_basis:
-        if span.add(dict(enumerate(H.cochain_to_vector(cocycle)))):
+        if echelon_add(span, dict(enumerate(H.cochain_to_vector(cocycle)))):
             chosen.append(cocycle)
         if len(chosen) == report.betti:
             break
@@ -368,7 +369,11 @@ def _case(args, fractions_made, code=0, name=None):
     return pytest.param(args, fractions_made, code, id=name or f"{' '.join(args)}-{fractions_made}")
 
 
-@pytest.mark.parametrize("args,fractions_made,code", [
+# the commands whose negative answer is a violation text with numbers in it,
+# made from Fractions: every other command makes none
+_VIOLATION_TEXTS = (["check", "dual_bad_bimodule.json"], ["check", "nonassoc_bad_hder.json"],
+                    ["deform-verify", "dual_deform_bad.json"])
+_CASES = [
     _case(["check", "dual_pair.json"], False),
     _case(["classify-central", "nil_central.json"], False),
     _case(["free-tensor", "tensor_line.json"], False),
@@ -377,15 +382,23 @@ def _case(args, fractions_made, code=0, name=None):
     # a nonzero class: the cocycle test of the failed solve sums the
     # stencil on the obstruction's numerators
     _case(["deform-obstruct", "nil_deform_blocked.json"], False, 1),
-    # the cocycle is a multimap, read as Fractions: the count sees them
-    _case(["extend-abelian", "dual_cocycle.json"], True),
+    # the cocycle is read straight into its integer form
+    _case(["extend-abelian", "dual_cocycle.json"], False),
     # the last of several commands in one process, counted alone: its cache
     # hits compare the structures it read with the equal ones cached before
     _case([_EXTEND, _EXTEND], False, name="deform-extend tp3_gauged_deform.json --to 6, again"),
     _case([_EXTEND, ["deform-obstruct", "tp3_gauged_deform.json"]], False,
           name="deform-obstruct tp3_gauged_deform.json after deform-extend"),
     _case([_COHOMOLOGY, _COHOMOLOGY], False, name="cohomology split_pair.json --degree 2, again"),
-])
+]
+# and every other command of the CLI tests, the blocked deform-extend and
+# deform-trivialize and cocycle-from-section among them
+_CASES += [_case(args, args in _VIOLATION_TEXTS, code)
+           for args, code in [*COMMANDS, (["check", "nonassoc_bad_hder.json"], 1)]
+           if args not in [case.values[0] for case in _CASES]]
+
+
+@pytest.mark.parametrize("args,fractions_made,code", _CASES)
 def test_integer_commands_make_no_fraction(args, fractions_made, code, monkeypatch, capsys):
     *before, args = args if isinstance(args[0], list) else [args]
     for cmd in before:
