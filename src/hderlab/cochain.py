@@ -25,9 +25,10 @@ Conventions, fixed once and used everywhere:
   d_1, ..., d_N, every entry of the degree-n differential is an int over
   S = D_act * D_hd^n.  One table per pair and degree holds them, read
   from the integer forms the structures keep, so no Fraction of the
-  structures is read to build it.  ``differential_matrix``
-  keeps the ints as the matrix's ``int_rows`` store, which elimination reads
-  directly; ``differential(c)`` sums ints over S times the denominator of c.
+  structures is read to build it.  ``differential_matrix`` keeps the ints
+  as the matrix's column store, which rank, the d o d check and the solve
+  factor read directly, and derives its ``int_rows`` only for a row
+  echelon; ``differential(c)`` sums ints over S times the denominator of c.
 * Cochains vectorize main block first (row-major multi-index, module index
   fastest), then the parts for k = 1..N.  A ``Cochain`` stores that vector
   as one integer form, numerators over one denominator in lowest terms, and
@@ -336,26 +337,21 @@ def _coboundary(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int, nums)
 @lru_cache(maxsize=64)
 def differential_matrix(alg: Algebra, mod: Bimodule, hd: HigherDerivation,
                         n: int) -> Matrix:
-    """Matrix of the degree-n differential in the fixed cochain bases, its
-    integer columns scattered into the rows of its ``int_rows`` store."""
-    md = mod.mdim
-    rows: list[dict[int, int]] = [{} for _ in range(cochain_dim(alg.dim, md, hd.rank, n + 1))]
+    """Matrix of the degree-n differential in the fixed cochain bases, kept
+    as its column store: the integer columns ``_tuple_columns`` yields, in
+    order, zeros dropped."""
     tables = _tables(alg, mod, hd, n)
-    tuples = cochain_dim(alg.dim, 1, hd.rank, n)  # input basis tuples, mdim columns each
-    for t in range(tuples):
-        for a, column in _tuple_columns(tables, n, t, range(md)):
-            p = t * md + a
-            for row, x in column.items():
-                if x:
-                    rows[row][p] = x
-    return Matrix.from_int_rows(rows, tables[-1], tuples * md)
+    tuples = range(cochain_dim(alg.dim, 1, hd.rank, n))  # input basis tuples, mdim columns each
+    columns = [{row: x for row, x in column.items() if x}
+               for t in tuples for _a, column in _tuple_columns(tables, n, t, range(mod.mdim))]
+    return Matrix.from_int_columns(columns, tables[-1], cochain_dim(alg.dim, mod.mdim, hd.rank, n + 1))
 
 
 class CohomologyReport(Value):
     """H^n in one degree.  The cocycles are kept in sparse form, ``kernel``
-    (the reduced integer rows of the differential and its free columns), on
-    the cochain shape ``(dim, mdim, nrank)``; ``cocycle_basis`` is built
-    from them on first access.  Equality and hashing read the counts and
+    (one integer vector per free column of the differential), on the
+    cochain shape ``(dim, mdim, nrank)``; ``cocycle_basis`` is built from
+    them on first access.  Equality and hashing read the counts and
     ``cocycle_basis``, as for a report that stores the basis."""
 
     degree: int
@@ -395,9 +391,9 @@ def cohomology(alg: Algebra, mod: Bimodule, hd: HigherDerivation, degree: int,
     Degree 1 is the bare kernel of the differential, since there are no
     0-cochains.  For n >= 2 the inclusion im d_{n-1} <= ker d_n is verified
     first (failure means the complex itself is broken and raises), so
-    rank(d_n) <= cols - rank(d_{n-1}); the rows of d_n are eliminated only
-    until their rank reaches that bound, which ends a betti-0 case as soon
-    as its rank is known.
+    rank(d_n) <= cols - rank(d_{n-1}); the row route of ``null_space``
+    stops taking rows of d_n at that bound, which ends a betti-0 case as
+    soon as its rank is known.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")

@@ -6,25 +6,25 @@ tests, so floating point is banned throughout.  The values a caller sees
 (matrix entries, vectors, kernel bases, solutions) are
 :class:`fractions.Fraction`; matrices are immutable and row-major.
 
-Inside, every matrix also has one integer store, ``int_rows``: its nonzero
-entries as Python-int numerators over one common denominator.  The
-differential stencil fills that store directly; other matrices derive it
-from their entries on first use.  Elimination runs on it without a single
-Fraction operation: :func:`echelon` feeds the integer rows to an
-:class:`Echelon`, which keeps primitive rows (content 1, positive pivot) and
+Inside, every matrix also has one integer store, its nonzero entries as
+Python-int numerators over one common denominator: by rows, ``int_rows``,
+or, for a differential, by the columns the stencil yields (``_columns``,
+handed out by ``int_columns``); the other form is derived on first use.
+Elimination runs on it without a single Fraction operation: an
+:class:`Echelon` keeps primitive rows (content 1, positive pivot) and
 combines two rows as ``a*v - b*row``, in the manner of fraction-free
-(Bareiss) elimination.  Back-substitution runs only when the reduced form is
-asked for, and a reduced entry x of the row with pivot value p becomes the
-Fraction x/p only where ``kernel_basis`` hands it out.  A solve substitutes
-into one factor per matrix, kept from its first solve: the same
-:class:`Echelon` of the rows of [m^T | I] (:func:`solve_affine`).
-A null space can stay in sparse form, :class:`Kernel` (the reduced integer
-rows and the free columns), which states the canonical kernel vector once
-for ``kernel_basis`` and for writers that format it without Fractions.
-:func:`echelon` stops taking rows once the rank reaches a bound the caller
-has proved, such as cols - rank(d_{n-1}) for a checked complex.  The reduced
-row echelon form of a row space is unique, so those outputs are canonical,
-and higher layers reproduce bit for bit.
+(Bareiss) elimination.  A solve substitutes into one factor per matrix,
+kept from its first solve: the same :class:`Echelon` of the rows of
+[m^T | I], built from the columns of m (:func:`solve_affine`).  A null
+space is a :class:`Kernel`, the canonical vector of each free column as a
+primitive integer vector, which ``kernel_basis`` and report writers read.
+:func:`null_space` reads it off the solve factor for at most
+``FACTOR_KERNEL_COLS`` columns; above that, :func:`echelon` takes the rows
+until the rank reaches a bound the caller has proved, such as
+cols - rank(d_{n-1}) for a checked complex, and back-substitutes.  Each
+kernel vector is unique up to scale and the reduced row echelon form of a
+row space is unique, so those outputs are canonical, and higher layers
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -168,6 +168,13 @@ class Matrix:
         m.__dict__.update(rows=len(rows), cols=cols, int_rows=(rows, scale))
         return m
 
+    @classmethod
+    def from_int_columns(cls, columns: list, scale: int, rows: int) -> "Matrix":
+        """A matrix kept as ``{row: nonzero int}`` columns over ``scale``."""
+        m = cls.__new__(cls)
+        m.__dict__.update(rows=rows, cols=len(columns), _columns=(columns, scale))
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
 
@@ -245,7 +252,10 @@ class Matrix:
     def int_rows(self) -> tuple[tuple[dict[int, int], ...], int]:
         """``(rows, S)``: each row's nonzero entries as ``{column: x}`` with
         x an int, and entry (i, j) equal to ``rows[i][j] / S``, S the lcm of
-        the denominators; one pass scatters the nonzero numerators."""
+        the denominators; one pass scatters the nonzero numerators, or the
+        columns of a matrix built from them."""
+        if "_columns" in self.__dict__:
+            return tuple(_transposed(self._columns[0], self.rows)), self._columns[1]
         entries, c = self.entries, self.cols
         scale = math.lcm(*{x.denominator for x in entries if x is not ZERO})
         rows = [{} for _ in range(self.rows)]
@@ -254,22 +264,31 @@ class Matrix:
                 rows[pos // c][pos % c] = v * (scale // x.denominator)
         return tuple(rows), scale
 
+    @cached_property
+    def _columns(self) -> tuple[list[dict[int, int]], int]:
+        """``(columns, S)``: the integer store as ``{row: x}`` columns, read
+        only; kept by ``from_int_columns``, else derived once."""
+        rows, scale = self.int_rows
+        return _transposed(rows, self.cols), scale
+
+    _scale = property(lambda self: (self.__dict__.get("_columns") or self.int_rows)[1])
+
     def int_columns(self) -> list[dict[int, int]]:
-        """The integer store read by columns: ``{row: x}`` per column, over
-        the scale of ``int_rows``; fresh dicts a caller may take over."""
-        cols: list[dict[int, int]] = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.int_rows[0]):
-            for j, x in row.items():
-                cols[j][i] = x
-        return cols
+        """``_columns`` in fresh dicts a caller may take over."""
+        kept = self.__dict__.get("_columns")
+        return [dict(c) for c in kept[0]] if kept else _transposed(self.int_rows[0], self.cols)
 
     @cached_property
-    def _factor(self) -> tuple["Echelon", tuple[int, ...]]:
+    def _factor(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
         """The echelon of the rows of [m^T | I], column j tagged 1 at
-        ``rows + j``, and the free columns of m, whose rows are not kept."""
-        ech, r = Echelon(), self.rows
-        return ech, tuple(j for j, v in enumerate(self.int_columns())
-                          if ech._insert({**v, r + j: 1}, r) is None)
+        ``rows + j``: its rows by ascending pivot, and for each free column f
+        of m, whose row is not kept, the tags its row reduced to."""
+        ech, r, tags = Echelon(), self.rows, {}
+        for j, v in enumerate(self.int_columns()):
+            v[r + j] = 1
+            if ech._insert(v, r) is None:
+                tags[j] = v
+        return dict(sorted(ech.rows.items())), tags
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product, skipping zero coordinates of ``v``."""
@@ -320,6 +339,15 @@ class Matrix:
     def _require_same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+
+def _transposed(store, n: int) -> list[dict[int, int]]:
+    """The ``n`` columns of an integer row store, or the rows of a column store."""
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, vec in enumerate(store):
+        for j, x in vec.items():
+            out[j][i] = x
+    return out
 
 
 def _eliminate(v: dict[int, int], c: int, row: dict[int, int]) -> None:
@@ -428,58 +456,72 @@ def echelon(m: Matrix, bound: int | None = None) -> Echelon:
 def rank(m: Matrix) -> int:
     """Rank over the rationals: that of the columns when they are fewer
     than the rows, as the rank stops at the shorter side."""
-    if m.cols < m.rows:
-        m = Matrix.from_int_rows(m.int_columns(), m.int_rows[1], m.rows)
-    return echelon(m).rank
+    return Echelon(m.int_columns()).rank if m.cols < m.rows else echelon(m).rank
 
 
 class Kernel:
-    """The canonical basis of a right null space in sparse form: the reduced
-    integer rows ``rows`` of an :class:`Echelon` (``Echelon.reduced``) and
-    the free columns ``free``, one basis vector per free column, in order.
-
-    ``entries`` states the canonical vector once; ``forms`` makes integer
-    vectors of it, and a report writer can format it without them.
+    """The canonical basis of a right null space in sparse form: for each
+    free column f, in order, ``vectors[f]`` is its basis vector (1 at f)
+    times ``vectors[f][f]``, a primitive ``{column: int}`` vector nonzero
+    only at f and at pivot columns before f.  No other kernel vector has
+    that support, up to scale, so both routes of :func:`null_space` fill
+    the same form.  ``entries`` states the vector once; ``forms`` makes
+    integer vectors of it, and a report writer can format it without them.
     """
 
-    def __init__(self, rows: dict[int, dict[int, int]], cols: int):
-        self.rows = rows
-        self.cols = cols
-        self.free = tuple(f for f in range(cols) if f not in rows)
+    def __init__(self, vectors: dict[int, dict[int, int]], cols: int):
+        for f, v in vectors.items():
+            _divide_content(v, -1 if v[f] < 0 else 1)
+        self.vectors, self.cols, self.free = vectors, cols, tuple(vectors)
 
     def __len__(self) -> int:
         return len(self.free)
 
     def entries(self):
         """Yield ``(f, [(p, x, q), ...])`` for each free column f in order:
-        the vector for f is 1 at f, x/q at each listed pivot p, with
-        ``x = -R[p][f]`` and ``q = R[p][p] > 0`` for R the reduced rows, and
-        zero elsewhere.  x/q need not be in lowest terms."""
-        rows = self.rows
-        at: dict[int, list[int]] = {f: [] for f in self.free}
-        for p, row in rows.items():
-            for f in row:
-                if f != p:
-                    at[f].append(p)
-        for f in self.free:
-            yield f, [(p, -rows[p][f], rows[p][p]) for p in at.pop(f)]
+        the vector for f is 1 at f, x/q at each listed p and zero elsewhere,
+        with ``q = vectors[f][f]``; x/q need not be in lowest terms."""
+        for f, v in self.vectors.items():
+            q = v[f]
+            yield f, [(p, x, q) for p, x in v.items() if p != f]
 
     def forms(self):
         """Yield each basis vector as ``(nums, den)``: its numerators, dense,
-        over the lcm of its denominators."""
-        for f, entries in self.entries():
-            den = math.lcm(*(q for _p, _x, q in entries))
+        over den > 0, in lowest terms."""
+        for f, v in self.vectors.items():
             nums = [0] * self.cols
-            nums[f] = den
-            for p, x, q in entries:
-                nums[p] = x * (den // q)
-            yield nums, den
+            for p, x in v.items():
+                nums[p] = x
+            yield nums, v[f]
+
+
+FACTOR_KERNEL_COLS = 96  # the most columns whose null space is read off m._factor
 
 
 def null_space(m: Matrix, bound: int | None = None) -> Kernel:
-    """The sparse kernel form of ``m``; ``bound`` is passed to
-    :func:`echelon`, so it must be a proven upper bound on the rank."""
-    return Kernel(echelon(m, bound).reduced(), m.cols)
+    """The sparse kernel form of ``m``.  Up to ``FACTOR_KERNEL_COLS``
+    columns it is read off ``m._factor``: the tags a free column f reduced
+    to are a kernel vector on f and the pivot columns before it.  Above,
+    :func:`echelon` takes ``bound``, a proven upper bound on the rank, and
+    the vector of f is -R[p][f] / R[p][p] at each pivot p of the reduced
+    rows R."""
+    if m.cols <= FACTOR_KERNEL_COLS:
+        r = m.rows
+        return Kernel({f: {k - r: x for k, x in v.items()} for f, v in m._factor[1].items()}, m.cols)
+    rows = echelon(m, bound).reduced()
+    vectors: dict[int, dict[int, int]] = {f: {} for f in range(m.cols) if f not in rows}
+    pivot = {}
+    while rows:  # each reduced row is freed once it is read
+        p, row = rows.popitem()
+        pivot[p] = row.pop(p)
+        for f, x in row.items():
+            vectors[f][p] = -x
+    for f, v in vectors.items():
+        den = math.lcm(*(pivot[p] for p in v))
+        for p in v:
+            v[p] *= den // pivot[p]
+        v[f] = den
+    return Kernel(vectors, m.cols)
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -519,35 +561,37 @@ def solve_ints(m: Matrix, nums, den: int) -> tuple[list[int], int] | None:
     r, n = m.rows, m.cols
     if len(nums) != r:
         raise ShapeError(f"expected right-hand side of length {r}, got {len(nums)}")
-    rows, scale, tag = m._factor[0].rows, m.int_rows[1], r + n
+    pivots, scale, tag = m._factor[0], m._scale, r + n
     v = {i: scale * x for i, x in enumerate(nums) if x}
     v[tag] = den
-    while (c := min(v)) < r:
-        prow = rows.get(c)
-        if prow is None:
-            return None
-        _eliminate(v, c, prow)
+    for c, prow in pivots.items():  # ascending, so a cleared pivot stays cleared
+        if c in v:
+            _eliminate(v, c, prow)
+    if min(v) < r:  # a row index with no pivot is left
+        return None
     _divide_content(v, -1 if v[tag] < 0 else 1)
     return [-v.get(k, 0) for k in range(r, tag)], v[tag]
 
 
 def require_image_in_kernel(boundary: Matrix, kernel_of: Matrix) -> None:
-    """Raise unless ``kernel_of * boundary`` vanishes, by a sparse product of
-    the integer rows; each factor carries one uniform scale, so the product
-    is zero exactly when the rational one is.  A nonzero composite means the
-    claimed complex is broken."""
+    """Raise unless ``kernel_of * boundary`` vanishes, column by column: each
+    column of ``boundary`` weights the columns of ``kernel_of``, in their
+    integer column stores; each factor carries one uniform scale, so the
+    product is zero exactly when the rational one is.  A nonzero composite
+    means the claimed complex is broken."""
     if kernel_of.cols != boundary.rows:
         raise ShapeError(
             f"boundary lands in a {boundary.rows}-dim space but the kernel map "
             f"expects {kernel_of.cols}")
-    for acc in _products(kernel_of.int_rows[0], boundary.int_rows[0]):
+    for acc in _products(boundary._columns[0], kernel_of._columns[0]):
         if any(acc.values()):
             raise BrokenComplexError("image not contained in kernel")
 
 
 def _products(rows, others):
     """Yield each row of the product of two integer row stores as ``{column:
-    x}``, zeros possible."""
+    x}``, zeros possible; of two column stores, given right factor first,
+    each column."""
     for row in rows:
         acc: dict[int, int] = {}
         for k, a in row.items():

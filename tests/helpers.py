@@ -39,11 +39,12 @@ import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import strategies as st
 
 import hderlab as H
-from hderlab import deform, samples
+from hderlab import deform, exactlin, samples
 from hderlab.algebras import LawTables, _contract
 from hderlab.exactlin import ONE, ZERO, as_fractions, echelon, int_form, vec_add
 from hderlab.extensions import _check_induced_actions
@@ -650,6 +651,19 @@ def reduced_matrix(m: H.Matrix) -> tuple[H.Matrix, tuple[int, ...]]:
         for j, x in rows[p].items():
             entries[i * m.cols + j] = Fraction(x, rows[p][p])
     return H.Matrix(m.rows, m.cols, tuple(entries)), pivots
+
+
+def kernels_by_route(m: H.Matrix, bound: int | None = None) -> list[tuple]:
+    """``null_space(m, bound)`` read off the solve factor and by the
+    bounded row echelon, each route forced by the column limit: for each,
+    the free columns, the entries in lowest terms and the forms."""
+    views = []
+    for limit in (m.cols, m.cols - 1):
+        with mock.patch.object(exactlin, "FACTOR_KERNEL_COLS", limit):
+            k = exactlin.null_space(m, bound)
+        views.append((k.free, [(f, sorted((p, Fraction(x, q)) for p, x, q in entries))
+                               for f, entries in k.entries()], list(k.forms())))
+    return views
 
 
 def dense_rref(m: H.Matrix) -> tuple[H.Matrix, tuple[int, ...]]:

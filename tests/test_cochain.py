@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -276,14 +278,50 @@ def test_cohomology_matches_raw_rank_oracle():
 
 def test_cohomology_eliminates_each_matrix_once(monkeypatch):
     alg, hd, mod = _dual_adjoint()
-    calls = []
-    kernel = exactlin.echelon
-    monkeypatch.setattr(exactlin, "echelon",
-                        lambda m, bound=None: calls.append(m) or kernel(m, bound))
-    H.cohomology(alg, mod, hd, 2)
-    # the rank of the incoming differential first, on its 4 columns (fewer
-    # than its 16 rows): it bounds the outgoing one
-    assert [(m.rows, m.cols) for m in calls] == [(4, 16), (32, 16)]
+    echelons, insert = [], exactlin.Echelon._insert
+
+    def counted(ech, v, end=math.inf):  # [echelon, rows kept] per run of inserts
+        if not echelons or echelons[-1][0] is not ech:
+            echelons.append([ech, 0])
+        pivot = insert(ech, v, end)
+        echelons[-1][1] += pivot is not None
+        return pivot
+
+    monkeypatch.setattr(exactlin.Echelon, "_insert", counted)
+    for limit in (0, exactlin.FACTOR_KERNEL_COLS):  # the row route, then the factor route
+        monkeypatch.setattr(exactlin, "FACTOR_KERNEL_COLS", limit)
+        H.differential_matrix.cache_clear()  # a cached matrix keeps its solve factor
+        echelons.clear()
+        rep = H.cohomology(alg, mod, hd, 2)
+        # one echelon per differential: the rank of the incoming 16x4 one,
+        # which bounds the outgoing one, and the kernel of the outgoing 32x16 one
+        assert [kept for _ech, kept in echelons] == \
+            [rep.dim_coboundaries, rep.dim_cochains - rep.dim_cocycles] == [3, 11]
+
+
+def _int_rows_digest(m) -> str:
+    rows, scale = m.int_rows
+    text = json.dumps([scale, [sorted(row.items()) for row in rows]], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_consumers_leave_the_cached_column_store_as_built():
+    # a zero-multiplication plane with a module map of 3 and betti 2 in
+    # degree 2: classify-central hands the columns of d_1 to an echelon that
+    # takes them over, a solve factors d_1, and cohomology reads d_1 and d_2
+    alg = samples.zero_algebra(2)
+    hd = H.HigherDerivation(1, (H.Matrix.from_rows([[1, 1], [0, 2]]),))
+    mod = H.trivial_bimodule(alg, 1, (H.Matrix.from_rows([[3]]),))
+    H.differential_matrix.cache_clear()
+    assert len(H.classify_central(alg, hd, mod)) == 3
+    c = H.differential(alg, mod, hd, H.vector_to_cochain(2, 1, 1, 1, (Fraction(1, 2), Fraction(-3))))
+    assert H.is_coboundary(alg, mod, hd, c) is not None
+    assert [H.cohomology(alg, mod, hd, n).betti for n in (1, 2, 3)] == [0, 2, 3]
+    for n in (1, 2, 3):
+        cached, fresh = H.differential_matrix(alg, mod, hd, n), H.differential_matrix.__wrapped__(alg, mod, hd, n)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert cached.int_columns() == fresh.int_columns()
+        assert _int_rows_digest(cached) == _int_rows_digest(fresh)
 
 
 def test_zero_multiplication_line_has_expected_classes():

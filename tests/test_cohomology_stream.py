@@ -4,8 +4,10 @@ plus ``rank``, and the json module on the plain payload."""
 
 import contextlib
 import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,11 +15,11 @@ from hypothesis import strategies as st
 
 import hderlab as H
 from hderlab import cli, cochain, exactlin, samples
-from hderlab.serialize import cohomology_to_json
+from hderlab.serialize import cohomology_to_json, parse_algebra, parse_hder
 
 from helpers import (
-    coefficient_fixtures, oracle_report_text, plain_cohomology_payload, rand_matrix,
-    rescaled_pair,
+    coefficient_fixtures, kernels_by_route, oracle_report_text, plain_cohomology_payload,
+    rand_matrix, rescaled_pair,
 )
 
 CASES = [case[1:] for case in coefficient_fixtures()]
@@ -95,13 +97,42 @@ def test_rank_bound_applies_only_to_a_checked_complex(monkeypatch):
     assert not (true(alg, mod, hd, 2) * wrong).is_zero()
     monkeypatch.setattr(cochain, "differential_matrix",
                         lambda a, m, h, n: wrong if n == 1 else true(a, m, h, n))
-    bounds = []
-    kernel = exactlin.echelon
-    monkeypatch.setattr(exactlin, "echelon",
-                        lambda m, bound=None: bounds.append(bound) or kernel(m, bound))
+    # neither the rank that makes the bound nor a kernel by either route
+    # runs before the check
+    calls = []
+    rank, null_space = cochain.rank, cochain.null_space
+    monkeypatch.setattr(cochain, "rank", lambda m: calls.append("rank") or rank(m))
+    monkeypatch.setattr(cochain, "null_space",
+                        lambda m, bound=None: calls.append(bound) or null_space(m, bound))
     with pytest.raises(H.BrokenComplexError):
         H.cohomology(alg, mod, hd, 2)
-    assert all(bound is None for bound in bounds)
+    assert calls == []
+
+
+def _kernel_routes(alg, hd, mod, degree):
+    """Both routes of ``null_space`` on d_n, with the bound ``cohomology``
+    proves for n > 1."""
+    m = H.differential_matrix(alg, mod, hd, degree)
+    bound = None if degree == 1 else m.cols - exactlin.rank(H.differential_matrix(alg, mod, hd, degree - 1))
+    return kernels_by_route(m, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, 2 ** 16).map(_seeded_case), degree=st.integers(1, 3))
+def test_kernel_routes_agree_on_seeded_pairs(case, degree):
+    factor, rows = _kernel_routes(*case, degree)
+    assert factor == rows
+
+
+@pytest.mark.parametrize("name, betti", [("tp4_euler_rank2.json", 3), ("m2_e12_rank2.json", 0)])
+def test_kernel_routes_agree_at_degree_three_of_the_frontier_fixtures(name, betti):
+    doc = json.loads((Path(__file__).parent / "fixtures" / name).read_text())
+    alg = parse_algebra(doc["algebra"])
+    hd = parse_hder(doc["hder"], alg.dim)
+    mod = H.adjoint_bimodule(alg, hd)
+    factor, rows = _kernel_routes(alg, hd, mod, 3)
+    assert factor == rows
+    assert len(factor[0]) - exactlin.rank(H.differential_matrix(alg, mod, hd, 2)) == betti
 
 
 def test_report_compares_and_hashes_on_its_public_values():

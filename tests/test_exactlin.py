@@ -11,8 +11,8 @@ from hderlab.exactlin import (
 )
 
 from helpers import (
-    dense_kernel_basis, dense_rref, echelon_add, dense_solve_affine, oracle_int_rows, reduced_matrix,
-    sparse_matrices, to_rows,
+    dense_kernel_basis, dense_rref, echelon_add, dense_solve_affine, kernels_by_route, oracle_int_rows,
+    reduced_matrix, sparse_matrices, to_rows,
 )
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -335,8 +335,46 @@ def test_factor_solves_integer_row_matrices_like_dense_oracle(md, data):
 def test_factor_free_columns_are_the_reduced_echelon_non_pivots(shape, data):
     m = data.draw(st.one_of(SHAPES[shape], degenerate_matrices(),
                             int_row_matrices().map(lambda md: md[0])))
-    _ech, free = m._factor
-    assert free == tuple(j for j in range(m.cols) if j not in echelon(m).reduced())
+    pivots, tags = m._factor
+    assert tuple(tags) == tuple(j for j in range(m.cols) if j not in echelon(m).reduced())
+    assert list(pivots) == sorted(pivots) and all(p < m.rows for p in pivots)
+    assert all(min(v) >= m.rows for v in tags.values())  # a free column's row reduced to its tags
+
+
+@st.composite
+def integer_column_matrices(draw, max_side=12):
+    """Integer matrices by columns: the zero matrix, full column rank
+    (a nonzero at row j of column j, anything below it), wide, tall, or
+    columns drawn as zero, a duplicate of an earlier one, or fresh."""
+    kind = draw(st.sampled_from(("zero", "full column rank", "wide", "tall", "columns")))
+    cols = draw(st.integers(0 if kind == "zero" else 1, max_side))
+    low, high = {"full column rank": (cols, max_side), "wide": (0, cols - 1),
+                 "tall": (cols + 1, max_side + 1)}.get(kind, (0, max_side))
+    rows = draw(st.integers(low, max(low, high)))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 6, 35))
+    columns: list[dict[int, int]] = []
+    for j in range(cols):
+        pick = draw(st.sampled_from(("fresh", "fresh", "zero", "duplicate"))) if kind == "columns" else kind
+        if pick == "zero":
+            columns.append({})
+        elif pick == "duplicate" and columns:
+            columns.append(dict(draw(st.sampled_from(columns))))
+        else:
+            top = j if kind == "full column rank" else 0
+            col = {i: x for i in range(top, rows) if (x := draw(entry))}
+            if kind == "full column rank":
+                col[j] = draw(st.sampled_from((1, -2, 5)))
+            columns.append(col)
+    return Matrix.from_int_columns(columns, draw(st.integers(1, 6)), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(integer_column_matrices(), degenerate_matrices(), *SHAPES.values()), st.booleans())
+def test_null_space_routes_give_one_kernel(m, bounded):
+    # the bound a caller may pass is a proven one: here the rank itself
+    factor, rows = kernels_by_route(m, rank(m) if bounded else None)
+    assert factor == rows
+    assert len(factor[0]) == m.cols - rank(m)
 
 
 @pytest.mark.parametrize("m", [Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(2, 3),
@@ -346,7 +384,7 @@ def test_solve_edge_shapes_match_dense_oracle(m):
     zero = (ZERO,) * m.rows
     assert solve_affine(m, zero) == dense_solve_affine(m, zero) == (ZERO,) * m.cols
     assert solve_ints(m, [0] * m.rows, 5) == ([0] * m.cols, 1)
-    assert m._factor[1] == tuple(j for j in range(m.cols) if j not in echelon(m).reduced())
+    assert tuple(m._factor[1]) == tuple(j for j in range(m.cols) if j not in echelon(m).reduced())
     if m.rows:
         b = (ZERO,) * (m.rows - 1) + (Fraction(3, 2),)
         assert solve_affine(m, b) == dense_solve_affine(m, b)
