@@ -145,10 +145,10 @@ class Value:
 class Matrix:
     """Immutable rows x cols matrix of Fractions, entries row-major.
 
-    A matrix is built either from its ``entries`` or, by ``from_int_rows``,
-    from its integer store ``int_rows``; the other form is derived on first
-    use and kept, so a large differential never holds its dense entries
-    unless a caller reads them.
+    A matrix is built from its ``entries`` or from an integer store, rows
+    (``from_int_rows``) or columns (``from_int_columns``); the other forms
+    are derived on first use and kept, so a large differential never holds
+    its dense entries unless a caller reads them.
     """
 
     def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]):
@@ -271,18 +271,16 @@ class Matrix:
         rows, scale = self.int_rows
         return _transposed(rows, self.cols), scale
 
-    _scale = property(lambda self: (self.__dict__.get("_columns") or self.int_rows)[1])
-
     def int_columns(self) -> list[dict[int, int]]:
         """``_columns`` in fresh dicts a caller may take over."""
-        kept = self.__dict__.get("_columns")
-        return [dict(c) for c in kept[0]] if kept else _transposed(self.int_rows[0], self.cols)
+        return [dict(c) for c in self._columns[0]]
 
     @cached_property
     def _factor(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
         """The echelon of the rows of [m^T | I], column j tagged 1 at
         ``rows + j``: its rows by ascending pivot, and for each free column f
-        of m, whose row is not kept, the tags its row reduced to."""
+        of m, whose row is not kept, the tags its row reduced to (kept at any
+        size; :func:`null_space` reads them up to ``FACTOR_KERNEL_COLS``)."""
         ech, r, tags = Echelon(), self.rows, {}
         for j, v in enumerate(self.int_columns()):
             v[r + j] = 1
@@ -495,7 +493,9 @@ class Kernel:
             yield nums, v[f]
 
 
-FACTOR_KERNEL_COLS = 96  # the most columns whose null space is read off m._factor
+# The most columns whose kernel is read off m._factor: over a sweep of whole
+# cohomology() calls, summed time is least for cut-offs of 80-96 columns.
+FACTOR_KERNEL_COLS = 96
 
 
 def null_space(m: Matrix, bound: int | None = None) -> Kernel:
@@ -561,7 +561,7 @@ def solve_ints(m: Matrix, nums, den: int) -> tuple[list[int], int] | None:
     r, n = m.rows, m.cols
     if len(nums) != r:
         raise ShapeError(f"expected right-hand side of length {r}, got {len(nums)}")
-    pivots, scale, tag = m._factor[0], m._scale, r + n
+    pivots, scale, tag = m._factor[0], m._columns[1], r + n
     v = {i: scale * x for i, x in enumerate(nums) if x}
     v[tag] = den
     for c, prow in pivots.items():  # ascending, so a cleared pivot stays cleared
