@@ -17,9 +17,10 @@ as numerators over one denominator (``LawTables.orders``).  A pair's
 order-0 vector comes from the integer form an algebra or a bimodule
 stores (``int_form``, its numerators over one denominator, in lowest
 terms: its one field for the structure constants, and what ==, hash and
-repr read) and a map's ``int_rows``.  A ``deform.Deformation`` stores its
-tables in lowest terms as its one field (tables compare on dim, den and
-orders), and ``LawTables.extended`` appends an order to them.  A command
+repr read) and the one a map stores, its integer columns
+(``Matrix.int_form``).  A ``deform.Deformation`` stores its tables in
+lowest terms as its one field (tables compare on dim, den and orders), and
+``LawTables.extended`` appends an order to them.  A command
 builds one table per pair (``hder._pair_reports``).  The Fraction tensors
 (``c``; ``left``, ``right``) are views made from the form on first read;
 ``Algebra.from_table`` builds an algebra from rationals.
@@ -93,8 +94,8 @@ def _int_table(flat, d: int) -> tuple[list[int], int, int]:
 
 
 def _columns(m: Matrix, mult: int = 1) -> list[int]:
-    """The numerators of ``m.int_rows`` times ``mult``, column by column."""
-    return [row.get(j, 0) * mult for j in range(m.cols) for row in m.int_rows[0]]
+    """The numerators of ``m.int_form`` times ``mult``, column by column."""
+    return [col.get(i, 0) * mult for col in m.int_form[0] for i in range(m.rows)]
 
 
 def _balanced_offset(bits: int, slots: int) -> int:
@@ -107,10 +108,10 @@ def _pair_tables(d: int, form: tuple, maps=()) -> LawTables:
     """The order-0 law tables of a product given by its integer form (the
     numerators [i][j][k] over their denominator) and of the maps d_1..d_N."""
     nums, den = form
-    top = math.lcm(den, *(m.int_rows[1] for m in maps))
+    top = math.lcm(den, *(m.int_form[1] for m in maps))
     vector = [x * (top // den) for x in nums]
     for m in maps:
-        vector += _columns(m, top // m.int_rows[1])
+        vector += _columns(m, top // m.int_form[1])
     return LawTables(d, top, [vector])
 
 

@@ -25,10 +25,11 @@ Conventions, fixed once and used everywhere:
   d_1, ..., d_N, every entry of the degree-n differential is an int over
   S = D_act * D_hd^n.  One table per pair and degree holds them, read
   from the integer forms the structures keep, so no Fraction of the
-  structures is read to build it.  ``differential_matrix`` keeps the ints
-  as the matrix's column store, which rank, the d o d check and the solve
-  factor read directly, and derives its ``int_rows`` only for a row
-  echelon; ``differential(c)`` sums ints over S times the denominator of c.
+  structures is read to build it (the rows of each d_q, the columns of each
+  d_k^M).  ``differential_matrix`` keeps the ints as the matrix's one
+  store, its columns, which rank, the d o d check and the solve factor
+  read, and from which a row echelon derives rows it does not keep;
+  ``differential(c)`` sums ints over S times the denominator of c.
 * Cochains vectorize main block first (row-major multi-index, module index
   fastest), then the parts for k = 1..N.  A ``Cochain`` stores that vector
   as one integer form, numerators over one denominator in lowest terms, and
@@ -210,10 +211,9 @@ def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
     """
     d, md = alg.dim, mod.mdim
     (anums, aden), (mnums, mden) = alg.int_form, mod.int_form
-    dmaps = tuple(m.int_rows for m in mod.dmaps)
+    dmaps = tuple(m.int_form for m in mod.dmaps)
     d_act = math.lcm(aden, mden, *(den for _, den in dmaps))
-    maps = tuple(m.int_rows for m in hd.maps)
-    d_hd = math.lcm(*(den for _, den in maps))
+    d_hd = math.lcm(*(m.int_form[1] for m in hd.maps))
     scale = d_act * d_hd ** n
     act, r0 = scale // d_hd // mden, d * md * md  # right[a][u][b] is at r0 + (a d + u) md + b
     lefts = tuple([(u, b, x * act) for u in range(d) for b in range(md)
@@ -226,16 +226,10 @@ def _tables(alg: Algebra, mod: Bimodule, hd: HigherDerivation, n: int) -> tuple:
             ij, r = divmod(at, d)
             factors[r].append((*divmod(ij, d), x * (scale // aden)))
     drows = (tuple({u: d_hd} for u in range(d)),) + tuple(
-        tuple({i: x * (d_hd // den) for i, x in row.items()} for row in rows)
-        for rows, den in maps)
-    dmcols = []
-    for rows, den in dmaps:
-        cols: list[dict] = [{} for _ in range(md)]
-        for b, row in enumerate(rows):
-            for a, x in row.items():
-                cols[a][b] = x * (scale // den)
-        dmcols.append(cols)
-    return d, md, hd.rank, lefts, rights, factors, drows, tuple(dmcols), d_act, scale
+        tuple({i: x * (d_hd // m.int_form[1]) for i, x in row.items()} for row in m.int_rows())
+        for m in hd.maps)
+    dmcols = tuple([{b: x * (scale // den) for b, x in col.items()} for col in cols] for cols, den in dmaps)
+    return d, md, hd.rank, lefts, rights, factors, drows, dmcols, d_act, scale
 
 
 def _tuple_columns(tables: tuple, n: int, t: int, indices):

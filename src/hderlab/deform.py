@@ -24,7 +24,7 @@ preimage, an infinitesimal, a blocking coefficient) is built from the
 integers at hand, as a ``Cochain`` stores one integer form.  Fractions
 appear only at the boundary: a reported violation, the multimap views of a
 cochain, a deformation's ``coeffs`` and a gauge's entries (its matrices are
-built from their integer rows).
+built from their integer columns).
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def trivial_deformation(alg: Algebra, hd: HigherDerivation, order: int) -> Defor
 
 def _check_base(alg: Algebra, hd: HigherDerivation, defm: Deformation) -> None:
     """The order-0 vector against that of ``alg.int_form`` and the maps'
-    ``int_rows`` (``algebras._pair_tables``), as rationals, entry by entry."""
+    integer columns (``algebras._pair_tables``), as rationals, entry by entry."""
     tables = defm.tables
     if tables.dim != alg.dim:
         raise ShapeError("deformation dimension differs from the algebra")
@@ -277,8 +277,8 @@ def _gauge_members(gauge: GaugeMap, order: int) -> tuple[list, int]:
         raise ValueError("gauge must start at the identity")
     dim = gauge.dim
     phis = gauge.phis[:order + 1] + (Matrix.zeros(dim, dim),) * (order - gauge.order)
-    e = math.lcm(*(m.int_rows[1] for m in phis))
-    return [_columns(m, e // m.int_rows[1]) for m in phis], e
+    e = math.lcm(*(m.int_form[1] for m in phis))
+    return [_columns(m, e // m.int_form[1]) for m in phis], e
 
 
 def _growth(members: list, e: int, dim: int, order: int) -> tuple[int, int]:
@@ -320,10 +320,10 @@ def _conjugate(p: _Packed, state: list, phi: list, e: int, steps: int) -> list[i
 
 
 def _gauge_map(p: _Packed, entries: list, scale: int, dim: int) -> GaugeMap:
-    rows = list(itertools.chain(*zip(*_split(entries, dim))))
-    return GaugeMap(p.order, tuple(Matrix.from_int_rows([{j: x for j, x in enumerate(m[r:r + dim]) if x}
-                                                         for r in range(0, dim * dim, dim)], scale, dim)
-                                   for m in p.members(rows)))
+    """The gauge of the packed entries given column by column, over ``scale``."""
+    return GaugeMap(p.order, tuple(Matrix.from_int_columns([{i: x for i, x in enumerate(m[c:c + dim]) if x}
+                                                            for c in range(0, dim * dim, dim)], scale, dim)
+                                   for m in p.members(entries)))
 
 
 def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:

@@ -4,27 +4,27 @@ Every cohomology and obstruction question downstream reduces to rank /
 kernel / solve questions over the rationals, and the answers are equality
 tests, so floating point is banned throughout.  The values a caller sees
 (matrix entries, vectors, kernel bases, solutions) are
-:class:`fractions.Fraction`; matrices are immutable and row-major.
+:class:`fractions.Fraction`; matrices are immutable.
 
-Inside, every matrix also has one integer store, its nonzero entries as
-Python-int numerators over one common denominator: by rows, ``int_rows``,
-or, for a differential, by the columns the stencil yields (``_columns``,
-handed out by ``int_columns``); the other form is derived on first use.
-Elimination runs on it without a single Fraction operation: an
-:class:`Echelon` keeps primitive rows (content 1, positive pivot) and
-combines two rows as ``a*v - b*row``, in the manner of fraction-free
-(Bareiss) elimination.  A solve substitutes into one factor per matrix,
-kept from its first solve: the same :class:`Echelon` of the rows of
+A matrix stores one form, its nonzero entries as Python-int numerators over
+one common denominator, column by column (``int_form``): a differential
+keeps the columns its stencil yields, a product combines columns
+(``_combine``), and the Fraction entries are a view.  Elimination runs on
+it without a single Fraction operation: an :class:`Echelon` keeps
+primitive rows (content 1, positive pivot) and combines two rows as
+``a*v - b*row``, in the manner of fraction-free (Bareiss) elimination.
+``rank`` eliminates the columns.  A solve substitutes into one factor per
+matrix, kept from its first solve: the same :class:`Echelon` of the rows of
 [m^T | I], built from the columns of m (:func:`solve_affine`).  A null
 space is a :class:`Kernel`, the canonical vector of each free column as a
 primitive integer vector, which ``kernel_basis`` and report writers read.
 :func:`null_space` reads it off the solve factor for at most
-``FACTOR_KERNEL_COLS`` columns; above that, :func:`echelon` takes the rows
-until the rank reaches a bound the caller has proved, such as
-cols - rank(d_{n-1}) for a checked complex, and back-substitutes.  Each
-kernel vector is unique up to scale and the reduced row echelon form of a
-row space is unique, so those outputs are canonical, and higher layers
-reproduce bit for bit.
+``FACTOR_KERNEL_COLS`` columns; above that, :func:`echelon` takes rows
+derived fresh from the columns until the rank reaches a bound the caller
+has proved, such as cols - rank(d_{n-1}) for a checked complex, and
+back-substitutes.  Each kernel vector is unique up to scale and the
+reduced row echelon form of a row space is unique, so those outputs are
+canonical, and higher layers reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -143,12 +143,14 @@ class Value:
 
 
 class Matrix:
-    """Immutable rows x cols matrix of Fractions, entries row-major.
+    """Immutable rows x cols matrix over the rationals.
 
-    A matrix is built from its ``entries`` or from an integer store, rows
-    (``from_int_rows``) or columns (``from_int_columns``); the other forms
-    are derived on first use and kept, so a large differential never holds
-    its dense entries unless a caller reads them.
+    A matrix stores one integer form, ``int_form``: ``(columns, S)``, each
+    column a ``{row: nonzero int}`` dict, entry (i, j) equal to
+    ``columns[j][i] / S``, kept as its builder gives it and read only.  The
+    Fraction constructors convert to it once; ``entries``, row-major, is a
+    view made on first read, and a row echelon derives fresh rows
+    (``int_rows``) that the matrix never keeps.
     """
 
     def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]):
@@ -157,63 +159,58 @@ class Matrix:
         if len(entries) != rows * cols:
             raise ShapeError(
                 f"matrix {rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
-        self.__dict__.update(rows=rows, cols=cols, entries=entries)
-
-    @classmethod
-    def from_int_rows(cls, rows, scale: int, cols: int) -> "Matrix":
-        """A matrix from ``{column: nonzero int}`` rows over the common
-        denominator ``scale``, kept as ``int_rows``."""
-        rows = tuple(rows)
-        m = cls.__new__(cls)
-        m.__dict__.update(rows=len(rows), cols=cols, int_rows=(rows, scale))
-        return m
+        scale = math.lcm(*{x.denominator for x in entries if x is not ZERO})
+        columns: list[dict[int, int]] = [{} for _ in range(cols)]
+        for pos, x in enumerate(entries):
+            if x is not ZERO and (v := x.numerator):
+                columns[pos % cols][pos // cols] = v * (scale // x.denominator)
+        self.__dict__.update(rows=rows, cols=cols, int_form=(columns, scale))
 
     @classmethod
     def from_int_columns(cls, columns: list, scale: int, rows: int) -> "Matrix":
         """A matrix kept as ``{row: nonzero int}`` columns over ``scale``."""
         m = cls.__new__(cls)
-        m.__dict__.update(rows=rows, cols=len(columns), _columns=(columns, scale))
+        m.__dict__.update(rows=rows, cols=len(columns), int_form=(columns, scale))
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
 
     def __eq__(self, other) -> bool:
-        """Row by row on ``int_rows`` (nonzeros only), each side's
+        """Column by column on ``int_form`` (nonzeros only), each side's
         numerators times the other's scale: no dense entries."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        (rows, s), (others, t) = self.int_rows, other.int_rows
-        return all(len(a) == len(b) and all(x * t == b.get(j, 0) * s for j, x in a.items())
-                   for a, b in zip(rows, others))
+        (cols, s), (others, t) = self.int_form, other.int_form
+        return all(len(a) == len(b) and all(x * t == b.get(i, 0) * s for i, x in a.items())
+                   for a, b in zip(cols, others))
 
     def __hash__(self) -> int:
-        """The hash of ``int_rows`` over its lowest scale, so a matrix hashes
+        """The hash of ``int_form`` over its lowest scale, so a matrix hashes
         as its equals do whatever scale built it, without dense entries."""
-        rows, scale = self.int_rows
-        g = math.gcd(scale, *(x for row in rows for x in row.values()))
+        cols, scale = self.int_form
+        g = math.gcd(scale, *(x for col in cols for x in col.values()))
         return hash((self.rows, self.cols, scale // g,
-                     *(frozenset((j, x // g) for j, x in row.items()) for row in rows)))
+                     *(frozenset((i, x // g) for i, x in col.items()) for col in cols)))
 
     def __repr__(self) -> str:
         return f"Matrix(rows={self.rows}, cols={self.cols}, entries={self.entries})"
 
     @cached_property
     def entries(self) -> tuple[Fraction, ...]:
-        """The entries row-major, derived from ``int_rows`` for a matrix
-        built from it."""
-        rows, scale = self.int_rows
-        entries = [ZERO] * (self.rows * self.cols)
+        """The entries row-major, made from ``int_form`` on first read."""
+        cols, scale = self.int_form
+        c = self.cols
+        entries = [ZERO] * (self.rows * c)
         values: dict[int, Fraction] = {}  # few distinct numerators: share them
-        for i, row in enumerate(rows):
-            base = i * self.cols
-            for j, x in row.items():
+        for j, col in enumerate(cols):
+            for i, x in col.items():
                 f = values.get(x)
                 if f is None:
                     f = values[x] = Fraction(x, scale)
-                entries[base + j] = f
+                entries[i * c + j] = f
         return tuple(entries)
 
     @classmethod
@@ -226,11 +223,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls.from_int_columns([{j: 1} for j in range(n)], 1, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return cls.from_int_columns([{} for _ in range(cols)], 1, rows)
 
     @classmethod
     def from_columns(cls, cols: list[Vector]) -> "Matrix":
@@ -248,32 +245,18 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    @cached_property
-    def int_rows(self) -> tuple[tuple[dict[int, int], ...], int]:
-        """``(rows, S)``: each row's nonzero entries as ``{column: x}`` with
-        x an int, and entry (i, j) equal to ``rows[i][j] / S``, S the lcm of
-        the denominators; one pass scatters the nonzero numerators, or the
-        columns of a matrix built from them."""
-        if "_columns" in self.__dict__:
-            return tuple(_transposed(self._columns[0], self.rows)), self._columns[1]
-        entries, c = self.entries, self.cols
-        scale = math.lcm(*{x.denominator for x in entries if x is not ZERO})
-        rows = [{} for _ in range(self.rows)]
-        for pos, x in enumerate(entries):
-            if x is not ZERO and (v := x.numerator):
-                rows[pos // c][pos % c] = v * (scale // x.denominator)
-        return tuple(rows), scale
-
-    @cached_property
-    def _columns(self) -> tuple[list[dict[int, int]], int]:
-        """``(columns, S)``: the integer store as ``{row: x}`` columns, read
-        only; kept by ``from_int_columns``, else derived once."""
-        rows, scale = self.int_rows
-        return _transposed(rows, self.cols), scale
-
     def int_columns(self) -> list[dict[int, int]]:
-        """``_columns`` in fresh dicts a caller may take over."""
-        return [dict(c) for c in self._columns[0]]
+        """The columns of ``int_form`` in fresh dicts a caller may take over."""
+        return [dict(c) for c in self.int_form[0]]
+
+    def int_rows(self) -> list[dict[int, int]]:
+        """The rows of ``int_form``, ``{column: x}`` over its scale, made
+        fresh on each call for a caller to take over; the matrix keeps none."""
+        rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.int_form[0]):
+            for i, x in col.items():
+                rows[i][j] = x
+        return rows
 
     @cached_property
     def _factor(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
@@ -303,14 +286,16 @@ class Matrix:
         return tuple(out)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """The product of the integer rows, over the lcm of its entries'
-        denominators, as a product of the entries would store it."""
+        """Column j of the product is the combination of this matrix's
+        integer columns weighted by column j of ``other``, over the lcm of
+        the product's denominators, as a product of the entries would store
+        it."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rows = [{j: x for j, x in acc.items() if x} for acc in _products(self.int_rows[0], other.int_rows[0])]
-        scale = self.int_rows[1] * other.int_rows[1]
-        g = math.gcd(scale, *(x for row in rows for x in row.values()))
-        return Matrix.from_int_rows([{j: x // g for j, x in row.items()} for row in rows], scale // g, other.cols)
+        (cols, s), (weights, t) = self.int_form, other.int_form
+        out = [{i: x for i, x in _combine(cols, w).items() if x} for w in weights]
+        g = math.gcd(s * t, *(x for col in out for x in col.values()))
+        return Matrix.from_int_columns([{i: x // g for i, x in col.items()} for col in out], s * t // g, self.rows)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
@@ -321,30 +306,29 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entries[i * self.cols + j]
-                            for j in range(self.cols) for i in range(self.rows)))
+        return Matrix.from_int_columns(self.int_rows(), self.int_form[1], self.cols)
 
     def is_zero(self) -> bool:
-        return all(not a for a in self.entries)
+        return not any(self.int_form[0])
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self.entry(i, j) == (ONE if i == j else ZERO)
-                   for i in range(self.rows) for j in range(self.cols))
+        cols, scale = self.int_form
+        return self.rows == self.cols and all(col == {j: scale} for j, col in enumerate(cols))
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def _transposed(store, n: int) -> list[dict[int, int]]:
-    """The ``n`` columns of an integer row store, or the rows of a column store."""
-    out: list[dict[int, int]] = [{} for _ in range(n)]
-    for i, vec in enumerate(store):
-        for j, x in vec.items():
-            out[j][i] = x
+def _combine(cols: list, weights: dict) -> dict[int, int]:
+    """sum_c w_c cols[c] for sparse integer columns ``{row: x}`` and integer
+    weights ``{c: w_c}``, zeros possible: column j of a product of column
+    stores when the weights are column j of the right factor."""
+    out: dict[int, int] = {}
+    for c, w in weights.items():
+        if w:
+            for r, x in cols[c].items():
+                out[r] = out.get(r, 0) + w * x
     return out
 
 
@@ -433,7 +417,8 @@ class Echelon:
 
 
 def echelon(m: Matrix, bound: int | None = None) -> Echelon:
-    """The echelon form of the rows of ``m``; every elimination runs here.
+    """The echelon form of the rows of ``m``, derived fresh from its columns
+    (``Matrix.int_rows``) and taken over, so the matrix keeps no rows.
 
     Rows are taken in order until the rank reaches ``bound`` (default
     ``m.cols``, where no further row can add to it).  A caller passes a
@@ -442,19 +427,17 @@ def echelon(m: Matrix, bound: int | None = None) -> Echelon:
     form is the canonical one.
     """
     bound = m.cols if bound is None else bound
-    ech = Echelon()
-    for row in m.int_rows[0]:
-        if ech.rank >= bound:
-            break
-        if row:
-            ech._insert(dict(row))
+    ech, rows = Echelon(), m.int_rows()
+    rows.reverse()  # popped in order, so a row that reduces to zero is freed at once
+    while rows and ech.rank < bound:
+        if row := rows.pop():
+            ech._insert(row)
     return ech
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the rationals: that of the columns when they are fewer
-    than the rows, as the rank stops at the shorter side."""
-    return Echelon(m.int_columns()).rank if m.cols < m.rows else echelon(m).rank
+    """Rank over the rationals, that of the integer columns."""
+    return Echelon(m.int_columns()).rank
 
 
 class Kernel:
@@ -561,7 +544,7 @@ def solve_ints(m: Matrix, nums, den: int) -> tuple[list[int], int] | None:
     r, n = m.rows, m.cols
     if len(nums) != r:
         raise ShapeError(f"expected right-hand side of length {r}, got {len(nums)}")
-    pivots, scale, tag = m._factor[0], m._columns[1], r + n
+    pivots, scale, tag = m._factor[0], m.int_form[1], r + n
     v = {i: scale * x for i, x in enumerate(nums) if x}
     v[tag] = den
     for c, prow in pivots.items():  # ascending, so a cleared pivot stays cleared
@@ -583,18 +566,7 @@ def require_image_in_kernel(boundary: Matrix, kernel_of: Matrix) -> None:
         raise ShapeError(
             f"boundary lands in a {boundary.rows}-dim space but the kernel map "
             f"expects {kernel_of.cols}")
-    for acc in _products(boundary._columns[0], kernel_of._columns[0]):
-        if any(acc.values()):
+    cols = kernel_of.int_form[0]
+    for weights in boundary.int_form[0]:
+        if any(_combine(cols, weights).values()):
             raise BrokenComplexError("image not contained in kernel")
-
-
-def _products(rows, others):
-    """Yield each row of the product of two integer row stores as ``{column:
-    x}``, zeros possible; of two column stores, given right factor first,
-    each column."""
-    for row in rows:
-        acc: dict[int, int] = {}
-        for k, a in row.items():
-            for j, y in others[k].items():
-                acc[j] = acc.get(j, 0) + a * y
-        yield acc

@@ -15,11 +15,12 @@ cocycle of a section s is how far s is from a morphism of pairs, so
 ``cocycle_from_section`` reads the two sides of the morphism law of ``hder``.
 
 The total pair is built from the integer forms of the algebra, the module,
-the maps and the cocycle (``_total_pair``), and the cocycle test sums the
-differential's stencil on the cocycle's integer form; ``classify_central``
-reads its representatives off the sparse kernel form, and
-``cocycle_from_section`` reads the morphism law on integers, so no
-extension command makes a Fraction.
+the maps and the cocycle (``_total_pair``; its maps column by column, as
+every matrix stores them), and the cocycle test sums the differential's
+stencil on the cocycle's integer form; ``classify_central`` reads its
+representatives off the sparse kernel form, and ``cocycle_from_section``
+reads the morphism law on integers, so no extension command makes a
+Fraction.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ def _require_two_cochain(alg: Algebra, hd: HigherDerivation, mod: Bimodule, z: C
 def _total_pair(alg: Algebra, hd: HigherDerivation, mod: Bimodule, nums, den: int) -> AssHDerPair:
     """``extension_structure`` of the 2-cochain vector nums / den, from the
     integer forms: A's product, psi and the actions over the lcm of their
-    denominators, each map d_k + chi_k + d_k^M over that of its three."""
+    denominators, each map d_k + chi_k + d_k^M over that of its three, by
+    columns: column j < dim is column j of d_k and of chi_k, the rest those
+    of d_k^M."""
     d, md = alg.dim, mod.mdim
     big, r0 = d + md, d * md * md  # right[a][i][b] is at r0 + (a d + i) md + b
     (anums, aden), (mnums, mden) = alg.int_form, mod.int_form
@@ -102,15 +105,15 @@ def _total_pair(alg: Algebra, hd: HigherDerivation, mod: Bimodule, nums, den: in
             c[at:at + md] = [x * sm for x in mnums[right:right + md]]
     maps, main = [], d * d * md
     for k, (dk, dkm) in enumerate(zip(hd.maps, mod.dmaps)):
-        (rows, s1), (mrows, s2) = dk.int_rows, dkm.int_rows
+        (cols, s1), (mcols, s2) = dk.int_form, dkm.int_form
         chi = nums[main + k * d * md:main + (k + 1) * d * md]  # entry (b, c) at c md + b
         scale = math.lcm(s1, s2, den)
         t1, t2, tz = scale // s1, scale // s2, scale // den
-        out = [{j: x * t1 for j, x in row.items()} for row in rows]
-        for b, row in enumerate(mrows):
-            out.append({c: x * tz for c in range(d) if (x := chi[c * md + b])})
-            out[-1].update((d + j, x * t2) for j, x in row.items())
-        maps.append(Matrix.from_int_rows(out, scale, big))
+        out = [{i: x * t1 for i, x in col.items()} for col in cols]
+        for j, col in enumerate(out):
+            col.update((d + b, x * tz) for b, x in enumerate(chi[j * md:j * md + md]) if x)
+        out += [{d + b: x * t2 for b, x in col.items()} for col in mcols]
+        maps.append(Matrix.from_int_columns(out, scale, big))
     labels = alg.basis_labels + tuple(f"m{a}" for a in range(md))
     return AssHDerPair(Algebra(big, (c, top), labels),
                        HigherDerivation(hd.rank, tuple(maps)))
@@ -119,9 +122,9 @@ def _total_pair(alg: Algebra, hd: HigherDerivation, mod: Bimodule, nums, den: in
 def _canonical_matrices(d: int, md: int) -> tuple[Matrix, Matrix, Matrix]:
     """The inclusion M -> E, projection E -> A and section A -> E, E = A + M."""
     big = d + md
-    include = Matrix.from_int_rows([{} for _ in range(d)] + [{a: 1} for a in range(md)], 1, md)
-    project = Matrix.from_int_rows([{r: 1} for r in range(d)], 1, big)
-    section = Matrix.from_int_rows([{r: 1} for r in range(d)] + [{} for _ in range(md)], 1, d)
+    include = Matrix.from_int_columns([{d + a: 1} for a in range(md)], 1, big)
+    project = Matrix.from_int_columns([{r: 1} for r in range(d)] + [{} for _ in range(md)], 1, d)
+    section = Matrix.from_int_columns([{r: 1} for r in range(d)], 1, big)
     return include, project, section
 
 
@@ -204,8 +207,8 @@ def _check_induced_actions(ext: ExtensionPair, section: Matrix) -> None:
     algebra, against the declared ones, on the integer forms."""
     d, md, total = ext.dim, ext.mdim, ext.total.algebra
     (mnums, mden), r0 = ext.module.int_form, d * md * md  # right[a][i] is at r0 + (a d + i) md
-    images, inc = section.int_columns(), ext.include.int_columns()
-    scale = section.int_rows[1] * ext.include.int_rows[1] * total.int_form[1]
+    (images, s), (inc, t) = section.int_form, ext.include.int_form
+    scale = s * t * total.int_form[1]
     for i in range(d):
         for a in range(md):
             for side, product, at in (("left", _mult(total, images[i], inc[a]), (i * md + a) * md),

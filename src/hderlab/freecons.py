@@ -10,8 +10,9 @@ then lexicographically, with the empty word (the unit) first.  The induced
 maps come from one recursion over the first letter of a word,
 D_k(a w) = sum_{p=0..k} theta_p(a) D_{k-p}(w), so their cost is polynomial
 in the number of maps theta_1..theta_N.  The tensor algebra and the induced
-maps are built on integers, from the thetas' ``int_rows``, and so are the
-universal extension's map and the morphism law it is checked by.
+maps are built on integers, by columns from the thetas' integer columns,
+and so are the universal extension's map and the morphism law it is
+checked by.
 """
 
 from __future__ import annotations
@@ -99,12 +100,11 @@ def induced_tensor_hder(vdim: int, max_degree: int,
     index = {w: i for i, w in enumerate(words)}
     # images[p][a]: the nonzero (b, x) of theta_p(v_a), x over the lcm L of
     # the thetas' scales, theta_0 = id
-    scale = math.lcm(*(th.int_rows[1] for th in thetas))
+    scale = math.lcm(*(th.int_form[1] for th in thetas))
     images = [[[(a, scale)] for a in range(vdim)]]
     for th in thetas:
-        rows, up = th.int_rows[0], scale // th.int_rows[1]
-        images.append([[(b, row[a] * up) for b, row in enumerate(rows) if a in row]
-                       for a in range(vdim)])
+        cols, up = th.int_form[0], scale // th.int_form[1]
+        images.append([[(b, x * up) for b, x in col.items()] for col in cols])
     # series[i][k]: D_k(words[i]) as {word index: numerator over L^len(words[i])}
     series: list[list[dict[int, int]]] = [[{0: 1}] + [{} for _ in range(rank)]]
     for w in words[1:]:
@@ -120,15 +120,9 @@ def induced_tensor_hder(vdim: int, max_degree: int,
             dks.append(acc)
         series.append(dks)
     n = len(words)
-    maps = []
-    for k in range(1, rank + 1):
-        rows = [{} for _ in range(n)]
-        for col, dks in enumerate(series):
-            up = scale ** (max_degree - len(words[col]))
-            for i, x in dks[k].items():
-                if x:
-                    rows[i][col] = x * up
-        maps.append(Matrix.from_int_rows(rows, scale ** max_degree, n))
+    ups = [scale ** (max_degree - len(w)) for w in words]
+    maps = [Matrix.from_int_columns([{i: x * up for i, x in dks[k].items() if x} for dks, up in zip(series, ups)],
+                                    scale ** max_degree, n) for k in range(1, rank + 1)]
     return tta, HigherDerivation(rank, tuple(maps))
 
 
@@ -164,7 +158,7 @@ def universal_extension(tta: TruncatedTensorAlgebra, thetas: tuple[Matrix, ...],
     # the image of a word of length l >= 1, the product of its letters'
     # images, is over F^l A^(l-1) (F, A the scales of f and the algebra);
     # every column is brought to that of the longest words
-    images, fs, den, top = f.int_columns(), f.int_rows[1], alg.int_form[1], tta.max_degree
+    (images, fs), den, top = f.int_form, alg.int_form[1], tta.max_degree
     scale, columns = fs ** top * den ** (top - 1), []
     for w in tta.words:
         if not w:
@@ -175,8 +169,7 @@ def universal_extension(tta: TruncatedTensorAlgebra, thetas: tuple[Matrix, ...],
             acc = _mult(alg, acc, images[letter])
         up = (fs * den) ** (top - len(w))
         columns.append({r: x * up for r, x in acc.items() if x})
-    lifted = Matrix.from_int_rows([{c: col[r] for c, col in enumerate(columns) if r in col}
-                                   for r in range(alg.dim)], scale, len(columns))
+    lifted = Matrix.from_int_columns(columns, scale, alg.dim)
 
     _, induced = induced_tensor_hder(tta.vdim, tta.max_degree, thetas)
     words = tta.words

@@ -14,9 +14,10 @@ agree on every input.
 
 The morphism law of pairs, f(ab) = f(a) f(b) and d_k f = f d_k, is stated
 once as well (``_morphism_law_terms``), on the integer forms of the algebras
-and the maps' integer rows.  ``check_morphism``, the universal extension of
-``freecons`` and the section cocycle of ``extensions`` all read it, and make
-Fractions only for a violation they report.
+and the maps' integer columns, combined by ``exactlin._combine``.
+``check_morphism``, the universal extension of ``freecons`` and the section
+cocycle of ``extensions`` all read it, and make Fractions only for a
+violation they report.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 
 from .algebras import (Algebra, CheckReport, LawTables, Violation, _algebra_report, _hash_once,
                        _pair_tables)
-from .exactlin import Matrix, ShapeError, Value, Vector, ZERO, ONE, as_fractions, vec_add
+from .exactlin import Matrix, ShapeError, Value, Vector, ZERO, ONE, _combine, as_fractions, vec_add
 
 
 class HigherDerivation(Value):
@@ -243,28 +244,17 @@ def _mult(alg: Algebra, x: dict, y: dict) -> dict:
     return out
 
 
-def _combine(cols: list, weights: dict) -> dict:
-    """sum_c w_c cols[c] for sparse integer columns ``{row: x}`` and
-    integer weights ``{c: w_c}``."""
-    out: dict[int, int] = {}
-    for c, w in weights.items():
-        if w:
-            for r, x in cols[c].items():
-                out[r] = out.get(r, 0) + w * x
-    return out
-
-
 def _morphism_law_terms(src: AssHDerPair, tgt: AssHDerPair, f: Matrix,
                         pairs=None, cols=None):
     """Both sides of the morphism law for the linear map f: src -> tgt, in
-    scan order, on the integer forms of the algebras and the integer rows of
-    the maps: each side lists the target coordinates as numerators over one
+    scan order, on the integer forms of the algebras and the integer columns
+    of the maps: each side lists the target coordinates as numerators over one
     scale q per k.  Yields ``(0, (i, j), f(e_i e_j), f(e_i) f(e_j), q)`` over
     the basis pairs, then ``(k, (i,), d_k f(e_i), f(d_k e_i), q)`` for
     k = 1..N over the columns.  ``pairs`` and ``cols`` list what to scan, in
     order; by default every basis pair and every column."""
     d, n = src.algebra.dim, tgt.algebra.dim
-    images, fs = f.int_columns(), f.int_rows[1]
+    images, fs = f.int_form
     (snums, sden), tden = src.algebra.int_form, tgt.algebra.int_form[1]
 
     def sides(lhs: dict, p: int, rhs: dict, r: int):
@@ -277,10 +267,9 @@ def _morphism_law_terms(src: AssHDerPair, tgt: AssHDerPair, f: Matrix,
                                 _mult(tgt.algebra, images[i], images[j]), fs * fs * tden)
     for k in range(1, src.hder.rank + 1):
         d_src, d_tgt = src.hder.maps[k - 1], tgt.hder.maps[k - 1]
-        scols, tcols = d_src.int_columns(), d_tgt.int_columns()
+        (scols, ss), (tcols, ts) = d_src.int_form, d_tgt.int_form
         for i in range(d) if cols is None else cols:
-            yield k, (i,), *sides(_combine(tcols, images[i]), d_tgt.int_rows[1] * fs,
-                                  _combine(images, scols[i]), fs * d_src.int_rows[1])
+            yield k, (i,), *sides(_combine(tcols, images[i]), ts * fs, _combine(images, scols[i]), fs * ss)
 
 
 def check_morphism(mor: AssHDerMorphism) -> CheckReport:

@@ -11,7 +11,7 @@ terms as two ints; an ``lru_cache`` keyed by value and type, so ``true``
 never reads as ``1``, that keeps its last 256 tokens alive process-wide).
 A file repeats few tokens many times, so a token is parsed about once per
 file.  Paths are built only when the read fails, by ``_walk``, which
-raises the first error, depth first.  Matrices keep their integer rows,
+raises the first error, depth first.  Matrices keep their integer columns,
 and algebras, bimodules, cochains and deformations are built on the one
 form they store (``int_form``, or a deformation's law tables): no reader
 makes a Fraction.
@@ -154,13 +154,13 @@ def _int_form(pairs) -> tuple[list[int], int]:
 def _matrices(obj, shape: tuple, path: str) -> tuple[Matrix, ...]:
     """The matrices of ``obj``, nested lists of the lengths in ``shape``,
     the last two its rows and columns, read by ``_pairs``; each is kept as
-    its ``int_rows``, numerators over the lcm of its denominators."""
+    its integer columns, numerators over the lcm of its denominators."""
     *counts, rows, cols = shape
     pairs, out, size = _pairs(obj, shape, path), [], rows * cols
     for k in range(math.prod(counts)):
         nums, den = _int_form(pairs[k * size:k * size + size])
-        out.append(Matrix.from_int_rows([{j: x for j, x in enumerate(nums[r * cols:r * cols + cols]) if x}
-                                         for r in range(rows)], den, cols))
+        out.append(Matrix.from_int_columns([{r: x for r in range(rows) if (x := nums[r * cols + j])}
+                                            for j in range(cols)], den, rows))
     return tuple(out)
 
 
@@ -169,11 +169,11 @@ def parse_matrix(obj, rows: int, cols: int, path: str) -> Matrix:
 
 
 def matrix_to_json(mat: Matrix) -> list[list[str]]:
-    """The rows of cells, written from ``int_rows``."""
-    rows, scale = mat.int_rows
-    c = mat.cols
-    cells = _int_cells([row.get(j, 0) for row in rows for j in range(c)], scale)
-    return [cells[r * c:(r + 1) * c] for r in range(mat.rows)]
+    """The rows of cells, written from the integer columns."""
+    cols, scale = mat.int_form
+    r = mat.rows
+    cells = _int_cells([col.get(i, 0) for col in cols for i in range(r)], scale)  # column-major
+    return [cells[i::r] for i in range(r)]
 
 
 def parse_algebra(doc, path: str = "algebra") -> Algebra:

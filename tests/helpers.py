@@ -441,9 +441,20 @@ def cochains_equal(a: H.Cochain, b: H.Cochain) -> bool:
         all(x.values == y.values for x, y in zip(a.parts, b.parts))
 
 
+def from_int_rows(rows, scale: int, cols: int) -> H.Matrix:
+    """The matrix of the ``{column: nonzero int}`` rows over ``scale``, as
+    the columns they transpose to."""
+    rows = list(rows)
+    columns: list[dict] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    return H.Matrix.from_int_columns(columns, scale, len(rows))
+
+
 def oracle_int_rows(m: H.Matrix) -> tuple[tuple[dict, ...], int]:
-    """``Matrix.int_rows`` as ``int_form`` of the entries, then a dict of the
-    nonzero numerators per row: the reference for its one-pass scatter."""
+    """``Matrix.int_rows()`` over the lowest scale, as ``int_form`` of the
+    entries, then a dict of the nonzero numerators per row."""
     nums, scale = int_form(m.entries)
     c = m.cols
     return tuple({j: x for j, x in enumerate(nums[i * c:(i + 1) * c]) if x}
@@ -911,13 +922,13 @@ def oracle_stencil_tables(alg: H.Algebra, mod: H.Bimodule, hd: H.HigherDerivatio
         return math.lcm(*{x.denominator for x in values})
 
     d, md = alg.dim, mod.mdim
-    dmaps = tuple(m.int_rows for m in mod.dmaps)
+    dmaps = tuple((m.int_rows(), m.int_form[1]) for m in mod.dmaps)
     d_act = math.lcm(
         common_denominator(x for m in alg.c for inner in m for x in inner),
         common_denominator(x for t in (mod.left, mod.right) for m in t for inner in m
                            for x in inner),
         *(den for _, den in dmaps))
-    maps = tuple(m.int_rows for m in hd.maps)
+    maps = tuple((m.int_rows(), m.int_form[1]) for m in hd.maps)
     d_hd = math.lcm(*(den for _, den in maps))
     scale = d_act * d_hd ** n
     act = scale // d_hd  # an action entry always meets one entry of a d_q

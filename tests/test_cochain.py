@@ -300,7 +300,7 @@ def test_cohomology_eliminates_each_matrix_once(monkeypatch):
 
 
 def _int_rows_digest(m) -> str:
-    rows, scale = m.int_rows
+    rows, scale = m.int_rows(), m.int_form[1]
     text = json.dumps([scale, [sorted(row.items()) for row in rows]], separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -322,6 +322,24 @@ def test_consumers_leave_the_cached_column_store_as_built():
         assert cached == fresh and hash(cached) == hash(fresh)
         assert cached.int_columns() == fresh.int_columns()
         assert _int_rows_digest(cached) == _int_rows_digest(fresh)
+
+
+def test_cached_differentials_keep_their_column_store_and_no_rows():
+    # the benchmark's M2(Q) rank-1 pair: degrees 1 and 2 read the kernel off
+    # the solve factor, degree 3 (320 columns) takes the row echelon, and a
+    # preimage solve factors d_3; no matrix keeps the rows an echelon read
+    alg = samples.matrix_algebra_2x2()
+    hd = H.power_commutator_hder(alg, samples.matrix_unit_vector(1, 2), 1)
+    mod = H.adjoint_bimodule(alg, hd)
+    H.differential_matrix.cache_clear()
+    for n in (1, 2, 3):
+        H.cohomology(alg, mod, hd, n)
+    c = H.differential(alg, mod, hd, rand_cochain(random.Random(3), 4, 4, 1, 3))
+    assert H.preimage(alg, mod, hd, c) is not None
+    assert H.differential_matrix.cache_info().currsize == 3
+    for n in (1, 2, 3):
+        m = H.differential_matrix(alg, mod, hd, n)
+        assert set(vars(m)) == {"rows", "cols", "int_form", "_factor"}, n
 
 
 def test_zero_multiplication_line_has_expected_classes():
@@ -409,8 +427,8 @@ def test_integer_stencil_on_fractional_structure_constants():
         assert min(d_alg, d_hd, d_mod) > 1, name
         for n in (1, 2, 3):
             m = H.differential_matrix(alg, mod, hd, n)
-            rows, scale = m.int_rows
-            assert all(isinstance(x, int) and x for row in rows for x in row.values())
+            cols, scale = m.int_form
+            assert all(isinstance(x, int) and x for col in cols for x in col.values())
             assert m == differential_matrix_by_columns(alg, mod, hd, n), (name, n)
             c = H.vector_to_cochain(alg.dim, mod.mdim, hd.rank, n, tuple(
                 Fraction(rng.randint(-50, 50), rng.randint(1, 10 ** 4))
@@ -492,10 +510,10 @@ def test_structures_from_every_route_share_one_integer_form_hash_and_cache_entry
                               "dmaps": [[_tokens(m.row(i), rng) for i in range(d)]
                                         for m in hd.maps]}, d, hd.rank),
               H.HigherDerivation(hd.rank, tuple(
-                  H.Matrix.from_int_rows([{j: x * k for j, x in row.items()} for row in m.int_rows[0]],
-                                         m.int_rows[1] * k, d) for m in hd.maps)))
+                  H.Matrix.from_int_columns([{i: x * k for i, x in col.items()} for col in m.int_form[0]],
+                                            m.int_form[1] * k, d) for m in hd.maps)))
     hashes = [_hashed_without_fraction_hash(*first), _hashed_without_fraction_hash(*second)]
-    # a matrix hashes from its integer rows, without making dense entries
+    # a matrix hashes from its integer columns, without making dense entries
     m = second[2].maps[0]
     assert "entries" not in m.__dict__
     assert hashes[0] == hashes[1], name
@@ -515,7 +533,7 @@ def test_structures_from_every_route_share_one_integer_form_hash_and_cache_entry
     assert bimodule_from_tensors(d, alg.c, bumped, hd.maps).int_form != first[1].int_form
     rows = [list(m.row(r)) for r in range(d)]
     rows[i][j] += 1
-    assert H.Matrix.from_rows(rows).int_rows != m.int_rows
+    assert H.Matrix.from_rows(rows).int_form != m.int_form
 
 
 @pytest.mark.parametrize("name,alg,hd,mod", FIXTURES, ids=[f[0] for f in FIXTURES])

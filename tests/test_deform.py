@@ -660,7 +660,7 @@ def _solve_one_entry_off(monkeypatch, pick, delta):
     def one_entry_off(m, nums, den):
         x, q = solve(m, nums, den)
         sol = list(as_fractions(x, q))
-        sol[pick(sorted({j for row in m.int_rows[0] for j in row}))] += delta()
+        sol[pick([j for j, col in enumerate(m.int_form[0]) if col])] += delta()
         return int_form(sol)
 
     monkeypatch.setattr(deform, "solve_ints", one_entry_off)

@@ -11,8 +11,8 @@ from hderlab.exactlin import (
 )
 
 from helpers import (
-    dense_kernel_basis, dense_rref, echelon_add, dense_solve_affine, kernels_by_route, oracle_int_rows,
-    reduced_matrix, sparse_matrices, to_rows,
+    dense_kernel_basis, dense_rref, echelon_add, dense_solve_affine, from_int_rows, kernels_by_route,
+    oracle_int_rows, reduced_matrix, sparse_matrices, to_rows,
 )
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -195,15 +195,71 @@ def test_echelon_add_reports_rank_growth(m):
                      lambda m: Matrix(m.rows + 1, m.cols, m.entries + (Fraction(0),) * m.cols))))
 def test_int_rows_match_oracle(m):
     # 0 x n, n x 0, zero rows (a computed zero last), denominators up to 6
-    rows, scale = m.int_rows
-    assert (rows, scale) == oracle_int_rows(m)
+    rows, scale = m.int_rows(), m.int_form[1]
+    oracle_rows, oracle_scale = oracle_int_rows(m)
+    assert (rows, scale) == (list(oracle_rows), oracle_scale)
     assert all(isinstance(x, int) and x for row in rows for x in row.values())
+    assert "int_rows" not in m.__dict__  # derived on each call, never kept
 
 
 # Wide denominators and negative entries, mostly zeros, for the integer rows.
 NONZERO = st.fractions(min_value=-10 ** 3, max_value=10 ** 3,
                        max_denominator=10 ** 4).filter(bool)
 WIDE = st.one_of(st.just(ZERO), st.just(ZERO), NONZERO)
+
+CONSTRUCTORS = ("entries", "from_rows", "from_columns", "identity", "zeros", "from_int_columns", "product")
+
+
+@st.composite
+def constructed_matrices(draw, kind):
+    """``(m, rows)``: a matrix built by ``kind`` and the dense Fraction rows
+    it stands for, computed apart from the matrix (a product by the dense
+    sum); integer columns are over a multiple of the lowest scale."""
+    low = 1 if kind in ("from_rows", "from_columns") else 0  # their shape comes from the first row or column
+    r, c = draw(st.integers(low, 4)), draw(st.integers(low, 4))
+    if kind == "identity":
+        return Matrix.identity(r), [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    if kind == "zeros":
+        return Matrix.zeros(r, c), [[ZERO] * c for _ in range(r)]
+    rows = [[draw(WIDE) for _ in range(c)] for _ in range(r)]
+    if kind == "entries":
+        return Matrix(r, c, tuple(x for row in rows for x in row)), rows
+    if kind == "from_rows":
+        return Matrix.from_rows(rows), rows
+    if kind == "from_columns":
+        return Matrix.from_columns([tuple(row[j] for row in rows) for j in range(c)]), rows
+    if kind == "from_int_columns":
+        scale = draw(st.integers(1, 6)) * math.lcm(*(x.denominator for row in rows for x in row))
+        columns = [{i: int(row[j] * scale) for i, row in enumerate(rows) if row[j]} for j in range(c)]
+        return Matrix.from_int_columns(columns, scale, r), rows
+    a, a_rows = draw(constructed_matrices(draw(st.sampled_from(CONSTRUCTORS[:-1]))))
+    b_rows = [[draw(WIDE) for _ in range(c)] for _ in range(a.cols)]
+    product = [[sum((a_rows[i][k] * b_rows[k][j] for k in range(a.cols)), ZERO) for j in range(c)]
+               for i in range(a.rows)]
+    return a * Matrix(a.cols, c, tuple(x for row in b_rows for x in row)), product
+
+
+@pytest.mark.parametrize("kind", CONSTRUCTORS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_constructor_agrees_with_the_dense_oracles(kind, data):
+    m, rows = data.draw(constructed_matrices(kind))
+    dense = Matrix.from_rows(rows) if rows and rows[0] else None
+    cols, scale = m.int_form
+    assert scale > 0 and len(cols) == m.cols
+    assert m.entries == tuple(x for row in rows for x in row)
+    assert m.int_columns() == [{i: int(row[j] * scale) for i, row in enumerate(rows) if row[j]}
+                               for j in range(m.cols)]
+    assert m.int_columns() is not cols and all(a is not b for a, b in zip(m.int_columns(), cols))
+    assert m.int_rows() == [{j: int(x * scale) for j, x in enumerate(row) if x} for row in rows]
+    assert set(vars(m)) == {"rows", "cols", "int_form", "entries"}  # the store and the view read above
+    if dense is not None:
+        assert m == dense and dense == m and hash(m) == hash(dense)
+        bumped = [list(row) for row in rows]
+        bumped[0][0] += 1
+        assert m != Matrix.from_rows(bumped)
+    assert m == from_int_rows(m.int_rows(), scale, m.cols) == Matrix(m.rows, m.cols, m.entries)
+    assert hash(m) == hash(Matrix(m.rows, m.cols, m.entries))
 
 
 @st.composite
@@ -303,7 +359,7 @@ def int_row_matrices(draw, max_side=6):
                 combo = [x + c * y for x, y in zip(combo, row)]
         int_rows[dependent] = combo
     scale = draw(st.integers(2, 12))
-    m = Matrix.from_int_rows([{j: x for j, x in enumerate(r) if x} for r in int_rows], scale, cols)
+    m = from_int_rows([{j: x for j, x in enumerate(r) if x} for r in int_rows], scale, cols)
     return m, dependent
 
 
@@ -399,9 +455,9 @@ def test_solve_of_zero_is_zero(m):
 @settings(max_examples=40, deadline=None)
 @given(degenerate_matrices())
 def test_int_rows_are_one_scale_over_the_entries(m):
-    rows, scale = m.int_rows
+    rows, scale = m.int_rows(), m.int_form[1]
     assert all(isinstance(x, int) and x for row in rows for x in row.values())
-    assert Matrix.from_int_rows(rows, scale, m.cols) == m
+    assert from_int_rows(rows, scale, m.cols) == m
 
 
 def test_echelon_add_takes_fraction_rows_and_keeps_them_primitive():

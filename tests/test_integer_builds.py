@@ -25,7 +25,7 @@ from hderlab.exactlin import Echelon, ZERO
 
 from test_cli import COMMANDS
 from helpers import (
-    bimodule_from_tensors, echelon_add, oracle_build_tensor_algebra, oracle_cocycle_error, oracle_extension_structure,
+    bimodule_from_tensors, echelon_add, from_int_rows, oracle_build_tensor_algebra, oracle_cocycle_error, oracle_extension_structure,
     oracle_induced_tensor_hder, oracle_parse_algebra, oracle_parse_bimodule, oracle_token,
     pair_fixtures, rand_cochain, rand_fraction, rand_matrix, rescaled_pair, spelled,
 )
@@ -311,8 +311,7 @@ def test_matrix_equality_reads_the_integer_rows(rows, cols, k, seed):
     rng = random.Random(seed)
     entries = [[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)]
     scale = k * math.lcm(*(x.denominator for row in entries for x in row))
-    stored = H.Matrix.from_int_rows([{j: int(x * scale) for j, x in enumerate(row) if x} for row in entries],
-                                    scale, cols)
+    stored = from_int_rows([{j: int(x * scale) for j, x in enumerate(row) if x} for row in entries], scale, cols)
     dense = H.Matrix.from_rows(entries)
     assert dense == stored and stored == dense and hash(dense) == hash(stored)
     assert "entries" not in stored.__dict__  # compared without dense entries

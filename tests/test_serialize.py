@@ -222,7 +222,7 @@ def _section(kind: str, rng: random.Random, dim: int, mdim: int, rank: int):
 def _int_forms(value):
     """The integer forms a read structure keeps, as comparable values."""
     if isinstance(value, Matrix):
-        return value.int_rows
+        return value.int_form
     if isinstance(value, H.Algebra):
         return value.int_form
     if isinstance(value, H.Bimodule):
