@@ -9,9 +9,11 @@ statement by multilinearity.  Associativity and the higher-derivation law
 are stated once, at every order s, on integer tables over one denominator:
 order 0 is what the input verifiers check, order s the deformation equations.
 
-``LawTables`` evaluates both sides as packed integers (Kronecker
-substitution), in slots of a width B proven wide enough, so that comparing
-two integers decides every equation in them exactly.  Tables are built
+The packed-digit codec ``_Packed`` (Kronecker substitution) is the one
+owner of the slot format, for these tables and for the gauge series of
+``deform``: ``LawTables`` evaluates both sides as packed integers, in slots
+of a width B proven wide enough, so that comparing two integers decides
+every equation in them exactly.  Tables are built
 from the 2-cochain vector of each order, (mu_s; d_{1,s}, ..., d_{N,s}),
 as numerators over one denominator (``LawTables.orders``).  A pair's
 order-0 vector comes from the integer form an algebra or a bimodule
@@ -98,12 +100,6 @@ def _columns(m: Matrix, mult: int = 1) -> list[int]:
     return [col.get(i, 0) * mult for col in m.int_form[0] for i in range(m.rows)]
 
 
-def _balanced_offset(bits: int, slots: int) -> int:
-    """2^(B-1) in each of the low ``slots`` slots of B bits: added to balanced
-    digits (|x| < 2^(B-1)), it makes them nonnegative with no carry."""
-    return ((1 << bits * slots) - 1) // ((1 << bits) - 1) << bits - 1
-
-
 def _pair_tables(d: int, form: tuple, maps=()) -> LawTables:
     """The order-0 law tables of a product given by its integer form (the
     numerators [i][j][k] over their denominator) and of the maps d_1..d_N."""
@@ -113,6 +109,63 @@ def _pair_tables(d: int, form: tuple, maps=()) -> LawTables:
     for m in maps:
         vector += _columns(m, top // m.int_form[1])
     return LawTables(d, top, [vector])
+
+
+class _Packed:
+    """The packed-digit codec: a sequence of balanced digits x_0, x_1, ...,
+    |x_s| < 2^(B-1), is the one integer sum_s x_s 2^(B s), in slots of B
+    bits, B = 1 + the bit length of ``bound``.  Such an expansion is unique,
+    so a sum of products of packed integers (``_times``) is exact in every
+    slot whose digit the bound holds, whatever the slots past it hold.  The
+    codec reads the low ``slots`` slots: adding ``offset``, 2^(B-1) in each
+    of them, makes their digits nonnegative with no carry, and its part
+    above the slots one reads changes no bit below them, so one offset
+    serves every prefix."""
+
+    def __init__(self, bound: int, slots: int):
+        self.bits = bits = bound.bit_length() + 1
+        self.slots, self.mask = slots, (1 << bits * slots) - 1
+        self.offset = self.mask // ((1 << bits) - 1) << bits - 1
+
+    def pack(self, members: list) -> list[int]:
+        """The packed integers whose digits at slot s are ``members[s]``."""
+        *members, entries = members
+        for member in reversed(members):
+            entries = [(x << self.bits) + y for x, y in zip(entries, member)]
+        return entries
+
+    def digits(self, entries, start: int = 0, count: int | None = None) -> list[int]:
+        """The digits of ``entries`` at the ``count`` slots from ``start`` (by
+        default all), entry by entry."""
+        bits, count = self.bits, self.slots - start if count is None else count
+        offset, drop, window = self.offset, bits * start, (1 << bits * count) - 1
+        slot, half, places = (1 << bits) - 1, 1 << bits - 1, [bits * b for b in range(count)]
+        return [(x >> place & slot) - half
+                for x in [(x + offset) >> drop & window for x in entries] for place in places]
+
+    def members(self, entries) -> list[list[int]]:
+        """``pack`` undone: the digits of ``entries``, slot by slot."""
+        flat = self.digits(entries)
+        return [flat[s::self.slots] for s in range(self.slots)]
+
+    def cut(self, entries) -> list[int]:
+        """``entries`` with the slots past the codec's cleared."""
+        offset, mask = self.offset, self.mask
+        return [(x + offset & mask) - offset for x in entries]
+
+    def fits(self, entries, growth: int) -> bool:
+        """Whether every digit x has |x| growth < 2^(B-1): for L = B - 1 -
+        len(growth), x + 2^L per slot has slots below 2^(L+1) iff all x lie in
+        [-2^L, 2^L), as balanced digits are unique."""
+        low, ones = self.bits - 1 - growth.bit_length(), self.offset >> self.bits - 1
+        lift, outside = (ones << low, ~((ones << low + 1) - ones)) if low >= 0 else (0, 0)
+        return low >= 0 and not any(x + lift & outside for x in entries)
+
+    def lowest(self, entries) -> int | None:
+        """The lowest slot s >= 1 with a nonzero digit."""
+        # a digit is zero exactly when its slot of x + offset is 2^(B-1)
+        found = reduce(or_, [(x + self.offset) ^ self.offset for x in entries]) >> self.bits
+        return ((found & -found).bit_length() - 1) // self.bits + 1 if found else None
 
 
 def _times(vectors: list, weights) -> list[list[int]]:
@@ -133,23 +186,20 @@ class LawTables:
     """The integer tables of a family (mu_0..mu_n; d_{k,0..n}) over one
     denominator D, and the order-s equations of the two laws on them.
 
-    The equations are evaluated on packed integers (Kronecker
-    substitution): a sequence of integers x_m is the one integer
-    sum_m x_m 2^(B m), in slots of B bits, and a sum of products of such
-    sequences is a sum of big-integer products.  Each basis tuple of the
-    scan, (i, j, l) for associativity and (i, j) for law k, holds one packed
-    integer per side, slot s d + b holding the numerator of order s at
-    output coordinate b: one product is the whole convolution over the
-    orders, and the slots of one order, tuple after tuple, are the order-s
-    plane in the order of the 3-cochain vector.  The sums run over the
-    nonzero entries only.
+    The equations are evaluated on packed integers (``_Packed``).  Each
+    basis tuple of the scan, (i, j, l) for associativity and (i, j) for law
+    k, holds one packed integer per side, slot s d + b holding the
+    numerator of order s at output coordinate b: one product is the whole
+    convolution over the orders, and the slots of one order, tuple after
+    tuple, are the order-s plane in the order of the 3-cochain vector.  The
+    sums run over the nonzero entries only.
 
-    ``bits`` fixes B so that each slot x of lhs and rhs at orders up to
-    n + 1 has |x| < 2^(B-1).  A base-2^B expansion with digits that small
-    is unique and no slot carries into the next, so the low slots of lhs
-    and rhs agree exactly when their low bits do, and the lowest set bit of
-    lhs - rhs lies in the first failing slot.  Digits are unpacked only to
-    report a failure and to build or check an obstruction.
+    ``codec`` reads the d (n + 2) slots of orders 0..n+1, in a width B that
+    bounds every digit of lhs and rhs there.  As the expansion is unique,
+    the low slots of lhs and rhs agree exactly when their low bits do, and
+    the lowest set bit of lhs - rhs lies in the first failing slot.  Digits
+    are unpacked only to report a failure and to build or check an
+    obstruction.
 
     Associativity at (i, j, l) is sum_c mu(e_i, e_j)_c mu(e_c, e_l) against
     sum_c mu(e_j, e_l)_c mu(e_i, e_c).  Law k at (i, j) is
@@ -160,9 +210,9 @@ class LawTables:
     ``orders[s]`` is the order-s coefficient, the numerators over D of its
     2-cochain vector: mu_s flat in [i][j][c] order, then each d_{k,s}
     column by column.  It is the family's one integer form, packed per
-    basis tuple here and entry by entry by ``deform._Packed``.
+    basis tuple here and entry by entry by the gauge algebra of ``deform``.
     ``_tables[0][s]`` and ``_tables[k + 1][s]`` are its mu_s and d_{k,s}
-    blocks (d_{0,0} = id) as ``(numerators, mx, l1)``, for ``bits``.
+    blocks (d_{0,0} = id) as ``(numerators, mx, l1)``, for ``codec``.
     """
 
     def __init__(self, dim: int, den: int, orders):
@@ -171,7 +221,6 @@ class LawTables:
         self.order = len(orders) - 1
         self.rank = (len(orders[0]) - dim ** 3) // (dim * dim)
         self._sides: dict[int, tuple[list[int], list[int]]] = {}
-        self._windows: dict[int, tuple[int, int, int]] = {}
 
     # ==, hash and repr read (dim, den, orders), each order as a tuple
     _key = property(lambda self: (self.dim, self.den, tuple(map(tuple, self.orders))))
@@ -209,11 +258,12 @@ class LawTables:
         return divmod(t, d)
 
     @cached_property
-    def bits(self) -> int:
-        """B: 1 + the bit length of the largest bound on a slot of lhs or
-        rhs at orders 0..n+1, over both laws, and of a staged series.  With
-        mx and l1 (``_int_table``) as series in the order, a slot at order s
-        is at most the coefficient of t^s in l1(mu) mx(mu) for associativity;
+    def codec(self) -> _Packed:
+        """The codec of the d (n + 2) slots of orders 0..n+1, from the
+        largest bound on a slot of lhs or rhs there, over both laws, and of
+        a staged series; ``bits`` is its B.  With mx and l1 (``_int_table``)
+        as series in the order, a slot at order s is at most the
+        coefficient of t^s in l1(mu) mx(mu) for associativity;
         for law k, in D l1(mu) mx(d_k) on the left and sum_a l1(d_a) S_{k-a}
         on the right, S_b = l1(d_b) mx(mu) bounding the staged series.  These
         nonnegative series are multiplied packed too, in slots wide enough
@@ -238,7 +288,9 @@ class LawTables:
         # the bounds hold nonnegative slots, so their bitwise or has, slot
         # by slot, the bit length of the largest
         slots, mask = reduce(or_, bounds), (1 << width) - 1
-        return max(((slots >> width * s) & mask).bit_length() for s in range(top + 1)) + 1
+        return _Packed(max((slots >> width * s) & mask for s in range(top + 1)), self.dim * (top + 1))
+
+    bits = property(lambda self: self.codec.bits)
 
     @cached_property
     def _packs(self) -> tuple[list[list[int]], list[int]]:
@@ -278,42 +330,24 @@ class LawTables:
         """The sides of law k = 1..N.  At (i, .), law k combines the staged
         rows S_k(u, .), ..., S_0(u, .), which ``right`` holds after step k,
         with the weights d_0(e_i)_u, ..., d_k(e_i)_u of ``left[i]``, block by
-        block.  S_b(u, j) = sum_v mu(e_u, e_v) d_b(e_j)_v is cut off from
-        order n + 2 on by its balanced residue (``bits`` bounds the rest)."""
+        block.  S_b(u, j) = sum_v mu(e_u, e_v) d_b(e_j)_v is cut to the
+        codec's slots, orders 0..n+1, whose digits ``codec`` bounds."""
         d, dd, den = self.dim, self.dim ** 2, self.den
-        # orders reach 2n > n + 1 from n = 2 on
-        half = 1 << self.bits * d * (self.order + 2) - 1 if self.order > 1 else 0
+        cut = self.order > 1  # orders reach 2n > n + 1 from n = 2 on
         mu = scalars[:dd]
         left = [list(itertools.chain(*scalars[dd + i::d])) for i in range(d)]
         by_u = [vectors[v:dd:d] for v in range(d)]  # mu(e_., e_v)
         right: list[list[int]] = []
         for k in range(self.rank + 1):
             staged = list(zip(*_times(by_u, scalars[dd + k * d:dd + k * d + d])))
-            if half:
-                staged = [[((x + half) & (2 * half - 1)) - half for x in row] for row in staged]
+            if cut:
+                staged = list(map(self.codec.cut, staged))
             right = staged + right
             if k:
                 col = vectors[dd + k * d:dd + k * d + d]
                 rhs = _times(right, left)
                 self._sides[k] = ([den * sum(map(mul, at, col)) for at in mu],
                                   list(itertools.chain(*rhs)))
-
-    def _window(self, s: int) -> tuple[int, int, int]:
-        """``(offset, drop, mask)`` for order s: adding the balanced offset
-        up to order s, shifting by drop and masking leaves its d slots."""
-        window = self._windows.get(s)
-        if window is None:
-            bits, d = self.bits, self.dim
-            window = self._windows[s] = (_balanced_offset(bits, d * (s + 1)), bits * d * s,
-                                         (1 << bits * d) - 1)
-        return window
-
-    def _digits(self, packed: int, s: int) -> list[int]:
-        """The d slots of order s of a packed side, balanced."""
-        offset, drop, mask = self._window(s)
-        bits = self.bits
-        block, slot, half = (packed + offset) >> drop & mask, (1 << bits) - 1, 1 << (bits - 1)
-        return [(block >> bits * b & slot) - half for b in range(self.dim)]
 
     def first_failure(self, upto: int) -> tuple | None:
         """``(s, k, tuple, lhs, rhs)`` at the first failing equation of
@@ -332,8 +366,7 @@ class LawTables:
         if first is None:
             return None
         s, k, t = first
-        lhs, rhs = self.sides(k)
-        return s, k, self.tuple_at(k, t), self._digits(lhs[t], s), self._digits(rhs[t], s)
+        return s, k, *self.failure(k, s, [self.tuple_at(k, t)])
 
     def failure(self, k: int, s: int, at=None) -> tuple | None:
         """``(tuple, lhs, rhs)`` at the first basis tuple where the order-s
@@ -346,20 +379,17 @@ class LawTables:
             return None
         numbers = range(len(lhs)) if at is None else [
             (tup[0] * d + tup[1]) * d + tup[2] if k == 0 else tup[0] * d + tup[1] for tup in at]
-        offset, drop, mask = self._window(s)
+        # bits drop.. of x + offset hold the d digits of order s, each plus 2^(B-1)
+        offset, drop, mask = self.codec.offset, self.bits * d * s, (1 << self.bits * d) - 1
         for t in numbers:
             if (lhs[t] + offset) >> drop & mask != (rhs[t] + offset) >> drop & mask:
-                return self.tuple_at(k, t), self._digits(lhs[t], s), self._digits(rhs[t], s)
+                return self.tuple_at(k, t), *(self.codec.digits([side[t]], d * s, d) for side in (lhs, rhs))
         return None
 
     def unpack(self, k: int, s: int) -> tuple[list[int], list[int]]:
         """Every slot of order s of law k, lhs and rhs, in scan order."""
-        offset, drop, mask = self._window(s)
-        bits, places = self.bits, [self.bits * b for b in range(self.dim)]
-        slot, half = (1 << bits) - 1, 1 << (bits - 1)
-        return tuple([(block >> place & slot) - half
-                      for block in [(packed + offset) >> drop & mask for packed in side] for place in places]
-                     for side in self.sides(k))
+        d = self.dim
+        return tuple(self.codec.digits(side, d * s, d) for side in self.sides(k))
 
 
 class Violation(Value):

@@ -221,16 +221,13 @@ def cmd_extend_abelian(doc, args):
 
 
 def cmd_cocycle_from_section(doc, args):
-    from .extensions import SectionError, cocycle_from_section, extension_from_cocycle
+    from .extensions import cocycle_from_section, extension_from_cocycle
     alg, hd, mod, z = _extension_inputs(doc, args)
     ext = extension_from_cocycle(alg, hd, mod, z)
     section = None
     if "section" in doc:
         section = parse_matrix(doc["section"], alg.dim + mod.mdim, alg.dim, "section")
-    try:
-        out = cocycle_from_section(ext, section)
-    except SectionError as exc:
-        return False, {}, [str(exc)]
+    out = cocycle_from_section(ext, section)
     results = {"cocycle": cochain_to_json(out),
                "matches_input": out == z}
     return True, results, []

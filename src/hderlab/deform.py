@@ -16,10 +16,11 @@ compares.  A cocycle test sums the differential's stencil on numerators
 (``cochain._coboundary``); the deform commands run one only when the solve
 finds no preimage, since a preimage makes the cochain a coboundary.
 
-The gauge group runs on one packed form too (``_Packed``): an entry of a
-gauge, d_k or mu series is one integer sum_s x_s 2^(B s), and the action,
-composition, inverse and the shears of ``trivialize`` are big-integer
-products of entries.  A returned cochain (the obstruction and its
+The gauge group runs on the packed-digit codec of ``algebras`` too
+(``_Packed``, one slot per order 0..T): an entry of a gauge, d_k or mu
+series is one packed integer, and the action, composition, inverse and the
+shears of ``trivialize`` are big-integer products of entries, cut to the
+codec's slots.  A returned cochain (the obstruction and its
 preimage, an infinitesimal, a blocking coefficient) is built from the
 integers at hand, as a ``Cochain`` stores one integer form.  Fractions
 appear only at the boundary: a reported violation, the multimap views of a
@@ -34,8 +35,8 @@ import math
 from functools import reduce
 from operator import or_
 
-from .algebras import (Algebra, CheckReport, LawTables, Violation, _balanced_offset, _columns,
-                       _pair_tables, _times, adjoint_bimodule)
+from .algebras import (Algebra, CheckReport, LawTables, Violation, _columns, _Packed, _pair_tables, _times,
+                       adjoint_bimodule)
 from .cochain import (
     Cochain, MultiMap, NegativeAnswer, NotACocycleError, _coboundary, cochain_blocks, differential_matrix,
     preimage,
@@ -210,50 +211,6 @@ def infinitesimal(alg: Algebra, hd: HigherDerivation, defm: Deformation,
     return coeff, CheckReport.passed()
 
 
-class _Packed:
-    """Matrix series mod t^(T+1), packed entry by entry: an entry is the
-    integer sum_s x_s 2^(B s) of its balanced digits, |x_s| < 2^(B-1), and a
-    product of series is a set of big-integer products (``algebras._times``).
-    B bounds every digit of orders 0..T of the products formed, so those are
-    exact (balanced digits are unique) whatever the slots past T hold."""
-
-    def __init__(self, bound: int, order: int):
-        self.bits = bits = max(bound, 1).bit_length() + 1
-        self.order, self.offset = order, _balanced_offset(bits, order + 1)
-        self.mask = (1 << bits * (order + 1)) - 1
-
-    def pack(self, members: list) -> list[int]:
-        """The entries of the series with the flat integer ``members``."""
-        *members, entries = members
-        for member in reversed(members):
-            entries = [(x << self.bits) + y for x, y in zip(entries, member)]
-        return entries
-
-    def members(self, entries, orders=None) -> list[list[int]]:
-        """The digits at ``orders`` (by default all: ``pack`` undone)."""
-        lifted, slot, half = [x + self.offset for x in entries], (1 << self.bits) - 1, 1 << self.bits - 1
-        return [[(x >> self.bits * s & slot) - half for x in lifted]
-                for s in (range(self.order + 1) if orders is None else orders)]
-
-    def cut(self, entries) -> list[int]:
-        offset, mask = self.offset, self.mask
-        return [(x + offset & mask) - offset for x in entries]
-
-    def fits(self, entries, growth: int) -> bool:
-        """Whether every digit x has |x| growth < 2^(B-1): for L = B - 1 -
-        len(growth), x + 2^L per slot has slots below 2^(L+1) iff all x lie in
-        [-2^L, 2^L), as balanced digits are unique."""
-        low, ones = self.bits - 1 - growth.bit_length(), self.offset >> self.bits - 1
-        lift, outside = (ones << low, ~((ones << low + 1) - ones)) if low >= 0 else (0, 0)
-        return low >= 0 and not any(x + lift & outside for x in entries)
-
-    def lowest(self, entries) -> int | None:
-        """The lowest order s >= 1 with a nonzero digit."""
-        # a digit is zero exactly when its slot of x + offset is 2^(B-1)
-        found = reduce(or_, [(x + self.offset) ^ self.offset for x in entries]) >> self.bits
-        return ((found & -found).bit_length() - 1) // self.bits + 1 if found else None
-
-
 def _split(flat: list, dim: int) -> list:
     """The entries [a][rest] as ``dim`` vectors over rest, one per a."""
     m = len(flat) // dim
@@ -321,9 +278,9 @@ def _conjugate(p: _Packed, state: list, phi: list, e: int, steps: int) -> list[i
 
 def _gauge_map(p: _Packed, entries: list, scale: int, dim: int) -> GaugeMap:
     """The gauge of the packed entries given column by column, over ``scale``."""
-    return GaugeMap(p.order, tuple(Matrix.from_int_columns([{i: x for i, x in enumerate(m[c:c + dim]) if x}
-                                                            for c in range(0, dim * dim, dim)], scale, dim)
-                                   for m in p.members(entries)))
+    return GaugeMap(p.slots - 1, tuple(Matrix.from_int_columns([{i: x for i, x in enumerate(m[c:c + dim]) if x}
+                                                                for c in range(0, dim * dim, dim)], scale, dim)
+                                       for m in p.members(entries)))
 
 
 def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
@@ -335,7 +292,7 @@ def apply_gauge(defm: Deformation, gauge: GaugeMap) -> Deformation:
         raise ShapeError("gauge dimension differs from the deformation")
     (members, e), orders = _gauge_members(gauge, T), defm.tables.orders
     steps, growth = _growth(members, e, dim, T)
-    p = _Packed(max(1, *map(abs, itertools.chain(*orders))) * growth, T)
+    p = _Packed(max(1, *map(abs, itertools.chain(*orders))) * growth, T + 1)
     state = _conjugate(p, p.pack(orders), p.pack(members), e, steps)
     return Deformation(LawTables(dim, defm.tables.den * e ** (steps + 2), p.members(state)))
 
@@ -347,8 +304,8 @@ def gauge_inverse(gauge: GaugeMap) -> GaugeMap:
     dim, T = gauge.dim, gauge.order
     members, e = _gauge_members(gauge, T)
     steps, growth = _growth(members, e, dim, T)
-    absolute, rough = [members[0]] + [[-abs(x) for x in m] for m in members[1:]], _Packed(growth, T)
-    p = _Packed(max(itertools.chain(*rough.members(_inverse(rough, rough.pack(absolute), e, steps)))), T)
+    absolute, rough = [members[0]] + [[-abs(x) for x in m] for m in members[1:]], _Packed(growth, T + 1)
+    p = _Packed(max(rough.digits(_inverse(rough, rough.pack(absolute), e, steps))), T + 1)
     return _gauge_map(p, _inverse(p, p.pack(members), e, steps), e ** steps, dim)
 
 
@@ -360,9 +317,9 @@ def gauge_compose(first: GaugeMap, second: GaugeMap) -> GaugeMap:
         raise ShapeError("gauge dimensions differ")
     dim, order = first.dim, min(first.order, second.order)
     (a, e), (b, f) = _gauge_members(first, order), _gauge_members(second, order)
-    rough = _Packed(sum(map(abs, itertools.chain(*a))) * sum(map(abs, itertools.chain(*b))), order)
+    rough = _Packed(sum(map(abs, itertools.chain(*a))) * sum(map(abs, itertools.chain(*b))), order + 1)
     absolute = [[list(map(abs, m)) for m in members] for members in (a, b)]
-    p = _Packed(max(itertools.chain(*rough.members(_product(rough, *map(rough.pack, absolute), dim)))), order)
+    p = _Packed(max(rough.digits(_product(rough, *map(rough.pack, absolute), dim))), order + 1)
     return _gauge_map(p, _product(p, p.pack(a), p.pack(b), dim), e * f, dim)
 
 
@@ -449,9 +406,9 @@ def _reduce(p: _Packed, entries: list, scale: int) -> tuple[list, int]:
     two = scale & -scale
     g = math.gcd(scale // two, *entries)
     if g > 1:
-        g = math.gcd(g, *itertools.chain(*p.members(entries)))
+        g = math.gcd(g, *p.digits(entries))
     slots = reduce(or_, [x + p.offset for x in entries])
-    slots = reduce(or_, [slots >> p.bits * s for s in range(p.order + 1)]) & (1 << p.bits) - 1
+    slots = reduce(or_, [slots >> p.bits * s for s in range(p.slots)]) & (1 << p.bits) - 1
     g *= min(two, slots & -slots)
     return ([x // g for x in entries], scale // g) if g > 1 else (entries, scale)
 
@@ -479,7 +436,7 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         raise ValueError("cannot trivialize past the stored order")
     dim, identity = alg.dim, [int(k % (alg.dim + 1) == 0) for k in range(alg.dim ** 2)]
     members = [defm.tables.orders[:T + 1], [identity]]  # at hand until the first shear
-    p = _Packed(max(map(abs, itertools.chain(*members[0]))), T)
+    p = _Packed(max(1, *map(abs, itertools.chain(*members[0]))), T + 1)
     (state, acc), q, q_acc = map(p.pack, members), defm.tables.den, 1
     mod = adjoint_bimodule(alg, hd)
     while True:
@@ -487,9 +444,9 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         if lowest is None:
             return TrivializeOutcome(_gauge_map(p, acc, q_acc, dim))
         # over the negated scale the digits are the coefficient's negative
-        sol = solve_ints(differential_matrix(alg, mod, hd, 1), p.members(state, [lowest])[0], -q)
+        sol = solve_ints(differential_matrix(alg, mod, hd, 1), p.digits(state, lowest, 1), -q)
         if sol is None:
-            digits = p.members(state, [lowest])[0]
+            digits = p.digits(state, lowest, 1)
             if any(_coboundary(alg, mod, hd, 2, digits)[0]):
                 raise RuntimeError(f"lowest coefficient at order {lowest} is not a cocycle; "
                                    "the input cannot have verified")
@@ -499,7 +456,7 @@ def trivialize(alg: Algebra, hd: HigherDerivation, defm: Deformation,
         steps, growth = _growth(shear, e, dim, T // lowest)  # in u = t^r, Phi = e id + u H
         if not (p.fits(state, growth) and p.fits(acc, growth)):  # widen, room for two shears
             members = members or [p.members(state), p.members(acc)]
-            p = _Packed(max(1, *map(abs, itertools.chain(*members[0], *members[1]))) * growth ** 2, T)
+            p = _Packed(max(1, *map(abs, itertools.chain(*members[0], *members[1]))) * growth ** 2, T + 1)
             state, acc = map(p.pack, members)
         members, phi = None, [x + (y << p.bits * lowest) for x, y in zip(*shear)]
         state, q = _reduce(p, _conjugate(p, state, phi, e, steps), q * e ** (steps + 2))

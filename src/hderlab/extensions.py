@@ -258,6 +258,11 @@ def equivalence_from_cochain(h: MultiMap) -> Matrix:
                             [[*h.values[r::md], *(int(c == r) for c in range(md))] for r in range(md)])
 
 
+def _require_same_base(e1: ExtensionPair, e2: ExtensionPair) -> None:
+    if e1.base != e2.base or e1.module != e2.module:
+        raise ShapeError("extensions are not over the same base and module")
+
+
 def check_equivalence(e1: ExtensionPair, e2: ExtensionPair,
                       candidate: Matrix) -> CheckReport:
     """Is the candidate an equivalence of extensions over the same (A, M)?
@@ -265,8 +270,7 @@ def check_equivalence(e1: ExtensionPair, e2: ExtensionPair,
     It must be an algebra morphism intertwining the derivation maps,
     restrict to the identity on M, and project to the identity on A.
     """
-    if e1.base != e2.base or e1.module != e2.module:
-        raise ShapeError("extensions are not over the same base and module")
+    _require_same_base(e1, e2)
     big = e1.dim + e1.mdim
     if candidate.rows != big or candidate.cols != big:
         raise ShapeError(f"candidate must be {big}x{big}")
@@ -285,8 +289,7 @@ def find_equivalence(e1: ExtensionPair, e2: ExtensionPair) -> Matrix | None:
     differ by the coboundary of h.  Returns the shear matrix, or None when
     the extensions represent different cohomology classes.
     """
-    if e1.base != e2.base or e1.module != e2.module:
-        raise ShapeError("extensions are not over the same base and module")
+    _require_same_base(e1, e2)
     alg, hd, mod = e1.base.algebra, e1.base.hder, e1.module
     (x1, q1), (x2, q2) = cocycle_from_section(e1).int_form, cocycle_from_section(e2).int_form
     q = math.lcm(q1, q2)

@@ -209,8 +209,7 @@ def truncated_morphism_check(alg: Algebra, hd: HigherDerivation) -> CheckReport:
     Built from the truncation's own structure constants, not from the
     higher-derivation identity, so it can cross-check verify_hder.
     """
-    if hd.dim != alg.dim:
-        raise ShapeError(f"maps are {hd.dim}x{hd.dim}, algebra has dim {alg.dim}")
+    _require_same_dim(alg, hd)
     big = polynomial_truncation(alg, hd.rank)
     d = alg.dim
     cols = []

@@ -44,7 +44,7 @@ from unittest import mock
 from hypothesis import strategies as st
 
 import hderlab as H
-from hderlab import deform, exactlin, samples
+from hderlab import algebras, deform, exactlin, samples
 from hderlab.algebras import LawTables, _contract
 from hderlab.exactlin import ONE, ZERO, as_fractions, echelon, int_form, vec_add
 from hderlab.extensions import _check_induced_actions
@@ -640,7 +640,7 @@ def fraction_apply_gauge(defm: H.Deformation, gauge: H.GaugeMap) -> H.Deformatio
     state = [list(itertools.chain(*(ser[s][0] for ser in series))) for s in range(T + 1)]
     members, e = deform._gauge_members(gauge, T)
     steps, growth = deform._growth(members, e, dim, T)
-    p = deform._Packed(max(1, *map(abs, itertools.chain(*state))) * growth, T)
+    p = algebras._Packed(max(1, *map(abs, itertools.chain(*state))) * growth, T + 1)
     state = deform._conjugate(p, p.pack(state), p.pack(members), e, steps)
     return H.Deformation.from_coeffs(tuple(H.Cochain(dim, dim, defm.rank, 2, (m, tables.den * e ** (steps + 2)))
                                            for m in p.members(state)))
@@ -1218,6 +1218,17 @@ def _chunked(tables: LawTables) -> tuple[list, list]:
 
     return ([chunks(flat) for flat, _mx, _l1 in tables._tables[0]],
             [[chunks(flat) for flat, _mx, _l1 in ser] for ser in tables._tables[1:]])
+
+
+def window_digits(tables: LawTables, packed: int, s: int) -> list[int]:
+    """The d digits of order s of a packed side, read through a window of
+    that order alone: 2^(B-1) added to each slot of orders 0..s, then the d
+    slots of order s shifted down and masked.  The reference for the one
+    offset of ``LawTables.codec``, which serves every order."""
+    bits, d = tables.bits, tables.dim
+    offset = ((1 << bits * d * (s + 1)) - 1) // ((1 << bits) - 1) << bits - 1
+    block = (packed + offset) >> bits * d * s & (1 << bits * d) - 1
+    return [(block >> bits * b & (1 << bits) - 1) - (1 << bits - 1) for b in range(d)]
 
 
 def oracle_associativity_terms(tables: LawTables, s: int = 0, at=None):

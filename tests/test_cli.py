@@ -392,6 +392,71 @@ def test_deform_trivialize_negative_order_exits_2(to, capsys):
     assert captured.err == f"input error: deform-trivialize needs --to >= 0, got {to}\n"
 
 
+def _edit(key, value):
+    """A document edit setting ``doc[key[0]][key[1]]...`` to ``value``
+    (the key removed for None)."""
+    def edit(doc):
+        *path, last = key
+        for k in path:
+            doc = doc[k]
+        if value is None:
+            del doc[last]
+        else:
+            doc[last] = value
+    return edit
+
+
+def _one_cocycle(doc):
+    """The cocycle as a 1-cochain: the main block of the right length."""
+    main = doc["cocycle"]["main"]
+    doc["cocycle"] = {"n": 1, "main": main[:len(main) // doc["algebra"]["dim"]]}
+
+
+@pytest.mark.parametrize("fixture,edit,args,env,expected,error", [
+    ("dual_pair.json", None, ["check"], "six", 2, "HDERLAB_MAX_DIM is not an integer: 'six'"),
+    ("dual_pair.json", lambda doc: [doc], ["check"], None, 2, "{path}: top level must be an object"),
+    ("split_pair.json", None, ["cohomology", "--degree", "1", "--coefficients", "file"], None, 2,
+     "--coefficients file needs a 'bimodule' section"),
+    ("dual_cocycle.json", None, ["extend-abelian", "--cocycle", "twist"], None, 2,
+     "missing top-level key 'twist' holding the cocycle"),
+    # the one positive path: check reads an algebra with no hder section
+    ("split_pair.json", _edit(("hder",), None), ["check"], None, 0, None),
+    ("dual_pair.json", _edit(("hder",), None), ["check"], None, 2, "a 'bimodule' section needs an 'hder' section"),
+    ("dual_deform.json", None, ["deform-extend", "--to", "2"], None, 2, "--to 2 is not past the current order 2"),
+    ("dual_deform.json", None, ["deform-trivialize", "--to", "3"], None, 2, "--to 3 exceeds the stored order 2"),
+    ("tensor_line.json", _edit(("tensor", "degree"), None), ["free-tensor"], None, 2,
+     "tensor.degree or --degree is required"),
+    ("split_pair.json", _edit(("algebra", "unit"), "0"), ["check"], None, 2, "algebra.unit: expected an integer"),
+    ("split_pair.json", _edit(("algebra",), []), ["check"], None, 2, "algebra: expected an object"),
+    ("split_pair.json", _edit(("algebra", "dim"), 0), ["check"], None, 2, "algebra.dim: must be >= 1"),
+    ("split_pair.json", _edit(("algebra", "unit"), 5), ["check"], None, 2, "algebra.unit: index 5 out of range"),
+    ("dual_cocycle.json", _one_cocycle, ["extend-abelian"], None, 2, "cocycle.n: a 2-cochain is required"),
+    ("tensor_line.json", _edit(("tensor", "thetas"), []), ["free-tensor"], None, 2,
+     "tensor.thetas: at least one map is required"),
+], ids=["cap not an integer", "top level a list", "file coefficients without a bimodule",
+        "missing cocycle key", "check without an hder", "bimodule without an hder",
+        "extend not past the order", "trivialize past the order", "free-tensor without a degree",
+        "unit not an integer", "algebra not an object", "dim below one", "unit out of range",
+        "cocycle of degree one", "no thetas"])
+def test_input_errors_exit_2_with_one_stderr_line(fixture, edit, args, env, expected, error, tmp_path,
+                                                   monkeypatch, capsys):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    if edit is not None:
+        doc = edit(doc) or doc
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    if env is not None:
+        monkeypatch.setenv("HDERLAB_MAX_DIM", env)
+    assert main([args[0], str(path), *args[1:], "--json"]) == expected
+    captured = capsys.readouterr()
+    if error is None:
+        assert captured.err == ""
+        assert json.loads(captured.out)["ok"] is True
+    else:
+        assert captured.out == ""
+        assert captured.err == f"input error: {error.format(path=path)}\n"
+
+
 def _outcome(parse, argv):
     """The namespace or exit code of ``parse(argv)``, with its stdout and
     stderr, captured here rather than by pytest, whose capture hypothesis
@@ -617,6 +682,11 @@ def test_section_mismatch_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["cocycle-from-section", str(path)]) == 1
     capsys.readouterr()
+    # a SectionError is a negative answer: the violation and no results
+    assert main(["cocycle-from-section", str(path), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["ok"], report["results"], report["violations"]) == (
+        False, {}, ["matrix is not a section: p o s is not the identity"])
 
 
 def test_unverified_deformation_exits_1_on_obstruction_commands(capsys):

@@ -4,7 +4,9 @@ plane, every first failure (in scan order or over a chosen list of tuples)
 and the first failure over all orders must match, on random sparse tables of
 dims 1-4, ranks 1-3 and orders 0-5 with entries up to 2^64 over denominators
 up to 2^20, on zero tables, and on tables whose every entry is the table
-maximum, where the slot sums reach the bound that sets the slot width."""
+maximum, where the slot sums reach the bound that sets the slot width.  The
+one codec offset is checked against a window per order (``window_digits``)
+at every order 0..n+1."""
 
 import random
 from fractions import Fraction
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import hderlab as H
 
-from helpers import oracle_associativity_terms, oracle_derivation_law_terms
+from helpers import oracle_associativity_terms, oracle_derivation_law_terms, window_digits
 
 
 def _oracle_terms(tables, k: int, s: int, at=None):
@@ -39,8 +41,21 @@ def _tables(dim: int, rank: int, order: int, value):
     return H.Deformation.from_coeffs([H.vector_to_cochain(dim, dim, rank, 2, v) for v in vectors]).tables
 
 
+def _assert_reads_every_window(tables):
+    """At every order 0..n+1, ``unpack`` and ``failure`` through the one
+    codec offset read what the window of that order alone reads."""
+    for k in range(tables.rank + 1):
+        lhs, rhs = tables.sides(k)
+        for s in range(tables.order + 2):
+            windows = [(window_digits(tables, x, s), window_digits(tables, y, s)) for x, y in zip(lhs, rhs)]
+            assert tables.unpack(k, s) == tuple([x for pair in windows for x in pair[side]] for side in (0, 1))
+            assert tables.failure(k, s) == next(((tables.tuple_at(k, t), x, y) for t, (x, y) in enumerate(windows)
+                                                 if x != y), None)
+
+
 def _assert_matches_oracle(tables, rng: random.Random):
     d, n = tables.dim, tables.order
+    _assert_reads_every_window(tables)
     for k in range(tables.rank + 1):
         assert tables.scale(k) == tables.den ** (2 if k == 0 else 3)
         for s in range(n + 2):
